@@ -639,12 +639,14 @@ impl<B: ExecutorBackend> ExecutorBackend for CountingBackend<B> {
 
 /// Wall-clock throughput of the core scheduling loop: decisions committed
 /// and backend events processed per second of real time, measured over FIFO
-/// episodes on the given setup. Unlike every other gate metric these are
-/// **wall-clock** rates — the `throughput` prefix both inverts the gate's
-/// direction (higher is better) and widens its margin
-/// ([`gate::tolerance_for`]) — so the cell catches an order-of-magnitude
-/// slowdown of the loop itself, which virtual-time makespans cannot see.
-pub fn throughput_metrics(setup: &Setup, _scale: RunScale) -> Vec<(String, f64)> {
+/// episodes on the given setup, plus the decisions per second of the real
+/// policy path — a quick-config BQSched agent acting greedily over the same
+/// rounds. Unlike every other gate metric these are **wall-clock** rates —
+/// the `throughput` prefix both inverts the gate's direction (higher is
+/// better) and widens its margin ([`gate::tolerance_for`]) — so the cell
+/// catches an order-of-magnitude slowdown of the loop itself, which
+/// virtual-time makespans cannot see.
+pub fn throughput_metrics(setup: &Setup, scale: RunScale) -> Vec<(String, f64)> {
     // The measured window must be wide enough that scheduler jitter and cache
     // warmup stop dominating: at eval-round counts (3 quick rounds ≈ 1 ms of
     // wall time) the reported rate flapped ±20% run to run, which forced the
@@ -653,7 +655,7 @@ pub fn throughput_metrics(setup: &Setup, _scale: RunScale) -> Vec<(String, f64)>
     // steady to a few percent, so the same-machine floor is enforceable.
     const WARMUP_ROUNDS: u64 = 16;
     const MEASURED_ROUNDS: u64 = 128;
-    let run_round = |seed: u64| -> (usize, usize) {
+    let run_round = |seed: u64, policy: &mut dyn SchedulerPolicy| -> (usize, usize) {
         let mut backend = CountingBackend {
             inner: ExecutionEngine::new(setup.profile.clone(), &setup.workload, seed),
             events: 0,
@@ -662,22 +664,34 @@ pub fn throughput_metrics(setup: &Setup, _scale: RunScale) -> Vec<(String, f64)>
             .dbms(setup.profile.kind)
             .round(seed)
             .build(&mut backend)
-            .run(&mut FifoScheduler::new());
+            .run(policy);
         (log.len(), backend.events)
     };
-    for seed in 0..WARMUP_ROUNDS {
-        run_round(seed);
-    }
-    let mut decisions = 0usize;
-    let mut events = 0usize;
-    // bq-lint: allow(wall-clock): throughput cells measure real decisions/events per second by design — the one gate metric where the host clock IS the instrument
-    let started = std::time::Instant::now();
-    for seed in 0..MEASURED_ROUNDS {
-        let (d, e) = run_round(seed);
-        decisions += d;
-        events += e;
-    }
-    let elapsed = started.elapsed().as_secs_f64().max(1e-9);
+    // Decisions and events over the measured rounds, and their wall seconds.
+    let measure = |policy: &mut dyn SchedulerPolicy| -> (usize, usize, f64) {
+        for seed in 0..WARMUP_ROUNDS {
+            run_round(seed, policy);
+        }
+        let mut decisions = 0usize;
+        let mut events = 0usize;
+        // bq-lint: allow(wall-clock): throughput cells measure real decisions/events per second by design — the one gate metric where the host clock IS the instrument
+        let started = std::time::Instant::now();
+        for seed in 0..MEASURED_ROUNDS {
+            let (d, e) = run_round(seed, policy);
+            decisions += d;
+            events += e;
+        }
+        (decisions, events, started.elapsed().as_secs_f64().max(1e-9))
+    };
+    let (decisions, events, elapsed) = measure(&mut FifoScheduler::new());
+    let mut agent = BqSchedAgent::new(
+        &setup.workload,
+        &setup.profile,
+        Some(&setup.history),
+        scale.agent_config(),
+    );
+    agent.explore = false;
+    let (greedy_decisions, _, greedy_elapsed) = measure(&mut agent);
     vec![
         (
             "throughput_decisions_per_sec".to_string(),
@@ -686,6 +700,10 @@ pub fn throughput_metrics(setup: &Setup, _scale: RunScale) -> Vec<(String, f64)>
         (
             "throughput_events_per_sec".to_string(),
             events as f64 / elapsed,
+        ),
+        (
+            "throughput_greedy_decisions_per_sec".to_string(),
+            greedy_decisions as f64 / greedy_elapsed,
         ),
     ]
 }

@@ -9,7 +9,7 @@
 //! [`BqSchedConfig`] (see [`BqSchedConfig::lsched`]).
 
 use crate::clustering::{gains_from_history, GainPredictor, QueryClustering};
-use crate::masking::AdaptiveMask;
+use crate::masking::{AdaptiveMask, MASK_VALUE};
 use crate::simulator::{LearnedSimulator, SimulatorModel};
 use bq_core::{
     Action, EpisodeLog, ExecutionHistory, ExecutorBackend, QueryStatus, ScheduleSession,
@@ -239,7 +239,7 @@ impl BqSchedModel {
         }
     }
 
-    /// Build the fused-attention inference cache for [`Self::infer_policy`].
+    /// Build the inference cache for [`Self::infer_policy`].
     /// Valid for the [`ParamStore::version`] it was built at.
     pub fn build_infer_cache(&self, store: &ParamStore) -> StateEncoderInferCache {
         self.state_encoder.build_infer_cache(store)
@@ -247,31 +247,39 @@ impl BqSchedModel {
 
     /// Tape-free policy evaluation for the decision loop.
     ///
-    /// Returns the masked flat logits `[1, n·K]` and the state value. Bitwise
-    /// identical to [`ActorCritic::evaluate`] on the same observation: every
-    /// step runs the same tensor arithmetic, without recording a graph. When
-    /// `want_value` is false (greedy inference — the value is never read) the
-    /// value head is skipped and `0.0` returned.
+    /// Returns the masked flat logits `[1, n·K]` and the state value. Only
+    /// the selectable entities (`obs.encoded.pending`) get a policy logit,
+    /// bitwise equal to [`ActorCritic::evaluate`]'s; every other entity is
+    /// filled with [`MASK_VALUE`]. `evaluate` gives those entities
+    /// `v + MASK_VALUE` instead, and both underflow to exactly `+0.0` in the
+    /// softmax, so the probabilities, sampled and greedy actions are bitwise
+    /// those of `evaluate`. When `want_value` is false (greedy inference —
+    /// the value is never read) the value head is skipped and `0.0` returned.
     pub fn infer_policy(
         &self,
         store: &ParamStore,
         obs: &BqObs,
-        cache: &StateEncoderInferCache,
+        cache: &mut StateEncoderInferCache,
         want_value: bool,
     ) -> (Tensor, f32) {
+        let rows = &obs.encoded.pending;
         let (per_query, global) = if self.use_attention {
-            self.state_encoder.infer(store, &obs.encoded, cache)
+            self.state_encoder.infer(store, &obs.encoded, rows, cache)
         } else {
             let x = obs.encoded.plan_embs.concat_cols(&obs.encoded.features);
             let per_query = self.plain_proj.infer(store, &x);
             let global = per_query.mean_pool_rows();
-            (per_query, global)
+            (per_query.select_rows(rows), global)
         };
-        let n = obs.encoded.len();
-        let per_entity_logits = self.policy_head.infer(store, &per_query); // [n, K]
-        let flat = Tensor::from_vec(1, n * self.num_configs, per_entity_logits.data().to_vec());
-        let mask = Tensor::from_vec(1, obs.mask.len(), obs.mask.clone());
-        let logits = flat.add(&mask);
+        let k = self.num_configs;
+        let per_entity_logits = self.policy_head.infer(store, &per_query); // [rows, K]
+        let mut logits = Tensor::full(1, obs.encoded.len() * k, MASK_VALUE);
+        let flat = logits.data_mut();
+        for (j, &e) in rows.iter().enumerate() {
+            for (c, v) in per_entity_logits.row_slice(j).iter().enumerate() {
+                flat[e * k + c] = v + obs.mask[e * k + c];
+            }
+        }
         let value = if want_value {
             self.value_head.infer(store, &global).item()
         } else {
@@ -307,6 +315,9 @@ impl ActorCritic for BqSchedModel {
         self.aux_head.forward(g, store, row)
     }
 }
+
+/// One policy decision: `(action, log_prob, value, action_probs)`.
+type Decision = (usize, f32, f32, Vec<f32>);
 
 /// A decision recorded during an episode, finalised into a transition once
 /// the episode's rewards are known.
@@ -382,8 +393,9 @@ pub struct BqSchedAgent {
     /// Exists so tests and benchmarks can prove cache-on and cache-off
     /// episodes are identical; leave it on everywhere else.
     pub obs_cache_enabled: bool,
-    /// Fused-attention weights for the tape-free decision path, tagged with
-    /// the [`ParamStore::version`] they were built at and rebuilt lazily
+    /// Inference cache (fused attention weights, projected input rows) for
+    /// the tape-free decision path, tagged with the
+    /// [`ParamStore::version`] it was built at and rebuilt lazily
     /// whenever training (or a checkpoint load) bumps the version.
     infer_cache: Option<(u64, StateEncoderInferCache)>,
     rng: StdRng,
@@ -596,22 +608,26 @@ impl BqSchedAgent {
     /// when exploring, argmax otherwise).
     ///
     /// Runs the tape-free [`BqSchedModel::infer_policy`] path — bitwise
-    /// identical logits to the recorded [`ActorCritic::evaluate`] pass the
-    /// trainers use, without building a graph per decision. The fused-weight
+    /// identical probabilities to the recorded [`ActorCritic::evaluate`] pass
+    /// the trainers use, without building a graph per decision. The inference
     /// cache is rebuilt whenever the parameter-store version moved (training
     /// update, checkpoint load).
-    fn decide(&mut self, obs: &BqObs) -> (usize, f32, f32, Vec<f32>) {
+    fn decide(&mut self, obs: &BqObs) -> Decision {
         let version = self.store.version();
         if self.infer_cache.as_ref().map(|(v, _)| *v) != Some(version) {
             self.infer_cache = Some((version, self.model.build_infer_cache(&self.store)));
         }
-        let cache = &self.infer_cache.as_ref().expect("cache ensured above").1;
+        let cache = &mut self.infer_cache.as_mut().expect("cache ensured above").1;
         // Greedy mode never reads the value estimate, so the value head is
         // skipped there (`want_value = explore`).
         let (logits, value) = self
             .model
             .infer_policy(&self.store, obs, cache, self.explore);
-        let probs = logits.softmax_rows();
+        self.act(logits.softmax_rows(), value)
+    }
+
+    /// Pick an action from the policy's probabilities `[1, n·K]`.
+    fn act(&mut self, probs: Tensor, value: f32) -> Decision {
         let p = probs.data();
         let action = if self.explore {
             let r: f32 = self.rng.gen();
@@ -630,6 +646,48 @@ impl BqSchedAgent {
         };
         let log_prob = p[action].max(1e-12).ln();
         (action, log_prob, value, p.to_vec())
+    }
+
+    /// [`SchedulerPolicy::select`] with the policy evaluation `decide`.
+    fn select_with(
+        &mut self,
+        state: &SchedulingState<'_>,
+        decide: fn(&mut Self, &BqObs) -> Decision,
+    ) -> Action {
+        // Drain the intra-cluster commit queue first.
+        while let Some((q, params)) = self.commit_queue.pop_front() {
+            if state.queries[q.0].status == QueryStatus::Pending {
+                return Action { query: q, params };
+            }
+        }
+        let obs = self.build_obs(state);
+        let (action, log_prob, value, probs) = decide(self, &obs);
+        let k = self.model.num_configs();
+        let entity = action / k;
+        let config_idx = action % k;
+        if self.explore {
+            self.decisions.push(PendingDecision {
+                obs: obs.clone(),
+                action,
+                log_prob,
+                value,
+                probs,
+                time: state.now,
+            });
+        }
+        self.expand_action(state, entity, config_idx);
+        if let Some((q, params)) = self.commit_queue.pop_front() {
+            return Action { query: q, params };
+        }
+        // Fallback: the policy selected an entity with no pending members
+        // (only possible under a pathological mask); submit any pending query.
+        let q = state
+            .first_pending()
+            .expect("select() called with no pending queries");
+        Action {
+            query: q,
+            params: RunParams::default_config(),
+        }
     }
 
     /// Expand an entity/config action into the concrete per-query submissions
@@ -678,40 +736,7 @@ impl SchedulerPolicy for BqSchedAgent {
     }
 
     fn select(&mut self, state: &SchedulingState<'_>) -> Action {
-        // Drain the intra-cluster commit queue first.
-        while let Some((q, params)) = self.commit_queue.pop_front() {
-            if state.queries[q.0].status == QueryStatus::Pending {
-                return Action { query: q, params };
-            }
-        }
-        let obs = self.build_obs(state);
-        let (action, log_prob, value, probs) = self.decide(&obs);
-        let k = self.model.num_configs();
-        let entity = action / k;
-        let config_idx = action % k;
-        if self.explore {
-            self.decisions.push(PendingDecision {
-                obs: obs.clone(),
-                action,
-                log_prob,
-                value,
-                probs,
-                time: state.now,
-            });
-        }
-        self.expand_action(state, entity, config_idx);
-        if let Some((q, params)) = self.commit_queue.pop_front() {
-            return Action { query: q, params };
-        }
-        // Fallback: the policy selected an entity with no pending members
-        // (only possible under a pathological mask); submit any pending query.
-        let q = state
-            .first_pending()
-            .expect("select() called with no pending queries");
-        Action {
-            query: q,
-            params: RunParams::default_config(),
-        }
+        self.select_with(state, Self::decide)
     }
 
     fn end_episode(&mut self, log: &EpisodeLog) {
@@ -734,7 +759,7 @@ impl SchedulerPolicy for BqSchedAgent {
                 .records
                 .iter()
                 .filter(|r| r.started_at <= d.time + 1e-9 && r.finished_at > d.time + 1e-9)
-                .min_by(|a, b| a.finished_at.partial_cmp(&b.finished_at).unwrap())
+                .min_by(|a, b| a.finished_at.total_cmp(&b.finished_at))
                 .and_then(|earliest| {
                     let entity = self.clustering.cluster_of(earliest.query);
                     let position = entity;
@@ -1172,14 +1197,17 @@ mod tests {
     }
 
     /// Observations captured at a few hand-built execution states with varying
-    /// running/pending splits.
+    /// finished/running/pending splits.
     fn sample_states(agent: &BqSchedAgent, w: &Workload) -> Vec<BqObs> {
         use bq_core::QueryRuntime;
         let mut out = Vec::new();
-        for n_running in [0usize, 3, 9] {
+        for (n_finished, n_running) in [(0usize, 0usize), (0, 3), (5, 9)] {
             let mut queries: Vec<QueryRuntime> =
                 (0..w.len()).map(|_| QueryRuntime::pending(1.0)).collect();
-            for q in queries.iter_mut().take(n_running) {
+            for q in queries.iter_mut().take(n_finished) {
+                q.status = QueryStatus::Finished;
+            }
+            for q in queries.iter_mut().skip(n_finished).take(n_running) {
                 q.status = QueryStatus::Running;
                 q.params = Some(RunParams::default_config());
                 q.elapsed = 0.25 * n_running as f64;
@@ -1197,32 +1225,43 @@ mod tests {
 
     #[test]
     fn infer_policy_matches_graph_evaluate_bitwise() {
-        // The tape-free decision path must produce bit-identical logits,
-        // values and therefore actions to the recorded graph pass the
-        // trainers replay — on both the attention and the plain backend.
+        // The tape-free decision path computes only the selectable entities:
+        // their logits, the value, and every softmax probability (so every
+        // action) are bit-identical to the recorded graph pass the trainers
+        // replay — on both the attention and the plain backend.
         let w = tiny_workload();
         let profile = DbmsProfile::dbms_x();
         for config in [fast_config(), fast_config().without_attention()] {
             let agent = BqSchedAgent::new(&w, &profile, None, config);
-            let cache = agent.model.build_infer_cache(&agent.store);
+            let k = agent.model.num_configs();
+            let mut cache = agent.model.build_infer_cache(&agent.store);
             for obs in sample_states(&agent, &w) {
                 let mut g = Graph::new();
                 let (logits_g, value_g) = agent.model.evaluate(&mut g, &agent.store, &obs);
                 let (logits_i, value_i) =
-                    agent.model.infer_policy(&agent.store, &obs, &cache, true);
-                assert_eq!(g.value(logits_g).shape(), logits_i.shape());
-                for (a, b) in g.value(logits_g).data().iter().zip(logits_i.data()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "logits drifted");
+                    agent
+                        .model
+                        .infer_policy(&agent.store, &obs, &mut cache, true);
+                let logits_g = g.value(logits_g);
+                assert_eq!(logits_g.shape(), logits_i.shape());
+                for &e in &obs.encoded.pending {
+                    for c in e * k..(e + 1) * k {
+                        assert_eq!(
+                            logits_g.data()[c].to_bits(),
+                            logits_i.data()[c].to_bits(),
+                            "selectable logit drifted"
+                        );
+                    }
+                }
+                let probs_g = logits_g.softmax_rows();
+                let probs_i = logits_i.softmax_rows();
+                for (a, b) in probs_g.data().iter().zip(probs_i.data()) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "probability drifted");
                 }
                 assert_eq!(
                     g.value(value_g).item().to_bits(),
                     value_i.to_bits(),
                     "value drifted"
-                );
-                // Identical logits imply identical greedy actions.
-                assert_eq!(
-                    g.value(logits_g).softmax_rows().argmax(),
-                    logits_i.softmax_rows().argmax()
                 );
             }
         }
@@ -1231,13 +1270,15 @@ mod tests {
     #[test]
     fn infer_cache_survives_version_bump() {
         // A no-op parameter-store mutation bumps the version; the rebuilt
-        // fused-weight cache must still produce identical logits.
+        // inference cache must still produce identical logits.
         let w = tiny_workload();
         let profile = DbmsProfile::dbms_x();
         let mut agent = BqSchedAgent::new(&w, &profile, None, fast_config());
         let obs = sample_states(&agent, &w).remove(1);
-        let before = agent.model.build_infer_cache(&agent.store);
-        let (logits_before, _) = agent.model.infer_policy(&agent.store, &obs, &before, false);
+        let mut before = agent.model.build_infer_cache(&agent.store);
+        let (logits_before, _) = agent
+            .model
+            .infer_policy(&agent.store, &obs, &mut before, false);
         let v = agent.store.version();
         let id = agent.store.iter().next().unwrap().0;
         let val = agent.store.get_mut(id).value.get(0, 0);
@@ -1246,10 +1287,97 @@ mod tests {
             agent.store.version() > v,
             "mutable access must bump version"
         );
-        let after = agent.model.build_infer_cache(&agent.store);
-        let (logits_after, _) = agent.model.infer_policy(&agent.store, &obs, &after, false);
+        let mut after = agent.model.build_infer_cache(&agent.store);
+        let (logits_after, _) = agent
+            .model
+            .infer_policy(&agent.store, &obs, &mut after, false);
         for (a, b) in logits_before.data().iter().zip(logits_after.data()) {
             assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    /// Reference decision: the recorded graph pass over every entity, as the
+    /// trainers replay it, instead of the tape-free row-subset path.
+    fn graph_decide(agent: &mut BqSchedAgent, obs: &BqObs) -> Decision {
+        let mut g = Graph::new();
+        let (logits, value) = agent.model.evaluate(&mut g, &agent.store, obs);
+        let value = if agent.explore {
+            g.value(value).item()
+        } else {
+            0.0
+        };
+        agent.act(g.value(logits).softmax_rows(), value)
+    }
+
+    /// The agent, deciding through [`graph_decide`].
+    struct GraphReference(BqSchedAgent);
+
+    impl SchedulerPolicy for GraphReference {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+
+        fn begin_episode(&mut self, workload: &Workload) {
+            self.0.begin_episode(workload);
+        }
+
+        fn select(&mut self, state: &SchedulingState<'_>) -> Action {
+            self.0.select_with(state, graph_decide)
+        }
+
+        fn end_episode(&mut self, log: &EpisodeLog) {
+            self.0.end_episode(log);
+        }
+    }
+
+    #[test]
+    fn episodes_match_a_graph_evaluate_reference_policy() {
+        // Greedy and exploring episodes of the row-subset decision path are
+        // byte-identical to the same agent deciding through the full graph
+        // pass, and so are the rollouts' stored action probabilities.
+        let w = tiny_workload();
+        let profile = DbmsProfile::dbms_x();
+        let history = collect_history(&mut FifoScheduler::new(), &w, &profile, 2, 0);
+        let configs = [
+            fast_config(),
+            fast_config().without_attention(),
+            fast_config().with_clusters(6),
+        ];
+        for config in configs {
+            for explore in [false, true] {
+                let mut fast = BqSchedAgent::new(&w, &profile, Some(&history), config.clone());
+                let mut reference = GraphReference(BqSchedAgent::new(
+                    &w,
+                    &profile,
+                    Some(&history),
+                    config.clone(),
+                ));
+                fast.explore = explore;
+                reference.0.explore = explore;
+                for seed in [7, 8] {
+                    let log_fast = run_once(&mut fast, &w, &profile, Some(&history), seed);
+                    let log_ref = run_once(&mut reference, &w, &profile, Some(&history), seed);
+                    assert_eq!(
+                        log_fast.to_json(),
+                        log_ref.to_json(),
+                        "decision path changed the schedule (explore={explore})"
+                    );
+                    let rollout_fast = fast.take_rollout();
+                    let rollout_ref = reference.0.take_rollout();
+                    assert_eq!(rollout_fast.len(), rollout_ref.len());
+                    for (a, b) in rollout_fast
+                        .transitions()
+                        .iter()
+                        .zip(rollout_ref.transitions())
+                    {
+                        assert_eq!(a.action, b.action);
+                        assert_eq!(a.log_prob.to_bits(), b.log_prob.to_bits());
+                        assert_eq!(a.value.to_bits(), b.value.to_bits());
+                        let bits = |p: &[f32]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&a.action_probs), bits(&b.action_probs));
+                    }
+                }
+            }
         }
     }
 

@@ -296,7 +296,7 @@ pub fn samples_from_history(
             .iter()
             .flat_map(|r| [r.started_at, r.finished_at])
             .collect();
-        events.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        events.sort_by(f64::total_cmp);
         events.dedup_by(|a, b| (*a - *b).abs() < 1e-9);
         for &t in &events {
             // Running queries at time t (strictly before their finish).
@@ -310,7 +310,7 @@ pub fn samples_from_history(
             }
             let earliest = running
                 .iter()
-                .min_by(|a, b| a.finished_at.partial_cmp(&b.finished_at).unwrap())
+                .min_by(|a, b| a.finished_at.total_cmp(&b.finished_at))
                 .unwrap();
             // Build the full per-query runtime view at time t.
             let runtimes: Vec<QueryRuntime> = (0..workload.len())
@@ -662,6 +662,17 @@ mod tests {
             assert!(s.target_position < s.obs.running.len());
             assert!(s.target_time >= 0.0);
         }
+    }
+
+    #[test]
+    fn a_nan_finish_time_does_not_panic_sample_extraction() {
+        let (w, embs, history) = setup();
+        let mut episode = history.episodes()[0].clone();
+        episode.records[0].finished_at = f64::NAN;
+        let mut corrupt = ExecutionHistory::new();
+        corrupt.push(episode);
+        let samples = samples_from_history(&w, &corrupt, &embs, &small_config());
+        assert!(!samples.is_empty());
     }
 
     #[test]

@@ -118,13 +118,78 @@ pub struct StateRepr {
     pub global: NodeId,
 }
 
-/// Per-block fused attention weights for [`StateEncoder::infer`], derived
-/// from a [`ParamStore`] at a specific [`ParamStore::version`]. Holders are
-/// responsible for rebuilding when the version changes (training updates,
-/// checkpoint loads).
+/// Derived state for [`StateEncoder::infer`], valid for the [`ParamStore`]
+/// at one [`ParamStore::version`]: the per-block fused attention weights and
+/// the input-projection rows computed so far. Holders are responsible for
+/// rebuilding when the version changes (training updates, checkpoint loads),
+/// which also drops every cached row.
 #[derive(Debug, Clone)]
 pub struct StateEncoderInferCache {
     blocks: Vec<AttentionInferCache>,
+    /// One slot per entity row: the bit pattern of the input row `e_i ∥ f_i`
+    /// and its projection `x_i`. The projection is row-wise, so a row whose
+    /// input bits are unchanged reuses `x_i` exactly. Pending and finished
+    /// entities keep their features between decisions, so only running
+    /// entities are projected again.
+    input_rows: Vec<InputRow>,
+}
+
+#[derive(Debug, Clone, Default)]
+struct InputRow {
+    key: Vec<u32>,
+    value: Vec<f32>,
+}
+
+impl StateEncoderInferCache {
+    /// `x = MLP(e ∥ f)` for every entity of `obs`, projecting only the rows
+    /// whose input bits differ from the cached slot.
+    fn project_inputs(
+        &mut self,
+        input_proj: &Mlp,
+        store: &ParamStore,
+        obs: &EncodedObservation,
+    ) -> Tensor {
+        let n = obs.len();
+        let in_dim = obs.plan_embs.cols() + obs.features.cols();
+        self.input_rows.resize_with(n, InputRow::default);
+        let input_row = |i: usize| {
+            obs.plan_embs
+                .row_slice(i)
+                .iter()
+                .chain(obs.features.row_slice(i))
+        };
+        let mut stale = Vec::new();
+        let mut stale_in = Vec::new();
+        for (i, slot) in self.input_rows.iter().enumerate() {
+            let fresh = slot.key.len() == in_dim
+                && slot
+                    .key
+                    .iter()
+                    .zip(input_row(i))
+                    .all(|(k, v)| *k == v.to_bits());
+            if !fresh {
+                stale.push(i);
+                stale_in.extend(input_row(i));
+            }
+        }
+        if !stale.is_empty() {
+            let projected =
+                input_proj.infer(store, &Tensor::from_vec(stale.len(), in_dim, stale_in));
+            for (j, &i) in stale.iter().enumerate() {
+                let slot = &mut self.input_rows[i];
+                slot.key.clear();
+                slot.key.extend(input_row(i).map(|v| v.to_bits()));
+                slot.value.clear();
+                slot.value.extend_from_slice(projected.row_slice(j));
+            }
+        }
+        let dim = input_proj.out_dim();
+        let mut data = Vec::with_capacity(n * dim);
+        for slot in &self.input_rows {
+            data.extend_from_slice(&slot.value);
+        }
+        Tensor::from_vec(n, dim, data)
+    }
 }
 
 /// The attention-based state encoder.
@@ -250,8 +315,8 @@ impl StateEncoder {
         StateRepr { per_query, global }
     }
 
-    /// Build the fused-attention cache for [`Self::infer`] from the current
-    /// parameter values.
+    /// Build the inference cache for [`Self::infer`]: fused attention weights
+    /// from the current parameter values and no projected rows yet.
     pub fn build_infer_cache(&self, store: &ParamStore) -> StateEncoderInferCache {
         StateEncoderInferCache {
             blocks: self
@@ -259,20 +324,27 @@ impl StateEncoder {
                 .iter()
                 .map(|b| b.build_infer_cache(store))
                 .collect(),
+            input_rows: Vec::new(),
         }
     }
 
-    /// Tape-free encoding of `obs`, bitwise identical to [`Self::forward`].
+    /// Tape-free encoding of `obs` for the entity rows `rows` (in that
+    /// order), bitwise identical to the matching rows of [`Self::forward`].
     ///
     /// Every step mirrors the recorded pass — including the `ones · x'_s`
     /// broadcast matmuls — but no graph nodes are allocated and parameter
     /// values are read by reference instead of being cloned into leaves.
-    /// Returns `(per_query, global)` as plain tensors.
+    /// Only the last attention block and the query head narrow to `rows`
+    /// (plus the super query); keys and values, and every earlier block,
+    /// still cover all entities, and each narrowed step is row-local. Input projections come from `cache` where the input row is
+    /// unchanged. Returns `(per_query, global)` as plain tensors, with
+    /// `per_query` of shape `[rows.len(), dim]`; pass `0..n` for every row.
     pub fn infer(
         &self,
         store: &ParamStore,
         obs: &EncodedObservation,
-        cache: &StateEncoderInferCache,
+        rows: &[usize],
+        cache: &mut StateEncoderInferCache,
     ) -> (Tensor, Tensor) {
         let n = obs.len();
         assert!(n > 0, "cannot encode an empty observation");
@@ -288,26 +360,36 @@ impl StateEncoder {
         );
 
         // x_i = MLP(e_i ∥ f_i)
-        let x_in = obs.plan_embs.concat_cols(&obs.features);
-        let x = self.input_proj.infer(store, &x_in);
+        let x = cache.project_inputs(&self.input_proj, store, obs);
 
-        // Append the super query and run the attention blocks.
+        // Append the super query and run the attention blocks; the last one
+        // computes only the requested rows and the super query.
         let mut h = x.concat_rows(store.value(self.super_query));
-        for (block, bcache) in self.blocks.iter().zip(&cache.blocks) {
-            h = block.infer(store, &h, None, bcache);
+        let all: Vec<usize> = (0..=n).collect();
+        let kept: Vec<usize> = rows.iter().copied().chain([n]).collect();
+        for (i, (block, bcache)) in self.blocks.iter().zip(&cache.blocks).enumerate() {
+            let out_rows = if i + 1 == self.blocks.len() {
+                &kept
+            } else {
+                &all
+            };
+            h = block.infer(store, &h, out_rows, bcache);
         }
-        let x_q = h.slice_rows(0, n);
-        let x_s = h.slice_rows(n, 1);
+        if self.blocks.is_empty() {
+            h = h.select_rows(&kept);
+        }
+        let m = rows.len();
+        let x_q = h.slice_rows(0, m);
+        let x_s = h.slice_rows(m, 1);
 
         // Global representation x''_s = MLP(x'_s ∥ pooled features of all queries).
-        let all_indices: Vec<usize> = (0..n).collect();
-        let pooled_all = mean_features(&obs.features, &all_indices);
+        let pooled_all = mean_features(&obs.features, &all[..n]);
         let global_in = x_s.concat_cols(&pooled_all);
         let global = self.global_head.infer(store, &global_in);
 
         // Per-query representation x''_i = MLP(x'_i ∥ x'_s ∥ pooled features of
         // the concurrently running queries).
-        let ones = Tensor::full(n, 1, 1.0);
+        let ones = Tensor::full(m, 1, 1.0);
         let x_s_bcast = ones.matmul(&x_s);
         let pooled_running_row = mean_features(&obs.features, &obs.running);
         let pooled_running = ones.matmul(&pooled_running_row);
@@ -431,8 +513,9 @@ mod tests {
             let enc = StateEncoder::new(&mut store, StateEncoderConfig::default(), &mut rng);
             let mut g = Graph::new();
             let repr = enc.forward(&mut g, &store, &obs);
-            let cache = enc.build_infer_cache(&store);
-            let (per_query, global) = enc.infer(&store, &obs, &cache);
+            let mut cache = enc.build_infer_cache(&store);
+            let all: Vec<usize> = (0..obs.len()).collect();
+            let (per_query, global) = enc.infer(&store, &obs, &all, &mut cache);
             assert_eq!(g.value(repr.per_query).shape(), per_query.shape());
             for (a, b) in g.value(repr.per_query).data().iter().zip(per_query.data()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "per-query repr drifted");
@@ -441,6 +524,76 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "global repr drifted");
             }
         }
+    }
+
+    fn assert_rows_bitwise(expected: &Tensor, rows: &[usize], actual: &Tensor, what: &str) {
+        assert_eq!(
+            actual.shape(),
+            (rows.len(), expected.cols()),
+            "{what} shape"
+        );
+        for (a, b) in expected.select_rows(rows).data().iter().zip(actual.data()) {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what} drifted");
+        }
+    }
+
+    #[test]
+    fn pending_rows_infer_matches_forward_bitwise() {
+        // The decision path asks only for the pending rows; with one block
+        // that narrows the only block, with two the second one.
+        for blocks in [1, 2] {
+            for (seed, n_running) in [(21_u64, 0_usize), (22, 5)] {
+                let (_, obs) = obs_for(n_running);
+                let mut store = ParamStore::new();
+                let mut rng = seeded_rng(seed);
+                let config = StateEncoderConfig {
+                    blocks,
+                    ..StateEncoderConfig::default()
+                };
+                let enc = StateEncoder::new(&mut store, config, &mut rng);
+                let mut g = Graph::new();
+                let repr = enc.forward(&mut g, &store, &obs);
+                let mut cache = enc.build_infer_cache(&store);
+                let (per_query, global) = enc.infer(&store, &obs, &obs.pending, &mut cache);
+                let what = format!("blocks={blocks} running={n_running}");
+                assert_rows_bitwise(g.value(repr.per_query), &obs.pending, &per_query, &what);
+                assert_rows_bitwise(g.value(repr.global), &[0], &global, &what);
+            }
+        }
+    }
+
+    #[test]
+    fn warm_input_row_cache_matches_a_cold_one() {
+        // After one feature row changes, the cached projections of the other
+        // rows are reused and the changed one is recomputed: the outputs are
+        // bitwise those of a freshly built cache.
+        let (_, obs) = obs_for(4);
+        let mut store = ParamStore::new();
+        let mut rng = seeded_rng(23);
+        let enc = StateEncoder::new(&mut store, StateEncoderConfig::default(), &mut rng);
+        let all: Vec<usize> = (0..obs.len()).collect();
+        let mut warm = enc.build_infer_cache(&store);
+        let _ = enc.infer(&store, &obs, &all, &mut warm);
+
+        let mut changed = obs.clone();
+        let elapsed_col = STATE_FEATURE_DIM - 2;
+        let v = changed.features.get(2, elapsed_col);
+        changed.features.set(2, elapsed_col, v + 0.5);
+        let (warm_q, warm_s) = enc.infer(&store, &changed, &all, &mut warm);
+        let mut cold = enc.build_infer_cache(&store);
+        let (cold_q, cold_s) = enc.infer(&store, &changed, &all, &mut cold);
+        assert_rows_bitwise(&cold_q, &all, &warm_q, "warm per-query repr");
+        assert_rows_bitwise(&cold_s, &[0], &warm_s, "warm global repr");
+
+        let (stale_q, _) = {
+            let mut c = enc.build_infer_cache(&store);
+            enc.infer(&store, &obs, &all, &mut c)
+        };
+        assert_ne!(
+            stale_q.row_slice(2),
+            warm_q.row_slice(2),
+            "the changed row must be recomputed"
+        );
     }
 
     #[test]

@@ -402,21 +402,26 @@ impl MultiHeadAttention {
         }
     }
 
-    /// Tape-free forward pass using fused Q/K/V projections.
+    /// Tape-free forward pass using fused Q/K/V projections, computing only
+    /// the output rows `rows` of `x` (in that order).
     ///
-    /// Bitwise identical to [`Self::forward`]: the fused matmul computes each
-    /// head's projection columns with the same per-column accumulation order,
-    /// and everything after the slice reuses the exact per-head arithmetic.
+    /// Keys and values cover every row of `x`; queries, scores, softmax,
+    /// `attn · V` and the output projection run for `rows` alone. Each of
+    /// those steps is row-local, so the result is bitwise identical to the
+    /// matching rows of [`Self::forward`] without a bias: the fused matmul
+    /// computes each head's columns with the same per-column accumulation
+    /// order, and everything after the slice reuses the exact per-head
+    /// arithmetic. Pass every row index for the full output.
     pub fn infer(
         &self,
         store: &ParamStore,
         x: &Tensor,
-        bias: Option<&Tensor>,
+        rows: &[usize],
         cache: &AttentionInferCache,
     ) -> Tensor {
         debug_assert_eq!(x.cols(), self.dim, "attention infer width mismatch");
         let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let q_all = x.matmul(&cache.wq);
+        let q_all = x.select_rows(rows).matmul(&cache.wq);
         let k_all = x.matmul(&cache.wk);
         let v_all = x.matmul(&cache.wv);
         let mut head_outputs: Option<Tensor> = None;
@@ -426,11 +431,7 @@ impl MultiHeadAttention {
             let k = k_all.slice_cols(lo, self.head_dim);
             let v = v_all.slice_cols(lo, self.head_dim);
             let kt = k.transpose();
-            let mut scores = q.matmul(&kt).scale(scale);
-            if let Some(b) = bias {
-                scores = scores.add(b);
-            }
-            let attn = scores.softmax_rows();
+            let attn = q.matmul(&kt).scale(scale).softmax_rows();
             let out = attn.matmul(&v);
             head_outputs = Some(match head_outputs {
                 None => out,
@@ -511,16 +512,19 @@ impl AttentionBlock {
         self.attention.build_infer_cache(store)
     }
 
-    /// Tape-free forward pass of the block; see [`MultiHeadAttention::infer`].
+    /// Tape-free forward pass of the block for the output rows `rows` of `x`;
+    /// see [`MultiHeadAttention::infer`]. The residuals, norms and
+    /// feed-forward layers are row-local, so the result is bitwise the
+    /// matching rows of [`Self::forward`] without a bias.
     pub fn infer(
         &self,
         store: &ParamStore,
         x: &Tensor,
-        bias: Option<&Tensor>,
+        rows: &[usize],
         cache: &AttentionInferCache,
     ) -> Tensor {
-        let attn = self.attention.infer(store, x, bias, cache);
-        let residual = x.add(&attn);
+        let attn = self.attention.infer(store, x, rows, cache);
+        let residual = x.select_rows(rows).add(&attn);
         let x1 = self.norm1.infer(store, &residual);
         let h = self.ff1.infer(store, &x1);
         let h = self.ff2.infer(store, &h);
@@ -691,20 +695,15 @@ mod tests {
             8,
             (0..48).map(|i| ((i % 11) as f32) * 0.13 - 0.5).collect(),
         );
-        let mut bias = Tensor::zeros(6, 6);
-        bias.set(0, 5, -1e8);
-        bias.set(3, 1, -1e8);
 
-        for b in [None, Some(&bias)] {
-            let mut g = Graph::new();
-            let xi = g.input(x.clone());
-            let y_graph = block.forward(&mut g, &store, xi, b);
-            let cache = block.build_infer_cache(&store);
-            let y_infer = block.infer(&store, &x, b, &cache);
-            assert_eq!(g.value(y_graph).shape(), y_infer.shape());
-            for (a, c) in g.value(y_graph).data().iter().zip(y_infer.data()) {
-                assert_eq!(a.to_bits(), c.to_bits(), "attention block drifted");
-            }
+        let mut g = Graph::new();
+        let xi = g.input(x.clone());
+        let y_graph = block.forward(&mut g, &store, xi, None);
+        let cache = block.build_infer_cache(&store);
+        let y_infer = block.infer(&store, &x, &[0, 1, 2, 3, 4, 5], &cache);
+        assert_eq!(g.value(y_graph).shape(), y_infer.shape());
+        for (a, c) in g.value(y_graph).data().iter().zip(y_infer.data()) {
+            assert_eq!(a.to_bits(), c.to_bits(), "attention block drifted");
         }
 
         let mut g = Graph::new();
@@ -713,6 +712,32 @@ mod tests {
         let y_infer = mlp.infer(&store, &x);
         for (a, c) in g.value(y_graph).data().iter().zip(y_infer.data()) {
             assert_eq!(a.to_bits(), c.to_bits(), "mlp drifted");
+        }
+    }
+
+    #[test]
+    fn row_subset_infer_matches_forward_rows_bitwise() {
+        // Keys and values see every row, so a subset's outputs are exactly
+        // the matching rows of the full pass — in any order, repeats allowed.
+        let mut rng = StdRng::seed_from_u64(43);
+        let mut store = ParamStore::new();
+        let block = AttentionBlock::new(&mut store, "blk", 8, 2, 16, &mut rng);
+        let x = Tensor::from_vec(
+            7,
+            8,
+            (0..56).map(|i| ((i % 13) as f32) * 0.11 - 0.6).collect(),
+        );
+        let mut g = Graph::new();
+        let xi = g.input(x.clone());
+        let y_graph = block.forward(&mut g, &store, xi, None);
+        let cache = block.build_infer_cache(&store);
+        for rows in [vec![6], vec![1, 4, 6], vec![5, 0, 5], vec![]] {
+            let y_rows = block.infer(&store, &x, &rows, &cache);
+            assert_eq!(y_rows.shape(), (rows.len(), 8));
+            let expected = g.value(y_graph).select_rows(&rows);
+            for (a, c) in expected.data().iter().zip(y_rows.data()) {
+                assert_eq!(a.to_bits(), c.to_bits(), "row subset {rows:?} drifted");
+            }
         }
     }
 
