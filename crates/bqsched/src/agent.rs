@@ -1412,4 +1412,51 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn training_is_bitwise_independent_of_the_thread_count() {
+        // The trainers evaluate transitions on every core and merge them in
+        // transition order, so a short TPC-H rollout trains to the same
+        // parameter, Adam-moment and statistic bits on any thread count.
+        let w = tiny_workload();
+        let profile = DbmsProfile::dbms_x();
+        let history = collect_history(&mut FifoScheduler::new(), &w, &profile, 2, 0);
+        let trained_bits = |threads: usize| {
+            let mut agent = BqSchedAgent::new(&w, &profile, Some(&history), fast_config());
+            agent.explore = true;
+            let mut buffer = RolloutBuffer::new();
+            for seed in [3, 4] {
+                run_once(&mut agent, &w, &profile, Some(&history), seed);
+                buffer.extend(agent.take_rollout());
+            }
+            let mut trainer = IqPpoTrainer::new(agent.config.rl).with_threads(threads);
+            let ppo = trainer.ppo_phase(&agent.model, &mut agent.store, &buffer);
+            let aux = trainer.aux_phase(&agent.model, &mut agent.store, &buffer);
+            let stats = [
+                ppo.policy_loss,
+                ppo.value_loss,
+                ppo.entropy,
+                aux.aux_loss,
+                aux.kl,
+            ];
+            let moments = trainer.optimizers().into_iter().flat_map(|adam| {
+                let (m, v) = adam.moments();
+                m.iter().chain(v)
+            });
+            let values = agent.store.iter().map(|(_, p)| &p.value);
+            values
+                .chain(moments)
+                .flat_map(|t| t.data())
+                .chain(&stats)
+                .map(|x| x.to_bits())
+                .collect::<Vec<u32>>()
+        };
+        let one = trained_bits(1);
+        for threads in [2, 3] {
+            assert!(
+                trained_bits(threads) == one,
+                "{threads} threads trained different bits than 1 thread"
+            );
+        }
+    }
 }

@@ -101,11 +101,6 @@ impl Graph {
         &self.nodes[id].value
     }
 
-    /// The gradient of a node after [`Graph::backward`], if it was reached.
-    pub fn grad(&self, id: NodeId) -> Option<&Tensor> {
-        self.grads.get(id).and_then(|g| g.as_ref())
-    }
-
     fn push(&mut self, value: Tensor, op: Op, needs_grad: bool, aux: Option<Tensor>) -> NodeId {
         let id = self.nodes.len();
         self.nodes.push(Node {
@@ -431,6 +426,12 @@ impl Graph {
 
     /// Run reverse-mode differentiation starting from the scalar `loss` node.
     ///
+    /// The tape runs in reverse, so when node `id` runs, every node that
+    /// reads it has already run: its gradient is complete, and nothing reads
+    /// it afterwards. It is therefore moved out and freed once its parents
+    /// have theirs. Parameter leaves keep their gradients for
+    /// [`Graph::flush_grads`] / [`Graph::into_param_grads`].
+    ///
     /// # Panics
     /// Panics if the loss node is not `1 x 1`.
     pub fn backward(&mut self, loss: NodeId) {
@@ -439,336 +440,307 @@ impl Graph {
             (1, 1),
             "backward() must start from a scalar (1x1) loss node"
         );
-        self.grads = vec![None; self.nodes.len()];
-        self.grads[loss] = Some(Tensor::scalar(1.0));
+        let nodes = &self.nodes;
+        let grads = &mut self.grads;
+        *grads = vec![None; nodes.len()];
+        grads[loss] = Some(Tensor::scalar(1.0));
+        let needs = |n: NodeId| nodes[n].needs_grad;
+        let value = |n: NodeId| &nodes[n].value;
 
-        for id in (0..self.nodes.len()).rev() {
-            if !self.nodes[id].needs_grad {
+        for (id, node) in nodes.iter().enumerate().rev() {
+            if !node.needs_grad || matches!(node.op, Op::Param(_)) {
                 continue;
             }
-            let Some(gy) = self.grads[id].clone() else {
+            let Some(mut gy) = grads[id].take() else {
                 continue;
             };
-            let op = self.nodes[id].op.clone();
-            match op {
+            match node.op {
                 Op::Input | Op::Param(_) => {}
                 Op::MatMul(a, b) => {
-                    if self.needs(a) {
-                        let bt = self.nodes[b].value.transpose();
-                        let da = gy.matmul(&bt);
-                        self.acc(a, da);
+                    if needs(a) {
+                        acc(grads, a, gy.matmul(&value(b).transpose()));
                     }
-                    if self.needs(b) {
-                        let at = self.nodes[a].value.transpose();
-                        let db = at.matmul(&gy);
-                        self.acc(b, db);
+                    if needs(b) {
+                        acc(grads, b, value(a).transpose_matmul(&gy));
                     }
                 }
                 Op::Transpose(a) => {
-                    if self.needs(a) {
-                        self.acc(a, gy.transpose());
+                    if needs(a) {
+                        acc(grads, a, gy.transpose());
                     }
                 }
                 Op::Add(a, b) => {
-                    if self.needs(a) {
-                        self.acc(a, gy.clone());
+                    if needs(a) {
+                        acc(grads, a, gy.clone());
                     }
-                    if self.needs(b) {
-                        self.acc(b, gy);
+                    if needs(b) {
+                        acc(grads, b, gy);
                     }
                 }
                 Op::Sub(a, b) => {
-                    if self.needs(a) {
-                        self.acc(a, gy.clone());
+                    if needs(a) {
+                        acc(grads, a, gy.clone());
                     }
-                    if self.needs(b) {
-                        self.acc(b, gy.scale(-1.0));
+                    if needs(b) {
+                        acc(grads, b, gy.scale(-1.0));
                     }
                 }
                 Op::Mul(a, b) => {
-                    if self.needs(a) {
-                        let da = gy.mul(&self.nodes[b].value);
-                        self.acc(a, da);
+                    if needs(a) {
+                        acc(grads, a, gy.mul(value(b)));
                     }
-                    if self.needs(b) {
-                        let db = gy.mul(&self.nodes[a].value);
-                        self.acc(b, db);
+                    if needs(b) {
+                        acc(grads, b, zip_in_place(gy, value(a), |g, x| g * x));
                     }
                 }
                 Op::AddRow(a, bias) => {
-                    if self.needs(a) {
-                        self.acc(a, gy.clone());
-                    }
-                    if self.needs(bias) {
+                    let db = needs(bias).then(|| {
                         let mut db = Tensor::zeros(1, gy.cols());
                         for r in 0..gy.rows() {
-                            for c in 0..gy.cols() {
-                                db.set(0, c, db.get(0, c) + gy.get(r, c));
+                            for (d, &g) in db.data_mut().iter_mut().zip(gy.row_slice(r)) {
+                                *d += g;
                             }
                         }
-                        self.acc(bias, db);
+                        db
+                    });
+                    if needs(a) {
+                        acc(grads, a, gy);
+                    }
+                    if let Some(db) = db {
+                        acc(grads, bias, db);
                     }
                 }
                 Op::Scale(a, s) => {
-                    if self.needs(a) {
-                        self.acc(a, gy.scale(s));
+                    if needs(a) {
+                        acc(grads, a, map_in_place(gy, |g| g * s));
                     }
                 }
                 Op::AddScalar(a, _) | Op::AddConst(a) => {
-                    if self.needs(a) {
-                        self.acc(a, gy);
+                    if needs(a) {
+                        acc(grads, a, gy);
                     }
                 }
                 Op::MulConst(a) => {
-                    if self.needs(a) {
-                        let c = self.nodes[id].aux.as_ref().expect("MulConst aux");
-                        self.acc(a, gy.mul(c));
+                    if needs(a) {
+                        let c = node.aux.as_ref().expect("MulConst aux");
+                        acc(grads, a, zip_in_place(gy, c, |g, c| g * c));
                     }
                 }
                 Op::Tanh(a) => {
-                    if self.needs(a) {
-                        let y = &self.nodes[id].value;
-                        let da = gy.zip_map(y, |g, t| g * (1.0 - t * t));
-                        self.acc(a, da);
+                    if needs(a) {
+                        let da = zip_in_place(gy, &node.value, |g, t| g * (1.0 - t * t));
+                        acc(grads, a, da);
                     }
                 }
                 Op::Relu(a) => {
-                    if self.needs(a) {
-                        let x = &self.nodes[a].value;
-                        let da = gy.zip_map(x, |g, xv| if xv > 0.0 { g } else { 0.0 });
-                        self.acc(a, da);
+                    if needs(a) {
+                        let da = zip_in_place(gy, value(a), |g, x| if x > 0.0 { g } else { 0.0 });
+                        acc(grads, a, da);
                     }
                 }
                 Op::Sigmoid(a) => {
-                    if self.needs(a) {
-                        let y = &self.nodes[id].value;
-                        let da = gy.zip_map(y, |g, s| g * s * (1.0 - s));
-                        self.acc(a, da);
+                    if needs(a) {
+                        let da = zip_in_place(gy, &node.value, |g, s| g * s * (1.0 - s));
+                        acc(grads, a, da);
                     }
                 }
                 Op::Exp(a) => {
-                    if self.needs(a) {
-                        let y = &self.nodes[id].value;
-                        let da = gy.mul(y);
-                        self.acc(a, da);
+                    if needs(a) {
+                        acc(grads, a, zip_in_place(gy, &node.value, |g, y| g * y));
                     }
                 }
                 Op::SoftmaxRows(a) => {
-                    if self.needs(a) {
-                        let y = &self.nodes[id].value;
-                        let mut da = Tensor::zeros(y.rows(), y.cols());
+                    if needs(a) {
+                        let y = &node.value;
                         for r in 0..y.rows() {
-                            let dot: f32 = (0..y.cols()).map(|c| gy.get(r, c) * y.get(r, c)).sum();
-                            for c in 0..y.cols() {
-                                da.set(r, c, y.get(r, c) * (gy.get(r, c) - dot));
+                            let yr = y.row_slice(r);
+                            let gr = gy.row_slice_mut(r);
+                            let dot: f32 = gr.iter().zip(yr).map(|(&g, &p)| g * p).sum();
+                            for (g, &p) in gr.iter_mut().zip(yr) {
+                                *g = p * (*g - dot);
                             }
                         }
-                        self.acc(a, da);
+                        acc(grads, a, gy);
                     }
                 }
                 Op::LogSoftmaxRows(a) => {
-                    if self.needs(a) {
-                        let y = &self.nodes[id].value; // log-probabilities
-                        let mut da = Tensor::zeros(y.rows(), y.cols());
+                    if needs(a) {
+                        let y = &node.value; // log-probabilities
                         for r in 0..y.rows() {
-                            let gsum: f32 = (0..y.cols()).map(|c| gy.get(r, c)).sum();
-                            for c in 0..y.cols() {
-                                let p = y.get(r, c).exp();
-                                da.set(r, c, gy.get(r, c) - p * gsum);
+                            let gr = gy.row_slice_mut(r);
+                            let gsum: f32 = gr.iter().copied().sum();
+                            for (g, &lp) in gr.iter_mut().zip(y.row_slice(r)) {
+                                *g -= lp.exp() * gsum;
                             }
                         }
-                        self.acc(a, da);
+                        acc(grads, a, gy);
                     }
                 }
                 Op::SumAll(a) => {
-                    if self.needs(a) {
-                        let shape = self.nodes[a].value.shape();
-                        let da = Tensor::full(shape.0, shape.1, gy.item());
-                        self.acc(a, da);
+                    if needs(a) {
+                        let (rows, cols) = value(a).shape();
+                        acc(grads, a, Tensor::full(rows, cols, gy.item()));
                     }
                 }
                 Op::MeanAll(a) => {
-                    if self.needs(a) {
-                        let shape = self.nodes[a].value.shape();
-                        let n = (shape.0 * shape.1).max(1) as f32;
-                        let da = Tensor::full(shape.0, shape.1, gy.item() / n);
-                        self.acc(a, da);
+                    if needs(a) {
+                        let (rows, cols) = value(a).shape();
+                        let n = (rows * cols).max(1) as f32;
+                        acc(grads, a, Tensor::full(rows, cols, gy.item() / n));
                     }
                 }
                 Op::SumRows(a) => {
-                    if self.needs(a) {
-                        let shape = self.nodes[a].value.shape();
-                        let mut da = Tensor::zeros(shape.0, shape.1);
-                        for r in 0..shape.0 {
-                            for c in 0..shape.1 {
-                                da.set(r, c, gy.get(r, 0));
-                            }
+                    if needs(a) {
+                        let (rows, cols) = value(a).shape();
+                        let mut da = Tensor::zeros(rows, cols);
+                        for r in 0..rows {
+                            da.row_slice_mut(r).fill(gy.get(r, 0));
                         }
-                        self.acc(a, da);
+                        acc(grads, a, da);
                     }
                 }
                 Op::MeanPoolRows(a) => {
-                    if self.needs(a) {
-                        let shape = self.nodes[a].value.shape();
-                        let n = shape.0.max(1) as f32;
-                        let mut da = Tensor::zeros(shape.0, shape.1);
-                        for r in 0..shape.0 {
-                            for c in 0..shape.1 {
-                                da.set(r, c, gy.get(0, c) / n);
-                            }
+                    if needs(a) {
+                        let (rows, cols) = value(a).shape();
+                        let n = rows.max(1) as f32;
+                        let share = map_in_place(gy, |g| g / n);
+                        let mut da = Tensor::zeros(rows, cols);
+                        for r in 0..rows {
+                            da.row_slice_mut(r).copy_from_slice(share.data());
                         }
-                        self.acc(a, da);
+                        acc(grads, a, da);
                     }
                 }
                 Op::SumPoolRows(a) => {
-                    if self.needs(a) {
-                        let shape = self.nodes[a].value.shape();
-                        let mut da = Tensor::zeros(shape.0, shape.1);
-                        for r in 0..shape.0 {
-                            for c in 0..shape.1 {
-                                da.set(r, c, gy.get(0, c));
-                            }
+                    if needs(a) {
+                        let (rows, cols) = value(a).shape();
+                        let mut da = Tensor::zeros(rows, cols);
+                        for r in 0..rows {
+                            da.row_slice_mut(r).copy_from_slice(gy.data());
                         }
-                        self.acc(a, da);
+                        acc(grads, a, da);
                     }
                 }
                 Op::ConcatCols(a, b) => {
-                    let ac = self.nodes[a].value.cols();
-                    let bc = self.nodes[b].value.cols();
-                    if self.needs(a) {
-                        self.acc(a, gy.slice_cols(0, ac));
+                    let ac = value(a).cols();
+                    let bc = value(b).cols();
+                    if needs(a) {
+                        acc(grads, a, gy.slice_cols(0, ac));
                     }
-                    if self.needs(b) {
-                        self.acc(b, gy.slice_cols(ac, bc));
+                    if needs(b) {
+                        acc(grads, b, gy.slice_cols(ac, bc));
                     }
                 }
                 Op::ConcatRows(a, b) => {
-                    let ar = self.nodes[a].value.rows();
-                    let br = self.nodes[b].value.rows();
-                    if self.needs(a) {
-                        self.acc(a, gy.slice_rows(0, ar));
+                    let ar = value(a).rows();
+                    let br = value(b).rows();
+                    if needs(a) {
+                        acc(grads, a, gy.slice_rows(0, ar));
                     }
-                    if self.needs(b) {
-                        self.acc(b, gy.slice_rows(ar, br));
+                    if needs(b) {
+                        acc(grads, b, gy.slice_rows(ar, br));
                     }
                 }
                 Op::SliceRows(a, start) => {
-                    if self.needs(a) {
-                        let shape = self.nodes[a].value.shape();
-                        let mut da = Tensor::zeros(shape.0, shape.1);
-                        for r in 0..gy.rows() {
-                            for c in 0..gy.cols() {
-                                da.set(start + r, c, gy.get(r, c));
-                            }
-                        }
-                        self.acc(a, da);
+                    if needs(a) {
+                        let (rows, cols) = value(a).shape();
+                        let mut da = Tensor::zeros(rows, cols);
+                        da.data_mut()[start * cols..start * cols + gy.len()]
+                            .copy_from_slice(gy.data());
+                        acc(grads, a, da);
                     }
                 }
                 Op::Reshape(a) => {
-                    if self.needs(a) {
-                        let shape = self.nodes[a].value.shape();
-                        let da = Tensor::from_vec(shape.0, shape.1, gy.data().to_vec());
-                        self.acc(a, da);
+                    if needs(a) {
+                        let (rows, cols) = value(a).shape();
+                        acc(grads, a, Tensor::from_vec(rows, cols, gy.data().to_vec()));
                     }
                 }
                 Op::SliceCols(a, start) => {
-                    if self.needs(a) {
-                        let shape = self.nodes[a].value.shape();
-                        let mut da = Tensor::zeros(shape.0, shape.1);
-                        for r in 0..gy.rows() {
-                            for c in 0..gy.cols() {
-                                da.set(r, start + c, gy.get(r, c));
-                            }
+                    if needs(a) {
+                        let (rows, cols) = value(a).shape();
+                        let mut da = Tensor::zeros(rows, cols);
+                        for r in 0..rows {
+                            let g = gy.row_slice(r);
+                            da.row_slice_mut(r)[start..start + g.len()].copy_from_slice(g);
                         }
-                        self.acc(a, da);
+                        acc(grads, a, da);
                     }
                 }
                 Op::SelectRows(a, ref indices) => {
-                    if self.needs(a) {
-                        let shape = self.nodes[a].value.shape();
-                        let mut da = Tensor::zeros(shape.0, shape.1);
+                    if needs(a) {
+                        let (rows, cols) = value(a).shape();
+                        let mut da = Tensor::zeros(rows, cols);
                         for (r, &src) in indices.iter().enumerate() {
-                            for c in 0..gy.cols() {
-                                da.set(src, c, da.get(src, c) + gy.get(r, c));
+                            for (d, &g) in da.row_slice_mut(src).iter_mut().zip(gy.row_slice(r)) {
+                                *d += g;
                             }
                         }
-                        self.acc(a, da);
+                        acc(grads, a, da);
                     }
                 }
                 Op::RowNorm(a, eps) => {
-                    if self.needs(a) {
-                        let x = &self.nodes[a].value;
-                        let y = &self.nodes[id].value;
+                    if needs(a) {
+                        let x = value(a);
+                        let y = &node.value;
                         let d = x.cols() as f32;
-                        let mut da = Tensor::zeros(x.rows(), x.cols());
                         for r in 0..x.rows() {
                             let row = x.row_slice(r);
                             let mean = row.iter().sum::<f32>() / d;
                             let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / d;
                             let std = (var + eps).sqrt();
-                            let g_mean: f32 = (0..x.cols()).map(|c| gy.get(r, c)).sum::<f32>() / d;
-                            let gy_dot_y: f32 = (0..x.cols())
-                                .map(|c| gy.get(r, c) * y.get(r, c))
-                                .sum::<f32>()
-                                / d;
-                            for c in 0..x.cols() {
-                                let v = (gy.get(r, c) - g_mean - y.get(r, c) * gy_dot_y) / std;
-                                da.set(r, c, v);
+                            let yr = y.row_slice(r);
+                            let gr = gy.row_slice_mut(r);
+                            let g_mean = gr.iter().copied().sum::<f32>() / d;
+                            let gy_dot_y = gr.iter().zip(yr).map(|(&g, &y)| g * y).sum::<f32>() / d;
+                            for (g, &yv) in gr.iter_mut().zip(yr) {
+                                *g = (*g - g_mean - yv * gy_dot_y) / std;
                             }
                         }
-                        self.acc(a, da);
+                        acc(grads, a, gy);
                     }
                 }
                 Op::Clamp(a, lo, hi) => {
-                    if self.needs(a) {
-                        let x = &self.nodes[a].value;
-                        let da = gy.zip_map(x, |g, xv| if xv > lo && xv < hi { g } else { 0.0 });
-                        self.acc(a, da);
+                    if needs(a) {
+                        let da = zip_in_place(
+                            gy,
+                            value(a),
+                            |g, x| {
+                                if x > lo && x < hi {
+                                    g
+                                } else {
+                                    0.0
+                                }
+                            },
+                        );
+                        acc(grads, a, da);
                     }
                 }
                 Op::MinElem(a, b) => {
-                    let av = self.nodes[a].value.clone();
-                    let bv = self.nodes[b].value.clone();
-                    if self.needs(a) {
-                        let da = Tensor::from_vec(
-                            gy.rows(),
-                            gy.cols(),
-                            gy.data()
-                                .iter()
-                                .zip(av.data().iter().zip(bv.data().iter()))
-                                .map(|(&g, (&x, &y))| if x <= y { g } else { 0.0 })
-                                .collect(),
-                        );
-                        self.acc(a, da);
+                    let (av, bv) = (value(a), value(b));
+                    let route = |mut g: Tensor, to_a: bool| {
+                        for ((g, &x), &y) in g.data_mut().iter_mut().zip(av.data()).zip(bv.data()) {
+                            let picked = if to_a { x <= y } else { x > y };
+                            *g = if picked { *g } else { 0.0 };
+                        }
+                        g
+                    };
+                    if needs(a) {
+                        acc(grads, a, route(gy.clone(), true));
                     }
-                    if self.needs(b) {
-                        let db = Tensor::from_vec(
-                            gy.rows(),
-                            gy.cols(),
-                            gy.data()
-                                .iter()
-                                .zip(av.data().iter().zip(bv.data().iter()))
-                                .map(|(&g, (&x, &y))| if x > y { g } else { 0.0 })
-                                .collect(),
-                        );
-                        self.acc(b, db);
+                    if needs(b) {
+                        acc(grads, b, route(gy, false));
                     }
                 }
             }
-        }
-    }
-
-    fn acc(&mut self, id: NodeId, delta: Tensor) {
-        match &mut self.grads[id] {
-            Some(g) => g.add_assign(&delta),
-            slot @ None => *slot = Some(delta),
         }
     }
 
     /// Move the gradients of every parameter leaf back into the store.
     ///
     /// Must be called after [`Graph::backward`]; gradients accumulate in the
-    /// store until [`ParamStore::zero_grads`] is called.
+    /// store until [`ParamStore::zero_grads`] is called. Equal to
+    /// accumulating [`Graph::into_param_grads`] in order.
     pub fn flush_grads(&self, store: &mut ParamStore) {
         for &(node, pid) in &self.param_nodes {
             if let Some(g) = self.grads.get(node).and_then(|g| g.as_ref()) {
@@ -776,6 +748,39 @@ impl Graph {
             }
         }
     }
+
+    /// The gradients of the parameter leaves that [`Graph::backward`]
+    /// reached, in leaf order, consuming the tape. A parameter read more than
+    /// once has one entry per leaf.
+    pub fn into_param_grads(mut self) -> Vec<(ParamId, Tensor)> {
+        self.param_nodes
+            .iter()
+            .filter_map(|&(node, pid)| Some((pid, self.grads.get_mut(node)?.take()?)))
+            .collect()
+    }
+}
+
+/// Add `delta` into the gradient of `id`, or make it that gradient.
+fn acc(grads: &mut [Option<Tensor>], id: NodeId, delta: Tensor) {
+    match &mut grads[id] {
+        Some(g) => g.add_assign(&delta),
+        slot @ None => *slot = Some(delta),
+    }
+}
+
+/// `t.map(f)`, reusing `t`'s buffer.
+fn map_in_place(mut t: Tensor, f: impl Fn(f32) -> f32) -> Tensor {
+    t.data_mut().iter_mut().for_each(|x| *x = f(*x));
+    t
+}
+
+/// `t.zip_map(other, f)`, reusing `t`'s buffer.
+fn zip_in_place(mut t: Tensor, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
+    assert_eq!(t.shape(), other.shape(), "zip_map shape mismatch");
+    for (x, &y) in t.data_mut().iter_mut().zip(other.data()) {
+        *x = f(*x, y);
+    }
+    t
 }
 
 #[cfg(test)]
@@ -1076,6 +1081,45 @@ mod tests {
         assert!(result.is_err());
         // The original graph is still usable.
         assert_eq!(g.value(x).shape(), (2, 2));
+    }
+
+    #[test]
+    fn into_param_grads_is_flush_grads_in_leaf_order() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut store = ParamStore::new();
+        let w = store.add_xavier("w", 3, 3, &mut rng);
+        let b = store.add_zeros("b", 1, 3);
+        store.accumulate_grad(w, &Tensor::full(3, 3, 0.1));
+        let mut g = Graph::new();
+        let x = g.input(Tensor::from_vec(
+            2,
+            3,
+            vec![0.5, -1.0, 0.25, 2.0, 0.0, -0.75],
+        ));
+        let w1 = g.param(&store, w);
+        let h = g.matmul(x, w1);
+        let bi = g.param(&store, b);
+        let h = g.add_row(h, bi);
+        let h = g.tanh(h);
+        // `w` is read a second time: a second leaf, a second entry.
+        let w2 = g.param(&store, w);
+        let h = g.matmul(h, w2);
+        let loss = g.mean_all(h);
+        g.backward(loss);
+
+        let mut flushed = store.clone();
+        g.flush_grads(&mut flushed);
+        let grads = g.into_param_grads();
+        let ids: Vec<ParamId> = grads.iter().map(|&(id, _)| id).collect();
+        assert_eq!(ids, [w, b, w]);
+        let mut accumulated = store;
+        for (id, grad) in &grads {
+            accumulated.accumulate_grad(*id, grad);
+        }
+        for (id, p) in flushed.iter() {
+            let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&p.grad), bits(accumulated.grad(id)), "{}", p.name);
+        }
     }
 
     #[test]

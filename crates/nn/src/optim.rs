@@ -51,6 +51,12 @@ impl Adam {
         self.t
     }
 
+    /// First and second moment estimates, one tensor per parameter (empty
+    /// before the first step).
+    pub fn moments(&self) -> (&[Tensor], &[Tensor]) {
+        (&self.m, &self.v)
+    }
+
     fn ensure_state(&mut self, store: &ParamStore) {
         while self.m.len() < store.len() {
             let idx = self.m.len();

@@ -181,34 +181,58 @@ impl Tensor {
         self.data[0]
     }
 
-    /// A copy of row `r` as a `Vec`.
+    /// Row `r` as a slice.
     pub fn row_slice(&self, r: usize) -> &[f32] {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
+    /// Row `r` as a mutable slice.
+    pub(crate) fn row_slice_mut(&mut self, r: usize) -> &mut [f32] {
+        &mut self.data[r * self.cols..(r + 1) * self.cols]
+    }
+
     /// Matrix multiplication `self @ other`.
+    ///
+    /// Register-blocked, and bitwise equal to the textbook i-k-j loop: each
+    /// output element starts at `+0.0` and adds `self[i][p] * other[p][j]`
+    /// for `p` ascending, skipping zero `self[i][p]`.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
         assert_eq!(
             self.cols, other.rows,
             "matmul shape mismatch: {}x{} @ {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        let mut out = Tensor::zeros(self.rows, other.cols);
-        // i-k-j loop order for row-major locality.
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                if a == 0.0 {
-                    continue;
-                }
-                let orow = &other.data[k * other.cols..(k + 1) * other.cols];
-                let crow = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                for j in 0..other.cols {
-                    crow[j] += a * orow[j];
-                }
-            }
+        let a = Strided {
+            data: &self.data,
+            row_step: self.cols,
+            k_step: 1,
+        };
+        Tensor {
+            rows: self.rows,
+            cols: other.cols,
+            data: matmul_kernel(a, self.rows, self.cols, &other.data, other.cols),
         }
-        out
+    }
+
+    /// `selfᵀ @ other`, reading `self` in place. Bitwise equal to
+    /// `self.transpose().matmul(other)`: the kernel sees the same values in
+    /// the same order, only from a column instead of a copied row.
+    pub fn transpose_matmul(&self, other: &Tensor) -> Tensor {
+        assert_eq!(
+            self.rows, other.rows,
+            "transpose_matmul shape mismatch: ({}x{})ᵀ @ {}x{}",
+            self.rows, self.cols, other.rows, other.cols
+        );
+        let a = Strided {
+            data: &self.data,
+            row_step: 1,
+            k_step: self.cols,
+        };
+        Tensor {
+            rows: self.cols,
+            cols: other.cols,
+            data: matmul_kernel(a, self.cols, self.rows, &other.data, other.cols),
+        }
     }
 
     /// Matrix transpose.
@@ -470,9 +494,97 @@ impl Tensor {
     }
 }
 
+/// The left operand of [`matmul_kernel`]: element `(i, p)` is
+/// `data[i * row_step + p * k_step]`, so a row-major matrix and the
+/// transpose of one are read without copying.
+#[derive(Clone, Copy)]
+struct Strided<'a> {
+    data: &'a [f32],
+    row_step: usize,
+    k_step: usize,
+}
+
+/// `a[m×k] @ b[k×n]` into a fresh row-major buffer.
+///
+/// Every output element starts at `+0.0` and receives `+= a[i][p] * b[p][j]`
+/// for `p` ascending, skipping the `p` where `a[i][p] == 0.0` — the f32
+/// operations, in the order, of the textbook i-k-j loop. Blocking changes
+/// only where the partial sum lives and which neighbours are computed
+/// alongside it: one or two output rows at a time, and per row a block of
+/// 16, 8, 4 or 1 output columns held in a local array across the whole `k`
+/// loop, instead of loading and storing the output row at every `p`. Rust
+/// never contracts `x + y * z` into a fused multiply-add, so the compiler's
+/// vectorisation of a block cannot change a rounding either.
+fn matmul_kernel(a: Strided<'_>, m: usize, k: usize, b: &[f32], n: usize) -> Vec<f32> {
+    let mut out = vec![0.0; m * n];
+    let mut i = 0;
+    while i + 2 <= m {
+        row_blocks::<2>(a, [i, i + 1], k, b, n, &mut out);
+        i += 2;
+    }
+    if i < m {
+        row_blocks::<1>(a, [i], k, b, n, &mut out);
+    }
+    out
+}
+
+/// Output rows `rows` of [`matmul_kernel`], block after block of columns,
+/// widest first.
+fn row_blocks<const R: usize>(
+    a: Strided<'_>,
+    rows: [usize; R],
+    k: usize,
+    b: &[f32],
+    n: usize,
+    out: &mut [f32],
+) {
+    let mut j = 0;
+    while j < n {
+        j += match n - j {
+            16.. => column_block::<R, 16>(a, rows, k, b, n, j, out),
+            8.. => column_block::<R, 8>(a, rows, k, b, n, j, out),
+            4.. => column_block::<R, 4>(a, rows, k, b, n, j, out),
+            _ => column_block::<R, 1>(a, rows, k, b, n, j, out),
+        };
+    }
+}
+
+/// Output columns `j..j + W` of rows `rows`; returns `W`.
+#[inline(always)]
+fn column_block<const R: usize, const W: usize>(
+    a: Strided<'_>,
+    rows: [usize; R],
+    k: usize,
+    b: &[f32],
+    n: usize,
+    j: usize,
+    out: &mut [f32],
+) -> usize {
+    let mut acc = [[0.0f32; W]; R];
+    for p in 0..k {
+        let b_row: &[f32; W] = b[p * n + j..p * n + j + W]
+            .try_into()
+            .expect("a block is exactly W columns wide");
+        for (acc_row, &i) in acc.iter_mut().zip(&rows) {
+            let x = a.data[i * a.row_step + p * a.k_step];
+            if x != 0.0 {
+                for (s, &y) in acc_row.iter_mut().zip(b_row) {
+                    *s += x * y;
+                }
+            }
+        }
+    }
+    for (acc_row, &i) in acc.iter().zip(&rows) {
+        out[i * n + j..i * n + j + W].copy_from_slice(acc_row);
+    }
+    W
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn zeros_and_shape() {
@@ -502,6 +614,73 @@ mod tests {
         let c = a.matmul(&b);
         assert_eq!(c.shape(), (2, 2));
         assert_eq!(c.data(), &[58.0, 64.0, 139.0, 154.0]);
+    }
+
+    /// The i-k-j loop `matmul` was before the register-blocked kernel.
+    fn ikj_matmul(a: &Tensor, b: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(a.rows, b.cols);
+        for i in 0..a.rows {
+            for k in 0..a.cols {
+                let x = a.data[i * a.cols + k];
+                if x == 0.0 {
+                    continue;
+                }
+                let orow = &b.data[k * b.cols..(k + 1) * b.cols];
+                let crow = &mut out.data[i * b.cols..(i + 1) * b.cols];
+                for j in 0..b.cols {
+                    crow[j] += x * orow[j];
+                }
+            }
+        }
+        out
+    }
+
+    /// Random values mixed with `+0.0`, `-0.0` and, when `subnormals`,
+    /// subnormals of either sign.
+    fn awkward(rows: usize, cols: usize, subnormals: bool, rng: &mut impl Rng) -> Tensor {
+        let data = (0..rows * cols)
+            .map(|_| match rng.gen_range(0..6u32) {
+                0 => 0.0,
+                1 => -0.0,
+                2 | 3 if subnormals => {
+                    let tiny = f32::from_bits(rng.gen_range(1..0x0080_0000u32));
+                    if rng.gen_bool(0.5) {
+                        -tiny
+                    } else {
+                        tiny
+                    }
+                }
+                _ => rng.gen_range(-2.0f32..2.0),
+            })
+            .collect();
+        Tensor::from_vec(rows, cols, data)
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn blocked_matmul_is_bitwise_the_ikj_loop() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for m in [0, 1, 2, 3, 5] {
+            for k in [0, 1, 7, 33] {
+                for n in [0, 1, 3, 4, 7, 8, 9, 15, 16, 17, 33, 100] {
+                    let a = awkward(m, k, false, &mut rng);
+                    let b = awkward(k, n, true, &mut rng);
+                    let want = ikj_matmul(&a, &b);
+                    assert_eq!(want.shape(), (m, n));
+                    assert_eq!(bits(&a.matmul(&b)), bits(&want), "{m}x{k} @ {k}x{n}");
+                    let at = a.transpose();
+                    assert_eq!(
+                        bits(&at.transpose_matmul(&b)),
+                        bits(&at.transpose().matmul(&b)),
+                        "({k}x{m})ᵀ @ {k}x{n}"
+                    );
+                    assert_eq!(bits(&at.transpose_matmul(&b)), bits(&want));
+                }
+            }
+        }
     }
 
     #[test]

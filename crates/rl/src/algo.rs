@@ -10,15 +10,19 @@
 //!   concurrent query to finish (a *real* signal from the execution logs)
 //!   through the shared representation, with the same KL term.
 
-use crate::buffer::RolloutBuffer;
-use bq_nn::{Adam, Graph, NodeId, ParamStore, Tensor};
+use crate::buffer::{Estimate, RolloutBuffer, Transition};
+use bq_nn::{Adam, Graph, NodeId, ParamId, ParamStore, Tensor};
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A model that exposes a policy head, a value head and an auxiliary
 /// finish-time head over a shared state representation.
-pub trait ActorCritic {
+///
+/// The trainers evaluate transitions on every core, so the model and its
+/// observations are shared across threads (read only).
+pub trait ActorCritic: Sync {
     /// Observation type stored in rollout buffers.
-    type Obs;
+    type Obs: Sync;
 
     /// Record policy logits (`[1, A]`) and state value (`[1, 1]`) for `obs`.
     fn evaluate(&self, g: &mut Graph, store: &ParamStore, obs: &Self::Obs) -> (NodeId, NodeId);
@@ -96,6 +100,7 @@ pub struct PpoTrainer {
     /// Hyper-parameters.
     pub config: PpoConfig,
     optimizer: Adam,
+    threads: Option<usize>,
 }
 
 impl PpoTrainer {
@@ -104,7 +109,17 @@ impl PpoTrainer {
         Self {
             optimizer: Adam::new(config.lr),
             config,
+            threads: None,
         }
+    }
+
+    /// Test hook: evaluate transitions on exactly `threads` threads instead
+    /// of [`std::thread::available_parallelism`]. The result does not
+    /// depend on it; tests use it to prove that.
+    #[doc(hidden)]
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = Some(threads);
+        self
     }
 
     /// Run one PPO update on `buffer` and return diagnostics.
@@ -117,15 +132,13 @@ impl PpoTrainer {
         if buffer.is_empty() {
             return PpoStats::default();
         }
+        let threads = thread_count(self.threads);
         let estimates = buffer.normalized_gae(self.config.gamma, self.config.lambda);
+        let items: Vec<_> = buffer.transitions().iter().zip(&estimates).collect();
         let n = buffer.len() as f32;
-        let mut stats = PpoStats::default();
-        for _ in 0..self.config.epochs {
-            store.zero_grads();
-            let mut epoch = PpoStats::default();
-            for (t, est) in buffer.transitions().iter().zip(estimates.iter()) {
-                let mut g = Graph::new();
-                let (logits, value) = model.evaluate(&mut g, store, &t.obs);
+        let loss =
+            |g: &mut Graph, store: &ParamStore, &(t, est): &(&Transition<M::Obs>, &Estimate)| {
+                let (logits, value) = model.evaluate(g, store, &t.obs);
                 let num_actions = g.value(logits).cols();
                 let one_hot = Tensor::one_hot(num_actions, t.action);
                 let logp = g.log_softmax_rows(logits);
@@ -149,20 +162,101 @@ impl PpoTrainer {
                 let weighted_entropy = g.scale(entropy, -self.config.entropy_coef);
                 let sum1 = g.add(policy_loss, weighted_value);
                 let total = g.add(sum1, weighted_entropy);
-                let loss = g.scale(total, 1.0 / n);
-
-                epoch.policy_loss += g.value(policy_loss).item() / n;
-                epoch.value_loss += g.value(value_loss).item() / n;
-                epoch.entropy += g.value(entropy).item() / n;
-
-                g.backward(loss);
-                g.flush_grads(store);
-            }
+                let stats = PpoStats {
+                    policy_loss: g.value(policy_loss).item(),
+                    value_loss: g.value(value_loss).item(),
+                    entropy: g.value(entropy).item(),
+                };
+                (g.scale(total, 1.0 / n), stats)
+            };
+        let mut stats = PpoStats::default();
+        for _ in 0..self.config.epochs {
+            store.zero_grads();
+            let mut epoch = PpoStats::default();
+            accumulate_in_order(store, &items, threads, loss, |s| {
+                epoch.policy_loss += s.policy_loss / n;
+                epoch.value_loss += s.value_loss / n;
+                epoch.entropy += s.entropy / n;
+            });
             store.clip_grad_norm(self.config.max_grad_norm);
             self.optimizer.step(store);
             stats = epoch;
         }
         stats
+    }
+}
+
+/// Transitions evaluated per thread between two in-order merges. The
+/// gradients in flight are bounded by `threads * WINDOW_PER_THREAD`
+/// transitions' worth.
+const WINDOW_PER_THREAD: usize = 8;
+
+/// `threads`, or else the host's available parallelism.
+fn thread_count(threads: Option<usize>) -> usize {
+    threads
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+        .max(1)
+}
+
+/// Record `loss(item)` on a fresh tape and differentiate it for every item,
+/// on `threads` threads (this one included). Then, on this thread and in
+/// item order, pass each item's statistics to `merge` and accumulate its
+/// parameter gradients into `store`.
+///
+/// `loss` returns the scalar loss node and the item's statistics; it only
+/// reads `store`. The merge performs the same f32 additions in the same
+/// order for any `threads`, so the accumulated gradients — and the
+/// statistics — are bitwise independent of the thread count.
+fn accumulate_in_order<T: Sync, S: Send>(
+    store: &mut ParamStore,
+    items: &[T],
+    threads: usize,
+    loss: impl Fn(&mut Graph, &ParamStore, &T) -> (NodeId, S) + Sync,
+    mut merge: impl FnMut(S),
+) {
+    let evaluate = |store: &ParamStore, item: &T| -> (S, Vec<(ParamId, Tensor)>) {
+        let mut g = Graph::new();
+        let (loss, stats) = loss(&mut g, store, item);
+        g.backward(loss);
+        (stats, g.into_param_grads())
+    };
+    for window in items.chunks(threads * WINDOW_PER_THREAD) {
+        let shared: &ParamStore = store;
+        let next = AtomicUsize::new(0);
+        let work = || {
+            let mut done = Vec::new();
+            loop {
+                // Each index is claimed once; the scope's join publishes the
+                // results, so no stronger ordering is needed.
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = window.get(i) else {
+                    return done;
+                };
+                done.push((i, evaluate(shared, item)));
+            }
+        };
+        let mut done = std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..threads.min(window.len()))
+                .map(|_| scope.spawn(work))
+                .collect();
+            let mut done = work();
+            for helper in helpers {
+                done.extend(
+                    helper
+                        .join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+                );
+            }
+            done
+        });
+        // Item order, whichever thread finished first.
+        done.sort_unstable_by_key(|&(i, _)| i);
+        for (_, (stats, grads)) in done {
+            merge(stats);
+            for (id, grad) in &grads {
+                store.accumulate_grad(*id, grad);
+            }
+        }
     }
 }
 
@@ -213,6 +307,19 @@ impl IqPpoTrainer {
         }
     }
 
+    /// Test hook: see [`PpoTrainer::with_threads`]; applies to both phases.
+    #[doc(hidden)]
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.ppo = self.ppo.with_threads(threads);
+        self
+    }
+
+    /// The PPO-phase and auxiliary-phase optimizers, whose moment estimates
+    /// carry over from one phase to the next.
+    pub fn optimizers(&self) -> [&Adam; 2] {
+        [&self.ppo.optimizer, &self.aux_optimizer]
+    }
+
     /// Number of PPO iterations to run between auxiliary phases.
     pub fn ppo_iters_per_aux(&self) -> usize {
         self.config.ppo_iters_per_aux
@@ -237,7 +344,7 @@ impl IqPpoTrainer {
         store: &mut ParamStore,
         buffer: &RolloutBuffer<M::Obs>,
     ) -> AuxStats {
-        let with_aux: Vec<&crate::buffer::Transition<M::Obs>> = buffer
+        let with_aux: Vec<&Transition<M::Obs>> = buffer
             .transitions()
             .iter()
             .filter(|t| t.aux.is_some())
@@ -245,31 +352,33 @@ impl IqPpoTrainer {
         if with_aux.is_empty() {
             return AuxStats::default();
         }
+        let threads = thread_count(self.ppo.threads);
         let n = with_aux.len() as f32;
+        let loss = |g: &mut Graph, store: &ParamStore, t: &&Transition<M::Obs>| {
+            let aux = t.aux.expect("filtered to transitions with aux targets");
+            let pred = model.aux_prediction(g, store, &t.obs, aux.earliest_index);
+            let aux_loss_full = g.mse_loss(pred, &Tensor::scalar(aux.finish_time));
+            let aux_loss = g.scale(aux_loss_full, 0.5);
+
+            let (logits, _value) = model.evaluate(g, store, &t.obs);
+            let old_probs = Tensor::row(&t.action_probs);
+            let kl = g.kl_divergence(logits, &old_probs);
+            let weighted_kl = g.scale(kl, self.config.beta_clone);
+            let joint = g.add(aux_loss, weighted_kl);
+            let stats = AuxStats {
+                aux_loss: g.value(aux_loss).item(),
+                kl: g.value(kl).item(),
+            };
+            (g.scale(joint, 1.0 / n), stats)
+        };
         let mut stats = AuxStats::default();
         for _ in 0..self.config.aux_epochs {
             store.zero_grads();
             let mut epoch = AuxStats::default();
-            for t in &with_aux {
-                let aux = t.aux.expect("filtered to transitions with aux targets");
-                let mut g = Graph::new();
-                let pred = model.aux_prediction(&mut g, store, &t.obs, aux.earliest_index);
-                let aux_loss_full = g.mse_loss(pred, &Tensor::scalar(aux.finish_time));
-                let aux_loss = g.scale(aux_loss_full, 0.5);
-
-                let (logits, _value) = model.evaluate(&mut g, store, &t.obs);
-                let old_probs = Tensor::row(&t.action_probs);
-                let kl = g.kl_divergence(logits, &old_probs);
-                let weighted_kl = g.scale(kl, self.config.beta_clone);
-                let joint = g.add(aux_loss, weighted_kl);
-                let loss = g.scale(joint, 1.0 / n);
-
-                epoch.aux_loss += g.value(aux_loss).item() / n;
-                epoch.kl += g.value(kl).item() / n;
-
-                g.backward(loss);
-                g.flush_grads(store);
-            }
+            accumulate_in_order(store, &with_aux, threads, loss, |s| {
+                epoch.aux_loss += s.aux_loss / n;
+                epoch.kl += s.kl / n;
+            });
             store.clip_grad_norm(self.config.ppo.max_grad_norm);
             self.aux_optimizer.step(store);
             stats = epoch;
@@ -298,6 +407,13 @@ impl PpgTrainer {
         }
     }
 
+    /// Test hook: see [`PpoTrainer::with_threads`]; applies to both phases.
+    #[doc(hidden)]
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.ppo = self.ppo.with_threads(threads);
+        self
+    }
+
     /// Run one PPO phase.
     pub fn ppo_phase<M: ActorCritic>(
         &mut self,
@@ -318,29 +434,33 @@ impl PpgTrainer {
         if buffer.is_empty() {
             return AuxStats::default();
         }
+        let threads = thread_count(self.ppo.threads);
         let estimates = buffer.gae(self.config.ppo.gamma, self.config.ppo.lambda);
+        let items: Vec<_> = buffer.transitions().iter().zip(&estimates).collect();
         let n = buffer.len() as f32;
-        let mut stats = AuxStats::default();
-        for _ in 0..self.config.aux_epochs {
-            store.zero_grads();
-            let mut epoch = AuxStats::default();
-            for (t, est) in buffer.transitions().iter().zip(estimates.iter()) {
-                let mut g = Graph::new();
-                let (logits, value) = model.evaluate(&mut g, store, &t.obs);
+        let loss =
+            |g: &mut Graph, store: &ParamStore, &(t, est): &(&Transition<M::Obs>, &Estimate)| {
+                let (logits, value) = model.evaluate(g, store, &t.obs);
                 let value_loss_full = g.mse_loss(value, &Tensor::scalar(est.value_target));
                 let value_loss = g.scale(value_loss_full, 0.5);
                 let old_probs = Tensor::row(&t.action_probs);
                 let kl = g.kl_divergence(logits, &old_probs);
                 let weighted_kl = g.scale(kl, self.config.beta_clone);
                 let joint = g.add(value_loss, weighted_kl);
-                let loss = g.scale(joint, 1.0 / n);
-
-                epoch.aux_loss += g.value(value_loss).item() / n;
-                epoch.kl += g.value(kl).item() / n;
-
-                g.backward(loss);
-                g.flush_grads(store);
-            }
+                let stats = AuxStats {
+                    aux_loss: g.value(value_loss).item(),
+                    kl: g.value(kl).item(),
+                };
+                (g.scale(joint, 1.0 / n), stats)
+            };
+        let mut stats = AuxStats::default();
+        for _ in 0..self.config.aux_epochs {
+            store.zero_grads();
+            let mut epoch = AuxStats::default();
+            accumulate_in_order(store, &items, threads, loss, |s| {
+                epoch.aux_loss += s.aux_loss / n;
+                epoch.kl += s.kl / n;
+            });
             store.clip_grad_norm(self.config.ppo.max_grad_norm);
             self.aux_optimizer.step(store);
             stats = epoch;
@@ -356,6 +476,7 @@ mod tests {
     use bq_nn::{Activation, Mlp};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::sync::{Barrier, Condvar, Mutex};
 
     /// A tiny contextual-bandit model: observation = context index (one-hot of
     /// 4), 4 actions, reward 1 when action == context.
@@ -608,5 +729,110 @@ mod tests {
         let stats = trainer.aux_phase(&model, &mut store, &buffer);
         assert_eq!(stats.aux_loss, 0.0);
         assert_eq!(stats.kl, 0.0);
+    }
+    fn bits<'a>(values: impl IntoIterator<Item = &'a f32>) -> Vec<u32> {
+        values.into_iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every parameter value, then every Adam moment of `optimizers`.
+    fn state_bits(store: &ParamStore, optimizers: &[&Adam]) -> Vec<u32> {
+        let mut out = bits(store.iter().flat_map(|(_, p)| p.value.data()));
+        for adam in optimizers {
+            let (m, v) = adam.moments();
+            out.extend(bits(m.iter().chain(v).flat_map(|t| t.data())));
+        }
+        out
+    }
+
+    /// Train a fresh bandit model with `trainer` on `threads` threads; the
+    /// bits of every returned statistic, parameter and Adam moment.
+    fn bandit_training_bits(trainer: &str, threads: usize) -> Vec<u32> {
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut store = ParamStore::new();
+        let model = BanditModel::new(&mut store, &mut rng);
+        let config = IqPpoConfig {
+            ppo: PpoConfig {
+                lr: 0.01,
+                epochs: 2,
+                ..PpoConfig::default()
+            },
+            aux_epochs: 2,
+            aux_lr: 0.01,
+            ..IqPpoConfig::default()
+        };
+        let mut stats = Vec::new();
+        let mut out = Vec::new();
+        for _ in 0..2 {
+            // 61 transitions: full and partial windows for every thread count.
+            let (buffer, _) = collect_bandit_rollout(&model, &store, &mut rng, 61);
+            match trainer {
+                "ppo" => {
+                    let mut t = PpoTrainer::new(config.ppo).with_threads(threads);
+                    let s = t.update(&model, &mut store, &buffer);
+                    stats.extend([s.policy_loss, s.value_loss, s.entropy]);
+                    out = state_bits(&store, &[&t.optimizer]);
+                }
+                "iq-ppo" => {
+                    let mut t = IqPpoTrainer::new(config).with_threads(threads);
+                    let s = t.ppo_phase(&model, &mut store, &buffer);
+                    let a = t.aux_phase(&model, &mut store, &buffer);
+                    stats.extend([s.policy_loss, s.value_loss, s.entropy, a.aux_loss, a.kl]);
+                    out = state_bits(&store, &t.optimizers());
+                }
+                _ => {
+                    let mut t = PpgTrainer::new(config).with_threads(threads);
+                    let s = t.ppo_phase(&model, &mut store, &buffer);
+                    let a = t.aux_phase(&model, &mut store, &buffer);
+                    stats.extend([s.policy_loss, s.value_loss, s.entropy, a.aux_loss, a.kl]);
+                    out = state_bits(&store, &[&t.ppo.optimizer, &t.aux_optimizer]);
+                }
+            }
+        }
+        out.extend(bits(&stats));
+        out
+    }
+
+    #[test]
+    fn training_is_bitwise_independent_of_the_thread_count() {
+        for trainer in ["ppo", "iq-ppo", "ppg"] {
+            let one = bandit_training_bits(trainer, 1);
+            for threads in [2, 3] {
+                assert!(
+                    bandit_training_bits(trainer, threads) == one,
+                    "{trainer} on {threads} threads differs from 1 thread"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn merge_follows_item_order_not_completion_order() {
+        let mut store = ParamStore::new();
+        let w = store.add("w", Tensor::scalar(1.0));
+        for threads in [1, 2, 3] {
+            // Whole windows, so every group below is complete.
+            let items: Vec<usize> = (0..2 * threads * WINDOW_PER_THREAD).collect();
+            // Each group of `threads` consecutive items meets at the barrier,
+            // so every thread holds one of them; then the group finishes in
+            // reverse, the last item first.
+            let barrier = Barrier::new(threads);
+            let finished = (Mutex::new(0usize), Condvar::new());
+            let loss = |g: &mut Graph, store: &ParamStore, &i: &usize| {
+                barrier.wait();
+                let (count, turn) = &finished;
+                let mut count = count.lock().expect("no thread panics holding it");
+                while *count % threads != threads - 1 - i % threads {
+                    count = turn.wait(count).expect("no thread panics holding it");
+                }
+                *count += 1;
+                turn.notify_all();
+                drop(count);
+                let wi = g.param(store, w);
+                (g.scale(wi, 1.0 / (i + 1) as f32), i)
+            };
+            let mut merged = Vec::new();
+            accumulate_in_order(&mut store, &items, threads, loss, |i| merged.push(i));
+            assert_eq!(merged, items, "{threads} threads");
+        }
     }
 }

@@ -10,7 +10,9 @@
 //! * **default** — one fresh engine per connection, each served on its own
 //!   thread. Every client gets an identical, independent engine (same
 //!   `--seed`), so accept order cannot influence any episode; this is the
-//!   mode the process-level bench orchestrator uses.
+//!   mode the process-level bench orchestrator uses. Threads whose
+//!   connection has ended are joined on the next accept, so a long-running
+//!   server does not keep their stacks.
 //! * **`--single-session`** — one engine and one protocol session persist
 //!   across sequential connections: a client that loses its connection
 //!   reconnects and continues the same episode (epoch bump, cached-response
@@ -21,6 +23,7 @@ use bq_dbms::{DbmsProfile, ExecutionEngine};
 use bq_plan::{generate, Benchmark, WorkloadSpec};
 use bq_wire::net::{serve_connection, ServerSocket};
 use bq_wire::WireServer;
+use std::thread::JoinHandle;
 
 /// Consecutive quiet reads (100 ms each) before an idle connection is
 /// dropped.
@@ -151,6 +154,9 @@ fn main() {
             }
         };
         accepted += 1;
+        for _ in 0..reap_finished(&mut handles) {
+            eprintln!("bq-serve: connection thread panicked");
+        }
         let workload = workload.clone();
         let profile = profile.clone();
         let seed = args.seed;
@@ -163,5 +169,52 @@ fn main() {
         if handle.join().is_err() {
             eprintln!("bq-serve: connection thread panicked");
         }
+    }
+}
+
+/// Join and drop the connection threads that have finished, so their stacks
+/// are freed while the server keeps accepting; running threads stay.
+/// Returns how many of the joined threads panicked.
+fn reap_finished(handles: &mut Vec<JoinHandle<()>>) -> usize {
+    handles
+        .extract_if(.., |handle| handle.is_finished())
+        .map(JoinHandle::join)
+        .filter(Result::is_err)
+        .count()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    #[test]
+    fn reaping_joins_finished_threads_keeps_running_ones_and_counts_panics() {
+        let (release, hold) = mpsc::channel::<()>();
+        let mut handles = vec![
+            std::thread::spawn(|| {}),
+            std::thread::spawn(move || {
+                let _ = hold.recv();
+            }),
+            std::thread::spawn(|| panic!("a connection thread failed")),
+        ];
+        while !(handles[0].is_finished() && handles[2].is_finished()) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(reap_finished(&mut handles), 1, "one panicked thread");
+        assert_eq!(handles.len(), 1, "the finished threads are gone");
+        assert!(!handles[0].is_finished(), "the running thread stays");
+        assert_eq!(reap_finished(&mut handles), 0);
+        assert_eq!(handles.len(), 1);
+
+        release
+            .send(())
+            .expect("the running thread holds the receiver");
+        while !handles[0].is_finished() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(reap_finished(&mut handles), 0);
+        assert!(handles.is_empty());
     }
 }
