@@ -1,5 +1,5 @@
 //! Regenerates fig5 of the BQSched paper. Pass `--quick` for the reduced
-//! configuration used by `cargo bench` and CI.
+//! configuration CI runs.
 //! The run ends with a single-line JSON summary on stdout
 //! (`{"bench":"fig5",...,"metrics":{...}}`) so perf trajectories can be
 //! captured mechanically and gated against `bench/baselines/`:

@@ -1,5 +1,5 @@
 //! Regenerates fig8 of the BQSched paper. Pass `--quick` for the reduced
-//! configuration used by `cargo bench` and CI.
+//! configuration CI runs.
 //! The run ends with a single-line JSON summary on stdout
 //! (`{"bench":"fig8",...}`) so perf trajectories can be captured
 //! mechanically: `cargo run --release -p bq-bench --bin fig8 -- --quick | tail -n 1`.

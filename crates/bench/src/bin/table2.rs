@@ -1,5 +1,5 @@
 //! Regenerates table2 of the BQSched paper. Pass `--quick` for the reduced
-//! configuration used by `cargo bench` and CI.
+//! configuration CI runs.
 //! The run ends with a single-line JSON summary on stdout
 //! (`{"bench":"table2",...}`) so perf trajectories can be captured
 //! mechanically: `cargo run --release -p bq-bench --bin table2 -- --quick | tail -n 1`.

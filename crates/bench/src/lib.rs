@@ -1,12 +1,10 @@
 //! # bq-bench
 //!
 //! Experiment harness reproducing every table and figure of the BQSched paper
-//! on the simulated DBMS substrate. Each experiment has
-//!
-//! * a binary (`cargo run -p bq-bench --release --bin table1 [-- --quick]`)
-//!   that prints the same rows/series the paper reports, and
-//! * a Criterion bench (`cargo bench -p bq-bench`) that runs the reduced
-//!   ("quick") configuration so the whole suite finishes in minutes.
+//! on the simulated DBMS substrate. Each experiment is a binary
+//! (`cargo run -p bq-bench --release --bin table1 [-- --quick]`) that prints
+//! the same rows/series the paper reports; `--quick` runs the reduced
+//! configuration so the whole suite finishes in minutes.
 //!
 //! Absolute numbers are simulated virtual seconds, not the authors' testbed
 //! wall-clock; the quantities to compare against the paper are the *relative*
@@ -44,7 +42,7 @@ pub mod process;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunScale {
     /// Reduced configuration: small models, few training rounds, subset of
-    /// grid points. Finishes in minutes; used by `cargo bench` and CI.
+    /// grid points. Finishes in minutes; used by CI.
     Quick,
     /// Paper-scale configuration (all grid points, longer training).
     Full,

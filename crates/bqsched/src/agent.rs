@@ -630,17 +630,7 @@ impl BqSchedAgent {
     fn act(&mut self, probs: Tensor, value: f32) -> Decision {
         let p = probs.data();
         let action = if self.explore {
-            let r: f32 = self.rng.gen();
-            let mut cum = 0.0;
-            let mut chosen = 0;
-            for (i, &pi) in p.iter().enumerate() {
-                cum += pi;
-                chosen = i;
-                if r <= cum {
-                    break;
-                }
-            }
-            chosen
+            sample_index(p, self.rng.gen())
         } else {
             probs.argmax()
         };
@@ -720,6 +710,26 @@ impl BqSchedAgent {
             self.commit_queue.push_back((q, params));
         }
     }
+}
+
+/// Inverse-CDF draw from `p` at `r ∈ [0, 1)`: the first index whose running
+/// sum reaches `r`. Only entries with `p > 0` are candidates, so neither
+/// `r = 0` nor an f32 sum of `p` that stays below `r` can land on an action
+/// the policy gave probability 0; the latter falls through to the last
+/// positive entry instead.
+fn sample_index(p: &[f32], r: f32) -> usize {
+    let mut cum = 0.0;
+    let mut chosen = 0;
+    for (i, &pi) in p.iter().enumerate() {
+        if pi > 0.0 {
+            cum += pi;
+            chosen = i;
+            if r <= cum {
+                break;
+            }
+        }
+    }
+    chosen
 }
 
 impl SchedulerPolicy for BqSchedAgent {
@@ -1458,5 +1468,82 @@ mod tests {
                 "{threads} threads trained different bits than 1 thread"
             );
         }
+    }
+
+    /// Reference draw that, unlike [`sample_index`], also stops at entries
+    /// of probability 0.
+    fn sample_index_counting_zeros(p: &[f32], r: f32) -> usize {
+        let mut cum = 0.0;
+        let mut chosen = 0;
+        for (i, &pi) in p.iter().enumerate() {
+            cum += pi;
+            chosen = i;
+            if r <= cum {
+                break;
+            }
+        }
+        chosen
+    }
+
+    /// The largest value `gen::<f32>()` returns: `1 - 2^-24`.
+    const LARGEST_DRAW: f32 = 1.0 - f32::EPSILON / 2.0;
+
+    #[test]
+    fn a_zero_draw_skips_a_leading_zero_probability() {
+        let p = [0.0, 0.25, 0.75];
+        assert_eq!(sample_index_counting_zeros(&p, 0.0), 0);
+        assert_eq!(sample_index(&p, 0.0), 1);
+    }
+
+    #[test]
+    fn a_draw_past_the_f32_sum_lands_on_the_last_positive_probability() {
+        let p = [0.5, 0.4999999, 0.0];
+        assert!(p.iter().sum::<f32>() < LARGEST_DRAW);
+        assert_eq!(sample_index_counting_zeros(&p, LARGEST_DRAW), 2);
+        assert_eq!(sample_index(&p, LARGEST_DRAW), 1);
+    }
+
+    #[test]
+    fn sampling_moves_only_draws_that_landed_on_a_zero_probability() {
+        // Masked softmaxes as the policy produces them: masked logits get
+        // `MASK_VALUE` and so an exact 0. Every draw the old sampler sent to
+        // a positive entry must land on the same index; the rest must move
+        // to a positive one.
+        let mut rng = StdRng::seed_from_u64(11);
+        let (mut kept, mut moved) = (0, 0);
+        for _ in 0..2000 {
+            let n = rng.gen_range(1..12);
+            let open = rng.gen_range(0..n);
+            let logits: Vec<f32> = (0..n)
+                .map(|i| {
+                    let v = rng.gen_range(-3.0f32..3.0);
+                    if i != open && rng.gen_bool(0.4) {
+                        v + MASK_VALUE
+                    } else {
+                        v
+                    }
+                })
+                .collect();
+            let probs = Tensor::row(&logits).softmax_rows();
+            let p = probs.data();
+            for r in [0.0, rng.gen(), rng.gen(), LARGEST_DRAW] {
+                let before = sample_index_counting_zeros(p, r);
+                let after = sample_index(p, r);
+                assert!(
+                    p[after] > 0.0,
+                    "drew a zero-probability action from {p:?} at {r}"
+                );
+                if p[before] > 0.0 {
+                    assert_eq!(after, before, "moved a positive draw from {p:?} at {r}");
+                    kept += 1;
+                } else {
+                    moved += 1;
+                }
+            }
+        }
+        assert!(
+            kept > 0 && moved > 0,
+            "the sweep must hit both kinds of draw"
+        );
     }
 }

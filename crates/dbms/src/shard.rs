@@ -24,13 +24,9 @@
 //! # Deterministic event merge
 //!
 //! Shards advance independently, so their clocks drift apart between
-//! deliveries — and because a shard's advance touches nothing but
-//! shard-local state (own noise stream, own buffer pool, own stall
-//! diagnostic), busy shards integrate **concurrently** on a scoped worker
-//! pool whenever an advance selects more than one. Harvested completions
-//! are merged **by `(finished_at, global connection id)`** — never by shard
-//! polling order or thread timing — which makes episode logs a pure
-//! function of (workload, profile, seed, shard count): shard 0
+//! deliveries. Harvested completions are merged **by `(finished_at, global
+//! connection id)`** — never by shard polling order — which makes episode
+//! logs a pure function of (workload, profile, seed, shard count): shard 0
 //! with the same seed replays the monolithic engine exactly, and cross-shard
 //! ties (two shards completing at the same instant) always resolve toward
 //! the lower global connection id. Before delivering a candidate event the
@@ -101,14 +97,8 @@ pub struct ShardedEngine {
     /// partitioned running views.
     id_index: Vec<usize>,
     delivered: usize,
-    /// Reusable scratch for the shard ids selected by one advance — the
-    /// merge loop runs once per delivered completion, so the selection must
-    /// not allocate per poll.
-    advance_ids: Vec<usize>,
     /// Observability handle; [`Obs::off`] unless [`ShardedEngine::set_obs`]
-    /// installed one. Only the *serial* merge code emits — the scoped
-    /// worker closures never touch it — so metric and event order is a pure
-    /// function of the merge order, independent of thread timing.
+    /// installed one.
     obs: Obs,
 }
 
@@ -141,19 +131,17 @@ impl ShardedEngine {
             submitted: VecDeque::with_capacity(total),
             id_index: (0..total).collect(),
             delivered: 0,
-            advance_ids: Vec::with_capacity(shards),
             obs: Obs::off(),
         }
     }
 
     /// Observe the cross-shard merge through `obs`: per-shard advance
     /// counts (`shard_advance_<i>` plus a [`TraceKind::ShardAdvance`] event
-    /// per selected shard), delivered completions (`sharded_deliveries`),
+    /// per advanced shard), delivered completions (`sharded_deliveries`),
     /// merge-set depth at each delivery (`sharded_merge_queue_depth`) and
     /// all-shards-stalled polls (`sharded_stall_events`). The shard engines
-    /// themselves stay unobserved — workers on the scoped pool must remain
-    /// silent so recorded order is deterministic — and observation is
-    /// read-only, so episodes stay byte-identical.
+    /// themselves stay unobserved, and observation is read-only, so
+    /// episodes stay byte-identical.
     pub fn set_obs(&mut self, obs: Obs) {
         obs.preregister(
             &["sharded_deliveries", "sharded_stall_events"],
@@ -162,52 +150,14 @@ impl ShardedEngine {
         self.obs = obs;
     }
 
-    /// Record the shards just integrated by one serial merge step.
-    fn note_shard_advances(&self) {
-        for &s in &self.advance_ids {
-            self.obs.inc_indexed("shard_advance", s);
-            self.obs
-                .emit(TraceEvent::new(TraceKind::ShardAdvance, self.shards[s].now()).with_shard(s));
-        }
-    }
-
-    /// Integrate the selected shards up to `bound`, concurrently when more
-    /// than one is selected.
-    ///
-    /// Safe to parallelise because a shard's advance touches nothing but
-    /// shard-local state — its own progress vectors, noise stream (seeded per
-    /// shard at construction), buffer pool and stall diagnostic — so the
-    /// post-advance state of every shard is a pure function of its own
-    /// pre-advance state and `bound`, independent of thread interleaving.
-    /// Harvesting (which mutates the shared merge set) stays with the caller,
-    /// serial in ascending shard id, and delivery ordering is decided solely
-    /// by the `(finished_at, global connection id)` merge key — so episode
-    /// logs are byte-identical to the former serial advance.
-    ///
-    /// Worker panics are re-raised on the caller with their *original*
-    /// payload (joined in ascending shard order, first failure wins), so a
-    /// debug-build stall assert inside a shard surfaces verbatim instead of
-    /// as `std::thread::scope`'s generic "a scoped thread panicked".
-    fn advance_shards(shards: &mut [ExecutionEngine], ids: &[usize], bound: f64) {
-        if ids.len() < 2 {
-            for &s in ids {
-                shards[s].advance_to(bound);
-            }
-            return;
-        }
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(ids.len());
-            for (s, shard) in shards.iter_mut().enumerate() {
-                if ids.contains(&s) {
-                    handles.push(scope.spawn(move || shard.advance_to(bound)));
-                }
-            }
-            for handle in handles {
-                if let Err(payload) = handle.join() {
-                    std::panic::resume_unwind(payload);
-                }
-            }
-        });
+    /// Integrate busy shard `s` up to `bound`, record the advance, and
+    /// harvest its completions into the merge set.
+    fn advance_shard(&mut self, s: usize, bound: f64) {
+        self.shards[s].advance_to(bound);
+        self.obs.inc_indexed("shard_advance", s);
+        self.obs
+            .emit(TraceEvent::new(TraceKind::ShardAdvance, self.shards[s].now()).with_shard(s));
+        self.harvest(s);
     }
 
     /// Number of shards.
@@ -422,21 +372,14 @@ impl ShardedEngine {
                     // stall assert) without ever surfacing an event; the
                     // recorded `AdvanceStall` is the loud signal instead.
                     let mut any_busy = false;
-                    self.advance_ids.clear();
                     for s in 0..self.shards.len() {
                         if self.shards[s].busy_count() == 0 {
                             continue;
                         }
                         any_busy = true;
                         if self.shards[s].stall_diagnostic().is_none() {
-                            self.advance_ids.push(s);
+                            self.advance_shard(s, f64::INFINITY);
                         }
-                    }
-                    Self::advance_shards(&mut self.shards, &self.advance_ids, f64::INFINITY);
-                    self.note_shard_advances();
-                    for i in 0..self.advance_ids.len() {
-                        let s = self.advance_ids[i];
-                        self.harvest(s);
                     }
                     if !any_busy || self.min_pending().is_none() {
                         if any_busy {
@@ -455,23 +398,21 @@ impl ShardedEngine {
                     // still complete before `t`: integrate it to `t` before
                     // committing to the candidate. Stalled shards are
                     // skipped — they cannot make progress and would loop.
-                    self.advance_ids.clear();
+                    // Each test reads only shard `s` (its pending check only
+                    // `s`'s connection block), so harvesting a lower shard
+                    // first cannot change it.
+                    let mut advanced = false;
                     for s in 0..self.shards.len() {
                         if self.shards[s].busy_count() > 0
                             && self.shards[s].now() + TIME_EPS < t
                             && !self.shard_has_pending(s)
                             && self.shards[s].stall_diagnostic().is_none()
                         {
-                            self.advance_ids.push(s);
+                            self.advance_shard(s, t);
+                            advanced = true;
                         }
                     }
-                    if !self.advance_ids.is_empty() {
-                        Self::advance_shards(&mut self.shards, &self.advance_ids, t);
-                        self.note_shard_advances();
-                        for i in 0..self.advance_ids.len() {
-                            let s = self.advance_ids[i];
-                            self.harvest(s);
-                        }
+                    if advanced {
                         continue; // an earlier candidate may have surfaced
                     }
                     self.obs.inc("sharded_deliveries");
@@ -519,21 +460,14 @@ impl ShardedEngine {
         if bound <= self.clock {
             return;
         }
-        // Busy shards integrate concurrently; idle shards only need their
-        // clocks synced to a finite bound, which is a field write, so they
-        // advance inline. Harvesting stays serial in ascending shard id.
-        self.advance_ids.clear();
         for s in 0..self.shards.len() {
             if self.shards[s].busy_count() > 0 {
-                self.advance_ids.push(s);
+                self.advance_shard(s, bound);
             } else {
+                // An idle shard only syncs its clock to a finite bound; it
+                // completes nothing, so there is nothing to harvest.
                 self.shards[s].advance_to(bound);
             }
-        }
-        Self::advance_shards(&mut self.shards, &self.advance_ids, bound);
-        self.note_shard_advances();
-        for s in 0..self.shards.len() {
-            self.harvest(s);
         }
         if let Some(idx) = self.min_pending() {
             // Completions at or before the bound anchor the clock at the
@@ -1041,12 +975,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_shard_advance_is_deterministic() {
-        // The concurrent advance must leave no trace of thread timing: two
-        // identical runs produce bit-identical completion sequences, and the
-        // delivery order obeys the (finished_at, connection) merge key.
+    fn sharded_delivery_order_is_deterministic_and_follows_the_merge_key() {
+        // Two identical runs produce bit-identical completion sequences, and
+        // the delivery order obeys the (finished_at, connection) merge key.
         let w = tpch_workload();
-        for shards in [2usize, 3] {
+        for shards in [2usize, 3, 8] {
             let run = || {
                 let mut e = ShardedEngine::new(DbmsProfile::dbms_x(), &w, 33, shards);
                 fifo_round(&mut e, w.len())

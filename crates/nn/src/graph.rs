@@ -38,7 +38,6 @@ enum Op {
     MulConst(NodeId),
     Tanh(NodeId),
     Relu(NodeId),
-    Sigmoid(NodeId),
     Exp(NodeId),
     SoftmaxRows(NodeId),
     LogSoftmaxRows(NodeId),
@@ -48,8 +47,6 @@ enum Op {
     SumRows(NodeId),
     /// `[n, d] -> [1, d]` column means (mean pooling over rows).
     MeanPoolRows(NodeId),
-    /// `[n, d] -> [1, d]` column sums (sum pooling over rows).
-    SumPoolRows(NodeId),
     ConcatCols(NodeId, NodeId),
     ConcatRows(NodeId, NodeId),
     SliceRows(NodeId, usize),
@@ -222,13 +219,6 @@ impl Graph {
         self.push(v, Op::Relu(a), ng, None)
     }
 
-    /// Logistic sigmoid.
-    pub fn sigmoid(&mut self, a: NodeId) -> NodeId {
-        let v = self.nodes[a].value.map(|x| 1.0 / (1.0 + (-x).exp()));
-        let ng = self.needs(a);
-        self.push(v, Op::Sigmoid(a), ng, None)
-    }
-
     /// Elementwise exponential.
     pub fn exp(&mut self, a: NodeId) -> NodeId {
         let v = self.nodes[a].value.map(f32::exp);
@@ -305,19 +295,6 @@ impl Graph {
         let v = self.nodes[a].value.mean_pool_rows();
         let ng = self.needs(a);
         self.push(v, Op::MeanPoolRows(a), ng, None)
-    }
-
-    /// Column sums over all rows: `[n, d] -> [1, d]` (cluster sum-pooling).
-    pub fn sum_pool_rows(&mut self, a: NodeId) -> NodeId {
-        let x = &self.nodes[a].value;
-        let mut v = Tensor::zeros(1, x.cols());
-        for r in 0..x.rows() {
-            for c in 0..x.cols() {
-                v.set(0, c, v.get(0, c) + x.get(r, c));
-            }
-        }
-        let ng = self.needs(a);
-        self.push(v, Op::SumPoolRows(a), ng, None)
     }
 
     // ------------------------------------------------------------ shape ops
@@ -538,12 +515,6 @@ impl Graph {
                         acc(grads, a, da);
                     }
                 }
-                Op::Sigmoid(a) => {
-                    if needs(a) {
-                        let da = zip_in_place(gy, &node.value, |g, s| g * s * (1.0 - s));
-                        acc(grads, a, da);
-                    }
-                }
                 Op::Exp(a) => {
                     if needs(a) {
                         acc(grads, a, zip_in_place(gy, &node.value, |g, y| g * y));
@@ -607,16 +578,6 @@ impl Graph {
                         let mut da = Tensor::zeros(rows, cols);
                         for r in 0..rows {
                             da.row_slice_mut(r).copy_from_slice(share.data());
-                        }
-                        acc(grads, a, da);
-                    }
-                }
-                Op::SumPoolRows(a) => {
-                    if needs(a) {
-                        let (rows, cols) = value(a).shape();
-                        let mut da = Tensor::zeros(rows, cols);
-                        for r in 0..rows {
-                            da.row_slice_mut(r).copy_from_slice(gy.data());
                         }
                         acc(grads, a, da);
                     }

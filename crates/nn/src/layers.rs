@@ -19,8 +19,6 @@ pub enum Activation {
     Tanh,
     /// Rectified linear unit.
     Relu,
-    /// Logistic sigmoid.
-    Sigmoid,
 }
 
 impl Activation {
@@ -29,7 +27,6 @@ impl Activation {
             Activation::None => x,
             Activation::Tanh => g.tanh(x),
             Activation::Relu => g.relu(x),
-            Activation::Sigmoid => g.sigmoid(x),
         }
     }
 
@@ -41,7 +38,6 @@ impl Activation {
             Activation::None => x,
             Activation::Tanh => x.map(f32::tanh),
             Activation::Relu => x.map(|v| v.max(0.0)),
-            Activation::Sigmoid => x.map(|v| 1.0 / (1.0 + (-v).exp())),
         }
     }
 }
@@ -687,7 +683,7 @@ mod tests {
             "m",
             &[8, 16, 3],
             Activation::Tanh,
-            Activation::Sigmoid,
+            Activation::Relu,
             &mut rng,
         );
         let x = Tensor::from_vec(

@@ -4,7 +4,7 @@
 //! reproduction: dense 2-D tensors, tape-based reverse-mode automatic
 //! differentiation, the layers the paper's models need (linear/MLP stacks,
 //! multi-head attention with additive biases, layer normalisation) and the
-//! Adam/SGD optimizers.
+//! Adam optimizer.
 //!
 //! The original BQSched implementation uses PyTorch; this crate replaces it
 //! with a CPU-only implementation sized for the paper's models (tens of
@@ -50,6 +50,6 @@ pub use graph::{Graph, NodeId};
 pub use layers::{
     Activation, AttentionBlock, AttentionInferCache, LayerNorm, Linear, Mlp, MultiHeadAttention,
 };
-pub use optim::{Adam, Sgd};
+pub use optim::Adam;
 pub use params::{Param, ParamId, ParamStore};
 pub use tensor::Tensor;

@@ -24,11 +24,10 @@
 //!   workspace's one justified `bq-lint` wall-clock allow.
 //!
 //! The handle is `Arc`-shared so the session, the backend stack and a
-//! bench harness can observe into one registry; it is `Send + Sync` so
-//! backends that advance shards on scoped worker threads stay spawnable —
-//! but by convention only *serial* code emits (the sharded engine
-//! instruments its serial merge loop, never the worker closures), so
-//! event order is deterministic.
+//! bench harness can observe into one registry; it is `Send + Sync` so an
+//! instrumented component can move to another thread (`bq-serve` runs each
+//! connection's engine on its own) — but by convention one episode emits
+//! from one thread, so event order is deterministic.
 
 #![warn(missing_docs)]
 
