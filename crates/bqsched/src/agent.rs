@@ -218,14 +218,17 @@ impl BqSchedModel {
         self.num_configs
     }
 
+    /// Record the representations of the entity rows `rows` (ascending,
+    /// `[rows.len(), dim]`) and of the global state (`[1, dim]`).
     fn representations(
         &self,
         g: &mut Graph,
         store: &ParamStore,
         obs: &EncodedObservation,
+        rows: &[usize],
     ) -> (NodeId, NodeId) {
         if self.use_attention {
-            let repr = self.state_encoder.forward(g, store, obs);
+            let repr = self.state_encoder.forward(g, store, obs, rows);
             (repr.per_query, repr.global)
         } else {
             // Ablation: each entity encoded independently; the "global" state
@@ -235,7 +238,7 @@ impl BqSchedModel {
             let x = g.concat_cols(plan, feats);
             let per_query = self.plain_proj.forward(g, store, x);
             let global = g.mean_pool_rows(per_query);
-            (per_query, global)
+            (g.select_rows(per_query, rows), global)
         }
     }
 
@@ -247,14 +250,12 @@ impl BqSchedModel {
 
     /// Tape-free policy evaluation for the decision loop.
     ///
-    /// Returns the masked flat logits `[1, n·K]` and the state value. Only
-    /// the selectable entities (`obs.encoded.pending`) get a policy logit,
-    /// bitwise equal to [`ActorCritic::evaluate`]'s; every other entity is
-    /// filled with [`MASK_VALUE`]. `evaluate` gives those entities
-    /// `v + MASK_VALUE` instead, and both underflow to exactly `+0.0` in the
-    /// softmax, so the probabilities, sampled and greedy actions are bitwise
-    /// those of `evaluate`. When `want_value` is false (greedy inference —
-    /// the value is never read) the value head is skipped and `0.0` returned.
+    /// Returns the masked flat logits `[1, n·K]` and the state value,
+    /// bitwise those of [`ActorCritic::evaluate`]: only the selectable
+    /// entities (`obs.encoded.pending`) get a policy logit, and every other
+    /// entity is filled with [`MASK_VALUE`]. When `want_value` is false
+    /// (greedy inference — the value is never read) the value head is
+    /// skipped and `0.0` returned.
     pub fn infer_policy(
         &self,
         store: &ParamStore,
@@ -292,11 +293,24 @@ impl BqSchedModel {
 impl ActorCritic for BqSchedModel {
     type Obs = BqObs;
 
+    /// Records the policy head for the pending entities only: the loss
+    /// never reads the other logits, which the mask sets to exactly
+    /// [`MASK_VALUE`], as [`BqSchedModel::infer_policy`] does.
     fn evaluate(&self, g: &mut Graph, store: &ParamStore, obs: &BqObs) -> (NodeId, NodeId) {
-        let (per_query, global) = self.representations(g, store, &obs.encoded);
-        let n = obs.encoded.len();
-        let per_entity_logits = self.policy_head.forward(g, store, per_query); // [n, K]
-        let flat = g.reshape(per_entity_logits, 1, n * self.num_configs);
+        let pending = &obs.encoded.pending;
+        let (per_query, global) = self.representations(g, store, &obs.encoded, pending);
+        let k = self.num_configs;
+        let pending_logits = self.policy_head.forward(g, store, per_query); // [P, K]
+
+        // Row `P` is all zeros; every entity that is not pending reads it.
+        let zero_row = g.input(Tensor::zeros(1, k));
+        let padded = g.concat_rows(pending_logits, zero_row);
+        let mut source = vec![pending.len(); obs.encoded.len()];
+        for (j, &e) in pending.iter().enumerate() {
+            source[e] = j;
+        }
+        let per_entity_logits = g.select_rows(padded, &source); // [n, K]
+        let flat = g.reshape(per_entity_logits, 1, obs.encoded.len() * k);
         let mask = Tensor::from_vec(1, obs.mask.len(), obs.mask.clone());
         let logits = g.add_const(flat, &mask);
         let value = self.value_head.forward(g, store, global);
@@ -310,8 +324,7 @@ impl ActorCritic for BqSchedModel {
         obs: &BqObs,
         index: usize,
     ) -> NodeId {
-        let (per_query, _) = self.representations(g, store, &obs.encoded);
-        let row = g.select_rows(per_query, &[index]);
+        let (row, _) = self.representations(g, store, &obs.encoded, &[index]);
         self.aux_head.forward(g, store, row)
     }
 }
@@ -1235,15 +1248,13 @@ mod tests {
 
     #[test]
     fn infer_policy_matches_graph_evaluate_bitwise() {
-        // The tape-free decision path computes only the selectable entities:
-        // their logits, the value, and every softmax probability (so every
-        // action) are bit-identical to the recorded graph pass the trainers
-        // replay — on both the attention and the plain backend.
+        // Every logit and the value of the tape-free decision path are
+        // bit-identical to the recorded pass the trainers replay, on both
+        // the attention and the plain backend.
         let w = tiny_workload();
         let profile = DbmsProfile::dbms_x();
         for config in [fast_config(), fast_config().without_attention()] {
             let agent = BqSchedAgent::new(&w, &profile, None, config);
-            let k = agent.model.num_configs();
             let mut cache = agent.model.build_infer_cache(&agent.store);
             for obs in sample_states(&agent, &w) {
                 let mut g = Graph::new();
@@ -1252,21 +1263,9 @@ mod tests {
                     agent
                         .model
                         .infer_policy(&agent.store, &obs, &mut cache, true);
-                let logits_g = g.value(logits_g);
-                assert_eq!(logits_g.shape(), logits_i.shape());
-                for &e in &obs.encoded.pending {
-                    for c in e * k..(e + 1) * k {
-                        assert_eq!(
-                            logits_g.data()[c].to_bits(),
-                            logits_i.data()[c].to_bits(),
-                            "selectable logit drifted"
-                        );
-                    }
-                }
-                let probs_g = logits_g.softmax_rows();
-                let probs_i = logits_i.softmax_rows();
-                for (a, b) in probs_g.data().iter().zip(probs_i.data()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "probability drifted");
+                assert_eq!(g.value(logits_g).shape(), logits_i.shape());
+                for (a, b) in g.value(logits_g).data().iter().zip(logits_i.data()) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "logit drifted");
                 }
                 assert_eq!(
                     g.value(value_g).item().to_bits(),
@@ -1420,6 +1419,124 @@ mod tests {
                     "entity cache changed the schedule (explore={explore})"
                 );
             }
+        }
+    }
+
+    /// The all-rows reference for the recorded passes: encode every entity,
+    /// run the heads on every row, and select the rows the loss reads
+    /// afterwards — the shape `evaluate` and `aux_prediction` had before
+    /// they narrowed to those rows.
+    struct AllRows<'a>(&'a BqSchedModel);
+
+    impl ActorCritic for AllRows<'_> {
+        type Obs = BqObs;
+
+        fn evaluate(&self, g: &mut Graph, store: &ParamStore, obs: &BqObs) -> (NodeId, NodeId) {
+            let model = self.0;
+            let n = obs.encoded.len();
+            let all: Vec<usize> = (0..n).collect();
+            let (per_query, global) = model.representations(g, store, &obs.encoded, &all);
+            let per_entity_logits = model.policy_head.forward(g, store, per_query);
+            let flat = g.reshape(per_entity_logits, 1, n * model.num_configs);
+            let mask = Tensor::from_vec(1, obs.mask.len(), obs.mask.clone());
+            let logits = g.add_const(flat, &mask);
+            let value = model.value_head.forward(g, store, global);
+            (logits, value)
+        }
+
+        fn aux_prediction(
+            &self,
+            g: &mut Graph,
+            store: &ParamStore,
+            obs: &BqObs,
+            index: usize,
+        ) -> NodeId {
+            let model = self.0;
+            let all: Vec<usize> = (0..obs.encoded.len()).collect();
+            let (per_query, _) = model.representations(g, store, &obs.encoded, &all);
+            let row = g.select_rows(per_query, &[index]);
+            model.aux_head.forward(g, store, row)
+        }
+    }
+
+    /// Train `model` from `store` on `buffer` with a PPO update, an IQ-PPO
+    /// PPO and aux phase, then a PPG PPO and aux phase; the bits of every
+    /// statistic, and of every parameter and Adam moment after each trainer.
+    fn trained_bits<M: ActorCritic<Obs = BqObs>>(
+        model: &M,
+        store: &ParamStore,
+        rl: IqPpoConfig,
+        buffer: &RolloutBuffer<BqObs>,
+    ) -> Vec<u32> {
+        let mut store = store.clone();
+        let mut out = Vec::new();
+        let mut record = |store: &ParamStore, optimizers: &[&bq_nn::Adam], stats: &[f32]| {
+            let moments = optimizers.iter().flat_map(|adam| {
+                let (m, v) = adam.moments();
+                m.iter().chain(v)
+            });
+            let values = store.iter().map(|(_, p)| &p.value);
+            let state = values.chain(moments).flat_map(|t| t.data());
+            out.extend(state.chain(stats).map(|x| x.to_bits()));
+        };
+        let mut ppo = PpoTrainer::new(rl.ppo);
+        let s = ppo.update(model, &mut store, buffer);
+        record(
+            &store,
+            &[ppo.optimizer()],
+            &[s.policy_loss, s.value_loss, s.entropy],
+        );
+        let mut iq = IqPpoTrainer::new(rl);
+        let s = iq.ppo_phase(model, &mut store, buffer);
+        let a = iq.aux_phase(model, &mut store, buffer);
+        let stats = [s.policy_loss, s.value_loss, s.entropy, a.aux_loss, a.kl];
+        record(&store, &iq.optimizers(), &stats);
+        let mut ppg = PpgTrainer::new(rl);
+        let s = ppg.ppo_phase(model, &mut store, buffer);
+        let a = ppg.aux_phase(model, &mut store, buffer);
+        let stats = [s.policy_loss, s.value_loss, s.entropy, a.aux_loss, a.kl];
+        record(&store, &ppg.optimizers(), &stats);
+        out
+    }
+
+    #[test]
+    fn narrowed_training_matches_an_all_rows_reference_bitwise() {
+        // The recorded passes compute only the rows each loss reads; every
+        // trainer still produces the parameter, Adam-moment and statistic
+        // bits of the pass over every row.
+        let w = tiny_workload();
+        let profile = DbmsProfile::dbms_x();
+        let history = collect_history(&mut FifoScheduler::new(), &w, &profile, 2, 0);
+        let two_blocks = BqSchedConfig {
+            state_encoder: StateEncoderConfig {
+                blocks: 2,
+                ..fast_config().state_encoder
+            },
+            ..fast_config()
+        };
+        let configs = [
+            fast_config(),
+            two_blocks,
+            fast_config().with_clusters(6),
+            fast_config().without_attention(),
+            fast_config().without_masking(),
+        ];
+        for config in configs {
+            let mut agent = BqSchedAgent::new(&w, &profile, Some(&history), config);
+            let mut buffer = RolloutBuffer::new();
+            for seed in [3, 4] {
+                run_once(&mut agent, &w, &profile, Some(&history), seed);
+                buffer.extend(agent.take_rollout());
+            }
+            assert!(buffer.transitions().iter().any(|t| t.aux.is_some()));
+            let rl = agent.config.rl;
+            let narrowed = trained_bits(&agent.model, &agent.store, rl, &buffer);
+            let reference = trained_bits(&AllRows(&agent.model), &agent.store, rl, &buffer);
+            assert!(
+                narrowed == reference,
+                "{:?} trained different bits than the all-rows reference",
+                agent.config
+            );
         }
     }
 

@@ -131,21 +131,24 @@ impl SimulatorModel {
         }
     }
 
-    /// Per-query representations `[n, dim]` — attention-based, or the plain
-    /// per-query MLP for the "w/o Att" ablation.
+    /// Representations of the query rows `rows` (ascending),
+    /// `[rows.len(), dim]` — attention-based, or the plain per-query MLP
+    /// for the "w/o Att" ablation.
     fn per_query_reprs(
         &self,
         g: &mut Graph,
         store: &ParamStore,
         obs: &EncodedObservation,
+        rows: &[usize],
     ) -> NodeId {
         if self.config.use_attention {
-            self.encoder.forward(g, store, obs).per_query
+            self.encoder.forward(g, store, obs, rows).per_query
         } else {
             let plan = g.input(obs.plan_embs.clone());
             let feats = g.input(obs.features.clone());
             let x = g.concat_cols(plan, feats);
-            self.plain_proj.forward(g, store, x)
+            let per_query = self.plain_proj.forward(g, store, x);
+            g.select_rows(per_query, rows)
         }
     }
 
@@ -156,8 +159,7 @@ impl SimulatorModel {
         store: &ParamStore,
         obs: &EncodedObservation,
     ) -> NodeId {
-        let reprs = self.per_query_reprs(g, store, obs);
-        let running = g.select_rows(reprs, &obs.running);
+        let running = self.per_query_reprs(g, store, obs, &obs.running);
         let scores = self.classify_head.forward(g, store, running); // [r, 1]
         let t = g.transpose(scores); // [1, r]
         t
@@ -171,8 +173,7 @@ impl SimulatorModel {
         obs: &EncodedObservation,
         position: usize,
     ) -> NodeId {
-        let reprs = self.per_query_reprs(g, store, obs);
-        let row = g.select_rows(reprs, &[obs.running[position]]);
+        let row = self.per_query_reprs(g, store, obs, &[obs.running[position]]);
         self.regress_head.forward(g, store, row)
     }
 
@@ -747,6 +748,102 @@ mod tests {
         let metrics = model.train(&subset, 8, 0.01);
         assert!(metrics.accuracy > 0.0);
         assert!(metrics.mse.is_finite());
+    }
+
+    /// [`SimulatorModel::train`] with every query row encoded and the rows
+    /// each loss reads selected afterwards — the shape the model recorded
+    /// before it narrowed to those rows. Returns the trained parameter and
+    /// metric bits.
+    fn all_rows_train(
+        model: &mut SimulatorModel,
+        samples: &[SimSample],
+        epochs: usize,
+        lr: f32,
+    ) -> Vec<u64> {
+        let reprs =
+            |m: &SimulatorModel, g: &mut Graph, obs: &EncodedObservation, rows: &[usize]| {
+                let all: Vec<usize> = (0..obs.len()).collect();
+                let per_query = m.per_query_reprs(g, &m.store, obs, &all);
+                g.select_rows(per_query, rows)
+            };
+        let mut adam = Adam::new(lr);
+        let n = samples.len() as f32;
+        let phases: &[(bool, bool)] = if model.config.multitask {
+            &[(true, true)]
+        } else {
+            &[(true, false), (false, true)]
+        };
+        for &(do_clf, do_reg) in phases {
+            for _ in 0..epochs {
+                model.store.zero_grads();
+                for s in samples {
+                    let mut g = Graph::new();
+                    let mut losses = Vec::new();
+                    if do_clf {
+                        let running = reprs(model, &mut g, &s.obs, &s.obs.running);
+                        let scores = model.classify_head.forward(&mut g, &model.store, running);
+                        let scores = g.transpose(scores);
+                        let one_hot = Tensor::one_hot(s.obs.running.len(), s.target_position);
+                        losses.push(g.cross_entropy_loss(scores, &one_hot));
+                    }
+                    if do_reg {
+                        let rows = [s.obs.running[s.target_position]];
+                        let row = reprs(model, &mut g, &s.obs, &rows);
+                        let pred = model.regress_head.forward(&mut g, &model.store, row);
+                        let reg = g.mse_loss(pred, &Tensor::scalar(s.target_time));
+                        let weight = if model.config.multitask {
+                            model.config.gamma
+                        } else {
+                            1.0
+                        };
+                        losses.push(g.scale(reg, weight));
+                    }
+                    let mut total = losses[0];
+                    for &l in &losses[1..] {
+                        total = g.add(total, l);
+                    }
+                    let loss = g.scale(total, 1.0 / n);
+                    g.backward(loss);
+                    g.flush_grads(&mut model.store);
+                }
+                model.store.clip_grad_norm(1.0);
+                adam.step(&mut model.store);
+            }
+        }
+        trained_bits(model, model.evaluate(samples))
+    }
+
+    fn trained_bits(model: &SimulatorModel, metrics: SimulatorMetrics) -> Vec<u64> {
+        let params = model.store.iter().flat_map(|(_, p)| p.value.data());
+        let params = params.map(|x| u64::from(x.to_bits()));
+        params
+            .chain([metrics.accuracy.to_bits(), metrics.mse.to_bits()])
+            .collect()
+    }
+
+    #[test]
+    fn narrowed_simulator_training_matches_an_all_rows_reference_bitwise() {
+        // The classification loss reads the running rows and the regression
+        // loss one of them; encoding only those rows trains the same bits,
+        // jointly and sequentially, with and without attention.
+        let (w, embs, history) = setup();
+        for (multitask, use_attention) in [(true, true), (false, true), (true, false)] {
+            let config = SimulatorConfig {
+                multitask,
+                use_attention,
+                ..small_config()
+            };
+            let samples = samples_from_history(&w, &history, &embs, &config);
+            let subset: Vec<SimSample> = samples.into_iter().take(24).collect();
+            let mut narrowed = SimulatorModel::new(32, config, 5);
+            let mut reference = SimulatorModel::new(32, config, 5);
+            let metrics = narrowed.train(&subset, 2, 0.01);
+            assert!(
+                trained_bits(&narrowed, metrics)
+                    == all_rows_train(&mut reference, &subset, 2, 0.01),
+                "multitask={multitask} attention={use_attention} drifted"
+            );
+        }
     }
 
     #[test]

@@ -114,8 +114,9 @@ impl PlanEncoder {
         let super_node = g.param(store, self.super_node);
         let mut h = g.concat_rows(projected, super_node);
         let bias = tree_bias(plan, self.config.tree_bias_per_hop);
+        let all: Vec<usize> = (0..=n).collect();
         for block in &self.blocks {
-            h = block.forward(g, store, h, Some(&bias));
+            h = block.forward(g, store, h, &all, Some(&bias));
         }
         // The super node is the last row.
         g.slice_rows(h, n, 1)

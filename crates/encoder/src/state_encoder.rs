@@ -264,12 +264,22 @@ impl StateEncoder {
         self.config.dim
     }
 
-    /// Record the encoding of `obs` on `g`.
+    /// Record the encoding of `obs` on `g` for the entity rows `rows`.
+    ///
+    /// Only the last attention block and the query head narrow to `rows`,
+    /// exactly as [`Self::infer`] does; the last block also keeps the super
+    /// query, which feeds the global head. Keys and values, and every
+    /// earlier block, still cover all entities. `per_query` has shape
+    /// `[rows.len(), dim]`; pass `0..n` for every row. With `rows`
+    /// ascending, a loss that reads only these rows trains bitwise the
+    /// parameter gradients of the all-rows pass (see
+    /// [`bq_nn::MultiHeadAttention::forward`]).
     pub fn forward(
         &self,
         g: &mut Graph,
         store: &ParamStore,
         obs: &EncodedObservation,
+        rows: &[usize],
     ) -> StateRepr {
         let n = obs.len();
         assert!(n > 0, "cannot encode an empty observation");
@@ -285,27 +295,37 @@ impl StateEncoder {
         let x_in = g.concat_cols(plan, feats);
         let x = self.input_proj.forward(g, store, x_in);
 
-        // Append the super query and run the attention blocks.
+        // Append the super query and run the attention blocks; the last one
+        // computes only the requested rows and the super query.
         let super_q = g.param(store, self.super_query);
         let mut h = g.concat_rows(x, super_q);
-        for block in &self.blocks {
-            h = block.forward(g, store, h, None);
+        let (all, kept) = block_rows(n, rows);
+        for (i, block) in self.blocks.iter().enumerate() {
+            let out_rows = if i + 1 == self.blocks.len() {
+                &kept
+            } else {
+                &all
+            };
+            h = block.forward(g, store, h, out_rows, None);
         }
-        let x_q = g.slice_rows(h, 0, n);
-        let x_s = g.slice_rows(h, n, 1);
+        if self.blocks.is_empty() {
+            h = g.select_rows(h, &kept);
+        }
+        let m = rows.len();
+        let x_q = g.slice_rows(h, 0, m);
+        let x_s = g.slice_rows(h, m, 1);
 
         // Global representation x''_s = MLP(x'_s ∥ pooled features of all queries).
-        let all_indices: Vec<usize> = (0..n).collect();
-        let pooled_all = g.input(mean_features(&obs.features, &all_indices));
+        let pooled_all = g.input(mean_features(&obs.features, &all[..n]));
         let global_in = g.concat_cols(x_s, pooled_all);
         let global = self.global_head.forward(g, store, global_in);
 
         // Per-query representation x''_i = MLP(x'_i ∥ x'_s ∥ pooled features of
         // the concurrently running queries).
-        let ones = g.input(Tensor::full(n, 1, 1.0));
+        let ones = g.input(Tensor::full(m, 1, 1.0));
         let x_s_bcast = g.matmul(ones, x_s);
         let pooled_running_row = mean_features(&obs.features, &obs.running);
-        let ones2 = g.input(Tensor::full(n, 1, 1.0));
+        let ones2 = g.input(Tensor::full(m, 1, 1.0));
         let pooled_running_in = g.input(pooled_running_row);
         let pooled_running = g.matmul(ones2, pooled_running_in);
         let per_query_in = g.concat_cols(x_q, x_s_bcast);
@@ -329,16 +349,15 @@ impl StateEncoder {
     }
 
     /// Tape-free encoding of `obs` for the entity rows `rows` (in that
-    /// order), bitwise identical to the matching rows of [`Self::forward`].
+    /// order), bitwise identical to [`Self::forward`] for the same rows.
     ///
-    /// Every step mirrors the recorded pass — including the `ones · x'_s`
-    /// broadcast matmuls — but no graph nodes are allocated and parameter
-    /// values are read by reference instead of being cloned into leaves.
-    /// Only the last attention block and the query head narrow to `rows`
-    /// (plus the super query); keys and values, and every earlier block,
-    /// still cover all entities, and each narrowed step is row-local. Input projections come from `cache` where the input row is
-    /// unchanged. Returns `(per_query, global)` as plain tensors, with
-    /// `per_query` of shape `[rows.len(), dim]`; pass `0..n` for every row.
+    /// Every step mirrors the recorded pass — including the narrowing of
+    /// the last block and the `ones · x'_s` broadcast matmuls — but no graph
+    /// nodes are allocated and parameter values are read by reference
+    /// instead of being cloned into leaves. Input projections come from
+    /// `cache` where the input row is unchanged. Returns `(per_query,
+    /// global)` as plain tensors, with `per_query` of shape
+    /// `[rows.len(), dim]`; pass `0..n` for every row.
     pub fn infer(
         &self,
         store: &ParamStore,
@@ -365,8 +384,7 @@ impl StateEncoder {
         // Append the super query and run the attention blocks; the last one
         // computes only the requested rows and the super query.
         let mut h = x.concat_rows(store.value(self.super_query));
-        let all: Vec<usize> = (0..=n).collect();
-        let kept: Vec<usize> = rows.iter().copied().chain([n]).collect();
+        let (all, kept) = block_rows(n, rows);
         for (i, (block, bcache)) in self.blocks.iter().zip(&cache.blocks).enumerate() {
             let out_rows = if i + 1 == self.blocks.len() {
                 &kept
@@ -399,6 +417,15 @@ impl StateEncoder {
 
         (per_query, global)
     }
+}
+
+/// The output rows of the attention blocks over `n` entities and the super
+/// query: every row for the earlier blocks, `rows` and the super query for
+/// the last.
+fn block_rows(n: usize, rows: &[usize]) -> (Vec<usize>, Vec<usize>) {
+    let all = (0..=n).collect();
+    let kept = rows.iter().copied().chain([n]).collect();
+    (all, kept)
 }
 
 #[cfg(test)]
@@ -447,7 +474,8 @@ mod tests {
         let mut rng = seeded_rng(1);
         let enc = StateEncoder::new(&mut store, StateEncoderConfig::default(), &mut rng);
         let mut g = Graph::new();
-        let repr = enc.forward(&mut g, &store, &obs);
+        let all: Vec<usize> = (0..obs.len()).collect();
+        let repr = enc.forward(&mut g, &store, &obs, &all);
         assert_eq!(g.value(repr.per_query).shape(), (obs.len(), enc.dim()));
         assert_eq!(g.value(repr.global).shape(), (1, enc.dim()));
         assert!(g.value(repr.per_query).all_finite());
@@ -464,9 +492,9 @@ mod tests {
         let mut rng = seeded_rng(2);
         let enc = StateEncoder::new(&mut store, StateEncoderConfig::default(), &mut rng);
         let mut ga = Graph::new();
-        let ra = enc.forward(&mut ga, &store, &obs_a);
+        let ra = enc.forward(&mut ga, &store, &obs_a, &obs_a.pending);
         let mut gb = Graph::new();
-        let rb = enc.forward(&mut gb, &store, &obs_b);
+        let rb = enc.forward(&mut gb, &store, &obs_b, &obs_b.pending);
         let diff = ga.value(ra.global).sub(gb.value(rb.global)).norm();
         assert!(
             diff > 1e-5,
@@ -497,9 +525,10 @@ mod tests {
         let mut rng = seeded_rng(3);
         let enc = StateEncoder::new(&mut store, StateEncoderConfig::default(), &mut rng);
         let mut g1 = Graph::new();
-        let r1 = enc.forward(&mut g1, &store, &obs_full);
+        let all_full: Vec<usize> = (0..obs_full.len()).collect();
+        let r1 = enc.forward(&mut g1, &store, &obs_full, &all_full);
         let mut g2 = Graph::new();
-        let r2 = enc.forward(&mut g2, &store, &obs_small);
+        let r2 = enc.forward(&mut g2, &store, &obs_small, &[0, 1, 2, 3, 4]);
         assert_eq!(g1.value(r1.per_query).rows(), obs_full.len());
         assert_eq!(g2.value(r2.per_query).rows(), 5);
     }
@@ -512,9 +541,9 @@ mod tests {
             let mut rng = seeded_rng(seed);
             let enc = StateEncoder::new(&mut store, StateEncoderConfig::default(), &mut rng);
             let mut g = Graph::new();
-            let repr = enc.forward(&mut g, &store, &obs);
-            let mut cache = enc.build_infer_cache(&store);
             let all: Vec<usize> = (0..obs.len()).collect();
+            let repr = enc.forward(&mut g, &store, &obs, &all);
+            let mut cache = enc.build_infer_cache(&store);
             let (per_query, global) = enc.infer(&store, &obs, &all, &mut cache);
             assert_eq!(g.value(repr.per_query).shape(), per_query.shape());
             for (a, b) in g.value(repr.per_query).data().iter().zip(per_query.data()) {
@@ -538,9 +567,11 @@ mod tests {
     }
 
     #[test]
-    fn pending_rows_infer_matches_forward_bitwise() {
-        // The decision path asks only for the pending rows; with one block
-        // that narrows the only block, with two the second one.
+    fn pending_rows_match_all_rows_bitwise() {
+        // The decision path and the policy loss ask only for the pending
+        // rows; with one block that narrows the only block, with two the
+        // second one. Both the tape-free and the recorded narrowed pass give
+        // the matching rows of the all-rows pass.
         for blocks in [1, 2] {
             for (seed, n_running) in [(21_u64, 0_usize), (22, 5)] {
                 let (_, obs) = obs_for(n_running);
@@ -552,12 +583,19 @@ mod tests {
                 };
                 let enc = StateEncoder::new(&mut store, config, &mut rng);
                 let mut g = Graph::new();
-                let repr = enc.forward(&mut g, &store, &obs);
+                let all: Vec<usize> = (0..obs.len()).collect();
+                let repr = enc.forward(&mut g, &store, &obs, &all);
+                let narrowed = enc.forward(&mut g, &store, &obs, &obs.pending);
                 let mut cache = enc.build_infer_cache(&store);
                 let (per_query, global) = enc.infer(&store, &obs, &obs.pending, &mut cache);
                 let what = format!("blocks={blocks} running={n_running}");
-                assert_rows_bitwise(g.value(repr.per_query), &obs.pending, &per_query, &what);
-                assert_rows_bitwise(g.value(repr.global), &[0], &global, &what);
+                for (q, s) in [
+                    (&per_query, &global),
+                    (g.value(narrowed.per_query), g.value(narrowed.global)),
+                ] {
+                    assert_rows_bitwise(g.value(repr.per_query), &obs.pending, q, &what);
+                    assert_rows_bitwise(g.value(repr.global), &[0], s, &what);
+                }
             }
         }
     }

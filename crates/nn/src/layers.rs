@@ -251,6 +251,18 @@ impl LayerNorm {
     }
 }
 
+/// Record `x`'s rows `rows`, or return `x` itself when `rows` is every row
+/// in order: a full-row pass records exactly the tape it always did.
+fn select_rows_of(g: &mut Graph, x: NodeId, rows: &[usize]) -> NodeId {
+    let every_row =
+        rows.len() == g.value(x).rows() && rows.iter().enumerate().all(|(i, &r)| i == r);
+    if every_row {
+        x
+    } else {
+        g.select_rows(x, rows)
+    }
+}
+
 /// Precomputed fused projection weights for the tape-free attention path.
 ///
 /// The per-head `[dim, head_dim]` Q/K/V weights are column-concatenated into
@@ -332,16 +344,27 @@ impl MultiHeadAttention {
         self.heads
     }
 
-    /// Record the forward pass.
+    /// Record the forward pass for the output rows `rows` of `x` (`[n, dim]`),
+    /// returning `[rows.len(), dim]`.
     ///
-    /// `bias` is an optional additive `[n, n]` attention bias (e.g. the tree
-    /// bias of the plan encoder or a padding mask); masked entries should be a
-    /// large negative number.
+    /// Keys and values cover every row of `x`; queries, scores, softmax and
+    /// `attn · V` run for `rows` alone, so a loss that reads few rows records
+    /// only their share. `bias` is an optional additive `[rows.len(), n]`
+    /// attention bias (e.g. the tree bias of the plan encoder); masked entries
+    /// should be a large negative number. Pass `0..n` for every row.
+    ///
+    /// With `rows` ascending the parameter gradients are bitwise those of the
+    /// all-rows pass: a dropped row only ever adds an exact `±0`, and every
+    /// sum over rows keeps the order of the kept terms. Each head selects its
+    /// own query rows right before its query projection, so `x`'s gradient
+    /// receives each head's value, key and query contributions in the
+    /// all-rows order too. With every row in order nothing is selected.
     pub fn forward(
         &self,
         g: &mut Graph,
         store: &ParamStore,
         x: NodeId,
+        rows: &[usize],
         bias: Option<&crate::tensor::Tensor>,
     ) -> NodeId {
         let n = g.value(x).rows();
@@ -351,7 +374,11 @@ impl MultiHeadAttention {
             "attention input width mismatch"
         );
         if let Some(b) = bias {
-            assert_eq!(b.shape(), (n, n), "attention bias must be [n, n]");
+            assert_eq!(
+                b.shape(),
+                (rows.len(), n),
+                "attention bias must be [rows, n]"
+            );
         }
         let scale = 1.0 / (self.head_dim as f32).sqrt();
         let mut head_outputs: Option<NodeId> = None;
@@ -359,7 +386,8 @@ impl MultiHeadAttention {
             let wq = g.param(store, self.wq[h]);
             let wk = g.param(store, self.wk[h]);
             let wv = g.param(store, self.wv[h]);
-            let q = g.matmul(x, wq);
+            let x_rows = select_rows_of(g, x, rows);
+            let q = g.matmul(x_rows, wq);
             let k = g.matmul(x, wk);
             let v = g.matmul(x, wv);
             let kt = g.transpose(k);
@@ -402,12 +430,12 @@ impl MultiHeadAttention {
     /// the output rows `rows` of `x` (in that order).
     ///
     /// Keys and values cover every row of `x`; queries, scores, softmax,
-    /// `attn · V` and the output projection run for `rows` alone. Each of
-    /// those steps is row-local, so the result is bitwise identical to the
-    /// matching rows of [`Self::forward`] without a bias: the fused matmul
-    /// computes each head's columns with the same per-column accumulation
-    /// order, and everything after the slice reuses the exact per-head
-    /// arithmetic. Pass every row index for the full output.
+    /// `attn · V` and the output projection run for `rows` alone, as in
+    /// [`Self::forward`]. Each of those steps is row-local, so the result is
+    /// bitwise that of [`Self::forward`] without a bias for any rows: the
+    /// fused matmul computes each head's columns with the same per-column
+    /// accumulation order, and everything after the slice reuses the exact
+    /// per-head arithmetic. Pass every row index for the full output.
     pub fn infer(
         &self,
         store: &ParamStore,
@@ -486,16 +514,22 @@ impl AttentionBlock {
         }
     }
 
-    /// Record the forward pass of the block.
+    /// Record the forward pass of the block for the output rows `rows` of
+    /// `x`; see [`MultiHeadAttention::forward`]. The residuals, norms and
+    /// feed-forward layers are row-local, so they run for `rows` alone.
     pub fn forward(
         &self,
         g: &mut Graph,
         store: &ParamStore,
         x: NodeId,
+        rows: &[usize],
         bias: Option<&crate::tensor::Tensor>,
     ) -> NodeId {
-        let attn = self.attention.forward(g, store, x, bias);
-        let residual = g.add(x, attn);
+        let attn = self.attention.forward(g, store, x, rows, bias);
+        // Recorded after the attention, so `x`'s gradient receives the
+        // residual's share first, as in the all-rows pass.
+        let x_rows = select_rows_of(g, x, rows);
+        let residual = g.add(x_rows, attn);
         let x1 = self.norm1.forward(g, store, residual);
         let h = self.ff1.forward(g, store, x1);
         let h = self.ff2.forward(g, store, h);
@@ -510,8 +544,8 @@ impl AttentionBlock {
 
     /// Tape-free forward pass of the block for the output rows `rows` of `x`;
     /// see [`MultiHeadAttention::infer`]. The residuals, norms and
-    /// feed-forward layers are row-local, so the result is bitwise the
-    /// matching rows of [`Self::forward`] without a bias.
+    /// feed-forward layers are row-local, so the result is bitwise that of
+    /// [`Self::forward`] without a bias for the same rows.
     pub fn infer(
         &self,
         store: &ParamStore,
@@ -611,7 +645,7 @@ mod tests {
             8,
             (0..40).map(|i| (i as f32) * 0.01).collect(),
         ));
-        let y = mha.forward(&mut g, &store, x, None);
+        let y = mha.forward(&mut g, &store, x, &[0, 1, 2, 3, 4], None);
         assert_eq!(g.value(y).shape(), (5, 8));
         assert!(g.value(y).all_finite());
     }
@@ -637,11 +671,11 @@ mod tests {
 
         let mut g1 = Graph::new();
         let x1 = g1.input(base);
-        let y1 = mha.forward(&mut g1, &store, x1, Some(&mask));
+        let y1 = mha.forward(&mut g1, &store, x1, &[0, 1, 2], Some(&mask));
 
         let mut g2 = Graph::new();
         let x2 = g2.input(other);
-        let y2 = mha.forward(&mut g2, &store, x2, Some(&mask));
+        let y2 = mha.forward(&mut g2, &store, x2, &[0, 1, 2], Some(&mask));
 
         // Rows 0 and 1 unchanged, row 2 changed.
         for c in 0..4 {
@@ -665,7 +699,7 @@ mod tests {
             8,
             (0..48).map(|i| ((i % 7) as f32) * 0.1).collect(),
         ));
-        let y = block.forward(&mut g, &store, x, None);
+        let y = block.forward(&mut g, &store, x, &[0, 1, 2, 3, 4, 5], None);
         assert_eq!(g.value(y).shape(), (6, 8));
         assert!(g.value(y).all_finite());
     }
@@ -694,9 +728,10 @@ mod tests {
 
         let mut g = Graph::new();
         let xi = g.input(x.clone());
-        let y_graph = block.forward(&mut g, &store, xi, None);
+        let all = [0, 1, 2, 3, 4, 5];
+        let y_graph = block.forward(&mut g, &store, xi, &all, None);
         let cache = block.build_infer_cache(&store);
-        let y_infer = block.infer(&store, &x, &[0, 1, 2, 3, 4, 5], &cache);
+        let y_infer = block.infer(&store, &x, &all, &cache);
         assert_eq!(g.value(y_graph).shape(), y_infer.shape());
         for (a, c) in g.value(y_graph).data().iter().zip(y_infer.data()) {
             assert_eq!(a.to_bits(), c.to_bits(), "attention block drifted");
@@ -725,7 +760,7 @@ mod tests {
         );
         let mut g = Graph::new();
         let xi = g.input(x.clone());
-        let y_graph = block.forward(&mut g, &store, xi, None);
+        let y_graph = block.forward(&mut g, &store, xi, &[0, 1, 2, 3, 4, 5, 6], None);
         let cache = block.build_infer_cache(&store);
         for rows in [vec![6], vec![1, 4, 6], vec![5, 0, 5], vec![]] {
             let y_rows = block.infer(&store, &x, &rows, &cache);
@@ -734,6 +769,49 @@ mod tests {
             for (a, c) in expected.data().iter().zip(y_rows.data()) {
                 assert_eq!(a.to_bits(), c.to_bits(), "row subset {rows:?} drifted");
             }
+        }
+    }
+
+    /// Output and parameter-gradient bits of a loss on `rows` of a two-block
+    /// stack whose last block records `rows` alone, or every row followed
+    /// by a selection.
+    fn two_block_bits(rows: &[usize], narrow: bool) -> (Vec<u32>, Vec<u32>) {
+        let mut rng = StdRng::seed_from_u64(44);
+        let mut store = ParamStore::new();
+        let first = AttentionBlock::new(&mut store, "b0", 8, 2, 16, &mut rng);
+        let last = AttentionBlock::new(&mut store, "b1", 8, 2, 16, &mut rng);
+        let x = Tensor::from_vec(
+            7,
+            8,
+            (0..56).map(|i| ((i % 9) as f32) * 0.17 - 0.7).collect(),
+        );
+        let all: Vec<usize> = (0..7).collect();
+        let mut g = Graph::new();
+        let xi = g.input(x);
+        let h = first.forward(&mut g, &store, xi, &all, None);
+        let y = if narrow {
+            last.forward(&mut g, &store, h, rows, None)
+        } else {
+            let y = last.forward(&mut g, &store, h, &all, None);
+            g.select_rows(y, rows)
+        };
+        let loss = g.mse_loss(y, &Tensor::full(rows.len(), 8, 0.25));
+        g.backward(loss);
+        g.flush_grads(&mut store);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let grads = store.iter().flat_map(|(_, p)| bits(&p.grad)).collect();
+        (bits(g.value(y)), grads)
+    }
+
+    #[test]
+    fn row_subset_forward_matches_all_rows_bitwise() {
+        // A loss on ascending rows trains the same parameter-gradient bits
+        // whether the last block records those rows or every row.
+        for rows in [vec![6], vec![0, 2, 6], vec![1, 2, 3, 4, 5], vec![]] {
+            assert!(
+                two_block_bits(&rows, true) == two_block_bits(&rows, false),
+                "rows {rows:?} drifted"
+            );
         }
     }
 

@@ -122,6 +122,11 @@ impl PpoTrainer {
         self
     }
 
+    /// The optimizer, whose moment estimates carry over between updates.
+    pub fn optimizer(&self) -> &Adam {
+        &self.optimizer
+    }
+
     /// Run one PPO update on `buffer` and return diagnostics.
     pub fn update<M: ActorCritic>(
         &mut self,
@@ -412,6 +417,12 @@ impl PpgTrainer {
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.ppo = self.ppo.with_threads(threads);
         self
+    }
+
+    /// The PPO-phase and auxiliary-phase optimizers; see
+    /// [`IqPpoTrainer::optimizers`].
+    pub fn optimizers(&self) -> [&Adam; 2] {
+        [&self.ppo.optimizer, &self.aux_optimizer]
     }
 
     /// Run one PPO phase.
@@ -770,7 +781,7 @@ mod tests {
                     let mut t = PpoTrainer::new(config.ppo).with_threads(threads);
                     let s = t.update(&model, &mut store, &buffer);
                     stats.extend([s.policy_loss, s.value_loss, s.entropy]);
-                    out = state_bits(&store, &[&t.optimizer]);
+                    out = state_bits(&store, &[t.optimizer()]);
                 }
                 "iq-ppo" => {
                     let mut t = IqPpoTrainer::new(config).with_threads(threads);
@@ -784,7 +795,7 @@ mod tests {
                     let s = t.ppo_phase(&model, &mut store, &buffer);
                     let a = t.aux_phase(&model, &mut store, &buffer);
                     stats.extend([s.policy_loss, s.value_loss, s.entropy, a.aux_loss, a.kl]);
-                    out = state_bits(&store, &[&t.ppo.optimizer, &t.aux_optimizer]);
+                    out = state_bits(&store, &t.optimizers());
                 }
             }
         }

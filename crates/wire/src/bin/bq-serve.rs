@@ -23,6 +23,7 @@ use bq_dbms::{DbmsProfile, ExecutionEngine};
 use bq_plan::{generate, Benchmark, WorkloadSpec};
 use bq_wire::net::{serve_connection, ServerSocket};
 use bq_wire::WireServer;
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// Consecutive quiet reads (100 ms each) before an idle connection is
@@ -114,7 +115,8 @@ fn main() {
     eprintln!("bq-serve: listening on {}", socket.local_addr());
 
     let spec = WorkloadSpec::new(args.benchmark, args.scale, 1);
-    let workload = generate(&spec);
+    // The engines only borrow the workload, so every connection shares one.
+    let workload = Arc::new(generate(&spec));
     let profile = DbmsProfile::dbms_x();
 
     if args.single_session {
@@ -157,7 +159,7 @@ fn main() {
         for _ in 0..reap_finished(&mut handles) {
             eprintln!("bq-serve: connection thread panicked");
         }
-        let workload = workload.clone();
+        let workload = Arc::clone(&workload);
         let profile = profile.clone();
         let seed = args.seed;
         handles.push(std::thread::spawn(move || {

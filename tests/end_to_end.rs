@@ -2,13 +2,18 @@
 //! orderings, and the pre-train / fine-tune pipeline, exercised through the
 //! public API of the umbrella crate.
 
+mod common;
+
+use bq_bench::RunScale;
 use bqsched::core::{
     collect_history, evaluate_strategy, FifoScheduler, GanttChart, McfScheduler, RandomScheduler,
     ScheduleSession, SchedulerPolicy,
 };
 use bqsched::dbms::{DbmsProfile, MemoryGrant, RunParams};
 use bqsched::encoder::{PlanEncoderConfig, StateEncoderConfig};
+use bqsched::nn::Adam;
 use bqsched::plan::{generate, perturb_query_set, Benchmark, QueryId, WorkloadSpec};
+use bqsched::rl::{IqPpoTrainer, PpgTrainer, RolloutBuffer};
 use bqsched::sched::{
     samples_from_history, train_on_dbms, Algorithm, BqSchedAgent, BqSchedConfig, SimulatorConfig,
     SimulatorModel, TrainingConfig,
@@ -224,4 +229,73 @@ fn default_run_params_are_conservative() {
     let p = RunParams::default_config();
     assert_eq!(p.workers, 1);
     assert_eq!(p.memory, MemoryGrant::Low);
+}
+
+/// 64-bit FNV-1a over the little-endian bytes of `words`.
+fn fnv1a(words: impl IntoIterator<Item = u32>) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    for byte in words.into_iter().flat_map(u32::to_le_bytes) {
+        hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+    }
+    hash
+}
+
+/// FNV-1a of the moment bits of both optimizers.
+fn moments_fnv(optimizers: [&Adam; 2]) -> u64 {
+    let moments = optimizers.into_iter().flat_map(|adam| {
+        let (m, v) = adam.moments();
+        m.iter().chain(v).flat_map(|t| t.data())
+    });
+    fnv1a(moments.map(|x| x.to_bits()))
+}
+
+#[test]
+fn training_fingerprint_matches_golden() {
+    // A short IQ-PPO and a short PPG run on TPC-H with the quick dims: two
+    // exploring rounds, one PPO phase, one auxiliary phase, one greedy
+    // round. Training changes that claim to be bit for bit must reproduce
+    // every parameter and Adam-moment bit; the quick experiments' makespans
+    // alone cannot see a moved parameter bit.
+    let workload = generate(&WorkloadSpec::new(Benchmark::TpcH, 1.0, 1));
+    let profile = DbmsProfile::dbms_x();
+    let history = collect_history(&mut FifoScheduler::new(), &workload, &profile, 2, 0);
+    let round = |agent: &mut BqSchedAgent, seed: u64| {
+        ScheduleSession::builder(&workload)
+            .history(&history)
+            .run_on_profile(&profile, seed, agent)
+            .makespan()
+    };
+    let mut fields = Vec::new();
+    for (name, algorithm) in [("iq_ppo", Algorithm::IqPpo), ("ppg", Algorithm::Ppg)] {
+        let config = RunScale::Quick.agent_config().with_algorithm(algorithm);
+        let mut agent = BqSchedAgent::new(&workload, &profile, Some(&history), config);
+        let mut buffer = RolloutBuffer::new();
+        for seed in [1, 2] {
+            round(&mut agent, seed);
+            buffer.extend(agent.take_rollout());
+        }
+        let (model, store, rl) = (&agent.model, &mut agent.store, agent.config.rl);
+        let adam_fnv = if algorithm == Algorithm::IqPpo {
+            let mut trainer = IqPpoTrainer::new(rl);
+            trainer.ppo_phase(model, store, &buffer);
+            trainer.aux_phase(model, store, &buffer);
+            moments_fnv(trainer.optimizers())
+        } else {
+            let mut trainer = PpgTrainer::new(rl);
+            trainer.ppo_phase(model, store, &buffer);
+            trainer.aux_phase(model, store, &buffer);
+            moments_fnv(trainer.optimizers())
+        };
+        agent.explore = false;
+        let makespan = round(&mut agent, 0);
+        let params = agent.store.iter().flat_map(|(_, p)| p.value.data());
+        fields.push(format!(
+            "  \"{name}\": {{\"params_fnv\": \"{:016x}\", \"adam_fnv\": \"{adam_fnv:016x}\", \
+             \"makespan_bits\": \"{:016x}\", \"makespan\": {makespan}}}",
+            fnv1a(params.map(|x| x.to_bits())),
+            makespan.to_bits(),
+        ));
+    }
+    let json = format!("{{\n{}\n}}\n", fields.join(",\n"));
+    common::assert_matches_golden("training_tpch_fingerprint.json", &json);
 }
