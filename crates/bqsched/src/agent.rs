@@ -9,7 +9,7 @@
 //! [`BqSchedConfig`] (see [`BqSchedConfig::lsched`]).
 
 use crate::clustering::{gains_from_history, GainPredictor, QueryClustering};
-use crate::masking::{AdaptiveMask, MASK_VALUE};
+use crate::masking::AdaptiveMask;
 use crate::simulator::{LearnedSimulator, SimulatorModel};
 use bq_core::{
     Action, EpisodeLog, ExecutionHistory, ExecutorBackend, QueryStatus, ScheduleSession,
@@ -17,10 +17,10 @@ use bq_core::{
 };
 use bq_dbms::{DbmsProfile, ExecutionEngine, MemoryGrant, ParamSpace, RunParams, WORKER_OPTIONS};
 use bq_encoder::{
-    EncodedObservation, FeatureScale, PlanEncoder, PlanEncoderConfig, StateEncoder,
-    StateEncoderConfig, StateEncoderInferCache, STATE_FEATURE_DIM,
+    EncodedObservation, FeatureScale, InputRowCache, PlanEncoder, PlanEncoderConfig, StateEncoder,
+    StateEncoderConfig, STATE_FEATURE_DIM,
 };
-use bq_nn::{Activation, Graph, Mlp, NodeId, ParamStore, Tensor};
+use bq_nn::{Activation, Eager, Graph, Mlp, NodeId, Ops, ParamStore, Tensor};
 use bq_plan::{QueryId, Workload};
 use bq_rl::{
     ActorCritic, AuxTarget, IqPpoConfig, IqPpoTrainer, PpgTrainer, PpoTrainer, RolloutBuffer,
@@ -29,6 +29,7 @@ use bq_rl::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::VecDeque;
 
 /// Which policy-optimization algorithm trains the agent.
@@ -218,75 +219,68 @@ impl BqSchedModel {
         self.num_configs
     }
 
-    /// Record the representations of the entity rows `rows` (ascending,
-    /// `[rows.len(), dim]`) and of the global state (`[1, dim]`).
-    fn representations(
-        &self,
-        g: &mut Graph,
-        store: &ParamStore,
-        obs: &EncodedObservation,
-        rows: &[usize],
-    ) -> (NodeId, NodeId) {
+    /// The MLP that projects each entity's input `e_i ∥ f_i`: the state
+    /// encoder's input projection, or the whole per-entity encoding of the
+    /// "w/o attention" ablation.
+    fn input_proj(&self) -> &Mlp {
         if self.use_attention {
-            let repr = self.state_encoder.forward(g, store, obs, rows);
+            self.state_encoder.input_proj()
+        } else {
+            &self.plain_proj
+        }
+    }
+
+    /// The representations of the entity rows `rows` (ascending,
+    /// `[rows.len(), dim]`) and of the global state (`[1, dim]`), from the
+    /// projected entity inputs `x` (see [`Self::input_proj`]).
+    fn representations<'s, O: Ops<'s>>(
+        &self,
+        g: &mut O,
+        store: &'s ParamStore,
+        obs: &EncodedObservation,
+        x: &O::Value,
+        rows: &[usize],
+    ) -> (O::Value, O::Value) {
+        if self.use_attention {
+            let repr = self.state_encoder.attend(g, store, obs, x, rows);
             (repr.per_query, repr.global)
         } else {
             // Ablation: each entity encoded independently; the "global" state
             // is a mean pool of the per-entity representations.
-            let plan = g.input(obs.plan_embs.clone());
-            let feats = g.input(obs.features.clone());
-            let x = g.concat_cols(plan, feats);
-            let per_query = self.plain_proj.forward(g, store, x);
-            let global = g.mean_pool_rows(per_query);
-            (g.select_rows(per_query, rows), global)
+            let global = g.mean_pool_rows(x);
+            (g.select_rows(x, rows), global)
         }
     }
 
-    /// Build the inference cache for [`Self::infer_policy`].
-    /// Valid for the [`ParamStore::version`] it was built at.
-    pub fn build_infer_cache(&self, store: &ParamStore) -> StateEncoderInferCache {
-        self.state_encoder.build_infer_cache(store)
-    }
-
-    /// Tape-free policy evaluation for the decision loop.
-    ///
-    /// Returns the masked flat logits `[1, n·K]` and the state value,
-    /// bitwise those of [`ActorCritic::evaluate`]: only the selectable
-    /// entities (`obs.encoded.pending`) get a policy logit, and every other
-    /// entity is filled with [`MASK_VALUE`]. When `want_value` is false
-    /// (greedy inference — the value is never read) the value head is
-    /// skipped and `0.0` returned.
-    pub fn infer_policy(
+    /// The masked flat logits `[1, n·K]` and the global representation,
+    /// from the projected entity inputs `x`: the body that
+    /// [`ActorCritic::evaluate`] records and the decision loop evaluates
+    /// eagerly. Only the selectable entities (`obs.encoded.pending`) get a
+    /// policy logit; every other entity's logits are its mask entries,
+    /// [`MASK_VALUE`](crate::MASK_VALUE).
+    fn policy<'s, O: Ops<'s>>(
         &self,
-        store: &ParamStore,
+        g: &mut O,
+        store: &'s ParamStore,
         obs: &BqObs,
-        cache: &mut StateEncoderInferCache,
-        want_value: bool,
-    ) -> (Tensor, f32) {
-        let rows = &obs.encoded.pending;
-        let (per_query, global) = if self.use_attention {
-            self.state_encoder.infer(store, &obs.encoded, rows, cache)
-        } else {
-            let x = obs.encoded.plan_embs.concat_cols(&obs.encoded.features);
-            let per_query = self.plain_proj.infer(store, &x);
-            let global = per_query.mean_pool_rows();
-            (per_query.select_rows(rows), global)
-        };
+        x: &O::Value,
+    ) -> (O::Value, O::Value) {
+        let pending = &obs.encoded.pending;
+        let (per_query, global) = self.representations(g, store, &obs.encoded, x, pending);
         let k = self.num_configs;
-        let per_entity_logits = self.policy_head.infer(store, &per_query); // [rows, K]
-        let mut logits = Tensor::full(1, obs.encoded.len() * k, MASK_VALUE);
-        let flat = logits.data_mut();
-        for (j, &e) in rows.iter().enumerate() {
-            for (c, v) in per_entity_logits.row_slice(j).iter().enumerate() {
-                flat[e * k + c] = v + obs.mask[e * k + c];
-            }
+        let pending_logits = self.policy_head.forward(g, store, &per_query); // [P, K]
+
+        // Row `P` is all zeros; every entity that is not pending reads it.
+        let zero_row = g.input(Tensor::zeros(1, k));
+        let padded = g.concat_rows(&pending_logits, &zero_row);
+        let mut source = vec![pending.len(); obs.encoded.len()];
+        for (j, &e) in pending.iter().enumerate() {
+            source[e] = j;
         }
-        let value = if want_value {
-            self.value_head.infer(store, &global).item()
-        } else {
-            0.0
-        };
-        (logits, value)
+        let per_entity_logits = g.select_rows(&padded, &source); // [n, K]
+        let flat = g.reshape(&per_entity_logits, 1, obs.encoded.len() * k);
+        let mask = Tensor::from_vec(1, obs.mask.len(), obs.mask.clone());
+        (g.add_const(&flat, &mask), global)
     }
 }
 
@@ -295,25 +289,11 @@ impl ActorCritic for BqSchedModel {
 
     /// Records the policy head for the pending entities only: the loss
     /// never reads the other logits, which the mask sets to exactly
-    /// [`MASK_VALUE`], as [`BqSchedModel::infer_policy`] does.
+    /// [`MASK_VALUE`](crate::MASK_VALUE).
     fn evaluate(&self, g: &mut Graph, store: &ParamStore, obs: &BqObs) -> (NodeId, NodeId) {
-        let pending = &obs.encoded.pending;
-        let (per_query, global) = self.representations(g, store, &obs.encoded, pending);
-        let k = self.num_configs;
-        let pending_logits = self.policy_head.forward(g, store, per_query); // [P, K]
-
-        // Row `P` is all zeros; every entity that is not pending reads it.
-        let zero_row = g.input(Tensor::zeros(1, k));
-        let padded = g.concat_rows(pending_logits, zero_row);
-        let mut source = vec![pending.len(); obs.encoded.len()];
-        for (j, &e) in pending.iter().enumerate() {
-            source[e] = j;
-        }
-        let per_entity_logits = g.select_rows(padded, &source); // [n, K]
-        let flat = g.reshape(per_entity_logits, 1, obs.encoded.len() * k);
-        let mask = Tensor::from_vec(1, obs.mask.len(), obs.mask.clone());
-        let logits = g.add_const(flat, &mask);
-        let value = self.value_head.forward(g, store, global);
+        let x = obs.encoded.project(g, store, self.input_proj());
+        let (logits, global) = self.policy(g, store, obs, &x);
+        let value = self.value_head.forward(g, store, &global);
         (logits, value)
     }
 
@@ -324,8 +304,9 @@ impl ActorCritic for BqSchedModel {
         obs: &BqObs,
         index: usize,
     ) -> NodeId {
-        let (row, _) = self.representations(g, store, &obs.encoded, &[index]);
-        self.aux_head.forward(g, store, row)
+        let x = obs.encoded.project(g, store, self.input_proj());
+        let (row, _) = self.representations(g, store, &obs.encoded, &x, &[index]);
+        self.aux_head.forward(g, store, &row)
     }
 }
 
@@ -401,16 +382,10 @@ pub struct BqSchedAgent {
     clustering: QueryClustering,
     space: ParamSpace,
     entity_cache: EntityCache,
-    /// When false, the round-invariant observation data is recomputed from
-    /// scratch on every decision instead of served from the entity cache.
-    /// Exists so tests and benchmarks can prove cache-on and cache-off
-    /// episodes are identical; leave it on everywhere else.
-    pub obs_cache_enabled: bool,
-    /// Inference cache (fused attention weights, projected input rows) for
-    /// the tape-free decision path, tagged with the
-    /// [`ParamStore::version`] it was built at and rebuilt lazily
-    /// whenever training (or a checkpoint load) bumps the version.
-    infer_cache: Option<(u64, StateEncoderInferCache)>,
+    /// The decision loop's projected input rows, tagged with the
+    /// [`ParamStore::version`] they were computed at and dropped whenever
+    /// training (or a checkpoint load) bumps the version.
+    input_rows: Option<(u64, InputRowCache)>,
     rng: StdRng,
     /// When true, actions are sampled and transitions are recorded; when
     /// false the agent acts greedily (inference mode).
@@ -503,8 +478,7 @@ impl BqSchedAgent {
             clustering,
             space,
             entity_cache,
-            obs_cache_enabled: true,
-            infer_cache: None,
+            input_rows: None,
             rng,
             explore: true,
             commit_queue: VecDeque::new(),
@@ -540,13 +514,7 @@ impl BqSchedAgent {
     /// historical-time sums) is served from [`EntityCache`]; everything
     /// derived from the execution state is recomputed fresh every decision.
     fn build_obs(&self, state: &SchedulingState<'_>) -> BqObs {
-        let rebuilt;
-        let cache = if self.obs_cache_enabled {
-            &self.entity_cache
-        } else {
-            rebuilt = EntityCache::build(&self.clustering, &self.plan_embs, &self.avg_times);
-            &rebuilt
-        };
+        let cache = &self.entity_cache;
         let n = cache.member_lists.len();
         let mut running = Vec::new();
         let mut pending = Vec::new();
@@ -620,22 +588,27 @@ impl BqSchedAgent {
     /// Evaluate the policy on an observation and pick an action (sampling
     /// when exploring, argmax otherwise).
     ///
-    /// Runs the tape-free [`BqSchedModel::infer_policy`] path — bitwise
-    /// identical probabilities to the recorded [`ActorCritic::evaluate`] pass
-    /// the trainers use, without building a graph per decision. The inference
-    /// cache is rebuilt whenever the parameter-store version moved (training
-    /// update, checkpoint load).
+    /// Runs the body of [`ActorCritic::evaluate`] eagerly — bitwise the
+    /// probabilities of the recorded pass the trainers use, without building
+    /// a graph per decision — with the input projection served from the
+    /// projected input rows, which are dropped whenever the parameter-store
+    /// version moved (training update, checkpoint load).
     fn decide(&mut self, obs: &BqObs) -> Decision {
         let version = self.store.version();
-        if self.infer_cache.as_ref().map(|(v, _)| *v) != Some(version) {
-            self.infer_cache = Some((version, self.model.build_infer_cache(&self.store)));
+        if self.input_rows.as_ref().map(|(v, _)| *v) != Some(version) {
+            self.input_rows = Some((version, InputRowCache::default()));
         }
-        let cache = &mut self.infer_cache.as_mut().expect("cache ensured above").1;
-        // Greedy mode never reads the value estimate, so the value head is
-        // skipped there (`want_value = explore`).
-        let (logits, value) = self
-            .model
-            .infer_policy(&self.store, obs, cache, self.explore);
+        let input_rows = &mut self.input_rows.as_mut().expect("cache ensured above").1;
+        let (model, store) = (&self.model, &self.store);
+        let x = input_rows.project(store, model.input_proj(), &obs.encoded);
+        let (logits, global) = model.policy(&mut Eager, store, obs, &Cow::Owned(x));
+        // Greedy mode never reads the value estimate, so only exploration
+        // runs the value head.
+        let value = if self.explore {
+            model.value_head.forward(&mut Eager, store, &global).item()
+        } else {
+            0.0
+        };
         self.act(logits.softmax_rows(), value)
     }
 
@@ -1063,6 +1036,7 @@ impl BqSchedAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::masking::MASK_VALUE;
     use bq_core::{collect_history, evaluate_strategy, FifoScheduler};
     use bq_plan::{generate, Benchmark, WorkloadSpec};
 
@@ -1246,30 +1220,36 @@ mod tests {
         out
     }
 
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
-    fn infer_policy_matches_graph_evaluate_bitwise() {
-        // Every logit and the value of the tape-free decision path are
-        // bit-identical to the recorded pass the trainers replay, on both
-        // the attention and the plain backend.
+    fn eager_policy_matches_graph_evaluate_bitwise() {
+        // Every logit and the value of the eager decision path, with one
+        // input-row cache warmed across the states, are bit-identical to the
+        // recorded pass the trainers replay, on both the attention and the
+        // plain backend.
         let w = tiny_workload();
         let profile = DbmsProfile::dbms_x();
         for config in [fast_config(), fast_config().without_attention()] {
             let agent = BqSchedAgent::new(&w, &profile, None, config);
-            let mut cache = agent.model.build_infer_cache(&agent.store);
+            let (model, store) = (&agent.model, &agent.store);
+            let mut input_rows = InputRowCache::default();
             for obs in sample_states(&agent, &w) {
                 let mut g = Graph::new();
-                let (logits_g, value_g) = agent.model.evaluate(&mut g, &agent.store, &obs);
-                let (logits_i, value_i) =
-                    agent
-                        .model
-                        .infer_policy(&agent.store, &obs, &mut cache, true);
-                assert_eq!(g.value(logits_g).shape(), logits_i.shape());
-                for (a, b) in g.value(logits_g).data().iter().zip(logits_i.data()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "logit drifted");
-                }
+                let (logits_g, value_g) = model.evaluate(&mut g, store, &obs);
+                let x = Cow::Owned(input_rows.project(store, model.input_proj(), &obs.encoded));
+                let (logits_e, global) = model.policy(&mut Eager, store, &obs, &x);
+                let value_e = model.value_head.forward(&mut Eager, store, &global);
+                assert_eq!(g.value(logits_g).shape(), logits_e.shape());
+                assert!(
+                    bits(g.value(logits_g).data()) == bits(logits_e.data()),
+                    "logit drifted"
+                );
                 assert_eq!(
                     g.value(value_g).item().to_bits(),
-                    value_i.to_bits(),
+                    value_e.item().to_bits(),
                     "value drifted"
                 );
             }
@@ -1277,36 +1257,38 @@ mod tests {
     }
 
     #[test]
-    fn infer_cache_survives_version_bump() {
-        // A no-op parameter-store mutation bumps the version; the rebuilt
-        // inference cache must still produce identical logits.
+    fn input_row_cache_is_rebuilt_when_the_version_moves() {
+        // A parameter update bumps the store version, so the agent's next
+        // decision projects every input row again: its probabilities are
+        // those of the recorded pass under the new values.
         let w = tiny_workload();
         let profile = DbmsProfile::dbms_x();
         let mut agent = BqSchedAgent::new(&w, &profile, None, fast_config());
+        agent.explore = false;
         let obs = sample_states(&agent, &w).remove(1);
-        let mut before = agent.model.build_infer_cache(&agent.store);
-        let (logits_before, _) = agent
-            .model
-            .infer_policy(&agent.store, &obs, &mut before, false);
+        let (_, _, _, before) = agent.decide(&obs);
         let v = agent.store.version();
+        // The first parameter is the input projection's first weight.
         let id = agent.store.iter().next().unwrap().0;
         let val = agent.store.get_mut(id).value.get(0, 0);
-        agent.store.get_mut(id).value.set(0, 0, val);
+        agent.store.get_mut(id).value.set(0, 0, val + 0.5);
         assert!(
             agent.store.version() > v,
             "mutable access must bump version"
         );
-        let mut after = agent.model.build_infer_cache(&agent.store);
-        let (logits_after, _) = agent
-            .model
-            .infer_policy(&agent.store, &obs, &mut after, false);
-        for (a, b) in logits_before.data().iter().zip(logits_after.data()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        let (_, _, _, after) = agent.decide(&obs);
+        assert_ne!(bits(&before), bits(&after), "the update must show");
+        let mut g = Graph::new();
+        let (logits, _) = agent.model.evaluate(&mut g, &agent.store, &obs);
+        let recorded = g.value(logits).softmax_rows();
+        assert!(
+            bits(&after) == bits(recorded.data()),
+            "a stale row was read"
+        );
     }
 
-    /// Reference decision: the recorded graph pass over every entity, as the
-    /// trainers replay it, instead of the tape-free row-subset path.
+    /// Reference decision: the recorded graph pass, as the trainers replay
+    /// it, instead of the eager one.
     fn graph_decide(agent: &mut BqSchedAgent, obs: &BqObs) -> Decision {
         let mut g = Graph::new();
         let (logits, value) = agent.model.evaluate(&mut g, &agent.store, obs);
@@ -1341,8 +1323,8 @@ mod tests {
 
     #[test]
     fn episodes_match_a_graph_evaluate_reference_policy() {
-        // Greedy and exploring episodes of the row-subset decision path are
-        // byte-identical to the same agent deciding through the full graph
+        // Greedy and exploring episodes of the eager decision path are
+        // byte-identical to the same agent deciding through the recorded
         // pass, and so are the rollouts' stored action probabilities.
         let w = tiny_workload();
         let profile = DbmsProfile::dbms_x();
@@ -1390,38 +1372,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn obs_cache_on_and_off_episodes_are_identical() {
-        // The round-invariant entity cache must not change a single decision:
-        // greedy and exploring episode logs are byte-identical with the cache
-        // enabled and disabled, on both representation backends, including
-        // cluster-level scheduling (where the cache actually pools members).
-        let w = tiny_workload();
-        let profile = DbmsProfile::dbms_x();
-        let history = collect_history(&mut FifoScheduler::new(), &w, &profile, 2, 0);
-        let configs = [
-            fast_config(),
-            fast_config().without_attention(),
-            fast_config().with_clusters(6),
-        ];
-        for config in configs {
-            for explore in [false, true] {
-                let mut on = BqSchedAgent::new(&w, &profile, Some(&history), config.clone());
-                let mut off = BqSchedAgent::new(&w, &profile, Some(&history), config.clone());
-                off.obs_cache_enabled = false;
-                on.explore = explore;
-                off.explore = explore;
-                let log_on = run_once(&mut on, &w, &profile, Some(&history), 7);
-                let log_off = run_once(&mut off, &w, &profile, Some(&history), 7);
-                assert_eq!(
-                    log_on.to_json(),
-                    log_off.to_json(),
-                    "entity cache changed the schedule (explore={explore})"
-                );
-            }
-        }
-    }
-
     /// The all-rows reference for the recorded passes: encode every entity,
     /// run the heads on every row, and select the rows the loss reads
     /// afterwards — the shape `evaluate` and `aux_prediction` had before
@@ -1435,12 +1385,13 @@ mod tests {
             let model = self.0;
             let n = obs.encoded.len();
             let all: Vec<usize> = (0..n).collect();
-            let (per_query, global) = model.representations(g, store, &obs.encoded, &all);
-            let per_entity_logits = model.policy_head.forward(g, store, per_query);
+            let x = obs.encoded.project(g, store, model.input_proj());
+            let (per_query, global) = model.representations(g, store, &obs.encoded, &x, &all);
+            let per_entity_logits = model.policy_head.forward(g, store, &per_query);
             let flat = g.reshape(per_entity_logits, 1, n * model.num_configs);
             let mask = Tensor::from_vec(1, obs.mask.len(), obs.mask.clone());
             let logits = g.add_const(flat, &mask);
-            let value = model.value_head.forward(g, store, global);
+            let value = model.value_head.forward(g, store, &global);
             (logits, value)
         }
 
@@ -1453,9 +1404,10 @@ mod tests {
         ) -> NodeId {
             let model = self.0;
             let all: Vec<usize> = (0..obs.encoded.len()).collect();
-            let (per_query, _) = model.representations(g, store, &obs.encoded, &all);
+            let x = obs.encoded.project(g, store, model.input_proj());
+            let (per_query, _) = model.representations(g, store, &obs.encoded, &x, &all);
             let row = g.select_rows(per_query, &[index]);
-            model.aux_head.forward(g, store, row)
+            model.aux_head.forward(g, store, &row)
         }
     }
 

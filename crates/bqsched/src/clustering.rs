@@ -156,8 +156,8 @@ impl GainPredictor {
         let mut g = Graph::new();
         let ab = g.input(self.pair_input(embeddings, i.0, j.0));
         let ba = g.input(self.pair_input(embeddings, j.0, i.0));
-        let pa = self.mlp.forward(&mut g, store, ab);
-        let pb = self.mlp.forward(&mut g, store, ba);
+        let pa = self.mlp.forward(&mut g, store, &ab);
+        let pb = self.mlp.forward(&mut g, store, &ba);
         let sum = g.add(pa, pb);
         g.value(sum).item() as f64
     }
@@ -192,8 +192,8 @@ impl GainPredictor {
                 let mut g = Graph::new();
                 let ab = g.input(self.pair_input(embeddings, i, j));
                 let ba = g.input(self.pair_input(embeddings, j, i));
-                let pa = self.mlp.forward(&mut g, store, ab);
-                let pb = self.mlp.forward(&mut g, store, ba);
+                let pa = self.mlp.forward(&mut g, store, &ab);
+                let pb = self.mlp.forward(&mut g, store, &ba);
                 let sum = g.add(pa, pb);
                 let loss_full = g.mse_loss(sum, &Tensor::scalar(target));
                 let loss = g.scale(loss_full, 1.0 / pairs.len() as f32);

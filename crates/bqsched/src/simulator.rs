@@ -144,10 +144,7 @@ impl SimulatorModel {
         if self.config.use_attention {
             self.encoder.forward(g, store, obs, rows).per_query
         } else {
-            let plan = g.input(obs.plan_embs.clone());
-            let feats = g.input(obs.features.clone());
-            let x = g.concat_cols(plan, feats);
-            let per_query = self.plain_proj.forward(g, store, x);
+            let per_query = obs.project(g, store, &self.plain_proj);
             g.select_rows(per_query, rows)
         }
     }
@@ -160,7 +157,7 @@ impl SimulatorModel {
         obs: &EncodedObservation,
     ) -> NodeId {
         let running = self.per_query_reprs(g, store, obs, &obs.running);
-        let scores = self.classify_head.forward(g, store, running); // [r, 1]
+        let scores = self.classify_head.forward(g, store, &running); // [r, 1]
         let t = g.transpose(scores); // [1, r]
         t
     }
@@ -174,7 +171,7 @@ impl SimulatorModel {
         position: usize,
     ) -> NodeId {
         let row = self.per_query_reprs(g, store, obs, &[obs.running[position]]);
-        self.regress_head.forward(g, store, row)
+        self.regress_head.forward(g, store, &row)
     }
 
     /// Predict which running query of `obs` finishes first and in how much
@@ -781,7 +778,7 @@ mod tests {
                     let mut losses = Vec::new();
                     if do_clf {
                         let running = reprs(model, &mut g, &s.obs, &s.obs.running);
-                        let scores = model.classify_head.forward(&mut g, &model.store, running);
+                        let scores = model.classify_head.forward(&mut g, &model.store, &running);
                         let scores = g.transpose(scores);
                         let one_hot = Tensor::one_hot(s.obs.running.len(), s.target_position);
                         losses.push(g.cross_entropy_loss(scores, &one_hot));
@@ -789,7 +786,7 @@ mod tests {
                     if do_reg {
                         let rows = [s.obs.running[s.target_position]];
                         let row = reprs(model, &mut g, &s.obs, &rows);
-                        let pred = model.regress_head.forward(&mut g, &model.store, row);
+                        let pred = model.regress_head.forward(&mut g, &model.store, &row);
                         let reg = g.mse_loss(pred, &Tensor::scalar(s.target_time));
                         let weight = if model.config.multitask {
                             model.config.gamma

@@ -30,5 +30,5 @@ pub use plan_encoder::{
     pretrain_on_cost, seeded_rng, PlanEncoder, PlanEncoderConfig, PretrainReport,
 };
 pub use state_encoder::{
-    EncodedObservation, StateEncoder, StateEncoderConfig, StateEncoderInferCache, StateRepr,
+    EncodedObservation, InputRowCache, StateEncoder, StateEncoderConfig, StateRepr,
 };

@@ -110,13 +110,13 @@ impl PlanEncoder {
         let feats = plan_node_features(plan);
         let n = feats.rows();
         let x = g.input(feats);
-        let projected = self.node_proj.forward(g, store, x);
+        let projected = self.node_proj.forward(g, store, &x);
         let super_node = g.param(store, self.super_node);
         let mut h = g.concat_rows(projected, super_node);
         let bias = tree_bias(plan, self.config.tree_bias_per_hop);
         let all: Vec<usize> = (0..=n).collect();
         for block in &self.blocks {
-            h = block.forward(g, store, h, &all, Some(&bias));
+            h = block.forward(g, store, &h, &all, Some(&bias));
         }
         // The super node is the last row.
         g.slice_rows(h, n, 1)
@@ -149,7 +149,7 @@ impl PlanEncoder {
         store: &ParamStore,
         plan_embedding: NodeId,
     ) -> NodeId {
-        self.cost_head.forward(g, store, plan_embedding)
+        self.cost_head.forward(g, store, &plan_embedding)
     }
 }
 

@@ -14,12 +14,10 @@
 
 use crate::features::{mean_features, state_feature_matrix, FeatureScale, STATE_FEATURE_DIM};
 use bq_core::{QueryStatus, SchedulingState};
-use bq_nn::{
-    Activation, AttentionBlock, AttentionInferCache, Graph, Mlp, NodeId, ParamId, ParamStore,
-    Tensor,
-};
+use bq_nn::{Activation, AttentionBlock, Eager, Mlp, NodeId, Ops, ParamId, ParamStore, Tensor};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Hyper-parameters of the state encoder.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -106,32 +104,40 @@ impl EncodedObservation {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// `mlp(e_i ∥ f_i)` for every entity: the state encoder's input
+    /// projection, and the whole per-entity encoding of the "w/o attention"
+    /// ablation.
+    pub fn project<'s, O: Ops<'s>>(&self, g: &mut O, store: &'s ParamStore, mlp: &Mlp) -> O::Value {
+        let plan = g.input(self.plan_embs.clone());
+        let feats = g.input(self.features.clone());
+        let x_in = g.concat_cols(&plan, &feats);
+        mlp.forward(g, store, &x_in)
+    }
 }
 
-/// Output of the state encoder: graph nodes for the per-entity and global
-/// representations.
+/// Output of the state encoder: the per-entity and global representations,
+/// as tape nodes by default.
 #[derive(Debug, Clone, Copy)]
-pub struct StateRepr {
-    /// `x''_i` for every entity, `[n, dim]`.
-    pub per_query: NodeId,
+pub struct StateRepr<V = NodeId> {
+    /// `x''_i` for the requested entity rows, `[rows.len(), dim]`.
+    pub per_query: V,
     /// `x''_s`, `[1, dim]`.
-    pub global: NodeId,
+    pub global: V,
 }
 
-/// Derived state for [`StateEncoder::infer`], valid for the [`ParamStore`]
-/// at one [`ParamStore::version`]: the per-block fused attention weights and
-/// the input-projection rows computed so far. Holders are responsible for
-/// rebuilding when the version changes (training updates, checkpoint loads),
-/// which also drops every cached row.
-#[derive(Debug, Clone)]
-pub struct StateEncoderInferCache {
-    blocks: Vec<AttentionInferCache>,
-    /// One slot per entity row: the bit pattern of the input row `e_i ∥ f_i`
-    /// and its projection `x_i`. The projection is row-wise, so a row whose
-    /// input bits are unchanged reuses `x_i` exactly. Pending and finished
-    /// entities keep their features between decisions, so only running
-    /// entities are projected again.
-    input_rows: Vec<InputRow>,
+/// The decision loop's projected input rows, valid for the [`ParamStore`]
+/// at one [`ParamStore::version`]. Holders drop it when the version moves
+/// (training updates, checkpoint loads), so no stale row is ever read.
+///
+/// One slot per entity row holds the bit pattern of the input row
+/// `e_i ∥ f_i` and its projection `x_i`. The projection is row-wise, so a
+/// row whose input bits are unchanged reuses `x_i` exactly. Pending and
+/// finished entities keep their features between decisions, so only
+/// running entities are projected again.
+#[derive(Debug, Clone, Default)]
+pub struct InputRowCache {
+    rows: Vec<InputRow>,
 }
 
 #[derive(Debug, Clone, Default)]
@@ -140,18 +146,14 @@ struct InputRow {
     value: Vec<f32>,
 }
 
-impl StateEncoderInferCache {
-    /// `x = MLP(e ∥ f)` for every entity of `obs`, projecting only the rows
-    /// whose input bits differ from the cached slot.
-    fn project_inputs(
-        &mut self,
-        input_proj: &Mlp,
-        store: &ParamStore,
-        obs: &EncodedObservation,
-    ) -> Tensor {
+impl InputRowCache {
+    /// The value of [`EncodedObservation::project`] evaluated eagerly,
+    /// running `mlp` only on the rows whose input bits differ from the
+    /// cached slot.
+    pub fn project(&mut self, store: &ParamStore, mlp: &Mlp, obs: &EncodedObservation) -> Tensor {
         let n = obs.len();
         let in_dim = obs.plan_embs.cols() + obs.features.cols();
-        self.input_rows.resize_with(n, InputRow::default);
+        self.rows.resize_with(n, InputRow::default);
         let input_row = |i: usize| {
             obs.plan_embs
                 .row_slice(i)
@@ -160,7 +162,7 @@ impl StateEncoderInferCache {
         };
         let mut stale = Vec::new();
         let mut stale_in = Vec::new();
-        for (i, slot) in self.input_rows.iter().enumerate() {
+        for (i, slot) in self.rows.iter().enumerate() {
             let fresh = slot.key.len() == in_dim
                 && slot
                     .key
@@ -173,19 +175,19 @@ impl StateEncoderInferCache {
             }
         }
         if !stale.is_empty() {
-            let projected =
-                input_proj.infer(store, &Tensor::from_vec(stale.len(), in_dim, stale_in));
+            let x_in = Cow::Owned(Tensor::from_vec(stale.len(), in_dim, stale_in));
+            let projected = mlp.forward(&mut Eager, store, &x_in);
             for (j, &i) in stale.iter().enumerate() {
-                let slot = &mut self.input_rows[i];
+                let slot = &mut self.rows[i];
                 slot.key.clear();
                 slot.key.extend(input_row(i).map(|v| v.to_bits()));
                 slot.value.clear();
                 slot.value.extend_from_slice(projected.row_slice(j));
             }
         }
-        let dim = input_proj.out_dim();
+        let dim = mlp.out_dim();
         let mut data = Vec::with_capacity(n * dim);
-        for slot in &self.input_rows {
+        for slot in &self.rows {
             data.extend_from_slice(&slot.value);
         }
         Tensor::from_vec(n, dim, data)
@@ -264,23 +266,41 @@ impl StateEncoder {
         self.config.dim
     }
 
-    /// Record the encoding of `obs` on `g` for the entity rows `rows`.
+    /// The input projection `x_i = MLP(e_i ∥ f_i)`.
+    pub fn input_proj(&self) -> &Mlp {
+        &self.input_proj
+    }
+
+    /// The encoding of `obs` on `g` for the entity rows `rows`.
     ///
-    /// Only the last attention block and the query head narrow to `rows`,
-    /// exactly as [`Self::infer`] does; the last block also keeps the super
-    /// query, which feeds the global head. Keys and values, and every
-    /// earlier block, still cover all entities. `per_query` has shape
-    /// `[rows.len(), dim]`; pass `0..n` for every row. With `rows`
-    /// ascending, a loss that reads only these rows trains bitwise the
-    /// parameter gradients of the all-rows pass (see
+    /// Only the last attention block and the query head narrow to `rows`;
+    /// the last block also keeps the super query, which feeds the global
+    /// head. Keys and values, and every earlier block, still cover all
+    /// entities. `per_query` has shape `[rows.len(), dim]`; pass `0..n` for
+    /// every row. With `rows` ascending, a loss that reads only these rows
+    /// trains bitwise the parameter gradients of the all-rows pass (see
     /// [`bq_nn::MultiHeadAttention::forward`]).
-    pub fn forward(
+    pub fn forward<'s, O: Ops<'s>>(
         &self,
-        g: &mut Graph,
-        store: &ParamStore,
+        g: &mut O,
+        store: &'s ParamStore,
         obs: &EncodedObservation,
         rows: &[usize],
-    ) -> StateRepr {
+    ) -> StateRepr<O::Value> {
+        let x = obs.project(g, store, &self.input_proj);
+        self.attend(g, store, obs, &x, rows)
+    }
+
+    /// [`Self::forward`] from the input projection `x` (`[n, dim]`, the
+    /// value of `obs.project(g, store, self.input_proj())`).
+    pub fn attend<'s, O: Ops<'s>>(
+        &self,
+        g: &mut O,
+        store: &'s ParamStore,
+        obs: &EncodedObservation,
+        x: &O::Value,
+        rows: &[usize],
+    ) -> StateRepr<O::Value> {
         let n = obs.len();
         assert!(n > 0, "cannot encode an empty observation");
         assert_eq!(
@@ -289,16 +309,10 @@ impl StateEncoder {
             "plan embedding width mismatch"
         );
 
-        // x_i = MLP(e_i ∥ f_i)
-        let plan = g.input(obs.plan_embs.clone());
-        let feats = g.input(obs.features.clone());
-        let x_in = g.concat_cols(plan, feats);
-        let x = self.input_proj.forward(g, store, x_in);
-
         // Append the super query and run the attention blocks; the last one
         // computes only the requested rows and the super query.
         let super_q = g.param(store, self.super_query);
-        let mut h = g.concat_rows(x, super_q);
+        let mut h = g.concat_rows(x, &super_q);
         let (all, kept) = block_rows(n, rows);
         for (i, block) in self.blocks.iter().enumerate() {
             let out_rows = if i + 1 == self.blocks.len() {
@@ -306,116 +320,33 @@ impl StateEncoder {
             } else {
                 &all
             };
-            h = block.forward(g, store, h, out_rows, None);
+            h = block.forward(g, store, &h, out_rows, None);
         }
         if self.blocks.is_empty() {
-            h = g.select_rows(h, &kept);
+            h = g.select_rows(&h, &kept);
         }
         let m = rows.len();
-        let x_q = g.slice_rows(h, 0, m);
-        let x_s = g.slice_rows(h, m, 1);
+        let x_q = g.slice_rows(&h, 0, m);
+        let x_s = g.slice_rows(&h, m, 1);
 
         // Global representation x''_s = MLP(x'_s ∥ pooled features of all queries).
         let pooled_all = g.input(mean_features(&obs.features, &all[..n]));
-        let global_in = g.concat_cols(x_s, pooled_all);
-        let global = self.global_head.forward(g, store, global_in);
+        let global_in = g.concat_cols(&x_s, &pooled_all);
+        let global = self.global_head.forward(g, store, &global_in);
 
         // Per-query representation x''_i = MLP(x'_i ∥ x'_s ∥ pooled features of
         // the concurrently running queries).
         let ones = g.input(Tensor::full(m, 1, 1.0));
-        let x_s_bcast = g.matmul(ones, x_s);
+        let x_s_bcast = g.matmul(&ones, &x_s);
         let pooled_running_row = mean_features(&obs.features, &obs.running);
         let ones2 = g.input(Tensor::full(m, 1, 1.0));
         let pooled_running_in = g.input(pooled_running_row);
-        let pooled_running = g.matmul(ones2, pooled_running_in);
-        let per_query_in = g.concat_cols(x_q, x_s_bcast);
-        let per_query_in = g.concat_cols(per_query_in, pooled_running);
-        let per_query = self.query_head.forward(g, store, per_query_in);
+        let pooled_running = g.matmul(&ones2, &pooled_running_in);
+        let per_query_in = g.concat_cols(&x_q, &x_s_bcast);
+        let per_query_in = g.concat_cols(&per_query_in, &pooled_running);
+        let per_query = self.query_head.forward(g, store, &per_query_in);
 
         StateRepr { per_query, global }
-    }
-
-    /// Build the inference cache for [`Self::infer`]: fused attention weights
-    /// from the current parameter values and no projected rows yet.
-    pub fn build_infer_cache(&self, store: &ParamStore) -> StateEncoderInferCache {
-        StateEncoderInferCache {
-            blocks: self
-                .blocks
-                .iter()
-                .map(|b| b.build_infer_cache(store))
-                .collect(),
-            input_rows: Vec::new(),
-        }
-    }
-
-    /// Tape-free encoding of `obs` for the entity rows `rows` (in that
-    /// order), bitwise identical to [`Self::forward`] for the same rows.
-    ///
-    /// Every step mirrors the recorded pass — including the narrowing of
-    /// the last block and the `ones · x'_s` broadcast matmuls — but no graph
-    /// nodes are allocated and parameter values are read by reference
-    /// instead of being cloned into leaves. Input projections come from
-    /// `cache` where the input row is unchanged. Returns `(per_query,
-    /// global)` as plain tensors, with `per_query` of shape
-    /// `[rows.len(), dim]`; pass `0..n` for every row.
-    pub fn infer(
-        &self,
-        store: &ParamStore,
-        obs: &EncodedObservation,
-        rows: &[usize],
-        cache: &mut StateEncoderInferCache,
-    ) -> (Tensor, Tensor) {
-        let n = obs.len();
-        assert!(n > 0, "cannot encode an empty observation");
-        assert_eq!(
-            obs.plan_embs.cols(),
-            self.config.plan_dim,
-            "plan embedding width mismatch"
-        );
-        assert_eq!(
-            cache.blocks.len(),
-            self.blocks.len(),
-            "infer cache built for a different encoder"
-        );
-
-        // x_i = MLP(e_i ∥ f_i)
-        let x = cache.project_inputs(&self.input_proj, store, obs);
-
-        // Append the super query and run the attention blocks; the last one
-        // computes only the requested rows and the super query.
-        let mut h = x.concat_rows(store.value(self.super_query));
-        let (all, kept) = block_rows(n, rows);
-        for (i, (block, bcache)) in self.blocks.iter().zip(&cache.blocks).enumerate() {
-            let out_rows = if i + 1 == self.blocks.len() {
-                &kept
-            } else {
-                &all
-            };
-            h = block.infer(store, &h, out_rows, bcache);
-        }
-        if self.blocks.is_empty() {
-            h = h.select_rows(&kept);
-        }
-        let m = rows.len();
-        let x_q = h.slice_rows(0, m);
-        let x_s = h.slice_rows(m, 1);
-
-        // Global representation x''_s = MLP(x'_s ∥ pooled features of all queries).
-        let pooled_all = mean_features(&obs.features, &all[..n]);
-        let global_in = x_s.concat_cols(&pooled_all);
-        let global = self.global_head.infer(store, &global_in);
-
-        // Per-query representation x''_i = MLP(x'_i ∥ x'_s ∥ pooled features of
-        // the concurrently running queries).
-        let ones = Tensor::full(m, 1, 1.0);
-        let x_s_bcast = ones.matmul(&x_s);
-        let pooled_running_row = mean_features(&obs.features, &obs.running);
-        let pooled_running = ones.matmul(&pooled_running_row);
-        let per_query_in = x_q.concat_cols(&x_s_bcast);
-        let per_query_in = per_query_in.concat_cols(&pooled_running);
-        let per_query = self.query_head.infer(store, &per_query_in);
-
-        (per_query, global)
     }
 }
 
@@ -433,6 +364,7 @@ mod tests {
     use super::*;
     use crate::plan_encoder::seeded_rng;
     use bq_core::QueryRuntime;
+    use bq_nn::Graph;
     use bq_plan::{generate, Benchmark, WorkloadSpec};
 
     fn obs_for(n_running: usize) -> (bq_plan::Workload, EncodedObservation) {
@@ -533,8 +465,22 @@ mod tests {
         assert_eq!(g2.value(r2.per_query).rows(), 5);
     }
 
+    /// The decision loop's encoding of `obs` for `rows`: eager, with the
+    /// input projection served from `cache`. Returns `(per_query, global)`.
+    fn eager_encode(
+        enc: &StateEncoder,
+        store: &ParamStore,
+        obs: &EncodedObservation,
+        rows: &[usize],
+        cache: &mut InputRowCache,
+    ) -> (Tensor, Tensor) {
+        let x = Cow::Owned(cache.project(store, enc.input_proj(), obs));
+        let repr = enc.attend(&mut Eager, store, obs, &x, rows);
+        (repr.per_query.into_owned(), repr.global.into_owned())
+    }
+
     #[test]
-    fn infer_matches_forward_bitwise() {
+    fn eager_matches_forward_bitwise() {
         for (seed, n_running) in [(11_u64, 0_usize), (12, 3), (13, 8)] {
             let (_, obs) = obs_for(n_running);
             let mut store = ParamStore::new();
@@ -543,8 +489,8 @@ mod tests {
             let mut g = Graph::new();
             let all: Vec<usize> = (0..obs.len()).collect();
             let repr = enc.forward(&mut g, &store, &obs, &all);
-            let mut cache = enc.build_infer_cache(&store);
-            let (per_query, global) = enc.infer(&store, &obs, &all, &mut cache);
+            let mut cache = InputRowCache::default();
+            let (per_query, global) = eager_encode(&enc, &store, &obs, &all, &mut cache);
             assert_eq!(g.value(repr.per_query).shape(), per_query.shape());
             for (a, b) in g.value(repr.per_query).data().iter().zip(per_query.data()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "per-query repr drifted");
@@ -570,8 +516,8 @@ mod tests {
     fn pending_rows_match_all_rows_bitwise() {
         // The decision path and the policy loss ask only for the pending
         // rows; with one block that narrows the only block, with two the
-        // second one. Both the tape-free and the recorded narrowed pass give
-        // the matching rows of the all-rows pass.
+        // second one. Both the eager and the recorded narrowed pass give the
+        // matching rows of the all-rows pass.
         for blocks in [1, 2] {
             for (seed, n_running) in [(21_u64, 0_usize), (22, 5)] {
                 let (_, obs) = obs_for(n_running);
@@ -586,8 +532,9 @@ mod tests {
                 let all: Vec<usize> = (0..obs.len()).collect();
                 let repr = enc.forward(&mut g, &store, &obs, &all);
                 let narrowed = enc.forward(&mut g, &store, &obs, &obs.pending);
-                let mut cache = enc.build_infer_cache(&store);
-                let (per_query, global) = enc.infer(&store, &obs, &obs.pending, &mut cache);
+                let mut cache = InputRowCache::default();
+                let (per_query, global) =
+                    eager_encode(&enc, &store, &obs, &obs.pending, &mut cache);
                 let what = format!("blocks={blocks} running={n_running}");
                 for (q, s) in [
                     (&per_query, &global),
@@ -610,23 +557,20 @@ mod tests {
         let mut rng = seeded_rng(23);
         let enc = StateEncoder::new(&mut store, StateEncoderConfig::default(), &mut rng);
         let all: Vec<usize> = (0..obs.len()).collect();
-        let mut warm = enc.build_infer_cache(&store);
-        let _ = enc.infer(&store, &obs, &all, &mut warm);
+        let mut warm = InputRowCache::default();
+        let _ = eager_encode(&enc, &store, &obs, &all, &mut warm);
 
         let mut changed = obs.clone();
         let elapsed_col = STATE_FEATURE_DIM - 2;
         let v = changed.features.get(2, elapsed_col);
         changed.features.set(2, elapsed_col, v + 0.5);
-        let (warm_q, warm_s) = enc.infer(&store, &changed, &all, &mut warm);
-        let mut cold = enc.build_infer_cache(&store);
-        let (cold_q, cold_s) = enc.infer(&store, &changed, &all, &mut cold);
+        let (warm_q, warm_s) = eager_encode(&enc, &store, &changed, &all, &mut warm);
+        let (cold_q, cold_s) =
+            eager_encode(&enc, &store, &changed, &all, &mut InputRowCache::default());
         assert_rows_bitwise(&cold_q, &all, &warm_q, "warm per-query repr");
         assert_rows_bitwise(&cold_s, &[0], &warm_s, "warm global repr");
 
-        let (stale_q, _) = {
-            let mut c = enc.build_infer_cache(&store);
-            enc.infer(&store, &obs, &all, &mut c)
-        };
+        let (stale_q, _) = eager_encode(&enc, &store, &obs, &all, &mut InputRowCache::default());
         assert_ne!(
             stale_q.row_slice(2),
             warm_q.row_slice(2),

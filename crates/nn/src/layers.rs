@@ -1,10 +1,11 @@
 //! Neural network layers used by the BQSched models.
 //!
 //! All layers hold only [`ParamId`] handles; the actual values live in a
-//! [`ParamStore`]. A layer's `forward` method records its computation on a
-//! [`Graph`] and returns the output node.
+//! [`ParamStore`]. A layer's `forward` method is its one definition, written
+//! over [`Ops`]: on a [`crate::Graph`] it records the computation for
+//! training, on [`crate::Eager`] it computes the same values at once.
 
-use crate::graph::{Graph, NodeId};
+use crate::ops::Ops;
 use crate::params::{ParamId, ParamStore};
 use crate::tensor::Tensor;
 use rand::Rng;
@@ -22,22 +23,11 @@ pub enum Activation {
 }
 
 impl Activation {
-    fn apply(self, g: &mut Graph, x: NodeId) -> NodeId {
+    fn apply<'s, O: Ops<'s>>(self, g: &mut O, x: O::Value) -> O::Value {
         match self {
             Activation::None => x,
-            Activation::Tanh => g.tanh(x),
-            Activation::Relu => g.relu(x),
-        }
-    }
-
-    /// Tape-free counterpart of [`Activation::apply`]. The closures are the
-    /// same expressions the graph ops use, so both paths produce bitwise
-    /// identical values.
-    fn apply_tensor(self, x: Tensor) -> Tensor {
-        match self {
-            Activation::None => x,
-            Activation::Tanh => x.map(f32::tanh),
-            Activation::Relu => x.map(|v| v.max(0.0)),
+            Activation::Tanh => g.tanh(&x),
+            Activation::Relu => g.relu(&x),
         }
     }
 }
@@ -83,8 +73,13 @@ impl Linear {
         self.out_dim
     }
 
-    /// Record the layer's computation for input node `x` (`[n, in_dim]`).
-    pub fn forward(&self, g: &mut Graph, store: &ParamStore, x: NodeId) -> NodeId {
+    /// The layer's computation for the input `x` (`[n, in_dim]`).
+    pub fn forward<'s, O: Ops<'s>>(
+        &self,
+        g: &mut O,
+        store: &'s ParamStore,
+        x: &O::Value,
+    ) -> O::Value {
         assert_eq!(
             g.value(x).cols(),
             self.in_dim,
@@ -94,21 +89,9 @@ impl Linear {
         );
         let w = g.param(store, self.weight);
         let b = g.param(store, self.bias);
-        let h = g.matmul(x, w);
-        let h = g.add_row(h, b);
+        let h = g.matmul(x, &w);
+        let h = g.add_row(&h, &b);
         self.activation.apply(g, h)
-    }
-
-    /// Tape-free forward pass reading weights by reference from the store.
-    ///
-    /// Bitwise identical to [`Linear::forward`]: both paths run the same
-    /// [`Tensor`] arithmetic, this one just skips recording graph nodes (and
-    /// the per-use parameter clone that `Graph::param` makes).
-    pub fn infer(&self, store: &ParamStore, x: &Tensor) -> Tensor {
-        debug_assert_eq!(x.cols(), self.in_dim, "Linear infer width mismatch");
-        let h = x.matmul(store.value(self.weight));
-        let h = h.add_row_broadcast(store.value(self.bias));
-        self.activation.apply_tensor(h)
     }
 }
 
@@ -167,20 +150,16 @@ impl Mlp {
         self.layers.last().map(Linear::out_dim).unwrap_or(0)
     }
 
-    /// Record the forward pass.
-    pub fn forward(&self, g: &mut Graph, store: &ParamStore, x: NodeId) -> NodeId {
-        let mut h = x;
-        for layer in &self.layers {
-            h = layer.forward(g, store, h);
-        }
-        h
-    }
-
-    /// Tape-free forward pass; see [`Linear::infer`].
-    pub fn infer(&self, store: &ParamStore, x: &Tensor) -> Tensor {
-        let mut h = self.layers[0].infer(store, x);
+    /// The forward pass.
+    pub fn forward<'s, O: Ops<'s>>(
+        &self,
+        g: &mut O,
+        store: &'s ParamStore,
+        x: &O::Value,
+    ) -> O::Value {
+        let mut h = self.layers[0].forward(g, store, x);
         for layer in &self.layers[1..] {
-            h = layer.infer(store, &h);
+            h = layer.forward(g, store, &h);
         }
         h
     }
@@ -188,11 +167,9 @@ impl Mlp {
 
 /// Row-wise layer normalisation with learnable scale and shift.
 ///
-/// The paper applies batch normalisation after every attention sub-layer; at
-/// batch-of-queries granularity (a single scheduling state is one "batch"),
-/// layer normalisation is the standard equivalent that does not require
-/// running statistics, so we use it here and note the substitution in
-/// DESIGN.md.
+/// The paper applies batch normalisation after every attention sub-layer;
+/// this crate substitutes layer normalisation, which needs no running
+/// statistics (see the `bq-nn` row of `docs/CRATES.md`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LayerNorm {
     gamma: ParamId,
@@ -222,8 +199,13 @@ impl LayerNorm {
         self.dim
     }
 
-    /// Record the forward pass for `x` of shape `[n, dim]`.
-    pub fn forward(&self, g: &mut Graph, store: &ParamStore, x: NodeId) -> NodeId {
+    /// The forward pass for `x` of shape `[n, dim]`.
+    pub fn forward<'s, O: Ops<'s>>(
+        &self,
+        g: &mut O,
+        store: &'s ParamStore,
+        x: &O::Value,
+    ) -> O::Value {
         assert_eq!(g.value(x).cols(), self.dim, "LayerNorm width mismatch");
         let normed = g.row_norm(x, self.eps);
         let gamma = g.param(store, self.gamma);
@@ -233,52 +215,18 @@ impl LayerNorm {
         // gamma is [1, d]; we expand it by multiplying an all-ones column.
         let n = g.value(x).rows();
         let ones = g.input(crate::tensor::Tensor::full(n, 1, 1.0));
-        let gamma_full = g.matmul(ones, gamma);
-        let scaled = g.mul(normed, gamma_full);
-        g.add_row(scaled, beta)
-    }
-
-    /// Tape-free forward pass, replicating [`LayerNorm::forward`] exactly —
-    /// including the `ones · gamma` broadcast construction, so the scaled
-    /// values round identically.
-    pub fn infer(&self, store: &ParamStore, x: &Tensor) -> Tensor {
-        debug_assert_eq!(x.cols(), self.dim, "LayerNorm infer width mismatch");
-        let normed = x.row_norm(self.eps);
-        let ones = Tensor::full(x.rows(), 1, 1.0);
-        let gamma_full = ones.matmul(store.value(self.gamma));
-        let scaled = normed.mul(&gamma_full);
-        scaled.add_row_broadcast(store.value(self.beta))
+        let gamma_full = g.matmul(&ones, &gamma);
+        let scaled = g.mul(&normed, &gamma_full);
+        g.add_row(&scaled, &beta)
     }
 }
 
-/// Record `x`'s rows `rows`, or return `x` itself when `rows` is every row
-/// in order: a full-row pass records exactly the tape it always did.
-fn select_rows_of(g: &mut Graph, x: NodeId, rows: &[usize]) -> NodeId {
+/// `x`'s rows `rows`, or `None` for `x` itself when `rows` is every row in
+/// order: a full-row pass records exactly the tape it always did.
+fn select_rows_of<'s, O: Ops<'s>>(g: &mut O, x: &O::Value, rows: &[usize]) -> Option<O::Value> {
     let every_row =
         rows.len() == g.value(x).rows() && rows.iter().enumerate().all(|(i, &r)| i == r);
-    if every_row {
-        x
-    } else {
-        g.select_rows(x, rows)
-    }
-}
-
-/// Precomputed fused projection weights for the tape-free attention path.
-///
-/// The per-head `[dim, head_dim]` Q/K/V weights are column-concatenated into
-/// three `[dim, dim]` matrices so one matmul per projection replaces `3·heads`
-/// small ones. Because [`Tensor::matmul`] accumulates each output column over
-/// `k` in the same ascending order regardless of which other columns share the
-/// right-hand matrix, slicing the fused product back into head blocks yields
-/// bitwise the same values as the per-head matmuls.
-///
-/// The cache is derived purely from parameter values; holders compare
-/// [`ParamStore::version`] to decide when to rebuild it.
-#[derive(Debug, Clone)]
-pub struct AttentionInferCache {
-    wq: Tensor,
-    wk: Tensor,
-    wv: Tensor,
+    (!every_row).then(|| g.select_rows(x, rows))
 }
 
 /// Multi-head self-attention over a set of row vectors.
@@ -344,7 +292,7 @@ impl MultiHeadAttention {
         self.heads
     }
 
-    /// Record the forward pass for the output rows `rows` of `x` (`[n, dim]`),
+    /// The forward pass for the output rows `rows` of `x` (`[n, dim]`),
     /// returning `[rows.len(), dim]`.
     ///
     /// Keys and values cover every row of `x`; queries, scores, softmax and
@@ -359,14 +307,14 @@ impl MultiHeadAttention {
     /// own query rows right before its query projection, so `x`'s gradient
     /// receives each head's value, key and query contributions in the
     /// all-rows order too. With every row in order nothing is selected.
-    pub fn forward(
+    pub fn forward<'s, O: Ops<'s>>(
         &self,
-        g: &mut Graph,
-        store: &ParamStore,
-        x: NodeId,
+        g: &mut O,
+        store: &'s ParamStore,
+        x: &O::Value,
         rows: &[usize],
-        bias: Option<&crate::tensor::Tensor>,
-    ) -> NodeId {
+        bias: Option<&Tensor>,
+    ) -> O::Value {
         let n = g.value(x).rows();
         assert_eq!(
             g.value(x).cols(),
@@ -381,90 +329,33 @@ impl MultiHeadAttention {
             );
         }
         let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let mut head_outputs: Option<NodeId> = None;
+        let mut head_outputs: Option<O::Value> = None;
         for h in 0..self.heads {
             let wq = g.param(store, self.wq[h]);
             let wk = g.param(store, self.wk[h]);
             let wv = g.param(store, self.wv[h]);
             let x_rows = select_rows_of(g, x, rows);
-            let q = g.matmul(x_rows, wq);
-            let k = g.matmul(x, wk);
-            let v = g.matmul(x, wv);
-            let kt = g.transpose(k);
-            let scores = g.matmul(q, kt);
-            let mut scores = g.scale(scores, scale);
+            let q = g.matmul(x_rows.as_ref().unwrap_or(x), &wq);
+            let k = g.matmul(x, &wk);
+            let v = g.matmul(x, &wv);
+            let kt = g.transpose(&k);
+            let scores = g.matmul(&q, &kt);
+            let mut scores = g.scale(&scores, scale);
             if let Some(b) = bias {
-                scores = g.add_const(scores, b);
+                scores = g.add_const(&scores, b);
             }
-            let attn = g.softmax_rows(scores);
-            let out = g.matmul(attn, v);
+            let attn = g.softmax_rows(&scores);
+            let out = g.matmul(&attn, &v);
             head_outputs = Some(match head_outputs {
                 None => out,
-                Some(prev) => g.concat_cols(prev, out),
+                Some(prev) => g.concat_cols(&prev, &out),
             });
         }
         let concat = head_outputs.expect("at least one attention head");
         let wo = g.param(store, self.wo);
         let bo = g.param(store, self.bo);
-        let projected = g.matmul(concat, wo);
-        g.add_row(projected, bo)
-    }
-
-    /// Fuse the per-head Q/K/V projection weights for [`Self::infer`].
-    pub fn build_infer_cache(&self, store: &ParamStore) -> AttentionInferCache {
-        let fuse = |ids: &[ParamId]| {
-            let mut fused = store.value(ids[0]).clone();
-            for id in &ids[1..] {
-                fused = fused.concat_cols(store.value(*id));
-            }
-            fused
-        };
-        AttentionInferCache {
-            wq: fuse(&self.wq),
-            wk: fuse(&self.wk),
-            wv: fuse(&self.wv),
-        }
-    }
-
-    /// Tape-free forward pass using fused Q/K/V projections, computing only
-    /// the output rows `rows` of `x` (in that order).
-    ///
-    /// Keys and values cover every row of `x`; queries, scores, softmax,
-    /// `attn · V` and the output projection run for `rows` alone, as in
-    /// [`Self::forward`]. Each of those steps is row-local, so the result is
-    /// bitwise that of [`Self::forward`] without a bias for any rows: the
-    /// fused matmul computes each head's columns with the same per-column
-    /// accumulation order, and everything after the slice reuses the exact
-    /// per-head arithmetic. Pass every row index for the full output.
-    pub fn infer(
-        &self,
-        store: &ParamStore,
-        x: &Tensor,
-        rows: &[usize],
-        cache: &AttentionInferCache,
-    ) -> Tensor {
-        debug_assert_eq!(x.cols(), self.dim, "attention infer width mismatch");
-        let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let q_all = x.select_rows(rows).matmul(&cache.wq);
-        let k_all = x.matmul(&cache.wk);
-        let v_all = x.matmul(&cache.wv);
-        let mut head_outputs: Option<Tensor> = None;
-        for h in 0..self.heads {
-            let lo = h * self.head_dim;
-            let q = q_all.slice_cols(lo, self.head_dim);
-            let k = k_all.slice_cols(lo, self.head_dim);
-            let v = v_all.slice_cols(lo, self.head_dim);
-            let kt = k.transpose();
-            let attn = q.matmul(&kt).scale(scale).softmax_rows();
-            let out = attn.matmul(&v);
-            head_outputs = Some(match head_outputs {
-                None => out,
-                Some(prev) => prev.concat_cols(&out),
-            });
-        }
-        let concat = head_outputs.expect("at least one attention head");
-        let projected = concat.matmul(store.value(self.wo));
-        projected.add_row_broadcast(store.value(self.bo))
+        let projected = g.matmul(&concat, &wo);
+        g.add_row(&projected, &bo)
     }
 }
 
@@ -514,52 +405,27 @@ impl AttentionBlock {
         }
     }
 
-    /// Record the forward pass of the block for the output rows `rows` of
-    /// `x`; see [`MultiHeadAttention::forward`]. The residuals, norms and
+    /// The forward pass of the block for the output rows `rows` of `x`; see
+    /// [`MultiHeadAttention::forward`]. The residuals, norms and
     /// feed-forward layers are row-local, so they run for `rows` alone.
-    pub fn forward(
+    pub fn forward<'s, O: Ops<'s>>(
         &self,
-        g: &mut Graph,
-        store: &ParamStore,
-        x: NodeId,
+        g: &mut O,
+        store: &'s ParamStore,
+        x: &O::Value,
         rows: &[usize],
-        bias: Option<&crate::tensor::Tensor>,
-    ) -> NodeId {
+        bias: Option<&Tensor>,
+    ) -> O::Value {
         let attn = self.attention.forward(g, store, x, rows, bias);
         // Recorded after the attention, so `x`'s gradient receives the
         // residual's share first, as in the all-rows pass.
         let x_rows = select_rows_of(g, x, rows);
-        let residual = g.add(x_rows, attn);
-        let x1 = self.norm1.forward(g, store, residual);
-        let h = self.ff1.forward(g, store, x1);
-        let h = self.ff2.forward(g, store, h);
-        let residual2 = g.add(x1, h);
-        self.norm2.forward(g, store, residual2)
-    }
-
-    /// Fuse this block's attention projections for [`Self::infer`].
-    pub fn build_infer_cache(&self, store: &ParamStore) -> AttentionInferCache {
-        self.attention.build_infer_cache(store)
-    }
-
-    /// Tape-free forward pass of the block for the output rows `rows` of `x`;
-    /// see [`MultiHeadAttention::infer`]. The residuals, norms and
-    /// feed-forward layers are row-local, so the result is bitwise that of
-    /// [`Self::forward`] without a bias for the same rows.
-    pub fn infer(
-        &self,
-        store: &ParamStore,
-        x: &Tensor,
-        rows: &[usize],
-        cache: &AttentionInferCache,
-    ) -> Tensor {
-        let attn = self.attention.infer(store, x, rows, cache);
-        let residual = x.select_rows(rows).add(&attn);
-        let x1 = self.norm1.infer(store, &residual);
-        let h = self.ff1.infer(store, &x1);
-        let h = self.ff2.infer(store, &h);
-        let residual2 = x1.add(&h);
-        self.norm2.infer(store, &residual2)
+        let residual = g.add(x_rows.as_ref().unwrap_or(x), &attn);
+        let x1 = self.norm1.forward(g, store, &residual);
+        let h = self.ff1.forward(g, store, &x1);
+        let h = self.ff2.forward(g, store, &h);
+        let residual2 = g.add(&x1, &h);
+        self.norm2.forward(g, store, &residual2)
     }
 
     /// Model dimensionality handled by this block.
@@ -571,10 +437,13 @@ impl AttentionBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Graph;
+    use crate::ops::Eager;
     use crate::optim::Adam;
     use crate::tensor::Tensor;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::borrow::Cow;
 
     #[test]
     fn linear_shapes() {
@@ -583,7 +452,7 @@ mod tests {
         let lin = Linear::new(&mut store, "l", 5, 3, Activation::Tanh, &mut rng);
         let mut g = Graph::new();
         let x = g.input(Tensor::zeros(7, 5));
-        let y = lin.forward(&mut g, &store, x);
+        let y = lin.forward(&mut g, &store, &x);
         assert_eq!(g.value(y).shape(), (7, 3));
         // Tanh keeps outputs in (-1, 1).
         assert!(g.value(y).data().iter().all(|v| v.abs() < 1.0));
@@ -605,7 +474,7 @@ mod tests {
         assert_eq!(mlp.out_dim(), 1);
         let mut g = Graph::new();
         let x = g.input(Tensor::zeros(3, 8));
-        let y = mlp.forward(&mut g, &store, x);
+        let y = mlp.forward(&mut g, &store, &x);
         assert_eq!(g.value(y).shape(), (3, 1));
     }
 
@@ -619,7 +488,7 @@ mod tests {
             4,
             vec![1.0, 2.0, 3.0, 4.0, 10.0, 20.0, 30.0, 40.0],
         ));
-        let y = ln.forward(&mut g, &store, x);
+        let y = ln.forward(&mut g, &store, &x);
         let v = g.value(y);
         for r in 0..2 {
             let mean: f32 = v.row_slice(r).iter().sum::<f32>() / 4.0;
@@ -645,7 +514,7 @@ mod tests {
             8,
             (0..40).map(|i| (i as f32) * 0.01).collect(),
         ));
-        let y = mha.forward(&mut g, &store, x, &[0, 1, 2, 3, 4], None);
+        let y = mha.forward(&mut g, &store, &x, &[0, 1, 2, 3, 4], None);
         assert_eq!(g.value(y).shape(), (5, 8));
         assert!(g.value(y).all_finite());
     }
@@ -671,11 +540,11 @@ mod tests {
 
         let mut g1 = Graph::new();
         let x1 = g1.input(base);
-        let y1 = mha.forward(&mut g1, &store, x1, &[0, 1, 2], Some(&mask));
+        let y1 = mha.forward(&mut g1, &store, &x1, &[0, 1, 2], Some(&mask));
 
         let mut g2 = Graph::new();
         let x2 = g2.input(other);
-        let y2 = mha.forward(&mut g2, &store, x2, &[0, 1, 2], Some(&mask));
+        let y2 = mha.forward(&mut g2, &store, &x2, &[0, 1, 2], Some(&mask));
 
         // Rows 0 and 1 unchanged, row 2 changed.
         for c in 0..4 {
@@ -699,16 +568,39 @@ mod tests {
             8,
             (0..48).map(|i| ((i % 7) as f32) * 0.1).collect(),
         ));
-        let y = block.forward(&mut g, &store, x, &[0, 1, 2, 3, 4, 5], None);
+        let y = block.forward(&mut g, &store, &x, &[0, 1, 2, 3, 4, 5], None);
         assert_eq!(g.value(y).shape(), (6, 8));
         assert!(g.value(y).all_finite());
     }
 
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The bits of `block` over the output rows `rows` of `x` with `bias`,
+    /// then of `mlp` over every row, run on `g`.
+    fn layer_bits<'s, O: Ops<'s>>(
+        g: &mut O,
+        store: &'s ParamStore,
+        (block, mlp): (&AttentionBlock, &Mlp),
+        x: &Tensor,
+        rows: &[usize],
+        bias: Option<&Tensor>,
+    ) -> Vec<u32> {
+        let xi = g.input(x.clone());
+        let y = block.forward(g, store, &xi, rows, bias);
+        let z = mlp.forward(g, store, &xi);
+        let mut out = bits(g.value(&y));
+        out.extend(bits(g.value(&z)));
+        out
+    }
+
     #[test]
-    fn infer_paths_match_graph_bitwise() {
-        // The tape-free infer path (fused QKV, no graph nodes) must produce
-        // bit-for-bit the same floats as the recorded forward pass for every
-        // layer kind, across activations and head counts.
+    fn eager_paths_match_graph_bitwise() {
+        // An eager evaluation (per-head projections, no graph nodes) produces
+        // bit-for-bit the floats of the recorded forward pass for every layer
+        // kind, across activations and head counts, and for an attention
+        // block with an additive bias over every row and over a row subset.
         let mut rng = StdRng::seed_from_u64(42);
         let mut store = ParamStore::new();
         let block = AttentionBlock::new(&mut store, "blk", 8, 4, 16, &mut rng);
@@ -725,29 +617,39 @@ mod tests {
             8,
             (0..48).map(|i| ((i % 11) as f32) * 0.13 - 0.5).collect(),
         );
-
-        let mut g = Graph::new();
-        let xi = g.input(x.clone());
+        // A tree-style bias over `[rows, 6]`: rows within two hops attend
+        // with a per-hop penalty, the rest are masked with -1e8.
+        let tree_bias = |rows: &[usize]| {
+            let mut b = Tensor::zeros(rows.len(), 6);
+            for (i, &r) in rows.iter().enumerate() {
+                for c in 0..6 {
+                    let hops = r.abs_diff(c);
+                    b.set(i, c, if hops > 2 { -1e8 } else { -0.5 * hops as f32 });
+                }
+            }
+            b
+        };
         let all = [0, 1, 2, 3, 4, 5];
-        let y_graph = block.forward(&mut g, &store, xi, &all, None);
-        let cache = block.build_infer_cache(&store);
-        let y_infer = block.infer(&store, &x, &all, &cache);
-        assert_eq!(g.value(y_graph).shape(), y_infer.shape());
-        for (a, c) in g.value(y_graph).data().iter().zip(y_infer.data()) {
-            assert_eq!(a.to_bits(), c.to_bits(), "attention block drifted");
-        }
-
-        let mut g = Graph::new();
-        let xi = g.input(x.clone());
-        let y_graph = mlp.forward(&mut g, &store, xi);
-        let y_infer = mlp.infer(&store, &x);
-        for (a, c) in g.value(y_graph).data().iter().zip(y_infer.data()) {
-            assert_eq!(a.to_bits(), c.to_bits(), "mlp drifted");
+        let subset = [1, 4, 5];
+        for (rows, bias) in [
+            (&all[..], None),
+            (&all[..], Some(tree_bias(&all))),
+            (&subset[..], Some(tree_bias(&subset))),
+        ] {
+            let layers = (&block, &mlp);
+            let bias = bias.as_ref();
+            let recorded = layer_bits(&mut Graph::new(), &store, layers, &x, rows, bias);
+            let eager = layer_bits(&mut Eager, &store, layers, &x, rows, bias);
+            assert!(
+                recorded == eager,
+                "rows {rows:?} (biased: {}) drifted",
+                bias.is_some()
+            );
         }
     }
 
     #[test]
-    fn row_subset_infer_matches_forward_rows_bitwise() {
+    fn row_subset_eager_matches_forward_rows_bitwise() {
         // Keys and values see every row, so a subset's outputs are exactly
         // the matching rows of the full pass — in any order, repeats allowed.
         let mut rng = StdRng::seed_from_u64(43);
@@ -760,15 +662,15 @@ mod tests {
         );
         let mut g = Graph::new();
         let xi = g.input(x.clone());
-        let y_graph = block.forward(&mut g, &store, xi, &[0, 1, 2, 3, 4, 5, 6], None);
-        let cache = block.build_infer_cache(&store);
+        let y_graph = block.forward(&mut g, &store, &xi, &[0, 1, 2, 3, 4, 5, 6], None);
         for rows in [vec![6], vec![1, 4, 6], vec![5, 0, 5], vec![]] {
-            let y_rows = block.infer(&store, &x, &rows, &cache);
+            let y_rows = block.forward(&mut Eager, &store, &Cow::Borrowed(&x), &rows, None);
             assert_eq!(y_rows.shape(), (rows.len(), 8));
             let expected = g.value(y_graph).select_rows(&rows);
-            for (a, c) in expected.data().iter().zip(y_rows.data()) {
-                assert_eq!(a.to_bits(), c.to_bits(), "row subset {rows:?} drifted");
-            }
+            assert!(
+                bits(&expected) == bits(&y_rows),
+                "row subset {rows:?} drifted"
+            );
         }
     }
 
@@ -788,17 +690,16 @@ mod tests {
         let all: Vec<usize> = (0..7).collect();
         let mut g = Graph::new();
         let xi = g.input(x);
-        let h = first.forward(&mut g, &store, xi, &all, None);
+        let h = first.forward(&mut g, &store, &xi, &all, None);
         let y = if narrow {
-            last.forward(&mut g, &store, h, rows, None)
+            last.forward(&mut g, &store, &h, rows, None)
         } else {
-            let y = last.forward(&mut g, &store, h, &all, None);
+            let y = last.forward(&mut g, &store, &h, &all, None);
             g.select_rows(y, rows)
         };
         let loss = g.mse_loss(y, &Tensor::full(rows.len(), 8, 0.25));
         g.backward(loss);
         g.flush_grads(&mut store);
-        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let grads = store.iter().flat_map(|(_, p)| bits(&p.grad)).collect();
         (bits(g.value(y)), grads)
     }
@@ -858,7 +759,7 @@ mod tests {
             store.zero_grads();
             let mut g = Graph::new();
             let xi = g.input(x.clone());
-            let pred = mlp.forward(&mut g, &store, xi);
+            let pred = mlp.forward(&mut g, &store, &xi);
             let loss = g.mse_loss(pred, &y);
             last = g.value(loss).item();
             if first.is_none() {

@@ -6,6 +6,12 @@
 //! multi-head attention with additive biases, layer normalisation) and the
 //! Adam optimizer.
 //!
+//! Each layer's forward pass is defined once, over the [`Ops`] trait. A
+//! [`Graph`] records it on the tape for training; [`Eager`] computes the
+//! same values without a tape, reading parameters by reference, for the
+//! decision loop. Both compute every value with the same
+//! [`Tensor`] arithmetic, so the two are bitwise equal.
+//!
 //! The original BQSched implementation uses PyTorch; this crate replaces it
 //! with a CPU-only implementation sized for the paper's models (tens of
 //! thousands of parameters, inputs of at most a few hundred rows), so that
@@ -30,7 +36,7 @@
 //!     store.zero_grads();
 //!     let mut g = Graph::new();
 //!     let xi = g.input(x.clone());
-//!     let pred = mlp.forward(&mut g, &store, xi);
+//!     let pred = mlp.forward(&mut g, &store, &xi);
 //!     let loss = g.mse_loss(pred, &y);
 //!     g.backward(loss);
 //!     g.flush_grads(&mut store);
@@ -42,14 +48,14 @@
 
 pub mod graph;
 pub mod layers;
+pub mod ops;
 pub mod optim;
 pub mod params;
 pub mod tensor;
 
 pub use graph::{Graph, NodeId};
-pub use layers::{
-    Activation, AttentionBlock, AttentionInferCache, LayerNorm, Linear, Mlp, MultiHeadAttention,
-};
+pub use layers::{Activation, AttentionBlock, LayerNorm, Linear, Mlp, MultiHeadAttention};
+pub use ops::{Eager, Ops};
 pub use optim::Adam;
 pub use params::{Param, ParamId, ParamStore};
 pub use tensor::Tensor;

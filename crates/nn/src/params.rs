@@ -49,10 +49,11 @@ impl Param {
 pub struct ParamStore {
     params: Vec<Param>,
     /// Monotonic counter bumped on every mutable access to parameter values.
-    /// Inference-side caches of derived weights (e.g. fused attention
-    /// projections) compare it to decide whether they are stale. Not part of
-    /// checkpoints: a freshly deserialized store restarts at zero, and caches
-    /// are rebuilt against whatever store instance they are first used with.
+    /// Caches of values derived from parameters (e.g. the decision loop's
+    /// projected input rows) compare it to decide whether they are stale.
+    /// Not part of checkpoints: a freshly deserialized store restarts at
+    /// zero, and caches are rebuilt against whatever store instance they are
+    /// first used with.
     version: u64,
 }
 

@@ -352,8 +352,8 @@ impl Tensor {
     /// Broadcast addition of a `1 x d` row (bias) to every row.
     ///
     /// This is the single definition of the bias-broadcast arithmetic: both
-    /// the autodiff tape ([`crate::Graph::add_row`]) and the tape-free
-    /// inference path call it, so the two can never drift apart bitwise.
+    /// the autodiff tape ([`crate::Graph::add_row`]) and the eager side
+    /// ([`crate::Eager`]) call it, so the two can never drift apart bitwise.
     pub fn add_row_broadcast(&self, bias: &Tensor) -> Tensor {
         assert_eq!(bias.rows, 1, "add_row bias must have a single row");
         assert_eq!(bias.cols, self.cols, "add_row bias width mismatch");
@@ -368,7 +368,7 @@ impl Tensor {
     }
 
     /// Row-wise normalisation `(x - mean) / sqrt(var + eps)`, shared between
-    /// the tape ([`crate::Graph::row_norm`]) and tape-free inference.
+    /// the tape ([`crate::Graph::row_norm`]) and the eager side.
     pub fn row_norm(&self, eps: f32) -> Tensor {
         let d = self.cols as f32;
         let mut v = self.clone();
@@ -385,7 +385,7 @@ impl Tensor {
     }
 
     /// Column means over all rows: `[n, d] -> [1, d]`, shared between the
-    /// tape ([`crate::Graph::mean_pool_rows`]) and tape-free inference.
+    /// tape ([`crate::Graph::mean_pool_rows`]) and the eager side.
     pub fn mean_pool_rows(&self) -> Tensor {
         let n = self.rows.max(1) as f32;
         let mut v = Tensor::zeros(1, self.cols);

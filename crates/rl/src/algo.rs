@@ -537,9 +537,9 @@ mod tests {
 
         fn evaluate(&self, g: &mut Graph, store: &ParamStore, obs: &usize) -> (NodeId, NodeId) {
             let x = g.input(Self::obs_tensor(*obs));
-            let logits = self.policy.forward(g, store, x);
+            let logits = self.policy.forward(g, store, &x);
             let x2 = g.input(Self::obs_tensor(*obs));
-            let value = self.value.forward(g, store, x2);
+            let value = self.value.forward(g, store, &x2);
             (logits, value)
         }
 
@@ -551,7 +551,7 @@ mod tests {
             _index: usize,
         ) -> NodeId {
             let x = g.input(Self::obs_tensor(*obs));
-            self.aux.forward(g, store, x)
+            self.aux.forward(g, store, &x)
         }
     }
 
