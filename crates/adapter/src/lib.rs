@@ -689,10 +689,10 @@ mod tests {
         let mut bare = engine(&w, 3);
         let mut wrapped = AsyncAdapter::new(engine(&w, 3), DispatchProfile::synchronous());
         for q in 0..4 {
-            bare.submit_to(QueryId(q), RunParams::default_config(), q);
+            bare.submit(QueryId(q), RunParams::default_config(), q);
             wrapped.submit(QueryId(q), RunParams::default_config(), q);
         }
-        assert_eq!(bare.connection_slots(), wrapped.connections());
+        assert_eq!(bare.connections(), wrapped.connections());
         loop {
             let (a, b) = (ExecutorBackend::poll_event(&mut bare), wrapped.poll_event());
             assert_eq!(a, b);
@@ -804,8 +804,11 @@ mod tests {
         // Natural duration of query 0 alone on a fresh engine (the adapter
         // run below replays the same first noise draw exactly).
         let mut probe = engine(&w, 0);
-        probe.submit_to(QueryId(0), RunParams::default_config(), 0);
-        let duration = probe.step_until_completion()[0].duration();
+        probe.submit(QueryId(0), RunParams::default_config(), 0);
+        let duration = match (probe.poll_event(), probe.poll_event()) {
+            (ExecEvent::Submitted { .. }, ExecEvent::Completed(c)) => c.duration(),
+            other => panic!("expected the echo, then the completion: {other:?}"),
+        };
 
         // Admission latency far beyond the query duration: query 0 admits
         // at L and finishes at L + duration; query 1's dispatch — issued at

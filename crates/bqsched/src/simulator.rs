@@ -9,7 +9,10 @@
 //! model and is trained with multitask learning (classification +
 //! regression), exactly the design ablated in Table III.
 
-use bq_core::{ConnectionSlot, ExecutionHistory, QueryRuntime, QueryStatus, SchedulingState};
+use bq_core::{
+    ConnectionSlot, ExecEvent, ExecutionHistory, ExecutorBackend, QueryRuntime, QueryStatus,
+    SchedulingState,
+};
 use bq_dbms::{QueryCompletion, RunParams};
 use bq_encoder::{EncodedObservation, FeatureScale, StateEncoder, StateEncoderConfig};
 use bq_nn::{Activation, Adam, Graph, Mlp, NodeId, ParamStore, Tensor};
@@ -506,30 +509,22 @@ impl<'a> LearnedSimulator<'a> {
     }
 }
 
-/// The inherent event surface [`bq_core::impl_executor_backend!`] adapts to
-/// [`bq_core::ExecutorBackend`] — the same method names `ExecutionEngine` exposes, so
-/// all in-process backends share one trait-impl definition.
-impl LearnedSimulator<'_> {
+impl ExecutorBackend for LearnedSimulator<'_> {
     /// Per-connection occupancy, indexed by connection id.
-    pub fn connection_slots(&self) -> &[ConnectionSlot] {
+    fn connections(&self) -> &[ConnectionSlot] {
         &self.slots
     }
 
     /// Current virtual time.
-    pub fn now(&self) -> f64 {
+    fn now(&self) -> f64 {
         self.now
-    }
-
-    /// Number of queries in the workload the simulator was built for.
-    pub fn query_count(&self) -> usize {
-        self.finished.len()
     }
 
     /// Submit `query` with `params` to a specific free connection.
     ///
     /// # Panics
     /// Panics if the connection is busy or the query already finished.
-    pub fn submit_to(&mut self, query: QueryId, params: RunParams, connection: usize) {
+    fn submit(&mut self, query: QueryId, params: RunParams, connection: usize) {
         assert!(
             self.slots[connection].is_free(),
             "simulator connection {connection} is busy"
@@ -543,23 +538,22 @@ impl LearnedSimulator<'_> {
         self.submitted_events.push_back((query, connection));
     }
 
-    /// Pop one buffered "query accepted" notice `(query, connection)`.
-    pub fn pop_submitted_event(&mut self) -> Option<(QueryId, usize)> {
-        self.submitted_events.pop_front()
-    }
-
-    /// Pop one completion, predicting and advancing to the next one first
-    /// if none is buffered. `None` when nothing is running.
-    pub fn pop_completion_event(&mut self) -> Option<QueryCompletion> {
+    /// Submission echoes first, then one completion, predicting and
+    /// advancing to the next one first if none is buffered.
+    fn poll_event(&mut self) -> ExecEvent {
+        if let Some((query, connection)) = self.submitted_events.pop_front() {
+            return ExecEvent::Submitted { query, connection };
+        }
         if self.completion_events.is_empty() {
             self.advance_until_completion();
         }
-        self.completion_events.pop_front()
+        match self.completion_events.pop_front() {
+            Some(completion) => ExecEvent::Completed(completion),
+            None => ExecEvent::Idle,
+        }
     }
 
-    /// Whether buffered events exist that can be consumed without advancing
-    /// virtual time.
-    pub fn has_buffered_events(&self) -> bool {
+    fn events_pending(&self) -> bool {
         !self.completion_events.is_empty() || !self.submitted_events.is_empty()
     }
 
@@ -568,20 +562,21 @@ impl LearnedSimulator<'_> {
     /// a finite `until` moves the clock forward (so a later submission is
     /// stamped at the caller's instant — what a deferred admission needs),
     /// while an unbounded advance leaves an idle clock untouched.
-    pub fn advance_to(&mut self, until: f64) {
+    fn advance_to(&mut self, until: f64) {
         if self.completion_events.is_empty() && until > self.now {
             self.advance_bounded(until);
         }
     }
 
     /// Cancel whatever runs on `connection`, freeing it immediately and
-    /// stamping the partial completion at the current virtual time.
-    pub fn cancel_connection(&mut self, connection: usize) -> Option<QueryCompletion> {
+    /// stamping the partial completion at the current virtual time. `None`
+    /// if the connection is free or out of range.
+    fn cancel(&mut self, connection: usize) -> Option<QueryCompletion> {
         let ConnectionSlot::Busy {
             query,
             params,
             started_at,
-        } = self.slots[connection]
+        } = *self.slots.get(connection)?
         else {
             return None;
         };
@@ -596,14 +591,11 @@ impl LearnedSimulator<'_> {
         })
     }
 
-    /// The learned simulator's advances are unbounded (one prediction step
-    /// per completion), so it can never stall.
-    pub fn stall_diagnostic(&self) -> Option<bq_dbms::AdvanceStall> {
-        None
+    /// Number of queries in the workload the simulator was built for.
+    fn known_query_count(&self) -> Option<usize> {
+        Some(self.finished.len())
     }
 }
-
-bq_core::impl_executor_backend!(LearnedSimulator<'_>);
 
 #[cfg(test)]
 mod tests {

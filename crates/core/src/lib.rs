@@ -31,17 +31,20 @@
 //! The executor surface is event-driven and allocation-free: backends expose
 //! borrowed [`ConnectionSlot`] views and yield [`ExecEvent`]s one at a time,
 //! and the session owns the runtime arena that [`SchedulingState`] borrows —
-//! no per-decision cloning anywhere on the hot path.
+//! no per-decision cloning anywhere on the hot path. [`ExecutorBackend`] and
+//! the types in its signatures ([`ExecEvent`], [`FaultEvent`],
+//! [`RunningView`], [`ShardTopology`]) are defined in `bq-dbms`, beside the
+//! engines that implement them, and re-exported here.
 //!
 //! Module map:
 //!
 //! * [`session`] — the [`ScheduleSession`] builder/facade and its event loop;
 //! * [`scheduler`] — the [`SchedulerPolicy`] trait every strategy implements
-//!   and the [`ExecutorBackend`] abstraction over execution substrates;
+//!   and the [`RecoveryPolicy`] applied to work a fault lost;
 //! * [`state`] — what a scheduler observes ([`SchedulingState`]) and decides
 //!   ([`Action`]): the next pending query plus its running parameters;
-//! * [`routing`] — shard-aware placement over a partitioned slot space:
-//!   the [`ShardRouter`] policies and the [`ShardTopology`] every backend
+//! * [`routing`] — shard-aware placement over a partitioned slot space: the
+//!   [`ShardRouter`] policies over the [`ShardTopology`] every backend
 //!   reports (monolithic backends are the single-shard degenerate case);
 //! * [`rng`] — the one blessed home of seeded randomness: the SplitMix64
 //!   finalizer ([`rng::mix`]), keyed uniform draws ([`rng::unit`] /
@@ -66,6 +69,10 @@ pub mod scheduler;
 pub mod session;
 pub mod state;
 
+pub use bq_dbms::{
+    AdvanceStall, ConnectionSlot, ExecEvent, ExecutorBackend, FaultEvent, RunningView,
+    ShardTopology,
+};
 pub use bq_obs::{Obs, TraceEvent, TraceKind};
 pub use gantt::{GanttBar, GanttChart};
 pub use heuristics::{FifoScheduler, McfScheduler, RandomScheduler};
@@ -74,12 +81,7 @@ pub use metrics::{
     collect_history, degraded_evaluation, evaluate_strategy, mean, std_dev, DegradedEvaluation,
     StrategyEvaluation,
 };
-pub use routing::{
-    FaultAwareRouter, FirstFreeRouter, HashRouter, LeastLoadedRouter, ShardRouter, ShardTopology,
-};
-pub use scheduler::{
-    AdvanceStall, ConnectionSlot, ExecEvent, ExecutorBackend, FaultEvent, RecoveryPolicy,
-    RunningView, SchedulerPolicy,
-};
+pub use routing::{FaultAwareRouter, FirstFreeRouter, HashRouter, LeastLoadedRouter, ShardRouter};
+pub use scheduler::{RecoveryPolicy, SchedulerPolicy};
 pub use session::{CompletionHook, ScheduleSession, ScheduleSessionBuilder};
 pub use state::{Action, QueryRuntime, QueryStatus, SchedulingState};

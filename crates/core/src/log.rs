@@ -6,7 +6,7 @@
 //! the IQ-PPO auxiliary task reads individual query completion signals, and
 //! the incremental simulator is (pre-)trained on them.
 
-use crate::scheduler::FaultEvent;
+use bq_dbms::FaultEvent;
 use bq_dbms::{DbmsKind, QueryCompletion, RunParams};
 use bq_plan::{QueryId, Workload};
 use serde::{Deserialize, Serialize, Value};

@@ -240,7 +240,7 @@ mod tests {
 
     #[test]
     fn degraded_evaluation_counts_faults_and_recoveries() {
-        use crate::scheduler::FaultEvent;
+        use bq_dbms::FaultEvent;
         use bq_plan::QueryId;
         let w = generate(&WorkloadSpec::new(Benchmark::TpcH, 1.0, 1));
         let profile = DbmsProfile::dbms_x();

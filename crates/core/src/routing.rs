@@ -20,87 +20,7 @@
 //! * [`LeastLoadedRouter`] — the shard with the fewest busy slots wins,
 //!   ties toward the lower shard id (greedy load balancing).
 
-use crate::scheduler::FaultEvent;
-use bq_dbms::ConnectionSlot;
-
-/// Static description of how a backend's global connection-slot space is
-/// partitioned into shards: `shard_count` contiguous blocks of
-/// `connections_per_shard` slots each. A monolithic backend is the
-/// degenerate single-shard topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardTopology {
-    shard_count: usize,
-    connections_per_shard: usize,
-}
-
-impl ShardTopology {
-    /// A uniform partition: `shard_count` shards of `connections_per_shard`
-    /// slots each.
-    ///
-    /// # Panics
-    /// Panics if either dimension is zero.
-    pub fn uniform(shard_count: usize, connections_per_shard: usize) -> Self {
-        assert!(shard_count > 0, "topology needs at least one shard");
-        assert!(
-            connections_per_shard > 0,
-            "topology needs at least one connection per shard"
-        );
-        Self {
-            shard_count,
-            connections_per_shard,
-        }
-    }
-
-    /// The trivial topology of a monolithic backend: one shard spanning all
-    /// `connections` slots.
-    pub fn single(connections: usize) -> Self {
-        Self::uniform(1, connections)
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shard_count
-    }
-
-    /// Connection slots per shard.
-    pub fn connections_per_shard(&self) -> usize {
-        self.connections_per_shard
-    }
-
-    /// Total size of the global connection-slot space.
-    pub fn connection_count(&self) -> usize {
-        self.shard_count * self.connections_per_shard
-    }
-
-    /// Shard owning a global connection id.
-    pub fn shard_of(&self, connection: usize) -> usize {
-        debug_assert!(connection < self.connection_count());
-        connection / self.connections_per_shard
-    }
-
-    /// Global connection range of one shard's block.
-    pub fn range_of(&self, shard: usize) -> core::ops::Range<usize> {
-        debug_assert!(shard < self.shard_count);
-        shard * self.connections_per_shard..(shard + 1) * self.connections_per_shard
-    }
-
-    /// Busy slots inside `shard`'s block of `slots`.
-    pub fn shard_load(&self, shard: usize, slots: &[ConnectionSlot]) -> usize {
-        slots[self.range_of(shard)]
-            .iter()
-            .filter(|s| !s.is_free())
-            .count()
-    }
-
-    /// Lowest free global connection inside `shard`'s block of `slots`.
-    pub fn first_free_in(&self, shard: usize, slots: &[ConnectionSlot]) -> Option<usize> {
-        let range = self.range_of(shard);
-        slots[range.clone()]
-            .iter()
-            .position(ConnectionSlot::is_free)
-            .map(|local| range.start + local)
-    }
-}
+use bq_dbms::{ConnectionSlot, FaultEvent, ShardTopology};
 
 /// Placement policy for submissions over a partitioned slot space: given the
 /// topology and the current occupancy, choose the free global connection the
@@ -337,18 +257,6 @@ mod tests {
             };
         }
         slots
-    }
-
-    #[test]
-    fn topology_partitions_the_slot_space() {
-        let t = ShardTopology::uniform(3, 4);
-        assert_eq!(t.connection_count(), 12);
-        assert_eq!(t.shard_of(0), 0);
-        assert_eq!(t.shard_of(4), 1);
-        assert_eq!(t.shard_of(11), 2);
-        assert_eq!(t.range_of(1), 4..8);
-        assert_eq!(ShardTopology::single(18).shard_count(), 1);
-        assert_eq!(ShardTopology::single(18).connection_count(), 18);
     }
 
     #[test]

@@ -1,21 +1,17 @@
-//! Scheduler and executor abstractions.
+//! Scheduler abstractions.
 //!
 //! [`SchedulerPolicy`] is the interface every strategy implements — the
 //! heuristics (Random/FIFO/MCF), the adapted LSched baseline and BQSched
-//! itself. [`ExecutorBackend`] abstracts "the thing queries are submitted to"
-//! as an event-driven, allocation-free surface: either the simulated DBMS
-//! ([`bq_dbms::ExecutionEngine`]), BQSched's learned incremental simulator,
-//! or a future real-DBMS adapter, so the same
-//! [`ScheduleSession`](crate::session::ScheduleSession) drives training on
-//! all of them (the paper's pre-train-on-simulator / fine-tune-on-DBMS
-//! paradigm, kept non-intrusive).
+//! itself. [`RecoveryPolicy`] is the bounded-retry vocabulary the session
+//! layer and the `bq-wire` client share for work a fault lost. The surface
+//! queries are submitted to, [`ExecutorBackend`](crate::ExecutorBackend),
+//! lives beside the engines in `bq-dbms` and is re-exported from this
+//! crate's root.
 
 use crate::log::EpisodeLog;
-use crate::routing::ShardTopology;
 use crate::state::{Action, SchedulingState};
-pub use bq_dbms::{AdvanceStall, ConnectionSlot};
-use bq_dbms::{ExecutionEngine, QueryCompletion, RunParams, ShardedEngine};
-use bq_plan::{QueryId, Workload};
+use bq_dbms::QueryCompletion;
+use bq_plan::Workload;
 
 /// A batch query scheduling strategy.
 pub trait SchedulerPolicy {
@@ -38,117 +34,6 @@ pub trait SchedulerPolicy {
 
     /// Called once after the round with the full episode log. Default: ignore.
     fn end_episode(&mut self, _log: &EpisodeLog) {}
-}
-
-/// One event observed on the executor surface.
-///
-/// Events are the only way information flows out of a backend while a
-/// session runs, which keeps the scheduler non-intrusive: it sees
-/// submissions being accepted and queries completing, never the executor's
-/// internal resource state.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ExecEvent {
-    /// A submission was accepted onto a connection.
-    ///
-    /// For the in-process backends this is a synchronous echo the session
-    /// simply consumes. An async adapter (`AsyncAdapter` in the `bq-adapter`
-    /// crate) delivers it only after the submission's admission latency has
-    /// elapsed in virtual time — never from inside `submit` — modelling the
-    /// client/server boundary of a real DBMS; the event model is the same
-    /// either way, so schedulers cannot tell.
-    Submitted {
-        /// The accepted query.
-        query: QueryId,
-        /// Connection it was placed on.
-        connection: usize,
-    },
-    /// A query finished (possibly one of several at the same instant; the
-    /// rest stay buffered and are returned by subsequent polls without
-    /// advancing virtual time).
-    Completed(QueryCompletion),
-    /// Nothing is running and no event is buffered.
-    Idle,
-}
-
-/// One fault or recovery signal surfaced by a fault-injecting or
-/// fault-tolerant backend (the `bq-chaos` decorators, the `bq-wire` client's
-/// retransmission layer). Faults travel on their own channel —
-/// [`ExecutorBackend::poll_fault`] — instead of [`ExecEvent`], so backends
-/// without faults pay nothing and existing policies never see them; the
-/// session layer drains the channel every iteration, records each event in
-/// the episode log, forwards it to the configured
-/// [`ShardRouter`](crate::routing::ShardRouter) and applies its
-/// [`RecoveryPolicy`] to lost queries.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FaultEvent {
-    /// A request/response exchange was lost on the transport and is about to
-    /// be retransmitted after a seeded backoff.
-    TransportRetransmit {
-        /// Virtual instant the loss was detected.
-        at: f64,
-        /// Retransmission attempt number (1 = first retry).
-        attempt: u32,
-    },
-    /// A shard stopped delivering results; completions are held until
-    /// `resume_at`.
-    ShardStalled {
-        /// The stalled shard.
-        shard: usize,
-        /// Virtual instant the stall began.
-        at: f64,
-        /// Virtual instant the shard resumes delivering.
-        resume_at: f64,
-    },
-    /// A previously stalled shard recovered and released its held results.
-    ShardResumed {
-        /// The recovered shard.
-        shard: usize,
-        /// Virtual instant of the recovery.
-        at: f64,
-    },
-    /// A shard died permanently; queries in flight on it are lost
-    /// (each one surfaces as its own [`FaultEvent::QueryLost`]).
-    ShardDied {
-        /// The dead shard.
-        shard: usize,
-        /// Virtual instant of the death.
-        at: f64,
-    },
-    /// An in-flight query was lost (its shard died mid-execution); the
-    /// connection slot is free again and the query needs resubmission.
-    QueryLost {
-        /// The lost query.
-        query: QueryId,
-        /// Connection it was running on.
-        connection: usize,
-        /// Virtual instant the loss was observed.
-        at: f64,
-    },
-    /// The session resubmitted a previously lost query after its recovery
-    /// backoff elapsed (emitted by the session layer itself, never by a
-    /// backend).
-    QueryResubmitted {
-        /// The recovered query.
-        query: QueryId,
-        /// Resubmission attempt number for this query (1 = first retry).
-        attempt: u32,
-        /// Virtual instant the query became eligible again.
-        at: f64,
-    },
-}
-
-impl FaultEvent {
-    /// Virtual instant the event is stamped with.
-    pub fn at(&self) -> f64 {
-        match *self {
-            FaultEvent::TransportRetransmit { at, .. }
-            | FaultEvent::ShardStalled { at, .. }
-            | FaultEvent::ShardResumed { at, .. }
-            | FaultEvent::ShardDied { at, .. }
-            | FaultEvent::QueryLost { at, .. }
-            | FaultEvent::QueryResubmitted { at, .. } => at,
-        }
-    }
 }
 
 /// Stream salt decorrelating recovery backoff draws from the admission and
@@ -196,12 +81,6 @@ impl RecoveryPolicy {
         self
     }
 
-    /// Override the retry budget.
-    pub fn with_max_retries(mut self, max_retries: u32) -> Self {
-        self.max_retries = max_retries;
-        self
-    }
-
     /// Backoff before retry number `attempt` (1-based) of the work unit
     /// identified by `key` — a pure function of `(seed, key, attempt)`, so
     /// recovered episodes replay exactly.
@@ -218,530 +97,9 @@ impl RecoveryPolicy {
     }
 }
 
-/// Borrow-based view over the queries currently executing: iterates
-/// `(query, params, elapsed, connection)` without allocating, in ascending
-/// connection order.
-///
-/// Because it reads straight off the [`ConnectionSlot`] slice — the single
-/// source of occupancy identity — the iteration order is deterministic
-/// regardless of the history of completions and cancellations. Policies rely
-/// on that ordering (their observation layout is positional), so a view whose
-/// connections are out of order would silently scramble policy input; the
-/// partitioned constructor therefore checks its ordering up front.
-#[derive(Debug, Clone)]
-pub struct RunningView<'a> {
-    slots: &'a [ConnectionSlot],
-    /// Explicit global connection ids for `slots` (partitioned views);
-    /// `None` means `slots` is the whole space and index == connection id.
-    ids: Option<&'a [usize]>,
-    now: f64,
-    next: usize,
-}
-
-impl<'a> RunningView<'a> {
-    /// Build a view over the full slot space at virtual time `now`
-    /// (connection id == slice index, ascending by construction).
-    pub fn new(slots: &'a [ConnectionSlot], now: f64) -> Self {
-        Self {
-            slots,
-            ids: None,
-            now,
-            next: 0,
-        }
-    }
-
-    /// Build a view over a *partition* of the slot space — `slots[i]` is the
-    /// occupancy of global connection `connections[i]` — e.g. one shard's
-    /// block of a sharded backend.
-    ///
-    /// The connection ids must be strictly ascending: the view's ordering
-    /// guarantee is what keeps policy input deterministic, so a mis-merged
-    /// sharded view (ids assembled in shard polling order rather than global
-    /// connection order) fails loudly here instead of silently reordering
-    /// observations. The ordering check is a hard assertion — release builds
-    /// included — because the slices are shard-sized and the silent failure
-    /// mode (scrambled policy observations) is far costlier than the O(n)
-    /// scan.
-    ///
-    /// # Panics
-    /// Panics if the lengths differ or the connection ids are not strictly
-    /// ascending.
-    pub fn with_connections(
-        slots: &'a [ConnectionSlot],
-        connections: &'a [usize],
-        now: f64,
-    ) -> Self {
-        assert_eq!(
-            slots.len(),
-            connections.len(),
-            "every slot needs exactly one global connection id"
-        );
-        assert!(
-            connections.windows(2).all(|w| w[0] < w[1]),
-            "RunningView connections must be strictly ascending \
-             (mis-merged partitioned view): {connections:?}"
-        );
-        Self {
-            slots,
-            ids: Some(connections),
-            now,
-            next: 0,
-        }
-    }
-}
-
-impl Iterator for RunningView<'_> {
-    type Item = (QueryId, RunParams, f64, usize);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        while self.next < self.slots.len() {
-            let index = self.next;
-            self.next += 1;
-            if let ConnectionSlot::Busy {
-                query,
-                params,
-                started_at,
-            } = self.slots[index]
-            {
-                let connection = self.ids.map_or(index, |ids| ids[index]);
-                return Some((query, params, self.now - started_at, connection));
-            }
-        }
-        None
-    }
-}
-
-/// The execution substrate a scheduling round runs against, as an
-/// event-driven surface.
-///
-/// Both the simulated DBMS and the learned incremental simulator implement
-/// this; schedulers never know which one they are talking to, matching the
-/// paper's non-intrusive design. The contract is allocation-free on the hot
-/// path: occupancy is exposed as a borrowed [`ConnectionSlot`] slice and
-/// completions are pulled one at a time via [`ExecutorBackend::poll_event`].
-///
-/// # Unified occupancy model
-///
-/// The [`ConnectionSlot`] slice is the backend's *single source of identity*
-/// for running queries: which query occupies which connection, with which
-/// parameters, since when. Backends must not carry a second running-set
-/// representation that could drift out of sync — per-query physical progress
-/// (if the backend models any) belongs in a slot-indexed side table keyed by
-/// connection id, with no identity fields of its own. Everything the session
-/// layer derives — [`ExecutorBackend::first_free`],
-/// [`ExecutorBackend::running_view`], timeout deadlines, cancellation targets
-/// — reads this one slice, and [`RunningView`] iterates it in ascending
-/// connection order, so all views are consistent by construction.
-///
-/// # Sharded occupancy model
-///
-/// A scaled-out backend ([`bq_dbms::ShardedEngine`]) partitions the slot
-/// space into shards — global connection `c` lives on shard
-/// `c / connections_per_shard` at local slot `c % connections_per_shard` —
-/// and still exposes **one** [`ConnectionSlot`] slice: the global *mirror*,
-/// i.e. the occupancy at the session-observable clock. Two guarantees keep
-/// the surface indistinguishable from a monolithic backend:
-///
-/// 1. **Mirror consistency.** A shard's internal completion frees the
-///    shard-local slot immediately, but the mirror slot stays `Busy` until
-///    the completion is delivered through [`ExecutorBackend::poll_event`].
-///    Free-slot lookup, running views and timeout deadlines therefore never
-///    observe a future the event stream has not reported yet.
-/// 2. **Deterministic event merge.** Cross-shard completions are delivered
-///    ordered by `(finished_at, global connection id)` — never by shard
-///    polling order — so episode logs are a pure function of (workload,
-///    profile, seed, shard count), and a single-shard deployment replays
-///    the monolithic engine byte for byte.
-///
-/// [`ExecutorBackend::shard_topology`] describes the partition so placement
-/// policies ([`crate::ShardRouter`]) can route submissions shard-aware;
-/// monolithic backends report the single-shard topology and need no other
-/// change. Partitioned running views are built per shard block with
-/// [`RunningView::with_connections`], which checks the global-connection
-/// ordering instead of trusting the merge.
-///
-/// # Submission lifecycle
-///
-/// A query moves through five phases: **decided** (the policy picked it for
-/// a free connection), **queued** (the submission was dispatched but the
-/// executor has not admitted it — the slot reads
-/// [`ConnectionSlot::Pending`]), **admitted** (the executor accepted it;
-/// [`ExecEvent::Submitted`] is delivered and the slot turns
-/// [`ConnectionSlot::Busy`] with `started_at` at the admission instant),
-/// **running**, and **completed** ([`ExecEvent::Completed`]). The in-process
-/// backends collapse queued→admitted to a single instant: `submit` admits
-/// synchronously and only the `Submitted` echo is deferred to
-/// [`ExecutorBackend::poll_event`]. An async adapter (the `bq-adapter`
-/// crate) keeps the phases apart — submissions wait in an admission queue
-/// for a seeded latency (plus a backpressure queue when the in-flight window
-/// is full), and `Submitted` arrives only once that latency has elapsed in
-/// virtual time. Two rules keep both shapes indistinguishable to timeout and
-/// occupancy logic: a pending slot is *occupied* (never handed out again)
-/// but has no `started_at`, so queued time never counts against a per-query
-/// execution deadline; and [`ExecutorBackend::submit_batch`] dispatches one
-/// scheduling instant's decisions together, so an adapter can coalesce them
-/// into a single round-trip.
-pub trait ExecutorBackend {
-    /// Per-connection occupancy, indexed by connection id. The single source
-    /// of identity for the running set (see the trait-level docs).
-    fn connections(&self) -> &[ConnectionSlot];
-
-    /// Current virtual time.
-    fn now(&self) -> f64;
-
-    /// Submit a query to a specific free connection.
-    ///
-    /// # Panics
-    /// Implementations panic if the connection is busy or out of range.
-    fn submit(&mut self, query: QueryId, params: RunParams, connection: usize);
-
-    /// Dispatch one scheduling instant's decisions together: each entry is
-    /// `(query, params, connection)` with every connection free, in decision
-    /// order. The session layer collects all decisions made at one
-    /// observable instant and hands them over through this method, so an
-    /// async adapter can coalesce the round's decisions into a single
-    /// dispatch sharing one admission latency. The default simply loops over
-    /// [`ExecutorBackend::submit`] (synchronous admission, one echo per
-    /// entry), which is exactly what every in-process backend wants.
-    ///
-    /// # Panics
-    /// Implementations panic if any connection is busy or out of range.
-    fn submit_batch(&mut self, batch: &[(QueryId, RunParams, usize)]) {
-        for &(query, params, connection) in batch {
-            self.submit(query, params, connection);
-        }
-    }
-
-    /// Return the next event: buffered events first (without advancing
-    /// virtual time), then — if queries are running — advance until at least
-    /// one completes. Returns [`ExecEvent::Idle`] when nothing is running and
-    /// nothing is buffered.
-    fn poll_event(&mut self) -> ExecEvent;
-
-    /// Whether buffered events exist, i.e. the next
-    /// [`ExecutorBackend::poll_event`] will not advance virtual time.
-    fn events_pending(&self) -> bool;
-
-    /// Advance virtual time to at most `until` without requiring a
-    /// completion; completions occurring on the way are buffered as usual.
-    /// The session layer uses this to stop at per-query timeout deadlines.
-    /// Backends that cannot advance partially may leave this a no-op (the
-    /// default), in which case timeouts only fire at completion boundaries.
-    fn advance_to(&mut self, until: f64) {
-        let _ = until;
-    }
-
-    /// Cancel the query on `connection` (per-query timeout support),
-    /// returning its partial completion stamped at the current virtual time.
-    /// Backends without cancellation return `None` (the default).
-    fn cancel(&mut self, connection: usize) -> Option<QueryCompletion> {
-        let _ = connection;
-        None
-    }
-
-    /// Total number of client connections.
-    fn connection_count(&self) -> usize {
-        self.connections().len()
-    }
-
-    /// Lowest-numbered free connection, if any.
-    fn first_free(&self) -> Option<usize> {
-        self.connections().iter().position(ConnectionSlot::is_free)
-    }
-
-    /// Allocation-free iterator over the currently running queries as
-    /// `(query, params, elapsed, connection)`.
-    fn running_view(&self) -> RunningView<'_> {
-        RunningView::new(self.connections(), self.now())
-    }
-
-    /// Diagnostic left behind by a bounded advance that exhausted its
-    /// iteration budget without making progress — broken executor dynamics
-    /// (debug builds of the simulated DBMS assert at the stall site instead
-    /// of recording it). `None` for healthy backends and for backends whose
-    /// advances are unbounded (the default). Sharded backends aggregate
-    /// their per-shard diagnostics into one. The session layer checks this
-    /// every iteration and fails the round loudly rather than logging
-    /// partially-advanced state as if the round were healthy.
-    fn stall_diagnostic(&self) -> Option<AdvanceStall> {
-        None
-    }
-
-    /// How the global connection-slot space is partitioned into shards, for
-    /// shard-aware placement (see the trait-level sharded occupancy model).
-    /// Monolithic backends report the single-shard topology (the default).
-    fn shard_topology(&self) -> ShardTopology {
-        ShardTopology::single(self.connection_count())
-    }
-
-    /// Pop the next buffered fault or recovery signal, if any. Fault-free
-    /// backends never produce one (the default); fault-injecting decorators
-    /// (`bq-chaos`) and fault-tolerant boundaries (the `bq-wire` client)
-    /// queue events here as they detect them. The session layer drains this
-    /// every iteration — before routing decisions, so a router can stop
-    /// placing work on a shard the same instant its death is observable.
-    fn poll_fault(&mut self) -> Option<FaultEvent> {
-        None
-    }
-
-    /// Number of workload queries the backend was built for, when it knows
-    /// it. A protocol boundary in front of the backend (the `bq-wire`
-    /// server) uses this to answer a submission with an unknown query id
-    /// with an error frame instead of letting the id panic deep inside the
-    /// executor. `None` (the default) disables that validation — the
-    /// boundary then trusts the caller exactly as an in-process backend
-    /// does.
-    fn known_query_count(&self) -> Option<usize> {
-        None
-    }
-}
-
-/// Types the [`impl_executor_backend!`](crate::impl_executor_backend) macro
-/// expansion needs to name through `$crate` from the caller's crate.
-#[doc(hidden)]
-pub mod macro_types {
-    pub use bq_dbms::{AdvanceStall, ConnectionSlot, QueryCompletion, RunParams};
-    pub use bq_plan::QueryId;
-}
-
-/// Implements [`ExecutorBackend`] for a backend type by forwarding to its
-/// inherent event surface, so the three in-process backends (and any future
-/// one) share a single definition of the submitted-then-completion
-/// `poll_event` shape instead of copy-pasting it.
-///
-/// The backend must provide these inherent methods (the names mirror
-/// [`bq_dbms::ExecutionEngine`]'s public surface):
-///
-/// * `connection_slots(&self) -> &[ConnectionSlot]`
-/// * `now(&self) -> f64`
-/// * `submit_to(&mut self, QueryId, RunParams, usize)`
-/// * `pop_submitted_event(&mut self) -> Option<(QueryId, usize)>`
-/// * `pop_completion_event(&mut self) -> Option<QueryCompletion>` (advances
-///   virtual time to the next completion when none is buffered)
-/// * `has_buffered_events(&self) -> bool`
-/// * `advance_to(&mut self, f64)`
-/// * `cancel_connection(&mut self, usize) -> Option<QueryCompletion>`
-/// * `stall_diagnostic(&self) -> Option<AdvanceStall>`
-/// * `query_count(&self) -> usize` (workload size, reported through
-///   [`ExecutorBackend::known_query_count`])
-///
-/// Trait methods whose defaults don't fit (e.g.
-/// [`ExecutorBackend::shard_topology`] on a sharded backend) go in the
-/// optional trailing block:
-///
-/// ```ignore
-/// impl_executor_backend!(ShardedEngine {
-///     fn shard_topology(&self) -> ShardTopology { /* ... */ }
-/// });
-/// ```
-#[macro_export]
-macro_rules! impl_executor_backend {
-    ($backend:ty) => {
-        $crate::impl_executor_backend!($backend {});
-    };
-    ($backend:ty { $($extra:item)* }) => {
-        impl $crate::scheduler::ExecutorBackend for $backend {
-            fn connections(&self) -> &[$crate::scheduler::macro_types::ConnectionSlot] {
-                Self::connection_slots(self)
-            }
-
-            fn now(&self) -> f64 {
-                Self::now(self)
-            }
-
-            fn submit(
-                &mut self,
-                query: $crate::scheduler::macro_types::QueryId,
-                params: $crate::scheduler::macro_types::RunParams,
-                connection: usize,
-            ) {
-                Self::submit_to(self, query, params, connection);
-            }
-
-            fn poll_event(&mut self) -> $crate::scheduler::ExecEvent {
-                if let Some((query, connection)) = Self::pop_submitted_event(self) {
-                    return $crate::scheduler::ExecEvent::Submitted { query, connection };
-                }
-                match Self::pop_completion_event(self) {
-                    Some(completion) => $crate::scheduler::ExecEvent::Completed(completion),
-                    None => $crate::scheduler::ExecEvent::Idle,
-                }
-            }
-
-            fn events_pending(&self) -> bool {
-                Self::has_buffered_events(self)
-            }
-
-            fn cancel(
-                &mut self,
-                connection: usize,
-            ) -> Option<$crate::scheduler::macro_types::QueryCompletion> {
-                Self::cancel_connection(self, connection)
-            }
-
-            fn advance_to(&mut self, until: f64) {
-                Self::advance_to(self, until);
-            }
-
-            fn stall_diagnostic(
-                &self,
-            ) -> Option<$crate::scheduler::macro_types::AdvanceStall> {
-                Self::stall_diagnostic(self)
-            }
-
-            fn known_query_count(&self) -> Option<usize> {
-                Some(Self::query_count(self))
-            }
-
-            $($extra)*
-        }
-    };
-}
-
-impl_executor_backend!(ExecutionEngine);
-
-impl_executor_backend!(ShardedEngine {
-    fn shard_topology(&self) -> ShardTopology {
-        ShardTopology::uniform(self.shard_count(), self.connections_per_shard())
-    }
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bq_dbms::DbmsProfile;
-    use bq_plan::{generate, Benchmark, WorkloadSpec};
-
-    #[test]
-    fn engine_implements_backend() {
-        let w = generate(&WorkloadSpec::new(Benchmark::TpcH, 1.0, 1));
-        let mut e = ExecutionEngine::new(DbmsProfile::dbms_x(), &w, 1);
-        let exec: &mut dyn ExecutorBackend = &mut e;
-        assert_eq!(exec.connection_count(), 18);
-        assert!(exec.connections().iter().all(ConnectionSlot::is_free));
-        assert_eq!(exec.first_free(), Some(0));
-
-        exec.submit(QueryId(0), RunParams::default_config(), 0);
-        assert_eq!(exec.running_view().count(), 1);
-        assert_eq!(exec.first_free(), Some(1));
-        assert!(exec.events_pending(), "submission echo must be buffered");
-        assert_eq!(
-            exec.poll_event(),
-            ExecEvent::Submitted {
-                query: QueryId(0),
-                connection: 0
-            }
-        );
-
-        match exec.poll_event() {
-            ExecEvent::Completed(c) => {
-                assert_eq!(c.query, QueryId(0));
-                assert!(c.finished_at > 0.0);
-            }
-            other => panic!("expected completion, got {other:?}"),
-        }
-        assert_eq!(exec.poll_event(), ExecEvent::Idle);
-        assert!(exec.now() > 0.0);
-    }
-
-    #[test]
-    fn running_view_reports_elapsed_times() {
-        let w = generate(&WorkloadSpec::new(Benchmark::TpcH, 1.0, 1));
-        let mut e = ExecutionEngine::new(DbmsProfile::dbms_x(), &w, 1);
-        ExecutorBackend::submit(&mut e, QueryId(0), RunParams::default_config(), 3);
-        let view: Vec<_> = e.running_view().collect();
-        assert_eq!(view.len(), 1);
-        let (q, _, elapsed, conn) = view[0];
-        assert_eq!(q, QueryId(0));
-        assert_eq!(conn, 3);
-        assert_eq!(elapsed, 0.0);
-    }
-
-    #[test]
-    fn sharded_engine_implements_backend_with_a_partitioned_topology() {
-        let w = generate(&WorkloadSpec::new(Benchmark::TpcH, 1.0, 1));
-        let mut e = ShardedEngine::new(DbmsProfile::dbms_x(), &w, 1, 2);
-        let exec: &mut dyn ExecutorBackend = &mut e;
-        assert_eq!(exec.connection_count(), 36);
-        let topo = exec.shard_topology();
-        assert_eq!(topo.shard_count(), 2);
-        assert_eq!(topo.connections_per_shard(), 18);
-        assert_eq!(topo.connection_count(), 36);
-
-        // Submit onto both shards; the running view stays globally ordered.
-        exec.submit(QueryId(0), RunParams::default_config(), 20);
-        exec.submit(QueryId(1), RunParams::default_config(), 3);
-        let conns: Vec<usize> = exec.running_view().map(|(_, _, _, c)| c).collect();
-        assert_eq!(conns, vec![3, 20]);
-        assert_eq!(
-            exec.poll_event(),
-            ExecEvent::Submitted {
-                query: QueryId(0),
-                connection: 20
-            }
-        );
-        assert_eq!(
-            exec.poll_event(),
-            ExecEvent::Submitted {
-                query: QueryId(1),
-                connection: 3
-            }
-        );
-        match exec.poll_event() {
-            ExecEvent::Completed(c) => assert!(c.connection == 3 || c.connection == 20),
-            other => panic!("expected completion, got {other:?}"),
-        }
-        while !matches!(exec.poll_event(), ExecEvent::Idle) {}
-        assert!(exec.connections().iter().all(ConnectionSlot::is_free));
-    }
-
-    #[test]
-    fn monolithic_backend_reports_the_single_shard_topology() {
-        let w = generate(&WorkloadSpec::new(Benchmark::TpcH, 1.0, 1));
-        let e = ExecutionEngine::new(DbmsProfile::dbms_x(), &w, 1);
-        let topo = ExecutorBackend::shard_topology(&e);
-        assert_eq!(topo.shard_count(), 1);
-        assert_eq!(topo.connection_count(), 18);
-    }
-
-    #[test]
-    fn partitioned_running_view_reports_global_connection_ids() {
-        let w = generate(&WorkloadSpec::new(Benchmark::TpcH, 1.0, 1));
-        let mut e = ShardedEngine::new(DbmsProfile::dbms_x(), &w, 1, 2);
-        let conn = e.global_of(1, 2);
-        e.submit_to(QueryId(4), RunParams::default_config(), conn);
-        let (slots, ids) = e.shard_slots(1);
-        let view: Vec<_> = RunningView::with_connections(slots, ids, e.now()).collect();
-        assert_eq!(view.len(), 1);
-        let (q, _, elapsed, c) = view[0];
-        assert_eq!(q, QueryId(4));
-        assert_eq!(c, conn, "the view maps local slots to global ids");
-        assert_eq!(elapsed, 0.0);
-        // The sibling shard's block is empty.
-        let (slots, ids) = e.shard_slots(0);
-        assert_eq!(
-            RunningView::with_connections(slots, ids, e.now()).count(),
-            0
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly ascending")]
-    fn mis_merged_partitioned_view_fails_loudly() {
-        // Connection ids assembled in shard polling order instead of global
-        // connection order must not silently reorder policy input — in
-        // release builds too (the check is a hard assert, not a debug one).
-        let slots = [ConnectionSlot::Free, ConnectionSlot::Free];
-        let shuffled = [18usize, 3];
-        let _ = RunningView::with_connections(&slots, &shuffled, 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "exactly one global connection id")]
-    fn partitioned_view_rejects_mismatched_lengths() {
-        let slots = [ConnectionSlot::Free, ConnectionSlot::Free];
-        let _ = RunningView::with_connections(&slots, &[0usize], 0.0);
-    }
 
     #[test]
     fn recovery_backoff_is_a_pure_growing_function_of_its_inputs() {
@@ -764,38 +122,5 @@ mod tests {
         };
         assert_eq!(flat.backoff(1, 0), 0.05);
         assert_eq!(flat.backoff(3, 0), 0.2);
-    }
-
-    #[test]
-    fn fault_events_report_their_instant() {
-        assert_eq!(FaultEvent::ShardDied { shard: 1, at: 2.5 }.at(), 2.5);
-        assert_eq!(
-            FaultEvent::QueryLost {
-                query: QueryId(0),
-                connection: 3,
-                at: 7.0
-            }
-            .at(),
-            7.0
-        );
-    }
-
-    #[test]
-    fn backends_report_no_faults_by_default() {
-        let w = generate(&WorkloadSpec::new(Benchmark::TpcH, 1.0, 1));
-        let mut e = ExecutionEngine::new(DbmsProfile::dbms_x(), &w, 1);
-        assert_eq!(ExecutorBackend::poll_fault(&mut e), None);
-    }
-
-    #[test]
-    fn cancel_frees_the_connection() {
-        let w = generate(&WorkloadSpec::new(Benchmark::TpcH, 1.0, 1));
-        let mut e = ExecutionEngine::new(DbmsProfile::dbms_x(), &w, 1);
-        ExecutorBackend::submit(&mut e, QueryId(2), RunParams::default_config(), 0);
-        let c = ExecutorBackend::cancel(&mut e, 0).expect("query was running");
-        assert_eq!(c.query, QueryId(2));
-        assert_eq!(c.finished_at, c.started_at, "cancelled immediately");
-        assert!(e.connections()[0].is_free());
-        assert!(ExecutorBackend::cancel(&mut e, 0).is_none());
     }
 }

@@ -27,12 +27,13 @@
 //! ```
 
 use crate::log::{EpisodeLog, ExecutionHistory};
-use crate::routing::{ShardRouter, ShardTopology};
-use crate::scheduler::{
-    ConnectionSlot, ExecEvent, ExecutorBackend, FaultEvent, RecoveryPolicy, SchedulerPolicy,
-};
+use crate::routing::ShardRouter;
+use crate::scheduler::{RecoveryPolicy, SchedulerPolicy};
 use crate::state::{QueryRuntime, QueryStatus, SchedulingState};
-use bq_dbms::{DbmsKind, QueryCompletion, RunParams};
+use bq_dbms::{
+    ConnectionSlot, DbmsKind, ExecEvent, ExecutorBackend, FaultEvent, QueryCompletion, RunParams,
+    ShardTopology,
+};
 use bq_obs::{Obs, TraceEvent, TraceKind};
 use bq_plan::{QueryId, Workload};
 
@@ -104,7 +105,7 @@ impl<'a> ScheduleSessionBuilder<'a> {
 
     /// Cancel any query whose elapsed execution reaches `seconds` (virtual
     /// time). The session bounds time advancement by the earliest deadline
-    /// (via [`crate::scheduler::ExecutorBackend::advance_to`]), so the
+    /// (via [`ExecutorBackend::advance_to`]), so the
     /// cancellation lands at the deadline itself; the partial execution is
     /// logged as a completion at that instant. Backends without cancellation
     /// support ignore the timeout.
@@ -975,13 +976,13 @@ mod tests {
     /// reported — the minimal fault a recovery policy must survive.
     struct LossyBackend {
         inner: ExecutionEngine,
-        fault: Option<crate::scheduler::FaultEvent>,
+        fault: Option<FaultEvent>,
         killed: bool,
     }
 
     impl ExecutorBackend for LossyBackend {
         fn connections(&self) -> &[ConnectionSlot] {
-            self.inner.connection_slots()
+            self.inner.connections()
         }
 
         fn now(&self) -> f64 {
@@ -989,39 +990,38 @@ mod tests {
         }
 
         fn submit(&mut self, query: QueryId, params: RunParams, connection: usize) {
-            self.inner.submit_to(query, params, connection);
+            self.inner.submit(query, params, connection);
         }
 
         fn poll_event(&mut self) -> ExecEvent {
-            if let Some((query, connection)) = self.inner.pop_submitted_event() {
-                return ExecEvent::Submitted { query, connection };
-            }
-            if !self.killed && self.inner.connection_slots()[0].started_at().is_some() {
+            // Kill the query on connection 0 once, when no event is buffered
+            // (its submission echo has been delivered).
+            if !self.killed
+                && !self.inner.events_pending()
+                && self.inner.connections()[0].started_at().is_some()
+            {
                 let at = self.inner.now();
-                if let Some(c) = self.inner.cancel_connection(0) {
+                if let Some(c) = self.inner.cancel(0) {
                     self.killed = true;
-                    self.fault = Some(crate::scheduler::FaultEvent::QueryLost {
+                    self.fault = Some(FaultEvent::QueryLost {
                         query: c.query,
                         connection: 0,
                         at,
                     });
                 }
             }
-            match self.inner.pop_completion_event() {
-                Some(c) => ExecEvent::Completed(c),
-                None => ExecEvent::Idle,
-            }
+            self.inner.poll_event()
         }
 
         fn events_pending(&self) -> bool {
-            self.inner.has_buffered_events()
+            self.inner.events_pending()
         }
 
         fn advance_to(&mut self, until: f64) {
             self.inner.advance_to(until);
         }
 
-        fn poll_fault(&mut self) -> Option<crate::scheduler::FaultEvent> {
+        fn poll_fault(&mut self) -> Option<FaultEvent> {
             self.fault.take()
         }
     }
@@ -1035,7 +1035,7 @@ mod tests {
             killed: false,
         };
         let log = ScheduleSession::builder(&w)
-            .recovery(crate::scheduler::RecoveryPolicy::bounded())
+            .recovery(RecoveryPolicy::bounded())
             .build(&mut backend)
             .run(&mut FifoScheduler::new());
         // Every query still completes exactly once, and the log records

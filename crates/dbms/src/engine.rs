@@ -15,6 +15,7 @@
 //! parameters), never the internal resource counters.
 
 use crate::buffer::BufferPool;
+use crate::executor::{ExecEvent, ExecutorBackend};
 use crate::params::RunParams;
 use crate::profiles::DbmsProfile;
 use bq_obs::{Obs, TraceEvent, TraceKind};
@@ -195,7 +196,6 @@ pub struct ExecutionEngine {
     buffers: Vec<BufferPool>,
     now: f64,
     rng: StdRng,
-    completed: usize,
     slots: Vec<ConnectionSlot>,
     progress: Vec<SlotProgress>,
     completion_events: VecDeque<QueryCompletion>,
@@ -253,7 +253,6 @@ impl ExecutionEngine {
             buffers,
             now: 0.0,
             rng: StdRng::seed_from_u64(seed),
-            completed: 0,
             slots,
             progress: vec![SlotProgress::default(); connections],
             completion_events: VecDeque::with_capacity(connections),
@@ -276,225 +275,24 @@ impl ExecutionEngine {
         self.obs = obs;
     }
 
-    /// The DBMS profile this engine models.
-    pub fn profile(&self) -> &DbmsProfile {
-        &self.profile
-    }
-
-    /// Current virtual time in seconds.
-    pub fn now(&self) -> f64 {
-        self.now
-    }
-
-    /// Number of queries in the workload the engine was built for.
-    pub fn query_count(&self) -> usize {
-        self.demands.len()
-    }
-
-    /// Number of queries that have completed so far.
-    pub fn completed_count(&self) -> usize {
-        self.completed
-    }
-
     /// Number of queries currently executing.
-    pub fn busy_count(&self) -> usize {
+    pub(crate) fn busy_count(&self) -> usize {
         self.slots.iter().filter(|s| !s.is_free()).count()
     }
 
-    /// Remaining `(cpu_work, io_pages)` of the query on `connection`, or
-    /// `None` when the slot is free (white-box view for tests only; the
-    /// schedulers never read this).
-    pub fn remaining_work_on(&self, connection: usize) -> Option<(f64, f64)> {
-        if self.slots.get(connection)?.is_free() {
-            return None;
-        }
-        let p = &self.progress[connection];
-        Some((p.cpu_remaining, p.io_remaining))
-    }
-
-    /// Diagnostic from the most recent bounded advance that exhausted its
-    /// iteration budget, if any ever did. Always `None` under healthy
-    /// dynamics; see [`AdvanceStall`].
-    pub fn stall_diagnostic(&self) -> Option<AdvanceStall> {
-        self.last_stall
-    }
-
-    /// Whether nothing is currently executing.
-    pub fn is_idle(&self) -> bool {
-        self.slots.iter().all(ConnectionSlot::is_free)
-    }
-
-    /// Per-connection occupancy, indexed by connection id. This is the
-    /// allocation-free view the event-driven executor surface builds on.
-    pub fn connection_slots(&self) -> &[ConnectionSlot] {
-        &self.slots
-    }
-
-    /// Connections that currently have no query assigned, in ascending order,
-    /// without allocating.
-    pub fn free_connections_iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.is_free())
-            .map(|(c, _)| c)
-    }
-
-    /// Lowest-numbered free connection, if any.
-    pub fn first_free_connection(&self) -> Option<usize> {
-        self.slots.iter().position(ConnectionSlot::is_free)
-    }
-
-    /// Connections that currently have no query assigned, in ascending order.
-    ///
-    /// Allocates a fresh `Vec`; hot paths should prefer
-    /// [`ExecutionEngine::free_connections_iter`] or
-    /// [`ExecutionEngine::connection_slots`].
-    pub fn free_connections(&self) -> Vec<usize> {
-        self.free_connections_iter().collect()
-    }
-
-    /// Submit `query` with `params` to the first free connection.
-    ///
-    /// Returns the connection used.
-    ///
-    /// # Panics
-    /// Panics if every connection is busy or the query id is out of range.
-    pub fn submit(&mut self, query: QueryId, params: RunParams) -> usize {
-        let connection = self
-            .first_free_connection()
-            .expect("submit() called with no free connection");
-        self.submit_to(query, params, connection);
-        connection
-    }
-
-    /// Submit `query` with `params` to a specific free connection.
-    pub fn submit_to(&mut self, query: QueryId, params: RunParams, connection: usize) {
-        assert!(
-            connection < self.profile.connections,
-            "connection {connection} out of range"
-        );
-        assert!(
-            self.slots[connection].is_free(),
-            "connection {connection} is busy"
-        );
-        assert!(query.0 < self.demands.len(), "query {query:?} out of range");
-        let node = self.profile.node_of_connection(connection);
-        // Split borrows: the demand row is read in place (no per-submission
-        // clone of its table list) while the node's buffer pool is updated.
-        let Self {
-            profile,
-            demands,
-            buffers,
-            slots,
-            progress,
-            rng,
-            ..
-        } = self;
-        let demand = &demands[query.0];
-
-        // Execution noise: every run of the same query differs slightly, which
-        // is what produces the σ_ov the paper reports.
-        let noise = 1.0 + profile.noise_std * (rng.gen::<f64>() + rng.gen::<f64>() - 1.0);
-        let noise = noise.clamp(0.7, 1.4);
-
-        // Effective I/O after buffer hits and concurrent-scan sharing.
-        let mut io_pages = 0.0;
-        for &(table, pages) in &demand.table_pages {
-            let mut hit = buffers[node].hit_fraction(table, pages);
-            let concurrent_scan = slots.iter().enumerate().any(|(c, s)| match s.query() {
-                Some(q) => {
-                    profile.node_of_connection(c) == node
-                        && progress[c].io_remaining > 0.0
-                        && demands[q.0].table_pages.iter().any(|(t, _)| *t == table)
-                }
-                None => false,
-            });
-            if concurrent_scan {
-                hit = hit.max(CONCURRENT_SCAN_HIT);
-            }
-            io_pages += pages * (1.0 - hit);
-            buffers[node].touch(table, pages);
-        }
-
-        // Spill I/O when the memory demand exceeds the grant.
-        let grant = profile.memory_grant(params.memory);
-        if demand.memory_pages > grant {
-            io_pages += (demand.memory_pages - grant) * SPILL_IO_FACTOR;
-        }
-        let cpu_work = demand.cpu_work;
-        let parallel_fraction = demand.parallel_fraction;
-
-        // Requesting additional parallel workers carries a coordination
-        // overhead: the total CPU work grows slightly with the degree of
-        // parallelism, so over-parallelising a query that cannot use the
-        // workers (e.g. an I/O-bound scan) is a net loss.
-        let parallel_overhead = 1.0 + 0.06 * (params.workers as f64 - 1.0);
-        self.slots[connection] = ConnectionSlot::Busy {
-            query,
-            params,
-            started_at: self.now,
-        };
-        self.progress[connection] = SlotProgress {
-            cpu_remaining: cpu_work * noise * parallel_overhead,
-            io_remaining: io_pages * noise,
-            parallel_fraction,
-            workers_cap: params.workers as f64,
-        };
-        self.submitted_events.push_back((query, connection));
-    }
-
-    /// Cancel whatever is running on `connection`, freeing it immediately.
-    ///
-    /// Returns a completion record stamped at the current virtual time (the
-    /// partial execution), or `None` if the connection was already free. This
-    /// is the hook the session layer uses for per-query timeouts.
-    pub fn cancel_connection(&mut self, connection: usize) -> Option<QueryCompletion> {
-        let ConnectionSlot::Busy {
-            query,
-            params,
-            started_at,
-        } = *self.slots.get(connection)?
-        else {
-            return None;
-        };
-        self.slots[connection] = ConnectionSlot::Free;
-        self.completed += 1;
-        Some(QueryCompletion {
-            query,
-            connection,
-            params,
-            started_at,
-            finished_at: self.now,
-        })
-    }
-
-    /// Pop one buffered "query accepted" notice `(query, connection)`.
-    pub fn pop_submitted_event(&mut self) -> Option<(QueryId, usize)> {
+    /// Pop one buffered submission echo `(query, connection)` without
+    /// advancing virtual time. The sharded backend drains a shard's echo at
+    /// the submit site and re-buffers it under the global connection id.
+    pub(crate) fn pop_submit_echo(&mut self) -> Option<(QueryId, usize)> {
         self.submitted_events.pop_front()
-    }
-
-    /// Pop one completion, advancing virtual time first if none is buffered.
-    /// Returns `None` when nothing is running (the engine is idle).
-    pub fn pop_completion_event(&mut self) -> Option<QueryCompletion> {
-        if self.completion_events.is_empty() {
-            self.advance_until_completion();
-        }
-        self.completion_events.pop_front()
     }
 
     /// Pop one already-buffered completion **without** advancing virtual
     /// time; `None` when no completion is buffered. The sharded backend uses
     /// this to harvest a shard's same-instant batch after a bounded advance,
     /// keeping the decision to advance time with the cross-shard merge.
-    pub fn pop_buffered_completion(&mut self) -> Option<QueryCompletion> {
+    pub(crate) fn pop_buffered_completion(&mut self) -> Option<QueryCompletion> {
         self.completion_events.pop_front()
-    }
-
-    /// Whether buffered events exist that can be popped without advancing
-    /// virtual time.
-    pub fn has_buffered_events(&self) -> bool {
-        !self.completion_events.is_empty() || !self.submitted_events.is_empty()
     }
 
     /// Per-connection (cpu_rate, io_rate) under the current mix, in work
@@ -594,33 +392,6 @@ impl ExecutionEngine {
         self.advance_bounded(f64::INFINITY);
     }
 
-    /// Advance virtual time to at most `until` (without requiring a
-    /// completion). Completions occurring on the way are buffered as usual.
-    /// This is what lets the session layer enforce per-query timeouts even
-    /// when the next natural completion lies far beyond the deadline.
-    ///
-    /// An **idle** engine has no dynamics to integrate, but time still
-    /// passes: a finite `until` moves the clock forward so a later
-    /// submission is stamped at the caller's instant. The sharded backend
-    /// relies on this to sync a lagging idle shard to the global clock
-    /// before routing a query onto it; unbounded advances
-    /// (`until = ∞`) leave an idle clock untouched.
-    pub fn advance_to(&mut self, until: f64) {
-        // Never move the clock while completions are still buffered: the
-        // caller must drain them first (they precede `until`). Keeps the
-        // ExecutorBackend contract identical across backends.
-        if !self.completion_events.is_empty() {
-            return;
-        }
-        if self.is_idle() {
-            if until.is_finite() && until > self.now {
-                self.now = until;
-            }
-            return;
-        }
-        self.advance_bounded(until);
-    }
-
     /// Iteration budget for one bounded advance over `busy` running queries.
     /// Generous for any physical dynamics (each iteration finishes a query,
     /// exhausts an I/O phase, or reaches the time bound); tests can shrink it
@@ -640,7 +411,7 @@ impl ExecutionEngine {
     ///
     /// If the iteration budget is exhausted first — impossible under healthy
     /// dynamics — debug builds assert and release builds record an
-    /// [`AdvanceStall`] (readable via [`ExecutionEngine::stall_diagnostic`])
+    /// [`AdvanceStall`] (readable via [`ExecutorBackend::stall_diagnostic`])
     /// so the partially-advanced state is diagnosable instead of silent.
     fn advance_bounded(&mut self, until: f64) {
         let before = self.now;
@@ -719,7 +490,6 @@ impl ExecutionEngine {
                         started_at,
                         finished_at: now,
                     });
-                    self.completed += 1;
                     emitted = true;
                 }
             }
@@ -743,29 +513,188 @@ impl ExecutionEngine {
         self.last_stall = Some(stall);
     }
     // bq-lint: hot-path-end
+}
 
-    /// Advance virtual time until at least one running query completes and
-    /// return all completions that occurred at that instant. Returns an empty
-    /// vector if nothing is running.
+// bq-lint: hot-path
+impl ExecutorBackend for ExecutionEngine {
+    /// Per-connection occupancy, indexed by connection id.
+    fn connections(&self) -> &[ConnectionSlot] {
+        &self.slots
+    }
+
+    /// Current virtual time in seconds.
+    fn now(&self) -> f64 {
+        self.now
+    }
+
+    /// Submit `query` with `params` to a specific free connection; the
+    /// submission echo is buffered for the next [`ExecutorBackend::poll_event`].
     ///
-    /// Allocates the returned `Vec`; the event-driven surface
-    /// ([`ExecutionEngine::pop_completion_event`]) is the allocation-free way
-    /// to consume completions.
-    pub fn step_until_completion(&mut self) -> Vec<QueryCompletion> {
-        // Legacy pull-style callers never consume submission echoes; discard
-        // them so a long-lived engine driven through this API does not
-        // accumulate stale events.
-        self.submitted_events.clear();
+    /// # Panics
+    /// Panics if the connection is busy or out of range, or the query id is
+    /// out of range.
+    fn submit(&mut self, query: QueryId, params: RunParams, connection: usize) {
+        assert!(
+            connection < self.profile.connections,
+            "connection {connection} out of range"
+        );
+        assert!(
+            self.slots[connection].is_free(),
+            "connection {connection} is busy"
+        );
+        assert!(query.0 < self.demands.len(), "query {query:?} out of range");
+        let node = self.profile.node_of_connection(connection);
+        // Split borrows: the demand row is read in place (no per-submission
+        // clone of its table list) while the node's buffer pool is updated.
+        let Self {
+            profile,
+            demands,
+            buffers,
+            slots,
+            progress,
+            rng,
+            ..
+        } = self;
+        let demand = &demands[query.0];
+
+        // Execution noise: every run of the same query differs slightly, which
+        // is what produces the σ_ov the paper reports.
+        let noise = 1.0 + profile.noise_std * (rng.gen::<f64>() + rng.gen::<f64>() - 1.0);
+        let noise = noise.clamp(0.7, 1.4);
+
+        // Effective I/O after buffer hits and concurrent-scan sharing.
+        let mut io_pages = 0.0;
+        for &(table, pages) in &demand.table_pages {
+            let mut hit = buffers[node].hit_fraction(table, pages);
+            let concurrent_scan = slots.iter().enumerate().any(|(c, s)| match s.query() {
+                Some(q) => {
+                    profile.node_of_connection(c) == node
+                        && progress[c].io_remaining > 0.0
+                        && demands[q.0].table_pages.iter().any(|(t, _)| *t == table)
+                }
+                None => false,
+            });
+            if concurrent_scan {
+                hit = hit.max(CONCURRENT_SCAN_HIT);
+            }
+            io_pages += pages * (1.0 - hit);
+            buffers[node].touch(table, pages);
+        }
+
+        // Spill I/O when the memory demand exceeds the grant.
+        let grant = profile.memory_grant(params.memory);
+        if demand.memory_pages > grant {
+            io_pages += (demand.memory_pages - grant) * SPILL_IO_FACTOR;
+        }
+        let cpu_work = demand.cpu_work;
+        let parallel_fraction = demand.parallel_fraction;
+
+        // Requesting additional parallel workers carries a coordination
+        // overhead: the total CPU work grows slightly with the degree of
+        // parallelism, so over-parallelising a query that cannot use the
+        // workers (e.g. an I/O-bound scan) is a net loss.
+        let parallel_overhead = 1.0 + 0.06 * (params.workers as f64 - 1.0);
+        self.slots[connection] = ConnectionSlot::Busy {
+            query,
+            params,
+            started_at: self.now,
+        };
+        self.progress[connection] = SlotProgress {
+            cpu_remaining: cpu_work * noise * parallel_overhead,
+            io_remaining: io_pages * noise,
+            parallel_fraction,
+            workers_cap: params.workers as f64,
+        };
+        self.submitted_events.push_back((query, connection));
+    }
+
+    fn poll_event(&mut self) -> ExecEvent {
+        if let Some((query, connection)) = self.pop_submit_echo() {
+            return ExecEvent::Submitted { query, connection };
+        }
         if self.completion_events.is_empty() {
             self.advance_until_completion();
         }
-        self.completion_events.drain(..).collect()
+        match self.completion_events.pop_front() {
+            Some(completion) => ExecEvent::Completed(completion),
+            None => ExecEvent::Idle,
+        }
+    }
+
+    fn events_pending(&self) -> bool {
+        !self.completion_events.is_empty() || !self.submitted_events.is_empty()
+    }
+
+    /// Advance virtual time to at most `until` (without requiring a
+    /// completion). Completions occurring on the way are buffered as usual.
+    /// This is what lets the session layer enforce per-query timeouts even
+    /// when the next natural completion lies far beyond the deadline.
+    ///
+    /// An **idle** engine has no dynamics to integrate, but time still
+    /// passes: a finite `until` moves the clock forward so a later
+    /// submission is stamped at the caller's instant. The sharded backend
+    /// relies on this to sync a lagging idle shard to the global clock
+    /// before routing a query onto it; unbounded advances
+    /// (`until = ∞`) leave an idle clock untouched.
+    fn advance_to(&mut self, until: f64) {
+        // Never move the clock while completions are still buffered: the
+        // caller must drain them first (they precede `until`). Keeps the
+        // ExecutorBackend contract identical across backends.
+        if !self.completion_events.is_empty() {
+            return;
+        }
+        if self.slots.iter().all(ConnectionSlot::is_free) {
+            if until.is_finite() && until > self.now {
+                self.now = until;
+            }
+            return;
+        }
+        self.advance_bounded(until);
+    }
+
+    /// Cancel whatever is running on `connection`, freeing it immediately.
+    ///
+    /// Returns a completion record stamped at the current virtual time (the
+    /// partial execution), or `None` if the connection is free or out of
+    /// range. This is the hook the session layer uses for per-query
+    /// timeouts.
+    fn cancel(&mut self, connection: usize) -> Option<QueryCompletion> {
+        let ConnectionSlot::Busy {
+            query,
+            params,
+            started_at,
+        } = *self.slots.get(connection)?
+        else {
+            return None;
+        };
+        self.slots[connection] = ConnectionSlot::Free;
+        Some(QueryCompletion {
+            query,
+            connection,
+            params,
+            started_at,
+            finished_at: self.now,
+        })
+    }
+
+    /// Diagnostic from the most recent bounded advance that exhausted its
+    /// iteration budget, if any ever did. Always `None` under healthy
+    /// dynamics; see [`AdvanceStall`].
+    fn stall_diagnostic(&self) -> Option<AdvanceStall> {
+        self.last_stall
+    }
+
+    /// Number of queries in the workload the engine was built for.
+    fn known_query_count(&self) -> Option<usize> {
+        Some(self.demands.len())
     }
 }
+// bq-lint: hot-path-end
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::{fifo_round, next_completion};
     use crate::params::{MemoryGrant, ParamSpace};
     use bq_plan::{generate, Benchmark, WorkloadSpec};
 
@@ -781,38 +710,23 @@ mod tests {
     fn single_query_completes() {
         let w = tpch_workload();
         let mut e = ExecutionEngine::new(DbmsProfile::dbms_x(), &w, 1);
-        let conn = e.submit(QueryId(0), default_params());
-        assert_eq!(conn, 0);
-        let done = e.step_until_completion();
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].query, QueryId(0));
-        assert!(done[0].finished_at > 0.0);
-        assert!(e.is_idle());
-        assert_eq!(e.completed_count(), 1);
+        e.submit(QueryId(0), default_params(), 0);
+        let done = next_completion(&mut e).expect("query 0 is running");
+        assert_eq!(done.query, QueryId(0));
+        assert_eq!(done.connection, 0);
+        assert!(done.finished_at > 0.0);
+        assert!(next_completion(&mut e).is_none(), "exactly one completion");
+        assert_eq!(e.busy_count(), 0);
     }
 
     #[test]
     fn all_queries_eventually_complete() {
         let w = tpch_workload();
         let mut e = ExecutionEngine::new(DbmsProfile::dbms_x(), &w, 2);
-        let mut pending: Vec<usize> = (0..w.len()).collect();
-        let mut finished = 0;
         // Keep all connections busy, FIFO order.
-        while finished < w.len() {
-            while !pending.is_empty() && !e.free_connections().is_empty() {
-                let q = pending.remove(0);
-                e.submit(QueryId(q), default_params());
-            }
-            let done = e.step_until_completion();
-            assert!(
-                !done.is_empty(),
-                "engine stalled with {} finished",
-                finished
-            );
-            finished += done.len();
-        }
-        assert_eq!(e.completed_count(), w.len());
-        assert!(e.is_idle());
+        let done = fifo_round(&mut e, w.len());
+        assert_eq!(done.len(), w.len());
+        assert_eq!(e.poll_event(), ExecEvent::Idle);
         assert!(e.now() > 0.0);
     }
 
@@ -823,22 +737,15 @@ mod tests {
         // Serial execution: one query at a time.
         let mut serial = ExecutionEngine::new(profile.clone(), &w, 3);
         for i in 0..w.len() {
-            serial.submit(QueryId(i), default_params());
-            let done = serial.step_until_completion();
-            assert_eq!(done.len(), 1);
+            serial.submit(QueryId(i), default_params(), 0);
+            let done = next_completion(&mut serial).expect("query is running");
+            assert_eq!(done.query, QueryId(i));
         }
         let serial_time = serial.now();
 
         // Concurrent FIFO execution.
         let mut conc = ExecutionEngine::new(profile, &w, 3);
-        let mut pending: Vec<usize> = (0..w.len()).collect();
-        let mut finished = 0;
-        while finished < w.len() {
-            while !pending.is_empty() && !conc.free_connections().is_empty() {
-                conc.submit(QueryId(pending.remove(0)), default_params());
-            }
-            finished += conc.step_until_completion().len();
-        }
+        fifo_round(&mut conc, w.len());
         let concurrent_time = conc.now();
         assert!(
             concurrent_time < serial_time,
@@ -853,12 +760,12 @@ mod tests {
         let profile = DbmsProfile::dbms_x();
         // Query 0 alone.
         let mut alone = ExecutionEngine::new(profile.clone(), &w, 7);
-        alone.submit(QueryId(0), default_params());
-        let t_alone = alone.step_until_completion()[0].duration();
+        alone.submit(QueryId(0), default_params(), 0);
+        let t_alone = next_completion(&mut alone).expect("running").duration();
 
         // Query 0 with 15 concurrent heavy queries competing for I/O and CPU.
         let mut busy = ExecutionEngine::new(profile, &w, 7);
-        busy.submit(QueryId(0), default_params());
+        busy.submit(QueryId(0), default_params(), 0);
         for i in 1..16 {
             busy.submit(
                 QueryId(i),
@@ -866,22 +773,19 @@ mod tests {
                     workers: 4,
                     memory: MemoryGrant::Low,
                 },
+                i,
             );
         }
         // Run until query 0 finishes.
-        let mut t_busy = None;
-        while t_busy.is_none() {
-            for c in busy.step_until_completion() {
-                if c.query == QueryId(0) {
-                    t_busy = Some(c.duration());
-                }
+        let t_busy = loop {
+            let c = next_completion(&mut busy).expect("query 0 is still running");
+            if c.query == QueryId(0) {
+                break c.duration();
             }
-        }
+        };
         assert!(
-            t_busy.unwrap() > t_alone,
-            "contention should slow the query: {} vs {}",
-            t_busy.unwrap(),
-            t_alone
+            t_busy > t_alone,
+            "contention should slow the query: {t_busy} vs {t_alone}"
         );
     }
 
@@ -904,10 +808,10 @@ mod tests {
         // The same query executed twice back to back: the second run should
         // benefit from the warm buffer.
         let mut e = ExecutionEngine::new(profile, &w, 5);
-        e.submit(io_q, default_params());
-        let first = e.step_until_completion()[0].duration();
-        e.submit(io_q, default_params());
-        let second = e.step_until_completion()[0].duration();
+        e.submit(io_q, default_params(), 0);
+        let first = next_completion(&mut e).expect("running").duration();
+        e.submit(io_q, default_params(), 0);
+        let second = next_completion(&mut e).expect("running").duration();
         assert!(
             second < first * 0.95,
             "warm-buffer run should be faster: {second} vs {first}"
@@ -929,24 +833,16 @@ mod tests {
             .map(|(id, q)| (id, q.profile.io_fraction()))
             .unwrap();
         let profile = DbmsProfile::dbms_x();
-        let mut slow = ExecutionEngine::new(profile.clone(), &w, 11);
-        slow.submit(
-            cpu_q,
-            RunParams {
-                workers: 1,
+        let solo = |workers: u32| {
+            let mut e = ExecutionEngine::new(profile.clone(), &w, 11);
+            let params = RunParams {
+                workers,
                 memory: MemoryGrant::High,
-            },
-        );
-        let t1 = slow.step_until_completion()[0].duration();
-        let mut fast = ExecutionEngine::new(profile, &w, 11);
-        fast.submit(
-            cpu_q,
-            RunParams {
-                workers: 4,
-                memory: MemoryGrant::High,
-            },
-        );
-        let t4 = fast.step_until_completion()[0].duration();
+            };
+            e.submit(cpu_q, params, 0);
+            next_completion(&mut e).expect("running").duration()
+        };
+        let (t1, t4) = (solo(1), solo(4));
         assert!(
             t4 < t1 * 0.8,
             "4 workers should speed up a CPU-bound query: {t4} vs {t1}"
@@ -973,25 +869,15 @@ mod tests {
         );
         // The spill shows up as extra I/O to perform; whether it lengthens the
         // query depends on how contended the I/O path is, so the assertion is
-        // on the induced I/O volume rather than on the duration.
-        let mut low = ExecutionEngine::new(profile.clone(), &w, 13);
-        low.submit(
-            q,
-            RunParams {
-                workers: 2,
-                memory: MemoryGrant::Low,
-            },
-        );
-        let io_low = low.remaining_work_on(0).expect("query is running").1;
-        let mut high = ExecutionEngine::new(profile, &w, 13);
-        high.submit(
-            q,
-            RunParams {
-                workers: 2,
-                memory: MemoryGrant::High,
-            },
-        );
-        let io_high = high.remaining_work_on(0).expect("query is running").1;
+        // on the induced I/O volume (read off the white-box progress table)
+        // rather than on the duration.
+        let io_after_submit = |memory: MemoryGrant| {
+            let mut e = ExecutionEngine::new(profile.clone(), &w, 13);
+            e.submit(q, RunParams { workers: 2, memory }, 0);
+            e.progress[0].io_remaining
+        };
+        let io_low = io_after_submit(MemoryGrant::Low);
+        let io_high = io_after_submit(MemoryGrant::High);
         assert!(
             io_high < io_low,
             "high memory should avoid spill I/O: {io_high} vs {io_low}"
@@ -1003,14 +889,7 @@ mod tests {
         let w = tpch_workload();
         let run = |seed: u64| {
             let mut e = ExecutionEngine::new(DbmsProfile::dbms_x(), &w, seed);
-            let mut pending: Vec<usize> = (0..w.len()).collect();
-            let mut finished = 0;
-            while finished < w.len() {
-                while !pending.is_empty() && !e.free_connections().is_empty() {
-                    e.submit(QueryId(pending.remove(0)), default_params());
-                }
-                finished += e.step_until_completion().len();
-            }
+            fifo_round(&mut e, w.len());
             e.now()
         };
         let a = run(1);
@@ -1027,13 +906,14 @@ mod tests {
     fn free_connections_track_submissions() {
         let w = tpch_workload();
         let mut e = ExecutionEngine::new(DbmsProfile::dbms_x(), &w, 1);
-        let total = e.profile().connections;
-        assert_eq!(e.free_connections().len(), total);
-        e.submit(QueryId(0), default_params());
-        e.submit(QueryId(1), default_params());
-        assert_eq!(e.free_connections().len(), total - 2);
-        assert!(!e.free_connections().contains(&0));
-        assert!(!e.free_connections().contains(&1));
+        assert_eq!(e.connection_count(), DbmsProfile::dbms_x().connections);
+        assert_eq!(e.busy_count(), 0);
+        e.submit(QueryId(0), default_params(), 0);
+        e.submit(QueryId(1), default_params(), 1);
+        assert_eq!(e.busy_count(), 2);
+        assert!(!e.connections()[0].is_free());
+        assert!(!e.connections()[1].is_free());
+        assert_eq!(e.first_free(), Some(2));
     }
 
     #[test]
@@ -1041,8 +921,8 @@ mod tests {
     fn double_submit_to_same_connection_panics() {
         let w = tpch_workload();
         let mut e = ExecutionEngine::new(DbmsProfile::dbms_x(), &w, 1);
-        e.submit_to(QueryId(0), default_params(), 3);
-        e.submit_to(QueryId(1), default_params(), 3);
+        e.submit(QueryId(0), default_params(), 3);
+        e.submit(QueryId(1), default_params(), 3);
     }
 
     #[test]
@@ -1052,7 +932,7 @@ mod tests {
         let space = ParamSpace::full();
         let mut e = ExecutionEngine::new(DbmsProfile::dbms_x(), &w, 1);
         for i in 0..space.len() {
-            e.submit(QueryId(i), space.get(i));
+            e.submit(QueryId(i), space.get(i), i);
         }
         assert_eq!(e.busy_count(), space.len());
     }
@@ -1061,12 +941,11 @@ mod tests {
     fn distributed_profile_uses_multiple_nodes() {
         let w = tpch_workload();
         let mut e = ExecutionEngine::new(DbmsProfile::dbms_z(), &w, 1);
-        e.submit_to(QueryId(0), default_params(), 0);
-        e.submit_to(QueryId(1), default_params(), 1);
-        e.submit_to(QueryId(2), default_params(), 2);
+        e.submit(QueryId(0), default_params(), 0);
+        e.submit(QueryId(1), default_params(), 1);
+        e.submit(QueryId(2), default_params(), 2);
         assert_eq!(e.busy_count(), 3);
-        let done = e.step_until_completion();
-        assert!(!done.is_empty());
+        assert!(next_completion(&mut e).is_some());
     }
 
     #[test]
@@ -1074,15 +953,15 @@ mod tests {
         let w = tpch_workload();
         let mut e = ExecutionEngine::new(DbmsProfile::dbms_x(), &w, 1);
         for i in 0..5 {
-            e.submit(QueryId(i), default_params());
+            e.submit(QueryId(i), default_params(), i);
         }
         // Cancelling from the middle must not reorder the view (the old
         // `running()` slice swap-removed, so the last entry jumped into the
-        // hole). The slots slice itself is the ordered view now; bq-core's
+        // hole). The slots slice itself is the ordered view, and
         // `RunningView` iterates it the same way.
-        e.cancel_connection(2).expect("query was running");
+        e.cancel(2).expect("query was running");
         let view: Vec<(usize, QueryId)> = e
-            .connection_slots()
+            .connections()
             .iter()
             .enumerate()
             .filter_map(|(c, s)| match *s {
@@ -1099,9 +978,8 @@ mod tests {
                 (4, QueryId(4)),
             ]
         );
-        assert_eq!(e.first_free_connection(), Some(2));
+        assert_eq!(e.first_free(), Some(2));
         assert_eq!(e.busy_count(), 4);
-        assert_eq!(e.remaining_work_on(2), None);
     }
 
     #[test]
@@ -1112,7 +990,7 @@ mod tests {
         // Finite bound on an idle engine: time passes, nothing else changes.
         e.advance_to(3.5);
         assert_eq!(e.now(), 3.5);
-        assert!(e.is_idle());
+        assert_eq!(e.busy_count(), 0);
         // The clock never moves backwards...
         e.advance_to(1.0);
         assert_eq!(e.now(), 3.5);
@@ -1121,8 +999,8 @@ mod tests {
         e.advance_to(f64::INFINITY);
         assert_eq!(e.now(), 3.5);
         // A submission after the idle advance is stamped at the new instant.
-        e.submit(QueryId(0), default_params());
-        assert_eq!(e.connection_slots()[0].started_at(), Some(3.5));
+        e.submit(QueryId(0), default_params(), 0);
+        assert_eq!(e.connections()[0].started_at(), Some(3.5));
     }
 
     #[test]
@@ -1130,7 +1008,7 @@ mod tests {
         let w = tpch_workload();
         let mut e = ExecutionEngine::new(DbmsProfile::dbms_x(), &w, 1);
         assert!(e.pop_buffered_completion().is_none());
-        e.submit(QueryId(0), default_params());
+        e.submit(QueryId(0), default_params(), 0);
         // Nothing buffered yet: popping must not advance the clock.
         assert!(e.pop_buffered_completion().is_none());
         assert_eq!(e.now(), 0.0);
@@ -1149,10 +1027,9 @@ mod tests {
         let mut profile = DbmsProfile::dbms_x();
         profile.cpu_units_per_sec = 1e-9;
         let mut e = ExecutionEngine::new(profile, &w, 1);
-        e.submit(QueryId(0), default_params());
-        e.submit(QueryId(1), default_params());
-        let done = e.step_until_completion();
-        assert!(!done.is_empty());
+        e.submit(QueryId(0), default_params(), 0);
+        e.submit(QueryId(1), default_params(), 1);
+        assert!(next_completion(&mut e).is_some());
         assert_eq!(e.stall_diagnostic(), None);
     }
 
@@ -1163,8 +1040,8 @@ mod tests {
         let mut profile = DbmsProfile::dbms_x();
         profile.cpu_units_per_sec = 1e-9;
         let mut e = ExecutionEngine::new(profile, &w, 1);
-        e.submit(QueryId(0), default_params());
-        e.submit(QueryId(1), default_params());
+        e.submit(QueryId(0), default_params(), 0);
+        e.submit(QueryId(1), default_params(), 1);
         e.force_advance_budget(1);
         e
     }

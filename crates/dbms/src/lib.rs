@@ -9,6 +9,10 @@
 //! provides exactly that interface on top of a discrete-event execution
 //! engine with an explicit resource model:
 //!
+//! * [`executor`] — the executor surface itself: the [`ExecutorBackend`]
+//!   trait every backend implements, the [`ExecEvent`] / [`FaultEvent`]
+//!   streams it yields, the [`RunningView`] over its occupancy and the
+//!   [`ShardTopology`] it reports;
 //! * [`profiles`] — resource envelopes for DBMS-X / DBMS-Y / DBMS-Z
 //!   (cores, I/O bandwidth, buffer pool, connections, noise, internal
 //!   contention mitigation);
@@ -28,26 +32,33 @@
 //! [`AdvanceStall`]) through a versioned binary codec.
 //!
 //! ```
-//! use bq_dbms::{DbmsProfile, ExecutionEngine, RunParams};
+//! use bq_dbms::{DbmsProfile, ExecEvent, ExecutionEngine, ExecutorBackend, RunParams};
 //! use bq_plan::{generate, Benchmark, QueryId, WorkloadSpec};
 //!
 //! let workload = generate(&WorkloadSpec::new(Benchmark::TpcH, 1.0, 1));
 //! let mut engine = ExecutionEngine::new(DbmsProfile::dbms_x(), &workload, 42);
-//! engine.submit(QueryId(0), RunParams::default_config());
-//! let completions = engine.step_until_completion();
-//! assert_eq!(completions.len(), 1);
+//! engine.submit(QueryId(0), RunParams::default_config(), 0);
+//! let echo = ExecEvent::Submitted { query: QueryId(0), connection: 0 };
+//! assert_eq!(engine.poll_event(), echo);
+//! let ExecEvent::Completed(done) = engine.poll_event() else {
+//!     panic!("query 0 is running");
+//! };
+//! assert_eq!(done.query, QueryId(0));
+//! assert_eq!(engine.poll_event(), ExecEvent::Idle);
 //! ```
 
 #![warn(missing_docs)]
 
 pub mod buffer;
 pub mod engine;
+pub mod executor;
 pub mod params;
 pub mod profiles;
 pub mod shard;
 
 pub use buffer::BufferPool;
 pub use engine::{AdvanceStall, ConnectionSlot, ExecutionEngine, QueryCompletion};
+pub use executor::{ExecEvent, ExecutorBackend, FaultEvent, RunningView, ShardTopology};
 pub use params::{MemoryGrant, ParamSpace, RunParams, WORKER_OPTIONS};
 pub use profiles::{DbmsKind, DbmsProfile};
 pub use shard::ShardedEngine;

@@ -58,6 +58,7 @@
 //! session layer fails the round loudly exactly as it does for one engine.
 
 use crate::engine::{AdvanceStall, ConnectionSlot, ExecutionEngine, QueryCompletion};
+use crate::executor::{ExecEvent, ExecutorBackend, ShardTopology};
 use crate::params::RunParams;
 use crate::profiles::DbmsProfile;
 use bq_obs::{Obs, TraceEvent, TraceKind};
@@ -75,9 +76,8 @@ const SHARD_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 /// `N` independent [`ExecutionEngine`]s behind one executor surface.
 ///
 /// See the [module docs](self) for the slot mapping, the deterministic event
-/// merge and the stall aggregation. The public API mirrors
-/// [`ExecutionEngine`]'s event-driven surface so `bq-core` adapts both to
-/// `ExecutorBackend` the same way.
+/// merge and the stall aggregation. Like [`ExecutionEngine`], it is driven
+/// through [`ExecutorBackend`].
 #[derive(Debug)]
 pub struct ShardedEngine {
     shards: Vec<ExecutionEngine>,
@@ -93,10 +93,6 @@ pub struct ShardedEngine {
     pending: Vec<QueryCompletion>,
     /// Harvested submission echoes (global connection ids).
     submitted: VecDeque<(QueryId, usize)>,
-    /// Global connection ids `0..mirror.len()`, sliceable per shard for
-    /// partitioned running views.
-    id_index: Vec<usize>,
-    delivered: usize,
     /// Observability handle; [`Obs::off`] unless [`ShardedEngine::set_obs`]
     /// installed one.
     obs: Obs,
@@ -129,8 +125,6 @@ impl ShardedEngine {
             mirror: vec![ConnectionSlot::Free; total],
             pending: Vec::with_capacity(total),
             submitted: VecDeque::with_capacity(total),
-            id_index: (0..total).collect(),
-            delivered: 0,
             obs: Obs::off(),
         }
     }
@@ -165,20 +159,9 @@ impl ShardedEngine {
         self.shards.len()
     }
 
-    /// Number of queries in the workload the shards were built for (every
-    /// shard sees the same workload).
-    pub fn query_count(&self) -> usize {
-        self.shards[0].query_count()
-    }
-
     /// Connection slots each shard contributes to the global space.
     pub fn connections_per_shard(&self) -> usize {
         self.per_shard
-    }
-
-    /// The per-shard resource envelope (every shard runs the same profile).
-    pub fn shard_profile(&self) -> &DbmsProfile {
-        self.shards[0].profile()
     }
 
     /// Shard owning a global connection id.
@@ -195,324 +178,6 @@ impl ShardedEngine {
     pub fn global_of(&self, shard: usize, local: usize) -> usize {
         debug_assert!(shard < self.shards.len() && local < self.per_shard);
         shard * self.per_shard + local
-    }
-
-    /// Session-observable virtual time.
-    pub fn now(&self) -> f64 {
-        self.clock
-    }
-
-    /// Global per-connection occupancy at the observable clock, indexed by
-    /// global connection id.
-    pub fn connection_slots(&self) -> &[ConnectionSlot] {
-        &self.mirror
-    }
-
-    /// Global connection ids (`0..total`), sliceable per shard; paired with
-    /// the matching mirror range to build partitioned running views.
-    pub fn connection_ids(&self) -> &[usize] {
-        &self.id_index
-    }
-
-    /// The mirror slice and global-id slice of one shard's slot block, at
-    /// the observable clock — the inputs to a partitioned running view
-    /// (`bq_core::RunningView::with_connections`).
-    pub fn shard_slots(&self, shard: usize) -> (&[ConnectionSlot], &[usize]) {
-        let range = shard * self.per_shard..(shard + 1) * self.per_shard;
-        (&self.mirror[range.clone()], &self.id_index[range])
-    }
-
-    /// Number of globally busy (session-observable) connections.
-    pub fn busy_count(&self) -> usize {
-        self.mirror.iter().filter(|s| !s.is_free()).count()
-    }
-
-    /// Completions delivered to the consumer so far (natural + cancelled).
-    pub fn completed_count(&self) -> usize {
-        self.delivered
-    }
-
-    /// Whether nothing is observably executing.
-    pub fn is_idle(&self) -> bool {
-        self.mirror.iter().all(ConnectionSlot::is_free)
-    }
-
-    /// Lowest-numbered globally free connection, if any.
-    pub fn first_free_connection(&self) -> Option<usize> {
-        self.mirror.iter().position(ConnectionSlot::is_free)
-    }
-
-    /// Submit `query` with `params` to a specific free global connection.
-    ///
-    /// The owning shard is first synced to the global clock if its local
-    /// timeline lags (an idle shard's clock stops between queries), so the
-    /// submission is stamped at the session-observable instant.
-    ///
-    /// A shard whose timeline ran *ahead* of the observable clock (it holds
-    /// an undelivered completion from a cross-shard merge in progress — e.g.
-    /// a timeout cancellation just freed one of its other slots and the
-    /// session refills it) accepts submissions too: the shard stamps the
-    /// query at its own local instant, but the mirror — and the eventual
-    /// completion, reconciled at harvest — records the *observable*
-    /// submission instant, so the session never sees a `started_at` in its
-    /// future. The sliver of virtual time between the two stamps is
-    /// execution the shard does not simulate; it is bounded by the
-    /// undelivered completion's instant (shards cannot rewind, so this is
-    /// the price of keeping the observable surface consistent).
-    ///
-    /// # Panics
-    /// Panics if the connection is busy or out of range, like
-    /// [`ExecutionEngine::submit_to`].
-    pub fn submit_to(&mut self, query: QueryId, params: RunParams, connection: usize) {
-        assert!(
-            connection < self.mirror.len(),
-            "connection {connection} out of range"
-        );
-        assert!(
-            self.mirror[connection].is_free(),
-            "connection {connection} is busy"
-        );
-        let s = self.shard_of(connection);
-        let local = self.local_of(connection);
-        if self.shards[s].now() < self.clock {
-            self.shards[s].advance_to(self.clock);
-            self.harvest(s);
-        }
-        debug_assert!(
-            self.shards[s].now() + TIME_EPS >= self.clock,
-            "shard {s} timeline lags the global clock after sync"
-        );
-        self.shards[s].submit_to(query, params, local);
-        // Copy the shard's slot verbatim so `started_at` is bit-identical to
-        // the shard timeline (the mirror is a view, not a second stamping) —
-        // unless the shard ran ahead mid-merge, in which case its own stamp
-        // lies in the observable future and the mirror records the
-        // observable instant instead.
-        let mut slot = self.shards[s].connection_slots()[local];
-        if self.shards[s].now() > self.clock + TIME_EPS {
-            if let ConnectionSlot::Busy { started_at, .. } = &mut slot {
-                *started_at = self.clock;
-            }
-        }
-        self.mirror[connection] = slot;
-        let (echo_query, echo_local) = self.shards[s]
-            .pop_submitted_event()
-            .expect("submit_to buffers exactly one echo");
-        debug_assert_eq!(echo_local, local);
-        self.submitted.push_back((echo_query, connection));
-    }
-
-    /// Cancel whatever observably runs on global `connection`, freeing it at
-    /// the observable clock. Returns `None` if the slot is free — or if the
-    /// query's natural completion has already been harvested at an instant
-    /// the clock has reached and merely awaits delivery (an *observable*
-    /// completion in flight wins over a cancellation, as on the monolithic
-    /// engine where a buffered completion has already freed the slot). A
-    /// harvested completion in the observable *future* — its shard was
-    /// integrated ahead during a cross-shard merge — does not protect the
-    /// query: observably it is still running, so the cancellation wins and
-    /// the future completion is discarded.
-    ///
-    /// Both stamps come from the session-observable state, never from a
-    /// shard timeline that ran ahead: `started_at` is the mirror's stamp and
-    /// `finished_at` is the observable clock, so a timeout cancellation can
-    /// never log a duration exceeding its deadline.
-    pub fn cancel_connection(&mut self, connection: usize) -> Option<QueryCompletion> {
-        let ConnectionSlot::Busy {
-            query,
-            params,
-            started_at,
-        } = *self.mirror.get(connection)?
-        else {
-            return None;
-        };
-        if let Some(idx) = self.pending.iter().position(|c| c.connection == connection) {
-            if self.pending[idx].finished_at <= self.clock + TIME_EPS {
-                return None;
-            }
-            // The shard-local slot already freed itself at the discarded
-            // completion's (future) instant; only the observable state is
-            // cancelled here.
-            self.pending.swap_remove(idx);
-        } else {
-            let s = self.shard_of(connection);
-            let local = self.local_of(connection);
-            let cancelled = self.shards[s].cancel_connection(local);
-            debug_assert!(cancelled.is_some(), "busy mirror implies a busy shard slot");
-        }
-        self.mirror[connection] = ConnectionSlot::Free;
-        self.delivered += 1;
-        Some(QueryCompletion {
-            query,
-            connection,
-            params,
-            started_at,
-            finished_at: self.clock,
-        })
-    }
-
-    /// Pop one buffered "query accepted" notice `(query, global connection)`.
-    pub fn pop_submitted_event(&mut self) -> Option<(QueryId, usize)> {
-        self.submitted.pop_front()
-    }
-
-    /// Pop the next completion in global merge order, advancing shard
-    /// timelines first if none is ready. Returns `None` when nothing is
-    /// running anywhere (or every busy shard is stalled — see
-    /// [`ShardedEngine::stall_diagnostic`]).
-    pub fn pop_completion_event(&mut self) -> Option<QueryCompletion> {
-        loop {
-            match self.min_pending() {
-                None => {
-                    // No harvested candidate: advance every busy shard to
-                    // its own next completion and try again. Shards that
-                    // already stalled are skipped, exactly as in the
-                    // candidate branch below — re-advancing one would burn a
-                    // fresh budget on every poll (and re-trip the debug
-                    // stall assert) without ever surfacing an event; the
-                    // recorded `AdvanceStall` is the loud signal instead.
-                    let mut any_busy = false;
-                    for s in 0..self.shards.len() {
-                        if self.shards[s].busy_count() == 0 {
-                            continue;
-                        }
-                        any_busy = true;
-                        if self.shards[s].stall_diagnostic().is_none() {
-                            self.advance_shard(s, f64::INFINITY);
-                        }
-                    }
-                    if !any_busy || self.min_pending().is_none() {
-                        if any_busy {
-                            // Busy shards produced no event: every one of
-                            // them stalled mid-advance.
-                            self.obs.inc("sharded_stall_events");
-                        }
-                        // Idle, or every busy shard stalled mid-advance
-                        // (diagnosable via `stall_diagnostic`).
-                        return None;
-                    }
-                }
-                Some(idx) => {
-                    let t = self.pending[idx].finished_at;
-                    // A busy shard with no harvested event of its own may
-                    // still complete before `t`: integrate it to `t` before
-                    // committing to the candidate. Stalled shards are
-                    // skipped — they cannot make progress and would loop.
-                    // Each test reads only shard `s` (its pending check only
-                    // `s`'s connection block), so harvesting a lower shard
-                    // first cannot change it.
-                    let mut advanced = false;
-                    for s in 0..self.shards.len() {
-                        if self.shards[s].busy_count() > 0
-                            && self.shards[s].now() + TIME_EPS < t
-                            && !self.shard_has_pending(s)
-                            && self.shards[s].stall_diagnostic().is_none()
-                        {
-                            self.advance_shard(s, t);
-                            advanced = true;
-                        }
-                    }
-                    if advanced {
-                        continue; // an earlier candidate may have surfaced
-                    }
-                    self.obs.inc("sharded_deliveries");
-                    self.obs
-                        .observe("sharded_merge_queue_depth", self.pending.len() as f64);
-                    let completion = self.pending.remove(idx);
-                    debug_assert!(completion.finished_at + TIME_EPS >= self.clock);
-                    self.clock = self.clock.max(completion.finished_at);
-                    self.mirror[completion.connection] = ConnectionSlot::Free;
-                    self.delivered += 1;
-                    return Some(completion);
-                }
-            }
-        }
-    }
-
-    /// Whether buffered events exist that can be consumed without advancing
-    /// the observable clock: submission echoes, or harvested completions of
-    /// the already-reached instant (the rest of a same-instant batch).
-    pub fn has_buffered_events(&self) -> bool {
-        !self.submitted.is_empty()
-            || self
-                .pending
-                .iter()
-                .any(|c| c.finished_at <= self.clock + TIME_EPS)
-    }
-
-    /// Advance the observable clock to at most `until`: every busy shard
-    /// integrates its own dynamics up to the bound (stopping early at its
-    /// next completion, which is harvested into the merge). Undelivered
-    /// cross-shard completions cap the bound rather than blocking the
-    /// advance — the clock may move up to, but never across, the earliest
-    /// pending instant — so a session's deadline-bounded advance keeps
-    /// working mid-merge and timeouts between the clock and a pending
-    /// completion still fire on time. The clock moves to the bound when no
-    /// completion precedes it, and to the *earliest* harvested completion
-    /// otherwise — exactly where the monolithic engine's clock would stop —
-    /// so the completion batch is immediately visible via
-    /// [`ShardedEngine::has_buffered_events`].
-    pub fn advance_to(&mut self, until: f64) {
-        let bound = match self.min_pending() {
-            Some(idx) => until.min(self.pending[idx].finished_at),
-            None => until,
-        };
-        if bound <= self.clock {
-            return;
-        }
-        for s in 0..self.shards.len() {
-            if self.shards[s].busy_count() > 0 {
-                self.advance_shard(s, bound);
-            } else {
-                // An idle shard only syncs its clock to a finite bound; it
-                // completes nothing, so there is nothing to harvest.
-                self.shards[s].advance_to(bound);
-            }
-        }
-        if let Some(idx) = self.min_pending() {
-            // Completions at or before the bound anchor the clock at the
-            // earliest one (exactly where the monolithic engine's clock
-            // stops), so the batch is immediately visible via
-            // `has_buffered_events`; a pre-existing pending completion
-            // beyond the bound caps the clock at the bound instead.
-            self.clock = self.clock.max(self.pending[idx].finished_at.min(bound));
-        } else if bound.is_finite() {
-            // Every busy shard reached the bound (up to its own fp
-            // rounding); anchor the clock on the shard timelines rather
-            // than on the bound so a single-shard deployment reports the
-            // exact instant the monolithic engine would. Shards that ran
-            // ahead mid-merge must not drag the clock past the bound.
-            let frontier = self
-                .shards
-                .iter()
-                .filter(|e| e.busy_count() > 0)
-                .map(ExecutionEngine::now)
-                .min_by(|a, b| a.partial_cmp(b).expect("clocks are finite"))
-                .unwrap_or(bound);
-            self.clock = self.clock.max(frontier.min(bound));
-        }
-    }
-
-    /// Aggregated stall diagnostic: `None` while every shard is healthy;
-    /// otherwise the earliest stalled instant, the total busy connections
-    /// across the stalled shards, and the largest exhausted budget.
-    pub fn stall_diagnostic(&self) -> Option<AdvanceStall> {
-        let mut agg: Option<AdvanceStall> = None;
-        for stall in self
-            .shards
-            .iter()
-            .filter_map(ExecutionEngine::stall_diagnostic)
-        {
-            agg = Some(match agg {
-                None => stall,
-                Some(a) => AdvanceStall {
-                    now: a.now.min(stall.now),
-                    busy: a.busy + stall.busy,
-                    budget: a.budget.max(stall.budget),
-                },
-            });
-        }
-        agg
     }
 
     /// Shrink every shard's advance-loop iteration budget (tests only) so
@@ -580,9 +245,305 @@ impl ShardedEngine {
     }
 }
 
+impl ExecutorBackend for ShardedEngine {
+    /// Global per-connection occupancy at the observable clock, indexed by
+    /// global connection id.
+    fn connections(&self) -> &[ConnectionSlot] {
+        &self.mirror
+    }
+
+    /// Session-observable virtual time.
+    fn now(&self) -> f64 {
+        self.clock
+    }
+
+    /// Submit `query` with `params` to a specific free global connection.
+    ///
+    /// The owning shard is first synced to the global clock if its local
+    /// timeline lags (an idle shard's clock stops between queries), so the
+    /// submission is stamped at the session-observable instant.
+    ///
+    /// A shard whose timeline ran *ahead* of the observable clock (it holds
+    /// an undelivered completion from a cross-shard merge in progress — e.g.
+    /// a timeout cancellation just freed one of its other slots and the
+    /// session refills it) accepts submissions too: the shard stamps the
+    /// query at its own local instant, but the mirror — and the eventual
+    /// completion, reconciled at harvest — records the *observable*
+    /// submission instant, so the session never sees a `started_at` in its
+    /// future. The sliver of virtual time between the two stamps is
+    /// execution the shard does not simulate; it is bounded by the
+    /// undelivered completion's instant (shards cannot rewind, so this is
+    /// the price of keeping the observable surface consistent).
+    ///
+    /// # Panics
+    /// Panics if the connection is busy or out of range, like the
+    /// [`ExecutionEngine`]'s `submit`.
+    fn submit(&mut self, query: QueryId, params: RunParams, connection: usize) {
+        assert!(
+            connection < self.mirror.len(),
+            "connection {connection} out of range"
+        );
+        assert!(
+            self.mirror[connection].is_free(),
+            "connection {connection} is busy"
+        );
+        let s = self.shard_of(connection);
+        let local = self.local_of(connection);
+        if self.shards[s].now() < self.clock {
+            self.shards[s].advance_to(self.clock);
+            self.harvest(s);
+        }
+        debug_assert!(
+            self.shards[s].now() + TIME_EPS >= self.clock,
+            "shard {s} timeline lags the global clock after sync"
+        );
+        self.shards[s].submit(query, params, local);
+        // Copy the shard's slot verbatim so `started_at` is bit-identical to
+        // the shard timeline (the mirror is a view, not a second stamping) —
+        // unless the shard ran ahead mid-merge, in which case its own stamp
+        // lies in the observable future and the mirror records the
+        // observable instant instead.
+        let mut slot = self.shards[s].connections()[local];
+        if self.shards[s].now() > self.clock + TIME_EPS {
+            if let ConnectionSlot::Busy { started_at, .. } = &mut slot {
+                *started_at = self.clock;
+            }
+        }
+        self.mirror[connection] = slot;
+        let (echo_query, echo_local) = self.shards[s]
+            .pop_submit_echo()
+            .expect("submit buffers exactly one echo");
+        debug_assert_eq!(echo_local, local);
+        self.submitted.push_back((echo_query, connection));
+    }
+
+    /// Cancel whatever observably runs on global `connection`, freeing it at
+    /// the observable clock. Returns `None` if the slot is free — or if the
+    /// query's natural completion has already been harvested at an instant
+    /// the clock has reached and merely awaits delivery (an *observable*
+    /// completion in flight wins over a cancellation, as on the monolithic
+    /// engine where a buffered completion has already freed the slot). A
+    /// harvested completion in the observable *future* — its shard was
+    /// integrated ahead during a cross-shard merge — does not protect the
+    /// query: observably it is still running, so the cancellation wins and
+    /// the future completion is discarded.
+    ///
+    /// Both stamps come from the session-observable state, never from a
+    /// shard timeline that ran ahead: `started_at` is the mirror's stamp and
+    /// `finished_at` is the observable clock, so a timeout cancellation can
+    /// never log a duration exceeding its deadline.
+    fn cancel(&mut self, connection: usize) -> Option<QueryCompletion> {
+        let ConnectionSlot::Busy {
+            query,
+            params,
+            started_at,
+        } = *self.mirror.get(connection)?
+        else {
+            return None;
+        };
+        if let Some(idx) = self.pending.iter().position(|c| c.connection == connection) {
+            if self.pending[idx].finished_at <= self.clock + TIME_EPS {
+                return None;
+            }
+            // The shard-local slot already freed itself at the discarded
+            // completion's (future) instant; only the observable state is
+            // cancelled here.
+            self.pending.swap_remove(idx);
+        } else {
+            let s = self.shard_of(connection);
+            let local = self.local_of(connection);
+            let cancelled = self.shards[s].cancel(local);
+            debug_assert!(cancelled.is_some(), "busy mirror implies a busy shard slot");
+        }
+        self.mirror[connection] = ConnectionSlot::Free;
+        Some(QueryCompletion {
+            query,
+            connection,
+            params,
+            started_at,
+            finished_at: self.clock,
+        })
+    }
+
+    /// Submission echoes first (global connection ids), then the next
+    /// completion in global merge order, advancing shard timelines first if
+    /// none is ready. [`ExecEvent::Idle`] when nothing is running anywhere
+    /// (or every busy shard is stalled — see
+    /// [`ExecutorBackend::stall_diagnostic`]).
+    fn poll_event(&mut self) -> ExecEvent {
+        if let Some((query, connection)) = self.submitted.pop_front() {
+            return ExecEvent::Submitted { query, connection };
+        }
+        loop {
+            match self.min_pending() {
+                None => {
+                    // No harvested candidate: advance every busy shard to
+                    // its own next completion and try again. Shards that
+                    // already stalled are skipped, exactly as in the
+                    // candidate branch below — re-advancing one would burn a
+                    // fresh budget on every poll (and re-trip the debug
+                    // stall assert) without ever surfacing an event; the
+                    // recorded `AdvanceStall` is the loud signal instead.
+                    let mut any_busy = false;
+                    for s in 0..self.shards.len() {
+                        if self.shards[s].busy_count() == 0 {
+                            continue;
+                        }
+                        any_busy = true;
+                        if self.shards[s].stall_diagnostic().is_none() {
+                            self.advance_shard(s, f64::INFINITY);
+                        }
+                    }
+                    if !any_busy || self.min_pending().is_none() {
+                        if any_busy {
+                            // Busy shards produced no event: every one of
+                            // them stalled mid-advance.
+                            self.obs.inc("sharded_stall_events");
+                        }
+                        // Idle, or every busy shard stalled mid-advance
+                        // (diagnosable via `stall_diagnostic`).
+                        return ExecEvent::Idle;
+                    }
+                }
+                Some(idx) => {
+                    let t = self.pending[idx].finished_at;
+                    // A busy shard with no harvested event of its own may
+                    // still complete before `t`: integrate it to `t` before
+                    // committing to the candidate. Stalled shards are
+                    // skipped — they cannot make progress and would loop.
+                    // Each test reads only shard `s` (its pending check only
+                    // `s`'s connection block), so harvesting a lower shard
+                    // first cannot change it.
+                    let mut advanced = false;
+                    for s in 0..self.shards.len() {
+                        if self.shards[s].busy_count() > 0
+                            && self.shards[s].now() + TIME_EPS < t
+                            && !self.shard_has_pending(s)
+                            && self.shards[s].stall_diagnostic().is_none()
+                        {
+                            self.advance_shard(s, t);
+                            advanced = true;
+                        }
+                    }
+                    if advanced {
+                        continue; // an earlier candidate may have surfaced
+                    }
+                    self.obs.inc("sharded_deliveries");
+                    self.obs
+                        .observe("sharded_merge_queue_depth", self.pending.len() as f64);
+                    let completion = self.pending.remove(idx);
+                    debug_assert!(completion.finished_at + TIME_EPS >= self.clock);
+                    self.clock = self.clock.max(completion.finished_at);
+                    self.mirror[completion.connection] = ConnectionSlot::Free;
+                    return ExecEvent::Completed(completion);
+                }
+            }
+        }
+    }
+
+    /// Whether buffered events exist that can be consumed without advancing
+    /// the observable clock: submission echoes, or harvested completions of
+    /// the already-reached instant (the rest of a same-instant batch).
+    fn events_pending(&self) -> bool {
+        !self.submitted.is_empty()
+            || self
+                .pending
+                .iter()
+                .any(|c| c.finished_at <= self.clock + TIME_EPS)
+    }
+
+    /// Advance the observable clock to at most `until`: every busy shard
+    /// integrates its own dynamics up to the bound (stopping early at its
+    /// next completion, which is harvested into the merge). Undelivered
+    /// cross-shard completions cap the bound rather than blocking the
+    /// advance — the clock may move up to, but never across, the earliest
+    /// pending instant — so a session's deadline-bounded advance keeps
+    /// working mid-merge and timeouts between the clock and a pending
+    /// completion still fire on time. The clock moves to the bound when no
+    /// completion precedes it, and to the *earliest* harvested completion
+    /// otherwise — exactly where the monolithic engine's clock would stop —
+    /// so the completion batch is immediately visible via
+    /// [`ExecutorBackend::events_pending`].
+    fn advance_to(&mut self, until: f64) {
+        let bound = match self.min_pending() {
+            Some(idx) => until.min(self.pending[idx].finished_at),
+            None => until,
+        };
+        if bound <= self.clock {
+            return;
+        }
+        for s in 0..self.shards.len() {
+            if self.shards[s].busy_count() > 0 {
+                self.advance_shard(s, bound);
+            } else {
+                // An idle shard only syncs its clock to a finite bound; it
+                // completes nothing, so there is nothing to harvest.
+                self.shards[s].advance_to(bound);
+            }
+        }
+        if let Some(idx) = self.min_pending() {
+            // Completions at or before the bound anchor the clock at the
+            // earliest one (exactly where the monolithic engine's clock
+            // stops), so the batch is immediately visible via
+            // `events_pending`; a pre-existing pending completion
+            // beyond the bound caps the clock at the bound instead.
+            self.clock = self.clock.max(self.pending[idx].finished_at.min(bound));
+        } else if bound.is_finite() {
+            // Every busy shard reached the bound (up to its own fp
+            // rounding); anchor the clock on the shard timelines rather
+            // than on the bound so a single-shard deployment reports the
+            // exact instant the monolithic engine would. Shards that ran
+            // ahead mid-merge must not drag the clock past the bound.
+            let frontier = self
+                .shards
+                .iter()
+                .filter(|e| e.busy_count() > 0)
+                .map(ExecutionEngine::now)
+                .min_by(|a, b| a.partial_cmp(b).expect("clocks are finite"))
+                .unwrap_or(bound);
+            self.clock = self.clock.max(frontier.min(bound));
+        }
+    }
+
+    /// Aggregated stall diagnostic: `None` while every shard is healthy;
+    /// otherwise the earliest stalled instant, the total busy connections
+    /// across the stalled shards, and the largest exhausted budget.
+    fn stall_diagnostic(&self) -> Option<AdvanceStall> {
+        let mut agg: Option<AdvanceStall> = None;
+        for stall in self
+            .shards
+            .iter()
+            .filter_map(ExecutionEngine::stall_diagnostic)
+        {
+            agg = Some(match agg {
+                None => stall,
+                Some(a) => AdvanceStall {
+                    now: a.now.min(stall.now),
+                    busy: a.busy + stall.busy,
+                    budget: a.budget.max(stall.budget),
+                },
+            });
+        }
+        agg
+    }
+
+    /// The uniform partition: one block of `connections_per_shard` slots per
+    /// shard.
+    fn shard_topology(&self) -> ShardTopology {
+        ShardTopology::uniform(self.shard_count(), self.connections_per_shard())
+    }
+
+    /// Number of queries in the workload the shards were built for (every
+    /// shard sees the same workload).
+    fn known_query_count(&self) -> Option<usize> {
+        self.shards[0].known_query_count()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::{fifo_round, next_completion};
     use bq_plan::{generate, Benchmark, WorkloadSpec};
 
     fn tpch_workload() -> Workload {
@@ -593,29 +554,16 @@ mod tests {
         RunParams::default_config()
     }
 
-    /// Drive a FIFO round directly against the raw sharded surface (no
-    /// session layer): fill free slots in ascending order, pop completions.
-    fn fifo_round(engine: &mut ShardedEngine, n: usize) -> Vec<QueryCompletion> {
-        let mut next = 0usize;
-        let mut done = Vec::new();
-        while done.len() < n {
-            while next < n {
-                let Some(free) = engine.first_free_connection() else {
-                    break;
-                };
-                engine.submit_to(QueryId(next), default_params(), free);
-                next += 1;
-            }
-            while engine.pop_submitted_event().is_some() {}
-            let c = engine.pop_completion_event().expect("queries are running");
-            done.push(c);
-            while engine.has_buffered_events() {
-                if let Some(c) = engine.pop_completion_event() {
-                    done.push(c);
-                }
-            }
+    /// Observably busy (mirror) connections.
+    fn busy(e: &ShardedEngine) -> usize {
+        e.running_view().count()
+    }
+
+    /// Consume the buffered submission echoes without advancing time.
+    fn drain_echoes(e: &mut ShardedEngine) {
+        while e.events_pending() {
+            e.poll_event();
         }
-        done
     }
 
     #[test]
@@ -624,7 +572,7 @@ mod tests {
         let e = ShardedEngine::new(DbmsProfile::dbms_x(), &w, 0, 4);
         assert_eq!(e.shard_count(), 4);
         assert_eq!(e.connections_per_shard(), 18);
-        assert_eq!(e.connection_slots().len(), 72);
+        assert_eq!(e.connection_count(), 72);
         for conn in 0..72 {
             let (s, l) = (e.shard_of(conn), e.local_of(conn));
             assert!(s < 4 && l < 18);
@@ -632,10 +580,6 @@ mod tests {
         }
         assert_eq!(e.shard_of(17), 0);
         assert_eq!(e.shard_of(18), 1);
-        let (slots, ids) = e.shard_slots(2);
-        assert_eq!(slots.len(), 18);
-        assert_eq!(ids.first(), Some(&36));
-        assert_eq!(ids.last(), Some(&53));
     }
 
     #[test]
@@ -644,15 +588,7 @@ mod tests {
         for seed in [0u64, 7, 40] {
             let mut mono = ExecutionEngine::new(DbmsProfile::dbms_x(), &w, seed);
             let mut sharded = ShardedEngine::new(DbmsProfile::dbms_x(), &w, seed, 1);
-            let mut mono_done = Vec::new();
-            let mut next = 0usize;
-            while mono_done.len() < w.len() {
-                while next < w.len() && mono.first_free_connection().is_some() {
-                    mono.submit(QueryId(next), default_params());
-                    next += 1;
-                }
-                mono_done.extend(mono.step_until_completion());
-            }
+            let mono_done = fifo_round(&mut mono, w.len());
             let sharded_done = fifo_round(&mut sharded, w.len());
             assert_eq!(mono_done.len(), sharded_done.len());
             for (a, b) in mono_done.iter().zip(&sharded_done) {
@@ -673,16 +609,15 @@ mod tests {
         let mut e = ShardedEngine::new(profile, &w, 0, 2);
         let on_shard1 = e.global_of(1, 0);
         // Submit to the *higher* shard first: polling order must not leak.
-        e.submit_to(QueryId(3), default_params(), on_shard1);
-        e.submit_to(QueryId(3), default_params(), 0);
-        while e.pop_submitted_event().is_some() {}
-        let first = e.pop_completion_event().expect("both running");
+        e.submit(QueryId(3), default_params(), on_shard1);
+        e.submit(QueryId(3), default_params(), 0);
+        let first = next_completion(&mut e).expect("both running");
         assert_eq!(first.connection, 0, "tie must break toward connection 0");
         assert!(
-            e.has_buffered_events(),
+            e.events_pending(),
             "the tied sibling is part of the same-instant batch"
         );
-        let second = e.pop_completion_event().expect("sibling buffered");
+        let second = next_completion(&mut e).expect("sibling buffered");
         assert_eq!(second.connection, on_shard1);
         assert_eq!(first.finished_at, second.finished_at);
     }
@@ -705,9 +640,8 @@ mod tests {
             .unwrap();
         let mut e = ShardedEngine::new(profile, &w, 0, 2);
         let run_on = |e: &mut ShardedEngine, conn: usize| -> f64 {
-            e.submit_to(io_q, default_params(), conn);
-            while e.pop_submitted_event().is_some() {}
-            e.pop_completion_event().expect("query running").duration()
+            e.submit(io_q, default_params(), conn);
+            next_completion(e).expect("query running").duration()
         };
         let shard1_conn = e.global_of(1, 0);
         let cold_shard0 = run_on(&mut e, 0);
@@ -728,17 +662,16 @@ mod tests {
         let w = tpch_workload();
         let mut e = ShardedEngine::new(DbmsProfile::dbms_x(), &w, 0, 2);
         // Run one query to completion on shard 0; shard 1 idles at t=0.
-        e.submit_to(QueryId(0), default_params(), 0);
-        while e.pop_submitted_event().is_some() {}
-        let done = e.pop_completion_event().expect("running");
+        e.submit(QueryId(0), default_params(), 0);
+        let done = next_completion(&mut e).expect("running");
         let t = done.finished_at;
         assert!(t > 0.0);
         assert_eq!(e.now(), t);
         // Routing the next query onto idle shard 1 must stamp it at the
         // global instant, not at shard 1's stale local clock.
         let conn = e.global_of(1, 0);
-        e.submit_to(QueryId(1), default_params(), conn);
-        assert_eq!(e.connection_slots()[conn].started_at(), Some(t));
+        e.submit(QueryId(1), default_params(), conn);
+        assert_eq!(e.connections()[conn].started_at(), Some(t));
     }
 
     #[test]
@@ -746,34 +679,30 @@ mod tests {
         let w = tpch_workload();
         let mut e = ShardedEngine::new(DbmsProfile::dbms_x(), &w, 0, 2);
         let conn = e.global_of(1, 3);
-        e.submit_to(QueryId(5), default_params(), conn);
-        let c = e.cancel_connection(conn).expect("query was running");
+        e.submit(QueryId(5), default_params(), conn);
+        let c = e.cancel(conn).expect("query was running");
         assert_eq!(c.query, QueryId(5));
         assert_eq!(c.connection, conn, "completion carries the global id");
         assert_eq!(c.finished_at, c.started_at);
-        assert!(e.connection_slots()[conn].is_free());
-        assert!(
-            e.cancel_connection(conn).is_none(),
-            "slot frees exactly once"
-        );
-        assert_eq!(e.completed_count(), 1);
+        assert!(e.connections()[conn].is_free());
+        assert!(e.cancel(conn).is_none(), "slot frees exactly once");
     }
 
     #[test]
     fn advance_to_bounds_every_shard_and_moves_the_clock() {
         let w = tpch_workload();
         let mut e = ShardedEngine::new(DbmsProfile::dbms_x(), &w, 0, 2);
-        e.submit_to(QueryId(0), default_params(), 0);
-        e.submit_to(QueryId(1), default_params(), e.global_of(1, 0));
-        while e.pop_submitted_event().is_some() {}
+        e.submit(QueryId(0), default_params(), 0);
+        e.submit(QueryId(1), default_params(), e.global_of(1, 0));
+        drain_echoes(&mut e);
         // A bound far below any completion: both shards integrate to it.
         e.advance_to(1e-3);
-        assert!(!e.has_buffered_events(), "nothing completes this early");
+        assert!(!e.events_pending(), "nothing completes this early");
         assert!((e.now() - 1e-3).abs() < 1e-9);
-        assert_eq!(e.busy_count(), 2);
+        assert_eq!(busy(&e), 2);
         // The clock never runs ahead of an undelivered completion.
-        while e.pop_completion_event().is_some() {}
-        assert_eq!(e.busy_count(), 0);
+        while next_completion(&mut e).is_some() {}
+        assert_eq!(busy(&e), 0);
     }
 
     #[test]
@@ -788,39 +717,37 @@ mod tests {
         // engine below replays the same noise draw exactly).
         let mut probe = ShardedEngine::new(DbmsProfile::dbms_x(), &w, 0, 2);
         let shard1_conn = probe.global_of(1, 0);
-        probe.submit_to(QueryId(1), default_params(), 0);
-        while probe.pop_submitted_event().is_some() {}
-        let t_short = probe.pop_completion_event().expect("running").finished_at;
+        probe.submit(QueryId(1), default_params(), 0);
+        let t_short = next_completion(&mut probe).expect("running").finished_at;
         // The long query must outlive the advance bound used below.
         let mut probe = ShardedEngine::new(DbmsProfile::dbms_x(), &w, 0, 2);
-        probe.submit_to(QueryId(0), default_params(), shard1_conn);
-        while probe.pop_submitted_event().is_some() {}
-        let t_long = probe.pop_completion_event().expect("running").finished_at;
+        probe.submit(QueryId(0), default_params(), shard1_conn);
+        let t_long = next_completion(&mut probe).expect("running").finished_at;
         assert!(t_long > t_short + 2.0, "test needs a duration gap");
 
         let mut e = ShardedEngine::new(DbmsProfile::dbms_x(), &w, 0, 2);
-        e.submit_to(QueryId(1), default_params(), 0);
-        e.submit_to(QueryId(0), default_params(), shard1_conn);
-        while e.pop_submitted_event().is_some() {}
+        e.submit(QueryId(1), default_params(), 0);
+        e.submit(QueryId(0), default_params(), shard1_conn);
+        drain_echoes(&mut e);
         // Advance just past shard 0's completion (still far below shard
         // 1's): the event is harvested, the clock anchors at t_short (not
         // at the bound, not left behind), and the batch is visible without
         // another advance.
         e.advance_to(t_short + 1.0);
         assert_eq!(e.now(), t_short, "clock anchors at the earliest completion");
-        assert!(e.has_buffered_events(), "the harvested batch is visible");
+        assert!(e.events_pending(), "the harvested batch is visible");
         // An *observable* completion in flight (harvested at an instant the
         // clock has reached) wins over a cancellation, as on the monolithic
         // engine where the buffered completion already freed the slot.
         assert!(
-            e.cancel_connection(0).is_none(),
+            e.cancel(0).is_none(),
             "observable completion in flight must win over a cancel"
         );
         // A cancel on the sibling shard stamps exactly the observable clock,
         // and the pending completion still delivers first in merge order.
-        let cancelled = e.cancel_connection(shard1_conn).expect("still running");
+        let cancelled = e.cancel(shard1_conn).expect("still running");
         assert_eq!(cancelled.finished_at, t_short, "cancel stamps the clock");
-        let delivered = e.pop_completion_event().expect("batch pending");
+        let delivered = next_completion(&mut e).expect("batch pending");
         assert_eq!(delivered.connection, 0);
         assert_eq!(delivered.finished_at, t_short);
     }
@@ -838,8 +765,7 @@ mod tests {
                 seen[c.query.0] = true;
                 assert!(c.finished_at >= c.started_at);
             }
-            assert!(e.is_idle());
-            assert_eq!(e.completed_count(), w.len());
+            assert_eq!(busy(&e), 0);
             assert_eq!(e.stall_diagnostic(), None);
         }
     }
@@ -856,23 +782,22 @@ mod tests {
         let mut e = ShardedEngine::new(DbmsProfile::dbms_x(), &w, 0, 2);
         let shard1_conn = e.global_of(1, 0);
         // Long query on shard 0, short query on shard 1.
-        e.submit_to(QueryId(0), default_params(), 0);
-        e.submit_to(QueryId(1), default_params(), shard1_conn);
-        while e.pop_submitted_event().is_some() {}
+        e.submit(QueryId(0), default_params(), 0);
+        e.submit(QueryId(1), default_params(), shard1_conn);
         // The merge delivers shard 1's early completion; shard 0 advanced to
         // its own later completion (still pending, mirror still busy).
-        let first = e.pop_completion_event().expect("both running");
+        let first = next_completion(&mut e).expect("both running");
         assert_eq!(first.connection, shard1_conn, "short query finishes first");
         let t_obs = e.now();
         // Shard 0's timeline is ahead, but its free slots accept refills,
         // stamped at the instant the session has observed.
-        e.submit_to(QueryId(2), default_params(), 1);
-        assert_eq!(e.connection_slots()[1].started_at(), Some(t_obs));
+        e.submit(QueryId(2), default_params(), 1);
+        assert_eq!(e.connections()[1].started_at(), Some(t_obs));
         // Merge order is unchanged: the pending long query delivers first,
         // then the refill — whose completion carries the observable stamp.
-        let second = e.pop_completion_event().expect("pending long query");
+        let second = next_completion(&mut e).expect("pending long query");
         assert_eq!(second.connection, 0);
-        let third = e.pop_completion_event().expect("refilled query running");
+        let third = next_completion(&mut e).expect("refilled query running");
         assert_eq!(third.connection, 1);
         assert_eq!(
             third.started_at, t_obs,
@@ -895,8 +820,8 @@ mod tests {
         // longest run on shard 0, the shortest alone on shard 1.
         let solo = |q: usize| {
             let mut probe = ExecutionEngine::new(DbmsProfile::dbms_x(), &w, 0);
-            probe.submit(QueryId(q), default_params());
-            probe.step_until_completion()[0].duration()
+            probe.submit(QueryId(q), default_params(), 0);
+            next_completion(&mut probe).expect("running").duration()
         };
         let mut ranked: Vec<usize> = (0..w.len()).collect();
         ranked.sort_by(|&a, &b| solo(a).partial_cmp(&solo(b)).unwrap());
@@ -905,32 +830,30 @@ mod tests {
         let mut e = ShardedEngine::new(DbmsProfile::dbms_x(), &w, 0, 2);
         let shard1_conn = e.global_of(1, 0);
         // Two long queries on shard 0, the short query alone on shard 1.
-        e.submit_to(QueryId(longest), default_params(), 0);
-        e.submit_to(QueryId(second_longest), default_params(), 1);
-        e.submit_to(QueryId(shortest), default_params(), shard1_conn);
-        while e.pop_submitted_event().is_some() {}
-        let first = e.pop_completion_event().expect("all running");
+        e.submit(QueryId(longest), default_params(), 0);
+        e.submit(QueryId(second_longest), default_params(), 1);
+        e.submit(QueryId(shortest), default_params(), shard1_conn);
+        let first = next_completion(&mut e).expect("all running");
         assert_eq!(first.connection, shard1_conn, "short query finishes first");
         let t_obs = e.now();
         // Shard 0 ran ahead to its own next completion (harvested, in the
         // observable future). Cancel both of its connections: one discards
         // that future completion, the other cancels shard-locally — both
         // must stamp the observable clock.
-        let a = e.cancel_connection(0).expect("observably running");
-        let b = e.cancel_connection(1).expect("observably running");
+        let a = e.cancel(0).expect("observably running");
+        let b = e.cancel(1).expect("observably running");
         for c in [&a, &b] {
             assert_eq!(c.finished_at, t_obs, "cancel stamps the observable clock");
             assert_eq!(c.started_at, 0.0);
         }
         // The discarded future completion never resurfaces...
-        assert!(e.is_idle());
-        assert!(e.pop_completion_event().is_none());
-        assert_eq!(e.completed_count(), 3);
+        assert_eq!(busy(&e), 0);
+        assert!(next_completion(&mut e).is_none());
         // ...and the freed slot on the still-ahead shard accepts a refill
         // stamped at the observable clock.
-        e.submit_to(QueryId(3), default_params(), 0);
-        assert_eq!(e.connection_slots()[0].started_at(), Some(t_obs));
-        let refilled = e.pop_completion_event().expect("refill running");
+        e.submit(QueryId(3), default_params(), 0);
+        assert_eq!(e.connections()[0].started_at(), Some(t_obs));
+        let refilled = next_completion(&mut e).expect("refill running");
         assert_eq!(refilled.query, QueryId(3));
         assert_eq!(refilled.started_at, t_obs);
         assert!(refilled.finished_at > t_obs);
@@ -947,10 +870,9 @@ mod tests {
         let w = tpch_workload();
         let mut e = ShardedEngine::new(DbmsProfile::dbms_x(), &w, 0, 2);
         let shard1_conn = e.global_of(1, 0);
-        e.submit_to(QueryId(0), default_params(), 0);
-        e.submit_to(QueryId(1), default_params(), shard1_conn);
-        while e.pop_submitted_event().is_some() {}
-        let first = e.pop_completion_event().expect("both running");
+        e.submit(QueryId(0), default_params(), 0);
+        e.submit(QueryId(1), default_params(), shard1_conn);
+        let first = next_completion(&mut e).expect("both running");
         assert_eq!(first.connection, shard1_conn, "short query finishes first");
         let t_obs = e.now();
         // Shard 0's completion is harvested but undelivered; a bound below
@@ -962,14 +884,14 @@ mod tests {
             "a deadline before the pending completion must be reached: {} vs {deadline}",
             e.now()
         );
-        assert!(!e.has_buffered_events(), "the pending instant lies beyond");
+        assert!(!e.events_pending(), "the pending instant lies beyond");
         // A bound beyond the pending instant stops AT the pending instant —
         // never past an undelivered completion — and makes it visible.
         e.advance_to(1e18);
         let pending_instant = e.now();
         assert!(pending_instant > deadline);
-        assert!(e.has_buffered_events(), "the pending completion is visible");
-        let second = e.pop_completion_event().expect("pending completion");
+        assert!(e.events_pending(), "the pending completion is visible");
+        let second = next_completion(&mut e).expect("pending completion");
         assert_eq!(second.connection, 0);
         assert_eq!(second.finished_at, pending_instant);
     }
@@ -1012,20 +934,19 @@ mod tests {
         let w = tpch_workload();
         let mut e = ShardedEngine::new(DbmsProfile::dbms_x(), &w, 3, 2);
         let shard1 = e.global_of(1, 0);
-        e.submit_to(QueryId(0), default_params(), 0);
-        e.submit_to(QueryId(1), default_params(), shard1);
-        while e.pop_submitted_event().is_some() {}
+        e.submit(QueryId(0), default_params(), 0);
+        e.submit(QueryId(1), default_params(), shard1);
         // Break shard 0 only; shard 1 keeps its generous default budget.
         e.force_shard_advance_budget(0, 0);
-        let healthy = e.pop_completion_event().expect("shard 1 still delivers");
+        let healthy = next_completion(&mut e).expect("shard 1 still delivers");
         assert_eq!(healthy.connection, shard1);
         assert!(
-            e.pop_completion_event().is_none(),
+            next_completion(&mut e).is_none(),
             "the stalled shard must surface as None, not spin or deliver"
         );
         let stall = e.stall_diagnostic().expect("stall must be diagnosed");
         assert_eq!(stall.busy, 1);
-        assert_eq!(e.busy_count(), 1, "the stuck query still occupies its slot");
+        assert_eq!(busy(&e), 1, "the stuck query still occupies its slot");
     }
 
     #[test]
@@ -1033,8 +954,8 @@ mod tests {
     fn double_submit_to_same_global_connection_panics() {
         let w = tpch_workload();
         let mut e = ShardedEngine::new(DbmsProfile::dbms_x(), &w, 0, 2);
-        e.submit_to(QueryId(0), default_params(), 20);
-        e.submit_to(QueryId(1), default_params(), 20);
+        e.submit(QueryId(0), default_params(), 20);
+        e.submit(QueryId(1), default_params(), 20);
     }
 
     #[test]
@@ -1051,11 +972,11 @@ mod tests {
         let mut profile = DbmsProfile::dbms_x();
         profile.cpu_units_per_sec = 1e-9;
         let mut e = ShardedEngine::new(profile, &w, 1, 2);
-        e.submit_to(QueryId(0), default_params(), 0);
-        e.submit_to(QueryId(1), default_params(), 1);
+        e.submit(QueryId(0), default_params(), 0);
+        e.submit(QueryId(1), default_params(), 1);
         let shard1 = e.global_of(1, 0);
-        e.submit_to(QueryId(2), default_params(), shard1);
-        while e.pop_submitted_event().is_some() {}
+        e.submit(QueryId(2), default_params(), shard1);
+        drain_echoes(&mut e);
         e.force_advance_budget(1);
         e
     }
@@ -1079,11 +1000,11 @@ mod tests {
             .expect("exhausted budgets must be diagnosed");
         assert_eq!(stall.busy, 3, "busy connections sum across stalled shards");
         assert_eq!(stall.budget, 1);
-        assert_eq!(e.busy_count(), 3, "no slot was freed by the stall");
+        assert_eq!(busy(&e), 3, "no slot was freed by the stall");
         // Like the monolithic engine, later polls retry with fresh budgets
         // and may make progress — but the diagnostic stays recorded so the
         // session layer still fails the round loudly.
-        let _ = e.pop_completion_event();
+        let _ = e.poll_event();
         assert!(e.stall_diagnostic().is_some(), "diagnostic must persist");
     }
 }

@@ -11,7 +11,7 @@
 //! | `wall-clock` | `Instant::now` / `SystemTime` outside bench binaries |
 //! | `hash-order` | `HashMap` / `HashSet` in deterministic code |
 //! | `unseeded-rng` | `thread_rng` / `rand::random` / inline SplitMix64 constants outside `bq_core::rng` |
-//! | `panic-surface` | `unwrap()` / `expect()` / `panic!`-family in `core`/`wire`/`adapter`/`chaos` library code |
+//! | `panic-surface` | `unwrap()` / `expect()` / `panic!`-family in `core`/`wire`/`adapter`/`chaos` library code and `dbms/src/executor.rs` |
 //! | `hot-path-alloc` | `vec!` / `format!` / `.clone()` / `Vec::new` / `Box::new` … inside `// bq-lint: hot-path` regions |
 //!
 //! The escape hatch is inline and must carry a justification:

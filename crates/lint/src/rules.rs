@@ -42,7 +42,8 @@ pub struct Violation {
 /// * `unseeded-rng` everywhere except `bq_core::rng` itself (the one blessed
 ///   home of the SplitMix64 constants).
 /// * `panic-surface` only in the library code of the boundary crates
-///   (`core`, `wire`, `adapter`, `chaos`) — those surfaces return typed
+///   (`core`, `wire`, `adapter`, `chaos`) and of the executor surface they
+///   share (`crates/dbms/src/executor.rs`) — those surfaces return typed
 ///   errors; panicking there would tear down a replay mid-episode.
 /// * `hot-path-alloc` everywhere a `// bq-lint: hot-path` region is marked.
 #[derive(Debug, Clone)]
@@ -65,6 +66,7 @@ impl Default for Config {
                 "crates/wire/src/".to_string(),
                 "crates/adapter/src/".to_string(),
                 "crates/chaos/src/".to_string(),
+                "crates/dbms/src/executor.rs".to_string(),
             ],
         }
     }

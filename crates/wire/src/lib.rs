@@ -276,7 +276,7 @@ mod tests {
             }
         ));
         assert_eq!(
-            raw.server.backend().connection_slots()[3].query(),
+            raw.server.backend().connections()[3].query(),
             Some(QueryId(0))
         );
         // A query id beyond the workload and an out-of-range connection are
@@ -311,7 +311,7 @@ mod tests {
                 ..
             }
         ));
-        assert!(raw.server.backend().connection_slots()[5].is_free());
+        assert!(raw.server.backend().connections()[5].is_free());
     }
 
     #[test]
@@ -420,8 +420,11 @@ mod tests {
         let w = tpch();
         // Natural duration of query 0 alone on a fresh engine.
         let mut probe = engine(&w, 0);
-        probe.submit_to(QueryId(0), RunParams::default_config(), 0);
-        let duration = probe.step_until_completion()[0].duration();
+        probe.submit(QueryId(0), RunParams::default_config(), 0);
+        let duration = match (probe.poll_event(), probe.poll_event()) {
+            (ExecEvent::Submitted { .. }, ExecEvent::Completed(c)) => c.duration(),
+            other => panic!("expected the echo, then the completion: {other:?}"),
+        };
 
         // A wire slow enough to lose the race: the submit admits at L (so
         // the query completes at L + duration), the ack returns at 2L, and

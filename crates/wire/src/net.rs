@@ -278,6 +278,10 @@ impl std::fmt::Display for Endpoint {
     }
 }
 
+/// Consecutive silent reads a [`SocketClient`] tolerates before it declares
+/// an exchange lost (total patience = `WAIT_BUDGET x read_timeout`).
+const WAIT_BUDGET: u32 = 100;
+
 /// The client half of a socket transport: a [`WireTransport`] whose peer
 /// is a `bq-serve` process on the far side of a TCP or Unix-domain socket.
 ///
@@ -303,9 +307,6 @@ pub struct SocketClient {
     reader: EnvelopeReader,
     inbox: VecDeque<Delivery>,
     read_timeout: Duration,
-    /// Consecutive silent reads tolerated before an exchange is declared
-    /// lost (total patience = `wait_budget x read_timeout`).
-    wait_budget: u32,
     reconnect_attempts: u32,
     reconnect_pause: Duration,
     clock: Option<Box<dyn WallClock + Send>>,
@@ -341,7 +342,6 @@ impl SocketClient {
             reader: EnvelopeReader::default(),
             inbox: VecDeque::new(),
             read_timeout: Duration::from_millis(100),
-            wait_budget: 100,
             reconnect_attempts: 40,
             reconnect_pause: Duration::from_millis(250),
             clock: None,
@@ -364,15 +364,9 @@ impl SocketClient {
     }
 
     /// Override the per-read timeout (default 100 ms). Total patience per
-    /// exchange is `read_timeout x wait_budget`.
+    /// exchange is `read_timeout x WAIT_BUDGET` (100 silent reads).
     pub fn with_read_timeout(mut self, timeout: Duration) -> Self {
         self.read_timeout = timeout;
-        self
-    }
-
-    /// Override the silent-read budget (default 100 reads).
-    pub fn with_wait_budget(mut self, budget: u32) -> Self {
-        self.wait_budget = budget;
         self
     }
 
@@ -402,11 +396,6 @@ impl SocketClient {
     /// Current connection epoch (bumped on every successful reconnect).
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// Whether a live connection is currently held.
-    pub fn is_connected(&self) -> bool {
-        self.stream.is_some()
     }
 
     /// One connection attempt: dial, set the read timeout, send the
@@ -522,7 +511,7 @@ impl WireTransport for SocketClient {
             return false;
         }
         let mut silent = 0u32;
-        while silent < self.wait_budget {
+        while silent < WAIT_BUDGET {
             let Some(stream) = self.stream.as_mut() else {
                 return false;
             };
@@ -746,16 +735,6 @@ impl ServerConn {
     /// The latency model the client's preamble declared.
     pub fn profile(&self) -> &TransportProfile {
         &self.profile
-    }
-
-    /// Whether the connection is still open.
-    pub fn is_open(&self) -> bool {
-        self.stream.is_some()
-    }
-
-    /// Server→client chunks transmitted on this connection.
-    pub fn sent_chunks(&self) -> u64 {
-        self.sent_to_client
     }
 
     /// Complete request chunks received on this connection.

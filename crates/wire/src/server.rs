@@ -261,9 +261,9 @@ impl<B: ExecutorBackend> WireServer<B> {
             Request::Cancel { connection } => {
                 // An out-of-range connection answers `None` — the shape the
                 // `cancel` trait contract gives a free/unknown connection —
-                // without reaching the backend, whose slot indexing a
-                // peer-controlled index must never drive (the learned
-                // simulator indexes unchecked).
+                // without reaching the backend: the index comes from the
+                // peer, so the boundary validates it itself instead of
+                // trusting every hosted backend to range-check it.
                 let completion = if connection < self.backend.connection_count() {
                     self.backend.cancel(connection)
                 } else {

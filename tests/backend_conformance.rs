@@ -19,7 +19,9 @@
 //! 4. **Ordered running view** — `RunningView` iterates in ascending global
 //!    connection order regardless of submission order;
 //! 5. **Stall surfacing** — healthy rounds never leave a stall diagnostic
-//!    behind.
+//!    behind;
+//! 6. **Self-description** — the backend reports the workload size it was
+//!    built for and a shard topology spanning exactly its slot space.
 //!
 //! To hold a new backend to the contract, add one `*_passes_conformance`
 //! test constructing it fresh per seed — nothing else.
@@ -85,6 +87,10 @@ fn check_cancel_keeps_views_consistent<E: ExecutorBackend>(name: &str, backend: 
     assert!(
         backend.cancel(victim).is_none(),
         "{name}: slot must free exactly once"
+    );
+    assert!(
+        backend.cancel(backend.connection_count()).is_none(),
+        "{name}: cancelling an out-of-range connection must return None"
     );
 
     assert!(backend.connections()[victim].is_free());
@@ -186,6 +192,27 @@ where
     );
 }
 
+/// Invariant 6: the backend knows the workload size it was built for — the
+/// wire server's unknown-query validation reads it, and the trait default
+/// (`None`) would silently switch that validation off — and its shard
+/// topology spans exactly its connection-slot space.
+fn check_reports_its_workload_and_topology<E: ExecutorBackend>(
+    name: &str,
+    w: &Workload,
+    backend: &E,
+) {
+    assert_eq!(
+        backend.known_query_count(),
+        Some(w.len()),
+        "{name}: must report the workload size it was built for"
+    );
+    assert_eq!(
+        backend.shard_topology().connection_count(),
+        backend.connection_count(),
+        "{name}: shard topology must span the connection-slot space"
+    );
+}
+
 /// The full conformance suite over one backend family; `fresh(seed)` must
 /// build a cold backend for `w` with at least 6 connections.
 fn conformance_suite<E, F>(name: &str, w: &Workload, mut fresh: F)
@@ -198,6 +225,7 @@ where
     check_timeout_frees_each_slot_exactly_once(name, w, &mut fresh);
     check_running_view_is_connection_ordered(name, &mut fresh(5));
     check_healthy_rounds_surface_no_stall(name, w, &mut fresh);
+    check_reports_its_workload_and_topology(name, w, &fresh(13));
 }
 
 #[test]
