@@ -382,10 +382,10 @@ pub struct BqSchedAgent {
     clustering: QueryClustering,
     space: ParamSpace,
     entity_cache: EntityCache,
-    /// The decision loop's projected input rows, tagged with the
-    /// [`ParamStore::version`] they were computed at and dropped whenever
-    /// training (or a checkpoint load) bumps the version.
-    input_rows: Option<(u64, InputRowCache)>,
+    /// The decision loop's per-round state: the projected input rows and
+    /// the first attention block carried from the last decision, dropped
+    /// whenever training (or a checkpoint load) moves the store version.
+    decision_cache: InputRowCache,
     rng: StdRng,
     /// When true, actions are sampled and transitions are recorded; when
     /// false the agent acts greedily (inference mode).
@@ -478,7 +478,7 @@ impl BqSchedAgent {
             clustering,
             space,
             entity_cache,
-            input_rows: None,
+            decision_cache: InputRowCache::default(),
             rng,
             explore: true,
             commit_queue: VecDeque::new(),
@@ -590,22 +590,21 @@ impl BqSchedAgent {
     ///
     /// Runs the body of [`ActorCritic::evaluate`] eagerly — bitwise the
     /// probabilities of the recorded pass the trainers use, without building
-    /// a graph per decision — with the input projection served from the
-    /// projected input rows, which are dropped whenever the parameter-store
-    /// version moved (training update, checkpoint load).
+    /// a graph per decision — with the input projection and the first
+    /// attention block carried over from the last decision, and dropped
+    /// whenever the parameter-store version moved (training update,
+    /// checkpoint load).
     fn decide(&mut self, obs: &BqObs) -> Decision {
-        let version = self.store.version();
-        if self.input_rows.as_ref().map(|(v, _)| *v) != Some(version) {
-            self.input_rows = Some((version, InputRowCache::default()));
-        }
-        let input_rows = &mut self.input_rows.as_mut().expect("cache ensured above").1;
-        let (model, store) = (&self.model, &self.store);
-        let x = input_rows.project(store, model.input_proj(), &obs.encoded);
-        let (logits, global) = model.policy(&mut Eager, store, obs, &Cow::Owned(x));
+        let (model, store, cache) = (&self.model, &self.store, &mut self.decision_cache);
+        let x = cache.project(store, model.input_proj(), &obs.encoded);
+        let (logits, global) = model.policy(&mut cache.evaluator(), store, obs, &Cow::Owned(x));
         // Greedy mode never reads the value estimate, so only exploration
         // runs the value head.
         let value = if self.explore {
-            model.value_head.forward(&mut Eager, store, &global).item()
+            model
+                .value_head
+                .forward(&mut Eager::default(), store, &global)
+                .item()
         } else {
             0.0
         };
@@ -1075,6 +1074,17 @@ mod tests {
         }
     }
 
+    /// [`fast_config`] with two attention blocks in the state encoder.
+    fn two_block_config() -> BqSchedConfig {
+        BqSchedConfig {
+            state_encoder: StateEncoderConfig {
+                blocks: 2,
+                ..fast_config().state_encoder
+            },
+            ..fast_config()
+        }
+    }
+
     #[test]
     fn agent_completes_episodes_greedily() {
         let w = tiny_workload();
@@ -1227,7 +1237,7 @@ mod tests {
     #[test]
     fn eager_policy_matches_graph_evaluate_bitwise() {
         // Every logit and the value of the eager decision path, with one
-        // input-row cache warmed across the states, are bit-identical to the
+        // decision cache carried across the states, are bit-identical to the
         // recorded pass the trainers replay, on both the attention and the
         // plain backend.
         let w = tiny_workload();
@@ -1235,13 +1245,15 @@ mod tests {
         for config in [fast_config(), fast_config().without_attention()] {
             let agent = BqSchedAgent::new(&w, &profile, None, config);
             let (model, store) = (&agent.model, &agent.store);
-            let mut input_rows = InputRowCache::default();
+            let mut cache = InputRowCache::default();
             for obs in sample_states(&agent, &w) {
                 let mut g = Graph::new();
                 let (logits_g, value_g) = model.evaluate(&mut g, store, &obs);
-                let x = Cow::Owned(input_rows.project(store, model.input_proj(), &obs.encoded));
-                let (logits_e, global) = model.policy(&mut Eager, store, &obs, &x);
-                let value_e = model.value_head.forward(&mut Eager, store, &global);
+                let x = Cow::Owned(cache.project(store, model.input_proj(), &obs.encoded));
+                let (logits_e, global) = model.policy(&mut cache.evaluator(), store, &obs, &x);
+                let value_e = model
+                    .value_head
+                    .forward(&mut Eager::default(), store, &global);
                 assert_eq!(g.value(logits_g).shape(), logits_e.shape());
                 assert!(
                     bits(g.value(logits_g).data()) == bits(logits_e.data()),
@@ -1322,15 +1334,54 @@ mod tests {
     }
 
     #[test]
+    fn a_swapped_store_never_validates_a_stale_decision_cache() {
+        // Two agents of one layout from different seeds. Once `a` has
+        // decided, it takes `b`'s store; its next decision must not read a
+        // row projected or attended under the old values.
+        let w = tiny_workload();
+        let profile = DbmsProfile::dbms_x();
+        let config = |seed| BqSchedConfig {
+            seed,
+            ..fast_config()
+        };
+        let mut a = BqSchedAgent::new(&w, &profile, None, config(1));
+        let b = BqSchedAgent::new(&w, &profile, None, config(2));
+        a.explore = false;
+        let obs = sample_states(&a, &w).remove(1);
+        let (_, _, _, before) = a.decide(&obs);
+        a.store = b.store.clone();
+        let (_, _, _, after) = a.decide(&obs);
+        assert_ne!(bits(&before), bits(&after), "the swap must show");
+        let mut g = Graph::new();
+        let (logits, _) = a.model.evaluate(&mut g, &a.store, &obs);
+        let recorded = g.value(logits).softmax_rows();
+        assert!(
+            bits(&after) == bits(recorded.data()),
+            "a stale row was read"
+        );
+    }
+
+    /// Scale every parameter value of `store` by `by`.
+    fn nudge(store: &mut ParamStore, by: f32) {
+        for (_, p) in store.iter_mut() {
+            p.value.data_mut().iter_mut().for_each(|v| *v *= by);
+        }
+    }
+
+    #[test]
     fn episodes_match_a_graph_evaluate_reference_policy() {
         // Greedy and exploring episodes of the eager decision path are
         // byte-identical to the same agent deciding through the recorded
-        // pass, and so are the rollouts' stored action probabilities.
+        // pass, and so are the rollouts' stored action probabilities. Four
+        // consecutive rounds per agent carry the decision cache across round
+        // boundaries, and a parameter update after the second rebuilds it
+        // mid-stream.
         let w = tiny_workload();
         let profile = DbmsProfile::dbms_x();
         let history = collect_history(&mut FifoScheduler::new(), &w, &profile, 2, 0);
         let configs = [
             fast_config(),
+            two_block_config(),
             fast_config().without_attention(),
             fast_config().with_clusters(6),
         ];
@@ -1345,7 +1396,11 @@ mod tests {
                 ));
                 fast.explore = explore;
                 reference.0.explore = explore;
-                for seed in [7, 8] {
+                for seed in [7, 8, 9, 10] {
+                    if seed == 9 {
+                        nudge(&mut fast.store, 0.97);
+                        nudge(&mut reference.0.store, 0.97);
+                    }
                     let log_fast = run_once(&mut fast, &w, &profile, Some(&history), seed);
                     let log_ref = run_once(&mut reference, &w, &profile, Some(&history), seed);
                     assert_eq!(
@@ -1459,16 +1514,9 @@ mod tests {
         let w = tiny_workload();
         let profile = DbmsProfile::dbms_x();
         let history = collect_history(&mut FifoScheduler::new(), &w, &profile, 2, 0);
-        let two_blocks = BqSchedConfig {
-            state_encoder: StateEncoderConfig {
-                blocks: 2,
-                ..fast_config().state_encoder
-            },
-            ..fast_config()
-        };
         let configs = [
             fast_config(),
-            two_blocks,
+            two_block_config(),
             fast_config().with_clusters(6),
             fast_config().without_attention(),
             fast_config().without_masking(),

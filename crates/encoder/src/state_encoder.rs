@@ -14,7 +14,10 @@
 
 use crate::features::{mean_features, state_feature_matrix, FeatureScale, STATE_FEATURE_DIM};
 use bq_core::{QueryStatus, SchedulingState};
-use bq_nn::{Activation, AttentionBlock, Eager, Mlp, NodeId, Ops, ParamId, ParamStore, Tensor};
+use bq_nn::{
+    Activation, AttentionBlock, Eager, IncrementalAttention, Mlp, NodeId, Ops, ParamId, ParamStore,
+    Tensor,
+};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -126,18 +129,23 @@ pub struct StateRepr<V = NodeId> {
     pub global: V,
 }
 
-/// The decision loop's projected input rows, valid for the [`ParamStore`]
-/// at one [`ParamStore::version`]. Holders drop it when the version moves
-/// (training updates, checkpoint loads), so no stale row is ever read.
+/// The decision loop's per-round state: the projected input rows and the
+/// state encoder's first attention block carried from one decision to the
+/// next, valid for the [`ParamStore`] at one [`ParamStore::version`].
+/// [`Self::project`] drops both when the version moves (training updates,
+/// checkpoint loads), so no stale row is ever read.
 ///
 /// One slot per entity row holds the bit pattern of the input row
 /// `e_i ∥ f_i` and its projection `x_i`. The projection is row-wise, so a
 /// row whose input bits are unchanged reuses `x_i` exactly. Pending and
 /// finished entities keep their features between decisions, so only
-/// running entities are projected again.
+/// running entities are projected again, and only their rows are marked
+/// changed for the carried attention, which redoes just the work they
+/// touch (see [`IncrementalAttention`]).
 #[derive(Debug, Clone, Default)]
 pub struct InputRowCache {
     rows: Vec<InputRow>,
+    attention: IncrementalAttention,
 }
 
 #[derive(Debug, Clone, Default)]
@@ -151,6 +159,9 @@ impl InputRowCache {
     /// running `mlp` only on the rows whose input bits differ from the
     /// cached slot.
     pub fn project(&mut self, store: &ParamStore, mlp: &Mlp, obs: &EncodedObservation) -> Tensor {
+        if self.attention.renew(store) {
+            self.rows.clear();
+        }
         let n = obs.len();
         let in_dim = obs.plan_embs.cols() + obs.features.cols();
         self.rows.resize_with(n, InputRow::default);
@@ -172,11 +183,12 @@ impl InputRowCache {
             if !fresh {
                 stale.push(i);
                 stale_in.extend(input_row(i));
+                self.attention.input_changed(i);
             }
         }
         if !stale.is_empty() {
             let x_in = Cow::Owned(Tensor::from_vec(stale.len(), in_dim, stale_in));
-            let projected = mlp.forward(&mut Eager, store, &x_in);
+            let projected = mlp.forward(&mut Eager::default(), store, &x_in);
             for (j, &i) in stale.iter().enumerate() {
                 let slot = &mut self.rows[i];
                 slot.key.clear();
@@ -191,6 +203,13 @@ impl InputRowCache {
             data.extend_from_slice(&slot.value);
         }
         Tensor::from_vec(n, dim, data)
+    }
+
+    /// An [`Eager`] evaluation over the rows [`Self::project`] last
+    /// returned that carries [`StateEncoder::attend`]'s first attention block
+    /// over from the last pass.
+    pub fn evaluator(&mut self) -> Eager<'_> {
+        Eager::carrying(&mut self.attention)
     }
 }
 
@@ -466,7 +485,8 @@ mod tests {
     }
 
     /// The decision loop's encoding of `obs` for `rows`: eager, with the
-    /// input projection served from `cache`. Returns `(per_query, global)`.
+    /// input projection and the first attention block served from `cache`.
+    /// Returns `(per_query, global)`.
     fn eager_encode(
         enc: &StateEncoder,
         store: &ParamStore,
@@ -475,7 +495,7 @@ mod tests {
         cache: &mut InputRowCache,
     ) -> (Tensor, Tensor) {
         let x = Cow::Owned(cache.project(store, enc.input_proj(), obs));
-        let repr = enc.attend(&mut Eager, store, obs, &x, rows);
+        let repr = enc.attend(&mut cache.evaluator(), store, obs, &x, rows);
         (repr.per_query.into_owned(), repr.global.into_owned())
     }
 

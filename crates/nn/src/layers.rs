@@ -223,10 +223,57 @@ impl LayerNorm {
 
 /// `x`'s rows `rows`, or `None` for `x` itself when `rows` is every row in
 /// order: a full-row pass records exactly the tape it always did.
-fn select_rows_of<'s, O: Ops<'s>>(g: &mut O, x: &O::Value, rows: &[usize]) -> Option<O::Value> {
+fn select_rows_of<'s, O: Ops<'s> + ?Sized>(
+    g: &mut O,
+    x: &O::Value,
+    rows: &[usize],
+) -> Option<O::Value> {
     let every_row =
         rows.len() == g.value(x).rows() && rows.iter().enumerate().all(|(i, &r)| i == r);
     (!every_row).then(|| g.select_rows(x, rows))
+}
+
+/// Head `index` of the `count` heads of a [`MultiHeadAttention`]: what
+/// [`Ops::attention_head`] projects its input with.
+#[derive(Debug, Clone, Copy)]
+pub struct AttentionHead {
+    /// Position among the attention's heads, from 0.
+    pub index: usize,
+    /// Number of heads of the attention.
+    pub count: usize,
+    /// Query projection, `[dim, head_dim]`.
+    pub wq: ParamId,
+    /// Key projection, `[dim, head_dim]`.
+    pub wk: ParamId,
+    /// Value projection, `[dim, head_dim]`.
+    pub wv: ParamId,
+    /// Score scale, `1 / sqrt(head_dim)`.
+    pub scale: f32,
+}
+
+/// The default body of [`Ops::attention_head`].
+pub(crate) fn attention_weights<'s, O: Ops<'s> + ?Sized>(
+    g: &mut O,
+    store: &'s ParamStore,
+    head: &AttentionHead,
+    x: &O::Value,
+    rows: &[usize],
+    bias: Option<&Tensor>,
+) -> (O::Value, O::Value) {
+    let wq = g.param(store, head.wq);
+    let wk = g.param(store, head.wk);
+    let wv = g.param(store, head.wv);
+    let x_rows = select_rows_of(g, x, rows);
+    let q = g.matmul(x_rows.as_ref().unwrap_or(x), &wq);
+    let k = g.matmul(x, &wk);
+    let v = g.matmul(x, &wv);
+    let kt = g.transpose(&k);
+    let scores = g.matmul(&q, &kt);
+    let mut scores = g.scale(&scores, head.scale);
+    if let Some(b) = bias {
+        scores = g.add_const(&scores, b);
+    }
+    (g.softmax_rows(&scores), v)
 }
 
 /// Multi-head self-attention over a set of row vectors.
@@ -331,20 +378,15 @@ impl MultiHeadAttention {
         let scale = 1.0 / (self.head_dim as f32).sqrt();
         let mut head_outputs: Option<O::Value> = None;
         for h in 0..self.heads {
-            let wq = g.param(store, self.wq[h]);
-            let wk = g.param(store, self.wk[h]);
-            let wv = g.param(store, self.wv[h]);
-            let x_rows = select_rows_of(g, x, rows);
-            let q = g.matmul(x_rows.as_ref().unwrap_or(x), &wq);
-            let k = g.matmul(x, &wk);
-            let v = g.matmul(x, &wv);
-            let kt = g.transpose(&k);
-            let scores = g.matmul(&q, &kt);
-            let mut scores = g.scale(&scores, scale);
-            if let Some(b) = bias {
-                scores = g.add_const(&scores, b);
-            }
-            let attn = g.softmax_rows(&scores);
+            let head = AttentionHead {
+                index: h,
+                count: self.heads,
+                wq: self.wq[h],
+                wk: self.wk[h],
+                wv: self.wv[h],
+                scale,
+            };
+            let (attn, v) = g.attention_head(store, &head, x, rows, bias);
             let out = g.matmul(&attn, &v);
             head_outputs = Some(match head_outputs {
                 None => out,
@@ -639,7 +681,7 @@ mod tests {
             let layers = (&block, &mlp);
             let bias = bias.as_ref();
             let recorded = layer_bits(&mut Graph::new(), &store, layers, &x, rows, bias);
-            let eager = layer_bits(&mut Eager, &store, layers, &x, rows, bias);
+            let eager = layer_bits(&mut Eager::default(), &store, layers, &x, rows, bias);
             assert!(
                 recorded == eager,
                 "rows {rows:?} (biased: {}) drifted",
@@ -664,7 +706,13 @@ mod tests {
         let xi = g.input(x.clone());
         let y_graph = block.forward(&mut g, &store, &xi, &[0, 1, 2, 3, 4, 5, 6], None);
         for rows in [vec![6], vec![1, 4, 6], vec![5, 0, 5], vec![]] {
-            let y_rows = block.forward(&mut Eager, &store, &Cow::Borrowed(&x), &rows, None);
+            let y_rows = block.forward(
+                &mut Eager::default(),
+                &store,
+                &Cow::Borrowed(&x),
+                &rows,
+                None,
+            );
             assert_eq!(y_rows.shape(), (rows.len(), 8));
             let expected = g.value(y_graph).select_rows(&rows);
             assert!(

@@ -47,6 +47,7 @@
 #![warn(missing_docs)]
 
 pub mod graph;
+pub mod incremental;
 pub mod layers;
 pub mod ops;
 pub mod optim;
@@ -54,7 +55,10 @@ pub mod params;
 pub mod tensor;
 
 pub use graph::{Graph, NodeId};
-pub use layers::{Activation, AttentionBlock, LayerNorm, Linear, Mlp, MultiHeadAttention};
+pub use incremental::IncrementalAttention;
+pub use layers::{
+    Activation, AttentionBlock, AttentionHead, LayerNorm, Linear, Mlp, MultiHeadAttention,
+};
 pub use ops::{Eager, Ops};
 pub use optim::Adam;
 pub use params::{Param, ParamId, ParamStore};

@@ -4,9 +4,14 @@
 //! [`Graph`] records every op on the autodiff tape for training; [`Eager`]
 //! computes each value at once and keeps nothing for a backward pass, for
 //! the decision loop. Both compute every value with the same [`Tensor`]
-//! arithmetic, so a forward run eagerly is bitwise the recorded one.
+//! arithmetic, so a forward run eagerly is bitwise the recorded one. The
+//! one hook an evaluation overrides, [`Ops::attention_head`], lets the
+//! decision loop carry its first attention over from the last decision
+//! ([`crate::incremental`]).
 
 use crate::graph::{Graph, NodeId};
+use crate::incremental::IncrementalAttention;
+use crate::layers::{attention_weights, AttentionHead};
 use crate::params::{ParamId, ParamStore};
 use crate::tensor::Tensor;
 use std::borrow::Cow;
@@ -56,6 +61,24 @@ pub trait Ops<'s> {
     fn select_rows(&mut self, a: &Self::Value, indices: &[usize]) -> Self::Value;
     /// See [`Graph::row_norm`].
     fn row_norm(&mut self, a: &Self::Value, eps: f32) -> Self::Value;
+
+    /// One head of a [`crate::MultiHeadAttention`] over `x` (`[n, dim]`)
+    /// up to `attn · V`: the softmax weights of the query rows `rows` over
+    /// every row of `x` (`[rows.len(), n]`) and the value rows (`[n,
+    /// head_dim]`). The default body projects the queries, keys and values
+    /// and runs `transpose → matmul → scale → softmax` on them, adding `bias`
+    /// to the scores when given; an evaluator may compute the same values
+    /// another way, bit for bit.
+    fn attention_head(
+        &mut self,
+        store: &'s ParamStore,
+        head: &AttentionHead,
+        x: &Self::Value,
+        rows: &[usize],
+        bias: Option<&Tensor>,
+    ) -> (Self::Value, Self::Value) {
+        attention_weights(self, store, head, x, rows, bias)
+    }
 }
 
 impl<'s> Ops<'s> for Graph {
@@ -126,10 +149,27 @@ impl<'s> Ops<'s> for Graph {
 /// once and records nothing for a backward pass. [`Ops::param`] borrows the
 /// parameter's value from the store instead of copying it, and every other
 /// value is an owned tensor, freed when the forward pass drops it.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Eager;
+///
+/// An evaluation made by [`Eager::carrying`] serves the heads of the first
+/// attention of its pass from an [`IncrementalAttention`] carried over from
+/// the last pass, with the same values bit for bit; every later attention,
+/// and an attention with a bias, evaluates statelessly.
+#[derive(Debug, Default)]
+pub struct Eager<'c> {
+    /// The first attention's state, until its last head is evaluated.
+    carry: Option<&'c mut IncrementalAttention>,
+}
 
-impl<'s> Ops<'s> for Eager {
+impl<'c> Eager<'c> {
+    /// An evaluation whose first attention is carried in `state`, which is
+    /// renewed and told the input rows that changed since the last pass.
+    /// That attention's input must be the one those rows belong to.
+    pub fn carrying(state: &'c mut IncrementalAttention) -> Self {
+        Self { carry: Some(state) }
+    }
+}
+
+impl<'s> Ops<'s> for Eager<'_> {
     type Value = Cow<'s, Tensor>;
     fn value<'a>(&'a self, x: &'a Self::Value) -> &'a Tensor {
         x
@@ -190,5 +230,26 @@ impl<'s> Ops<'s> for Eager {
     }
     fn row_norm(&mut self, a: &Self::Value, eps: f32) -> Self::Value {
         Cow::Owned(a.row_norm(eps))
+    }
+    fn attention_head(
+        &mut self,
+        store: &'s ParamStore,
+        head: &AttentionHead,
+        x: &Self::Value,
+        rows: &[usize],
+        bias: Option<&Tensor>,
+    ) -> (Self::Value, Self::Value) {
+        let carry = if head.index + 1 == head.count {
+            self.carry.take()
+        } else {
+            self.carry.as_deref_mut()
+        };
+        match carry {
+            Some(state) if bias.is_none() => {
+                let (attn, v) = state.attend(store, head, x, rows);
+                (Cow::Owned(attn), Cow::Owned(v))
+            }
+            _ => attention_weights(self, store, head, x, rows, bias),
+        }
     }
 }

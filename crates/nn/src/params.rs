@@ -10,6 +10,17 @@
 use crate::tensor::Tensor;
 use rand::Rng;
 use serde::{Deserialize, Serialize, Value};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// The source of every [`ParamStore::version`]: one counter for the whole
+/// process, so two stores share a version only if they hold the same
+/// values: one is a clone of the other that neither has mutated since, or
+/// both are new and empty (version 0).
+static NEXT_VERSION: AtomicU64 = AtomicU64::new(1);
+
+fn next_version() -> u64 {
+    NEXT_VERSION.fetch_add(1, Ordering::Relaxed)
+}
 
 /// Handle to a parameter inside a [`ParamStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -48,12 +59,11 @@ impl Param {
 #[derive(Debug, Clone, Default)]
 pub struct ParamStore {
     params: Vec<Param>,
-    /// Monotonic counter bumped on every mutable access to parameter values.
-    /// Caches of values derived from parameters (e.g. the decision loop's
-    /// projected input rows) compare it to decide whether they are stale.
-    /// Not part of checkpoints: a freshly deserialized store restarts at
-    /// zero, and caches are rebuilt against whatever store instance they are
-    /// first used with.
+    /// Drawn from a process-wide counter on every mutable access to
+    /// parameter values. Caches of values derived from parameters (e.g. the
+    /// decision loop's projected input rows) compare it to decide whether
+    /// they are stale. Not part of checkpoints: a deserialized store draws a
+    /// fresh version, like any other mutation.
     version: u64,
 }
 
@@ -72,7 +82,7 @@ impl Deserialize for ParamStore {
             .ok_or_else(|| serde::Error::custom("ParamStore: expected a map"))?;
         Ok(Self {
             params: Deserialize::from_value(Value::map_get(m, "params"))?,
-            version: 0,
+            version: next_version(),
         })
     }
 }
@@ -83,10 +93,13 @@ impl ParamStore {
         Self::default()
     }
 
-    /// Monotonic version of the parameter values: any call that could have
-    /// mutated a value (registration, `get_mut`, `iter_mut`,
-    /// `copy_values_from`) bumps it. Caches derived from parameter values
-    /// are valid exactly as long as the version they were built at matches.
+    /// Version of the parameter values: any call that could have mutated a
+    /// value (registration, `get_mut`, `iter_mut`, `copy_values_from`,
+    /// deserialization) draws a new one from a process-wide counter, and a
+    /// clone keeps its original's. So equal versions imply equal values,
+    /// across stores too: a cache derived from parameter values is valid
+    /// exactly as long as the version it was built at matches, whichever
+    /// store it is then used with.
     pub fn version(&self) -> u64 {
         self.version
     }
@@ -95,7 +108,7 @@ impl ParamStore {
     pub fn add(&mut self, name: impl Into<String>, value: Tensor) -> ParamId {
         let id = ParamId(self.params.len());
         self.params.push(Param::new(name, value));
-        self.version += 1;
+        self.version = next_version();
         id
     }
 
@@ -142,7 +155,7 @@ impl ParamStore {
 
     /// Mutable access to a parameter.
     pub fn get_mut(&mut self, id: ParamId) -> &mut Param {
-        self.version += 1;
+        self.version = next_version();
         &mut self.params[id.0]
     }
 
@@ -175,7 +188,7 @@ impl ParamStore {
 
     /// Iterate mutably over all parameters.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (ParamId, &mut Param)> {
-        self.version += 1;
+        self.version = next_version();
         self.params
             .iter_mut()
             .enumerate()
@@ -209,7 +222,7 @@ impl ParamStore {
     /// Used to snapshot the "old" policy before a PPO update and to load
     /// checkpoints saved during simulator pre-training.
     pub fn copy_values_from(&mut self, other: &ParamStore) {
-        self.version += 1;
+        self.version = next_version();
         assert_eq!(
             self.params.len(),
             other.params.len(),

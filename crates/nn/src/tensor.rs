@@ -214,6 +214,21 @@ impl Tensor {
         }
     }
 
+    /// Rows `rows` of `self @ other` into the same rows of `out`, a
+    /// row-major `[self.rows, other.cols]` buffer, leaving its other rows
+    /// as they are: each element as [`Tensor::matmul`] computes it.
+    pub(crate) fn matmul_rows_into(&self, rows: &[usize], other: &Tensor, out: &mut [f32]) {
+        assert_eq!(self.cols, other.rows, "matmul_rows_into shape mismatch");
+        assert_eq!(out.len(), self.rows * other.cols, "matmul_rows_into output");
+        let a = Strided {
+            data: &self.data,
+            row_step: self.cols,
+            k_step: 1,
+        };
+        let rows = rows.iter().copied();
+        kernel_rows(a, rows, self.cols, &other.data, other.cols, out);
+    }
+
     /// `selfᵀ @ other`, reading `self` in place. Bitwise equal to
     /// `self.transpose().matmul(other)`: the kernel sees the same values in
     /// the same order, only from a column instead of a copied row.
@@ -357,31 +372,25 @@ impl Tensor {
     pub fn add_row_broadcast(&self, bias: &Tensor) -> Tensor {
         assert_eq!(bias.rows, 1, "add_row bias must have a single row");
         assert_eq!(bias.cols, self.cols, "add_row bias width mismatch");
-        let mut v = self.clone();
-        for r in 0..v.rows {
-            for c in 0..v.cols {
-                let x = v.get(r, c) + bias.get(0, c);
-                v.set(r, c, x);
-            }
+        let mut data = Vec::with_capacity(self.data.len());
+        for row in self.data.chunks_exact(self.cols.max(1)) {
+            data.extend(row.iter().zip(&bias.data).map(|(x, b)| x + b));
         }
-        v
+        Tensor { data, ..*self }
     }
 
     /// Row-wise normalisation `(x - mean) / sqrt(var + eps)`, shared between
     /// the tape ([`crate::Graph::row_norm`]) and the eager side.
     pub fn row_norm(&self, eps: f32) -> Tensor {
         let d = self.cols as f32;
-        let mut v = self.clone();
-        for r in 0..self.rows {
-            let row = self.row_slice(r);
+        let mut data = Vec::with_capacity(self.data.len());
+        for row in self.data.chunks_exact(self.cols.max(1)) {
             let mean = row.iter().sum::<f32>() / d;
             let var = row.iter().map(|&y| (y - mean) * (y - mean)).sum::<f32>() / d;
             let std = (var + eps).sqrt();
-            for c in 0..self.cols {
-                v.set(r, c, (self.get(r, c) - mean) / std);
-            }
+            data.extend(row.iter().map(|&y| (y - mean) / std));
         }
-        v
+        Tensor { data, ..*self }
     }
 
     /// Column means over all rows: `[n, d] -> [1, d]`, shared between the
@@ -517,15 +526,26 @@ struct Strided<'a> {
 /// vectorisation of a block cannot change a rounding either.
 fn matmul_kernel(a: Strided<'_>, m: usize, k: usize, b: &[f32], n: usize) -> Vec<f32> {
     let mut out = vec![0.0; m * n];
-    let mut i = 0;
-    while i + 2 <= m {
-        row_blocks::<2>(a, [i, i + 1], k, b, n, &mut out);
-        i += 2;
-    }
-    if i < m {
-        row_blocks::<1>(a, [i], k, b, n, &mut out);
-    }
+    kernel_rows(a, 0..m, k, b, n, &mut out);
     out
+}
+
+/// The output rows `rows` of [`matmul_kernel`] into the same rows of `out`,
+/// two at a time.
+fn kernel_rows(
+    a: Strided<'_>,
+    mut rows: impl Iterator<Item = usize>,
+    k: usize,
+    b: &[f32],
+    n: usize,
+    out: &mut [f32],
+) {
+    while let Some(i) = rows.next() {
+        match rows.next() {
+            Some(j) => row_blocks::<2>(a, [i, j], k, b, n, out),
+            None => row_blocks::<1>(a, [i], k, b, n, out),
+        }
+    }
 }
 
 /// Output rows `rows` of [`matmul_kernel`], block after block of columns,
@@ -678,6 +698,66 @@ mod tests {
                         "({k}x{m})ᵀ @ {k}x{n}"
                     );
                     assert_eq!(bits(&at.transpose_matmul(&b)), bits(&want));
+                    // Every other row, in place over a buffer of NaNs.
+                    let rows: Vec<usize> = (0..m).rev().step_by(2).collect();
+                    let mut out = vec![f32::NAN; m * n];
+                    a.matmul_rows_into(&rows, &b, &mut out);
+                    for i in 0..m {
+                        let got = Tensor::from_vec(1, n, out[i * n..(i + 1) * n].to_vec());
+                        if rows.contains(&i) {
+                            assert_eq!(bits(&got), bits(&want.slice_rows(i, 1)), "row {i}");
+                        } else {
+                            assert!(got.data.iter().all(|v| v.is_nan()), "row {i} written");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The element loops `add_row_broadcast` and `row_norm` were before
+    /// they walked row slices.
+    fn element_add_row(a: &Tensor, bias: &Tensor) -> Tensor {
+        let mut v = a.clone();
+        for r in 0..v.rows {
+            for c in 0..v.cols {
+                let x = v.get(r, c) + bias.get(0, c);
+                v.set(r, c, x);
+            }
+        }
+        v
+    }
+
+    fn element_row_norm(a: &Tensor, eps: f32) -> Tensor {
+        let d = a.cols as f32;
+        let mut v = a.clone();
+        for r in 0..a.rows {
+            let row = a.row_slice(r);
+            let mean = row.iter().sum::<f32>() / d;
+            let var = row.iter().map(|&y| (y - mean) * (y - mean)).sum::<f32>() / d;
+            let std = (var + eps).sqrt();
+            for c in 0..a.cols {
+                v.set(r, c, (a.get(r, c) - mean) / std);
+            }
+        }
+        v
+    }
+
+    #[test]
+    fn row_slice_kernels_are_bitwise_the_element_loops() {
+        let mut rng = StdRng::seed_from_u64(6);
+        for rows in [0, 1, 2, 5] {
+            for cols in [0, 1, 3, 16, 33] {
+                let a = awkward(rows, cols, true, &mut rng);
+                let bias = awkward(1, cols, true, &mut rng);
+                let got = a.add_row_broadcast(&bias);
+                assert_eq!(got.shape(), (rows, cols));
+                assert_eq!(bits(&got), bits(&element_add_row(&a, &bias)));
+                for eps in [1e-5, 0.0] {
+                    let got = a.row_norm(eps);
+                    assert_eq!(got.shape(), (rows, cols));
+                    let want = element_row_norm(&a, eps);
+                    assert_eq!(bits(&got), bits(&want), "{rows}x{cols}, eps {eps}");
                 }
             }
         }
