@@ -16,8 +16,8 @@
 //! * [`schedule`] — [`FaultSpec`], [`ChaosProfile`] and [`FaultSchedule`]:
 //!   the seeded, replayable fault plan;
 //! * [`transport`] — [`ChaosTransport`]: outage windows, a mid-frame
-//!   truncation and congestion windows over any
-//!   [`bq_wire::WireTransport`];
+//!   truncation and congestion windows over an in-process link's two ends
+//!   ([`bq_wire::WireTransport`] and [`bq_wire::ServerTransport`]);
 //! * [`backend`] — [`ChaosBackend`]: bounded shard stalls and permanent
 //!   shard deaths over any [`bq_core::ExecutorBackend`] with a shard
 //!   topology.
@@ -82,7 +82,7 @@ mod tests {
     };
     use bq_dbms::{DbmsProfile, ExecutionEngine, ShardedEngine};
     use bq_plan::{generate, Benchmark, Workload, WorkloadSpec};
-    use bq_wire::{InMemoryDuplex, WireBackend, WireServer};
+    use bq_wire::{InMemoryDuplex, Loopback, WireBackend, WireServer};
 
     fn tpch() -> Workload {
         generate(&WorkloadSpec::new(Benchmark::TpcH, 1.0, 1))
@@ -123,7 +123,8 @@ mod tests {
             .run(&mut FifoScheduler::new());
         let transport = ChaosTransport::lossless(&FaultSchedule::empty(), 0);
         let server = WireServer::new(ExecutionEngine::new(profile.clone(), &w, 0));
-        let mut wired = WireBackend::connect(server, transport).expect("clean handshake");
+        let mut wired =
+            WireBackend::connect(Loopback::new(server, transport)).expect("clean handshake");
         let quiet = ScheduleSession::builder(&w)
             .dbms(profile.kind)
             .build(&mut wired)
@@ -301,7 +302,7 @@ mod tests {
         let run = || {
             let transport = ChaosTransport::new(InMemoryDuplex::lossless(), &schedule, 13);
             let server = WireServer::new(ExecutionEngine::new(profile.clone(), &w, 0));
-            let mut wired = WireBackend::connect(server, transport)
+            let mut wired = WireBackend::connect(Loopback::new(server, transport))
                 .expect("the faults arm after the handshake")
                 .with_recovery(RecoveryPolicy::bounded());
             ScheduleSession::builder(&w)

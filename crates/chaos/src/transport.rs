@@ -1,8 +1,10 @@
-//! [`ChaosTransport`]: a [`WireTransport`] decorator that injects the
+//! [`ChaosTransport`]: a decorator over both ends of an in-process link
+//! ([`WireTransport`] and [`ServerTransport`]) that injects the
 //! transport-layer faults of a [`FaultSchedule`] — outage windows that drop
 //! chunks and tear the connection down, a partial write that truncates a
 //! frame mid-chunk, and congestion windows that delay chunks — while staying
-//! a byte-identical passthrough under the empty schedule.
+//! a byte-identical passthrough under the empty schedule. A
+//! [`bq_wire::Loopback`] hosts the server on its far end.
 //!
 //! Connection teardowns surface to both endpoints as an **epoch bump** on
 //! subsequent deliveries (see [`bq_wire::Delivery`]): the frame readers on
@@ -13,14 +15,14 @@
 
 use crate::schedule::{FaultSchedule, FaultSpec};
 use bq_core::rng;
-use bq_wire::{Delivery, InMemoryDuplex, TransportProfile, WireTransport};
+use bq_wire::{Delivery, InMemoryDuplex, ServerTransport, WireTransport};
 use std::collections::VecDeque;
 
 /// Salt of the truncation-length stream.
 const TRUNCATE_SALT: u64 = 0x5F20_C4B9_8E67_D1A3;
 
-/// Injects a [`FaultSchedule`]'s transport faults over any inner
-/// [`WireTransport`] (see the [module docs](self)).
+/// Injects a [`FaultSchedule`]'s transport faults over an inner link that
+/// carries both ends (see the [module docs](self)).
 #[derive(Debug)]
 pub struct ChaosTransport<T> {
     inner: T,
@@ -49,15 +51,9 @@ impl ChaosTransport<InMemoryDuplex> {
     pub fn lossless(schedule: &FaultSchedule, seed: u64) -> Self {
         Self::new(InMemoryDuplex::lossless(), schedule, seed)
     }
-
-    /// The schedule's transport faults over an in-memory link with the given
-    /// latency model.
-    pub fn with_profile(profile: TransportProfile, schedule: &FaultSchedule, seed: u64) -> Self {
-        Self::new(InMemoryDuplex::new(profile), schedule, seed)
-    }
 }
 
-impl<T: WireTransport> ChaosTransport<T> {
+impl<T: WireTransport + ServerTransport> ChaosTransport<T> {
     /// Decorate `inner` with the transport faults of `schedule`. `seed`
     /// drives the truncation-length stream (every other instant comes from
     /// the schedule itself).
@@ -91,11 +87,6 @@ impl<T: WireTransport> ChaosTransport<T> {
             epochs_to_server: VecDeque::new(),
             epochs_to_client: VecDeque::new(),
         }
-    }
-
-    /// The decorated transport.
-    pub fn inner(&self) -> &T {
-        &self.inner
     }
 
     /// Bump the epoch once for every outage window now fully in the past:
@@ -136,7 +127,7 @@ impl<T: WireTransport> ChaosTransport<T> {
     }
 }
 
-impl<T: WireTransport> WireTransport for ChaosTransport<T> {
+impl<T: WireTransport + ServerTransport> WireTransport for ChaosTransport<T> {
     fn send_to_server(&mut self, bytes: &[u8], now: f64) -> f64 {
         self.roll_epoch(now);
         if self.link_down(now) {
@@ -173,18 +164,18 @@ impl<T: WireTransport> WireTransport for ChaosTransport<T> {
         arrival
     }
 
-    fn send_to_client(&mut self, bytes: &[u8], now: f64) -> f64 {
-        self.roll_epoch(now);
-        if self.link_down(now) {
-            return now;
-        }
-        let arrival = self
-            .inner
-            .send_to_client(bytes, now + self.spike_extra(now));
-        self.epochs_to_client.push_back(self.epoch);
-        arrival
+    fn recv_at_client(&mut self) -> Option<Delivery> {
+        let mut delivery = self.inner.recv_at_client()?;
+        delivery.epoch += self
+            .epochs_to_client
+            .pop_front()
+            // bq-lint: allow(panic-surface): send_to_client queues exactly one epoch per forwarded chunk; locally provable pairing
+            .expect("every forwarded chunk queued its epoch");
+        Some(delivery)
     }
+}
 
+impl<T: WireTransport + ServerTransport> ServerTransport for ChaosTransport<T> {
     fn recv_at_server(&mut self) -> Option<Delivery> {
         let mut delivery = self.inner.recv_at_server()?;
         delivery.epoch += self
@@ -195,22 +186,16 @@ impl<T: WireTransport> WireTransport for ChaosTransport<T> {
         Some(delivery)
     }
 
-    fn recv_at_client(&mut self) -> Option<Delivery> {
-        let mut delivery = self.inner.recv_at_client()?;
-        delivery.epoch += self
-            .epochs_to_client
-            .pop_front()
-            // bq-lint: allow(panic-surface): send_to_client queues exactly one epoch per forwarded chunk; locally provable pairing
-            .expect("every forwarded chunk queued its epoch");
-        Some(delivery)
-    }
-
-    fn wait_for_client_data(&mut self) -> bool {
-        // Forward the blocking seam verbatim: fault injection rewrites what
-        // a delivery looks like, never when the inner transport can
-        // produce one. Over the in-memory link this stays `false`, keeping
-        // the empty-schedule passthrough byte-identical.
-        self.inner.wait_for_client_data()
+    fn send_to_client(&mut self, bytes: &[u8], now: f64) -> f64 {
+        self.roll_epoch(now);
+        if self.link_down(now) {
+            return now;
+        }
+        let arrival = self
+            .inner
+            .send_to_client(bytes, now + self.spike_extra(now));
+        self.epochs_to_client.push_back(self.epoch);
+        arrival
     }
 }
 

@@ -29,7 +29,7 @@ fn workspace_is_clean_under_default_config() {
     // sanctioned wall-clock read in `bq_obs::profile`; every other
     // profiling hook must inject a `WallClock` instead.)
     assert_eq!(
-        report.allows_used, 29,
+        report.allows_used, 28,
         "the number of `bq-lint: allow` escapes changed — if the new allow \
          is justified, update this pin in the same PR"
     );

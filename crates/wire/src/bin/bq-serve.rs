@@ -17,7 +17,9 @@
 //!   across sequential connections: a client that loses its connection
 //!   reconnects and continues the same episode (epoch bump, cached-response
 //!   replay for retransmitted requests). This is the restart-recovery mode
-//!   the socket edge-case tests exercise.
+//!   the socket edge-case tests exercise. Connections are served one at a
+//!   time, so a connection that never sends its preamble holds the session
+//!   until the idle budget (60 s) runs out.
 
 use bq_dbms::{DbmsProfile, ExecutionEngine};
 use bq_plan::{generate, Benchmark, WorkloadSpec};

@@ -1,8 +1,10 @@
 //! The scheduler-facing side of the wire: [`WireBackend`] implements
-//! [`ExecutorBackend`] by encoding every call into a request frame, driving
-//! the transport, and decoding the response — so a [`ScheduleSession`]
-//! (`bq_core`) runs unchanged against a backend it can only reach through
-//! real serialization.
+//! [`ExecutorBackend`] by encoding every call into a request frame, sending
+//! it through the client's end of a link ([`WireTransport`]), and decoding
+//! the response — so a [`ScheduleSession`] (`bq_core`) runs unchanged
+//! against a backend it can only reach through real serialization. The
+//! link decides where the server is: in process behind a [`Loopback`], or
+//! in a `bq-serve` process behind a [`crate::SocketClient`].
 //!
 //! # Observable-clock discipline
 //!
@@ -20,9 +22,9 @@
 
 use crate::frame::{frame, FrameReader};
 use crate::proto::{
-    seal, unseal, Request, Response, ResponseHeader, WireEvent, HANDSHAKE_MAGIC, PROTOCOL_VERSION,
+    seal, unseal, Request, Response, ResponseHeader, HANDSHAKE_MAGIC, PROTOCOL_VERSION,
 };
-use crate::server::WireServer;
+use crate::server::{Loopback, WireServer};
 use crate::transport::{InMemoryDuplex, TransportProfile, WireTransport};
 use bq_core::{ExecEvent, ExecutorBackend, FaultEvent, RecoveryPolicy, ShardTopology};
 use bq_dbms::{
@@ -59,16 +61,15 @@ impl fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 /// An [`ExecutorBackend`] whose executor lives on the far side of a framed
-/// wire protocol (see the [module docs](self)).
+/// wire protocol (see the [module docs](self)), reached through the
+/// client's end `T` of a link.
 ///
-/// In-process deployments own both halves — the [`WireServer`] and the
-/// transport — and pump them synchronously per request; every message still
-/// round-trips through real encode/decode, so frame layout, versioning and
-/// error surfacing are exercised on every call. A future TCP/UDS transport
-/// replaces only the transport half.
+/// Over a [`Loopback`] the server runs in process and answers each request
+/// synchronously; every message still round-trips through real
+/// encode/decode, so frame layout, versioning and error surfacing are
+/// exercised on every call.
 #[derive(Debug)]
-pub struct WireBackend<B, T = InMemoryDuplex> {
-    server: WireServer<B>,
+pub struct WireBackend<T> {
     transport: T,
     reader: FrameReader,
     /// Session-observable occupancy, updated from response slot diffs.
@@ -96,25 +97,24 @@ pub struct WireBackend<B, T = InMemoryDuplex> {
     obs: Obs,
 }
 
-impl<B: ExecutorBackend> WireBackend<B, InMemoryDuplex> {
+impl<B: ExecutorBackend> WireBackend<Loopback<B>> {
     /// Wire `backend` through an in-memory zero-latency link — the
     /// byte-identical configuration.
     pub fn lossless(backend: B) -> Self {
-        Self::connect(WireServer::new(backend), InMemoryDuplex::lossless())
-            // bq-lint: allow(panic-surface): same-version in-process handshake is infallible by construction
-            .expect("zero-latency handshake against a same-version server cannot fail")
+        Self::with_profile(backend, TransportProfile::zero())
     }
 
     /// Wire `backend` through an in-memory link with the given latency
     /// model.
     pub fn with_profile(backend: B, profile: TransportProfile) -> Self {
-        Self::connect(WireServer::new(backend), InMemoryDuplex::new(profile))
+        let link = Loopback::new(WireServer::new(backend), InMemoryDuplex::new(profile));
+        Self::connect(link)
             // bq-lint: allow(panic-surface): same-version in-process handshake is infallible by construction
             .expect("handshake against a same-version server cannot fail")
     }
 }
 
-impl WireBackend<ExecutionEngine, InMemoryDuplex> {
+impl WireBackend<Loopback<ExecutionEngine>> {
     /// The common cell: a fresh [`ExecutionEngine`] behind an in-memory
     /// link.
     pub fn over_engine(
@@ -130,12 +130,11 @@ impl WireBackend<ExecutionEngine, InMemoryDuplex> {
     }
 }
 
-impl<B: ExecutorBackend, T: WireTransport> WireBackend<B, T> {
-    /// Perform the protocol-version handshake against `server` over
-    /// `transport` and return the connected backend.
-    pub fn connect(server: WireServer<B>, transport: T) -> Result<Self, WireError> {
+impl<T: WireTransport> WireBackend<T> {
+    /// Perform the protocol-version handshake against the server on the far
+    /// end of `transport` and return the connected backend.
+    pub fn connect(transport: T) -> Result<Self, WireError> {
         let mut client = Self {
-            server,
             transport,
             reader: FrameReader::new(),
             mirror: Vec::new(),
@@ -182,9 +181,10 @@ impl<B: ExecutorBackend, T: WireTransport> WireBackend<B, T> {
         }
     }
 
-    /// The server half (and through it the hosted backend — test probes).
-    pub fn server(&self) -> &WireServer<B> {
-        &self.server
+    /// The client's end of the link (for a [`Loopback`], the way to the
+    /// hosted backend — test probes).
+    pub fn transport(&self) -> &T {
+        &self.transport
     }
 
     /// Observe the wire through `obs`: frame and byte counters per
@@ -221,14 +221,9 @@ impl<B: ExecutorBackend, T: WireTransport> WireBackend<B, T> {
         self
     }
 
-    /// Tear the session down, returning the hosted backend.
-    pub fn into_backend(self) -> B {
-        self.server.into_backend()
-    }
-
-    /// One request/response round trip: encode, transmit, let the server
-    /// service its inbound stream, receive and decode the response, and
-    /// apply its state header (clock, mirror, flags).
+    /// One request/response round trip: encode, transmit, receive and
+    /// decode the response, and apply its state header (clock, mirror,
+    /// flags).
     ///
     /// With a recovery policy configured, an exchange whose response never
     /// arrives is retransmitted (same sequence number) after a seeded
@@ -253,7 +248,6 @@ impl<B: ExecutorBackend, T: WireTransport> WireBackend<B, T> {
                     .with_seq(seq)
                     .with_value(wire_frame.len() as f64),
             );
-            self.server.service(&mut self.transport);
             if let Some(response) = self.receive_matching(seq) {
                 self.obs
                     .observe("wire_transit_to_client", (self.now - arrival).max(0.0));
@@ -303,9 +297,9 @@ impl<B: ExecutorBackend, T: WireTransport> WireBackend<B, T> {
     /// earlier exchanges (replays whose original also made it through) are
     /// discarded by sequence number.
     ///
-    /// In-memory transports never wait (the default seam returns `false`),
-    /// so for them this is exactly one synchronous drain — the
-    /// byte-identical path is untouched by the socket seam.
+    /// In-process links never wait (the default seam returns `false`), so
+    /// for them this is exactly one synchronous drain — the byte-identical
+    /// path is untouched by the socket seam.
     fn receive_matching(&mut self, seq: u64) -> Option<Response> {
         loop {
             if let Some(response) = self.drain_client_deliveries(seq) {
@@ -396,7 +390,7 @@ impl<B: ExecutorBackend, T: WireTransport> WireBackend<B, T> {
     }
 }
 
-impl<B: ExecutorBackend, T: WireTransport> ExecutorBackend for WireBackend<B, T> {
+impl<T: WireTransport> ExecutorBackend for WireBackend<T> {
     fn connections(&self) -> &[ConnectionSlot] {
         &self.mirror
     }
@@ -430,17 +424,7 @@ impl<B: ExecutorBackend, T: WireTransport> ExecutorBackend for WireBackend<B, T>
 
     fn poll_event(&mut self) -> ExecEvent {
         match self.call(Request::PollEvent) {
-            Response::Event { event, .. } => match event {
-                WireEvent::Submitted { query, connection } => {
-                    ExecEvent::Submitted { query, connection }
-                }
-                WireEvent::Completed(completion) => {
-                    // The completion has been observed: its slot is free in
-                    // the mirror via the header diff by now.
-                    ExecEvent::Completed(completion)
-                }
-                WireEvent::Idle => ExecEvent::Idle,
-            },
+            Response::Event { event, .. } => event,
             other => Self::reject(other, "poll_event"),
         }
     }

@@ -18,19 +18,20 @@
 //! * [`frame`] — length-prefixed frames, bounds-checked codec primitives,
 //!   stream reassembly ([`frame::FrameReader`]);
 //! * [`proto`] — the request/response vocabulary and its binary codec
-//!   (versioned handshake, submit/batch/poll/advance/cancel/topology,
-//!   error frames);
-//! * [`transport`] — the [`WireTransport`] byte-stream trait and the
-//!   in-memory duplex with seeded, deterministic virtual-time latency;
-//! * [`net`] — the same trait over real TCP and Unix-domain sockets
-//!   (carrier envelopes stamp each chunk's modeled virtual arrival, so
-//!   determinism survives the kernel), plus the accept-side machinery the
-//!   `bq-serve` binary pumps;
+//!   (versioned handshake, submit/batch/poll/advance/cancel, error frames);
+//! * [`transport`] — one trait per end of a link ([`WireTransport`] for
+//!   the client, [`ServerTransport`] for the server) and the in-memory
+//!   duplex holding both, with seeded, deterministic virtual-time latency;
+//! * [`net`] — each end over real TCP and Unix-domain sockets
+//!   ([`SocketClient`], [`ServerConn`]; carrier envelopes stamp each
+//!   chunk's modeled virtual arrival, so determinism survives the kernel),
+//!   plus the accept-side machinery the `bq-serve` binary pumps;
 //! * [`server`] — [`WireServer`]: owns any backend (engine, sharded,
 //!   learned simulator, or an async adapter composition) and services the
-//!   protocol;
-//! * [`client`] — [`WireBackend`]: implements `ExecutorBackend` over the
-//!   wire, maintaining the session-observable mirror under the same
+//!   protocol over a server end; [`Loopback`] hosts it in process on the
+//!   far end of a duplex;
+//! * [`client`] — [`WireBackend`]: implements `ExecutorBackend` over a
+//!   client end, maintaining the session-observable mirror under the same
 //!   observable-clock discipline the sharded backend established.
 //!
 //! # Determinism
@@ -73,15 +74,17 @@ pub mod transport;
 pub use client::{WireBackend, WireError};
 pub use frame::{FrameError, FrameReader, MAX_FRAME_LEN};
 pub use net::{
-    connect_remote, serve_connection, Endpoint, FillOutcome, NullBackend, RemoteBackend,
-    ServerConn, ServerSocket, SocketClient,
+    connect_remote, serve_connection, Endpoint, FillOutcome, RemoteBackend, ServerConn,
+    ServerSocket, SocketClient,
 };
 pub use proto::{
     seal, unseal, Request, Response, WireErrorCode, HANDSHAKE_MAGIC, PROTOCOL_VERSION,
     REQUEST_TAGS, RESPONSE_TAGS, UNSOLICITED_SEQ,
 };
-pub use server::WireServer;
-pub use transport::{Delivery, Direction, InMemoryDuplex, TransportProfile, WireTransport};
+pub use server::{Loopback, WireServer};
+pub use transport::{
+    Delivery, Direction, InMemoryDuplex, ServerTransport, TransportProfile, WireTransport,
+};
 
 #[cfg(test)]
 mod tests {
@@ -104,8 +107,7 @@ mod tests {
     /// Drive a server with raw request frames (protocol-level tests that
     /// bypass `WireBackend`'s own validation).
     struct RawClient {
-        server: WireServer<ExecutionEngine>,
-        link: InMemoryDuplex,
+        link: Loopback<ExecutionEngine>,
         reader: FrameReader,
         now: f64,
         seq: u64,
@@ -114,12 +116,15 @@ mod tests {
     impl RawClient {
         fn new(w: &Workload) -> Self {
             Self {
-                server: WireServer::new(engine(w, 0)),
-                link: InMemoryDuplex::lossless(),
+                link: Loopback::new(WireServer::new(engine(w, 0)), InMemoryDuplex::lossless()),
                 reader: FrameReader::new(),
                 now: 0.0,
                 seq: 0,
             }
+        }
+
+        fn backend(&self) -> &ExecutionEngine {
+            self.link.server().backend()
         }
 
         fn next_seq(&mut self) -> u64 {
@@ -130,7 +135,6 @@ mod tests {
 
         fn send_bytes(&mut self, bytes: &[u8]) -> Vec<Response> {
             self.link.send_to_server(bytes, self.now);
-            self.server.service(&mut self.link);
             let mut responses = Vec::new();
             while let Some(delivery) = self.link.recv_at_client() {
                 self.now = self.now.max(delivery.at);
@@ -208,7 +212,7 @@ mod tests {
             "mirror freed on delivery"
         );
         assert_eq!(backend.poll_event(), ExecEvent::Idle);
-        assert_eq!(backend.now(), backend.server().backend().now());
+        assert_eq!(backend.now(), backend.transport().server().backend().now());
     }
 
     #[test]
@@ -217,7 +221,7 @@ mod tests {
         // Server speaking a different protocol version: connect must fail
         // with the server's rejection, not panic.
         let server = WireServer::new(engine(&w, 0)).with_version(PROTOCOL_VERSION + 1);
-        let err = WireBackend::connect(server, InMemoryDuplex::lossless())
+        let err = WireBackend::connect(Loopback::new(server, InMemoryDuplex::lossless()))
             .expect_err("mismatched versions must not connect");
         match err {
             WireError::Rejected { detail } => {
@@ -275,10 +279,7 @@ mod tests {
                 ..
             }
         ));
-        assert_eq!(
-            raw.server.backend().connections()[3].query(),
-            Some(QueryId(0))
-        );
+        assert_eq!(raw.backend().connections()[3].query(), Some(QueryId(0)));
         // A query id beyond the workload and an out-of-range connection are
         // validated before the backend would panic on them.
         let resp = raw.send(submit(w.len(), 4));
@@ -311,7 +312,7 @@ mod tests {
                 ..
             }
         ));
-        assert!(raw.server.backend().connections()[5].is_free());
+        assert!(raw.backend().connections()[5].is_free());
     }
 
     #[test]
@@ -508,6 +509,15 @@ mod tests {
         fn send_to_server(&mut self, bytes: &[u8], now: f64) -> f64 {
             self.inner.send_to_server(bytes, now)
         }
+        fn recv_at_client(&mut self) -> Option<Delivery> {
+            self.inner.recv_at_client()
+        }
+    }
+
+    impl ServerTransport for DropResponses {
+        fn recv_at_server(&mut self) -> Option<Delivery> {
+            self.inner.recv_at_server()
+        }
         fn send_to_client(&mut self, bytes: &[u8], now: f64) -> f64 {
             let index = self.sent;
             self.sent += 1;
@@ -517,20 +527,17 @@ mod tests {
                 self.inner.send_to_client(bytes, now)
             }
         }
-        fn recv_at_server(&mut self) -> Option<Delivery> {
-            self.inner.recv_at_server()
-        }
-        fn recv_at_client(&mut self) -> Option<Delivery> {
-            self.inner.recv_at_client()
-        }
     }
 
     #[test]
     fn a_lost_response_is_retransmitted_and_executes_at_most_once() {
         let w = tpch();
         // Response 0 is the handshake ack; drop the submit's ack (index 1).
-        let transport = DropResponses::lossless(vec![1]);
-        let mut backend = WireBackend::connect(WireServer::new(engine(&w, 0)), transport)
+        let link = Loopback::new(
+            WireServer::new(engine(&w, 0)),
+            DropResponses::lossless(vec![1]),
+        );
+        let mut backend = WireBackend::connect(link)
             .expect("handshake over a healthy link")
             .with_recovery(RecoveryPolicy::bounded());
         // The ack is lost in transit: the client retransmits the same
@@ -566,9 +573,11 @@ mod tests {
     #[should_panic(expected = "must answer every request")]
     fn a_lost_response_without_a_recovery_policy_panics() {
         let w = tpch();
-        let transport = DropResponses::lossless(vec![1]);
-        let mut backend = WireBackend::connect(WireServer::new(engine(&w, 0)), transport)
-            .expect("handshake over a healthy link");
+        let link = Loopback::new(
+            WireServer::new(engine(&w, 0)),
+            DropResponses::lossless(vec![1]),
+        );
+        let mut backend = WireBackend::connect(link).expect("handshake over a healthy link");
         backend.submit(QueryId(0), RunParams::default_config(), 0);
     }
 

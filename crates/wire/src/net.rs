@@ -1,5 +1,8 @@
-//! [`WireTransport`] over real kernel sockets — TCP and Unix-domain — so
+//! Both ends of a link over real kernel sockets — TCP and Unix-domain — so
 //! the engine can run as its own OS process behind `bq-serve`.
+//! [`SocketClient`] is the client's end ([`WireTransport`]) and
+//! [`ServerConn`], one accepted connection, the server's
+//! ([`ServerTransport`]).
 //!
 //! # The carrier envelope
 //!
@@ -7,8 +10,8 @@
 //! real byte stream, where *wall* time between chunks says nothing about
 //! *virtual* time. Each transmitted chunk therefore rides in a small
 //! carrier envelope stamping the chunk with its **modeled** virtual
-//! arrival instant, computed by the sender exactly the way
-//! [`InMemoryDuplex`] computes it: `(now + latency).max(horizon)` with the
+//! arrival instant, computed by the sender with the same per-direction
+//! stamp [`InMemoryDuplex`] uses: `(now + latency).max(horizon)` with the
 //! latency drawn from the link's [`TransportProfile`] by `(direction,
 //! chunk index)`. The receiver surfaces the chunk as a [`Delivery`] at the
 //! stamped instant, so everything above the transport — server clock
@@ -18,7 +21,8 @@
 //! injected [`WallClock`], and never feeds back into the episode.
 //!
 //! Envelope layout (all little-endian, preceded once per connection by the
-//! [`PREAMBLE_LEN`]-byte transport preamble):
+//! [`PREAMBLE_LEN`]-byte transport preamble, which the server reads as the
+//! connection's first bytes):
 //!
 //! ```text
 //! [u64: IEEE-754 bits of the modeled arrival instant][u32: len][len bytes]
@@ -46,11 +50,11 @@
 
 use crate::frame::{FRAME_HEADER_LEN, MAX_FRAME_LEN};
 use crate::server::WireServer;
-use crate::transport::{Delivery, Direction, TransportProfile, WireTransport};
-use bq_core::{ExecEvent, ExecutorBackend};
-use bq_dbms::{ConnectionSlot, RunParams};
+use crate::transport::{
+    Delivery, Direction, ModeledDirection, ServerTransport, TransportProfile, WireTransport,
+};
+use bq_core::ExecutorBackend;
 use bq_obs::{Obs, WallClock};
-use bq_plan::QueryId;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -172,6 +176,16 @@ impl EnvelopeReader {
         Ok(Some((arrival, chunk)))
     }
 
+    /// Pop the transport preamble off the front of the stream: `None`
+    /// until all [`PREAMBLE_LEN`] bytes are in, then the decoded profile or
+    /// the reason it is unacceptable.
+    fn take_preamble(&mut self) -> Option<Result<TransportProfile, String>> {
+        let mut bytes = [0u8; PREAMBLE_LEN];
+        bytes.copy_from_slice(self.buf.get(..PREAMBLE_LEN)?);
+        self.buf.drain(..PREAMBLE_LEN);
+        Some(decode_preamble(&bytes))
+    }
+
     fn reset(&mut self) {
         self.buf.clear();
     }
@@ -282,8 +296,8 @@ impl std::fmt::Display for Endpoint {
 /// an exchange lost (total patience = `WAIT_BUDGET x read_timeout`).
 const WAIT_BUDGET: u32 = 100;
 
-/// The client half of a socket transport: a [`WireTransport`] whose peer
-/// is a `bq-serve` process on the far side of a TCP or Unix-domain socket.
+/// The client's end of a socket link: a [`WireTransport`] whose peer is a
+/// `bq-serve` process on the far side of a TCP or Unix-domain socket.
 ///
 /// Virtual time flows through the carrier envelope (see the
 /// [module docs](self)); wall time is observed only through the injected
@@ -296,12 +310,10 @@ const WAIT_BUDGET: u32 = 100;
 /// [`WireBackend::with_recovery`]: crate::WireBackend::with_recovery
 pub struct SocketClient {
     endpoint: Endpoint,
-    profile: TransportProfile,
     stream: Option<Stream>,
-    /// Client→server chunks sent (the latency-stream index).
-    sent_to_server: u64,
-    /// Latest modeled client→server arrival (monotonicity clamp).
-    horizon_server: f64,
+    /// The modeled client→server direction (its profile is the one the
+    /// preamble declares).
+    to_server: ModeledDirection,
     /// Connection epoch: 0 on the first connection, +1 per reconnect.
     epoch: u64,
     reader: EnvelopeReader,
@@ -321,7 +333,7 @@ impl std::fmt::Debug for SocketClient {
             .field("endpoint", &self.endpoint)
             .field("connected", &self.stream.is_some())
             .field("epoch", &self.epoch)
-            .field("sent_to_server", &self.sent_to_server)
+            .field("sent_to_server", &self.to_server.sent)
             .finish_non_exhaustive()
     }
 }
@@ -334,10 +346,8 @@ impl SocketClient {
     pub fn connect(endpoint: Endpoint, profile: TransportProfile) -> std::io::Result<Self> {
         let mut client = Self {
             endpoint,
-            profile,
             stream: None,
-            sent_to_server: 0,
-            horizon_server: 0.0,
+            to_server: ModeledDirection::new(profile, Direction::ToServer),
             epoch: 0,
             reader: EnvelopeReader::default(),
             inbox: VecDeque::new(),
@@ -393,17 +403,12 @@ impl SocketClient {
         self.obs = obs;
     }
 
-    /// Current connection epoch (bumped on every successful reconnect).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// One connection attempt: dial, set the read timeout, send the
     /// preamble.
     fn establish(&mut self) -> std::io::Result<()> {
         let mut stream = self.endpoint.connect()?;
         stream.set_read_timeout(self.read_timeout)?;
-        write_fully(&mut stream, &preamble(&self.profile))?;
+        write_fully(&mut stream, &preamble(&self.to_server.profile))?;
         self.stream = Some(stream);
         Ok(())
     }
@@ -462,12 +467,7 @@ impl SocketClient {
 
 impl WireTransport for SocketClient {
     fn send_to_server(&mut self, bytes: &[u8], now: f64) -> f64 {
-        let latency = self
-            .profile
-            .latency_for(Direction::ToServer, self.sent_to_server);
-        self.sent_to_server += 1;
-        let arrival = (now + latency).max(self.horizon_server);
-        self.horizon_server = arrival;
+        let arrival = self.to_server.stamp(now);
         if let Some(clock) = &self.clock {
             self.rtt_stamps.push_back(clock.now_seconds());
         }
@@ -485,17 +485,6 @@ impl WireTransport for SocketClient {
         // With no connection the chunk is silently lost, matching the
         // chaos transport's outage-window semantics.
         arrival
-    }
-
-    fn send_to_client(&mut self, _bytes: &[u8], now: f64) -> f64 {
-        // Vestigial: the embedded local server of a remote client never
-        // produces traffic (its backend is a NullBackend and its inbound
-        // stream is always empty).
-        now
-    }
-
-    fn recv_at_server(&mut self) -> Option<Delivery> {
-        None
     }
 
     fn recv_at_client(&mut self) -> Option<Delivery> {
@@ -618,13 +607,13 @@ impl ServerSocket {
         self.accepted
     }
 
-    /// Block until the next client connects, read its transport preamble,
-    /// and hand the connection out. The preamble's latency model drives
-    /// the server→client direction of this connection; the assigned epoch
+    /// Block until the next client connects and hand the connection out at
+    /// once; its transport preamble is read by [`ServerConn::fill`], so a
+    /// silent client holds up only its own connection. The assigned epoch
     /// is the accept ordinal, so a [`WireServer`] persisting across
     /// connections resets its frame reader on each new one.
     pub fn accept(&mut self) -> std::io::Result<ServerConn> {
-        let mut stream = match &self.listener {
+        let stream = match &self.listener {
             Listener::Tcp(l) => {
                 let (s, _) = l.accept()?;
                 Stream::Tcp(s)
@@ -636,20 +625,16 @@ impl ServerSocket {
             }
         };
         stream.set_read_timeout(Duration::from_millis(100))?;
-        let mut bytes = [0u8; PREAMBLE_LEN];
-        read_fully(&mut stream, &mut bytes, 100)?;
-        let profile = decode_preamble(&bytes)
-            .map_err(|detail| std::io::Error::new(ErrorKind::InvalidData, detail))?;
         let epoch = self.accepted;
         self.accepted += 1;
         Ok(ServerConn {
             stream: Some(stream),
-            profile,
+            awaiting_preamble: true,
+            // The preamble replaces the profile before anything is sent.
+            to_client: ModeledDirection::new(TransportProfile::zero(), Direction::ToClient),
             epoch,
             reader: EnvelopeReader::default(),
             inbox: VecDeque::new(),
-            sent_to_client: 0,
-            horizon_client: 0.0,
             received_chunks: 0,
         })
     }
@@ -664,47 +649,20 @@ impl Drop for ServerSocket {
     }
 }
 
-/// Read exactly `buf.len()` bytes, tolerating up to `timeout_budget`
-/// consecutive read timeouts.
-fn read_fully(stream: &mut Stream, buf: &mut [u8], timeout_budget: u32) -> std::io::Result<()> {
-    let mut filled = 0;
-    let mut silent = 0u32;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    ErrorKind::UnexpectedEof,
-                    "connection closed mid-read",
-                ))
-            }
-            Ok(n) => filled += n,
-            Err(e) if is_read_timeout(&e) => {
-                silent += 1;
-                if silent > timeout_budget {
-                    return Err(e);
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
 /// Outcome of one [`ServerConn::fill`] read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FillOutcome {
     /// At least one complete request chunk was ingested — service it.
     Data,
-    /// The read timed out with nothing (or only a partial envelope)
-    /// received; the connection is still healthy.
+    /// The read timed out with nothing (or only a partial preamble or
+    /// envelope) received; the connection is still healthy.
     Quiet,
-    /// The peer hung up, or the stream turned uninterpretable; this
-    /// connection is finished.
+    /// The peer hung up, sent an unacceptable preamble, or the stream turned
+    /// uninterpretable; this connection is finished.
     Closed,
 }
 
-/// One accepted server-side connection: the [`WireTransport`] a
+/// One accepted connection: the server's end of a socket link, which a
 /// [`WireServer`] is pumped over by `bq-serve`'s accept loop.
 ///
 /// The server→client direction state (chunk index and arrival horizon) is
@@ -714,29 +672,19 @@ pub enum FillOutcome {
 #[derive(Debug)]
 pub struct ServerConn {
     stream: Option<Stream>,
-    /// The link's latency model, adopted from the client's preamble.
-    profile: TransportProfile,
+    /// Whether the transport preamble has yet to arrive; the connection
+    /// carries envelopes only after it.
+    awaiting_preamble: bool,
+    /// The modeled server→client direction, with the latency model the
+    /// client's preamble declares.
+    to_client: ModeledDirection,
     epoch: u64,
     reader: EnvelopeReader,
     inbox: VecDeque<Delivery>,
-    /// Server→client chunks sent (the latency-stream index).
-    sent_to_client: u64,
-    /// Latest modeled server→client arrival (monotonicity clamp).
-    horizon_client: f64,
     received_chunks: u64,
 }
 
 impl ServerConn {
-    /// The epoch this connection was accepted under.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The latency model the client's preamble declared.
-    pub fn profile(&self) -> &TransportProfile {
-        &self.profile
-    }
-
     /// Complete request chunks received on this connection.
     pub fn received_chunks(&self) -> u64 {
         self.received_chunks
@@ -746,14 +694,14 @@ impl ServerConn {
     /// — carry it into [`ServerConn::adopt_direction`] on the next
     /// connection when one engine session spans reconnects.
     pub fn direction_state(&self) -> (u64, f64) {
-        (self.sent_to_client, self.horizon_client)
+        (self.to_client.sent, self.to_client.horizon)
     }
 
     /// Continue the server→client latency stream of a previous connection
     /// (see [`ServerConn::direction_state`]).
     pub fn adopt_direction(&mut self, (sent, horizon): (u64, f64)) {
-        self.sent_to_client = sent;
-        self.horizon_client = horizon;
+        self.to_client.sent = sent;
+        self.to_client.horizon = horizon;
     }
 
     /// Actively close the connection (server-initiated disconnect — the
@@ -764,6 +712,9 @@ impl ServerConn {
     }
 
     /// One blocking read: ingest whatever arrived into the inbox. The
+    /// connection's first [`PREAMBLE_LEN`] bytes are the transport
+    /// preamble, whose latency model then drives the server→client
+    /// direction; a bad magic or latency model closes the connection. The
     /// accept-loop idiom is `fill` → [`WireServer::service`] on
     /// [`FillOutcome::Data`], stop on [`FillOutcome::Closed`].
     pub fn fill(&mut self) -> FillOutcome {
@@ -777,8 +728,20 @@ impl ServerConn {
                 FillOutcome::Closed
             }
             Ok(n) => {
-                let bytes = buf[..n].to_vec();
-                self.reader.feed(&bytes);
+                self.reader.feed(&buf[..n]);
+                if self.awaiting_preamble {
+                    match self.reader.take_preamble() {
+                        None => return FillOutcome::Quiet,
+                        Some(Ok(profile)) => {
+                            self.to_client.profile = profile;
+                            self.awaiting_preamble = false;
+                        }
+                        Some(Err(_)) => {
+                            self.shutdown();
+                            return FillOutcome::Closed;
+                        }
+                    }
+                }
                 let mut got = false;
                 loop {
                     match self.reader.next_envelope() {
@@ -819,20 +782,13 @@ impl ServerConn {
     }
 }
 
-impl WireTransport for ServerConn {
-    fn send_to_server(&mut self, _bytes: &[u8], now: f64) -> f64 {
-        // Vestigial: the server side never originates client-bound traffic
-        // through this direction.
-        now
+impl ServerTransport for ServerConn {
+    fn recv_at_server(&mut self) -> Option<Delivery> {
+        self.inbox.pop_front()
     }
 
     fn send_to_client(&mut self, bytes: &[u8], now: f64) -> f64 {
-        let latency = self
-            .profile
-            .latency_for(Direction::ToClient, self.sent_to_client);
-        self.sent_to_client += 1;
-        let arrival = (now + latency).max(self.horizon_client);
-        self.horizon_client = arrival;
+        let arrival = self.to_client.stamp(now);
         let carried = envelope(arrival, bytes);
         if let Some(stream) = &mut self.stream {
             if write_fully(stream, &carried).is_err() {
@@ -843,14 +799,6 @@ impl WireTransport for ServerConn {
             }
         }
         arrival
-    }
-
-    fn recv_at_server(&mut self) -> Option<Delivery> {
-        self.inbox.pop_front()
-    }
-
-    fn recv_at_client(&mut self) -> Option<Delivery> {
-        None
     }
 }
 
@@ -881,44 +829,15 @@ pub fn serve_connection<B: ExecutorBackend>(
     }
 }
 
-/// The no-op backend behind a remote client's vestigial embedded server.
-///
-/// A [`crate::WireBackend`] always owns a local [`WireServer`]; when the
-/// real engine lives in another process, the local server's inbound stream
-/// is permanently empty and its backend is never reached. `NullBackend`
-/// fills that slot: no connections, no events, a clock pinned at zero.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullBackend;
-
-impl ExecutorBackend for NullBackend {
-    fn connections(&self) -> &[ConnectionSlot] {
-        &[]
-    }
-
-    fn now(&self) -> f64 {
-        0.0
-    }
-
-    fn submit(&mut self, _query: QueryId, _params: RunParams, _connection: usize) {}
-
-    fn poll_event(&mut self) -> ExecEvent {
-        ExecEvent::Idle
-    }
-
-    fn events_pending(&self) -> bool {
-        false
-    }
-}
-
 /// A [`crate::WireBackend`] whose engine lives in another OS process,
 /// reached over a [`SocketClient`].
-pub type RemoteBackend = crate::WireBackend<NullBackend, SocketClient>;
+pub type RemoteBackend = crate::WireBackend<SocketClient>;
 
 /// Handshake against a remote `bq-serve` process over `client` and return
 /// the connected backend. Everything the session needs — connection count,
 /// shard topology, workload size — comes from the remote `HelloAck`.
 pub fn connect_remote(client: SocketClient) -> Result<RemoteBackend, crate::WireError> {
-    crate::WireBackend::connect(WireServer::new(NullBackend), client)
+    crate::WireBackend::connect(client)
 }
 
 #[cfg(test)]
@@ -976,15 +895,5 @@ mod tests {
         let mut nan = preamble(&profile);
         nan[4..12].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
         assert!(decode_preamble(&nan).is_err());
-    }
-
-    #[test]
-    fn null_backend_is_inert() {
-        let mut backend = NullBackend;
-        assert!(backend.connections().is_empty());
-        assert_eq!(backend.now(), 0.0);
-        assert_eq!(backend.connection_count(), 0);
-        assert!(!backend.events_pending());
-        assert!(matches!(backend.poll_event(), ExecEvent::Idle));
     }
 }

@@ -15,12 +15,10 @@
 //! | →   | 0x04| `PollEvent`   | —                                        |
 //! | →   | 0x05| `AdvanceTo`   | until f64                                |
 //! | →   | 0x06| `Cancel`      | connection u32                           |
-//! | →   | 0x07| `Topology`    | —                                        |
 //! | ←   | 0x81| `HelloAck`    | version u16, connections u32, shards u32, per_shard u32, option\<queries u32\>, header |
 //! | ←   | 0x82| `Ack`         | header                                   |
 //! | ←   | 0x83| `Event`       | header, event                            |
 //! | ←   | 0x84| `CancelResult`| header, option\<completion\>             |
-//! | ←   | 0x85| `TopologyInfo`| header, shards u32, per_shard u32        |
 //! | ←   | 0x86| `Error`       | code u8, detail string                   |
 //!
 //! Every non-error response carries a [`ResponseHeader`]: the server's
@@ -33,7 +31,7 @@
 //! byte-identical to a bare one.
 
 use crate::frame::{Cursor, FrameError, Writer};
-use bq_dbms::{AdvanceStall, ConnectionSlot, MemoryGrant, QueryCompletion, RunParams};
+use bq_dbms::{AdvanceStall, ConnectionSlot, ExecEvent, MemoryGrant, QueryCompletion, RunParams};
 use bq_plan::QueryId;
 
 /// Version of the wire protocol. Bumped on any frame-layout change; the
@@ -80,23 +78,21 @@ pub const HANDSHAKE_MAGIC: u32 = 0x6271_7770;
 /// Every request tag with its message name — the machine-readable half of
 /// the message catalogue above, exported so `docs/WIRE_PROTOCOL.md` can be
 /// cross-checked against the implementation by a test instead of by eye.
-pub const REQUEST_TAGS: [(u8, &str); 7] = [
+pub const REQUEST_TAGS: [(u8, &str); 6] = [
     (REQ_HELLO, "Hello"),
     (REQ_SUBMIT, "Submit"),
     (REQ_SUBMIT_BATCH, "SubmitBatch"),
     (REQ_POLL_EVENT, "PollEvent"),
     (REQ_ADVANCE_TO, "AdvanceTo"),
     (REQ_CANCEL, "Cancel"),
-    (REQ_TOPOLOGY, "Topology"),
 ];
 
 /// Every response tag with its message name (see [`REQUEST_TAGS`]).
-pub const RESPONSE_TAGS: [(u8, &str); 6] = [
+pub const RESPONSE_TAGS: [(u8, &str); 5] = [
     (RESP_HELLO_ACK, "HelloAck"),
     (RESP_ACK, "Ack"),
     (RESP_EVENT, "Event"),
     (RESP_CANCEL_RESULT, "CancelResult"),
-    (RESP_TOPOLOGY_INFO, "TopologyInfo"),
     (RESP_ERROR, "Error"),
 ];
 
@@ -106,13 +102,11 @@ const REQ_SUBMIT_BATCH: u8 = 0x03;
 const REQ_POLL_EVENT: u8 = 0x04;
 const REQ_ADVANCE_TO: u8 = 0x05;
 const REQ_CANCEL: u8 = 0x06;
-const REQ_TOPOLOGY: u8 = 0x07;
 
 const RESP_HELLO_ACK: u8 = 0x81;
 const RESP_ACK: u8 = 0x82;
 const RESP_EVENT: u8 = 0x83;
 const RESP_CANCEL_RESULT: u8 = 0x84;
-const RESP_TOPOLOGY_INFO: u8 = 0x85;
 const RESP_ERROR: u8 = 0x86;
 
 /// One submission entry: `(query, params, connection)`.
@@ -154,8 +148,6 @@ pub enum Request {
         /// The connection to cancel.
         connection: usize,
     },
-    /// Query the shard topology.
-    Topology,
 }
 
 /// State piggybacked on every non-error response, keeping the client's
@@ -204,7 +196,7 @@ pub enum Response {
         /// Post-request state.
         header: ResponseHeader,
         /// The event itself.
-        event: WireEvent,
+        event: ExecEvent,
     },
     /// Outcome of a cancellation.
     CancelResult {
@@ -214,15 +206,6 @@ pub enum Response {
         /// example because an observable completion is already in flight —
         /// the completion wins, the cancel is a no-op).
         completion: Option<QueryCompletion>,
-    },
-    /// The backend's shard topology.
-    TopologyInfo {
-        /// Post-request state.
-        header: ResponseHeader,
-        /// Shard count.
-        shard_count: usize,
-        /// Connections per shard.
-        connections_per_shard: usize,
     },
     /// The request was rejected; the backend was not touched.
     Error {
@@ -274,23 +257,6 @@ impl WireErrorCode {
             other => return Err(FrameError::BadTag(other)),
         })
     }
-}
-
-/// An executor event in transit (the wire form of
-/// [`bq_core::ExecEvent`]).
-#[derive(Debug, Clone, PartialEq)]
-pub enum WireEvent {
-    /// A submission was accepted onto a connection.
-    Submitted {
-        /// The accepted query.
-        query: QueryId,
-        /// Connection it was placed on.
-        connection: usize,
-    },
-    /// A query finished.
-    Completed(QueryCompletion),
-    /// Nothing running, nothing buffered.
-    Idle,
 }
 
 // --- field codecs ---------------------------------------------------------
@@ -457,7 +423,6 @@ impl Request {
                 w.u8(REQ_CANCEL);
                 w.u32(*connection as u32);
             }
-            Request::Topology => w.u8(REQ_TOPOLOGY),
         }
         w.into_payload()
     }
@@ -491,7 +456,6 @@ impl Request {
             REQ_CANCEL => Request::Cancel {
                 connection: c.u32()? as usize,
             },
-            REQ_TOPOLOGY => Request::Topology,
             other => return Err(FrameError::BadTag(other)),
         };
         c.finish()?;
@@ -507,8 +471,7 @@ impl Response {
             Response::HelloAck { header, .. }
             | Response::Ack { header }
             | Response::Event { header, .. }
-            | Response::CancelResult { header, .. }
-            | Response::TopologyInfo { header, .. } => Some(header),
+            | Response::CancelResult { header, .. } => Some(header),
             Response::Error { .. } => None,
         }
     }
@@ -547,16 +510,16 @@ impl Response {
                 w.u8(RESP_EVENT);
                 put_header(&mut w, header);
                 match event {
-                    WireEvent::Submitted { query, connection } => {
+                    ExecEvent::Submitted { query, connection } => {
                         w.u8(0);
                         w.u32(query.0 as u32);
                         w.u32(*connection as u32);
                     }
-                    WireEvent::Completed(c) => {
+                    ExecEvent::Completed(c) => {
                         w.u8(1);
                         put_completion(&mut w, c);
                     }
-                    WireEvent::Idle => w.u8(2),
+                    ExecEvent::Idle => w.u8(2),
                 }
             }
             Response::CancelResult { header, completion } => {
@@ -569,16 +532,6 @@ impl Response {
                         put_completion(&mut w, c);
                     }
                 }
-            }
-            Response::TopologyInfo {
-                header,
-                shard_count,
-                connections_per_shard,
-            } => {
-                w.u8(RESP_TOPOLOGY_INFO);
-                put_header(&mut w, header);
-                w.u32(*shard_count as u32);
-                w.u32(*connections_per_shard as u32);
             }
             Response::Error { code, detail } => {
                 w.u8(RESP_ERROR);
@@ -618,12 +571,12 @@ impl Response {
             RESP_EVENT => {
                 let header = get_header(&mut c)?;
                 let event = match c.u8()? {
-                    0 => WireEvent::Submitted {
+                    0 => ExecEvent::Submitted {
                         query: QueryId(c.u32()? as usize),
                         connection: c.u32()? as usize,
                     },
-                    1 => WireEvent::Completed(get_completion(&mut c)?),
-                    2 => WireEvent::Idle,
+                    1 => ExecEvent::Completed(get_completion(&mut c)?),
+                    2 => ExecEvent::Idle,
                     other => return Err(FrameError::BadTag(other)),
                 };
                 Response::Event { header, event }
@@ -637,11 +590,6 @@ impl Response {
                 };
                 Response::CancelResult { header, completion }
             }
-            RESP_TOPOLOGY_INFO => Response::TopologyInfo {
-                header: get_header(&mut c)?,
-                shard_count: c.u32()? as usize,
-                connections_per_shard: c.u32()? as usize,
-            },
             RESP_ERROR => Response::Error {
                 code: WireErrorCode::from_u8(c.u8()?)?,
                 detail: c.string()?,
@@ -685,7 +633,6 @@ mod tests {
             Request::PollEvent,
             Request::AdvanceTo { until: 0.1 + 0.2 },
             Request::Cancel { connection: 7 },
-            Request::Topology,
         ];
         for req in requests {
             let decoded = Request::decode(&req.encode()).expect("round trip");
@@ -744,31 +691,26 @@ mod tests {
             },
             Response::Event {
                 header: header.clone(),
-                event: WireEvent::Submitted {
+                event: ExecEvent::Submitted {
                     query: QueryId(1),
                     connection: 2,
                 },
             },
             Response::Event {
                 header: header.clone(),
-                event: WireEvent::Completed(completion.clone()),
+                event: ExecEvent::Completed(completion.clone()),
             },
             Response::Event {
                 header: ResponseHeader::default(),
-                event: WireEvent::Idle,
+                event: ExecEvent::Idle,
             },
             Response::CancelResult {
-                header: header.clone(),
+                header,
                 completion: Some(completion),
             },
             Response::CancelResult {
                 header: ResponseHeader::default(),
                 completion: None,
-            },
-            Response::TopologyInfo {
-                header,
-                shard_count: 4,
-                connections_per_shard: 18,
             },
             Response::Error {
                 code: WireErrorCode::SlotOccupied,
@@ -818,8 +760,14 @@ mod tests {
 
     #[test]
     fn unknown_tags_are_rejected() {
-        assert_eq!(Request::decode(&[0x7F]), Err(FrameError::BadTag(0x7F)));
-        assert_eq!(Response::decode(&[0x10]), Err(FrameError::BadTag(0x10)));
+        // 0x07 and 0x85 were the retired `Topology` / `TopologyInfo` pair:
+        // a peer that still sends them gets the error any unknown tag gets.
+        for tag in [0x07, 0x7F] {
+            assert_eq!(Request::decode(&[tag]), Err(FrameError::BadTag(tag)));
+        }
+        for tag in [0x10, 0x85] {
+            assert_eq!(Response::decode(&[tag]), Err(FrameError::BadTag(tag)));
+        }
     }
 
     #[test]

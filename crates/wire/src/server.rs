@@ -1,6 +1,8 @@
 //! The engine-hosting side of the wire: [`WireServer`] owns any
-//! [`ExecutorBackend`] and services the framed protocol over a
-//! [`WireTransport`].
+//! [`ExecutorBackend`] and services the framed protocol over the server's
+//! end of a link ([`ServerTransport`]). `bq-serve` services it over an
+//! accepted socket; in process, [`Loopback`] puts it on the far end of a
+//! duplex.
 //!
 //! The server is a pure request handler: its backend's state changes only
 //! while a request frame is being handled, never between frames, so the
@@ -20,11 +22,11 @@
 
 use crate::frame::{frame, FrameReader};
 use crate::proto::{
-    seal, unseal, Request, Response, ResponseHeader, WireErrorCode, WireEvent, HANDSHAKE_MAGIC,
+    seal, unseal, Request, Response, ResponseHeader, WireErrorCode, HANDSHAKE_MAGIC,
     PROTOCOL_VERSION, UNSOLICITED_SEQ,
 };
-use crate::transport::WireTransport;
-use bq_core::{ExecEvent, ExecutorBackend};
+use crate::transport::{Delivery, InMemoryDuplex, ServerTransport, WireTransport};
+use bq_core::ExecutorBackend;
 use bq_dbms::ConnectionSlot;
 
 /// Serves the wire protocol over an owned [`ExecutorBackend`].
@@ -77,15 +79,10 @@ impl<B: ExecutorBackend> WireServer<B> {
         &self.backend
     }
 
-    /// Unwrap the server, returning the hosted backend.
-    pub fn into_backend(self) -> B {
-        self.backend
-    }
-
     /// Service every complete request frame that has reached the server:
     /// decode, validate, apply to the backend, and transmit one response
     /// frame per request.
-    pub fn service<T: WireTransport>(&mut self, transport: &mut T) {
+    pub fn service<T: ServerTransport>(&mut self, transport: &mut T) {
         while let Some(delivery) = transport.recv_at_server() {
             if delivery.epoch != self.epoch {
                 // The link was torn down and re-established: whatever the
@@ -141,7 +138,7 @@ impl<B: ExecutorBackend> WireServer<B> {
     }
 
     /// Transmit an error frame outside any cached exchange.
-    fn send_error<T: WireTransport>(&mut self, transport: &mut T, seq: u64, detail: String) {
+    fn send_error<T: ServerTransport>(&mut self, transport: &mut T, seq: u64, detail: String) {
         let response = Response::Error {
             code: WireErrorCode::Malformed,
             detail,
@@ -230,13 +227,7 @@ impl<B: ExecutorBackend> WireServer<B> {
                 }
             }
             Request::PollEvent => {
-                let event = match self.backend.poll_event() {
-                    ExecEvent::Submitted { query, connection } => {
-                        WireEvent::Submitted { query, connection }
-                    }
-                    ExecEvent::Completed(completion) => WireEvent::Completed(completion),
-                    ExecEvent::Idle => WireEvent::Idle,
-                };
+                let event = self.backend.poll_event();
                 Response::Event {
                     header: self.header(),
                     event,
@@ -272,14 +263,6 @@ impl<B: ExecutorBackend> WireServer<B> {
                 Response::CancelResult {
                     header: self.header(),
                     completion,
-                }
-            }
-            Request::Topology => {
-                let topology = self.backend.shard_topology();
-                Response::TopologyInfo {
-                    header: self.header(),
-                    shard_count: topology.shard_count(),
-                    connections_per_shard: topology.connections_per_shard(),
                 }
             }
         }
@@ -336,5 +319,41 @@ impl<B: ExecutorBackend> WireServer<B> {
             stall: self.backend.stall_diagnostic(),
             slots: updates,
         }
+    }
+}
+
+/// An in-process link with a [`WireServer`] on its far end: the client's
+/// end of `duplex`, whose server end the hosted server answers on.
+///
+/// The server handles whatever has reached it each time the client looks
+/// for a response, so a request is serviced after its send and before its
+/// response is drained, exactly as a remote server would answer it. Every
+/// message still round-trips through real encode/decode.
+#[derive(Debug)]
+pub struct Loopback<B, D = InMemoryDuplex> {
+    server: WireServer<B>,
+    duplex: D,
+}
+
+impl<B: ExecutorBackend, D> Loopback<B, D> {
+    /// Host `server` on the far end of `duplex`.
+    pub fn new(server: WireServer<B>, duplex: D) -> Self {
+        Self { server, duplex }
+    }
+
+    /// The hosted server (and through it the backend — test probes).
+    pub fn server(&self) -> &WireServer<B> {
+        &self.server
+    }
+}
+
+impl<B: ExecutorBackend, D: WireTransport + ServerTransport> WireTransport for Loopback<B, D> {
+    fn send_to_server(&mut self, bytes: &[u8], now: f64) -> f64 {
+        self.duplex.send_to_server(bytes, now)
+    }
+
+    fn recv_at_client(&mut self) -> Option<Delivery> {
+        self.server.service(&mut self.duplex);
+        self.duplex.recv_at_client()
     }
 }

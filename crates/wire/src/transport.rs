@@ -1,23 +1,28 @@
 //! Byte-stream transports with deterministic virtual-time delivery.
 //!
-//! [`WireTransport`] is the substrate the framed protocol runs over: an
-//! ordered, reliable, bidirectional byte stream whose only freedom is *when*
-//! (in virtual time) each transmitted chunk reaches the peer. The in-memory
-//! implementation ([`InMemoryDuplex`]) delivers chunks verbatim with a
+//! A link is an ordered, reliable byte stream in each direction whose only
+//! freedom is *when* (in virtual time) each transmitted chunk reaches the
+//! peer. Each end of it is its own trait: [`WireTransport`] is the
+//! client's end (send requests, receive responses) and [`ServerTransport`]
+//! the server's (receive requests, send responses). The in-memory link
+//! ([`InMemoryDuplex`]) holds both ends and delivers chunks verbatim with a
 //! seeded, deterministic latency per chunk — zero for the byte-identical
 //! configuration, or a fixed-plus-jitter distribution mirroring
 //! `bq_adapter::DispatchProfile`'s deterministic streams for realistic wire
 //! dynamics. Chunks are never reordered or dropped (TCP-like semantics);
-//! delivery instants are monotone per direction.
+//! delivery instants are monotone per direction. [`crate::Loopback`] puts
+//! an in-process [`crate::WireServer`] on the far end of a duplex, so a
+//! client drives it through its own end alone.
 //!
-//! [`crate::net`] implements the same trait over real TCP and Unix-domain
-//! sockets; nothing above the trait changes. The only seam a blocking
-//! socket needs is [`WireTransport::wait_for_client_data`]: the in-memory
-//! link's deliveries are synchronously available, so its default (`false`,
-//! nothing more is coming) is exact, while the socket client blocks on the
-//! kernel there.
+//! [`crate::net`] implements each end over real TCP and Unix-domain
+//! sockets: `SocketClient` is a client end and `ServerConn` a server end.
+//! The only seam a blocking socket needs is
+//! [`WireTransport::wait_for_client_data`]: an in-process link's deliveries
+//! are synchronously available, so its default (`false`, nothing more is
+//! coming) is exact, while the socket client blocks on the kernel there.
 
 use bq_core::rng;
+use std::collections::VecDeque;
 
 /// Direction of one transmission, used to decorrelate the two latency
 /// streams of a duplex link.
@@ -110,7 +115,7 @@ impl TransportProfile {
 ///
 /// The epoch models connection identity: it starts at 0 and increments every
 /// time the link is torn down and re-established (a fault-injecting
-/// transport's disconnect, or — later — a real socket reconnect). Bytes from
+/// transport's disconnect, or a socket client's reconnect). Bytes from
 /// different epochs never form one stream, so a receiver must reset its
 /// [`crate::frame::FrameReader`] whenever the epoch changes — any partial
 /// frame from the old connection is dead, never silently spliced onto new
@@ -136,11 +141,46 @@ impl Delivery {
     }
 }
 
-/// An ordered, reliable, bidirectional byte stream with virtual-time
-/// delivery.
+/// One direction of a modeled link: stamps each chunk sent that way with
+/// its arrival instant, `(now + latency).max(horizon)`, the latency drawn
+/// from the profile by `(direction, chunk index)`. The clamp to the
+/// direction's last arrival keeps arrivals monotone. Every transport stamps
+/// through this type, so the in-memory link and both socket ends model a
+/// link identically.
+#[derive(Debug)]
+pub(crate) struct ModeledDirection {
+    pub(crate) profile: TransportProfile,
+    direction: Direction,
+    /// Chunks sent so far (the latency-stream index).
+    pub(crate) sent: u64,
+    /// Latest modeled arrival.
+    pub(crate) horizon: f64,
+}
+
+impl ModeledDirection {
+    pub(crate) fn new(profile: TransportProfile, direction: Direction) -> Self {
+        Self {
+            profile,
+            direction,
+            sent: 0,
+            horizon: 0.0,
+        }
+    }
+
+    /// The arrival instant of the next chunk, sent at `now`.
+    pub(crate) fn stamp(&mut self, now: f64) -> f64 {
+        let latency = self.profile.latency_for(self.direction, self.sent);
+        self.sent += 1;
+        let arrival = (now + latency).max(self.horizon);
+        self.horizon = arrival;
+        arrival
+    }
+}
+
+/// The client's end of a link with virtual-time delivery.
 ///
-/// `send_*` stamps the chunk with its (deterministic) arrival instant and
-/// returns it; `recv_*` hands delivered chunks to the receiving endpoint in
+/// `send_to_server` stamps the chunk with its (deterministic) arrival
+/// instant and returns it; `recv_at_client` hands delivered chunks over in
 /// transmission order, each with its arrival stamp and connection epoch.
 /// Chunk boundaries carry no meaning — receivers reassemble frames with
 /// [`crate::frame::FrameReader`], exactly as they would over a socket.
@@ -148,13 +188,6 @@ pub trait WireTransport {
     /// Transmit `bytes` client → server at virtual instant `now`; returns
     /// the arrival instant (≥ `now`, monotone across sends).
     fn send_to_server(&mut self, bytes: &[u8], now: f64) -> f64;
-
-    /// Transmit `bytes` server → client at virtual instant `now`; returns
-    /// the arrival instant (≥ `now`, monotone across sends).
-    fn send_to_client(&mut self, bytes: &[u8], now: f64) -> f64;
-
-    /// Pop the next chunk delivered to the server.
-    fn recv_at_server(&mut self) -> Option<Delivery>;
 
     /// Pop the next chunk delivered to the client.
     fn recv_at_client(&mut self) -> Option<Delivery>;
@@ -165,41 +198,45 @@ pub trait WireTransport {
     /// exchange (the client then falls back to its recovery policy, or —
     /// without one — treats the missing response as fatal).
     ///
-    /// In-memory transports deliver synchronously, so the default is
-    /// `false`: once a drain comes up empty, no amount of waiting produces
-    /// more. A socket transport overrides this with a bounded blocking
-    /// read (and its reconnect machinery). Decorating transports must
-    /// forward to the inner transport or the seam is lost.
+    /// In-process links deliver synchronously, so the default is `false`:
+    /// once a drain comes up empty, no amount of waiting produces more. A
+    /// socket client overrides this with a bounded blocking read (and its
+    /// reconnect machinery).
     fn wait_for_client_data(&mut self) -> bool {
         false
     }
 }
 
-/// In-memory duplex link: delivers chunks verbatim, in order, with the
-/// deterministic latency of its [`TransportProfile`].
+/// The server's end of a link: the mirror image of [`WireTransport`], and
+/// what [`crate::WireServer::service`] runs over.
+pub trait ServerTransport {
+    /// Pop the next chunk delivered to the server.
+    fn recv_at_server(&mut self) -> Option<Delivery>;
+
+    /// Transmit `bytes` server → client at virtual instant `now`; returns
+    /// the arrival instant (≥ `now`, monotone across sends).
+    fn send_to_client(&mut self, bytes: &[u8], now: f64) -> f64;
+}
+
+/// In-memory duplex link: both ends of one in-process link, delivering
+/// chunks verbatim, in order, with the deterministic latency of its
+/// [`TransportProfile`].
 #[derive(Debug)]
 pub struct InMemoryDuplex {
-    profile: TransportProfile,
-    to_server: std::collections::VecDeque<(Vec<u8>, f64)>,
-    to_client: std::collections::VecDeque<(Vec<u8>, f64)>,
-    sent_to_server: u64,
-    sent_to_client: u64,
-    /// Per-direction last arrival stamps (reordering-free guarantee).
-    horizon_server: f64,
-    horizon_client: f64,
+    to_server: ModeledDirection,
+    to_client: ModeledDirection,
+    server_inbox: VecDeque<(Vec<u8>, f64)>,
+    client_inbox: VecDeque<(Vec<u8>, f64)>,
 }
 
 impl InMemoryDuplex {
     /// A link with the given latency model.
     pub fn new(profile: TransportProfile) -> Self {
         Self {
-            profile,
-            to_server: std::collections::VecDeque::new(),
-            to_client: std::collections::VecDeque::new(),
-            sent_to_server: 0,
-            sent_to_client: 0,
-            horizon_server: 0.0,
-            horizon_client: 0.0,
+            to_server: ModeledDirection::new(profile, Direction::ToServer),
+            to_client: ModeledDirection::new(profile, Direction::ToClient),
+            server_inbox: VecDeque::new(),
+            client_inbox: VecDeque::new(),
         }
     }
 
@@ -207,44 +244,31 @@ impl InMemoryDuplex {
     pub fn lossless() -> Self {
         Self::new(TransportProfile::zero())
     }
-
-    /// The latency model this link applies.
-    pub fn profile(&self) -> &TransportProfile {
-        &self.profile
-    }
 }
 
 impl WireTransport for InMemoryDuplex {
     fn send_to_server(&mut self, bytes: &[u8], now: f64) -> f64 {
-        let latency = self
-            .profile
-            .latency_for(Direction::ToServer, self.sent_to_server);
-        self.sent_to_server += 1;
-        let arrival = (now + latency).max(self.horizon_server);
-        self.horizon_server = arrival;
-        self.to_server.push_back((bytes.to_vec(), arrival));
+        let arrival = self.to_server.stamp(now);
+        self.server_inbox.push_back((bytes.to_vec(), arrival));
         arrival
-    }
-
-    fn send_to_client(&mut self, bytes: &[u8], now: f64) -> f64 {
-        let latency = self
-            .profile
-            .latency_for(Direction::ToClient, self.sent_to_client);
-        self.sent_to_client += 1;
-        let arrival = (now + latency).max(self.horizon_client);
-        self.horizon_client = arrival;
-        self.to_client.push_back((bytes.to_vec(), arrival));
-        arrival
-    }
-
-    fn recv_at_server(&mut self) -> Option<Delivery> {
-        let (bytes, at) = self.to_server.pop_front()?;
-        Some(Delivery::initial(bytes, at))
     }
 
     fn recv_at_client(&mut self) -> Option<Delivery> {
-        let (bytes, at) = self.to_client.pop_front()?;
+        let (bytes, at) = self.client_inbox.pop_front()?;
         Some(Delivery::initial(bytes, at))
+    }
+}
+
+impl ServerTransport for InMemoryDuplex {
+    fn recv_at_server(&mut self) -> Option<Delivery> {
+        let (bytes, at) = self.server_inbox.pop_front()?;
+        Some(Delivery::initial(bytes, at))
+    }
+
+    fn send_to_client(&mut self, bytes: &[u8], now: f64) -> f64 {
+        let arrival = self.to_client.stamp(now);
+        self.client_inbox.push_back((bytes.to_vec(), arrival));
+        arrival
     }
 }
 

@@ -1,9 +1,9 @@
 //! Socket-transport integration: real TCP / Unix-domain sockets between a
 //! served engine and a remote client, covering the edge cases the
 //! in-memory transport cannot — kernel segmentation, server restarts
-//! mid-episode, and socket-file lifecycle.
+//! mid-episode, silent or misbehaving peers, and socket-file lifecycle.
 
-use bq_core::{FifoScheduler, RecoveryPolicy, ScheduleSession};
+use bq_core::{EpisodeLog, ExecutorBackend, FifoScheduler, RecoveryPolicy, ScheduleSession};
 use bq_dbms::{DbmsProfile, ExecutionEngine};
 use bq_obs::Obs;
 use bq_plan::{generate, Benchmark, Workload, WorkloadSpec};
@@ -17,7 +17,8 @@ use bq_wire::{
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 fn tpch() -> Workload {
     generate(&WorkloadSpec::new(Benchmark::TpcH, 1.0, 1))
@@ -37,7 +38,7 @@ fn serve_one(mut socket: ServerSocket, w: Workload, seed: u64) -> std::thread::J
     })
 }
 
-fn run_episode(backend: &mut bq_wire::net::RemoteBackend, w: &Workload) -> bq_core::EpisodeLog {
+fn run_episode<E: ExecutorBackend>(backend: &mut E, w: &Workload) -> EpisodeLog {
     ScheduleSession::builder(w)
         .dbms(bq_dbms::DbmsKind::X)
         .round(0)
@@ -51,12 +52,7 @@ fn run_episode(backend: &mut bq_wire::net::RemoteBackend, w: &Workload) -> bq_co
 #[test]
 fn zero_latency_episode_over_real_sockets_is_byte_identical_to_bare() {
     let w = tpch();
-    let mut bare = engine(&w, 0);
-    let base = ScheduleSession::builder(&w)
-        .dbms(bq_dbms::DbmsKind::X)
-        .round(0)
-        .build(&mut bare)
-        .run(&mut FifoScheduler::new());
+    let base = run_episode(&mut engine(&w, 0), &w);
 
     let uds_path = std::env::temp_dir().join(format!("bq-wire-bi-{}.sock", std::process::id()));
     let endpoints = [
@@ -221,6 +217,72 @@ fn server_restart_mid_episode_recovers_via_reconnect_and_cached_replay() {
     );
     drop(backend);
     assert_eq!(handle.join().expect("server thread"), 2, "two connections");
+}
+
+/// A client that connects and then sends nothing must not hold up the
+/// accept loop: `accept` hands each connection out as soon as the kernel
+/// does, and the silent one's preamble is waited for by its own
+/// `ServerConn::fill`. A real client queued behind it is accepted at once
+/// and runs a zero-latency episode byte-identical to the bare engine.
+#[test]
+fn a_silent_client_does_not_stall_the_accept_loop() {
+    let w = tpch();
+    let base = run_episode(&mut engine(&w, 0), &w);
+
+    let socket = ServerSocket::bind_tcp("127.0.0.1:0").expect("bind tcp");
+    let addr = socket.local_addr();
+    let silent = TcpStream::connect(&addr).expect("silent connect");
+    let client = SocketClient::connect(Endpoint::tcp(addr), TransportProfile::zero())
+        .expect("connect")
+        .with_reconnect(4, Duration::from_millis(50));
+    let (accepted, both_accepted) = mpsc::channel();
+    let w_server = w.clone();
+    let handle = std::thread::spawn(move || {
+        let mut socket = socket;
+        let started = Instant::now();
+        let silent = socket.accept().expect("accept the silent client");
+        let mut conn = socket.accept().expect("accept the real client");
+        accepted
+            .send(started.elapsed())
+            .expect("report the accepts");
+        serve_connection(&mut WireServer::new(engine(&w_server, 0)), &mut conn, 50);
+        drop(silent);
+    });
+    let elapsed = both_accepted
+        .recv_timeout(Duration::from_secs(5))
+        .expect("the silent client stalled the accept loop");
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "both accepts took {elapsed:?}"
+    );
+
+    let mut backend = connect_remote(client).expect("handshake");
+    let log = run_episode(&mut backend, &w);
+    assert_eq!(base.to_json(), log.to_json());
+    drop(backend);
+    drop(silent);
+    handle.join().expect("server thread");
+}
+
+/// A preamble with a bad magic closes its connection from `fill`, before
+/// any byte of it reaches a server.
+#[test]
+fn a_bad_preamble_closes_the_connection() {
+    let mut socket = ServerSocket::bind_tcp("127.0.0.1:0").expect("bind tcp");
+    let mut stream = TcpStream::connect(socket.local_addr()).expect("connect");
+    let mut bad = preamble(&TransportProfile::zero());
+    bad[0] ^= 0xFF;
+    stream.write_all(&bad).expect("write");
+    let mut conn = socket.accept().expect("accept");
+    let mut outcome = conn.fill();
+    for _ in 0..50 {
+        if outcome != FillOutcome::Quiet {
+            break;
+        }
+        outcome = conn.fill();
+    }
+    assert_eq!(outcome, FillOutcome::Closed);
+    assert_eq!(conn.received_chunks(), 0);
 }
 
 /// Binding a UDS path claims the socket file; dropping the listener

@@ -4,7 +4,8 @@
 //! learned incremental simulator (`LearnedSimulator`), the sharded
 //! multi-engine backend (`ShardedEngine`), the async submission adapter
 //! (`AsyncAdapter`, wrapped over each of the three), the wire-protocol
-//! backend (`WireBackend`, alone and under the adapter), and the chaos
+//! backend (`WireBackend`, alone and under the adapter, in process and as
+//! the `RemoteBackend` over a Unix-domain socket), and the chaos
 //! fault-injection decorator (`ChaosBackend`, a drop-in under the empty
 //! schedule) — must satisfy the same observable contract, because
 //! schedulers are non-intrusive and cannot tell backends apart. The contract, asserted here over every backend
@@ -37,7 +38,8 @@ use bqsched::core::{
 use bqsched::dbms::{DbmsProfile, ExecutionEngine, RunParams, ShardedEngine};
 use bqsched::plan::{generate, Benchmark, QueryId, Workload, WorkloadSpec};
 use bqsched::sched::LearnedSimulator;
-use bqsched::wire::{TransportProfile, WireBackend};
+use bqsched::wire::net::{connect_remote, serve_connection, Endpoint, ServerSocket, SocketClient};
+use bqsched::wire::{TransportProfile, WireBackend, WireServer};
 
 fn tpch() -> Workload {
     generate(&WorkloadSpec::new(Benchmark::TpcH, 1.0, 1))
@@ -504,9 +506,9 @@ fn async_adapter_backpressure_races_timeouts_against_the_admission_queue() {
 // real frame encode/decode, so passing the full conformance suite here
 // exercises the codec, the server validation and the client mirror on
 // every event of every cell. The fifth backend family: wired engine, wired
-// sharded engine, wired learned simulator, and the adapter-over-wire
+// sharded engine, wired learned simulator, the adapter-over-wire
 // composition a real deployment would run (admission latency in front of
-// wire latency).
+// wire latency), and the engine behind a real Unix-domain socket.
 
 #[test]
 fn wire_backend_over_the_engine_passes_conformance() {
@@ -544,6 +546,36 @@ fn async_adapter_over_the_wire_backend_passes_conformance() {
             DispatchProfile::synchronous(),
         )
     });
+}
+
+/// The composition `fifo_uds` times: a `RemoteBackend` over a Unix-domain
+/// socket, at zero transport latency, to an engine served on its own
+/// thread the way a `bq-serve` worker serves it. Each fresh backend gets
+/// its own socket path and server thread; the thread ends when the backend
+/// hangs up, and every one is joined once the suite has dropped them all.
+#[test]
+fn remote_backend_over_a_unix_socket_passes_conformance() {
+    let w = tpch();
+    let mut servers = Vec::new();
+    conformance_suite("remote(engine)", &w, |seed| {
+        let path = std::env::temp_dir().join(format!(
+            "bq-conformance-{}-{}.sock",
+            std::process::id(),
+            servers.len()
+        ));
+        let mut socket = ServerSocket::bind_uds(&path).expect("bind a Unix socket");
+        let engine = ExecutionEngine::new(DbmsProfile::dbms_x(), &w, seed);
+        servers.push(std::thread::spawn(move || {
+            let mut conn = socket.accept().expect("accept");
+            serve_connection(&mut WireServer::new(engine), &mut conn, 50);
+        }));
+        let client =
+            SocketClient::connect(Endpoint::uds(&path), TransportProfile::zero()).expect("connect");
+        connect_remote(client).expect("handshake")
+    });
+    for server in servers {
+        server.join().expect("server thread");
+    }
 }
 
 /// The wired engine is not merely self-consistent: at zero transport

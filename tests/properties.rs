@@ -19,7 +19,7 @@ use bqsched::core::{
 use bqsched::dbms::{DbmsProfile, ExecutionEngine, ParamSpace, ShardedEngine};
 use bqsched::plan::{generate, Benchmark, QueryId, WorkloadSpec};
 use bqsched::sched::{gains_from_history, AdaptiveMask, QueryClustering};
-use bqsched::wire::{TransportProfile, WireBackend, WireServer};
+use bqsched::wire::{Loopback, TransportProfile, WireBackend, WireServer};
 use proptest::prelude::*;
 
 fn workload_for(benchmark: Benchmark, n: usize) -> bqsched::plan::Workload {
@@ -327,7 +327,8 @@ proptest! {
             .run(&mut FifoScheduler::new());
         let transport = ChaosTransport::lossless(&FaultSchedule::empty(), seed);
         let server = WireServer::new(ExecutionEngine::new(profile, &workload, seed));
-        let mut wired = WireBackend::connect(server, transport).expect("clean handshake");
+        let mut wired =
+            WireBackend::connect(Loopback::new(server, transport)).expect("clean handshake");
         let quiet = ScheduleSession::builder(&workload)
             .round(seed)
             .build(&mut wired)
