@@ -11,18 +11,28 @@
 //! The client's observable state — its clock, its [`ConnectionSlot`]
 //! mirror, the buffered-event flag, the stall diagnostic — advances **only
 //! when a response frame arrives**, to the response's arrival instant and
-//! the slot updates it carries. Queued or in-flight frames never let the
-//! observable clock run ahead of what the server has acknowledged: the same
-//! discipline the sharded backend's mirror keeps for cross-shard
-//! completions. With a zero-latency transport every response arrives at the
-//! server's own instant, which is what makes the wired stack byte-identical
-//! to the bare backend.
+//! the slot updates it carries, **or when a queued event is handed out**.
+//! Queued or in-flight frames never let the observable clock run ahead of
+//! what the server has acknowledged: the same discipline the sharded
+//! backend's mirror keeps for cross-shard completions. With a zero-latency
+//! transport every response arrives at the server's own instant, which is
+//! what makes the wired stack byte-identical to the bare backend.
+//!
+//! A response's buffered events (see [`crate::proto::BufferedEvent`]) wait
+//! in a local queue, and [`ExecutorBackend::poll_event`] answers from it
+//! while it is non-empty. A queued entry changes the observable state only
+//! when it is handed out: then its header applies, exactly as the response
+//! to a remote `PollEvent` would have, clock included. If another response
+//! arrives first (a caller sent a request while events were still
+//! buffered), the queued headers apply before it, because its slot updates
+//! are relative to them; the queued events are still handed out in order.
 //!
 //! [`ScheduleSession`]: bq_core::ScheduleSession
 
 use crate::frame::{frame, FrameReader};
 use crate::proto::{
-    seal, unseal, Request, Response, ResponseHeader, HANDSHAKE_MAGIC, PROTOCOL_VERSION,
+    seal, unseal, BufferedEvent, Request, Response, ResponseHeader, HANDSHAKE_MAGIC,
+    PROTOCOL_VERSION,
 };
 use crate::server::{Loopback, WireServer};
 use crate::transport::{InMemoryDuplex, TransportProfile, WireTransport};
@@ -92,6 +102,11 @@ pub struct WireBackend<T> {
     /// Retransmissions performed, surfaced through
     /// [`ExecutorBackend::poll_fault`].
     faults: std::collections::VecDeque<FaultEvent>,
+    /// Events the server drained into responses, not yet handed out.
+    queue: std::collections::VecDeque<BufferedEvent>,
+    /// How many entries at the front of `queue` already had their headers
+    /// applied (a later response arrived before they were handed out).
+    settled: usize,
     /// Observability handle; [`Obs::off`] unless
     /// [`WireBackend::set_obs`] installed one.
     obs: Obs,
@@ -149,6 +164,8 @@ impl<T: WireTransport> WireBackend<T> {
             epoch: 0,
             recovery: None,
             faults: std::collections::VecDeque::new(),
+            queue: std::collections::VecDeque::new(),
+            settled: 0,
             obs: Obs::off(),
         };
         match client.call(Request::Hello {
@@ -162,6 +179,7 @@ impl<T: WireTransport> WireBackend<T> {
                 connections_per_shard,
                 known_queries,
                 header,
+                ..
             } => {
                 if version != PROTOCOL_VERSION {
                     return Err(WireError::Protocol {
@@ -222,8 +240,8 @@ impl<T: WireTransport> WireBackend<T> {
     }
 
     /// One request/response round trip: encode, transmit, receive and
-    /// decode the response, and apply its state header (clock, mirror,
-    /// flags).
+    /// decode the response, apply its state header (clock, mirror, flags)
+    /// and queue its buffered events.
     ///
     /// With a recovery policy configured, an exchange whose response never
     /// arrives is retransmitted (same sequence number) after a seeded
@@ -234,7 +252,7 @@ impl<T: WireTransport> WireBackend<T> {
         self.seq += 1;
         let message = request.encode();
         let mut attempt = 0u32;
-        let response = loop {
+        let mut response = loop {
             let wire_frame = frame(&seal(seq, &message));
             let sent_at = self.now;
             let arrival = self.transport.send_to_server(&wire_frame, self.now);
@@ -277,6 +295,13 @@ impl<T: WireTransport> WireBackend<T> {
             // Waiting out the backoff is observable time passing.
             self.now += policy.backoff(attempt, seq);
         };
+        // The response's slot updates are relative to every event the
+        // server drained before it, handed out or not.
+        while let Some(entry) = self.queue.get(self.settled) {
+            let header = entry.header.clone();
+            self.apply_entry_header(&header);
+            self.settled += 1;
+        }
         // A handshake ack is applied by `connect` once the mirror is sized;
         // every other header is applied here, so the caches are already
         // fresh when the caller looks at the decoded response.
@@ -287,6 +312,9 @@ impl<T: WireTransport> WireBackend<T> {
                 let header = header.clone();
                 self.apply_header(&header);
             }
+        }
+        if let Some(buffered) = response.buffered_mut() {
+            self.queue.extend(buffered.drain(..));
         }
         response
     }
@@ -353,11 +381,13 @@ impl<T: WireTransport> WireBackend<T> {
                     }
                     continue;
                 }
-                assert!(
-                    response.is_none(),
-                    "protocol violation: more than one response per request"
-                );
-                response = Some(decoded);
+                // A second copy is the replay of an exchange whose late
+                // original also arrived: the server sent the same bytes
+                // twice, so keeping the first delivers its buffered events
+                // once.
+                if response.is_none() {
+                    response = Some(decoded);
+                }
             }
         }
         response
@@ -373,6 +403,14 @@ impl<T: WireTransport> WireBackend<T> {
         }
         self.events_pending = header.events_pending;
         self.stall = header.stall;
+    }
+
+    /// Apply a buffered entry's header: what the response to a remote
+    /// `PollEvent` would have applied, including its clock (at zero latency
+    /// a response arrives at its header's instant).
+    fn apply_entry_header(&mut self, header: &ResponseHeader) {
+        self.now = self.now.max(header.now);
+        self.apply_header(header);
     }
 
     /// Panic with the server's rejection — the [`ExecutorBackend`] contract
@@ -423,6 +461,14 @@ impl<T: WireTransport> ExecutorBackend for WireBackend<T> {
     }
 
     fn poll_event(&mut self) -> ExecEvent {
+        if let Some(entry) = self.queue.pop_front() {
+            if self.settled > 0 {
+                self.settled -= 1;
+            } else {
+                self.apply_entry_header(&entry.header);
+            }
+            return entry.event;
+        }
         match self.call(Request::PollEvent) {
             Response::Event { event, .. } => event,
             other => Self::reject(other, "poll_event"),
@@ -430,7 +476,7 @@ impl<T: WireTransport> ExecutorBackend for WireBackend<T> {
     }
 
     fn events_pending(&self) -> bool {
-        self.events_pending
+        self.events_pending || !self.queue.is_empty()
     }
 
     fn advance_to(&mut self, until: f64) {

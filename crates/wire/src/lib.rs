@@ -18,7 +18,8 @@
 //! * [`frame`] — length-prefixed frames, bounds-checked codec primitives,
 //!   stream reassembly ([`frame::FrameReader`]);
 //! * [`proto`] — the request/response vocabulary and its binary codec
-//!   (versioned handshake, submit/batch/poll/advance/cancel, error frames);
+//!   (versioned handshake, submit/batch/poll/advance/cancel, error frames,
+//!   and the buffered events every response carries);
 //! * [`transport`] — one trait per end of a link ([`WireTransport`] for
 //!   the client, [`ServerTransport`] for the server) and the in-memory
 //!   duplex holding both, with seeded, deterministic virtual-time latency;
@@ -87,14 +88,27 @@ pub use transport::{
 };
 
 #[cfg(test)]
+mod fuzz;
+#[cfg(test)]
+#[path = "../tests/support/worked_examples.rs"]
+mod worked_examples;
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::frame;
+    use crate::frame::{frame, FRAME_HEADER_LEN};
     use bq_core::{
         ExecEvent, ExecutorBackend, FaultEvent, FifoScheduler, RecoveryPolicy, ScheduleSession,
     };
-    use bq_dbms::{ConnectionSlot, DbmsProfile, ExecutionEngine, RunParams, ShardedEngine};
+    use bq_dbms::{
+        AdvanceStall, ConnectionSlot, DbmsProfile, ExecutionEngine, QueryCompletion, RunParams,
+        ShardedEngine,
+    };
+    use bq_obs::Obs;
     use bq_plan::{generate, Benchmark, QueryId, Workload, WorkloadSpec};
+    use std::cell::Cell;
+    use std::collections::VecDeque;
+    use std::rc::Rc;
 
     fn tpch() -> Workload {
         generate(&WorkloadSpec::new(Benchmark::TpcH, 1.0, 1))
@@ -487,25 +501,40 @@ mod tests {
         assert!(backend.cancel(usize::MAX).is_none());
     }
 
-    /// A transport that swallows selected server→client chunks (by send
-    /// index) — lost responses without the full chaos crate.
-    struct DropResponses {
+    /// A link that loses or delays selected server→client chunks (by send
+    /// index) — lost and late responses without the full chaos crate — and
+    /// records the largest chunk it carried.
+    struct LossyLink {
         inner: InMemoryDuplex,
         drop_indices: Vec<u64>,
+        /// A held chunk travels right before the next chunk sent.
+        hold_indices: Vec<u64>,
+        held: Option<Vec<u8>>,
         sent: u64,
+        largest: Rc<Cell<usize>>,
     }
 
-    impl DropResponses {
+    impl LossyLink {
         fn lossless(drop_indices: Vec<u64>) -> Self {
             Self {
                 inner: InMemoryDuplex::lossless(),
                 drop_indices,
+                hold_indices: Vec::new(),
+                held: None,
                 sent: 0,
+                largest: Rc::new(Cell::new(0)),
+            }
+        }
+
+        fn holding(hold_indices: Vec<u64>) -> Self {
+            Self {
+                hold_indices,
+                ..Self::lossless(Vec::new())
             }
         }
     }
 
-    impl WireTransport for DropResponses {
+    impl WireTransport for LossyLink {
         fn send_to_server(&mut self, bytes: &[u8], now: f64) -> f64 {
             self.inner.send_to_server(bytes, now)
         }
@@ -514,18 +543,25 @@ mod tests {
         }
     }
 
-    impl ServerTransport for DropResponses {
+    impl ServerTransport for LossyLink {
         fn recv_at_server(&mut self) -> Option<Delivery> {
             self.inner.recv_at_server()
         }
         fn send_to_client(&mut self, bytes: &[u8], now: f64) -> f64 {
             let index = self.sent;
             self.sent += 1;
+            self.largest.set(self.largest.get().max(bytes.len()));
             if self.drop_indices.contains(&index) {
-                now
-            } else {
-                self.inner.send_to_client(bytes, now)
+                return now;
             }
+            if self.hold_indices.contains(&index) {
+                self.held = Some(bytes.to_vec());
+                return now;
+            }
+            if let Some(held) = self.held.take() {
+                self.inner.send_to_client(&held, now);
+            }
+            self.inner.send_to_client(bytes, now)
         }
     }
 
@@ -533,10 +569,7 @@ mod tests {
     fn a_lost_response_is_retransmitted_and_executes_at_most_once() {
         let w = tpch();
         // Response 0 is the handshake ack; drop the submit's ack (index 1).
-        let link = Loopback::new(
-            WireServer::new(engine(&w, 0)),
-            DropResponses::lossless(vec![1]),
-        );
+        let link = Loopback::new(WireServer::new(engine(&w, 0)), LossyLink::lossless(vec![1]));
         let mut backend = WireBackend::connect(link)
             .expect("handshake over a healthy link")
             .with_recovery(RecoveryPolicy::bounded());
@@ -567,16 +600,37 @@ mod tests {
         }
         assert_eq!(backend.poll_event(), ExecEvent::Idle);
         assert!(backend.connections()[0].is_free());
+
+        // The submit's ack arrives late, right before the replay of the
+        // retransmitted exchange: both copies carry the buffered echo, and
+        // the client keeps only the first, so the echo is handed out once.
+        let link = Loopback::new(WireServer::new(engine(&w, 0)), LossyLink::holding(vec![1]));
+        let mut backend = WireBackend::connect(link)
+            .expect("handshake over a healthy link")
+            .with_recovery(RecoveryPolicy::bounded());
+        backend.submit(QueryId(0), RunParams::default_config(), 0);
+        assert!(matches!(
+            backend.poll_fault(),
+            Some(FaultEvent::TransportRetransmit { attempt: 1, .. })
+        ));
+        assert!(backend.poll_fault().is_none());
+        let echo = ExecEvent::Submitted {
+            query: QueryId(0),
+            connection: 0,
+        };
+        assert_eq!(backend.poll_event(), echo);
+        match backend.poll_event() {
+            ExecEvent::Completed(c) => assert_eq!(c.query, QueryId(0)),
+            other => panic!("the echo must be handed out once, got {other:?}"),
+        }
+        assert_eq!(backend.poll_event(), ExecEvent::Idle);
     }
 
     #[test]
     #[should_panic(expected = "must answer every request")]
     fn a_lost_response_without_a_recovery_policy_panics() {
         let w = tpch();
-        let link = Loopback::new(
-            WireServer::new(engine(&w, 0)),
-            DropResponses::lossless(vec![1]),
-        );
+        let link = Loopback::new(WireServer::new(engine(&w, 0)), LossyLink::lossless(vec![1]));
         let mut backend = WireBackend::connect(link).expect("handshake over a healthy link");
         backend.submit(QueryId(0), RunParams::default_config(), 0);
     }
@@ -697,5 +751,319 @@ mod tests {
             .build(&mut wired)
             .run(&mut FifoScheduler::new());
         assert_eq!(base.to_json(), over_wire.to_json());
+    }
+
+    /// A backend whose buffered pops do what a sharded engine's merge does:
+    /// each pop moves the clock, and a completion frees its slot. A
+    /// submission occupies its slot and buffers `echoes` copies of its
+    /// echo; a poll with nothing buffered completes every busy slot as one
+    /// buffered batch, reporting a stall diagnostic until the batch is out.
+    #[derive(Debug)]
+    struct Scripted {
+        slots: Vec<ConnectionSlot>,
+        now: f64,
+        echoes: usize,
+        /// Each buffered event with the clock its pop moves to.
+        buffered: VecDeque<(f64, ExecEvent)>,
+        stall: Option<AdvanceStall>,
+    }
+
+    impl Scripted {
+        const STEP: f64 = 0.125;
+
+        fn new(connections: usize, echoes: usize) -> Self {
+            Self {
+                slots: vec![ConnectionSlot::Free; connections],
+                now: 0.0,
+                echoes,
+                buffered: VecDeque::new(),
+                stall: None,
+            }
+        }
+
+        fn buffer(&mut self, event: impl FnOnce(f64) -> ExecEvent) {
+            let at = self.buffered.back().map_or(self.now, |&(t, _)| t) + Self::STEP;
+            self.buffered.push_back((at, event(at)));
+        }
+    }
+
+    impl ExecutorBackend for Scripted {
+        fn connections(&self) -> &[ConnectionSlot] {
+            &self.slots
+        }
+
+        fn now(&self) -> f64 {
+            self.now
+        }
+
+        fn submit(&mut self, query: QueryId, params: RunParams, connection: usize) {
+            self.slots[connection] = ConnectionSlot::Busy {
+                query,
+                params,
+                started_at: self.now,
+            };
+            for _ in 0..self.echoes {
+                self.buffer(|_| ExecEvent::Submitted { query, connection });
+            }
+        }
+
+        fn poll_event(&mut self) -> ExecEvent {
+            if self.buffered.is_empty() {
+                for connection in 0..self.slots.len() {
+                    if let ConnectionSlot::Busy {
+                        query,
+                        params,
+                        started_at,
+                    } = self.slots[connection]
+                    {
+                        self.buffer(|finished_at| {
+                            ExecEvent::Completed(QueryCompletion {
+                                query,
+                                connection,
+                                params,
+                                started_at,
+                                finished_at,
+                            })
+                        });
+                    }
+                }
+                self.stall = Some(AdvanceStall {
+                    now: self.now,
+                    busy: self.buffered.len(),
+                    budget: 1,
+                });
+            }
+            let Some((at, event)) = self.buffered.pop_front() else {
+                return ExecEvent::Idle;
+            };
+            self.now = at;
+            if let ExecEvent::Completed(c) = &event {
+                self.slots[c.connection] = ConnectionSlot::Free;
+            }
+            if self.buffered.is_empty() {
+                self.stall = None;
+            }
+            event
+        }
+
+        fn events_pending(&self) -> bool {
+            !self.buffered.is_empty()
+        }
+
+        fn stall_diagnostic(&self) -> Option<AdvanceStall> {
+            self.stall
+        }
+    }
+
+    /// What a session can observe of a backend between calls.
+    fn observables<E: ExecutorBackend>(
+        backend: &E,
+    ) -> (u64, Vec<ConnectionSlot>, bool, Option<AdvanceStall>) {
+        (
+            backend.now().to_bits(),
+            backend.connections().to_vec(),
+            backend.events_pending(),
+            backend.stall_diagnostic(),
+        )
+    }
+
+    #[test]
+    fn each_buffered_entry_applies_its_own_header() {
+        let mut bare = Scripted::new(4, 1);
+        let mut wired = WireBackend::lossless(Scripted::new(4, 1));
+        let obs = Obs::enabled();
+        wired.set_obs(obs.clone());
+        let mut polls = 0;
+        for round in 0..3 {
+            let batch: Vec<_> = (0..3)
+                .map(|c| (QueryId(round * 3 + c), RunParams::default_config(), c))
+                .collect();
+            bare.submit_batch(&batch);
+            wired.submit_batch(&batch);
+            assert_eq!(observables(&bare), observables(&wired), "round {round}");
+            // Drain the echoes, then the completion batch the next poll
+            // starts: after every poll the wire reads exactly what the
+            // bare backend reads, entry by entry.
+            loop {
+                let event = bare.poll_event();
+                assert_eq!(wired.poll_event(), event, "round {round} poll {polls}");
+                polls += 1;
+                assert_eq!(
+                    observables(&bare),
+                    observables(&wired),
+                    "round {round} poll {polls}"
+                );
+                if matches!(event, ExecEvent::Completed(_)) && !bare.events_pending() {
+                    break;
+                }
+            }
+        }
+        assert_eq!(
+            polls, 18,
+            "three rounds of three echoes and three completions"
+        );
+        // Per round one batch and the one poll that starts the completion
+        // batch: every other poll was answered from the queue.
+        assert_eq!(obs.counter("wire_frames_sent"), 3 * 2);
+    }
+
+    #[test]
+    fn queued_entries_apply_before_a_later_response() {
+        let p = RunParams::default_config();
+        let mut wired = WireBackend::lossless(Scripted::new(4, 0));
+        wired.submit_batch(&[(QueryId(0), p, 0), (QueryId(1), p, 1)]);
+        // The poll completes both queries; the second completion is queued.
+        assert!(matches!(wired.poll_event(), ExecEvent::Completed(c) if c.connection == 0));
+        assert!(!wired.connections()[1].is_free(), "not handed out yet");
+        // A request sent while it is queued: the response's slot updates
+        // are relative to the queued entry, so the entry applies first and
+        // the mirror matches the server's slots.
+        wired.submit(QueryId(2), p, 2);
+        let server = |w: &WireBackend<Loopback<Scripted>>| {
+            let backend = w.transport().server().backend();
+            (backend.connections().to_vec(), backend.now().to_bits())
+        };
+        assert_eq!(
+            server(&wired),
+            (wired.connections().to_vec(), wired.now().to_bits())
+        );
+        assert!(
+            wired.events_pending(),
+            "the completion is still to hand out"
+        );
+        // Handing the entry out later does not apply it again: the slot it
+        // freed stays with the query submitted since.
+        wired.submit(QueryId(3), p, 1);
+        assert!(matches!(wired.poll_event(), ExecEvent::Completed(c) if c.query == QueryId(1)));
+        assert_eq!(wired.connections()[1].query(), Some(QueryId(3)));
+        assert_eq!(server(&wired).0, wired.connections());
+        assert!(!wired.events_pending());
+    }
+
+    #[test]
+    fn a_drain_larger_than_one_frame_spans_exchanges_in_order() {
+        // Every submission buffers 3000 echoes of ~23 bytes each: more
+        // than one 64 KiB response can carry.
+        let w = tpch();
+        let mut bare = Scripted::new(2, 3000);
+        let base = ScheduleSession::builder(&w)
+            .build(&mut bare)
+            .run(&mut FifoScheduler::new());
+        let link = LossyLink::lossless(Vec::new());
+        let largest = Rc::clone(&link.largest);
+        let mut wired =
+            WireBackend::connect(Loopback::new(WireServer::new(Scripted::new(2, 3000)), link))
+                .expect("handshake");
+        let obs = Obs::enabled();
+        wired.set_obs(obs.clone());
+        let over_wire = ScheduleSession::builder(&w)
+            .build(&mut wired)
+            .run(&mut FifoScheduler::new());
+        assert_eq!(base.to_json(), over_wire.to_json());
+        assert!(
+            largest.get() <= FRAME_HEADER_LEN + MAX_FRAME_LEN,
+            "a {}-byte response frame",
+            largest.get()
+        );
+        assert!(
+            largest.get() > MAX_FRAME_LEN / 2,
+            "the drain fills a frame before it stops"
+        );
+        // 11 instants of two submissions: each instant's 6000 echoes take
+        // the batch's exchange and at least two polls.
+        assert!(
+            obs.counter("wire_frames_sent") >= 11 * 3,
+            "{} exchanges",
+            obs.counter("wire_frames_sent")
+        );
+    }
+
+    #[test]
+    fn a_zero_latency_fifo_round_takes_one_exchange_per_batch_and_completion_poll() {
+        let w = generate(&WorkloadSpec::new(Benchmark::TpcDs, 1.0, 1));
+        let profile = DbmsProfile::dbms_x();
+        let mut wired = WireBackend::over_engine(&profile, &w, 1, TransportProfile::zero());
+        let obs = Obs::enabled();
+        wired.set_obs(obs.clone());
+        let log = ScheduleSession::builder(&w)
+            .dbms(profile.kind)
+            .round(1)
+            .build(&mut wired)
+            .run(&mut FifoScheduler::new());
+        assert_eq!(log.len(), w.len());
+        // Version 2 spent 280 exchanges on this round: one more poll per
+        // submission echo.
+        assert_eq!(obs.counter("wire_frames_sent"), 181);
+    }
+
+    /// A server end fed with hand-made deliveries, keeping what the server
+    /// sends back.
+    #[derive(Default)]
+    struct Deliveries {
+        inbox: VecDeque<Delivery>,
+        sent: Vec<Vec<u8>>,
+    }
+
+    impl Deliveries {
+        fn deliver(&mut self, bytes: Vec<u8>, epoch: u64) {
+            self.inbox.push_back(Delivery {
+                bytes,
+                at: 0.0,
+                epoch,
+            });
+        }
+    }
+
+    impl ServerTransport for Deliveries {
+        fn recv_at_server(&mut self) -> Option<Delivery> {
+            self.inbox.pop_front()
+        }
+        fn send_to_client(&mut self, bytes: &[u8], now: f64) -> f64 {
+            self.sent.push(bytes.to_vec());
+            now
+        }
+    }
+
+    #[test]
+    fn after_lost_framing_the_server_ignores_the_rest_of_the_epoch() {
+        let w = tpch();
+        let mut server = WireServer::new(engine(&w, 0));
+        let mut link = Deliveries::default();
+        let hello = Request::Hello {
+            magic: HANDSHAKE_MAGIC,
+            version: PROTOCOL_VERSION,
+        };
+        let submit = frame(&seal(
+            1,
+            &Request::Submit {
+                query: QueryId(0),
+                params: RunParams::default_config(),
+                connection: 0,
+            }
+            .encode(),
+        ));
+        link.deliver(frame(&seal(0, &hello.encode())), 0);
+        link.deliver(u32::MAX.to_le_bytes().to_vec(), 0);
+        link.deliver(submit.clone(), 0);
+        server.service(&mut link);
+        assert_eq!(link.sent.len(), 2, "the HelloAck and one framing error");
+        let (seq, body) = unseal(&link.sent[1][FRAME_HEADER_LEN..]).expect("sealed");
+        assert_eq!(seq, UNSOLICITED_SEQ);
+        assert!(matches!(
+            Response::decode(body),
+            Ok(Response::Error {
+                code: WireErrorCode::Malformed,
+                ..
+            })
+        ));
+        assert!(
+            server.backend().connections()[0].is_free(),
+            "a frame after lost framing must not execute"
+        );
+        // A reconnect (new epoch) is a fresh stream, served again.
+        link.deliver(submit, 1);
+        server.service(&mut link);
+        assert_eq!(link.sent.len(), 3);
+        assert!(!server.backend().connections()[0].is_free());
     }
 }

@@ -135,12 +135,12 @@ pub fn envelope(arrival: f64, chunk: &[u8]) -> Vec<u8> {
 /// Reassembles carrier envelopes from an arbitrarily-chunked byte stream —
 /// the envelope-layer analogue of [`crate::frame::FrameReader`].
 #[derive(Debug, Default)]
-struct EnvelopeReader {
+pub(crate) struct EnvelopeReader {
     buf: Vec<u8>,
 }
 
 impl EnvelopeReader {
-    fn feed(&mut self, bytes: &[u8]) {
+    pub(crate) fn feed(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
 
@@ -148,7 +148,7 @@ impl EnvelopeReader {
     /// when more bytes are needed, or `Err` on corruption (oversized
     /// length, non-finite arrival stamp) — after which the stream is
     /// uninterpretable and the connection must be torn down.
-    fn next_envelope(&mut self) -> Result<Option<(f64, Vec<u8>)>, String> {
+    pub(crate) fn next_envelope(&mut self) -> Result<Option<(f64, Vec<u8>)>, String> {
         if self.buf.len() < ENVELOPE_HEADER_LEN {
             return Ok(None);
         }
@@ -179,7 +179,7 @@ impl EnvelopeReader {
     /// Pop the transport preamble off the front of the stream: `None`
     /// until all [`PREAMBLE_LEN`] bytes are in, then the decoded profile or
     /// the reason it is unacceptable.
-    fn take_preamble(&mut self) -> Option<Result<TransportProfile, String>> {
+    pub(crate) fn take_preamble(&mut self) -> Option<Result<TransportProfile, String>> {
         let mut bytes = [0u8; PREAMBLE_LEN];
         bytes.copy_from_slice(self.buf.get(..PREAMBLE_LEN)?);
         self.buf.drain(..PREAMBLE_LEN);

@@ -15,10 +15,10 @@
 //! | →   | 0x04| `PollEvent`   | —                                        |
 //! | →   | 0x05| `AdvanceTo`   | until f64                                |
 //! | →   | 0x06| `Cancel`      | connection u32                           |
-//! | ←   | 0x81| `HelloAck`    | version u16, connections u32, shards u32, per_shard u32, option\<queries u32\>, header |
-//! | ←   | 0x82| `Ack`         | header                                   |
-//! | ←   | 0x83| `Event`       | header, event                            |
-//! | ←   | 0x84| `CancelResult`| header, option\<completion\>             |
+//! | ←   | 0x81| `HelloAck`    | version u16, connections u32, shards u32, per_shard u32, option\<queries u32\>, header, buffered |
+//! | ←   | 0x82| `Ack`         | header, buffered                         |
+//! | ←   | 0x83| `Event`       | header, event, buffered                  |
+//! | ←   | 0x84| `CancelResult`| header, option\<completion\>, buffered   |
 //! | ←   | 0x86| `Error`       | code u8, detail string                   |
 //!
 //! Every non-error response carries a [`ResponseHeader`]: the server's
@@ -29,6 +29,13 @@
 //! per message. `f64` fields travel as IEEE-754 bit patterns, so virtual
 //! time round-trips bit-exactly and a zero-latency wired episode can be
 //! byte-identical to a bare one.
+//!
+//! After its own fields, every non-error response ends with the
+//! **buffered** list, `count u32` × ([`BufferedEvent`]): the events the
+//! server's backend still had buffered once the request was handled, each
+//! with the header the `PollEvent` answering it would have carried. The
+//! client hands them out from a local queue instead of polling for each —
+//! a submission's echo no longer costs a round trip of its own.
 
 use crate::frame::{Cursor, FrameError, Writer};
 use bq_dbms::{AdvanceStall, ConnectionSlot, ExecEvent, MemoryGrant, QueryCompletion, RunParams};
@@ -40,22 +47,27 @@ use bq_plan::QueryId;
 /// Version 2 added the exchange-sequence prefix ([`seal`] / [`unseal`])
 /// that makes every request/response exchange at-most-once, so a client may
 /// safely retransmit a request whose response was lost by the transport.
-pub const PROTOCOL_VERSION: u16 = 2;
+/// Version 3 appended the buffered-event list ([`BufferedEvent`]) to every
+/// non-error response.
+pub const PROTOCOL_VERSION: u16 = 3;
 
 /// Sequence number stamped on server frames that answer no request (e.g. an
 /// error for a frame whose sequence prefix itself was unreadable).
 pub const UNSOLICITED_SEQ: u64 = u64::MAX;
 
+/// Size of the exchange-sequence prefix [`seal`] puts before a message.
+pub(crate) const SEQ_LEN: usize = 8;
+
 /// Prefix `message` with its exchange sequence number. Every frame payload
-/// on a v2 connection is `seq: u64 LE ++ message`: requests carry the
-/// client's monotonically increasing exchange number, responses echo the
-/// number of the request they answer. The pairing is what makes lossy
-/// transports survivable — a client that retransmits after a loss can match
-/// the (single) response to its exchange and discard stale duplicates, and
-/// a server that sees an already-answered sequence number replays its cached
-/// response instead of re-executing a non-idempotent request.
+/// is `seq: u64 LE ++ message`: requests carry the client's monotonically
+/// increasing exchange number, responses echo the number of the request
+/// they answer. The pairing is what makes lossy transports survivable — a
+/// client that retransmits after a loss can match the (single) response to
+/// its exchange and discard stale duplicates, and a server that sees an
+/// already-answered sequence number replays its cached response instead of
+/// re-executing a non-idempotent request.
 pub fn seal(seq: u64, message: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + message.len());
+    let mut out = Vec::with_capacity(SEQ_LEN + message.len());
     out.extend_from_slice(&seq.to_le_bytes());
     out.extend_from_slice(message);
     out
@@ -63,12 +75,12 @@ pub fn seal(seq: u64, message: &[u8]) -> Vec<u8> {
 
 /// Split a sealed frame payload into its sequence number and message bytes.
 pub fn unseal(payload: &[u8]) -> Result<(u64, &[u8]), FrameError> {
-    if payload.len() < 8 {
+    if payload.len() < SEQ_LEN {
         return Err(FrameError::Truncated);
     }
-    let mut seq_bytes = [0u8; 8];
-    seq_bytes.copy_from_slice(&payload[..8]);
-    Ok((u64::from_le_bytes(seq_bytes), &payload[8..]))
+    let mut seq_bytes = [0u8; SEQ_LEN];
+    seq_bytes.copy_from_slice(&payload[..SEQ_LEN]);
+    Ok((u64::from_le_bytes(seq_bytes), &payload[SEQ_LEN..]))
 }
 
 /// Magic constant opening every handshake (`"bqwp"`), so a stray peer that
@@ -166,6 +178,39 @@ pub struct ResponseHeader {
     pub slots: Vec<(usize, ConnectionSlot)>,
 }
 
+/// One event the server's backend still had buffered after handling a
+/// request, drained into the response: byte for byte the `Event` response
+/// (header, event) the next `PollEvent` would have received. Each entry
+/// keeps its own header because a buffered pop may move the backend's
+/// clock and free slots.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BufferedEvent {
+    /// State after the pop.
+    pub header: ResponseHeader,
+    /// The event itself.
+    pub event: ExecEvent,
+}
+
+impl BufferedEvent {
+    /// Upper bound on one entry's encoding for a backend with `connections`
+    /// slots: a stall diagnostic, every slot changed to its longest form,
+    /// and a completion. A server checks it before each pop, since a popped
+    /// event cannot be put back.
+    pub(crate) fn max_encoded_len(connections: usize) -> usize {
+        const HEADER: usize = 8 + 1 + (1 + 8 + 4 + 4) + 4;
+        const SLOT_UPDATE: usize = 4 + (1 + 4 + 5 + 8);
+        const COMPLETED: usize = 1 + (4 + 4 + 5 + 8 + 8);
+        HEADER + connections * SLOT_UPDATE + COMPLETED
+    }
+
+    /// This entry's encoded size.
+    pub(crate) fn encoded_len(&self) -> usize {
+        let mut w = Writer::new();
+        put_buffered_event(&mut w, self);
+        w.into_payload().len()
+    }
+}
+
 /// Server → client message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
@@ -185,11 +230,15 @@ pub enum Response {
         known_queries: Option<usize>,
         /// Initial state (slot updates carry the full snapshot).
         header: ResponseHeader,
+        /// Events buffered after the handshake.
+        buffered: Vec<BufferedEvent>,
     },
     /// A state-changing request (submit / batch / advance) succeeded.
     Ack {
         /// Post-request state.
         header: ResponseHeader,
+        /// Events buffered after the request, in pop order.
+        buffered: Vec<BufferedEvent>,
     },
     /// The next executor event.
     Event {
@@ -197,6 +246,8 @@ pub enum Response {
         header: ResponseHeader,
         /// The event itself.
         event: ExecEvent,
+        /// Events buffered after this one, in pop order.
+        buffered: Vec<BufferedEvent>,
     },
     /// Outcome of a cancellation.
     CancelResult {
@@ -206,6 +257,8 @@ pub enum Response {
         /// example because an observable completion is already in flight —
         /// the completion wins, the cancel is a no-op).
         completion: Option<QueryCompletion>,
+        /// Events buffered after the cancellation, in pop order.
+        buffered: Vec<BufferedEvent>,
     },
     /// The request was rejected; the backend was not touched.
     Error {
@@ -337,6 +390,33 @@ fn get_completion(c: &mut Cursor<'_>) -> Result<QueryCompletion, FrameError> {
     })
 }
 
+fn put_event(w: &mut Writer, event: &ExecEvent) {
+    match event {
+        ExecEvent::Submitted { query, connection } => {
+            w.u8(0);
+            w.u32(query.0 as u32);
+            w.u32(*connection as u32);
+        }
+        ExecEvent::Completed(c) => {
+            w.u8(1);
+            put_completion(w, c);
+        }
+        ExecEvent::Idle => w.u8(2),
+    }
+}
+
+fn get_event(c: &mut Cursor<'_>) -> Result<ExecEvent, FrameError> {
+    Ok(match c.u8()? {
+        0 => ExecEvent::Submitted {
+            query: QueryId(c.u32()? as usize),
+            connection: c.u32()? as usize,
+        },
+        1 => ExecEvent::Completed(get_completion(c)?),
+        2 => ExecEvent::Idle,
+        other => return Err(FrameError::BadTag(other)),
+    })
+}
+
 fn put_header(w: &mut Writer, h: &ResponseHeader) {
     w.f64(h.now);
     w.bool(h.events_pending);
@@ -380,6 +460,30 @@ fn get_header(c: &mut Cursor<'_>) -> Result<ResponseHeader, FrameError> {
         stall,
         slots,
     })
+}
+
+fn put_buffered_event(w: &mut Writer, entry: &BufferedEvent) {
+    put_header(w, &entry.header);
+    put_event(w, &entry.event);
+}
+
+fn put_buffered(w: &mut Writer, buffered: &[BufferedEvent]) {
+    w.u32(buffered.len() as u32);
+    for entry in buffered {
+        put_buffered_event(w, entry);
+    }
+}
+
+fn get_buffered(c: &mut Cursor<'_>) -> Result<Vec<BufferedEvent>, FrameError> {
+    let count = c.u32()? as usize;
+    let mut buffered = Vec::with_capacity(count.min(1024));
+    for _ in 0..count {
+        buffered.push(BufferedEvent {
+            header: get_header(c)?,
+            event: get_event(c)?,
+        });
+    }
+    Ok(buffered)
 }
 
 // --- message codecs -------------------------------------------------------
@@ -469,9 +573,21 @@ impl Response {
     pub fn header(&self) -> Option<&ResponseHeader> {
         match self {
             Response::HelloAck { header, .. }
-            | Response::Ack { header }
+            | Response::Ack { header, .. }
             | Response::Event { header, .. }
             | Response::CancelResult { header, .. } => Some(header),
+            Response::Error { .. } => None,
+        }
+    }
+
+    /// The buffered-event list this response carries, if it carries one
+    /// (every variant except [`Response::Error`] does).
+    pub(crate) fn buffered_mut(&mut self) -> Option<&mut Vec<BufferedEvent>> {
+        match self {
+            Response::HelloAck { buffered, .. }
+            | Response::Ack { buffered, .. }
+            | Response::Event { buffered, .. }
+            | Response::CancelResult { buffered, .. } => Some(buffered),
             Response::Error { .. } => None,
         }
     }
@@ -487,6 +603,7 @@ impl Response {
                 connections_per_shard,
                 known_queries,
                 header,
+                buffered,
             } => {
                 w.u8(RESP_HELLO_ACK);
                 w.u16(*version);
@@ -501,28 +618,28 @@ impl Response {
                     }
                 }
                 put_header(&mut w, header);
+                put_buffered(&mut w, buffered);
             }
-            Response::Ack { header } => {
+            Response::Ack { header, buffered } => {
                 w.u8(RESP_ACK);
                 put_header(&mut w, header);
+                put_buffered(&mut w, buffered);
             }
-            Response::Event { header, event } => {
+            Response::Event {
+                header,
+                event,
+                buffered,
+            } => {
                 w.u8(RESP_EVENT);
                 put_header(&mut w, header);
-                match event {
-                    ExecEvent::Submitted { query, connection } => {
-                        w.u8(0);
-                        w.u32(query.0 as u32);
-                        w.u32(*connection as u32);
-                    }
-                    ExecEvent::Completed(c) => {
-                        w.u8(1);
-                        put_completion(&mut w, c);
-                    }
-                    ExecEvent::Idle => w.u8(2),
-                }
+                put_event(&mut w, event);
+                put_buffered(&mut w, buffered);
             }
-            Response::CancelResult { header, completion } => {
+            Response::CancelResult {
+                header,
+                completion,
+                buffered,
+            } => {
                 w.u8(RESP_CANCEL_RESULT);
                 put_header(&mut w, header);
                 match completion {
@@ -532,6 +649,7 @@ impl Response {
                         put_completion(&mut w, c);
                     }
                 }
+                put_buffered(&mut w, buffered);
             }
             Response::Error { code, detail } => {
                 w.u8(RESP_ERROR);
@@ -563,24 +681,18 @@ impl Response {
                     connections_per_shard,
                     known_queries,
                     header: get_header(&mut c)?,
+                    buffered: get_buffered(&mut c)?,
                 }
             }
             RESP_ACK => Response::Ack {
                 header: get_header(&mut c)?,
+                buffered: get_buffered(&mut c)?,
             },
-            RESP_EVENT => {
-                let header = get_header(&mut c)?;
-                let event = match c.u8()? {
-                    0 => ExecEvent::Submitted {
-                        query: QueryId(c.u32()? as usize),
-                        connection: c.u32()? as usize,
-                    },
-                    1 => ExecEvent::Completed(get_completion(&mut c)?),
-                    2 => ExecEvent::Idle,
-                    other => return Err(FrameError::BadTag(other)),
-                };
-                Response::Event { header, event }
-            }
+            RESP_EVENT => Response::Event {
+                header: get_header(&mut c)?,
+                event: get_event(&mut c)?,
+                buffered: get_buffered(&mut c)?,
+            },
             RESP_CANCEL_RESULT => {
                 let header = get_header(&mut c)?;
                 let completion = match c.u8()? {
@@ -588,7 +700,11 @@ impl Response {
                     1 => Some(get_completion(&mut c)?),
                     other => return Err(FrameError::BadTag(other)),
                 };
-                Response::CancelResult { header, completion }
+                Response::CancelResult {
+                    header,
+                    completion,
+                    buffered: get_buffered(&mut c)?,
+                }
             }
             RESP_ERROR => Response::Error {
                 code: WireErrorCode::from_u8(c.u8()?)?,
@@ -602,7 +718,7 @@ impl Response {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn params() -> RunParams {
@@ -612,9 +728,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn requests_round_trip() {
-        let requests = vec![
+    /// One message of every request variant.
+    pub(crate) fn sample_requests() -> Vec<Request> {
+        vec![
             Request::Hello {
                 magic: HANDSHAKE_MAGIC,
                 version: PROTOCOL_VERSION,
@@ -633,15 +749,12 @@ mod tests {
             Request::PollEvent,
             Request::AdvanceTo { until: 0.1 + 0.2 },
             Request::Cancel { connection: 7 },
-        ];
-        for req in requests {
-            let decoded = Request::decode(&req.encode()).expect("round trip");
-            assert_eq!(decoded, req);
-        }
+        ]
     }
 
-    #[test]
-    fn responses_round_trip() {
+    /// Every response variant, every slot, event and option shape, and
+    /// buffered lists of 0, 1 and many entries.
+    pub(crate) fn sample_responses() -> Vec<Response> {
         let header = ResponseHeader {
             now: 12.75,
             events_pending: true,
@@ -677,7 +790,31 @@ mod tests {
             started_at: 2.5,
             finished_at: 7.125,
         };
-        let responses = vec![
+        let echo = BufferedEvent {
+            header: ResponseHeader {
+                now: 12.75,
+                ..ResponseHeader::default()
+            },
+            event: ExecEvent::Submitted {
+                query: QueryId(1),
+                connection: 2,
+            },
+        };
+        let many: Vec<BufferedEvent> = (0..5)
+            .map(|i| BufferedEvent {
+                header: ResponseHeader {
+                    now: 12.75 + f64::from(i),
+                    events_pending: i < 4,
+                    stall: None,
+                    slots: vec![(i as usize, ConnectionSlot::Free)],
+                },
+                event: ExecEvent::Completed(QueryCompletion {
+                    connection: i as usize,
+                    ..completion.clone()
+                }),
+            })
+            .collect();
+        vec![
             Response::HelloAck {
                 version: PROTOCOL_VERSION,
                 connections: 18,
@@ -685,9 +822,24 @@ mod tests {
                 connections_per_shard: 9,
                 known_queries: Some(22),
                 header: header.clone(),
+                buffered: Vec::new(),
+            },
+            Response::HelloAck {
+                version: PROTOCOL_VERSION,
+                connections: 4,
+                shard_count: 1,
+                connections_per_shard: 4,
+                known_queries: None,
+                header: ResponseHeader::default(),
+                buffered: vec![echo.clone()],
             },
             Response::Ack {
                 header: header.clone(),
+                buffered: Vec::new(),
+            },
+            Response::Ack {
+                header: header.clone(),
+                buffered: vec![echo.clone()],
             },
             Response::Event {
                 header: header.clone(),
@@ -695,32 +847,84 @@ mod tests {
                     query: QueryId(1),
                     connection: 2,
                 },
+                buffered: vec![echo.clone()],
             },
             Response::Event {
                 header: header.clone(),
                 event: ExecEvent::Completed(completion.clone()),
+                buffered: many.clone(),
             },
             Response::Event {
                 header: ResponseHeader::default(),
                 event: ExecEvent::Idle,
+                buffered: Vec::new(),
             },
             Response::CancelResult {
                 header,
                 completion: Some(completion),
+                buffered: many,
             },
             Response::CancelResult {
                 header: ResponseHeader::default(),
                 completion: None,
+                buffered: vec![echo],
             },
             Response::Error {
                 code: WireErrorCode::SlotOccupied,
                 detail: "connection 3 is busy".into(),
             },
-        ];
-        for resp in responses {
+        ]
+    }
+
+    #[test]
+    fn requests_round_trip() {
+        for req in sample_requests() {
+            let decoded = Request::decode(&req.encode()).expect("round trip");
+            assert_eq!(decoded, req);
+        }
+    }
+
+    #[test]
+    fn responses_round_trip() {
+        for resp in sample_responses() {
             let decoded = Response::decode(&resp.encode()).expect("round trip");
             assert_eq!(decoded, resp);
         }
+    }
+
+    #[test]
+    fn the_entry_bound_covers_the_longest_entry() {
+        // Every slot changed to its longest form, a stall diagnostic and a
+        // completion: the worst case the server budgets for before a pop.
+        let connections = 7;
+        let busy = ConnectionSlot::Busy {
+            query: QueryId(u32::MAX as usize),
+            params: params(),
+            started_at: 1.0,
+        };
+        let worst = BufferedEvent {
+            header: ResponseHeader {
+                now: 1.0,
+                events_pending: true,
+                stall: Some(AdvanceStall {
+                    now: 1.0,
+                    busy: 1,
+                    budget: 1,
+                }),
+                slots: (0..connections).map(|c| (c, busy)).collect(),
+            },
+            event: ExecEvent::Completed(QueryCompletion {
+                query: QueryId(0),
+                connection: 0,
+                params: params(),
+                started_at: 0.0,
+                finished_at: 1.0,
+            }),
+        };
+        assert_eq!(
+            worst.encoded_len(),
+            BufferedEvent::max_encoded_len(connections)
+        );
     }
 
     #[test]

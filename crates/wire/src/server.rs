@@ -19,11 +19,25 @@
 //! [`Response::Error`] frame and changes nothing beyond that clock movement
 //! (the next successful response's header carries any slot diffs the
 //! advance buffered).
+//!
+//! Once a request is handled, a non-error response also carries the events
+//! the backend still has buffered: the server pops them while
+//! `events_pending()` holds and attaches each with the header a `PollEvent`
+//! answering it would have carried, so the client answers those polls
+//! locally. The drain stops before the sealed response could pass
+//! [`MAX_FRAME_LEN`]; whatever stays buffered is flagged in the last
+//! header and fetched by the next poll. The response still travels at the
+//! instant it was built, so at zero latency it arrives at exactly the
+//! clock its own header reports.
+//!
+//! A frame with an oversized length prefix loses the stream's framing: the
+//! server reports it once and ignores every later delivery of that
+//! connection epoch, until a reconnect starts a fresh stream.
 
-use crate::frame::{frame, FrameReader};
+use crate::frame::{frame, FrameReader, MAX_FRAME_LEN};
 use crate::proto::{
-    seal, unseal, Request, Response, ResponseHeader, WireErrorCode, HANDSHAKE_MAGIC,
-    PROTOCOL_VERSION, UNSOLICITED_SEQ,
+    seal, unseal, BufferedEvent, Request, Response, ResponseHeader, WireErrorCode, HANDSHAKE_MAGIC,
+    PROTOCOL_VERSION, SEQ_LEN, UNSOLICITED_SEQ,
 };
 use crate::transport::{Delivery, InMemoryDuplex, ServerTransport, WireTransport};
 use bq_core::ExecutorBackend;
@@ -44,6 +58,9 @@ pub struct WireServer<B> {
     /// Connection epoch of the last delivery; a change means the link was
     /// torn down and any partially buffered frame is dead.
     epoch: u64,
+    /// Whether this epoch's stream lost its framing (an oversized length
+    /// prefix): its later deliveries are not interpreted.
+    framing_lost: bool,
     /// Sequence number of the last answered exchange, with its sealed
     /// response bytes: a duplicate sequence number is a retransmission
     /// (the response was lost in transit), answered by replaying the cached
@@ -62,6 +79,7 @@ impl<B: ExecutorBackend> WireServer<B> {
             last_sent: Vec::new(),
             handshaken: false,
             epoch: 0,
+            framing_lost: false,
             last_seq: None,
             last_response: Vec::new(),
         }
@@ -91,6 +109,10 @@ impl<B: ExecutorBackend> WireServer<B> {
                 // frame, not corruption).
                 self.reader.reset();
                 self.epoch = delivery.epoch;
+                self.framing_lost = false;
+            }
+            if self.framing_lost {
+                continue;
             }
             self.reader.feed(&delivery.bytes);
             let arrival = delivery.at;
@@ -102,7 +124,8 @@ impl<B: ExecutorBackend> WireServer<B> {
                     // stop interpreting the stream.
                     Err(err) => {
                         self.send_error(transport, UNSOLICITED_SEQ, err.to_string());
-                        continue;
+                        self.framing_lost = true;
+                        break;
                     }
                 };
                 let (seq, message) = match unseal(&sealed) {
@@ -121,19 +144,42 @@ impl<B: ExecutorBackend> WireServer<B> {
                     transport.send_to_client(&bytes, self.backend.now());
                     continue;
                 }
-                let response = match Request::decode(message) {
+                let mut response = match Request::decode(message) {
                     Ok(request) => self.handle(request, arrival),
                     Err(err) => Response::Error {
                         code: WireErrorCode::Malformed,
                         detail: err.to_string(),
                     },
                 };
+                let sent_at = self.backend.now();
+                self.attach_buffered(&mut response);
                 let sealed_response = seal(seq, &response.encode());
                 self.last_seq = Some(seq);
                 self.last_response.clear();
                 self.last_response.extend_from_slice(&sealed_response);
-                transport.send_to_client(&frame(&sealed_response), self.backend.now());
+                transport.send_to_client(&frame(&sealed_response), sent_at);
             }
+        }
+    }
+
+    /// Pop the backend's buffered events into `response`'s buffered list,
+    /// each with the header a `PollEvent` answering it would have carried,
+    /// stopping before the sealed response could pass [`MAX_FRAME_LEN`].
+    /// An error response carries no list.
+    fn attach_buffered(&mut self, response: &mut Response) {
+        let mut len = SEQ_LEN + response.encode().len();
+        let Some(buffered) = response.buffered_mut() else {
+            return;
+        };
+        let bound = BufferedEvent::max_encoded_len(self.backend.connection_count());
+        while self.backend.events_pending() && len + bound <= MAX_FRAME_LEN {
+            let event = self.backend.poll_event();
+            let entry = BufferedEvent {
+                header: self.header(),
+                event,
+            };
+            len += entry.encoded_len();
+            buffered.push(entry);
         }
     }
 
@@ -186,6 +232,7 @@ impl<B: ExecutorBackend> WireServer<B> {
                 connections_per_shard: topology.connections_per_shard(),
                 known_queries: self.backend.known_query_count(),
                 header: self.header(),
+                buffered: Vec::new(),
             };
         }
         if !self.handshaken {
@@ -209,6 +256,7 @@ impl<B: ExecutorBackend> WireServer<B> {
                 self.backend.submit(query, params, connection);
                 Response::Ack {
                     header: self.header(),
+                    buffered: Vec::new(),
                 }
             }
             Request::SubmitBatch { entries } => {
@@ -224,6 +272,7 @@ impl<B: ExecutorBackend> WireServer<B> {
                 self.backend.submit_batch(&entries);
                 Response::Ack {
                     header: self.header(),
+                    buffered: Vec::new(),
                 }
             }
             Request::PollEvent => {
@@ -231,6 +280,7 @@ impl<B: ExecutorBackend> WireServer<B> {
                 Response::Event {
                     header: self.header(),
                     event,
+                    buffered: Vec::new(),
                 }
             }
             Request::AdvanceTo { until } => {
@@ -247,6 +297,7 @@ impl<B: ExecutorBackend> WireServer<B> {
                 self.backend.advance_to(until);
                 Response::Ack {
                     header: self.header(),
+                    buffered: Vec::new(),
                 }
             }
             Request::Cancel { connection } => {
@@ -263,6 +314,7 @@ impl<B: ExecutorBackend> WireServer<B> {
                 Response::CancelResult {
                     header: self.header(),
                     completion,
+                    buffered: Vec::new(),
                 }
             }
         }

@@ -17,6 +17,9 @@ use bq_wire::{
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::os::unix::net::UnixStream;
+use std::path::PathBuf;
+use std::process::{Child, Command, Stdio};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -301,4 +304,111 @@ fn uds_socket_files_are_cleaned_up_on_shutdown() {
     assert!(path.exists());
     drop(socket);
     assert!(!path.exists());
+}
+
+/// A `bq-serve` process in its default thread-per-connection mode on a
+/// Unix-domain socket, serving TPC-H with engine seed 0; killed and reaped
+/// on drop.
+struct Served {
+    child: Child,
+    socket: PathBuf,
+}
+
+impl Served {
+    fn spawn(socket: PathBuf) -> Self {
+        let _ = std::fs::remove_file(&socket);
+        let child = Command::new(env!("CARGO_BIN_EXE_bq-serve"))
+            .arg("--uds")
+            .arg(&socket)
+            .args(["--benchmark", "tpch", "--seed", "0"])
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn bq-serve");
+        let mut served = Served { child, socket };
+        for _ in 0..1000 {
+            if served.socket.exists() {
+                return served;
+            }
+            assert!(
+                served.child.try_wait().expect("poll bq-serve").is_none(),
+                "bq-serve exited during start-up"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        panic!(
+            "bq-serve did not bind {} within 10 s",
+            served.socket.display()
+        );
+    }
+}
+
+impl Drop for Served {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+        let _ = std::fs::remove_file(&self.socket);
+    }
+}
+
+/// Clients that send garbage, stall half-way through an envelope, or lose
+/// their own framing do not hurt a good client of the same `bq-serve`: its
+/// zero-latency episode is byte-identical to the bare engine and finishes
+/// within 10 s of wall time, and the server is still running afterwards.
+#[test]
+fn bad_clients_do_not_hurt_a_good_one_on_a_real_bq_serve() {
+    let w = tpch();
+    let base = run_episode(&mut engine(&w, 0), &w);
+    let path = std::env::temp_dir().join(format!("bq-wire-bad-{}.sock", std::process::id()));
+    let mut served = Served::spawn(path.clone());
+
+    // 64 arbitrary bytes: not even a preamble.
+    let mut garbage = UnixStream::connect(&path).expect("connect the garbage client");
+    let mut rng = bq_core::rng::SplitMix64::new(64);
+    let noise: Vec<u8> = (0..64).map(|_| rng.next_u64() as u8).collect();
+    garbage.write_all(&noise).expect("send garbage");
+
+    // A valid preamble and half an envelope, then silence.
+    let hello = Request::Hello {
+        magic: HANDSHAKE_MAGIC,
+        version: PROTOCOL_VERSION,
+    };
+    let carried = envelope(0.0, &frame(&seal(0, &hello.encode())));
+    let mut stalled = UnixStream::connect(&path).expect("connect the stalling client");
+    stalled
+        .write_all(&preamble(&TransportProfile::zero()))
+        .expect("send the preamble");
+    stalled
+        .write_all(&carried[..carried.len() / 2])
+        .expect("send half an envelope");
+
+    // A valid preamble, then an envelope whose frame announces more than
+    // the frame cap: the server answers one error and stops reading.
+    let mut oversized = UnixStream::connect(&path).expect("connect the oversized client");
+    oversized
+        .write_all(&preamble(&TransportProfile::zero()))
+        .expect("send the preamble");
+    oversized
+        .write_all(&envelope(0.0, &u32::MAX.to_le_bytes()))
+        .expect("send the oversized frame");
+
+    let started = Instant::now();
+    let client = SocketClient::connect(Endpoint::uds(path.clone()), TransportProfile::zero())
+        .expect("connect the good client")
+        .with_reconnect(4, Duration::from_millis(50));
+    let mut backend = connect_remote(client).expect("handshake");
+    let log = run_episode(&mut backend, &w);
+    let elapsed = started.elapsed();
+    assert_eq!(base.to_json(), log.to_json());
+    assert!(
+        elapsed < Duration::from_secs(10),
+        "the good episode took {elapsed:?}"
+    );
+    assert!(
+        served.child.try_wait().expect("poll bq-serve").is_none(),
+        "bq-serve must outlive its bad clients"
+    );
+    drop(backend);
+    drop((garbage, stalled, oversized));
 }

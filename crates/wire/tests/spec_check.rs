@@ -1,16 +1,22 @@
 //! Cross-checks `docs/WIRE_PROTOCOL.md` against the implementation: the
 //! spec's tag tables must list exactly the tags and message names the
 //! codec exports as [`bq_wire::REQUEST_TAGS`] / [`bq_wire::RESPONSE_TAGS`],
-//! in the same order — so the normative document and the wire format
-//! cannot drift apart silently.
+//! in the same order, and every worked example must be the exact bytes the
+//! codec (and, for responses, a real server) produces — so the normative
+//! document and the wire format cannot drift apart silently.
 
-use bq_wire::{REQUEST_TAGS, RESPONSE_TAGS};
-use std::path::Path;
+#[path = "support/worked_examples.rs"]
+mod worked_examples;
 
-fn spec_text() -> String {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../docs/WIRE_PROTOCOL.md");
-    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {}: {e}", path.display()))
-}
+use bq_dbms::{DbmsProfile, ExecutionEngine, RunParams};
+use bq_plan::{generate, Benchmark, QueryId, WorkloadSpec};
+use bq_wire::frame::frame;
+use bq_wire::net::envelope;
+use bq_wire::{
+    seal, InMemoryDuplex, Request, WireServer, WireTransport, HANDSHAKE_MAGIC, PROTOCOL_VERSION,
+    REQUEST_TAGS, RESPONSE_TAGS,
+};
+use worked_examples::{worked_examples, SPEC};
 
 /// Every tag-table row in the spec, in document order: lines of the form
 /// ``| `0xNN` | `Name` | ... |``.
@@ -38,8 +44,7 @@ fn spec_tag_rows(spec: &str) -> Vec<(u8, String)> {
 
 #[test]
 fn the_spec_tag_tables_match_the_codec() {
-    let spec = spec_text();
-    let rows = spec_tag_rows(&spec);
+    let rows = spec_tag_rows(SPEC);
     let (responses, requests): (Vec<_>, Vec<_>) = rows.into_iter().partition(|(t, _)| *t >= 0x80);
 
     let doc_requests: Vec<(u8, &str)> = requests.iter().map(|(t, n)| (*t, n.as_str())).collect();
@@ -56,12 +61,78 @@ fn the_spec_tag_tables_match_the_codec() {
 
 #[test]
 fn the_spec_pins_the_protocol_constants() {
-    let spec = spec_text();
     let version = format!("version `u16` = `{}`", bq_wire::PROTOCOL_VERSION);
     for needle in ["0x6271_7770", "0x6271_7470", &version, "65 536"] {
         assert!(
-            spec.contains(needle),
+            SPEC.contains(needle),
             "docs/WIRE_PROTOCOL.md no longer states {needle:?}"
+        );
+    }
+}
+
+/// A client request as it travels on a zero-latency socket: sealed, framed
+/// and enveloped with arrival 0.0.
+fn on_the_socket(seq: u64, request: &Request) -> Vec<u8> {
+    envelope(0.0, &frame(&seal(seq, &request.encode())))
+}
+
+/// The `SubmitBatch` example's exchange against a fresh TPC-H engine at zero
+/// latency: the request bytes, and the `Ack` bytes the server actually
+/// sends back, enveloped as a socket server would carry them.
+fn submit_batch_exchange() -> (Vec<u8>, Vec<u8>) {
+    let workload = generate(&WorkloadSpec::new(Benchmark::TpcH, 1.0, 1));
+    let mut server = WireServer::new(ExecutionEngine::new(DbmsProfile::dbms_x(), &workload, 0));
+    let mut link = InMemoryDuplex::lossless();
+    let hello = Request::Hello {
+        magic: HANDSHAKE_MAGIC,
+        version: PROTOCOL_VERSION,
+    };
+    let batch = Request::SubmitBatch {
+        entries: vec![(QueryId(0), RunParams::default_config(), 0)],
+    };
+    link.send_to_server(&frame(&seal(0, &hello.encode())), 0.0);
+    link.send_to_server(&frame(&seal(1, &batch.encode())), 0.0);
+    server.service(&mut link);
+    let _hello_ack = link.recv_at_client().expect("the handshake is answered");
+    let ack = link.recv_at_client().expect("the batch is answered");
+    assert!(link.recv_at_client().is_none(), "one response per request");
+    (on_the_socket(1, &batch), envelope(ack.at, &ack.bytes))
+}
+
+#[test]
+fn the_worked_examples_are_the_codec_bytes() {
+    let (batch, ack) = submit_batch_exchange();
+    let expected = [
+        (
+            "Connection open: preamble + Hello",
+            on_the_socket(
+                0,
+                &Request::Hello {
+                    magic: HANDSHAKE_MAGIC,
+                    version: PROTOCOL_VERSION,
+                },
+            ),
+        ),
+        (
+            "AdvanceTo",
+            on_the_socket(2, &Request::AdvanceTo { until: 1.5 }),
+        ),
+        ("SubmitBatch with a buffered echo", batch),
+        ("SubmitBatch with a buffered echo", ack),
+    ];
+    let examples = worked_examples(SPEC);
+    let titles: Vec<&str> = examples.iter().map(|e| e.title.as_str()).collect();
+    let expected_titles: Vec<&str> = expected.iter().map(|(t, _)| *t).collect();
+    assert_eq!(
+        titles, expected_titles,
+        "docs/WIRE_PROTOCOL.md worked examples are not the ones this test checks"
+    );
+    for (example, (title, bytes)) in examples.iter().zip(&expected) {
+        assert!(
+            example.matches(bytes),
+            "docs/WIRE_PROTOCOL.md worked example {title:?} is stale:\n \
+             doc:   {:02X?}\n codec: {bytes:02X?}",
+            example.bytes
         );
     }
 }
