@@ -27,7 +27,7 @@ use bq_dbms::{
     RunParams, ShardedEngine,
 };
 use bq_encoder::{PlanEncoderConfig, StateEncoderConfig};
-use bq_obs::Obs;
+use bq_obs::{Obs, SystemClock, WallClock};
 use bq_plan::{generate, perturb_query_set, Benchmark, QueryId, Workload, WorkloadSpec};
 use bq_sched::{
     pretrain_on_simulator, samples_from_history, train_on_dbms, Algorithm, BqSchedAgent,
@@ -207,17 +207,11 @@ pub fn evaluate_heuristics(setup: &Setup, scale: RunScale) -> Vec<StrategyEvalua
 /// Train the adapted LSched baseline on a setup and return it ready for
 /// greedy evaluation.
 pub fn train_lsched(setup: &Setup, scale: RunScale) -> BqSchedAgent {
-    let config = BqSchedConfig {
-        use_masking: false,
-        cluster_count: None,
-        algorithm: Algorithm::Ppo,
-        ..scale.agent_config()
-    };
     let mut agent = BqSchedAgent::new(
         &setup.workload,
         &setup.profile,
         Some(&setup.history),
-        config,
+        scale.agent_config().lsched(),
     );
     train_on_dbms(
         &mut agent,
@@ -672,14 +666,13 @@ pub fn throughput_metrics(setup: &Setup, scale: RunScale) -> Vec<(String, f64)> 
         }
         let mut decisions = 0usize;
         let mut events = 0usize;
-        // bq-lint: allow(wall-clock): throughput cells measure real decisions/events per second by design — the one gate metric where the host clock IS the instrument
-        let started = std::time::Instant::now();
+        let clock = SystemClock::new();
         for seed in 0..MEASURED_ROUNDS {
             let (d, e) = run_round(seed, policy);
             decisions += d;
             events += e;
         }
-        (decisions, events, started.elapsed().as_secs_f64().max(1e-9))
+        (decisions, events, clock.now_seconds().max(1e-9))
     };
     let (decisions, events, elapsed) = measure(&mut FifoScheduler::new());
     let mut agent = BqSchedAgent::new(
@@ -1171,11 +1164,7 @@ pub fn fig6(scale: RunScale) -> String {
         &setup.workload,
         &setup.profile,
         Some(&setup.history),
-        BqSchedConfig {
-            use_masking: false,
-            algorithm: Algorithm::Ppo,
-            ..scale.agent_config()
-        },
+        scale.agent_config().lsched(),
     );
     let lsched_curve = train_on_dbms(
         &mut lsched_agent,
@@ -1216,7 +1205,13 @@ pub fn fig6(scale: RunScale) -> String {
 /// Figure 7 — ablation of the RL scheduler and adaptive masking: greedy
 /// makespan after training for BQSched and its ablated variants.
 pub fn fig7(scale: RunScale) -> String {
+    fig7_report(scale).text
+}
+
+/// [`fig7`] plus each variant's final makespan for the CI bench gate.
+pub fn fig7_report(scale: RunScale) -> BenchReport {
     let mut out = String::new();
+    let mut gate_metrics: Vec<(String, f64)> = Vec::new();
     out.push_str("Figure 7: ablation study (greedy eval makespan after training, s)\n");
     let setup = build_setup(Benchmark::TpcDs, DbmsKind::X, 1.0, 1, scale);
     let tc = scale.training();
@@ -1264,8 +1259,15 @@ pub fn fig7(scale: RunScale) -> String {
             curve.final_makespan(),
             reward
         ));
+        gate_metrics.push((
+            format!("makespan_{}", metric_slug(name)),
+            curve.final_makespan(),
+        ));
     }
-    out
+    BenchReport {
+        text: out,
+        metrics: gate_metrics,
+    }
 }
 
 /// Figure 8 — sensitivity to the number of query clusters `n_c` at enlarged

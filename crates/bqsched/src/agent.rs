@@ -1,6 +1,7 @@
 //! The BQSched agent: attention-based state representation with policy, value
 //! and auxiliary heads, adaptive masking, cluster-level scheduling and the
-//! IQ-PPO / PPO / PPG training pipelines (§III and §IV of the paper).
+//! training loop that runs IQ-PPO or its PPO / PPG ablations (§III and §IV
+//! of the paper).
 //!
 //! The same agent type also realises the adapted **LSched** baseline of the
 //! evaluation: the paper ports LSched to query-level scheduling by reusing
@@ -13,7 +14,7 @@ use crate::masking::AdaptiveMask;
 use crate::simulator::{LearnedSimulator, SimulatorModel};
 use bq_core::{
     Action, EpisodeLog, ExecutionHistory, ExecutorBackend, QueryStatus, ScheduleSession,
-    SchedulerPolicy, SchedulingState,
+    SchedulerPolicy, SchedulingState, SystemClock, WallClock,
 };
 use bq_dbms::{DbmsProfile, ExecutionEngine, MemoryGrant, ParamSpace, RunParams, WORKER_OPTIONS};
 use bq_encoder::{
@@ -23,25 +24,13 @@ use bq_encoder::{
 use bq_nn::{Activation, Eager, Graph, Mlp, NodeId, Ops, ParamStore, Tensor};
 use bq_plan::{QueryId, Workload};
 use bq_rl::{
-    ActorCritic, AuxTarget, IqPpoConfig, IqPpoTrainer, PpgTrainer, PpoTrainer, RolloutBuffer,
-    Transition,
+    ActorCritic, Algorithm, AuxTarget, IqPpoConfig, IqPpoTrainer, RolloutBuffer, Transition,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::VecDeque;
-
-/// Which policy-optimization algorithm trains the agent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Algorithm {
-    /// Plain PPO (the "w/ PPO" ablation and the LSched baseline).
-    Ppo,
-    /// Phasic policy gradients (the "w/ PPG" ablation).
-    Ppg,
-    /// The paper's IQ-PPO (default).
-    IqPpo,
-}
 
 /// Full agent configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -98,16 +87,14 @@ impl Default for BqSchedConfig {
 }
 
 impl BqSchedConfig {
-    /// The adapted LSched baseline: BQSched's state representation with a
-    /// plain PPO algorithm and none of the optimization strategies
+    /// The adapted LSched baseline on this configuration's encoders and
+    /// seeds: a plain PPO algorithm and none of the optimization strategies
     /// (no adaptive masking, no clustering, no simulator pre-training).
-    pub fn lsched() -> Self {
-        Self {
-            use_masking: false,
-            cluster_count: None,
-            algorithm: Algorithm::Ppo,
-            ..Self::default()
-        }
+    pub fn lsched(mut self) -> Self {
+        self.use_masking = false;
+        self.cluster_count = None;
+        self.algorithm = Algorithm::Ppo;
+        self
     }
 
     /// Ablation: remove the attention-based state representation.
@@ -439,7 +426,7 @@ impl BqSchedAgent {
         let mask = if config.use_masking {
             let base = AdaptiveMask::from_workload(workload, &space, profile.low_mem_grant_pages);
             match history {
-                Some(h) => base.refine_with_history(workload, h, &space, 0.05),
+                Some(h) => base.refine_with_history(h, &space, 0.05),
                 None => base,
             }
         } else {
@@ -789,7 +776,8 @@ impl SchedulerPolicy for BqSchedAgent {
 pub struct TrainingPoint {
     /// Number of scheduling decisions taken so far.
     pub step: usize,
-    /// Mean episode return of the most recent collection phase.
+    /// Mean episode return of the most recent collection phase: the
+    /// exploring rounds of the iteration's last PPO phase.
     pub episode_reward: f64,
     /// Greedy-policy makespan measured at this point.
     pub eval_makespan: f64,
@@ -807,14 +795,6 @@ pub struct TrainingCurve {
 }
 
 impl TrainingCurve {
-    /// Best (lowest) greedy makespan observed during training.
-    pub fn best_makespan(&self) -> f64 {
-        self.points
-            .iter()
-            .map(|p| p.eval_makespan)
-            .fold(f64::INFINITY, f64::min)
-    }
-
     /// Final greedy makespan.
     pub fn final_makespan(&self) -> f64 {
         self.points
@@ -850,50 +830,41 @@ impl Default for TrainingConfig {
     }
 }
 
-enum AnyTrainer {
-    Ppo(PpoTrainer),
-    Ppg(PpgTrainer),
-    IqPpo(IqPpoTrainer),
-}
-
 /// Train `agent` by interacting with executors produced by `make_executor`
 /// (a fresh executor per scheduling round — either the simulated DBMS or the
 /// learned incremental simulator). Every round is driven through a
-/// [`ScheduleSession`], so the training loop is identical for every backend.
+/// [`ScheduleSession`], so the training loop is identical for every backend,
+/// and one [`IqPpoTrainer`] of `agent.config.algorithm` trains every
+/// algorithm.
 ///
-/// The training loop itself never reads a clock: `elapsed_seconds` is
-/// sampled exactly once, at the end, to fill
-/// [`TrainingCurve::wall_seconds`]. Callers choose the time source — the
-/// convenience wrapper [`train_agent_with`] supplies the host wall clock
-/// (the one number in the curve that is *meant* to vary between machines),
-/// while tests can pass a constant and stay fully deterministic.
-pub fn train_agent_timed<E, F, C>(
+/// [`TrainingCurve::wall_seconds`] reports real training cost (the paper's
+/// Figure 6 axis) from a [`SystemClock`]. The loop reads it once, at the
+/// end; the measurement never feeds back into a decision, and everything
+/// the schedule observes runs on virtual time.
+pub fn train_agent_with<E, F>(
     agent: &mut BqSchedAgent,
     workload: &Workload,
     history: Option<&ExecutionHistory>,
     tc: &TrainingConfig,
     mut make_executor: F,
-    elapsed_seconds: C,
 ) -> TrainingCurve
 where
     E: ExecutorBackend,
     F: FnMut(u64) -> E,
-    C: FnOnce() -> f64,
 {
-    let mut trainer = match agent.config.algorithm {
-        Algorithm::Ppo => AnyTrainer::Ppo(PpoTrainer::new(agent.config.rl.ppo)),
-        Algorithm::Ppg => AnyTrainer::Ppg(PpgTrainer::new(agent.config.rl)),
-        Algorithm::IqPpo => AnyTrainer::IqPpo(IqPpoTrainer::new(agent.config.rl)),
-    };
+    let clock = SystemClock::new();
+    let mut trainer = IqPpoTrainer::for_algorithm(agent.config.algorithm, agent.config.rl);
     let mut points = Vec::new();
     let mut total_episodes = 0usize;
     let mut steps = 0usize;
     let mut round_seed = tc.seed;
     for _ in 0..tc.iterations {
         let mut iteration_log: RolloutBuffer<BqObs> = RolloutBuffer::new();
-        let mut mean_reward = 0.0;
+        // Sum of the returns of the current PPO phase's exploring rounds.
+        let mut phase_return = 0.0;
         for _ in 0..tc.ppo_iters {
             let mut buffer: RolloutBuffer<BqObs> = RolloutBuffer::new();
+            phase_return = 0.0;
             for _ in 0..tc.rounds_per_iter {
                 agent.explore = true;
                 let mut executor = make_executor(round_seed);
@@ -905,36 +876,18 @@ where
                     .build(&mut executor)
                     .run(agent);
                 total_episodes += 1;
-                mean_reward = agent.last_episode_return;
+                phase_return += agent.last_episode_return;
                 let rollout = agent.take_rollout();
                 steps += rollout.len();
                 buffer.extend(rollout);
             }
             // The PPO phase updates the parameters in `agent.store` while the
             // model's layer definitions stay immutable.
-            match &mut trainer {
-                AnyTrainer::Ppo(t) => {
-                    t.update(&agent.model, &mut agent.store, &buffer);
-                }
-                AnyTrainer::Ppg(t) => {
-                    t.ppo_phase(&agent.model, &mut agent.store, &buffer);
-                }
-                AnyTrainer::IqPpo(t) => {
-                    t.ppo_phase(&agent.model, &mut agent.store, &buffer);
-                }
-            }
+            trainer.ppo_phase(&agent.model, &mut agent.store, &buffer);
             iteration_log.extend(buffer);
         }
         // Auxiliary phase on the accumulated log (Algorithm 1 line 7).
-        match &mut trainer {
-            AnyTrainer::IqPpo(t) => {
-                t.aux_phase(&agent.model, &mut agent.store, &iteration_log);
-            }
-            AnyTrainer::Ppg(t) => {
-                t.aux_phase(&agent.model, &mut agent.store, &iteration_log);
-            }
-            AnyTrainer::Ppo(_) => {}
-        }
+        trainer.aux_phase(&agent.model, &mut agent.store, &iteration_log);
         // Greedy evaluation for the curve.
         agent.explore = false;
         let mut makespans = Vec::new();
@@ -952,38 +905,15 @@ where
         let eval = makespans.iter().sum::<f64>() / makespans.len().max(1) as f64;
         points.push(TrainingPoint {
             step: steps,
-            episode_reward: mean_reward,
+            episode_reward: phase_return / tc.rounds_per_iter.max(1) as f64,
             eval_makespan: eval,
         });
     }
     TrainingCurve {
         points,
         total_episodes,
-        wall_seconds: elapsed_seconds(),
+        wall_seconds: clock.now_seconds(),
     }
-}
-
-/// [`train_agent_timed`] with the host wall clock as the time source: the
-/// resulting [`TrainingCurve::wall_seconds`] reports *real* training cost
-/// (the paper's Table 6 axis), which is the single sanctioned use of a wall
-/// clock in library code — everything the schedule observes runs on virtual
-/// time, and the measurement cannot feed back into any decision.
-pub fn train_agent_with<E, F>(
-    agent: &mut BqSchedAgent,
-    workload: &Workload,
-    history: Option<&ExecutionHistory>,
-    tc: &TrainingConfig,
-    make_executor: F,
-) -> TrainingCurve
-where
-    E: ExecutorBackend,
-    F: FnMut(u64) -> E,
-{
-    // bq-lint: allow(wall-clock): wall_seconds is the reported training-cost metric; it is write-only output and never feeds back into scheduling
-    let start = std::time::Instant::now();
-    train_agent_timed(agent, workload, history, tc, make_executor, move || {
-        start.elapsed().as_secs_f64()
-    })
 }
 
 /// Train the agent directly against the simulated DBMS (`profile`).
@@ -1163,7 +1093,7 @@ mod tests {
 
     #[test]
     fn lsched_config_disables_optimizations() {
-        let c = BqSchedConfig::lsched();
+        let c = BqSchedConfig::default().with_clusters(4).lsched();
         assert_eq!(c.algorithm, Algorithm::Ppo);
         assert!(!c.use_masking);
         assert!(c.cluster_count.is_none());
@@ -1191,6 +1121,41 @@ mod tests {
         assert!(curve.total_episodes >= 1);
         assert!(curve.final_makespan().is_finite());
         assert!(curve.wall_seconds > 0.0);
+    }
+
+    #[test]
+    fn episode_reward_is_the_mean_return_of_the_last_ppo_phase() {
+        // The curve's reward is the mean return of the two exploring rounds,
+        // which a fresh agent of the same configuration replays: the same
+        // engine seeds and round labels as the training loop's.
+        let w = tiny_workload();
+        let profile = DbmsProfile::dbms_x();
+        let history = collect_history(&mut FifoScheduler::new(), &w, &profile, 2, 0);
+        let tc = TrainingConfig {
+            iterations: 1,
+            ppo_iters: 1,
+            rounds_per_iter: 2,
+            eval_rounds: 1,
+            seed: 50,
+        };
+        let mut trained = BqSchedAgent::new(&w, &profile, Some(&history), fast_config());
+        let curve = train_on_dbms(&mut trained, &w, &profile, Some(&history), &tc);
+        let mut fresh = BqSchedAgent::new(&w, &profile, Some(&history), fast_config());
+        let returns: Vec<f64> = (0..2)
+            .map(|i| {
+                ScheduleSession::builder(&w)
+                    .history(&history)
+                    .dbms(bq_dbms::DbmsKind::X)
+                    .round(tc.seed + i + 1)
+                    .run_on_profile(&profile, tc.seed + i, &mut fresh);
+                fresh.last_episode_return
+            })
+            .collect();
+        assert_ne!(returns[0], returns[1], "the rounds must tell apart");
+        assert_eq!(
+            curve.points[0].episode_reward,
+            (returns[0] + returns[1]) / 2.0
+        );
     }
 
     #[test]
@@ -1466,9 +1431,10 @@ mod tests {
         }
     }
 
-    /// Train `model` from `store` on `buffer` with a PPO update, an IQ-PPO
-    /// PPO and aux phase, then a PPG PPO and aux phase; the bits of every
-    /// statistic, and of every parameter and Adam moment after each trainer.
+    /// Train `model` from `store` on `buffer` with a PPO, then an IQ-PPO,
+    /// then a PPG trainer, each running its PPO and auxiliary phase; the
+    /// bits of every statistic, and of every parameter and Adam moment after
+    /// each trainer.
     fn trained_bits<M: ActorCritic<Obs = BqObs>>(
         model: &M,
         store: &ParamStore,
@@ -1486,23 +1452,13 @@ mod tests {
             let state = values.chain(moments).flat_map(|t| t.data());
             out.extend(state.chain(stats).map(|x| x.to_bits()));
         };
-        let mut ppo = PpoTrainer::new(rl.ppo);
-        let s = ppo.update(model, &mut store, buffer);
-        record(
-            &store,
-            &[ppo.optimizer()],
-            &[s.policy_loss, s.value_loss, s.entropy],
-        );
-        let mut iq = IqPpoTrainer::new(rl);
-        let s = iq.ppo_phase(model, &mut store, buffer);
-        let a = iq.aux_phase(model, &mut store, buffer);
-        let stats = [s.policy_loss, s.value_loss, s.entropy, a.aux_loss, a.kl];
-        record(&store, &iq.optimizers(), &stats);
-        let mut ppg = PpgTrainer::new(rl);
-        let s = ppg.ppo_phase(model, &mut store, buffer);
-        let a = ppg.aux_phase(model, &mut store, buffer);
-        let stats = [s.policy_loss, s.value_loss, s.entropy, a.aux_loss, a.kl];
-        record(&store, &ppg.optimizers(), &stats);
+        for algorithm in [Algorithm::Ppo, Algorithm::IqPpo, Algorithm::Ppg] {
+            let mut trainer = IqPpoTrainer::for_algorithm(algorithm, rl);
+            let s = trainer.ppo_phase(model, &mut store, buffer);
+            let a = trainer.aux_phase(model, &mut store, buffer);
+            let stats = [s.policy_loss, s.value_loss, s.entropy, a.aux_loss, a.kl];
+            record(&store, &trainer.optimizers(), &stats);
+        }
         out
     }
 

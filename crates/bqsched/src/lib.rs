@@ -5,8 +5,9 @@
 //!
 //! * [`agent`] — the RL decision model (shared attention-based state
 //!   representation with policy/value/auxiliary heads), the
-//!   [`BqSchedAgent`] scheduling policy, and the PPO / PPG / IQ-PPO training
-//!   pipelines including simulator pre-training and DBMS fine-tuning;
+//!   [`BqSchedAgent`] scheduling policy, and the one training loop (IQ-PPO
+//!   or its PPO / PPG ablations) including simulator pre-training and DBMS
+//!   fine-tuning;
 //! * [`masking`] — adaptive masking of inefficient parameter configurations
 //!   (§IV-A);
 //! * [`clustering`] — scheduling-gain computation, the gain-predicting MLP
@@ -39,9 +40,10 @@ pub mod masking;
 pub mod simulator;
 
 pub use agent::{
-    pretrain_on_simulator, train_agent_with, train_on_dbms, Algorithm, BqObs, BqSchedAgent,
-    BqSchedConfig, BqSchedModel, TrainingConfig, TrainingCurve, TrainingPoint,
+    pretrain_on_simulator, train_agent_with, train_on_dbms, BqObs, BqSchedAgent, BqSchedConfig,
+    BqSchedModel, TrainingConfig, TrainingCurve, TrainingPoint,
 };
+pub use bq_rl::Algorithm;
 pub use clustering::{gains_from_history, GainMatrix, GainPredictor, QueryClustering};
 pub use masking::{AdaptiveMask, MASK_VALUE};
 pub use simulator::{

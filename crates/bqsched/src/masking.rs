@@ -82,7 +82,6 @@ impl AdaptiveMask {
     /// observed in the logs keep their prior (plan-derived) decision.
     pub fn refine_with_history(
         mut self,
-        workload: &Workload,
         history: &ExecutionHistory,
         space: &ParamSpace,
         min_improvement: f64,
@@ -102,7 +101,6 @@ impl AdaptiveMask {
                     allowed[k] = improvement >= min_improvement;
                 }
             }
-            let _ = workload; // workload retained in the signature for future statistics use
         }
         self
     }
@@ -267,7 +265,7 @@ mod tests {
             finished_at: 25.0,
         });
         history.push(log);
-        let refined = base_mask.refine_with_history(&w, &history, &space, 0.1);
+        let refined = base_mask.refine_with_history(&history, &space, 0.1);
         let fast_idx = space.index_of(fast).unwrap();
         assert!(
             refined.allowed(QueryId(0))[fast_idx],

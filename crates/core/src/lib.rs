@@ -73,7 +73,7 @@ pub use bq_dbms::{
     AdvanceStall, ConnectionSlot, ExecEvent, ExecutorBackend, FaultEvent, RunningView,
     ShardTopology,
 };
-pub use bq_obs::{Obs, TraceEvent, TraceKind};
+pub use bq_obs::{Obs, SystemClock, TraceEvent, TraceKind, WallClock};
 pub use gantt::{GanttBar, GanttChart};
 pub use heuristics::{FifoScheduler, McfScheduler, RandomScheduler};
 pub use log::{EpisodeLog, ExecutionHistory, FaultRecord, QueryRecord};

@@ -20,8 +20,8 @@
 //!   buckets, exact bit-level extrema, merge + percentiles);
 //! * [`trace`] — [`TraceEvent`]/[`TraceKind`], the [`TraceSink`] trait,
 //!   [`NoopSink`] and [`RecordingSink`];
-//! * [`profile`] — injected wall clocks for profiling hooks, carrying the
-//!   workspace's one justified `bq-lint` wall-clock allow.
+//! * [`profile`] — the host wall clock that wall-clock measurements read,
+//!   carrying the workspace's one justified `bq-lint` wall-clock allow.
 //!
 //! The handle is `Arc`-shared so the session, the backend stack and a
 //! bench harness can observe into one registry; it is `Send + Sync` so an
@@ -36,7 +36,7 @@ pub mod profile;
 pub mod trace;
 
 pub use metrics::{Histogram, MetricKey, MetricsRegistry};
-pub use profile::{timed, ManualClock, SystemClock, WallClock};
+pub use profile::{SystemClock, WallClock};
 pub use trace::{NoopSink, RecordingSink, TraceEvent, TraceKind, TraceSink};
 
 use std::sync::{Arc, Mutex, MutexGuard};

@@ -1,16 +1,12 @@
-//! Wall-clock profiling hooks — the **one** place in the workspace where
-//! real time may be read outside the bench binaries.
+//! The workspace's one wall-clock read.
 //!
 //! Everything else in the repo runs on virtual time, and `bq-lint` rejects
-//! `Instant::now` on sight. Profiling real overhead (how many wall
-//! microseconds the decision loop spends per round, say) still needs a
-//! real clock, so this module wraps it behind the [`WallClock`] trait:
-//! production code takes an injected `&dyn WallClock`, tests inject
-//! [`ManualClock`] and stay deterministic, and only [`SystemClock`]
-//! touches the host clock — on a single line carrying the workspace's one
-//! justified wall-clock allow. Profiling results are reporting-only: they
-//! must never feed back into scheduling decisions, or the replay contract
-//! breaks.
+//! `Instant::now` on sight. Measuring real cost (training seconds, decisions
+//! per wall second, round-trip times) still needs a real clock, so that code
+//! reads the [`WallClock`] trait, and only [`SystemClock`] touches the host
+//! clock — on a single line carrying the workspace's one justified
+//! wall-clock allow. Wall-clock readings are reporting-only: they must never
+//! feed back into scheduling decisions, or the replay contract breaks.
 
 /// An injectable clock reporting elapsed wall seconds since an arbitrary
 /// fixed origin.
@@ -28,7 +24,7 @@ pub struct SystemClock {
 impl SystemClock {
     /// Anchor a clock at the current host instant.
     pub fn new() -> Self {
-        // bq-lint: allow(wall-clock): the one sanctioned wall-clock read — every profiling hook injects WallClock and only this line touches the host timer
+        // bq-lint: allow(wall-clock): the one sanctioned wall-clock read — every wall-clock measurement reads a WallClock and only this line touches the host timer
         let epoch = std::time::Instant::now();
         Self { epoch }
     }
@@ -46,52 +42,9 @@ impl WallClock for SystemClock {
     }
 }
 
-/// A hand-advanced clock for deterministic tests of profiling code.
-#[derive(Debug, Default, Clone)]
-pub struct ManualClock {
-    now: std::cell::Cell<f64>,
-}
-
-impl ManualClock {
-    /// A clock at origin 0.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Advance the clock by `seconds`.
-    pub fn advance(&self, seconds: f64) {
-        self.now.set(self.now.get() + seconds);
-    }
-}
-
-impl WallClock for ManualClock {
-    fn now_seconds(&self) -> f64 {
-        self.now.get()
-    }
-}
-
-/// Time one closure against an injected clock, returning its result and
-/// the elapsed wall seconds.
-pub fn timed<R>(clock: &dyn WallClock, f: impl FnOnce() -> R) -> (R, f64) {
-    let started = clock.now_seconds();
-    let result = f();
-    (result, clock.now_seconds() - started)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn manual_clock_makes_profiling_deterministic() {
-        let clock = ManualClock::new();
-        let (result, elapsed) = timed(&clock, || {
-            clock.advance(0.125);
-            42
-        });
-        assert_eq!(result, 42);
-        assert_eq!(elapsed, 0.125);
-    }
 
     #[test]
     fn system_clock_is_monotone_from_its_origin() {

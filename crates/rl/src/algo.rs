@@ -1,14 +1,16 @@
-//! Policy-optimization algorithms: PPO, PPG and the paper's IQ-PPO.
+//! Policy optimization: one trainer for PPO, PPG and the paper's IQ-PPO.
 //!
-//! All three share the clipped-surrogate PPO core (§III-B). They differ in
-//! the auxiliary phase that runs every few PPO iterations:
+//! IQ-PPO (Algorithm 1 of the paper) alternates clipped-surrogate PPO
+//! phases (§III-B) with an auxiliary phase that fits the finish time of the
+//! earliest concurrent query, a real signal from the execution logs,
+//! through the shared representation, while a behaviour-cloning KL term
+//! keeps the policy where the PPO phases left it. [`IqPpoTrainer`] runs all
+//! three algorithms; the [`Algorithm`] only picks what the auxiliary phase
+//! fits:
 //!
-//! * **PPO** — no auxiliary phase;
-//! * **PPG** — re-fits the (GAE-estimated) value targets through the shared
-//!   representation, with a behaviour-cloning KL term;
-//! * **IQ-PPO** — predicts the ground-truth finish time of the earliest
-//!   concurrent query to finish (a *real* signal from the execution logs)
-//!   through the shared representation, with the same KL term.
+//! * **IQ-PPO** — the earliest concurrent query's finish time;
+//! * **PPG** — the GAE value targets, through the value head;
+//! * **PPO** — nothing: its auxiliary phase is a no-op.
 
 use crate::buffer::{Estimate, RolloutBuffer, Transition};
 use bq_nn::{Adam, Graph, NodeId, ParamId, ParamStore, Tensor};
@@ -94,100 +96,40 @@ pub struct AuxStats {
     pub kl: f32,
 }
 
-/// Plain PPO trainer.
-#[derive(Debug)]
-pub struct PpoTrainer {
-    /// Hyper-parameters.
-    pub config: PpoConfig,
-    optimizer: Adam,
-    threads: Option<usize>,
+/// Which policy-optimization algorithm trains the agent: the auxiliary
+/// phase of [`IqPpoTrainer`] differs, nothing else does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Algorithm {
+    /// Plain PPO (the "w/ PPO" ablation and the LSched baseline): no
+    /// auxiliary phase.
+    Ppo,
+    /// Phasic policy gradients (the "w/ PPG" ablation): the auxiliary phase
+    /// re-fits the GAE value targets.
+    Ppg,
+    /// The paper's IQ-PPO (default): the auxiliary phase fits the finish
+    /// time of the earliest concurrent query.
+    IqPpo,
 }
 
-impl PpoTrainer {
-    /// Create a trainer with the given configuration.
-    pub fn new(config: PpoConfig) -> Self {
-        Self {
-            optimizer: Adam::new(config.lr),
-            config,
-            threads: None,
-        }
+/// Optimization-epoch diagnostics: the mean over the epoch's items of each
+/// item's statistics.
+trait EpochStats: Copy + Default + Send {
+    /// Add `item / n` to `self`, field by field.
+    fn add_share(&mut self, item: Self, n: f32);
+}
+
+impl EpochStats for PpoStats {
+    fn add_share(&mut self, item: Self, n: f32) {
+        self.policy_loss += item.policy_loss / n;
+        self.value_loss += item.value_loss / n;
+        self.entropy += item.entropy / n;
     }
+}
 
-    /// Test hook: evaluate transitions on exactly `threads` threads instead
-    /// of [`std::thread::available_parallelism`]. The result does not
-    /// depend on it; tests use it to prove that.
-    #[doc(hidden)]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
-    }
-
-    /// The optimizer, whose moment estimates carry over between updates.
-    pub fn optimizer(&self) -> &Adam {
-        &self.optimizer
-    }
-
-    /// Run one PPO update on `buffer` and return diagnostics.
-    pub fn update<M: ActorCritic>(
-        &mut self,
-        model: &M,
-        store: &mut ParamStore,
-        buffer: &RolloutBuffer<M::Obs>,
-    ) -> PpoStats {
-        if buffer.is_empty() {
-            return PpoStats::default();
-        }
-        let threads = thread_count(self.threads);
-        let estimates = buffer.normalized_gae(self.config.gamma, self.config.lambda);
-        let items: Vec<_> = buffer.transitions().iter().zip(&estimates).collect();
-        let n = buffer.len() as f32;
-        let loss =
-            |g: &mut Graph, store: &ParamStore, &(t, est): &(&Transition<M::Obs>, &Estimate)| {
-                let (logits, value) = model.evaluate(g, store, &t.obs);
-                let num_actions = g.value(logits).cols();
-                let one_hot = Tensor::one_hot(num_actions, t.action);
-                let logp = g.log_softmax_rows(logits);
-                let picked = g.mul_const(logp, &one_hot);
-                let logp_a = g.sum_rows(picked);
-                let shifted = g.add_scalar(logp_a, -t.log_prob);
-                let ratio = g.exp(shifted);
-                let adv = Tensor::scalar(est.advantage);
-                let surr1 = g.mul_const(ratio, &adv);
-                let clipped = g.clamp(ratio, 1.0 - self.config.clip, 1.0 + self.config.clip);
-                let surr2 = g.mul_const(clipped, &adv);
-                let surr = g.min_elem(surr1, surr2);
-                let surr_mean = g.mean_all(surr);
-                let policy_loss = g.scale(surr_mean, -1.0);
-
-                let value_loss_full = g.mse_loss(value, &Tensor::scalar(est.value_target));
-                let value_loss = g.scale(value_loss_full, 0.5);
-                let entropy = g.softmax_entropy(logits);
-
-                let weighted_value = g.scale(value_loss, self.config.value_coef);
-                let weighted_entropy = g.scale(entropy, -self.config.entropy_coef);
-                let sum1 = g.add(policy_loss, weighted_value);
-                let total = g.add(sum1, weighted_entropy);
-                let stats = PpoStats {
-                    policy_loss: g.value(policy_loss).item(),
-                    value_loss: g.value(value_loss).item(),
-                    entropy: g.value(entropy).item(),
-                };
-                (g.scale(total, 1.0 / n), stats)
-            };
-        let mut stats = PpoStats::default();
-        for _ in 0..self.config.epochs {
-            store.zero_grads();
-            let mut epoch = PpoStats::default();
-            accumulate_in_order(store, &items, threads, loss, |s| {
-                epoch.policy_loss += s.policy_loss / n;
-                epoch.value_loss += s.value_loss / n;
-                epoch.entropy += s.entropy / n;
-            });
-            store.clip_grad_norm(self.config.max_grad_norm);
-            self.optimizer.step(store);
-            stats = epoch;
-        }
-        stats
+impl EpochStats for AuxStats {
+    fn add_share(&mut self, item: Self, n: f32) {
+        self.aux_loss += item.aux_loss / n;
+        self.kl += item.kl / n;
     }
 }
 
@@ -201,6 +143,13 @@ fn thread_count(threads: Option<usize>) -> usize {
     threads
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
         .max(1)
+}
+
+/// `0.5 · (prediction − target)²`, the regression term of the value loss
+/// and of both auxiliary fits.
+fn half_mse(g: &mut Graph, prediction: NodeId, target: f32) -> NodeId {
+    let mse = g.mse_loss(prediction, &Tensor::scalar(target));
+    g.scale(mse, 0.5)
 }
 
 /// Record `loss(item)` on a fresh tape and differentiate it for every item,
@@ -265,13 +214,11 @@ fn accumulate_in_order<T: Sync, S: Send>(
     }
 }
 
-/// IQ-PPO configuration (Algorithm 1 of the paper).
+/// Trainer configuration (Algorithm 1 of the paper).
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct IqPpoConfig {
     /// PPO core configuration.
     pub ppo: PpoConfig,
-    /// Number of PPO iterations per auxiliary phase (`N_ppo`).
-    pub ppo_iters_per_aux: usize,
     /// Optimization epochs of the auxiliary phase.
     pub aux_epochs: usize,
     /// Behaviour-cloning coefficient β_clone.
@@ -284,7 +231,6 @@ impl Default for IqPpoConfig {
     fn default() -> Self {
         Self {
             ppo: PpoConfig::default(),
-            ppo_iters_per_aux: 10,
             aux_epochs: 2,
             beta_clone: 1.0,
             aux_lr: 3e-4,
@@ -292,83 +238,159 @@ impl Default for IqPpoConfig {
     }
 }
 
-/// IQ-PPO trainer: PPO phases plus an auxiliary phase that exploits
-/// individual-query completion signals.
+/// The trainer of all three algorithms: PPO phases plus the auxiliary
+/// phase its [`Algorithm`] selects.
 #[derive(Debug)]
 pub struct IqPpoTrainer {
     /// Hyper-parameters.
     pub config: IqPpoConfig,
-    ppo: PpoTrainer,
+    algorithm: Algorithm,
+    ppo_optimizer: Adam,
     aux_optimizer: Adam,
+    threads: Option<usize>,
 }
 
 impl IqPpoTrainer {
-    /// Create a trainer with the given configuration.
+    /// An IQ-PPO trainer with the given configuration.
     pub fn new(config: IqPpoConfig) -> Self {
+        Self::for_algorithm(Algorithm::IqPpo, config)
+    }
+
+    /// A trainer of `algorithm` with the given configuration.
+    pub fn for_algorithm(algorithm: Algorithm, config: IqPpoConfig) -> Self {
         Self {
-            ppo: PpoTrainer::new(config.ppo),
+            ppo_optimizer: Adam::new(config.ppo.lr),
             aux_optimizer: Adam::new(config.aux_lr),
             config,
+            algorithm,
+            threads: None,
         }
     }
 
-    /// Test hook: see [`PpoTrainer::with_threads`]; applies to both phases.
+    /// Test hook: evaluate transitions on exactly `threads` threads instead
+    /// of [`std::thread::available_parallelism`], in both phases. The result
+    /// does not depend on it; tests use it to prove that.
     #[doc(hidden)]
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.ppo = self.ppo.with_threads(threads);
+        self.threads = Some(threads);
         self
     }
 
     /// The PPO-phase and auxiliary-phase optimizers, whose moment estimates
-    /// carry over from one phase to the next.
+    /// carry over from one phase to the next. PPO never steps the second.
     pub fn optimizers(&self) -> [&Adam; 2] {
-        [&self.ppo.optimizer, &self.aux_optimizer]
+        [&self.ppo_optimizer, &self.aux_optimizer]
     }
 
-    /// Number of PPO iterations to run between auxiliary phases.
-    pub fn ppo_iters_per_aux(&self) -> usize {
-        self.config.ppo_iters_per_aux
-    }
-
-    /// Run one PPO phase (lines 3–5 of Algorithm 1).
+    /// Run one PPO phase (lines 3–5 of Algorithm 1): a clipped-surrogate
+    /// update on `buffer`.
     pub fn ppo_phase<M: ActorCritic>(
         &mut self,
         model: &M,
         store: &mut ParamStore,
         buffer: &RolloutBuffer<M::Obs>,
     ) -> PpoStats {
-        self.ppo.update(model, store, buffer)
+        let c = self.config.ppo;
+        let estimates = buffer.normalized_gae(c.gamma, c.lambda);
+        let items: Vec<_> = buffer.transitions().iter().zip(&estimates).collect();
+        let n = items.len() as f32;
+        let loss =
+            |g: &mut Graph, store: &ParamStore, &(t, est): &(&Transition<M::Obs>, &Estimate)| {
+                let (logits, value) = model.evaluate(g, store, &t.obs);
+                let num_actions = g.value(logits).cols();
+                let one_hot = Tensor::one_hot(num_actions, t.action);
+                let logp = g.log_softmax_rows(logits);
+                let picked = g.mul_const(logp, &one_hot);
+                let logp_a = g.sum_rows(picked);
+                let shifted = g.add_scalar(logp_a, -t.log_prob);
+                let ratio = g.exp(shifted);
+                let adv = Tensor::scalar(est.advantage);
+                let surr1 = g.mul_const(ratio, &adv);
+                let clipped = g.clamp(ratio, 1.0 - c.clip, 1.0 + c.clip);
+                let surr2 = g.mul_const(clipped, &adv);
+                let surr = g.min_elem(surr1, surr2);
+                let surr_mean = g.mean_all(surr);
+                let policy_loss = g.scale(surr_mean, -1.0);
+
+                let value_loss = half_mse(g, value, est.value_target);
+                let entropy = g.softmax_entropy(logits);
+
+                let weighted_value = g.scale(value_loss, c.value_coef);
+                let weighted_entropy = g.scale(entropy, -c.entropy_coef);
+                let sum1 = g.add(policy_loss, weighted_value);
+                let total = g.add(sum1, weighted_entropy);
+                let stats = PpoStats {
+                    policy_loss: g.value(policy_loss).item(),
+                    value_loss: g.value(value_loss).item(),
+                    entropy: g.value(entropy).item(),
+                };
+                (g.scale(total, 1.0 / n), stats)
+            };
+        let (optimizer, threads) = (&mut self.ppo_optimizer, self.threads);
+        optimize(
+            store,
+            optimizer,
+            &items,
+            threads,
+            c.epochs,
+            c.max_grad_norm,
+            loss,
+        )
     }
 
     /// Run one auxiliary phase (line 7 of Algorithm 1) over the accumulated
-    /// log `buffer`: fit the finish-time of the earliest concurrent query,
-    /// while cloning the pre-auxiliary policy through a KL term.
+    /// log `buffer`. IQ-PPO fits the finish time of the earliest concurrent
+    /// query and PPG the GAE value targets, each while cloning the
+    /// pre-auxiliary policy through a KL term; PPO returns at once, before
+    /// it touches `store` or an optimizer.
     pub fn aux_phase<M: ActorCritic>(
         &mut self,
         model: &M,
         store: &mut ParamStore,
         buffer: &RolloutBuffer<M::Obs>,
     ) -> AuxStats {
-        let with_aux: Vec<&Transition<M::Obs>> = buffer
-            .transitions()
-            .iter()
-            .filter(|t| t.aux.is_some())
-            .collect();
-        if with_aux.is_empty() {
-            return AuxStats::default();
+        let c = self.config.ppo;
+        match self.algorithm {
+            Algorithm::Ppo => AuxStats::default(),
+            Algorithm::Ppg => {
+                let estimates = buffer.gae(c.gamma, c.lambda);
+                let items: Vec<_> = buffer.transitions().iter().zip(&estimates).collect();
+                self.aux_epochs(store, &items, |g, store, &(t, est)| {
+                    let (logits, value) = model.evaluate(g, store, &t.obs);
+                    (half_mse(g, value, est.value_target), logits)
+                })
+            }
+            Algorithm::IqPpo => {
+                let items: Vec<_> = buffer
+                    .transitions()
+                    .iter()
+                    .filter_map(|t| Some((t, t.aux?)))
+                    .collect();
+                self.aux_epochs(store, &items, |g, store, &(t, aux)| {
+                    let pred = model.aux_prediction(g, store, &t.obs, aux.earliest_index);
+                    let fit = half_mse(g, pred, aux.finish_time);
+                    (fit, model.evaluate(g, store, &t.obs).0)
+                })
+            }
         }
-        let threads = thread_count(self.ppo.threads);
-        let n = with_aux.len() as f32;
-        let loss = |g: &mut Graph, store: &ParamStore, t: &&Transition<M::Obs>| {
-            let aux = t.aux.expect("filtered to transitions with aux targets");
-            let pred = model.aux_prediction(g, store, &t.obs, aux.earliest_index);
-            let aux_loss_full = g.mse_loss(pred, &Tensor::scalar(aux.finish_time));
-            let aux_loss = g.scale(aux_loss_full, 0.5);
+    }
 
-            let (logits, _value) = model.evaluate(g, store, &t.obs);
-            let old_probs = Tensor::row(&t.action_probs);
+    /// The auxiliary phase's epochs over `items`, each a transition and its
+    /// target. `fit` records the regression term and the policy logits; the
+    /// loss adds the behaviour-cloning term, β_clone times the KL divergence
+    /// between the transition's behaviour policy and those logits.
+    fn aux_epochs<O: Sync, T: Sync>(
+        &mut self,
+        store: &mut ParamStore,
+        items: &[(&Transition<O>, T)],
+        fit: impl Fn(&mut Graph, &ParamStore, &(&Transition<O>, T)) -> (NodeId, NodeId) + Sync,
+    ) -> AuxStats {
+        let (c, n) = (self.config, items.len() as f32);
+        let loss = |g: &mut Graph, store: &ParamStore, item: &(&Transition<O>, T)| {
+            let (aux_loss, logits) = fit(g, store, item);
+            let old_probs = Tensor::row(&item.0.action_probs);
             let kl = g.kl_divergence(logits, &old_probs);
-            let weighted_kl = g.scale(kl, self.config.beta_clone);
+            let weighted_kl = g.scale(kl, c.beta_clone);
             let joint = g.add(aux_loss, weighted_kl);
             let stats = AuxStats {
                 aux_loss: g.value(aux_loss).item(),
@@ -376,108 +398,46 @@ impl IqPpoTrainer {
             };
             (g.scale(joint, 1.0 / n), stats)
         };
-        let mut stats = AuxStats::default();
-        for _ in 0..self.config.aux_epochs {
-            store.zero_grads();
-            let mut epoch = AuxStats::default();
-            accumulate_in_order(store, &with_aux, threads, loss, |s| {
-                epoch.aux_loss += s.aux_loss / n;
-                epoch.kl += s.kl / n;
-            });
-            store.clip_grad_norm(self.config.ppo.max_grad_norm);
-            self.aux_optimizer.step(store);
-            stats = epoch;
-        }
-        stats
+        let (optimizer, threads) = (&mut self.aux_optimizer, self.threads);
+        optimize(
+            store,
+            optimizer,
+            items,
+            threads,
+            c.aux_epochs,
+            c.ppo.max_grad_norm,
+            loss,
+        )
     }
 }
 
-/// PPG trainer: the auxiliary phase re-fits GAE value targets (rather than
-/// real finish-time signals), which is the variant the paper ablates against.
-#[derive(Debug)]
-pub struct PpgTrainer {
-    /// Hyper-parameters (reuses the IQ-PPO configuration shape).
-    pub config: IqPpoConfig,
-    ppo: PpoTrainer,
-    aux_optimizer: Adam,
-}
-
-impl PpgTrainer {
-    /// Create a trainer with the given configuration.
-    pub fn new(config: IqPpoConfig) -> Self {
-        Self {
-            ppo: PpoTrainer::new(config.ppo),
-            aux_optimizer: Adam::new(config.aux_lr),
-            config,
-        }
+/// `epochs` optimization epochs of `loss` over `items`, each: zero the
+/// gradients, accumulate every item's in item order, clip them to
+/// `max_grad_norm` and step `optimizer`. Returns the last epoch's
+/// statistics, or the default at once when there are no items.
+fn optimize<T: Sync, S: EpochStats>(
+    store: &mut ParamStore,
+    optimizer: &mut Adam,
+    items: &[T],
+    threads: Option<usize>,
+    epochs: usize,
+    max_grad_norm: f32,
+    loss: impl Fn(&mut Graph, &ParamStore, &T) -> (NodeId, S) + Sync,
+) -> S {
+    let mut stats = S::default();
+    if items.is_empty() {
+        return stats;
     }
-
-    /// Test hook: see [`PpoTrainer::with_threads`]; applies to both phases.
-    #[doc(hidden)]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.ppo = self.ppo.with_threads(threads);
-        self
+    let (threads, n) = (thread_count(threads), items.len() as f32);
+    for _ in 0..epochs {
+        store.zero_grads();
+        let mut epoch = S::default();
+        accumulate_in_order(store, items, threads, &loss, |s| epoch.add_share(s, n));
+        store.clip_grad_norm(max_grad_norm);
+        optimizer.step(store);
+        stats = epoch;
     }
-
-    /// The PPO-phase and auxiliary-phase optimizers; see
-    /// [`IqPpoTrainer::optimizers`].
-    pub fn optimizers(&self) -> [&Adam; 2] {
-        [&self.ppo.optimizer, &self.aux_optimizer]
-    }
-
-    /// Run one PPO phase.
-    pub fn ppo_phase<M: ActorCritic>(
-        &mut self,
-        model: &M,
-        store: &mut ParamStore,
-        buffer: &RolloutBuffer<M::Obs>,
-    ) -> PpoStats {
-        self.ppo.update(model, store, buffer)
-    }
-
-    /// Run one auxiliary (value-distillation) phase over `buffer`.
-    pub fn aux_phase<M: ActorCritic>(
-        &mut self,
-        model: &M,
-        store: &mut ParamStore,
-        buffer: &RolloutBuffer<M::Obs>,
-    ) -> AuxStats {
-        if buffer.is_empty() {
-            return AuxStats::default();
-        }
-        let threads = thread_count(self.ppo.threads);
-        let estimates = buffer.gae(self.config.ppo.gamma, self.config.ppo.lambda);
-        let items: Vec<_> = buffer.transitions().iter().zip(&estimates).collect();
-        let n = buffer.len() as f32;
-        let loss =
-            |g: &mut Graph, store: &ParamStore, &(t, est): &(&Transition<M::Obs>, &Estimate)| {
-                let (logits, value) = model.evaluate(g, store, &t.obs);
-                let value_loss_full = g.mse_loss(value, &Tensor::scalar(est.value_target));
-                let value_loss = g.scale(value_loss_full, 0.5);
-                let old_probs = Tensor::row(&t.action_probs);
-                let kl = g.kl_divergence(logits, &old_probs);
-                let weighted_kl = g.scale(kl, self.config.beta_clone);
-                let joint = g.add(value_loss, weighted_kl);
-                let stats = AuxStats {
-                    aux_loss: g.value(value_loss).item(),
-                    kl: g.value(kl).item(),
-                };
-                (g.scale(joint, 1.0 / n), stats)
-            };
-        let mut stats = AuxStats::default();
-        for _ in 0..self.config.aux_epochs {
-            store.zero_grads();
-            let mut epoch = AuxStats::default();
-            accumulate_in_order(store, &items, threads, loss, |s| {
-                epoch.aux_loss += s.aux_loss / n;
-                epoch.kl += s.kl / n;
-            });
-            store.clip_grad_norm(self.config.ppo.max_grad_norm);
-            self.aux_optimizer.step(store);
-            stats = epoch;
-        }
-        stats
-    }
+    stats
 }
 
 #[cfg(test)]
@@ -614,16 +574,20 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut store = ParamStore::new();
         let model = BanditModel::new(&mut store, &mut rng);
-        let mut trainer = PpoTrainer::new(PpoConfig {
-            lr: 0.01,
-            epochs: 4,
-            ..PpoConfig::default()
-        });
+        let config = IqPpoConfig {
+            ppo: PpoConfig {
+                lr: 0.01,
+                epochs: 4,
+                ..PpoConfig::default()
+            },
+            ..IqPpoConfig::default()
+        };
+        let mut trainer = IqPpoTrainer::for_algorithm(Algorithm::Ppo, config);
 
         let (_, initial_acc) = collect_bandit_rollout(&model, &store, &mut rng, 200);
         for _ in 0..30 {
             let (buffer, _) = collect_bandit_rollout(&model, &store, &mut rng, 64);
-            trainer.update(&model, &mut store, &buffer);
+            trainer.ppo_phase(&model, &mut store, &buffer);
         }
         let (_, final_acc) = collect_bandit_rollout(&model, &store, &mut rng, 200);
         assert!(
@@ -638,10 +602,28 @@ mod tests {
         let mut store = ParamStore::new();
         let model = BanditModel::new(&mut store, &mut rng);
         let before = store.to_json();
-        let mut trainer = PpoTrainer::new(PpoConfig::default());
-        let stats = trainer.update(&model, &mut store, &RolloutBuffer::new());
+        let mut trainer = IqPpoTrainer::new(IqPpoConfig::default());
+        let stats = trainer.ppo_phase(&model, &mut store, &RolloutBuffer::new());
         assert_eq!(stats.policy_loss, 0.0);
         assert_eq!(store.to_json(), before);
+        assert_eq!(trainer.optimizers()[0].steps(), 0);
+    }
+
+    #[test]
+    fn ppo_aux_phase_touches_neither_the_store_nor_an_optimizer() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut store = ParamStore::new();
+        let model = BanditModel::new(&mut store, &mut rng);
+        let (buffer, _) = collect_bandit_rollout(&model, &store, &mut rng, 16);
+        let before = store.to_json();
+        let mut trainer = IqPpoTrainer::for_algorithm(Algorithm::Ppo, IqPpoConfig::default());
+        let stats = trainer.aux_phase(&model, &mut store, &buffer);
+        assert_eq!((stats.aux_loss, stats.kl), (0.0, 0.0));
+        assert_eq!(store.to_json(), before);
+        for adam in trainer.optimizers() {
+            assert_eq!(adam.steps(), 0);
+            assert!(adam.moments().0.is_empty());
+        }
     }
 
     #[test]
@@ -658,7 +640,6 @@ mod tests {
             aux_epochs: 3,
             beta_clone: 1.0,
             aux_lr: 0.01,
-            ppo_iters_per_aux: 2,
         };
         let mut trainer = IqPpoTrainer::new(config);
 
@@ -695,7 +676,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut store = ParamStore::new();
         let model = BanditModel::new(&mut store, &mut rng);
-        let mut trainer = PpgTrainer::new(IqPpoConfig {
+        let config = IqPpoConfig {
             ppo: PpoConfig {
                 lr: 0.01,
                 epochs: 2,
@@ -704,8 +685,8 @@ mod tests {
             aux_epochs: 3,
             beta_clone: 1.0,
             aux_lr: 0.01,
-            ppo_iters_per_aux: 2,
-        });
+        };
+        let mut trainer = IqPpoTrainer::for_algorithm(Algorithm::Ppg, config);
         let (buffer, _) = collect_bandit_rollout(&model, &store, &mut rng, 128);
         let first = trainer.aux_phase(&model, &mut store, &buffer);
         let mut last = first;
@@ -755,9 +736,9 @@ mod tests {
         out
     }
 
-    /// Train a fresh bandit model with `trainer` on `threads` threads; the
+    /// Train a fresh bandit model with `algorithm` on `threads` threads; the
     /// bits of every returned statistic, parameter and Adam moment.
-    fn bandit_training_bits(trainer: &str, threads: usize) -> Vec<u32> {
+    fn bandit_training_bits(algorithm: Algorithm, threads: usize) -> Vec<u32> {
         let mut rng = StdRng::seed_from_u64(9);
         let mut store = ParamStore::new();
         let model = BanditModel::new(&mut store, &mut rng);
@@ -776,28 +757,11 @@ mod tests {
         for _ in 0..2 {
             // 61 transitions: full and partial windows for every thread count.
             let (buffer, _) = collect_bandit_rollout(&model, &store, &mut rng, 61);
-            match trainer {
-                "ppo" => {
-                    let mut t = PpoTrainer::new(config.ppo).with_threads(threads);
-                    let s = t.update(&model, &mut store, &buffer);
-                    stats.extend([s.policy_loss, s.value_loss, s.entropy]);
-                    out = state_bits(&store, &[t.optimizer()]);
-                }
-                "iq-ppo" => {
-                    let mut t = IqPpoTrainer::new(config).with_threads(threads);
-                    let s = t.ppo_phase(&model, &mut store, &buffer);
-                    let a = t.aux_phase(&model, &mut store, &buffer);
-                    stats.extend([s.policy_loss, s.value_loss, s.entropy, a.aux_loss, a.kl]);
-                    out = state_bits(&store, &t.optimizers());
-                }
-                _ => {
-                    let mut t = PpgTrainer::new(config).with_threads(threads);
-                    let s = t.ppo_phase(&model, &mut store, &buffer);
-                    let a = t.aux_phase(&model, &mut store, &buffer);
-                    stats.extend([s.policy_loss, s.value_loss, s.entropy, a.aux_loss, a.kl]);
-                    out = state_bits(&store, &t.optimizers());
-                }
-            }
+            let mut t = IqPpoTrainer::for_algorithm(algorithm, config).with_threads(threads);
+            let s = t.ppo_phase(&model, &mut store, &buffer);
+            let a = t.aux_phase(&model, &mut store, &buffer);
+            stats.extend([s.policy_loss, s.value_loss, s.entropy, a.aux_loss, a.kl]);
+            out = state_bits(&store, &t.optimizers());
         }
         out.extend(bits(&stats));
         out
@@ -805,12 +769,12 @@ mod tests {
 
     #[test]
     fn training_is_bitwise_independent_of_the_thread_count() {
-        for trainer in ["ppo", "iq-ppo", "ppg"] {
-            let one = bandit_training_bits(trainer, 1);
+        for algorithm in [Algorithm::Ppo, Algorithm::IqPpo, Algorithm::Ppg] {
+            let one = bandit_training_bits(algorithm, 1);
             for threads in [2, 3] {
                 assert!(
-                    bandit_training_bits(trainer, threads) == one,
-                    "{trainer} on {threads} threads differs from 1 thread"
+                    bandit_training_bits(algorithm, threads) == one,
+                    "{algorithm:?} on {threads} threads differs from 1 thread"
                 );
             }
         }

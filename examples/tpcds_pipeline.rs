@@ -14,7 +14,7 @@ use bq_core::{
 use bq_dbms::{DbmsProfile, ExecutionEngine};
 use bq_encoder::{PlanEncoderConfig, StateEncoderConfig};
 use bq_plan::{generate, Benchmark, QueryId, WorkloadSpec};
-use bq_sched::{train_on_dbms, Algorithm, BqSchedAgent, BqSchedConfig, TrainingConfig};
+use bq_sched::{train_on_dbms, BqSchedAgent, BqSchedConfig, TrainingConfig};
 
 fn small_config() -> BqSchedConfig {
     BqSchedConfig {
@@ -76,16 +76,8 @@ fn main() {
         eval_rounds: 1,
         seed: 5,
     };
-    let mut lsched = BqSchedAgent::new(
-        &workload,
-        &profile,
-        Some(&history),
-        BqSchedConfig {
-            use_masking: false,
-            algorithm: Algorithm::Ppo,
-            ..small_config()
-        },
-    );
+    let mut lsched =
+        BqSchedAgent::new(&workload, &profile, Some(&history), small_config().lsched());
     train_on_dbms(&mut lsched, &workload, &profile, Some(&history), &training);
     lsched.explore = false;
     let lsched_eval = evaluate_strategy(&mut lsched, &workload, &profile, Some(&history), 3, 42);

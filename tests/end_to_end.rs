@@ -13,7 +13,7 @@ use bqsched::dbms::{DbmsProfile, MemoryGrant, RunParams};
 use bqsched::encoder::{PlanEncoderConfig, StateEncoderConfig};
 use bqsched::nn::Adam;
 use bqsched::plan::{generate, perturb_query_set, Benchmark, QueryId, WorkloadSpec};
-use bqsched::rl::{IqPpoTrainer, PpgTrainer, RolloutBuffer};
+use bqsched::rl::{IqPpoTrainer, RolloutBuffer};
 use bqsched::sched::{
     samples_from_history, train_on_dbms, Algorithm, BqSchedAgent, BqSchedConfig, SimulatorConfig,
     SimulatorModel, TrainingConfig,
@@ -154,16 +154,7 @@ fn lsched_and_bqsched_share_the_framework_but_differ_in_configuration() {
     let workload = generate(&WorkloadSpec::new(Benchmark::TpcH, 1.0, 1));
     let profile = DbmsProfile::dbms_x();
     let bq = BqSchedAgent::new(&workload, &profile, None, small_agent_config());
-    let ls = BqSchedAgent::new(
-        &workload,
-        &profile,
-        None,
-        BqSchedConfig {
-            use_masking: false,
-            algorithm: Algorithm::Ppo,
-            ..small_agent_config()
-        },
-    );
+    let ls = BqSchedAgent::new(&workload, &profile, None, small_agent_config().lsched());
     assert_eq!(bq.name(), "BQSched");
     assert_eq!(ls.name(), "LSched");
     assert!(bq.adaptive_mask().masked_fraction() > 0.0);
@@ -251,11 +242,11 @@ fn moments_fnv(optimizers: [&Adam; 2]) -> u64 {
 
 #[test]
 fn training_fingerprint_matches_golden() {
-    // A short IQ-PPO and a short PPG run on TPC-H with the quick dims: two
-    // exploring rounds, one PPO phase, one auxiliary phase, one greedy
-    // round. Training changes that claim to be bit for bit must reproduce
-    // every parameter and Adam-moment bit; the quick experiments' makespans
-    // alone cannot see a moved parameter bit.
+    // A short IQ-PPO, PPG and plain PPO run on TPC-H with the quick dims:
+    // two exploring rounds, one PPO phase, one auxiliary phase (none for
+    // PPO), one greedy round. Training changes that claim to be bit for bit
+    // must reproduce every parameter and Adam-moment bit; the quick
+    // experiments' makespans alone cannot see a moved parameter bit.
     let workload = generate(&WorkloadSpec::new(Benchmark::TpcH, 1.0, 1));
     let profile = DbmsProfile::dbms_x();
     let history = collect_history(&mut FifoScheduler::new(), &workload, &profile, 2, 0);
@@ -266,7 +257,11 @@ fn training_fingerprint_matches_golden() {
             .makespan()
     };
     let mut fields = Vec::new();
-    for (name, algorithm) in [("iq_ppo", Algorithm::IqPpo), ("ppg", Algorithm::Ppg)] {
+    for (name, algorithm) in [
+        ("iq_ppo", Algorithm::IqPpo),
+        ("ppg", Algorithm::Ppg),
+        ("ppo", Algorithm::Ppo),
+    ] {
         let config = RunScale::Quick.agent_config().with_algorithm(algorithm);
         let mut agent = BqSchedAgent::new(&workload, &profile, Some(&history), config);
         let mut buffer = RolloutBuffer::new();
@@ -274,18 +269,10 @@ fn training_fingerprint_matches_golden() {
             round(&mut agent, seed);
             buffer.extend(agent.take_rollout());
         }
-        let (model, store, rl) = (&agent.model, &mut agent.store, agent.config.rl);
-        let adam_fnv = if algorithm == Algorithm::IqPpo {
-            let mut trainer = IqPpoTrainer::new(rl);
-            trainer.ppo_phase(model, store, &buffer);
-            trainer.aux_phase(model, store, &buffer);
-            moments_fnv(trainer.optimizers())
-        } else {
-            let mut trainer = PpgTrainer::new(rl);
-            trainer.ppo_phase(model, store, &buffer);
-            trainer.aux_phase(model, store, &buffer);
-            moments_fnv(trainer.optimizers())
-        };
+        let mut trainer = IqPpoTrainer::for_algorithm(algorithm, agent.config.rl);
+        trainer.ppo_phase(&agent.model, &mut agent.store, &buffer);
+        trainer.aux_phase(&agent.model, &mut agent.store, &buffer);
+        let adam_fnv = moments_fnv(trainer.optimizers());
         agent.explore = false;
         let makespan = round(&mut agent, 0);
         let params = agent.store.iter().flat_map(|(_, p)| p.value.data());
