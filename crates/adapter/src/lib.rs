@@ -297,11 +297,6 @@ impl<B: ExecutorBackend> AsyncAdapter<B> {
         self.inner
     }
 
-    /// The dispatch boundary configuration.
-    pub fn dispatch_profile(&self) -> &DispatchProfile {
-        &self.profile
-    }
-
     /// Submissions waiting in the backpressure queue (claimed by the
     /// session, not yet dispatched into the in-flight window).
     pub fn backpressured(&self) -> usize {

@@ -17,7 +17,7 @@
 //! (`{"bench":"wire_process",...}`) gated against `bench/baselines/`.
 
 use bq_bench::process::{merge_report, parse_client_summary, ClientSummary};
-use bq_bench::{emit_summary_with_metrics, RunScale};
+use bq_bench::{BenchReport, RunScale};
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 
@@ -74,8 +74,11 @@ fn locate_bin_dir(over: Option<PathBuf>) -> Result<PathBuf, String> {
 }
 
 fn main() {
-    let scale = RunScale::from_args();
-    let started = std::time::Instant::now();
+    bq_bench::run("wire_process", orchestrate);
+}
+
+/// Run the server and the clients at `scale` and merge their summaries.
+fn orchestrate(scale: RunScale) -> BenchReport {
     let args = match parse_args() {
         Ok(args) => args,
         Err(detail) => {
@@ -172,7 +175,5 @@ fn main() {
         fail(format!("bq-serve exited with {status}"));
     }
 
-    let report = merge_report(&summaries);
-    println!("{}", report.text);
-    emit_summary_with_metrics("wire_process", scale, started, &report.metrics);
+    merge_report(&summaries)
 }

@@ -1,11 +1,6 @@
-//! Regenerates fig8 of the BQSched paper. Pass `--quick` for the reduced
-//! configuration CI runs.
-//! The run ends with a single-line JSON summary on stdout
-//! (`{"bench":"fig8",...}`) so perf trajectories can be captured
-//! mechanically: `cargo run --release -p bq-bench --bin fig8 -- --quick | tail -n 1`.
+//! Figure 8: query-cluster-count sensitivity.
+//! `cargo run --release -p bq-bench --bin fig8 -- --quick` runs the reduced
+//! configuration; [`bq_bench::run`] describes the output and `--trace-out`.
 fn main() {
-    let scale = bq_bench::RunScale::from_args();
-    let start = std::time::Instant::now();
-    println!("{}", bq_bench::fig8(scale));
-    bq_bench::emit_summary("fig8", scale, start);
+    bq_bench::run("fig8", bq_bench::fig8);
 }

@@ -1,11 +1,6 @@
-//! Regenerates table1 of the BQSched paper. Pass `--quick` for the reduced
-//! configuration CI runs.
-//! The run ends with a single-line JSON summary on stdout
-//! (`{"bench":"table1",...}`) so perf trajectories can be captured
-//! mechanically: `cargo run --release -p bq-bench --bin table1 -- --quick | tail -n 1`.
+//! Table I: efficiency and stability of every strategy.
+//! `cargo run --release -p bq-bench --bin table1 -- --quick` runs the reduced
+//! configuration; [`bq_bench::run`] describes the output and `--trace-out`.
 fn main() {
-    let scale = bq_bench::RunScale::from_args();
-    let start = std::time::Instant::now();
-    println!("{}", bq_bench::table1(scale));
-    bq_bench::emit_summary("table1", scale, start);
+    bq_bench::run("table1", bq_bench::table1);
 }

@@ -1,19 +1,6 @@
-//! Regenerates table3 of the BQSched paper. Pass `--quick` for the reduced
-//! configuration CI runs.
-//! The run ends with a single-line JSON summary on stdout
-//! (`{"bench":"table3",...,"metrics":{...}}`) so perf trajectories can be
-//! captured mechanically and gated against `bench/baselines/`:
-//! `cargo run --release -p bq-bench --bin table3 -- --quick | tail -n 1`.
-//! Pass `--trace-out <path>` to also dump the canonical per-episode trace
-//! artifact (JSONL, one typed event per line) for CI upload.
+//! Table III: simulator ablation, plus the decision-loop throughput.
+//! `cargo run --release -p bq-bench --bin table3 -- --quick` runs the reduced
+//! configuration; [`bq_bench::run`] describes the output and `--trace-out`.
 fn main() {
-    let scale = bq_bench::RunScale::from_args();
-    let start = std::time::Instant::now();
-    let report = bq_bench::table3_report(scale);
-    println!("{}", report.text);
-    if let Some(path) = bq_bench::trace_out_from_args() {
-        std::fs::write(&path, bq_bench::trace_artifact()).expect("writing trace artifact");
-        eprintln!("trace artifact written to {}", path.display());
-    }
-    bq_bench::emit_summary_with_metrics("table3", scale, start, &report.metrics);
+    bq_bench::run("table3", bq_bench::table3);
 }

@@ -44,7 +44,7 @@ impl Summary {
 }
 
 /// Parse one single-line JSON summary as emitted by
-/// [`crate::emit_summary_with_metrics`].
+/// [`crate::summary_line`].
 pub fn parse_summary(json: &str) -> Result<Summary, String> {
     let value: Value =
         serde_json::from_str(json.trim()).map_err(|e| format!("summary is not JSON: {e:?}"))?;

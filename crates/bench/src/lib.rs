@@ -1,15 +1,19 @@
 //! # bq-bench
 //!
 //! Experiment harness reproducing every table and figure of the BQSched paper
-//! on the simulated DBMS substrate. Each experiment is a binary
-//! (`cargo run -p bq-bench --release --bin table1 [-- --quick]`) that prints
-//! the same rows/series the paper reports; `--quick` runs the reduced
+//! on the simulated DBMS substrate. Every experiment is a
+//! `fn(RunScale) -> BenchReport`, and each binary's `main` hands one to
+//! [`run`] (`cargo run -p bq-bench --release --bin table1 [-- --quick]`): it
+//! prints the same rows/series the paper reports, then a one-line JSON
+//! summary with the experiment's gate metrics. `--quick` runs the reduced
 //! configuration so the whole suite finishes in minutes.
 //!
 //! Absolute numbers are simulated virtual seconds, not the authors' testbed
 //! wall-clock; the quantities to compare against the paper are the *relative*
 //! ordering of strategies, the improvement factors, and where crossovers
-//! happen. See `EXPERIMENTS.md` at the repository root for recorded results.
+//! happen. Recorded quick-scale results live at the repository root:
+//! `bench/baselines/` holds the values CI gates, `bench/history/` every
+//! summary appended so far.
 
 #![warn(missing_docs)]
 
@@ -31,7 +35,7 @@ use bq_obs::{Obs, SystemClock, WallClock};
 use bq_plan::{generate, perturb_query_set, Benchmark, QueryId, Workload, WorkloadSpec};
 use bq_sched::{
     pretrain_on_simulator, samples_from_history, train_on_dbms, Algorithm, BqSchedAgent,
-    BqSchedConfig, SimulatorConfig, SimulatorModel, TrainingConfig,
+    BqSchedConfig, SimulatorConfig, SimulatorModel, TrainingConfig, TrainingCurve,
 };
 use bq_wire::{TransportProfile, WireBackend};
 
@@ -113,7 +117,6 @@ impl RunScale {
                     tree_bias_per_hop: 0.5,
                 },
                 state_encoder: StateEncoderConfig {
-                    plan_dim: 16,
                     dim: 16,
                     heads: 2,
                     blocks: 1,
@@ -126,10 +129,9 @@ impl RunScale {
     }
 }
 
-/// A prepared experiment cell: workload, DBMS profile and bootstrap history.
+/// A prepared experiment cell: workload, DBMS profile, bootstrap history,
+/// and the scale that sizes its evaluation and training.
 pub struct Setup {
-    /// Benchmark the workload came from.
-    pub benchmark: Benchmark,
     /// Generated batch query set.
     pub workload: Workload,
     /// Simulated DBMS profile.
@@ -137,9 +139,115 @@ pub struct Setup {
     /// Historical execution logs (heuristic rounds) that bootstrap MCF,
     /// masking, clustering and the simulator.
     pub history: ExecutionHistory,
+    /// Scale of the experiment the cell belongs to.
+    pub scale: RunScale,
 }
 
-/// Build a setup for one experiment cell.
+impl Setup {
+    /// The cell running `workload` on `dbms`, bootstrapped by
+    /// `scale.history_rounds()` FIFO rounds seeded from `history_seed`.
+    pub fn new(workload: Workload, dbms: DbmsKind, scale: RunScale, history_seed: u64) -> Self {
+        let profile = DbmsProfile::for_kind(dbms);
+        let history = collect_history(
+            &mut FifoScheduler::new(),
+            &workload,
+            &profile,
+            scale.history_rounds(),
+            history_seed,
+        );
+        Setup {
+            workload,
+            profile,
+            history,
+            scale,
+        }
+    }
+
+    /// Evaluate `policy` on the cell: `scale.eval_rounds()` rounds seeded
+    /// from 100, each with the cell's history.
+    pub fn evaluate(&self, policy: &mut dyn SchedulerPolicy) -> StrategyEvaluation {
+        let rounds = self.scale.eval_rounds();
+        evaluate_strategy(
+            policy,
+            &self.workload,
+            &self.profile,
+            Some(&self.history),
+            rounds,
+            100,
+        )
+    }
+
+    /// The three heuristic baselines evaluated on the cell: Random, FIFO and
+    /// MCF (costed by the history's average execution times).
+    pub fn evaluate_heuristics(&self) -> Vec<StrategyEvaluation> {
+        let costs = (0..self.workload.len())
+            .map(|i| self.history.avg_exec_time(QueryId(i)).unwrap_or(0.0))
+            .collect();
+        vec![
+            self.evaluate(&mut RandomScheduler::new(5)),
+            self.evaluate(&mut FifoScheduler::new()),
+            self.evaluate(&mut McfScheduler::with_costs(costs)),
+        ]
+    }
+
+    /// Every strategy of Table I evaluated on the cell, in the paper's order:
+    /// Random, FIFO, MCF, LSched, BQSched.
+    pub fn evaluate_all(&self) -> Vec<StrategyEvaluation> {
+        let mut evals = self.evaluate_heuristics();
+        evals.push(self.evaluate(&mut self.train_lsched()));
+        evals.push(self.evaluate(&mut self.train_bqsched()));
+        evals
+    }
+
+    /// An untrained agent with `config` on the cell.
+    pub fn agent(&self, config: BqSchedConfig) -> BqSchedAgent {
+        BqSchedAgent::new(&self.workload, &self.profile, Some(&self.history), config)
+    }
+
+    /// Train `agent` on the cell's DBMS with the budget `tc`.
+    pub fn train_agent(&self, agent: &mut BqSchedAgent, tc: &TrainingConfig) -> TrainingCurve {
+        train_on_dbms(
+            agent,
+            &self.workload,
+            &self.profile,
+            Some(&self.history),
+            tc,
+        )
+    }
+
+    /// An agent with `config` trained on the cell with the scale's budget,
+    /// and its training curve.
+    pub fn train(&self, config: BqSchedConfig) -> (BqSchedAgent, TrainingCurve) {
+        let mut agent = self.agent(config);
+        let curve = self.train_agent(&mut agent, &self.scale.training());
+        (agent, curve)
+    }
+
+    /// The adapted LSched baseline trained on the cell, ready for greedy
+    /// evaluation.
+    pub fn train_lsched(&self) -> BqSchedAgent {
+        self.train_greedy(self.scale.agent_config().lsched())
+    }
+
+    /// BQSched trained on the cell, ready for greedy evaluation. Large query
+    /// sets are scheduled at cluster level (paper §IV-B).
+    pub fn train_bqsched(&self) -> BqSchedAgent {
+        let mut config = self.scale.agent_config();
+        if self.workload.len() > 150 {
+            config = config.with_clusters((self.workload.len() / 4).clamp(20, 100));
+        }
+        self.train_greedy(config)
+    }
+
+    fn train_greedy(&self, config: BqSchedConfig) -> BqSchedAgent {
+        let (mut agent, _) = self.train(config);
+        agent.explore = false;
+        agent
+    }
+}
+
+/// The cell of `benchmark` at `data_scale` and `query_scale` on `dbms`,
+/// with the bootstrap history most experiments share (seed 7).
 pub fn build_setup(
     benchmark: Benchmark,
     dbms: DbmsKind,
@@ -148,130 +256,7 @@ pub fn build_setup(
     scale: RunScale,
 ) -> Setup {
     let workload = generate(&WorkloadSpec::new(benchmark, data_scale, query_scale));
-    let profile = DbmsProfile::for_kind(dbms);
-    let history = collect_history(
-        &mut FifoScheduler::new(),
-        &workload,
-        &profile,
-        scale.history_rounds(),
-        7,
-    );
-    Setup {
-        benchmark,
-        workload,
-        profile,
-        history,
-    }
-}
-
-fn mcf_costs(setup: &Setup) -> Vec<f64> {
-    (0..setup.workload.len())
-        .map(|i| setup.history.avg_exec_time(QueryId(i)).unwrap_or(0.0))
-        .collect()
-}
-
-/// Evaluate the three heuristic baselines on a setup.
-pub fn evaluate_heuristics(setup: &Setup, scale: RunScale) -> Vec<StrategyEvaluation> {
-    let rounds = scale.eval_rounds();
-    let mut out = Vec::new();
-    let mut random = RandomScheduler::new(5);
-    out.push(evaluate_strategy(
-        &mut random,
-        &setup.workload,
-        &setup.profile,
-        Some(&setup.history),
-        rounds,
-        100,
-    ));
-    let mut fifo = FifoScheduler::new();
-    out.push(evaluate_strategy(
-        &mut fifo,
-        &setup.workload,
-        &setup.profile,
-        Some(&setup.history),
-        rounds,
-        100,
-    ));
-    let mut mcf = McfScheduler::with_costs(mcf_costs(setup));
-    out.push(evaluate_strategy(
-        &mut mcf,
-        &setup.workload,
-        &setup.profile,
-        Some(&setup.history),
-        rounds,
-        100,
-    ));
-    out
-}
-
-/// Train the adapted LSched baseline on a setup and return it ready for
-/// greedy evaluation.
-pub fn train_lsched(setup: &Setup, scale: RunScale) -> BqSchedAgent {
-    let mut agent = BqSchedAgent::new(
-        &setup.workload,
-        &setup.profile,
-        Some(&setup.history),
-        scale.agent_config().lsched(),
-    );
-    train_on_dbms(
-        &mut agent,
-        &setup.workload,
-        &setup.profile,
-        Some(&setup.history),
-        &scale.training(),
-    );
-    agent.explore = false;
-    agent
-}
-
-/// Train BQSched on a setup and return it ready for greedy evaluation.
-pub fn train_bqsched(setup: &Setup, scale: RunScale) -> BqSchedAgent {
-    let mut config = scale.agent_config();
-    // Large query sets are scheduled at cluster level (paper §IV-B).
-    if setup.workload.len() > 150 {
-        config = config.with_clusters((setup.workload.len() / 4).clamp(20, 100));
-    }
-    let mut agent = BqSchedAgent::new(
-        &setup.workload,
-        &setup.profile,
-        Some(&setup.history),
-        config,
-    );
-    train_on_dbms(
-        &mut agent,
-        &setup.workload,
-        &setup.profile,
-        Some(&setup.history),
-        &scale.training(),
-    );
-    agent.explore = false;
-    agent
-}
-
-/// Evaluate every strategy of Table I on one cell, in the paper's order:
-/// Random, FIFO, MCF, LSched, BQSched.
-pub fn evaluate_all(setup: &Setup, scale: RunScale) -> Vec<StrategyEvaluation> {
-    let mut evals = evaluate_heuristics(setup, scale);
-    let rounds = scale.eval_rounds();
-    let mut lsched = train_lsched(setup, scale);
-    evals.push(evaluate_strategy(
-        &mut lsched,
-        &setup.workload,
-        &setup.profile,
-        Some(&setup.history),
-        rounds,
-        100,
-    ));
-    let mut bqsched = train_bqsched(setup, scale);
-    evals.push(evaluate_strategy(
-        &mut bqsched,
-        &setup.workload,
-        &setup.profile,
-        Some(&setup.history),
-        rounds,
-        100,
-    ));
-    evals
+    Setup::new(workload, dbms, scale, 7)
 }
 
 /// One experiment's rendered report plus the scalar metrics its rows distil
@@ -284,8 +269,62 @@ pub struct BenchReport {
     /// `(key, value)` scalar metrics in emission order. Keys are stable
     /// slugs; values are virtual-time quantities (makespans, accuracies,
     /// MSEs) — deterministic per seed, so CI can compare them across
-    /// commits.
+    /// commits — apart from the wall-clock `throughput_*` rates.
     pub metrics: Vec<(String, f64)>,
+}
+
+impl BenchReport {
+    fn titled(title: &str) -> Self {
+        BenchReport {
+            text: format!("{title}\n"),
+            metrics: Vec::new(),
+        }
+    }
+
+    fn line(&mut self, line: &str) {
+        self.text.push_str(line);
+        self.text.push('\n');
+    }
+
+    fn metric(&mut self, key: impl Into<String>, value: f64) {
+        self.metrics.push((key.into(), value));
+    }
+
+    /// Append `part`'s rows and metrics after this report's.
+    fn append(&mut self, part: BenchReport) {
+        self.text.push_str(&part.text);
+        self.metrics.extend(part.metrics);
+    }
+
+    /// Append the row of the strategy-comparison cell `label`: each
+    /// strategy's mean ± std makespan.
+    fn eval_row(&mut self, label: &str, evals: &[StrategyEvaluation]) {
+        let cells: Vec<String> = evals
+            .iter()
+            .map(|e| format!("{:>8.2} ±{:>5.2}", e.mean_makespan, e.std_makespan))
+            .collect();
+        self.line(&format!("{label:<28} {}", cells.join("  ")));
+    }
+
+    /// [`Self::eval_row`] plus the cell's gate metrics: each strategy's mean
+    /// and std makespan and, where both RL agents ran, BQSched's mean
+    /// makespan over LSched's.
+    fn eval_cell(&mut self, label: &str, evals: &[StrategyEvaluation]) {
+        self.eval_row(label, evals);
+        let cell = metric_slug(label);
+        for e in evals {
+            let strategy = metric_slug(&e.strategy);
+            self.metric(format!("makespan_{cell}_{strategy}"), e.mean_makespan);
+            self.metric(format!("std_{cell}_{strategy}"), e.std_makespan);
+        }
+        let named = |name: &str| evals.iter().find(|e| e.strategy == name);
+        if let (Some(bq), Some(ls)) = (named("BQSched"), named("LSched")) {
+            self.metric(
+                format!("ratio_{cell}_bqsched_lsched"),
+                bq.mean_makespan / ls.mean_makespan,
+            );
+        }
+    }
 }
 
 /// Turn a human row label into a stable metric-key slug (lowercase,
@@ -307,210 +346,109 @@ fn metric_slug(label: &str) -> String {
     slug
 }
 
-/// Record the gate-relevant scalars of one evaluated cell: the FIFO
-/// baseline and (when the RL strategies ran) BQSched.
-fn push_eval_metrics(metrics: &mut Vec<(String, f64)>, label: &str, evals: &[StrategyEvaluation]) {
-    let slug = metric_slug(label);
-    for eval in evals {
-        if eval.strategy == "FIFO" || eval.strategy == "BQSched" {
-            metrics.push((
-                format!("makespan_{slug}_{}", metric_slug(&eval.strategy)),
-                eval.mean_makespan,
-            ));
-        }
-    }
+/// The column header of a strategy comparison.
+fn strategy_header(first: &str) -> String {
+    format!(
+        "{first:<28} {:>15}  {:>15}  {:>15}  {:>15}  {:>15}",
+        "Random", "FIFO", "MCF", "LSched", "BQSched"
+    )
 }
 
-fn format_eval_row(label: &str, evals: &[StrategyEvaluation]) -> String {
-    let cells: Vec<String> = evals
-        .iter()
-        .map(|e| format!("{:>8.2} ±{:>5.2}", e.mean_makespan, e.std_makespan))
-        .collect();
-    format!("{label:<28} {}", cells.join("  "))
-}
+/// The state encoder of every simulator the experiments train.
+const SIM_ENCODER: StateEncoderConfig = StateEncoderConfig {
+    dim: 16,
+    heads: 2,
+    blocks: 1,
+};
 
 /// Table I — efficiency (`t̄_ov`) and stability (`σ_ov`) of every strategy on
 /// TPC-DS / TPC-H / JOB across DBMS-X/Y/Z.
-pub fn table1(scale: RunScale) -> String {
-    let mut out = String::new();
-    out.push_str("Table I: efficiency (mean makespan, s) and stability (std, s)\n");
-    out.push_str(&format!(
-        "{:<28} {:>15}  {:>15}  {:>15}  {:>15}  {:>15}\n",
-        "cell", "Random", "FIFO", "MCF", "LSched", "BQSched"
-    ));
-    let benchmarks = [Benchmark::TpcDs, Benchmark::TpcH, Benchmark::Job];
-    let dbms_list = [DbmsKind::X, DbmsKind::Y, DbmsKind::Z];
-    for dbms in dbms_list {
-        for benchmark in benchmarks {
+pub fn table1(scale: RunScale) -> BenchReport {
+    let mut report =
+        BenchReport::titled("Table I: efficiency (mean makespan, s) and stability (std, s)");
+    report.line(&strategy_header("cell"));
+    for dbms in [DbmsKind::X, DbmsKind::Y, DbmsKind::Z] {
+        for benchmark in [Benchmark::TpcDs, Benchmark::TpcH, Benchmark::Job] {
             // The quick scale trains the RL strategies only on DBMS-X (the
             // profile with the largest scheduling potential) and evaluates
             // heuristics everywhere; the full scale covers every cell.
             let setup = build_setup(benchmark, dbms, 1.0, 1, scale);
             let evals = if scale == RunScale::Full || dbms == DbmsKind::X {
-                evaluate_all(&setup, scale)
+                setup.evaluate_all()
             } else {
-                evaluate_heuristics(&setup, scale)
+                setup.evaluate_heuristics()
             };
-            let label = format!("{} {}", dbms.name(), benchmark.name());
-            out.push_str(&format_eval_row(&label, &evals));
-            out.push('\n');
+            report.eval_cell(&format!("{} {}", dbms.name(), benchmark.name()), &evals);
         }
     }
-    out
+    report
 }
 
 /// Table II — adaptability: train on 1x TPC-DS / DBMS-X, evaluate the frozen
 /// strategies on perturbed data scales and query sets.
-pub fn table2(scale: RunScale) -> String {
-    let mut out = String::new();
-    out.push_str(
-        "Table II: adaptability on TPC-DS with DBMS-X (train on 1x, apply to perturbed sets)\n",
+pub fn table2(scale: RunScale) -> BenchReport {
+    let mut report = BenchReport::titled(
+        "Table II: adaptability on TPC-DS with DBMS-X (train on 1x, apply to perturbed sets)",
     );
     let base = build_setup(Benchmark::TpcDs, DbmsKind::X, 1.0, 1, scale);
-    let mut lsched = train_lsched(&base, scale);
-    let mut bqsched = train_bqsched(&base, scale);
-    let rounds = scale.eval_rounds();
+    let mut lsched = base.train_lsched();
+    let mut bqsched = base.train_bqsched();
     let factors: Vec<f64> = match scale {
         RunScale::Quick => vec![0.9, 1.1],
         RunScale::Full => vec![0.8, 0.9, 1.1, 1.2],
     };
-    out.push_str(&format!(
-        "{:<28} {:>15}  {:>15}  {:>15}  {:>15}  {:>15}\n",
-        "variant", "Random", "FIFO", "MCF", "LSched", "BQSched"
-    ));
+    report.line(&strategy_header("variant"));
     // Data-scale perturbations: regenerate the workload at the perturbed scale
     // (same templates, same query ids) and reuse the learned strategies.
     for &f in &factors {
         let workload = generate(&WorkloadSpec::new(Benchmark::TpcDs, f, 1));
-        let history = collect_history(
-            &mut FifoScheduler::new(),
-            &workload,
-            &base.profile,
-            scale.history_rounds(),
-            17,
-        );
-        let setup = Setup {
-            benchmark: Benchmark::TpcDs,
-            workload,
-            profile: base.profile.clone(),
-            history,
-        };
-        let mut evals = evaluate_heuristics(&setup, scale);
-        evals.push(evaluate_strategy(
-            &mut lsched,
-            &setup.workload,
-            &setup.profile,
-            Some(&setup.history),
-            rounds,
-            100,
-        ));
-        evals.push(evaluate_strategy(
-            &mut bqsched,
-            &setup.workload,
-            &setup.profile,
-            Some(&setup.history),
-            rounds,
-            100,
-        ));
-        out.push_str(&format_eval_row(&format!("data x{f}"), &evals));
-        out.push('\n');
+        let setup = Setup::new(workload, DbmsKind::X, scale, 17);
+        let mut evals = setup.evaluate_heuristics();
+        evals.push(setup.evaluate(&mut lsched));
+        evals.push(setup.evaluate(&mut bqsched));
+        report.eval_cell(&format!("data x{f}"), &evals);
     }
     // Query-set perturbations. Because the entity set changes, the learned
     // strategies are re-instantiated on the perturbed set (BQSched adapts
     // through its plan-embedding-based representation as in the paper).
     for &f in &factors {
         let workload = perturb_query_set(&base.workload, f, 3);
-        let history = collect_history(
-            &mut FifoScheduler::new(),
-            &workload,
-            &base.profile,
-            scale.history_rounds(),
-            19,
-        );
-        let setup = Setup {
-            benchmark: Benchmark::TpcDs,
-            workload,
-            profile: base.profile.clone(),
-            history,
-        };
-        let evals = evaluate_all(&setup, scale);
-        out.push_str(&format_eval_row(&format!("queries x{f}"), &evals));
-        out.push('\n');
+        let setup = Setup::new(workload, DbmsKind::X, scale, 19);
+        report.eval_cell(&format!("queries x{f}"), &setup.evaluate_all());
     }
-    out
+    report
 }
 
 /// Table III — ablation and γ sensitivity of the simulator's prediction model
-/// (classification accuracy and regression MSE).
-pub fn table3(scale: RunScale) -> String {
-    table3_report(scale).text
-}
-
-/// [`table3`] plus the per-variant accuracy/MSE scalars for the CI bench
-/// gate (`acc_*` higher-is-better, `mse_*` lower-is-better).
-pub fn table3_report(scale: RunScale) -> BenchReport {
-    let mut out = String::new();
-    let mut gate_metrics: Vec<(String, f64)> = Vec::new();
-    out.push_str("Table III: simulator prediction model — accuracy / MSE\n");
+/// (classification accuracy and regression MSE, gated as `acc_*`
+/// higher-is-better and `mse_*` lower-is-better), plus the wall-clock
+/// throughput of the decision loop and the FIFO query-duration tail.
+pub fn table3(scale: RunScale) -> BenchReport {
+    let mut report = BenchReport::titled("Table III: simulator prediction model — accuracy / MSE");
     let setup = build_setup(Benchmark::TpcDs, DbmsKind::X, 1.0, 1, scale);
     // Plan embeddings from the shared representation of a BQSched agent.
-    let agent = BqSchedAgent::new(
-        &setup.workload,
-        &setup.profile,
-        Some(&setup.history),
-        scale.agent_config(),
-    );
+    let agent = setup.agent(scale.agent_config());
     let plan_dim = agent.plan_embeddings().cols();
     let (epochs, max_samples) = match scale {
         RunScale::Quick => (6, 150),
         RunScale::Full => (20, 2000),
     };
-    let variants: Vec<(&str, SimulatorConfig)> = vec![
-        (
-            "w/o Att (gamma=0.1)",
-            SimulatorConfig {
-                use_attention: false,
-                gamma: 0.1,
-                ..SimulatorConfig::default()
-            },
-        ),
-        (
-            "w/o MTL",
-            SimulatorConfig {
-                multitask: false,
-                ..SimulatorConfig::default()
-            },
-        ),
-        (
-            "gamma=0.01",
-            SimulatorConfig {
-                gamma: 0.01,
-                ..SimulatorConfig::default()
-            },
-        ),
-        (
-            "gamma=0.1",
-            SimulatorConfig {
-                gamma: 0.1,
-                ..SimulatorConfig::default()
-            },
-        ),
-        (
-            "gamma=1",
-            SimulatorConfig {
-                gamma: 1.0,
-                ..SimulatorConfig::default()
-            },
-        ),
+    let sim = |use_attention: bool, multitask: bool, gamma: f32| SimulatorConfig {
+        encoder: SIM_ENCODER,
+        use_attention,
+        multitask,
+        gamma,
+        ..SimulatorConfig::default()
+    };
+    let variants = [
+        ("w/o Att (gamma=0.1)", sim(false, true, 0.1)),
+        ("w/o MTL", sim(true, false, 0.1)),
+        ("gamma=0.01", sim(true, true, 0.01)),
+        ("gamma=0.1", sim(true, true, 0.1)),
+        ("gamma=1", sim(true, true, 1.0)),
     ];
-    out.push_str(&format!("{:<24} {:>10} {:>12}\n", "variant", "Acc", "MSE"));
-    for (name, mut config) in variants {
-        config.encoder = StateEncoderConfig {
-            plan_dim,
-            dim: 16,
-            heads: 2,
-            blocks: 1,
-        };
+    report.line(&format!("{:<24} {:>10} {:>12}", "variant", "Acc", "MSE"));
+    for (name, config) in variants {
         let samples = samples_from_history(
             &setup.workload,
             &setup.history,
@@ -528,21 +466,20 @@ pub fn table3_report(scale: RunScale) -> BenchReport {
         } else {
             test_set
         });
-        out.push_str(&format!(
-            "{:<24} {:>9.1}% {:>12.4}\n",
+        report.line(&format!(
+            "{:<24} {:>9.1}% {:>12.4}",
             name,
             metrics.accuracy * 100.0,
             metrics.mse
         ));
         let slug = metric_slug(name);
-        gate_metrics.push((format!("acc_{slug}"), metrics.accuracy));
-        gate_metrics.push((format!("mse_{slug}"), metrics.mse));
+        report.metric(format!("acc_{slug}"), metrics.accuracy);
+        report.metric(format!("mse_{slug}"), metrics.mse);
     }
-    let throughput = throughput_metrics(&setup, scale);
-    for (key, value) in &throughput {
-        out.push_str(&format!("{:<24} {:>12.0}/s\n", key, value));
+    for (key, value) in throughput_metrics(&setup) {
+        report.line(&format!("{:<24} {:>12.0}/s", key, value));
+        report.metric(key, value);
     }
-    gate_metrics.extend(throughput);
     // Per-query duration distribution of the FIFO episodes the table's
     // workload produces — virtual-time, deterministic per seed, and the
     // first tail-latency signal the gate carries for the session itself.
@@ -558,16 +495,13 @@ pub fn table3_report(scale: RunScale) -> BenchReport {
     }
     let dur_p50 = obs.quantile("session_query_duration", 0.5);
     let dur_p99 = obs.quantile("session_query_duration", 0.99);
-    gate_metrics.push(("query_dur_p50".to_string(), dur_p50));
-    gate_metrics.push(("query_dur_p99".to_string(), dur_p99));
-    out.push_str(&format!(
-        "{:<24} {:>9.2}s {:>11.2}s\n",
+    report.metric("query_dur_p50", dur_p50);
+    report.metric("query_dur_p99", dur_p99);
+    report.line(&format!(
+        "{:<24} {:>9.2}s {:>11.2}s",
         "query duration p50/p99", dur_p50, dur_p99,
     ));
-    BenchReport {
-        text: out,
-        metrics: gate_metrics,
-    }
+    report
 }
 
 /// An [`ExecutorBackend`] decorator that counts [`ExecutorBackend::poll_event`]
@@ -638,7 +572,7 @@ impl<B: ExecutorBackend> ExecutorBackend for CountingBackend<B> {
 /// better) and widens its margin ([`gate::tolerance_for`]) — so the cell
 /// catches an order-of-magnitude slowdown of the loop itself, which
 /// virtual-time makespans cannot see.
-pub fn throughput_metrics(setup: &Setup, scale: RunScale) -> Vec<(String, f64)> {
+pub fn throughput_metrics(setup: &Setup) -> Vec<(String, f64)> {
     // The measured window must be wide enough that scheduler jitter and cache
     // warmup stop dominating: at eval-round counts (3 quick rounds ≈ 1 ms of
     // wall time) the reported rate flapped ±20% run to run, which forced the
@@ -675,12 +609,7 @@ pub fn throughput_metrics(setup: &Setup, scale: RunScale) -> Vec<(String, f64)> 
         (decisions, events, clock.now_seconds().max(1e-9))
     };
     let (decisions, events, elapsed) = measure(&mut FifoScheduler::new());
-    let mut agent = BqSchedAgent::new(
-        &setup.workload,
-        &setup.profile,
-        Some(&setup.history),
-        scale.agent_config(),
-    );
+    let mut agent = setup.agent(setup.scale.agent_config());
     agent.explore = false;
     let (greedy_decisions, _, greedy_elapsed) = measure(&mut agent);
     vec![
@@ -700,80 +629,68 @@ pub fn throughput_metrics(setup: &Setup, scale: RunScale) -> Vec<(String, f64)> 
 }
 
 /// Figure 5 — scalability: makespan of every strategy as data scale and query
-/// scale grow, on TPC-DS (DBMS-X and DBMS-Z) and TPC-H (DBMS-Z).
-pub fn fig5(scale: RunScale) -> String {
-    fig5_report(scale).text
-}
-
-/// [`fig5`] plus the per-cell makespan scalars for the CI bench gate.
-pub fn fig5_report(scale: RunScale) -> BenchReport {
-    let mut out = String::new();
-    let mut gate_metrics: Vec<(String, f64)> = Vec::new();
-    out.push_str("Figure 5: scalability (mean makespan, s)\n");
-    out.push_str(&format!(
-        "{:<28} {:>15}  {:>15}  {:>15}  {:>15}  {:>15}\n",
-        "cell", "Random", "FIFO", "MCF", "LSched", "BQSched"
-    ));
-    // (a) TPC-DS on DBMS-X: data scales and query scales.
-    let (data_scales, query_scales): (Vec<f64>, Vec<usize>) = match scale {
-        RunScale::Quick => (vec![1.0, 2.0], vec![2]),
-        RunScale::Full => (vec![1.0, 2.0, 5.0, 10.0], vec![2, 5, 10]),
+/// scale grow, on TPC-DS (DBMS-X and DBMS-Z) and TPC-H (DBMS-Z), then the
+/// backend sweeps (d)–(g). Each strategy cell gates FIFO's and BQSched's mean
+/// makespan.
+pub fn fig5(scale: RunScale) -> BenchReport {
+    let mut report = BenchReport::titled("Figure 5: scalability (mean makespan, s)");
+    report.line(&strategy_header("cell"));
+    // (a) TPC-DS on DBMS-X: data scales and query scales; (b) TPC-DS and
+    // (c) TPC-H on DBMS-Z at large data scales.
+    let (data_scales, query_scales, large): (Vec<f64>, Vec<usize>, Vec<f64>) = match scale {
+        RunScale::Quick => (vec![1.0, 2.0], vec![2], vec![50.0]),
+        RunScale::Full => (
+            vec![1.0, 2.0, 5.0, 10.0],
+            vec![2, 5, 10],
+            vec![50.0, 100.0, 200.0],
+        ),
     };
+    let mut cells = Vec::new();
     for &ds in &data_scales {
-        let setup = build_setup(Benchmark::TpcDs, DbmsKind::X, ds, 1, scale);
-        let evals = evaluate_all(&setup, scale);
         let label = format!("(a) tpcds X data x{ds}");
-        push_eval_metrics(&mut gate_metrics, &label, &evals);
-        out.push_str(&format_eval_row(&label, &evals));
-        out.push('\n');
+        cells.push((label, Benchmark::TpcDs, DbmsKind::X, ds, 1));
     }
     for &qs in &query_scales {
-        let setup = build_setup(Benchmark::TpcDs, DbmsKind::X, 1.0, qs, scale);
-        let evals = evaluate_all(&setup, scale);
         let label = format!("(a) tpcds X queries x{qs}");
-        push_eval_metrics(&mut gate_metrics, &label, &evals);
-        out.push_str(&format_eval_row(&label, &evals));
-        out.push('\n');
+        cells.push((label, Benchmark::TpcDs, DbmsKind::X, 1.0, qs));
     }
-    // (b) TPC-DS and (c) TPC-H on DBMS-Z at large data scales.
-    let large: Vec<f64> = match scale {
-        RunScale::Quick => vec![50.0],
-        RunScale::Full => vec![50.0, 100.0, 200.0],
-    };
     for &ds in &large {
-        let setup = build_setup(Benchmark::TpcDs, DbmsKind::Z, ds, 1, scale);
-        let evals = evaluate_all(&setup, scale);
-        let label = format!("(b) tpcds Z data x{ds}");
-        push_eval_metrics(&mut gate_metrics, &label, &evals);
-        out.push_str(&format_eval_row(&label, &evals));
-        out.push('\n');
-        let setup = build_setup(Benchmark::TpcH, DbmsKind::Z, ds, 1, scale);
-        let evals = evaluate_all(&setup, scale);
-        let label = format!("(c) tpch Z data x{ds}");
-        push_eval_metrics(&mut gate_metrics, &label, &evals);
-        out.push_str(&format_eval_row(&label, &evals));
-        out.push('\n');
+        cells.push((
+            format!("(b) tpcds Z data x{ds}"),
+            Benchmark::TpcDs,
+            DbmsKind::Z,
+            ds,
+            1,
+        ));
+        cells.push((
+            format!("(c) tpch Z data x{ds}"),
+            Benchmark::TpcH,
+            DbmsKind::Z,
+            ds,
+            1,
+        ));
+    }
+    for (label, benchmark, dbms, data_scale, query_scale) in cells {
+        let evals = build_setup(benchmark, dbms, data_scale, query_scale, scale).evaluate_all();
+        report.eval_row(&label, &evals);
+        let cell = metric_slug(&label);
+        for e in evals
+            .iter()
+            .filter(|e| e.strategy == "FIFO" || e.strategy == "BQSched")
+        {
+            let strategy = metric_slug(&e.strategy);
+            report.metric(format!("makespan_{cell}_{strategy}"), e.mean_makespan);
+        }
     }
     // (d) the sharded multi-engine backend: shard-count scalability.
-    let shard_sweep = fig5_shard_sweep(scale);
-    out.push_str(&shard_sweep.text);
-    gate_metrics.extend(shard_sweep.metrics);
+    report.append(fig5_shard_sweep(scale));
     // (e) the async submission adapter: dispatch-latency × batch-size cost.
-    let dispatch_sweep = fig5_dispatch_sweep(scale);
-    out.push_str(&dispatch_sweep.text);
-    gate_metrics.extend(dispatch_sweep.metrics);
+    report.append(fig5_dispatch_sweep(scale));
     // (f) the wire-protocol backend: transit-latency cost.
-    let wire_sweep = fig5_wire_sweep(scale);
-    out.push_str(&wire_sweep.text);
-    gate_metrics.extend(wire_sweep.metrics);
+    report.append(fig5_wire_sweep(scale));
     // (g) the chaos cell: degraded-mode cost of a shard stall + death.
-    let chaos_sweep = fig5_chaos_sweep(scale);
-    out.push_str(&chaos_sweep.text);
-    gate_metrics.extend(chaos_sweep.metrics);
-    BenchReport {
-        text: out,
-        metrics: gate_metrics,
-    }
+    report.append(fig5_chaos_sweep(scale));
+    report
 }
 
 /// Figure 5(d) — scalability of the sharded multi-engine backend: mean FIFO
@@ -783,11 +700,11 @@ pub fn fig5_report(scale: RunScale) -> BenchReport {
 /// the makespan should fall until the workload stops saturating the global
 /// connection pool.
 pub fn fig5_shard_sweep(scale: RunScale) -> BenchReport {
-    let mut out = String::new();
-    let mut gate_metrics: Vec<(String, f64)> = Vec::new();
-    out.push_str("Figure 5(d): sharded backend — shard-count sweep (mean FIFO makespan, s)\n");
-    out.push_str(&format!(
-        "{:<28} {:>15}  {:>15}  {:>15}\n",
+    let mut report = BenchReport::titled(
+        "Figure 5(d): sharded backend — shard-count sweep (mean FIFO makespan, s)",
+    );
+    report.line(&format!(
+        "{:<28} {:>15}  {:>15}  {:>15}",
         "cell", "first-free", "hash", "least-loaded"
     ));
     let query_scale = match scale {
@@ -816,20 +733,17 @@ pub fn fig5_shard_sweep(scale: RunScale) -> BenchReport {
         let first_free = sweep(&|| Box::new(FirstFreeRouter));
         let hash = sweep(&|| Box::new(HashRouter::new(17)));
         let least = sweep(&|| Box::new(LeastLoadedRouter));
-        gate_metrics.push((format!("makespan_shards{shards}_first_free"), first_free));
-        gate_metrics.push((format!("makespan_shards{shards}_least_loaded"), least));
-        out.push_str(&format!(
-            "{:<28} {:>15.2}  {:>15.2}  {:>15.2}\n",
+        report.metric(format!("makespan_shards{shards}_first_free"), first_free);
+        report.metric(format!("makespan_shards{shards}_least_loaded"), least);
+        report.line(&format!(
+            "{:<28} {:>15.2}  {:>15.2}  {:>15.2}",
             format!("tpcds X shards={shards}"),
             first_free,
             hash,
             least,
         ));
     }
-    BenchReport {
-        text: out,
-        metrics: gate_metrics,
-    }
+    report
 }
 
 /// Figure 5(e) — cost of the asynchronous dispatch boundary: mean FIFO
@@ -842,14 +756,12 @@ pub fn fig5_shard_sweep(scale: RunScale) -> BenchReport {
 /// amortizing one admission latency over several decisions — exactly the
 /// trade a real client/server deployment tunes.
 pub fn fig5_dispatch_sweep(scale: RunScale) -> BenchReport {
-    let mut out = String::new();
-    let mut gate_metrics: Vec<(String, f64)> = Vec::new();
-    out.push_str(
-        "Figure 5(e): async dispatch boundary — latency x batch sweep (mean FIFO makespan, s)\n",
+    let mut report = BenchReport::titled(
+        "Figure 5(e): async dispatch boundary — latency x batch sweep (mean FIFO makespan, s)",
     );
     let batches: &[usize] = &[1, 4, 16];
-    out.push_str(&format!(
-        "{:<28} {:>15}  {:>15}  {:>15}\n",
+    report.line(&format!(
+        "{:<28} {:>15}  {:>15}  {:>15}",
         "cell", "batch=1", "batch=4", "batch=16"
     ));
     let latencies: &[f64] = match scale {
@@ -888,16 +800,16 @@ pub fn fig5_dispatch_sweep(scale: RunScale) -> BenchReport {
         };
         let cells: Vec<f64> = batches.iter().map(|&b| sweep(b)).collect();
         for (&batch, &makespan) in batches.iter().zip(&cells) {
-            gate_metrics.push((
+            report.metric(
                 format!(
                     "makespan_dispatch_{}_batch{batch}",
                     metric_slug(&latency.to_string())
                 ),
                 makespan,
-            ));
+            );
         }
-        out.push_str(&format!(
-            "{:<28} {:>15.2}  {:>15.2}  {:>15.2}\n",
+        report.line(&format!(
+            "{:<28} {:>15.2}  {:>15.2}  {:>15.2}",
             format!("tpcds X latency={latency}s"),
             cells[0],
             cells[1],
@@ -906,16 +818,13 @@ pub fn fig5_dispatch_sweep(scale: RunScale) -> BenchReport {
     }
     let adm_p50 = obs.quantile("adapter_adm_wait", 0.5);
     let adm_p99 = obs.quantile("adapter_adm_wait", 0.99);
-    gate_metrics.push(("adm_wait_p50".to_string(), adm_p50));
-    gate_metrics.push(("adm_wait_p99".to_string(), adm_p99));
-    out.push_str(&format!(
-        "{:<28} {:>15.4}  {:>15.4}\n",
+    report.metric("adm_wait_p50", adm_p50);
+    report.metric("adm_wait_p99", adm_p99);
+    report.line(&format!(
+        "{:<28} {:>15.4}  {:>15.4}",
         "adm wait p50 / p99 (s)", adm_p50, adm_p99,
     ));
-    BenchReport {
-        text: out,
-        metrics: gate_metrics,
-    }
+    report
 }
 
 /// Figure 5(f) — cost of the wire itself: mean FIFO makespan through a
@@ -928,12 +837,10 @@ pub fn fig5_dispatch_sweep(scale: RunScale) -> BenchReport {
 /// host than the DBMS, and the quantity a TCP/UDS transport will be
 /// measured against.
 pub fn fig5_wire_sweep(scale: RunScale) -> BenchReport {
-    let mut out = String::new();
-    let mut gate_metrics: Vec<(String, f64)> = Vec::new();
-    out.push_str(
-        "Figure 5(f): wire-protocol backend — transit-latency sweep (mean FIFO makespan, s)\n",
+    let mut report = BenchReport::titled(
+        "Figure 5(f): wire-protocol backend — transit-latency sweep (mean FIFO makespan, s)",
     );
-    out.push_str(&format!("{:<28} {:>15}\n", "cell", "makespan"));
+    report.line(&format!("{:<28} {:>15}", "cell", "makespan"));
     let latencies: &[f64] = match scale {
         RunScale::Quick => &[0.0, 0.05, 0.5],
         RunScale::Full => &[0.0, 0.01, 0.05, 0.2, 0.5],
@@ -959,12 +866,12 @@ pub fn fig5_wire_sweep(scale: RunScale) -> BenchReport {
             })
             .collect();
         let mean_makespan = mean(&makespans);
-        gate_metrics.push((
+        report.metric(
             format!("makespan_wire_{}", metric_slug(&latency.to_string())),
             mean_makespan,
-        ));
-        out.push_str(&format!(
-            "{:<28} {:>15.2}\n",
+        );
+        report.line(&format!(
+            "{:<28} {:>15.2}",
             format!("tpcds X wire={latency}s"),
             mean_makespan,
         ));
@@ -972,16 +879,13 @@ pub fn fig5_wire_sweep(scale: RunScale) -> BenchReport {
     let transit = obs.merged_histogram(&["wire_transit_to_server", "wire_transit_to_client"]);
     let transit_p50 = transit.quantile(0.5);
     let transit_p99 = transit.quantile(0.99);
-    gate_metrics.push(("wire_transit_p50".to_string(), transit_p50));
-    gate_metrics.push(("wire_transit_p99".to_string(), transit_p99));
-    out.push_str(&format!(
-        "{:<28} {:>15.4}  {:>15.4}\n",
+    report.metric("wire_transit_p50", transit_p50);
+    report.metric("wire_transit_p99", transit_p99);
+    report.line(&format!(
+        "{:<28} {:>15.4}  {:>15.4}",
         "transit p50 / p99 (s)", transit_p50, transit_p99,
     ));
-    BenchReport {
-        text: out,
-        metrics: gate_metrics,
-    }
+    report
 }
 
 /// Figure 5(g) — degraded-mode cost: mean FIFO makespan over a two-shard
@@ -994,13 +898,11 @@ pub fn fig5_wire_sweep(scale: RunScale) -> BenchReport {
 /// shard death costs, and how many submissions the recovery machinery had
 /// to replay. All three are virtual-time scalars, deterministic per seed.
 pub fn fig5_chaos_sweep(scale: RunScale) -> BenchReport {
-    let mut out = String::new();
-    let mut gate_metrics: Vec<(String, f64)> = Vec::new();
-    out.push_str(
-        "Figure 5(g): chaos cell — shard stall + death under recovery (mean FIFO makespan, s)\n",
+    let mut report = BenchReport::titled(
+        "Figure 5(g): chaos cell — shard stall + death under recovery (mean FIFO makespan, s)",
     );
-    out.push_str(&format!(
-        "{:<28} {:>15}  {:>15}  {:>15}\n",
+    report.line(&format!(
+        "{:<28} {:>15}  {:>15}  {:>15}",
         "cell", "healthy", "degraded", "recovered"
     ));
     let workload = generate(&WorkloadSpec::new(Benchmark::TpcH, 1.0, 1));
@@ -1056,71 +958,49 @@ pub fn fig5_chaos_sweep(scale: RunScale) -> BenchReport {
     }
     let n = rounds as f64;
     let (healthy, degraded, recovered) = (healthy_sum / n, degraded_sum / n, recovered_sum / n);
-    gate_metrics.push(("makespan_chaos_baseline".to_string(), healthy));
-    gate_metrics.push(("makespan_chaos_degraded".to_string(), degraded));
-    gate_metrics.push(("recovered_chaos_degraded".to_string(), recovered));
+    report.metric("makespan_chaos_baseline", healthy);
+    report.metric("makespan_chaos_degraded", degraded);
+    report.metric("recovered_chaos_degraded", recovered);
     let recovery_p99 = obs.quantile("session_recovery_latency", 0.99);
     let recovery_max = obs
         .histogram("session_recovery_latency")
         .map_or(0.0, |h| h.max());
-    gate_metrics.push(("recovery_latency_p99".to_string(), recovery_p99));
-    gate_metrics.push(("recovery_latency_max".to_string(), recovery_max));
-    out.push_str(&format!(
-        "{:<28} {:>15.2}  {:>15.2}  {:>15.2}\n",
+    report.metric("recovery_latency_p99", recovery_p99);
+    report.metric("recovery_latency_max", recovery_max);
+    report.line(&format!(
+        "{:<28} {:>15.2}  {:>15.2}  {:>15.2}",
         "tpch X shards=2 stall+death", healthy, degraded, recovered,
     ));
-    out.push_str(&format!(
-        "{:<28} {:>15.4}  {:>15.4}\n",
+    report.line(&format!(
+        "{:<28} {:>15.4}  {:>15.4}",
         "recovery latency p99 / max", recovery_p99, recovery_max,
     ));
-    BenchReport {
-        text: out,
-        metrics: gate_metrics,
-    }
+    report
 }
 
 /// Figure 6 — training cost: DBMS time consumed when training BQSched from
 /// scratch on the DBMS, versus pre-training on the learned simulator and
 /// fine-tuning on the DBMS, versus training LSched.
-pub fn fig6(scale: RunScale) -> String {
-    let mut out = String::new();
-    out.push_str("Figure 6: training cost (virtual DBMS-seconds consumed by training episodes)\n");
+pub fn fig6(scale: RunScale) -> BenchReport {
+    let mut report = BenchReport::titled(
+        "Figure 6: training cost (virtual DBMS-seconds consumed by training episodes)",
+    );
     let setup = build_setup(Benchmark::TpcDs, DbmsKind::X, 1.0, 1, scale);
     let tc = scale.training();
+    let dbms_time =
+        |curve: &TrainingCurve| curve.total_episodes as f64 * setup.history.mean_makespan();
 
     // Train BQSched from scratch directly on the DBMS.
-    let mut scratch = BqSchedAgent::new(
-        &setup.workload,
-        &setup.profile,
-        Some(&setup.history),
-        scale.agent_config(),
-    );
-    let scratch_curve = train_on_dbms(
-        &mut scratch,
-        &setup.workload,
-        &setup.profile,
-        Some(&setup.history),
-        &tc,
-    );
-    let scratch_cost = scratch_curve.total_episodes as f64 * setup.history.mean_makespan();
+    let (_, scratch_curve) = setup.train(scale.agent_config());
+    let scratch_cost = dbms_time(&scratch_curve);
 
     // Pre-train on the learned simulator (no DBMS time), then fine-tune with a
     // reduced number of DBMS rounds.
     let sim_config = SimulatorConfig {
-        encoder: StateEncoderConfig {
-            plan_dim: scale.agent_config().plan_encoder.dim,
-            dim: 16,
-            heads: 2,
-            blocks: 1,
-        },
+        encoder: SIM_ENCODER,
         ..SimulatorConfig::default()
     };
-    let mut pretrained = BqSchedAgent::new(
-        &setup.workload,
-        &setup.profile,
-        Some(&setup.history),
-        scale.agent_config(),
-    );
+    let mut pretrained = setup.agent(scale.agent_config());
     let samples = samples_from_history(
         &setup.workload,
         &setup.history,
@@ -1150,180 +1030,96 @@ pub fn fig6(scale: RunScale) -> String {
         eval_rounds: 1,
         ..tc
     };
-    let fine_curve = train_on_dbms(
-        &mut pretrained,
-        &setup.workload,
-        &setup.profile,
-        Some(&setup.history),
-        &finetune_tc,
-    );
-    let finetune_cost = fine_curve.total_episodes as f64 * setup.history.mean_makespan();
+    let fine_curve = setup.train_agent(&mut pretrained, &finetune_tc);
+    let finetune_cost = dbms_time(&fine_curve);
 
     // LSched trained from scratch on the DBMS.
-    let mut lsched_agent = BqSchedAgent::new(
-        &setup.workload,
-        &setup.profile,
-        Some(&setup.history),
-        scale.agent_config().lsched(),
-    );
-    let lsched_curve = train_on_dbms(
-        &mut lsched_agent,
-        &setup.workload,
-        &setup.profile,
-        Some(&setup.history),
-        &tc,
-    );
-    let lsched_cost = lsched_curve.total_episodes as f64 * setup.history.mean_makespan();
+    let (_, lsched_curve) = setup.train(scale.agent_config().lsched());
+    let lsched_cost = dbms_time(&lsched_curve);
 
-    out.push_str(&format!("{:<44} {:>14}\n", "variant", "DBMS time (s)"));
-    out.push_str(&format!(
-        "{:<44} {:>14.1}\n",
-        "pre-train BQSched on simulator", 0.0
-    ));
-    out.push_str(&format!(
-        "{:<44} {:>14.1}\n",
-        "fine-tune BQSched on DBMS", finetune_cost
-    ));
-    out.push_str(&format!(
-        "{:<44} {:>14.1}\n",
-        "train BQSched from scratch on DBMS", scratch_cost
-    ));
-    out.push_str(&format!(
-        "{:<44} {:>14.1}\n",
-        "train LSched from scratch on DBMS", lsched_cost
-    ));
-    out.push_str(&format!(
-        "pretrain+finetune uses {:.0}% of the from-scratch DBMS time ({} vs {} episodes); simulator pre-training ran {} episodes off-DBMS\n",
+    report.line(&format!("{:<44} {:>14}", "variant", "DBMS time (s)"));
+    for (variant, cost) in [
+        ("pre-train BQSched on simulator", 0.0),
+        ("fine-tune BQSched on DBMS", finetune_cost),
+        ("train BQSched from scratch on DBMS", scratch_cost),
+        ("train LSched from scratch on DBMS", lsched_cost),
+    ] {
+        report.line(&format!("{variant:<44} {cost:>14.1}"));
+    }
+    report.line(&format!(
+        "pretrain+finetune uses {:.0}% of the from-scratch DBMS time ({} vs {} episodes); simulator pre-training ran {} episodes off-DBMS",
         100.0 * finetune_cost / scratch_cost.max(1e-9),
         fine_curve.total_episodes,
         scratch_curve.total_episodes,
         pre_curve.total_episodes,
     ));
-    out
+    report
 }
 
 /// Figure 7 — ablation of the RL scheduler and adaptive masking: greedy
-/// makespan after training for BQSched and its ablated variants.
-pub fn fig7(scale: RunScale) -> String {
-    fig7_report(scale).text
-}
-
-/// [`fig7`] plus each variant's final makespan for the CI bench gate.
-pub fn fig7_report(scale: RunScale) -> BenchReport {
-    let mut out = String::new();
-    let mut gate_metrics: Vec<(String, f64)> = Vec::new();
-    out.push_str("Figure 7: ablation study (greedy eval makespan after training, s)\n");
+/// makespan after training for BQSched and its ablated variants, each
+/// variant's final makespan gated.
+pub fn fig7(scale: RunScale) -> BenchReport {
+    let mut report =
+        BenchReport::titled("Figure 7: ablation study (greedy eval makespan after training, s)");
     let setup = build_setup(Benchmark::TpcDs, DbmsKind::X, 1.0, 1, scale);
-    let tc = scale.training();
-    let variants: Vec<(&str, BqSchedConfig)> = vec![
-        ("BQSched (IQ-PPO)", scale.agent_config()),
-        (
-            "w/o attention state rep",
-            scale.agent_config().without_attention(),
-        ),
-        (
-            "w/ PPO",
-            scale.agent_config().with_algorithm(Algorithm::Ppo),
-        ),
-        (
-            "w/ PPG",
-            scale.agent_config().with_algorithm(Algorithm::Ppg),
-        ),
-        (
-            "w/o adaptive masking",
-            scale.agent_config().without_masking(),
-        ),
+    let base = scale.agent_config();
+    let variants = [
+        ("BQSched (IQ-PPO)", base.clone()),
+        ("w/o attention state rep", base.clone().without_attention()),
+        ("w/ PPO", base.clone().with_algorithm(Algorithm::Ppo)),
+        ("w/ PPG", base.clone().with_algorithm(Algorithm::Ppg)),
+        ("w/o adaptive masking", base.without_masking()),
     ];
-    out.push_str(&format!(
-        "{:<28} {:>16} {:>16}\n",
+    report.line(&format!(
+        "{:<28} {:>16} {:>16}",
         "variant", "final makespan", "episode reward"
     ));
     for (name, config) in variants {
-        let mut agent = BqSchedAgent::new(
-            &setup.workload,
-            &setup.profile,
-            Some(&setup.history),
-            config,
-        );
-        let curve = train_on_dbms(
-            &mut agent,
-            &setup.workload,
-            &setup.profile,
-            Some(&setup.history),
-            &tc,
-        );
+        let (_, curve) = setup.train(config);
+        let makespan = curve.final_makespan();
         let reward = curve.points.last().map(|p| p.episode_reward).unwrap_or(0.0);
-        out.push_str(&format!(
-            "{:<28} {:>16.2} {:>16.3}\n",
-            name,
-            curve.final_makespan(),
-            reward
-        ));
-        gate_metrics.push((
-            format!("makespan_{}", metric_slug(name)),
-            curve.final_makespan(),
-        ));
+        report.line(&format!("{name:<28} {makespan:>16.2} {reward:>16.3}"));
+        report.metric(format!("makespan_{}", metric_slug(name)), makespan);
     }
-    BenchReport {
-        text: out,
-        metrics: gate_metrics,
-    }
+    report
 }
 
 /// Figure 8 — sensitivity to the number of query clusters `n_c` at enlarged
-/// query scales.
-pub fn fig8(scale: RunScale) -> String {
-    let mut out = String::new();
-    out.push_str("Figure 8: query clustering sensitivity (greedy eval makespan, s)\n");
+/// query scales; each (query scale, `n_c`) cell's greedy makespan is gated.
+pub fn fig8(scale: RunScale) -> BenchReport {
+    let mut report =
+        BenchReport::titled("Figure 8: query clustering sensitivity (greedy eval makespan, s)");
     let (query_scales, cluster_counts): (Vec<usize>, Vec<Option<usize>>) = match scale {
         RunScale::Quick => (vec![2], vec![Some(20), Some(50), None]),
         RunScale::Full => (vec![5, 10], vec![Some(50), Some(100), Some(200), None]),
     };
-    let tc = scale.training();
-    out.push_str(&format!(
-        "{:<28} {:>16} {:>16}\n",
-        "cell", "n_c", "makespan"
-    ));
+    report.line(&format!("{:<28} {:>16} {:>16}", "cell", "n_c", "makespan"));
     for &qs in &query_scales {
         let setup = build_setup(Benchmark::TpcDs, DbmsKind::X, 1.0, qs, scale);
         for &nc in &cluster_counts {
             let mut config = scale.agent_config();
             config.cluster_count = nc;
-            let mut agent = BqSchedAgent::new(
-                &setup.workload,
-                &setup.profile,
-                Some(&setup.history),
-                config,
-            );
-            let curve = train_on_dbms(
-                &mut agent,
-                &setup.workload,
-                &setup.profile,
-                Some(&setup.history),
-                &tc,
-            );
+            let makespan = setup.train(config).1.final_makespan();
             let label = format!("tpcds X queries x{qs}");
             let nc_label = nc
                 .map(|v| v.to_string())
                 .unwrap_or_else(|| "w/o clustering".into());
-            out.push_str(&format!(
-                "{:<28} {:>16} {:>16.2}\n",
-                label,
-                nc_label,
-                curve.final_makespan()
-            ));
+            report.line(&format!("{label:<28} {nc_label:>16} {makespan:>16.2}"));
+            let key = metric_slug(&format!("{label} nc {nc_label}"));
+            report.metric(format!("makespan_{key}"), makespan);
         }
     }
-    out
+    report
 }
 
 /// Figure 9 — case study: the Gantt chart of a scheduling plan learned by
 /// BQSched on TPC-DS with DBMS-X.
-pub fn fig9(scale: RunScale) -> String {
-    let mut out = String::new();
-    out.push_str("Figure 9: case study — BQSched scheduling plan on TPC-DS with DBMS-X\n");
+pub fn fig9(scale: RunScale) -> BenchReport {
+    let mut report =
+        BenchReport::titled("Figure 9: case study — BQSched scheduling plan on TPC-DS with DBMS-X");
     let setup = build_setup(Benchmark::TpcDs, DbmsKind::X, 1.0, 1, scale);
-    let mut agent = train_bqsched(&setup, scale);
+    let mut agent = setup.train_bqsched();
     let mut engine = ExecutionEngine::new(setup.profile.clone(), &setup.workload, 999);
     let log = bq_core::ScheduleSession::builder(&setup.workload)
         .history(&setup.history)
@@ -1332,40 +1128,50 @@ pub fn fig9(scale: RunScale) -> String {
         .build(&mut engine)
         .run(&mut agent);
     let chart = GanttChart::from_log(&log);
-    out.push_str(&chart.render_ascii(100));
-    out.push_str(&format!(
-        "connections used: {}, utilisation: {:.1}%, makespan: {:.2}s\n",
+    report.text.push_str(&chart.render_ascii(100));
+    report.line(&format!(
+        "connections used: {}, utilisation: {:.1}%, makespan: {:.2}s",
         chart.used_connections(),
         chart.utilisation() * 100.0,
         chart.makespan
     ));
     let tail: Vec<usize> = chart.tail_queries(0.1).iter().map(|b| b.template).collect();
-    out.push_str(&format!(
-        "templates finishing in the last 10% of the makespan: {tail:?}\n"
+    report.line(&format!(
+        "templates finishing in the last 10% of the makespan: {tail:?}"
     ));
-    out
+    report
 }
 
-/// Print the single-line JSON summary every experiment binary ends with, so
-/// perf-trajectory files can be captured mechanically
-/// (`... | tail -n 1 > BENCH_table1.json`). Keys: `bench`, `scale`,
-/// `elapsed_s`, `status` — plus `metrics` when the experiment reports
-/// gate-comparable scalars (see [`emit_summary_with_metrics`]).
-pub fn emit_summary(bench: &str, scale: RunScale, started: std::time::Instant) {
-    emit_summary_with_metrics(bench, scale, started, &[]);
+/// The whole `main` of a bench binary: run `experiment` at the scale
+/// `--quick` (or `BQ_QUICK`) selects, print its report, write the canonical
+/// trace artifact ([`trace_artifact`]) to the path after `--trace-out` if
+/// one is given, and end with the [`summary_line`] named `bench`.
+pub fn run(bench: &str, experiment: fn(RunScale) -> BenchReport) {
+    let scale = RunScale::from_args();
+    let clock = SystemClock::new();
+    let report = experiment(scale);
+    println!("{}", report.text);
+    if let Some(path) = std::env::args().skip_while(|a| a != "--trace-out").nth(1) {
+        std::fs::write(&path, trace_artifact()).expect("writing trace artifact");
+        eprintln!("trace artifact written to {path}");
+    }
+    let elapsed_s = clock.now_seconds();
+    println!("{}", summary_line(bench, scale, elapsed_s, &report.metrics));
 }
 
-/// [`emit_summary`] with a `metrics` object of gate-comparable scalars
-/// (virtual-time makespans / accuracies / MSEs — deterministic per seed,
-/// unlike `elapsed_s`, which is wall-clock and never compared). The CI
-/// `bench-gate` job parses this line and fails the build when a metric
-/// regresses more than the tolerance against `bench/baselines/`.
-pub fn emit_summary_with_metrics(
+/// The single-line JSON summary every bench binary ends with, so runs can be
+/// captured mechanically (`... | tail -n 1 > BENCH_table1.json`) and read
+/// back by [`gate::parse_summary`]. Keys: `bench`, `scale`, `elapsed_s`
+/// (wall-clock, rounded to the millisecond, never compared), `metrics` when
+/// there are any, and `status`. JSON cannot carry NaN or infinity, so a
+/// non-finite metric is dropped with a warning on stderr, and the gate then
+/// reports it missing against the baseline.
+pub fn summary_line(
     bench: &str,
     scale: RunScale,
-    started: std::time::Instant,
+    elapsed_s: f64,
     metrics: &[(String, f64)],
-) {
+) -> String {
     let mut entries = vec![
         ("bench".to_string(), serde::Value::Str(bench.to_string())),
         (
@@ -1374,12 +1180,9 @@ pub fn emit_summary_with_metrics(
         ),
         (
             "elapsed_s".to_string(),
-            serde::Value::Num((started.elapsed().as_secs_f64() * 1e3).round() / 1e3),
+            serde::Value::Num((elapsed_s * 1e3).round() / 1e3),
         ),
     ];
-    // JSON cannot carry NaN/inf, so a non-finite metric would fail
-    // serialization at the very end of a long run; drop it loudly instead
-    // and let the gate flag it as missing against the baseline.
     let (finite, broken): (Vec<_>, Vec<_>) = metrics.iter().partition(|(_, v)| v.is_finite());
     for (key, value) in broken {
         eprintln!("warning: metric {key} is non-finite ({value}) and was dropped from the summary");
@@ -1396,24 +1199,7 @@ pub fn emit_summary_with_metrics(
         ));
     }
     entries.push(("status".to_string(), serde::Value::Str("ok".to_string())));
-    println!(
-        "{}",
-        serde_json::to_string(&serde::Value::Map(entries))
-            .expect("summary serialization cannot fail")
-    );
-}
-
-/// Parse a `--trace-out <path>` argument: where the experiment binary should
-/// dump the canonical per-episode trace artifact (see [`trace_artifact`])
-/// after its run, so CI can upload it alongside the JSON summary.
-pub fn trace_out_from_args() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args();
-    while let Some(arg) = args.next() {
-        if arg == "--trace-out" {
-            return args.next().map(std::path::PathBuf::from);
-        }
-    }
-    None
+    serde_json::to_string(&serde::Value::Map(entries)).expect("summary serialization cannot fail")
 }
 
 /// The canonical trace artifact: one recording FIFO episode over a plain
@@ -1436,29 +1222,6 @@ pub fn trace_artifact() -> String {
     obs.trace_jsonl()
 }
 
-/// Run one scheduling round through the session facade on a fresh engine —
-/// the shape every bench body uses.
-pub fn session_round(
-    policy: &mut dyn SchedulerPolicy,
-    workload: &Workload,
-    profile: &DbmsProfile,
-    history: Option<&ExecutionHistory>,
-    seed: u64,
-) -> bq_core::EpisodeLog {
-    bq_core::ScheduleSession::builder(workload)
-        .maybe_history(history)
-        .run_on_profile(profile, seed, policy)
-}
-
-/// Convenience wrapper used by example binaries: build a named heuristic.
-pub fn heuristic_by_name(name: &str, seed: u64) -> Box<dyn SchedulerPolicy> {
-    match name {
-        "random" => Box::new(RandomScheduler::new(seed)),
-        "mcf" => Box::new(McfScheduler::new()),
-        _ => Box::new(FifoScheduler::new()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1473,7 +1236,7 @@ mod tests {
     #[test]
     fn heuristics_evaluate_in_expected_order_of_reporting() {
         let setup = build_setup(Benchmark::TpcH, DbmsKind::X, 1.0, 1, RunScale::Quick);
-        let evals = evaluate_heuristics(&setup, RunScale::Quick);
+        let evals = setup.evaluate_heuristics();
         assert_eq!(evals.len(), 3);
         assert_eq!(evals[0].strategy, "Random");
         assert_eq!(evals[1].strategy, "FIFO");
@@ -1489,9 +1252,61 @@ mod tests {
     }
 
     #[test]
-    fn heuristic_by_name_falls_back_to_fifo() {
-        assert_eq!(heuristic_by_name("fifo", 0).name(), "FIFO");
-        assert_eq!(heuristic_by_name("random", 0).name(), "Random");
-        assert_eq!(heuristic_by_name("unknown", 0).name(), "FIFO");
+    fn cell_metrics_cover_every_strategy_and_the_rl_ratio() {
+        let eval = |name: &str, makespans: Vec<f64>| {
+            StrategyEvaluation::from_makespans(name.to_string(), makespans)
+        };
+        let mut report = BenchReport::titled("t");
+        report.eval_cell("DBMS-Y tpch", &[eval("FIFO", vec![9.0, 11.0])]);
+        report.eval_cell(
+            "data x0.9",
+            &[eval("LSched", vec![8.0]), eval("BQSched", vec![6.0])],
+        );
+        let keys: Vec<&str> = report.metrics.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "makespan_dbms_y_tpch_fifo",
+                "std_dbms_y_tpch_fifo",
+                "makespan_data_x0_9_lsched",
+                "std_data_x0_9_lsched",
+                "makespan_data_x0_9_bqsched",
+                "std_data_x0_9_bqsched",
+                "ratio_data_x0_9_bqsched_lsched",
+            ]
+        );
+        assert_eq!(report.metrics[0].1, 10.0);
+        assert_eq!(report.metrics[1].1, 1.0);
+        assert_eq!(report.metrics[6].1, 0.75);
+    }
+
+    #[test]
+    fn summary_lines_parse_back_through_the_gate() {
+        let metrics = vec![
+            ("makespan_a".to_string(), 123.5),
+            ("acc_b".to_string(), 0.8),
+        ];
+        let parsed = |line: &str| gate::parse_summary(line).expect("the gate parses the line");
+
+        let with_metrics = parsed(&summary_line("table1", RunScale::Quick, 1.2345, &metrics));
+        assert_eq!(with_metrics.bench, "table1");
+        assert_eq!(with_metrics.scale, "quick");
+        assert_eq!(with_metrics.metrics, metrics);
+
+        let line = summary_line("fig9", RunScale::Full, 0.5, &[]);
+        assert!(!line.contains("metrics"), "{line}");
+        let without = parsed(&line);
+        assert_eq!(
+            (without.bench.as_str(), without.scale.as_str()),
+            ("fig9", "full")
+        );
+        assert!(without.metrics.is_empty());
+
+        let mut with_nan = metrics.clone();
+        with_nan.insert(1, ("mse_c".to_string(), f64::NAN));
+        with_nan.push(("makespan_d".to_string(), f64::INFINITY));
+        let dropped = parsed(&summary_line("table3", RunScale::Quick, 2.0, &with_nan));
+        assert_eq!(dropped.bench, "table3");
+        assert_eq!(dropped.metrics, metrics);
     }
 }

@@ -69,7 +69,6 @@ impl Default for BqSchedConfig {
                 tree_bias_per_hop: 0.5,
             },
             state_encoder: StateEncoderConfig {
-                plan_dim: 32,
                 dim: 32,
                 heads: 4,
                 blocks: 1,
@@ -149,11 +148,8 @@ impl BqSchedModel {
     /// Create the model, registering all parameters in `store`.
     pub fn new(config: &BqSchedConfig, num_configs: usize, store: &mut ParamStore) -> Self {
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let enc_config = StateEncoderConfig {
-            plan_dim: config.plan_encoder.dim,
-            ..config.state_encoder
-        };
-        let state_encoder = StateEncoder::new(store, enc_config, &mut rng);
+        let enc_config = config.state_encoder;
+        let state_encoder = StateEncoder::new(store, config.plan_encoder.dim, enc_config, &mut rng);
         let plain_proj = Mlp::new(
             store,
             "agent.plain_proj",
@@ -994,7 +990,6 @@ mod tests {
                 tree_bias_per_hop: 0.5,
             },
             state_encoder: StateEncoderConfig {
-                plan_dim: 16,
                 dim: 16,
                 heads: 2,
                 blocks: 1,

@@ -91,11 +91,8 @@ impl SimulatorModel {
     pub fn new(plan_dim: usize, config: SimulatorConfig, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut store = ParamStore::new();
-        let enc_config = StateEncoderConfig {
-            plan_dim,
-            ..config.encoder
-        };
-        let encoder = StateEncoder::new(&mut store, enc_config, &mut rng);
+        let enc_config = config.encoder;
+        let encoder = StateEncoder::new(&mut store, plan_dim, enc_config, &mut rng);
         let plain_proj = Mlp::new(
             &mut store,
             "sim.plain_proj",
@@ -627,7 +624,6 @@ mod tests {
     fn small_config() -> SimulatorConfig {
         SimulatorConfig {
             encoder: StateEncoderConfig {
-                plan_dim: 32,
                 dim: 16,
                 heads: 2,
                 blocks: 1,

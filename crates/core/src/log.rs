@@ -241,13 +241,6 @@ impl EpisodeLog {
         self.records.iter().find(|r| r.query == query)
     }
 
-    /// Records sorted by start time (useful for replaying the round).
-    pub fn by_start_time(&self) -> Vec<&QueryRecord> {
-        let mut v: Vec<&QueryRecord> = self.records.iter().collect();
-        v.sort_by(|a, b| a.started_at.total_cmp(&b.started_at));
-        v
-    }
-
     /// Serialize to JSON (the on-disk log format).
     pub fn to_json(&self) -> String {
         // bq-lint: allow(panic-surface): serializing a fully-owned in-memory struct is infallible

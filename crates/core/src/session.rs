@@ -46,15 +46,14 @@ const TIME_EPS: f64 = 1e-9;
 /// Configures and builds a [`ScheduleSession`].
 ///
 /// Collapses the positional-argument episode runners into one readable entry
-/// point: workload, backend, history, round label, decision budget and
-/// per-query timeout hooks all live here.
+/// point: workload, backend, history, round label and per-query timeout
+/// hooks all live here.
 pub struct ScheduleSessionBuilder<'a> {
     workload: &'a Workload,
     history: Option<&'a ExecutionHistory>,
     dbms: Option<DbmsKind>,
     round: Option<u64>,
     query_timeout: Option<f64>,
-    decision_budget: Option<usize>,
     on_completion: Option<CompletionHook<'a>>,
     router: Option<Box<dyn ShardRouter + 'a>>,
     recovery: Option<RecoveryPolicy>,
@@ -69,7 +68,6 @@ impl<'a> ScheduleSessionBuilder<'a> {
             dbms: None,
             round: None,
             query_timeout: None,
-            decision_budget: None,
             on_completion: None,
             router: None,
             recovery: None,
@@ -111,14 +109,6 @@ impl<'a> ScheduleSessionBuilder<'a> {
     /// support ignore the timeout.
     pub fn query_timeout(mut self, seconds: f64) -> Self {
         self.query_timeout = Some(seconds);
-        self
-    }
-
-    /// Guardrail for runaway policies: the session panics if it is asked for
-    /// more than `max` scheduling decisions in one round (a correct policy
-    /// needs exactly one decision per query).
-    pub fn decision_budget(mut self, max: usize) -> Self {
-        self.decision_budget = Some(max);
         self
     }
 
@@ -210,7 +200,6 @@ impl<'a> ScheduleSessionBuilder<'a> {
             dbms: self.dbms.unwrap_or(DbmsKind::X),
             round: self.round.unwrap_or(0),
             query_timeout: self.query_timeout,
-            decision_budget: self.decision_budget,
             on_completion: self.on_completion,
             router: self.router,
             recovery: self.recovery,
@@ -224,7 +213,6 @@ impl<'a> ScheduleSessionBuilder<'a> {
             resubmit_attempts: vec![0; n],
             idle_spins: 0,
             finished: 0,
-            decisions: 0,
             pending_count: n,
         }
     }
@@ -236,7 +224,6 @@ pub struct ScheduleSession<'a, E> {
     dbms: DbmsKind,
     round: u64,
     query_timeout: Option<f64>,
-    decision_budget: Option<usize>,
     on_completion: Option<CompletionHook<'a>>,
     /// Placement policy for submissions; `None` = first free connection.
     router: Option<Box<dyn ShardRouter + 'a>>,
@@ -269,7 +256,6 @@ pub struct ScheduleSession<'a, E> {
     /// the recovery loop so an unrecoverable cluster fails loudly.
     idle_spins: usize,
     finished: usize,
-    decisions: usize,
     /// Number of arena entries currently [`QueryStatus::Pending`], maintained
     /// at every status transition so the fill loop's "work left?" check is
     /// O(1) instead of an O(queries) scan per decision.
@@ -612,18 +598,6 @@ impl<'a, E: ExecutorBackend> ScheduleSession<'a, E> {
                 policy.name(),
                 action.query
             );
-            // Enforce the budget BEFORE collecting, so no batch containing
-            // an over-budget action is ever launched on the backend (which
-            // may be a real DBMS).
-            self.decisions += 1;
-            if let Some(budget) = self.decision_budget {
-                assert!(
-                    self.decisions <= budget,
-                    "decision budget exhausted: {} decisions for {} queries",
-                    self.decisions,
-                    self.workload.len()
-                );
-            }
             self.obs.inc("session_decisions");
             self.obs.emit(
                 TraceEvent::new(TraceKind::Decision, now)
@@ -738,25 +712,40 @@ mod tests {
     }
 
     #[test]
-    fn decision_budget_counts_one_decision_per_query() {
+    fn a_fifo_round_makes_one_decision_per_query() {
         let w = generate(&WorkloadSpec::new(Benchmark::TpcH, 1.0, 1));
         let mut engine = ExecutionEngine::new(DbmsProfile::dbms_x(), &w, 0);
-        let session = ScheduleSession::builder(&w)
-            .decision_budget(w.len())
-            .build(&mut engine);
-        let log = session.run(&mut FifoScheduler::new());
+        let obs = Obs::enabled();
+        let log = ScheduleSession::builder(&w)
+            .obs(obs.clone())
+            .build(&mut engine)
+            .run(&mut FifoScheduler::new());
         assert_eq!(log.len(), w.len());
+        assert_eq!(obs.counter("session_decisions"), w.len() as u64);
+    }
+
+    /// Always picks query 0, so its second decision re-selects a running
+    /// query.
+    struct Repeater;
+
+    impl SchedulerPolicy for Repeater {
+        fn name(&self) -> &str {
+            "Repeater"
+        }
+
+        fn select(&mut self, _state: &SchedulingState<'_>) -> Action {
+            Action::with_default_params(QueryId(0))
+        }
     }
 
     #[test]
-    #[should_panic(expected = "decision budget exhausted")]
-    fn decision_budget_trips_on_overrun() {
+    #[should_panic(expected = "policy Repeater selected non-pending query QueryId(0)")]
+    fn a_policy_that_reselects_a_running_query_panics() {
         let w = generate(&WorkloadSpec::new(Benchmark::TpcH, 1.0, 1));
         let mut engine = ExecutionEngine::new(DbmsProfile::dbms_x(), &w, 0);
         ScheduleSession::builder(&w)
-            .decision_budget(2)
             .build(&mut engine)
-            .run(&mut FifoScheduler::new());
+            .run(&mut Repeater);
     }
 
     #[test]

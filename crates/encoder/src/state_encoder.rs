@@ -25,8 +25,6 @@ use std::borrow::Cow;
 /// Hyper-parameters of the state encoder.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct StateEncoderConfig {
-    /// Width of the (pre-computed) plan embeddings.
-    pub plan_dim: usize,
     /// Width of the internal query representations.
     pub dim: usize,
     /// Attention heads per block.
@@ -38,7 +36,6 @@ pub struct StateEncoderConfig {
 impl Default for StateEncoderConfig {
     fn default() -> Self {
         Self {
-            plan_dim: 32,
             dim: 32,
             heads: 4,
             blocks: 1,
@@ -217,6 +214,7 @@ impl InputRowCache {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StateEncoder {
     config: StateEncoderConfig,
+    plan_dim: usize,
     input_proj: Mlp,
     super_query: ParamId,
     blocks: Vec<AttentionBlock>,
@@ -225,9 +223,15 @@ pub struct StateEncoder {
 }
 
 impl StateEncoder {
-    /// Create a new state encoder, registering parameters in `store`.
-    pub fn new(store: &mut ParamStore, config: StateEncoderConfig, rng: &mut StdRng) -> Self {
-        let input_dim = config.plan_dim + STATE_FEATURE_DIM;
+    /// Create a new state encoder over plan embeddings of width `plan_dim`,
+    /// registering parameters in `store`.
+    pub fn new(
+        store: &mut ParamStore,
+        plan_dim: usize,
+        config: StateEncoderConfig,
+        rng: &mut StdRng,
+    ) -> Self {
+        let input_dim = plan_dim + STATE_FEATURE_DIM;
         let input_proj = Mlp::new(
             store,
             "state.input_proj",
@@ -267,6 +271,7 @@ impl StateEncoder {
         );
         Self {
             config,
+            plan_dim,
             input_proj,
             super_query,
             blocks,
@@ -324,7 +329,7 @@ impl StateEncoder {
         assert!(n > 0, "cannot encode an empty observation");
         assert_eq!(
             obs.plan_embs.cols(),
-            self.config.plan_dim,
+            self.plan_dim,
             "plan embedding width mismatch"
         );
 
@@ -423,7 +428,7 @@ mod tests {
         let (_, obs) = obs_for(4);
         let mut store = ParamStore::new();
         let mut rng = seeded_rng(1);
-        let enc = StateEncoder::new(&mut store, StateEncoderConfig::default(), &mut rng);
+        let enc = StateEncoder::new(&mut store, 32, StateEncoderConfig::default(), &mut rng);
         let mut g = Graph::new();
         let all: Vec<usize> = (0..obs.len()).collect();
         let repr = enc.forward(&mut g, &store, &obs, &all);
@@ -441,7 +446,7 @@ mod tests {
         let (_, obs_b) = obs_for(8);
         let mut store = ParamStore::new();
         let mut rng = seeded_rng(2);
-        let enc = StateEncoder::new(&mut store, StateEncoderConfig::default(), &mut rng);
+        let enc = StateEncoder::new(&mut store, 32, StateEncoderConfig::default(), &mut rng);
         let mut ga = Graph::new();
         let ra = enc.forward(&mut ga, &store, &obs_a, &obs_a.pending);
         let mut gb = Graph::new();
@@ -474,7 +479,7 @@ mod tests {
 
         let mut store = ParamStore::new();
         let mut rng = seeded_rng(3);
-        let enc = StateEncoder::new(&mut store, StateEncoderConfig::default(), &mut rng);
+        let enc = StateEncoder::new(&mut store, 32, StateEncoderConfig::default(), &mut rng);
         let mut g1 = Graph::new();
         let all_full: Vec<usize> = (0..obs_full.len()).collect();
         let r1 = enc.forward(&mut g1, &store, &obs_full, &all_full);
@@ -505,7 +510,7 @@ mod tests {
             let (_, obs) = obs_for(n_running);
             let mut store = ParamStore::new();
             let mut rng = seeded_rng(seed);
-            let enc = StateEncoder::new(&mut store, StateEncoderConfig::default(), &mut rng);
+            let enc = StateEncoder::new(&mut store, 32, StateEncoderConfig::default(), &mut rng);
             let mut g = Graph::new();
             let all: Vec<usize> = (0..obs.len()).collect();
             let repr = enc.forward(&mut g, &store, &obs, &all);
@@ -547,7 +552,7 @@ mod tests {
                     blocks,
                     ..StateEncoderConfig::default()
                 };
-                let enc = StateEncoder::new(&mut store, config, &mut rng);
+                let enc = StateEncoder::new(&mut store, 32, config, &mut rng);
                 let mut g = Graph::new();
                 let all: Vec<usize> = (0..obs.len()).collect();
                 let repr = enc.forward(&mut g, &store, &obs, &all);
@@ -575,7 +580,7 @@ mod tests {
         let (_, obs) = obs_for(4);
         let mut store = ParamStore::new();
         let mut rng = seeded_rng(23);
-        let enc = StateEncoder::new(&mut store, StateEncoderConfig::default(), &mut rng);
+        let enc = StateEncoder::new(&mut store, 32, StateEncoderConfig::default(), &mut rng);
         let all: Vec<usize> = (0..obs.len()).collect();
         let mut warm = InputRowCache::default();
         let _ = eager_encode(&enc, &store, &obs, &all, &mut warm);

@@ -149,12 +149,6 @@ impl Catalog {
         (bytes / PAGE_BYTES).max(1)
     }
 
-    /// Total pages across all tables (the size of the working set if every
-    /// table were resident).
-    pub fn total_pages(&self) -> u64 {
-        self.tables.iter().map(|t| self.pages(t.id)).sum()
-    }
-
     /// Identifiers of all fact tables.
     pub fn fact_tables(&self) -> Vec<TableId> {
         self.tables

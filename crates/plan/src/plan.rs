@@ -286,11 +286,6 @@ impl QueryPlan {
         out
     }
 
-    /// Set of distinct tables accessed by the plan.
-    pub fn table_set(&self) -> Vec<TableId> {
-        self.scanned_tables().into_iter().map(|(t, _)| t).collect()
-    }
-
     /// Pre-order flattening of the plan with structural metadata (parent,
     /// depth, height) — the input format of the QueryFormer-style encoder.
     pub fn flatten(&self) -> Vec<FlatNode> {

@@ -59,7 +59,6 @@ fn main() {
             tree_bias_per_hop: 0.5,
         },
         state_encoder: StateEncoderConfig {
-            plan_dim: 16,
             dim: 16,
             heads: 2,
             blocks: 1,

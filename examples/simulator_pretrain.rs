@@ -29,7 +29,6 @@ fn main() {
             tree_bias_per_hop: 0.5,
         },
         state_encoder: StateEncoderConfig {
-            plan_dim: 16,
             dim: 16,
             heads: 2,
             blocks: 1,
@@ -42,7 +41,6 @@ fn main() {
     // 1. Train the simulator's prediction model on the historical logs.
     let sim_config = SimulatorConfig {
         encoder: StateEncoderConfig {
-            plan_dim: agent.plan_embeddings().cols(),
             dim: 16,
             heads: 2,
             blocks: 1,

@@ -25,7 +25,6 @@ fn small_config() -> BqSchedConfig {
             tree_bias_per_hop: 0.5,
         },
         state_encoder: StateEncoderConfig {
-            plan_dim: 16,
             dim: 16,
             heads: 2,
             blocks: 1,

@@ -40,7 +40,6 @@ pub fn simulator_parts(workload: &Workload) -> (SimulatorModel, Tensor, Vec<f64>
     let embs = enc.embed_workload(&store, workload);
     let config = SimulatorConfig {
         encoder: bqsched::encoder::StateEncoderConfig {
-            plan_dim: 16,
             dim: 16,
             heads: 2,
             blocks: 1,

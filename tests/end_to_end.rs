@@ -28,7 +28,6 @@ fn small_agent_config() -> BqSchedConfig {
             tree_bias_per_hop: 0.5,
         },
         state_encoder: StateEncoderConfig {
-            plan_dim: 16,
             dim: 16,
             heads: 2,
             blocks: 1,
@@ -169,7 +168,6 @@ fn simulator_pipeline_produces_consistent_episodes() {
     let agent = BqSchedAgent::new(&workload, &profile, Some(&history), small_agent_config());
     let sim_config = SimulatorConfig {
         encoder: StateEncoderConfig {
-            plan_dim: agent.plan_embeddings().cols(),
             dim: 16,
             heads: 2,
             blocks: 1,
