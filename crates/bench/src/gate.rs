@@ -221,16 +221,9 @@ impl GateOutcome {
 /// by zero or fail on femtosecond noise. Non-finite values (NaN, ±inf) on
 /// either side always fail: they can never attest health, and NaN would
 /// otherwise pass every directional check by comparing false.
-pub fn compare(
-    current: &Summary,
-    baseline: &Summary,
-    tolerance: f64,
-) -> Result<GateOutcome, String> {
-    compare_with_overrides(current, baseline, tolerance, &[])
-}
-
-/// [`compare`] with per-metric tolerance overrides `(pattern, tolerance)` —
-/// see [`tolerance_with_overrides`] for the pattern language and precedence.
+///
+/// `overrides` are per-metric tolerances `(pattern, tolerance)` — see
+/// [`tolerance_with_overrides`] for the pattern language and precedence.
 pub fn compare_with_overrides(
     current: &Summary,
     baseline: &Summary,
@@ -335,7 +328,7 @@ mod tests {
     fn within_tolerance_passes() {
         let base = summary(&[("makespan_a", 100.0), ("acc_b", 0.80)]);
         let now = summary(&[("makespan_a", 109.0), ("acc_b", 0.73)]);
-        let outcome = compare(&now, &base, 0.10).expect("comparable");
+        let outcome = compare_with_overrides(&now, &base, 0.10, &[]).expect("comparable");
         assert!(outcome.ok(), "{outcome:?}");
         assert_eq!(outcome.passed, 2);
     }
@@ -344,7 +337,7 @@ mod tests {
     fn a_makespan_regression_beyond_tolerance_fails() {
         let base = summary(&[("makespan_a", 100.0)]);
         let now = summary(&[("makespan_a", 111.0)]);
-        let outcome = compare(&now, &base, 0.10).expect("comparable");
+        let outcome = compare_with_overrides(&now, &base, 0.10, &[]).expect("comparable");
         assert!(!outcome.ok());
         assert_eq!(outcome.regressions.len(), 1);
         assert!(outcome.regressions[0].severity().expect("nonzero baseline") > 0.10);
@@ -354,14 +347,16 @@ mod tests {
     fn an_improvement_never_fails_even_when_large() {
         let base = summary(&[("makespan_a", 100.0), ("acc_b", 0.5)]);
         let now = summary(&[("makespan_a", 10.0), ("acc_b", 0.99)]);
-        assert!(compare(&now, &base, 0.10).expect("comparable").ok());
+        assert!(compare_with_overrides(&now, &base, 0.10, &[])
+            .expect("comparable")
+            .ok());
     }
 
     #[test]
     fn accuracy_direction_is_inverted() {
         let base = summary(&[("acc_b", 0.80)]);
         let now = summary(&[("acc_b", 0.70)]);
-        let outcome = compare(&now, &base, 0.10).expect("comparable");
+        let outcome = compare_with_overrides(&now, &base, 0.10, &[]).expect("comparable");
         assert!(!outcome.ok(), "a >10% accuracy drop must fail");
     }
 
@@ -369,7 +364,7 @@ mod tests {
     fn missing_and_unbaselined_metrics_both_fail() {
         let base = summary(&[("makespan_a", 100.0)]);
         let now = summary(&[("makespan_b", 50.0)]);
-        let outcome = compare(&now, &base, 0.10).expect("comparable");
+        let outcome = compare_with_overrides(&now, &base, 0.10, &[]).expect("comparable");
         assert!(!outcome.ok());
         assert_eq!(outcome.missing, vec!["makespan_a".to_string()]);
         assert_eq!(outcome.unbaselined, vec!["makespan_b".to_string()]);
@@ -382,7 +377,7 @@ mod tests {
         // someone happened to bless.
         let base = summary(&[("makespan_a", 100.0)]);
         let now = summary(&[("makespan_a", 100.0), ("recovered_chaos", 3.0)]);
-        let outcome = compare(&now, &base, 0.10).expect("comparable");
+        let outcome = compare_with_overrides(&now, &base, 0.10, &[]).expect("comparable");
         assert!(outcome.regressions.is_empty() && outcome.missing.is_empty());
         assert_eq!(outcome.unbaselined, vec!["recovered_chaos".to_string()]);
         assert!(!outcome.ok(), "unbaselined metrics must fail the gate");
@@ -397,16 +392,22 @@ mod tests {
         // Wall-clock rates breathe with the runner: even a halving stays
         // inside the widened (7.5x) margin...
         let noisy = summary(&[("throughput_decisions_per_sec", 500.0)]);
-        assert!(compare(&noisy, &base, 0.10).expect("comparable").ok());
+        assert!(compare_with_overrides(&noisy, &base, 0.10, &[])
+            .expect("comparable")
+            .ok());
         // ...but a collapse past it still fails, in the inverted direction.
         let collapsed = summary(&[("throughput_decisions_per_sec", 100.0)]);
         assert!(
-            !compare(&collapsed, &base, 0.10).expect("comparable").ok(),
+            !compare_with_overrides(&collapsed, &base, 0.10, &[])
+                .expect("comparable")
+                .ok(),
             "a throughput collapse must fail"
         );
         let faster = summary(&[("throughput_decisions_per_sec", 2000.0)]);
         assert!(
-            compare(&faster, &base, 0.10).expect("comparable").ok(),
+            compare_with_overrides(&faster, &base, 0.10, &[])
+                .expect("comparable")
+                .ok(),
             "a throughput gain never fails"
         );
     }
@@ -471,7 +472,7 @@ mod tests {
         let now = summary(&[("adm_wait_p99", 1.2), ("makespan_a", 112.0)]);
         // Both moved +12%: without overrides both fail at 10%...
         assert_eq!(
-            compare(&now, &base, 0.10)
+            compare_with_overrides(&now, &base, 0.10, &[])
                 .expect("comparable")
                 .regressions
                 .len(),
@@ -488,9 +489,11 @@ mod tests {
     fn zero_baselines_compare_absolutely() {
         let base = summary(&[("makespan_a", 0.0)]);
         let ok = summary(&[("makespan_a", 0.05)]);
-        assert!(compare(&ok, &base, 0.10).expect("comparable").ok());
+        assert!(compare_with_overrides(&ok, &base, 0.10, &[])
+            .expect("comparable")
+            .ok());
         let bad = summary(&[("makespan_a", 0.2)]);
-        let outcome = compare(&bad, &base, 0.10).expect("comparable");
+        let outcome = compare_with_overrides(&bad, &base, 0.10, &[]).expect("comparable");
         assert!(!outcome.ok());
         // No finite ratio exists against a zero baseline: the report falls
         // back to the absolute delta instead of printing inf/NaN percent.
@@ -509,15 +512,19 @@ mod tests {
         // NaN compares false in every direction; without the explicit arm it
         // would pass both the relative and the absolute check.
         let nan_now = summary(&[("makespan_a", f64::NAN), ("acc_b", 0.8)]);
-        let outcome = compare(&nan_now, &base, 0.10).expect("comparable");
+        let outcome = compare_with_overrides(&nan_now, &base, 0.10, &[]).expect("comparable");
         assert!(!outcome.ok(), "a NaN metric must fail the gate");
         assert_eq!(outcome.regressions[0].severity(), None);
         let inf_now = summary(&[("makespan_a", f64::INFINITY), ("acc_b", 0.8)]);
-        assert!(!compare(&inf_now, &base, 0.10).expect("comparable").ok());
+        assert!(!compare_with_overrides(&inf_now, &base, 0.10, &[])
+            .expect("comparable")
+            .ok());
         // A poisoned baseline demands a re-bless, not a silent pass.
         let nan_base = summary(&[("makespan_a", f64::NAN), ("acc_b", 0.8)]);
         let healthy = summary(&[("makespan_a", 100.0), ("acc_b", 0.8)]);
-        assert!(!compare(&healthy, &nan_base, 0.10).expect("comparable").ok());
+        assert!(!compare_with_overrides(&healthy, &nan_base, 0.10, &[])
+            .expect("comparable")
+            .ok());
     }
 
     #[test]
@@ -549,6 +556,6 @@ mod tests {
             ..summary(&[])
         };
         let now = summary(&[]);
-        assert!(compare(&now, &base, 0.10).is_err());
+        assert!(compare_with_overrides(&now, &base, 0.10, &[]).is_err());
     }
 }

@@ -13,13 +13,13 @@ use crate::clustering::{gains_from_history, GainPredictor, QueryClustering};
 use crate::masking::AdaptiveMask;
 use crate::simulator::{LearnedSimulator, SimulatorModel};
 use bq_core::{
-    Action, EpisodeLog, ExecutionHistory, ExecutorBackend, QueryStatus, ScheduleSession,
-    SchedulerPolicy, SchedulingState, SystemClock, WallClock,
+    Action, EpisodeLog, ExecutionHistory, ExecutorBackend, QueryRuntime, QueryStatus,
+    ScheduleSession, SchedulerPolicy, SchedulingState, SystemClock, WallClock,
 };
-use bq_dbms::{DbmsProfile, ExecutionEngine, MemoryGrant, ParamSpace, RunParams, WORKER_OPTIONS};
+use bq_dbms::{DbmsProfile, ExecutionEngine, ParamSpace, RunParams};
 use bq_encoder::{
-    EncodedObservation, FeatureScale, InputRowCache, PlanEncoder, PlanEncoderConfig, StateEncoder,
-    StateEncoderConfig, STATE_FEATURE_DIM,
+    write_state_features, EncodedObservation, InputRowCache, PlanEncoder, PlanEncoderConfig,
+    StateEncoder, StateEncoderConfig, STATE_FEATURE_DIM, TIME_SCALE,
 };
 use bq_nn::{Activation, Eager, Graph, Mlp, NodeId, Ops, ParamStore, Tensor};
 use bq_plan::{QueryId, Workload};
@@ -53,8 +53,6 @@ pub struct BqSchedConfig {
     pub rl: IqPpoConfig,
     /// Epochs of plan-encoder cost pre-training (0 disables it).
     pub plan_pretrain_epochs: usize,
-    /// Time normalisation used in features, rewards and auxiliary targets.
-    pub time_scale: f64,
     /// Seed for parameter initialisation and action sampling.
     pub seed: u64,
 }
@@ -66,7 +64,6 @@ impl Default for BqSchedConfig {
                 dim: 32,
                 heads: 2,
                 blocks: 1,
-                tree_bias_per_hop: 0.5,
             },
             state_encoder: StateEncoderConfig {
                 dim: 32,
@@ -79,7 +76,6 @@ impl Default for BqSchedConfig {
             algorithm: Algorithm::IqPpo,
             rl: IqPpoConfig::default(),
             plan_pretrain_epochs: 2,
-            time_scale: 10.0,
             seed: 42,
         }
     }
@@ -360,7 +356,6 @@ pub struct BqSchedAgent {
     pub store: ParamStore,
     plan_embs: Tensor,
     avg_times: Vec<f64>,
-    scale: FeatureScale,
     mask: AdaptiveMask,
     clustering: QueryClustering,
     space: ParamSpace,
@@ -414,9 +409,6 @@ impl BqSchedAgent {
                     .unwrap_or_else(|| workload.query(QueryId(i)).plan.total_cost() / 20_000.0)
             })
             .collect();
-        let scale = FeatureScale {
-            time_scale: config.time_scale,
-        };
 
         let space = ParamSpace::full();
         let mask = if config.use_masking {
@@ -456,7 +448,6 @@ impl BqSchedAgent {
             store,
             plan_embs,
             avg_times,
-            scale,
             mask,
             clustering,
             space,
@@ -535,28 +526,19 @@ impl BqSchedAgent {
                 pending.push(e);
                 selectable[e] = true;
             }
-            // Entity feature vector with the same layout as per-query features.
-            let f = &mut feat_data[e * STATE_FEATURE_DIM..(e + 1) * STATE_FEATURE_DIM];
-            f[status.index()] = 1.0;
-            if let Some(first_running) = first_running {
-                if let Some(params) = state.queries[first_running.0].params {
-                    if let Some(widx) = WORKER_OPTIONS.iter().position(|&w| w == params.workers) {
-                        f[3 + widx] = 1.0;
-                    }
-                    let midx = match params.memory {
-                        MemoryGrant::Low => 0,
-                        MemoryGrant::High => 1,
-                    };
-                    f[3 + WORKER_OPTIONS.len() + midx] = 1.0;
-                }
-            }
             let elapsed = if running_count == 0 {
                 0.0
             } else {
                 elapsed_sum / running_count as f64
             };
-            f[STATE_FEATURE_DIM - 2] = (elapsed / self.scale.time_scale) as f32;
-            f[STATE_FEATURE_DIM - 1] = (cache.avg_sums[e] / self.scale.time_scale) as f32;
+            let runtime = QueryRuntime {
+                status,
+                params: first_running.and_then(|q| state.queries[q.0].params),
+                elapsed,
+                avg_exec_time: cache.avg_sums[e],
+            };
+            let row = &mut feat_data[e * STATE_FEATURE_DIM..(e + 1) * STATE_FEATURE_DIM];
+            write_state_features(row, &runtime);
         }
         let encoded = EncodedObservation {
             plan_embs: cache.entity_embs.clone(),
@@ -728,7 +710,7 @@ impl SchedulerPolicy for BqSchedAgent {
         let mut episode_return = 0.0;
         for (i, d) in self.decisions.drain(..).enumerate() {
             let next_time = times.get(i + 1).copied().unwrap_or(makespan);
-            let reward = (-(next_time - d.time) / self.config.time_scale) as f32;
+            let reward = (-(next_time - d.time) / TIME_SCALE) as f32;
             episode_return += reward as f64;
             // Auxiliary target: among the queries running at decision time,
             // which finishes first and when (from the real log — the
@@ -744,8 +726,7 @@ impl SchedulerPolicy for BqSchedAgent {
                     if position < d.obs.encoded.len() {
                         Some(AuxTarget {
                             earliest_index: position,
-                            finish_time: ((earliest.finished_at - d.time) / self.config.time_scale)
-                                as f32,
+                            finish_time: ((earliest.finished_at - d.time) / TIME_SCALE) as f32,
                         })
                     } else {
                         None
@@ -987,7 +968,6 @@ mod tests {
                 dim: 16,
                 heads: 2,
                 blocks: 1,
-                tree_bias_per_hop: 0.5,
             },
             state_encoder: StateEncoderConfig {
                 dim: 16,
@@ -1033,7 +1013,7 @@ mod tests {
             w.len(),
             "query-level scheduling: one decision per query"
         );
-        // Rewards sum to roughly -makespan / time_scale.
+        // Rewards sum to roughly -makespan / TIME_SCALE.
         let total: f32 = rollout.transitions().iter().map(|t| t.reward).sum();
         assert!(total < 0.0);
         // Aux targets exist for states with running queries.

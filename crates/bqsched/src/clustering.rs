@@ -10,7 +10,7 @@
 //! over the gain matrix produces the final `n_c` clusters.
 
 use bq_core::ExecutionHistory;
-use bq_nn::{Activation, Adam, Graph, Mlp, ParamStore, Tensor};
+use bq_nn::{fit, Activation, Adam, Graph, Mlp, NodeId, ParamStore, Tensor};
 use bq_plan::QueryId;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
@@ -145,21 +145,31 @@ impl GainPredictor {
         Self { mlp, plan_dim }
     }
 
-    fn pair_input(&self, embeddings: &Tensor, i: usize, j: usize) -> Tensor {
-        let a = embeddings.slice_rows(i, 1);
-        let b = embeddings.slice_rows(j, 1);
-        a.concat_cols(&b)
+    /// Record the symmetric gain of pair `(i, j)`: the MLP over both orders
+    /// of the two plan embeddings, summed.
+    fn pair_gain(
+        &self,
+        g: &mut Graph,
+        store: &ParamStore,
+        embeddings: &Tensor,
+        i: usize,
+        j: usize,
+    ) -> NodeId {
+        let [ab, ba] = [(i, j), (j, i)].map(|(a, b)| {
+            let pair = embeddings
+                .slice_rows(a, 1)
+                .concat_cols(&embeddings.slice_rows(b, 1));
+            let x = g.input(pair);
+            self.mlp.forward(g, store, &x)
+        });
+        g.add(ab, ba)
     }
 
     /// Predicted symmetric gain for pair `(i, j)`.
     pub fn predict(&self, store: &ParamStore, embeddings: &Tensor, i: QueryId, j: QueryId) -> f64 {
         let mut g = Graph::new();
-        let ab = g.input(self.pair_input(embeddings, i.0, j.0));
-        let ba = g.input(self.pair_input(embeddings, j.0, i.0));
-        let pa = self.mlp.forward(&mut g, store, &ab);
-        let pb = self.mlp.forward(&mut g, store, &ba);
-        let sum = g.add(pa, pb);
-        g.value(sum).item() as f64
+        let gain = self.pair_gain(&mut g, store, embeddings, i.0, j.0);
+        g.value(gain).item() as f64
     }
 
     /// Train on the observed pairs of `matrix` and return the final MSE.
@@ -172,7 +182,6 @@ impl GainPredictor {
         lr: f32,
     ) -> f64 {
         assert_eq!(embeddings.cols(), self.plan_dim, "embedding width mismatch");
-        let mut adam = Adam::new(lr);
         let mut pairs = Vec::new();
         for i in 0..matrix.len() {
             for j in (i + 1)..matrix.len() {
@@ -181,31 +190,13 @@ impl GainPredictor {
                 }
             }
         }
-        if pairs.is_empty() {
-            return 0.0;
-        }
-        let mut last = 0.0;
-        for _ in 0..epochs {
-            store.zero_grads();
-            let mut epoch_loss = 0.0;
-            for &(i, j, target) in &pairs {
-                let mut g = Graph::new();
-                let ab = g.input(self.pair_input(embeddings, i, j));
-                let ba = g.input(self.pair_input(embeddings, j, i));
-                let pa = self.mlp.forward(&mut g, store, &ab);
-                let pb = self.mlp.forward(&mut g, store, &ba);
-                let sum = g.add(pa, pb);
-                let loss_full = g.mse_loss(sum, &Tensor::scalar(target));
-                let loss = g.scale(loss_full, 1.0 / pairs.len() as f32);
-                epoch_loss += g.value(loss_full).item() as f64 / pairs.len() as f64;
-                g.backward(loss);
-                g.flush_grads(store);
-            }
-            store.clip_grad_norm(5.0);
-            adam.step(store);
-            last = epoch_loss;
-        }
-        last
+        let n = pairs.len() as f32;
+        let loss = |g: &mut Graph, store: &ParamStore, &(i, j, target): &(usize, usize, f32)| {
+            let gain = self.pair_gain(g, store, embeddings, i, j);
+            let loss = g.mse_loss(gain, &Tensor::scalar(target));
+            (g.scale(loss, 1.0 / n), f64::from(g.value(loss).item()))
+        };
+        fit(store, &mut Adam::new(lr), &pairs, None, epochs, 5.0, loss)
     }
 
     /// Fill every unobserved pair of `matrix` with predictions.

@@ -14,8 +14,8 @@ use bq_core::{
     SchedulingState,
 };
 use bq_dbms::{QueryCompletion, RunParams};
-use bq_encoder::{EncodedObservation, FeatureScale, StateEncoder, StateEncoderConfig};
-use bq_nn::{Activation, Adam, Graph, Mlp, NodeId, ParamStore, Tensor};
+use bq_encoder::{EncodedObservation, StateEncoder, StateEncoderConfig, TIME_SCALE};
+use bq_nn::{fit, Activation, Adam, Graph, Mlp, NodeId, ParamStore, Tensor};
 use bq_plan::{QueryId, Workload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -35,8 +35,6 @@ pub struct SimulatorConfig {
     pub multitask: bool,
     /// Scaling coefficient γ of the regression loss in the joint objective.
     pub gamma: f32,
-    /// Time normalisation: predicted/target times are divided by this value.
-    pub time_scale: f64,
 }
 
 impl Default for SimulatorConfig {
@@ -46,7 +44,6 @@ impl Default for SimulatorConfig {
             use_attention: true,
             multitask: true,
             gamma: 0.1,
-            time_scale: 10.0,
         }
     }
 }
@@ -192,57 +189,50 @@ impl SimulatorModel {
     /// Train on `samples`; returns metrics on the training set after the last
     /// epoch. With `multitask` enabled the two objectives are optimized
     /// jointly (`L = L_clf + γ·L_reg`); otherwise the classification and
-    /// regression phases run sequentially.
+    /// regression phases run sequentially. Samples with no running query
+    /// are skipped but still count in the mean.
     pub fn train(&mut self, samples: &[SimSample], epochs: usize, lr: f32) -> SimulatorMetrics {
-        if samples.is_empty() {
-            return SimulatorMetrics::default();
-        }
-        let mut adam = Adam::new(lr);
         let n = samples.len() as f32;
-        let phases: Vec<(bool, bool)> = if self.config.multitask {
-            vec![(true, true)]
+        let items: Vec<&SimSample> = samples
+            .iter()
+            .filter(|s| !s.obs.running.is_empty())
+            .collect();
+        let phases: &[(bool, bool)] = if self.config.multitask {
+            &[(true, true)]
         } else {
-            vec![(true, false), (false, true)]
+            &[(true, false), (false, true)]
         };
-        for &(do_clf, do_reg) in &phases {
-            for _ in 0..epochs {
-                self.store.zero_grads();
-                for s in samples {
-                    if s.obs.running.is_empty() {
-                        continue;
-                    }
-                    let mut g = Graph::new();
-                    let mut losses: Vec<NodeId> = Vec::new();
-                    if do_clf {
-                        let scores = self.running_scores(&mut g, &self.store, &s.obs);
-                        let one_hot = Tensor::one_hot(s.obs.running.len(), s.target_position);
-                        let clf = g.cross_entropy_loss(scores, &one_hot);
-                        losses.push(clf);
-                    }
-                    if do_reg {
-                        let pred =
-                            self.finish_time_of(&mut g, &self.store, &s.obs, s.target_position);
-                        let reg_full = g.mse_loss(pred, &Tensor::scalar(s.target_time));
-                        let weight = if self.config.multitask {
-                            self.config.gamma
-                        } else {
-                            1.0
-                        };
-                        let reg = g.scale(reg_full, weight);
-                        losses.push(reg);
-                    }
-                    let mut total = losses[0];
-                    for &l in &losses[1..] {
-                        total = g.add(total, l);
-                    }
-                    let loss = g.scale(total, 1.0 / n);
-                    g.backward(loss);
-                    g.flush_grads(&mut self.store);
+        let reg_weight = if self.config.multitask {
+            self.config.gamma
+        } else {
+            1.0
+        };
+        let mut adam = Adam::new(lr);
+        // The loss reads the layers through `self` while `fit` steps the
+        // parameters, so the store steps out of the model meanwhile.
+        let mut store = std::mem::take(&mut self.store);
+        for &(do_clf, do_reg) in phases {
+            let loss = |g: &mut Graph, store: &ParamStore, s: &&SimSample| {
+                let mut losses: Vec<NodeId> = Vec::new();
+                if do_clf {
+                    let scores = self.running_scores(g, store, &s.obs);
+                    let one_hot = Tensor::one_hot(s.obs.running.len(), s.target_position);
+                    losses.push(g.cross_entropy_loss(scores, &one_hot));
                 }
-                self.store.clip_grad_norm(1.0);
-                adam.step(&mut self.store);
-            }
+                if do_reg {
+                    let pred = self.finish_time_of(g, store, &s.obs, s.target_position);
+                    let reg = g.mse_loss(pred, &Tensor::scalar(s.target_time));
+                    losses.push(g.scale(reg, reg_weight));
+                }
+                let mut total = losses[0];
+                for &l in &losses[1..] {
+                    total = g.add(total, l);
+                }
+                (g.scale(total, 1.0 / n), ())
+            };
+            fit(&mut store, &mut adam, &items, None, epochs, 1.0, loss);
         }
+        self.store = store;
         self.evaluate(samples)
     }
 
@@ -282,11 +272,7 @@ pub fn samples_from_history(
     workload: &Workload,
     history: &ExecutionHistory,
     plan_embs: &Tensor,
-    config: &SimulatorConfig,
 ) -> Vec<SimSample> {
-    let scale = FeatureScale {
-        time_scale: config.time_scale,
-    };
     let mut samples = Vec::new();
     for episode in history.episodes() {
         let mut events: Vec<f64> = episode
@@ -338,12 +324,12 @@ pub fn samples_from_history(
                 queries: &runtimes,
                 free_connection: 0,
             };
-            let obs = EncodedObservation::from_state(&state, plan_embs, scale);
+            let obs = EncodedObservation::from_state(&state, plan_embs);
             let Some(target_position) = obs.running.iter().position(|&q| q == earliest.query.0)
             else {
                 continue;
             };
-            let target_time = ((earliest.finished_at - t) / config.time_scale) as f32;
+            let target_time = ((earliest.finished_at - t) / TIME_SCALE) as f32;
             samples.push(SimSample {
                 obs,
                 target_position,
@@ -465,14 +451,11 @@ impl<'a> LearnedSimulator<'a> {
             queries: &self.runtimes,
             free_connection: 0,
         };
-        let scale = FeatureScale {
-            time_scale: self.model.config.time_scale,
-        };
-        let obs = EncodedObservation::from_state(&state, self.plan_embs, scale);
+        let obs = EncodedObservation::from_state(&state, self.plan_embs);
         let (position, norm_time) = self.model.predict(&obs);
         // Map the predicted observation index back to a connection.
         let predicted_query = obs.running[position];
-        let dt = (norm_time * self.model.config.time_scale).max(1e-3);
+        let dt = (norm_time * TIME_SCALE).max(1e-3);
         if self.now + dt > until {
             // Deadline reached before the predicted completion.
             self.now = until;
@@ -612,7 +595,6 @@ mod tests {
                 dim: 32,
                 heads: 2,
                 blocks: 1,
-                tree_bias_per_hop: 0.5,
             },
             &mut rng,
         );
@@ -631,14 +613,13 @@ mod tests {
             use_attention: true,
             multitask: true,
             gamma: 0.1,
-            time_scale: 10.0,
         }
     }
 
     #[test]
     fn history_yields_training_samples() {
         let (w, embs, history) = setup();
-        let samples = samples_from_history(&w, &history, &embs, &small_config());
+        let samples = samples_from_history(&w, &history, &embs);
         assert!(
             samples.len() > 20,
             "expected many samples, got {}",
@@ -657,7 +638,7 @@ mod tests {
         episode.records[0].finished_at = f64::NAN;
         let mut corrupt = ExecutionHistory::new();
         corrupt.push(episode);
-        let samples = samples_from_history(&w, &corrupt, &embs, &small_config());
+        let samples = samples_from_history(&w, &corrupt, &embs);
         assert!(!samples.is_empty());
     }
 
@@ -665,7 +646,7 @@ mod tests {
     fn training_improves_over_untrained_model() {
         let (w, embs, history) = setup();
         let config = small_config();
-        let samples = samples_from_history(&w, &history, &embs, &config);
+        let samples = samples_from_history(&w, &history, &embs);
         let subset: Vec<SimSample> = samples.into_iter().take(60).collect();
         let mut model = SimulatorModel::new(32, config, 1);
         let before = model.evaluate(&subset);
@@ -700,7 +681,7 @@ mod tests {
     fn simulator_completes_full_episodes() {
         let (w, embs, history) = setup();
         let config = small_config();
-        let samples = samples_from_history(&w, &history, &embs, &config);
+        let samples = samples_from_history(&w, &history, &embs);
         let mut model = SimulatorModel::new(32, config, 2);
         model.train(&samples.into_iter().take(40).collect::<Vec<_>>(), 4, 0.01);
         let avg: Vec<f64> = (0..w.len())
@@ -727,7 +708,7 @@ mod tests {
             use_attention: false,
             ..small_config()
         };
-        let samples = samples_from_history(&w, &history, &embs, &config);
+        let samples = samples_from_history(&w, &history, &embs);
         let subset: Vec<SimSample> = samples.into_iter().take(40).collect();
         let mut model = SimulatorModel::new(32, config, 3);
         let metrics = model.train(&subset, 8, 0.01);
@@ -818,7 +799,7 @@ mod tests {
                 use_attention,
                 ..small_config()
             };
-            let samples = samples_from_history(&w, &history, &embs, &config);
+            let samples = samples_from_history(&w, &history, &embs);
             let subset: Vec<SimSample> = samples.into_iter().take(24).collect();
             let mut narrowed = SimulatorModel::new(32, config, 5);
             let mut reference = SimulatorModel::new(32, config, 5);
@@ -838,7 +819,7 @@ mod tests {
             multitask: false,
             ..small_config()
         };
-        let samples = samples_from_history(&w, &history, &embs, &config);
+        let samples = samples_from_history(&w, &history, &embs);
         let subset: Vec<SimSample> = samples.into_iter().take(30).collect();
         let mut model = SimulatorModel::new(32, config, 4);
         let metrics = model.train(&subset, 4, 0.01);

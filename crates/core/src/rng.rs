@@ -94,11 +94,6 @@ impl SplitMix64 {
         self.state = self.state.wrapping_add(GOLDEN_GAMMA);
         out
     }
-
-    /// Next uniform draw in `[0, 1)` (53 mantissa bits, like [`unit()`]).
-    pub fn next_unit(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
 }
 
 #[cfg(test)]
@@ -151,14 +146,5 @@ mod tests {
         let s3: Vec<u64> = (0..8).map(|_| b.next_u64()).collect();
         assert_eq!(s1, s2);
         assert_ne!(s1, s3);
-    }
-
-    #[test]
-    fn next_unit_in_range() {
-        let mut rng = SplitMix64::new(99);
-        for _ in 0..1000 {
-            let u = rng.next_unit();
-            assert!((0.0..1.0).contains(&u));
-        }
     }
 }

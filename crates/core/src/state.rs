@@ -79,16 +79,6 @@ pub struct SchedulingState<'a> {
 }
 
 impl<'a> SchedulingState<'a> {
-    /// Ids of queries that have not been submitted yet.
-    ///
-    /// Allocates the returned `Vec`; per-decision hot paths should prefer
-    /// [`SchedulingState::pending_iter`] / [`SchedulingState::first_pending`],
-    /// which walk the same arena in the same ascending-id order without
-    /// allocating.
-    pub fn pending_queries(&self) -> Vec<QueryId> {
-        self.pending_iter().collect()
-    }
-
     /// Ids of queries that have not been submitted yet, ascending, without
     /// allocating.
     pub fn pending_iter(&self) -> impl Iterator<Item = QueryId> + '_ {
@@ -110,29 +100,6 @@ impl<'a> SchedulingState<'a> {
             .iter()
             .filter(|q| q.status == QueryStatus::Pending)
             .count()
-    }
-
-    /// Ids of queries currently running.
-    pub fn running_queries(&self) -> Vec<QueryId> {
-        self.queries
-            .iter()
-            .enumerate()
-            .filter(|(_, q)| q.status == QueryStatus::Running)
-            .map(|(i, _)| QueryId(i))
-            .collect()
-    }
-
-    /// Number of finished queries.
-    pub fn finished_count(&self) -> usize {
-        self.queries
-            .iter()
-            .filter(|q| q.status == QueryStatus::Finished)
-            .count()
-    }
-
-    /// Whether every query has finished.
-    pub fn all_finished(&self) -> bool {
-        self.finished_count() == self.queries.len()
     }
 }
 
@@ -181,10 +148,8 @@ mod tests {
             queries: &queries,
             free_connection: 0,
         };
-        assert_eq!(state.pending_queries().len(), w.len() - 2);
-        assert_eq!(state.running_queries(), vec![QueryId(0)]);
-        assert_eq!(state.finished_count(), 1);
-        assert!(!state.all_finished());
+        assert_eq!(state.pending_count(), w.len() - 2);
+        assert_eq!(state.first_pending(), Some(QueryId(2)));
     }
 
     #[test]

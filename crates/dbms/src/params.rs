@@ -79,14 +79,6 @@ impl ParamSpace {
         Self { configs }
     }
 
-    /// A degenerate space with only the default configuration — used by the
-    /// heuristic baselines (Random/FIFO/MCF), which do not tune parameters.
-    pub fn default_only() -> Self {
-        Self {
-            configs: vec![RunParams::default_config()],
-        }
-    }
-
     /// Number of configurations.
     pub fn len(&self) -> usize {
         self.configs.len()
@@ -153,13 +145,6 @@ mod tests {
         for i in 0..s.len() {
             assert_eq!(s.index_of(s.get(i)), Some(i));
         }
-    }
-
-    #[test]
-    fn default_only_has_single_config() {
-        let s = ParamSpace::default_only();
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.get(0), RunParams::default_config());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!   status, running parameters, elapsed time and historical average time —
 //!   concatenated with the plan embedding to form each query's representation.
 
-use bq_core::SchedulingState;
+use bq_core::{QueryRuntime, SchedulingState};
 use bq_dbms::{MemoryGrant, WORKER_OPTIONS};
 use bq_nn::Tensor;
 use bq_plan::{FlatNode, QueryPlan, OPERATOR_COUNT};
@@ -25,34 +25,11 @@ pub const NODE_FEATURE_DIM: usize = OPERATOR_COUNT + TABLE_BUCKETS + 6;
 /// + elapsed time (1) + historical average time (1).
 pub const STATE_FEATURE_DIM: usize = 3 + WORKER_OPTIONS.len() + 2 + 1 + 1;
 
-/// Normalisation constants shared by feature extraction.
-///
-/// Times are divided by `time_scale` so elapsed/average features stay within
-/// a range the networks handle well; costs use a log transform.
-#[derive(Debug, Clone, Copy)]
-pub struct FeatureScale {
-    /// Typical execution time (seconds); times are divided by this value.
-    pub time_scale: f64,
-}
-
-impl Default for FeatureScale {
-    fn default() -> Self {
-        Self { time_scale: 10.0 }
-    }
-}
-
-impl FeatureScale {
-    /// Derive a scale from historical average execution times (falls back to
-    /// the default when no history exists yet).
-    pub fn from_avg_times(avg_times: &[f64]) -> Self {
-        let max = avg_times.iter().copied().fold(0.0, f64::max);
-        if max > 0.0 {
-            Self { time_scale: max }
-        } else {
-            Self::default()
-        }
-    }
-}
+/// Typical execution time in seconds. Times are divided by it wherever a
+/// network sees or predicts one: the elapsed and historical-time features,
+/// the agent's rewards and auxiliary targets, and the simulator's targets
+/// and clock. Costs use a log transform instead.
+pub const TIME_SCALE: f64 = 10.0;
 
 fn log1p(v: f64) -> f32 {
     (v.max(0.0) + 1.0).ln() as f32
@@ -119,38 +96,34 @@ pub fn tree_bias(plan: &QueryPlan, bias_per_hop: f32) -> Tensor {
     bias
 }
 
-/// Running-state feature vector `f_i` of one query.
-pub fn query_state_features(
-    state: &SchedulingState<'_>,
-    query_index: usize,
-    scale: FeatureScale,
-) -> Vec<f32> {
-    let rt = &state.queries[query_index];
-    let mut f = vec![0.0f32; STATE_FEATURE_DIM];
-    f[rt.status.index()] = 1.0;
-    let mut offset = 3;
-    if let Some(params) = rt.params {
+/// Write the running-state features `f_i` of `runtime` into `row`, a
+/// `STATE_FEATURE_DIM` slice of zeros: the status one-hot, the worker and
+/// memory one-hots of its parameters, then its elapsed and historical
+/// average times over [`TIME_SCALE`].
+pub fn write_state_features(row: &mut [f32], runtime: &QueryRuntime) {
+    row[runtime.status.index()] = 1.0;
+    if let Some(params) = runtime.params {
         if let Some(widx) = WORKER_OPTIONS.iter().position(|&w| w == params.workers) {
-            f[offset + widx] = 1.0;
+            row[3 + widx] = 1.0;
         }
         let midx = match params.memory {
             MemoryGrant::Low => 0,
             MemoryGrant::High => 1,
         };
-        f[offset + WORKER_OPTIONS.len() + midx] = 1.0;
+        row[3 + WORKER_OPTIONS.len() + midx] = 1.0;
     }
-    offset += WORKER_OPTIONS.len() + 2;
-    f[offset] = (rt.elapsed / scale.time_scale) as f32;
-    f[offset + 1] = (rt.avg_exec_time / scale.time_scale) as f32;
-    f
+    row[STATE_FEATURE_DIM - 2] = (runtime.elapsed / TIME_SCALE) as f32;
+    row[STATE_FEATURE_DIM - 1] = (runtime.avg_exec_time / TIME_SCALE) as f32;
 }
 
 /// Running-state feature matrix `[n, STATE_FEATURE_DIM]` for all batch queries.
-pub fn state_feature_matrix(state: &SchedulingState<'_>, scale: FeatureScale) -> Tensor {
-    let rows: Vec<Vec<f32>> = (0..state.queries.len())
-        .map(|i| query_state_features(state, i, scale))
-        .collect();
-    Tensor::from_rows(&rows)
+pub fn state_feature_matrix(state: &SchedulingState<'_>) -> Tensor {
+    let mut features = Tensor::zeros(state.queries.len(), STATE_FEATURE_DIM);
+    let rows = features.data_mut().chunks_exact_mut(STATE_FEATURE_DIM);
+    for (row, runtime) in rows.zip(state.queries) {
+        write_state_features(row, runtime);
+    }
+    features
 }
 
 /// Row-mean of the running-state features of an arbitrary query subset,
@@ -239,8 +212,7 @@ mod tests {
             queries: &queries,
             free_connection: 0,
         };
-        let scale = FeatureScale { time_scale: 10.0 };
-        let m = state_feature_matrix(&state, scale);
+        let m = state_feature_matrix(&state);
         assert_eq!(m.shape(), (w.len(), STATE_FEATURE_DIM));
         // Pending query: status bit 0 set, no params.
         assert_eq!(m.get(0, QueryStatus::Pending.index()), 1.0);
@@ -260,13 +232,5 @@ mod tests {
         assert_eq!(empty.data(), &[0.0, 0.0]);
         let m = mean_features(&t, &[0, 2]);
         assert_eq!(m.data(), &[3.0, 4.0]);
-    }
-
-    #[test]
-    fn feature_scale_from_history() {
-        let s = FeatureScale::from_avg_times(&[1.0, 5.0, 3.0]);
-        assert_eq!(s.time_scale, 5.0);
-        let d = FeatureScale::from_avg_times(&[]);
-        assert_eq!(d.time_scale, FeatureScale::default().time_scale);
     }
 }

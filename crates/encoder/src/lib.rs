@@ -23,8 +23,8 @@ pub mod plan_encoder;
 pub mod state_encoder;
 
 pub use features::{
-    mean_features, node_features, plan_node_features, query_state_features, state_feature_matrix,
-    tree_bias, FeatureScale, NODE_FEATURE_DIM, STATE_FEATURE_DIM, TABLE_BUCKETS,
+    mean_features, node_features, plan_node_features, state_feature_matrix, tree_bias,
+    write_state_features, NODE_FEATURE_DIM, STATE_FEATURE_DIM, TABLE_BUCKETS, TIME_SCALE,
 };
 pub use plan_encoder::{
     pretrain_on_cost, seeded_rng, PlanEncoder, PlanEncoderConfig, PretrainReport,

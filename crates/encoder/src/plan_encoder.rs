@@ -13,7 +13,9 @@
 //! information before any scheduling feedback exists.
 
 use crate::features::{plan_node_features, tree_bias, NODE_FEATURE_DIM};
-use bq_nn::{Activation, Adam, AttentionBlock, Graph, Linear, Mlp, NodeId, ParamStore, Tensor};
+use bq_nn::{
+    fit, Activation, Adam, AttentionBlock, Graph, Linear, Mlp, NodeId, ParamStore, Tensor,
+};
 use bq_plan::{QueryPlan, Workload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -28,9 +30,11 @@ pub struct PlanEncoderConfig {
     pub heads: usize,
     /// Number of stacked attention blocks.
     pub blocks: usize,
-    /// Attention bias added per hop of tree distance.
-    pub tree_bias_per_hop: f32,
 }
+
+/// Attention bias subtracted per hop of tree distance between two plan
+/// nodes.
+const TREE_BIAS_PER_HOP: f32 = 0.5;
 
 impl Default for PlanEncoderConfig {
     fn default() -> Self {
@@ -38,7 +42,6 @@ impl Default for PlanEncoderConfig {
             dim: 32,
             heads: 4,
             blocks: 2,
-            tree_bias_per_hop: 0.5,
         }
     }
 }
@@ -113,7 +116,7 @@ impl PlanEncoder {
         let projected = self.node_proj.forward(g, store, &x);
         let super_node = g.param(store, self.super_node);
         let mut h = g.concat_rows(projected, super_node);
-        let bias = tree_bias(plan, self.config.tree_bias_per_hop);
+        let bias = tree_bias(plan, TREE_BIAS_PER_HOP);
         let all: Vec<usize> = (0..=n).collect();
         for block in &self.blocks {
             h = block.forward(g, store, &h, &all, Some(&bias));
@@ -165,8 +168,9 @@ pub struct PretrainReport {
 }
 
 /// Pre-train the plan encoder on cost prediction over the workload's plans
-/// (QueryFormer's standard self-supervised warm-up). Returns the loss curve
-/// end points so callers can assert learning progress.
+/// (QueryFormer's standard self-supervised warm-up), one step per query.
+/// Returns the loss curve end points so callers can assert learning
+/// progress.
 pub fn pretrain_on_cost(
     encoder: &PlanEncoder,
     store: &mut ParamStore,
@@ -182,22 +186,24 @@ pub fn pretrain_on_cost(
         .map(|q| (q.plan.total_cost() + 1.0).ln())
         .collect();
     let max_log = log_costs.iter().copied().fold(1.0, f64::max);
+    let items: Vec<(&QueryPlan, f32)> = workload
+        .queries
+        .iter()
+        .zip(&log_costs)
+        .map(|(q, &c)| (&q.plan, (c / max_log) as f32))
+        .collect();
+    let loss = |g: &mut Graph, store: &ParamStore, &(plan, target): &(&QueryPlan, f32)| {
+        let emb = encoder.encode(g, store, plan);
+        let pred = encoder.predict_cost(g, store, emb);
+        let loss = g.mse_loss(pred, &Tensor::scalar(target));
+        (loss, f64::from(g.value(loss).item()))
+    };
     let mut initial = 0.0;
     let mut last = 0.0;
     for epoch in 0..epochs {
         let mut epoch_loss = 0.0;
-        for (i, q) in workload.queries.iter().enumerate() {
-            store.zero_grads();
-            let mut g = Graph::new();
-            let emb = encoder.encode(&mut g, store, &q.plan);
-            let pred = encoder.predict_cost(&mut g, store, emb);
-            let target = Tensor::scalar((log_costs[i] / max_log) as f32);
-            let loss = g.mse_loss(pred, &target);
-            epoch_loss += g.value(loss).item() as f64;
-            g.backward(loss);
-            g.flush_grads(store);
-            store.clip_grad_norm(5.0);
-            adam.step(store);
+        for item in items.chunks(1) {
+            epoch_loss += fit(store, &mut adam, item, None, 1, 5.0, loss);
         }
         epoch_loss /= workload.len() as f64;
         if epoch == 0 {
@@ -283,7 +289,6 @@ mod tests {
             dim: 16,
             heads: 2,
             blocks: 1,
-            tree_bias_per_hop: 0.5,
         };
         let enc = PlanEncoder::new(&mut store, config, &mut rng);
         let report = pretrain_on_cost(&enc, &mut store, &w, 8, 0.005);

@@ -12,7 +12,7 @@
 //! The same representation is shared by the policy, value and auxiliary
 //! networks of IQ-PPO and by the learned incremental simulator.
 
-use crate::features::{mean_features, state_feature_matrix, FeatureScale, STATE_FEATURE_DIM};
+use crate::features::{mean_features, state_feature_matrix, STATE_FEATURE_DIM};
 use bq_core::{QueryStatus, SchedulingState};
 use bq_nn::{
     Activation, AttentionBlock, Eager, IncrementalAttention, Mlp, NodeId, Ops, ParamId, ParamStore,
@@ -62,17 +62,13 @@ pub struct EncodedObservation {
 impl EncodedObservation {
     /// Build an observation from a scheduling state and pre-computed plan
     /// embeddings (one row per query).
-    pub fn from_state(
-        state: &SchedulingState<'_>,
-        plan_embs: &Tensor,
-        scale: FeatureScale,
-    ) -> Self {
+    pub fn from_state(state: &SchedulingState<'_>, plan_embs: &Tensor) -> Self {
         assert_eq!(
             plan_embs.rows(),
             state.queries.len(),
             "one plan embedding per query required"
         );
-        let features = state_feature_matrix(state, scale);
+        let features = state_feature_matrix(state);
         let running = state
             .queries
             .iter()
@@ -411,7 +407,7 @@ mod tests {
                 .map(|i| (0..32).map(|j| ((i * 7 + j) % 11) as f32 * 0.05).collect())
                 .collect::<Vec<_>>(),
         );
-        let obs = EncodedObservation::from_state(&state, &plan_embs, FeatureScale::default());
+        let obs = EncodedObservation::from_state(&state, &plan_embs);
         (w, obs)
     }
 
@@ -475,7 +471,7 @@ mod tests {
             free_connection: 0,
         };
         let plan_embs = obs_full.plan_embs.slice_rows(0, 5);
-        let obs_small = EncodedObservation::from_state(&state, &plan_embs, FeatureScale::default());
+        let obs_small = EncodedObservation::from_state(&state, &plan_embs);
 
         let mut store = ParamStore::new();
         let mut rng = seeded_rng(3);
@@ -615,6 +611,6 @@ mod tests {
             free_connection: 0,
         };
         let plan_embs = Tensor::zeros(3, 32);
-        let _ = EncodedObservation::from_state(&state, &plan_embs, FeatureScale::default());
+        let _ = EncodedObservation::from_state(&state, &plan_embs);
     }
 }

@@ -21,27 +21,26 @@
 //!
 //! ## Quick example
 //!
+//! Every model trains through [`fit`]: one tape per item, gradients merged
+//! in item order, one clipped [`Adam`] step per epoch.
+//!
 //! ```
-//! use bq_nn::{Activation, Adam, Graph, Mlp, ParamStore, Tensor};
+//! use bq_nn::{fit, Activation, Adam, Mlp, ParamStore, Tensor};
 //! use rand::SeedableRng;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(0);
 //! let mut store = ParamStore::new();
 //! let mlp = Mlp::new(&mut store, "net", &[2, 8, 1], Activation::Tanh, Activation::None, &mut rng);
-//! let mut adam = Adam::new(0.01);
 //!
-//! let x = Tensor::from_rows(&[vec![0.0, 1.0], vec![1.0, 0.0]]);
-//! let y = Tensor::from_rows(&[vec![1.0], vec![-1.0]]);
-//! for _ in 0..10 {
-//!     store.zero_grads();
-//!     let mut g = Graph::new();
-//!     let xi = g.input(x.clone());
-//!     let pred = mlp.forward(&mut g, &store, &xi);
-//!     let loss = g.mse_loss(pred, &y);
-//!     g.backward(loss);
-//!     g.flush_grads(&mut store);
-//!     adam.step(&mut store);
-//! }
+//! // (input, target) pairs; each item's loss is its share of the mean.
+//! let items = [([0.0, 1.0], 1.0), ([1.0, 0.0], -1.0)];
+//! let mse: f64 = fit(&mut store, &mut Adam::new(0.01), &items, None, 10, 1.0, |g, store, (x, y)| {
+//!     let xi = g.input(Tensor::row(x));
+//!     let pred = mlp.forward(g, store, &xi);
+//!     let loss = g.mse_loss(pred, &Tensor::scalar(*y));
+//!     (g.scale(loss, 0.5), f64::from(g.value(loss).item()))
+//! });
+//! assert!(mse.is_finite());
 //! ```
 
 #![warn(missing_docs)]
@@ -60,6 +59,6 @@ pub use layers::{
     Activation, AttentionBlock, AttentionHead, LayerNorm, Linear, Mlp, MultiHeadAttention,
 };
 pub use ops::{Eager, Ops};
-pub use optim::Adam;
+pub use optim::{fit, Adam, EpochStats};
 pub use params::{Param, ParamId, ParamStore};
 pub use tensor::Tensor;

@@ -143,11 +143,6 @@ impl ParamStore {
         self.params.is_empty()
     }
 
-    /// Total number of scalar learnable values.
-    pub fn num_scalars(&self) -> usize {
-        self.params.iter().map(|p| p.value.len()).sum()
-    }
-
     /// Immutable access to a parameter.
     pub fn get(&self, id: ParamId) -> &Param {
         &self.params[id.0]
@@ -262,7 +257,6 @@ mod tests {
         let id = store.add("w", Tensor::row(&[1.0, 2.0]));
         assert_eq!(store.value(id).data(), &[1.0, 2.0]);
         assert_eq!(store.len(), 1);
-        assert_eq!(store.num_scalars(), 2);
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! # bq-obs
 //!
 //! The deterministic observability layer of the BQSched reproduction:
-//! a metrics registry (counters, gauges, log-scale latency histograms
-//! over virtual time), a typed trace-event layer with pluggable sinks,
-//! and the workspace's single sanctioned wall-clock profiling module.
+//! a metrics registry (counters and log-scale latency histograms over
+//! virtual time), a typed trace-event layer, and the workspace's single
+//! sanctioned wall-clock profiling module.
 //!
 //! The one contract every piece honors: **observation never perturbs an
 //! episode**. Instrumented components carry an [`Obs`] handle that
 //! defaults to [`Obs::off`] — a `None` branch, no allocation, no clock,
 //! no lock — and when enabled only *reads* episode state (virtual
-//! timestamps, queue depths, identities) into the registry and the sink.
+//! timestamps, queue depths, identities) into the registry and, when
+//! recording, the event list.
 //! Nothing flows back: an episode is byte-identical with observability
 //! off, on, or recording, which the conformance passthrough cell and the
 //! golden trace artifact pin.
@@ -18,8 +19,7 @@
 //!
 //! * [`metrics`] — [`MetricsRegistry`], [`Histogram`] (fixed log-scale
 //!   buckets, exact bit-level extrema, merge + percentiles);
-//! * [`trace`] — [`TraceEvent`]/[`TraceKind`], the [`TraceSink`] trait,
-//!   [`NoopSink`] and [`RecordingSink`];
+//! * [`trace`] — [`TraceEvent`]/[`TraceKind`] and their JSONL form;
 //! * [`profile`] — the host wall clock that wall-clock measurements read,
 //!   carrying the workspace's one justified `bq-lint` wall-clock allow.
 //!
@@ -37,22 +37,23 @@ pub mod trace;
 
 pub use metrics::{Histogram, MetricKey, MetricsRegistry};
 pub use profile::{SystemClock, WallClock};
-pub use trace::{NoopSink, RecordingSink, TraceEvent, TraceKind, TraceSink};
+pub use trace::{TraceEvent, TraceKind};
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// The shared state behind an enabled [`Obs`] handle.
 struct ObsCore {
     metrics: MetricsRegistry,
-    sink: Option<Box<dyn TraceSink + Send>>,
+    /// Every emitted event in arrival order, when recording.
+    trace: Option<Vec<TraceEvent>>,
 }
 
 /// The observability handle instrumented components hold.
 ///
 /// Cheap to clone (an `Arc` bump, or nothing when off) and cheap to call
 /// when off (one `Option` branch). Constructors: [`Obs::off`] (the
-/// default), [`Obs::enabled`] (metrics only — the "no-op sink" shape) and
-/// [`Obs::recording`] (metrics plus a [`RecordingSink`]).
+/// default), [`Obs::enabled`] (metrics only; trace events are dropped)
+/// and [`Obs::recording`] (metrics plus every trace event).
 #[derive(Clone, Default)]
 pub struct Obs {
     core: Option<Arc<Mutex<ObsCore>>>,
@@ -74,29 +75,23 @@ impl Obs {
         Self { core: None }
     }
 
-    /// Metrics enabled, trace events dropped ([`NoopSink`] semantics).
+    /// Metrics enabled, trace events dropped.
     pub fn enabled() -> Self {
-        Self::with_sink(Box::new(NoopSink))
+        Self::with_trace(None)
     }
 
-    /// Metrics enabled, trace events kept in a [`RecordingSink`].
+    /// Metrics enabled, trace events kept in arrival order.
     pub fn recording() -> Self {
-        Self::with_sink(Box::new(RecordingSink::new()))
+        Self::with_trace(Some(Vec::new()))
     }
 
-    /// Metrics enabled with a caller-provided sink.
-    pub fn with_sink(sink: Box<dyn TraceSink + Send>) -> Self {
+    fn with_trace(trace: Option<Vec<TraceEvent>>) -> Self {
         Self {
             core: Some(Arc::new(Mutex::new(ObsCore {
                 metrics: MetricsRegistry::new(),
-                sink: Some(sink),
+                trace,
             }))),
         }
-    }
-
-    /// Whether this handle records anything at all.
-    pub fn is_enabled(&self) -> bool {
-        self.core.is_some()
     }
 
     fn lock(&self) -> Option<MutexGuard<'_, ObsCore>> {
@@ -133,31 +128,10 @@ impl Obs {
         }
     }
 
-    /// Set a gauge.
-    pub fn set_gauge(&self, name: &'static str, value: f64) {
-        if let Some(mut core) = self.lock() {
-            core.metrics
-                .set_gauge(MetricKey { name, index: None }, value);
-        }
-    }
-
     /// Record a histogram observation.
     pub fn observe(&self, name: &'static str, value: f64) {
         if let Some(mut core) = self.lock() {
             core.metrics.observe(MetricKey { name, index: None }, value);
-        }
-    }
-
-    /// Record into the `index`-th instance of a histogram.
-    pub fn observe_indexed(&self, name: &'static str, index: usize, value: f64) {
-        if let Some(mut core) = self.lock() {
-            core.metrics.observe(
-                MetricKey {
-                    name,
-                    index: Some(index),
-                },
-                value,
-            );
         }
     }
 
@@ -177,11 +151,11 @@ impl Obs {
         }
     }
 
-    /// Emit a trace event to the installed sink.
+    /// Emit a trace event: kept when recording, dropped otherwise.
     pub fn emit(&self, event: TraceEvent) {
         if let Some(mut core) = self.lock() {
-            if let Some(sink) = core.sink.as_mut() {
-                sink.record(&event);
+            if let Some(trace) = core.trace.as_mut() {
+                trace.push(event);
             }
         }
     }
@@ -225,12 +199,17 @@ impl Obs {
             .map_or_else(|| "{}".to_string(), |core| core.metrics.summary_json())
     }
 
-    /// Everything the installed sink recorded, as JSONL (empty when off
-    /// or when the sink does not record).
+    /// Every recorded trace event as JSONL, one event per line (empty when
+    /// off or not recording).
     pub fn trace_jsonl(&self) -> String {
-        self.lock()
-            .and_then(|core| core.sink.as_ref().map(|s| s.jsonl()))
-            .unwrap_or_default()
+        let mut out = String::new();
+        if let Some(core) = self.lock() {
+            for event in core.trace.iter().flatten() {
+                out.push_str(&event.to_json());
+                out.push('\n');
+            }
+        }
+        out
     }
 }
 
@@ -241,7 +220,6 @@ mod tests {
     #[test]
     fn the_off_handle_ignores_everything() {
         let obs = Obs::off();
-        assert!(!obs.is_enabled());
         obs.inc("x");
         obs.observe("h", 1.0);
         obs.emit(TraceEvent::new(TraceKind::Decision, 0.0));
@@ -272,17 +250,17 @@ mod tests {
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("frame_sent"));
-        // The metrics-only handle keeps a NoopSink: same API, no capture.
+        // The metrics-only handle drops events: same API, no capture.
         let quiet = Obs::enabled();
         quiet.emit(TraceEvent::new(TraceKind::FrameSent, 0.1));
         assert_eq!(quiet.trace_jsonl(), "");
     }
 
     #[test]
-    fn indexed_metrics_roll_up_through_merged_histogram() {
+    fn metrics_roll_up_through_merged_histogram() {
         let obs = Obs::enabled();
-        obs.observe_indexed("advance", 0, 0.1);
-        obs.observe_indexed("advance", 1, 0.4);
+        obs.observe("advance", 0.1);
+        obs.observe("advance", 0.4);
         obs.observe("other", 0.2);
         let merged = obs.merged_histogram(&["advance", "other"]);
         assert_eq!(merged.count(), 3);

@@ -1,4 +1,4 @@
-//! The metrics registry: counters, gauges and fixed-bucket log-scale
+//! The metrics registry: counters and fixed-bucket log-scale
 //! latency histograms over **virtual time**.
 //!
 //! Everything here is deterministic: bucket boundaries are a fixed
@@ -291,13 +291,12 @@ impl MetricKey {
     }
 }
 
-/// The registry: insertion-ordered counters, gauges and histograms. All
+/// The registry: insertion-ordered counters and histograms. All
 /// lookups are linear scans over small vectors — deterministic, no hashing
 /// anywhere (`bq-lint` forbids `HashMap` iteration order on principle).
 #[derive(Debug, Default, Clone)]
 pub struct MetricsRegistry {
     counters: Vec<(MetricKey, u64)>,
-    gauges: Vec<(MetricKey, f64)>,
     histograms: Vec<(MetricKey, Histogram)>,
 }
 
@@ -328,15 +327,6 @@ impl MetricsRegistry {
         *self.counter_slot(key) += n;
     }
 
-    /// Set a gauge to `value`, creating it on first touch.
-    pub fn set_gauge(&mut self, key: MetricKey, value: f64) {
-        if let Some(pos) = self.gauges.iter().position(|(k, _)| *k == key) {
-            self.gauges[pos].1 = value;
-            return;
-        }
-        self.gauges.push((key, value));
-    }
-
     /// Record one histogram observation, creating the histogram on first
     /// touch.
     pub fn observe(&mut self, key: MetricKey, value: f64) {
@@ -362,11 +352,6 @@ impl MetricsRegistry {
             .map_or(0, |(_, v)| *v)
     }
 
-    /// Current gauge value.
-    pub fn gauge(&self, key: MetricKey) -> Option<f64> {
-        self.gauges.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
-    }
-
     /// Borrow a histogram by key.
     pub fn histogram(&self, key: MetricKey) -> Option<&Histogram> {
         self.histograms
@@ -389,19 +374,12 @@ impl MetricsRegistry {
     }
 
     /// Serialize the whole registry as one single-line JSON object in the
-    /// repo-standard summary shape: `{"counters":{...},"gauges":{...},
-    /// "histograms":{...}}`, all in insertion order.
+    /// repo-standard summary shape: `{"counters":{...},"histograms":{...}}`,
+    /// both in insertion order.
     pub fn summary_json(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::from("{\"counters\":{");
         for (i, (key, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":{v}", key.render());
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (key, v)) in self.gauges.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -568,15 +546,12 @@ mod tests {
     }
 
     #[test]
-    fn registry_counters_gauges_and_merge_roll_up() {
+    fn registry_counters_and_merge_roll_up() {
         let mut r = MetricsRegistry::new();
         r.inc_by(key("decisions"), 3);
         r.inc_by(key("decisions"), 2);
         assert_eq!(r.counter(key("decisions")), 5);
         assert_eq!(r.counter(key("untouched")), 0);
-        r.set_gauge(key("depth"), 4.0);
-        r.set_gauge(key("depth"), 2.0);
-        assert_eq!(r.gauge(key("depth")), Some(2.0));
         for shard in 0..3usize {
             let k = MetricKey {
                 name: "advance_latency",

@@ -1,13 +1,13 @@
 //! The span/event tracing layer: typed events stamped with virtual time
 //! and the `(round, connection, shard, epoch, seq)` identity the stack
-//! already threads, fed to a pluggable [`TraceSink`].
+//! already threads, kept by a recording [`crate::Obs`] handle.
 //!
 //! The contract mirrored across the whole workspace: **tracing never
-//! perturbs an episode**. Sinks only observe — they receive fully built
-//! events and cannot feed anything back into clocks, RNG streams or
-//! control flow, so an episode runs byte-identically with the no-op sink,
-//! a recording sink, or no observability at all (pinned by the
-//! conformance passthrough cell and the golden trace artifact).
+//! perturbs an episode**. The handle only stores fully built events and
+//! feeds nothing back into clocks, RNG streams or control flow, so an
+//! episode runs byte-identically whether events are dropped, recorded, or
+//! observability is off (pinned by the conformance passthrough cell and
+//! the golden trace artifact).
 
 /// What happened. One variant per instrumented action across the stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,60 +168,6 @@ impl TraceEvent {
     }
 }
 
-/// Where trace events go. Implementations only observe: they get a
-/// borrowed, fully built event and no channel back into the episode.
-pub trait TraceSink {
-    /// Consume one event.
-    fn record(&mut self, event: &TraceEvent);
-
-    /// Render everything recorded so far as JSONL (one event per line).
-    /// Non-recording sinks return the empty string.
-    fn jsonl(&self) -> String {
-        String::new()
-    }
-}
-
-/// The zero-cost default: drops every event. Installing this sink must be
-/// indistinguishable from installing none — pinned by the session
-/// allocation test, which runs its measured episode with this sink in
-/// place.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopSink;
-
-impl TraceSink for NoopSink {
-    fn record(&mut self, _event: &TraceEvent) {}
-}
-
-/// A sink that keeps every event in arrival order, for trace artifacts and
-/// the byte-identity tests.
-#[derive(Debug, Default, Clone)]
-pub struct RecordingSink {
-    /// Every recorded event, in arrival order.
-    pub events: Vec<TraceEvent>,
-}
-
-impl RecordingSink {
-    /// An empty recording sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl TraceSink for RecordingSink {
-    fn record(&mut self, event: &TraceEvent) {
-        self.events.push(*event);
-    }
-
-    fn jsonl(&self) -> String {
-        let mut out = String::new();
-        for event in &self.events {
-            out.push_str(&event.to_json());
-            out.push('\n');
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,25 +188,5 @@ mod tests {
             bare.to_json(),
             "{\"kind\":\"shard_advance\",\"at\":0,\"shard\":2}"
         );
-    }
-
-    #[test]
-    fn recording_sink_preserves_order_and_renders_jsonl() {
-        let mut sink = RecordingSink::new();
-        sink.record(&TraceEvent::new(TraceKind::FrameSent, 0.5).with_seq(1));
-        sink.record(&TraceEvent::new(TraceKind::FrameReceived, 0.6).with_seq(1));
-        assert_eq!(sink.events.len(), 2);
-        let jsonl = sink.jsonl();
-        let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains("frame_sent"));
-        assert!(lines[1].contains("frame_received"));
-    }
-
-    #[test]
-    fn noop_sink_renders_nothing() {
-        let mut sink = NoopSink;
-        sink.record(&TraceEvent::new(TraceKind::Dispatch, 1.0));
-        assert_eq!(sink.jsonl(), "");
     }
 }

@@ -166,12 +166,6 @@ impl Catalog {
             .map(|t| t.id)
             .collect()
     }
-
-    /// Return a copy of this catalog at a different scale factor (used by the
-    /// adaptability experiments, Table II).
-    pub fn rescaled(&self, scale_factor: f64) -> Self {
-        Self::new(self.benchmark, scale_factor)
-    }
 }
 
 /// TPC-DS schema: 7 fact tables + 17 dimension tables (24 of the 25 official
@@ -293,15 +287,6 @@ mod tests {
         let lineitem = c.table_by_name("lineitem").unwrap().id;
         let max_pages = c.tables().iter().map(|t| c.pages(t.id)).max().unwrap();
         assert_eq!(c.pages(lineitem), max_pages);
-    }
-
-    #[test]
-    fn rescaled_preserves_benchmark() {
-        let c = Catalog::new(Benchmark::Job, 1.0);
-        let r = c.rescaled(0.8);
-        assert_eq!(r.benchmark, Benchmark::Job);
-        assert!((r.scale_factor - 0.8).abs() < 1e-9);
-        assert_eq!(r.len(), c.len());
     }
 
     #[test]

@@ -13,9 +13,8 @@
 //! * **PPO** — nothing: its auxiliary phase is a no-op.
 
 use crate::buffer::{Estimate, RolloutBuffer, Transition};
-use bq_nn::{Adam, Graph, NodeId, ParamId, ParamStore, Tensor};
+use bq_nn::{fit, Adam, EpochStats, Graph, NodeId, ParamStore, Tensor};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A model that exposes a policy head, a value head and an auxiliary
 /// finish-time head over a shared state representation.
@@ -111,13 +110,6 @@ pub enum Algorithm {
     IqPpo,
 }
 
-/// Optimization-epoch diagnostics: the mean over the epoch's items of each
-/// item's statistics.
-trait EpochStats: Copy + Default + Send {
-    /// Add `item / n` to `self`, field by field.
-    fn add_share(&mut self, item: Self, n: f32);
-}
-
 impl EpochStats for PpoStats {
     fn add_share(&mut self, item: Self, n: f32) {
         self.policy_loss += item.policy_loss / n;
@@ -133,85 +125,11 @@ impl EpochStats for AuxStats {
     }
 }
 
-/// Transitions evaluated per thread between two in-order merges. The
-/// gradients in flight are bounded by `threads * WINDOW_PER_THREAD`
-/// transitions' worth.
-const WINDOW_PER_THREAD: usize = 8;
-
-/// `threads`, or else the host's available parallelism.
-fn thread_count(threads: Option<usize>) -> usize {
-    threads
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-        .max(1)
-}
-
 /// `0.5 · (prediction − target)²`, the regression term of the value loss
 /// and of both auxiliary fits.
 fn half_mse(g: &mut Graph, prediction: NodeId, target: f32) -> NodeId {
     let mse = g.mse_loss(prediction, &Tensor::scalar(target));
     g.scale(mse, 0.5)
-}
-
-/// Record `loss(item)` on a fresh tape and differentiate it for every item,
-/// on `threads` threads (this one included). Then, on this thread and in
-/// item order, pass each item's statistics to `merge` and accumulate its
-/// parameter gradients into `store`.
-///
-/// `loss` returns the scalar loss node and the item's statistics; it only
-/// reads `store`. The merge performs the same f32 additions in the same
-/// order for any `threads`, so the accumulated gradients — and the
-/// statistics — are bitwise independent of the thread count.
-fn accumulate_in_order<T: Sync, S: Send>(
-    store: &mut ParamStore,
-    items: &[T],
-    threads: usize,
-    loss: impl Fn(&mut Graph, &ParamStore, &T) -> (NodeId, S) + Sync,
-    mut merge: impl FnMut(S),
-) {
-    let evaluate = |store: &ParamStore, item: &T| -> (S, Vec<(ParamId, Tensor)>) {
-        let mut g = Graph::new();
-        let (loss, stats) = loss(&mut g, store, item);
-        g.backward(loss);
-        (stats, g.into_param_grads())
-    };
-    for window in items.chunks(threads * WINDOW_PER_THREAD) {
-        let shared: &ParamStore = store;
-        let next = AtomicUsize::new(0);
-        let work = || {
-            let mut done = Vec::new();
-            loop {
-                // Each index is claimed once; the scope's join publishes the
-                // results, so no stronger ordering is needed.
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = window.get(i) else {
-                    return done;
-                };
-                done.push((i, evaluate(shared, item)));
-            }
-        };
-        let mut done = std::thread::scope(|scope| {
-            let helpers: Vec<_> = (1..threads.min(window.len()))
-                .map(|_| scope.spawn(work))
-                .collect();
-            let mut done = work();
-            for helper in helpers {
-                done.extend(
-                    helper
-                        .join()
-                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
-                );
-            }
-            done
-        });
-        // Item order, whichever thread finished first.
-        done.sort_unstable_by_key(|&(i, _)| i);
-        for (_, (stats, grads)) in done {
-            merge(stats);
-            for (id, grad) in &grads {
-                store.accumulate_grad(*id, grad);
-            }
-        }
-    }
 }
 
 /// Trainer configuration (Algorithm 1 of the paper).
@@ -326,12 +244,11 @@ impl IqPpoTrainer {
                 };
                 (g.scale(total, 1.0 / n), stats)
             };
-        let (optimizer, threads) = (&mut self.ppo_optimizer, self.threads);
-        optimize(
+        fit(
             store,
-            optimizer,
+            &mut self.ppo_optimizer,
             &items,
-            threads,
+            self.threads,
             c.epochs,
             c.max_grad_norm,
             loss,
@@ -368,26 +285,26 @@ impl IqPpoTrainer {
                     .collect();
                 self.aux_epochs(store, &items, |g, store, &(t, aux)| {
                     let pred = model.aux_prediction(g, store, &t.obs, aux.earliest_index);
-                    let fit = half_mse(g, pred, aux.finish_time);
-                    (fit, model.evaluate(g, store, &t.obs).0)
+                    let aux_loss = half_mse(g, pred, aux.finish_time);
+                    (aux_loss, model.evaluate(g, store, &t.obs).0)
                 })
             }
         }
     }
 
     /// The auxiliary phase's epochs over `items`, each a transition and its
-    /// target. `fit` records the regression term and the policy logits; the
+    /// target. `target` records the regression term and the policy logits; the
     /// loss adds the behaviour-cloning term, β_clone times the KL divergence
     /// between the transition's behaviour policy and those logits.
     fn aux_epochs<O: Sync, T: Sync>(
         &mut self,
         store: &mut ParamStore,
         items: &[(&Transition<O>, T)],
-        fit: impl Fn(&mut Graph, &ParamStore, &(&Transition<O>, T)) -> (NodeId, NodeId) + Sync,
+        target: impl Fn(&mut Graph, &ParamStore, &(&Transition<O>, T)) -> (NodeId, NodeId) + Sync,
     ) -> AuxStats {
         let (c, n) = (self.config, items.len() as f32);
         let loss = |g: &mut Graph, store: &ParamStore, item: &(&Transition<O>, T)| {
-            let (aux_loss, logits) = fit(g, store, item);
+            let (aux_loss, logits) = target(g, store, item);
             let old_probs = Tensor::row(&item.0.action_probs);
             let kl = g.kl_divergence(logits, &old_probs);
             let weighted_kl = g.scale(kl, c.beta_clone);
@@ -398,46 +315,16 @@ impl IqPpoTrainer {
             };
             (g.scale(joint, 1.0 / n), stats)
         };
-        let (optimizer, threads) = (&mut self.aux_optimizer, self.threads);
-        optimize(
+        fit(
             store,
-            optimizer,
+            &mut self.aux_optimizer,
             items,
-            threads,
+            self.threads,
             c.aux_epochs,
             c.ppo.max_grad_norm,
             loss,
         )
     }
-}
-
-/// `epochs` optimization epochs of `loss` over `items`, each: zero the
-/// gradients, accumulate every item's in item order, clip them to
-/// `max_grad_norm` and step `optimizer`. Returns the last epoch's
-/// statistics, or the default at once when there are no items.
-fn optimize<T: Sync, S: EpochStats>(
-    store: &mut ParamStore,
-    optimizer: &mut Adam,
-    items: &[T],
-    threads: Option<usize>,
-    epochs: usize,
-    max_grad_norm: f32,
-    loss: impl Fn(&mut Graph, &ParamStore, &T) -> (NodeId, S) + Sync,
-) -> S {
-    let mut stats = S::default();
-    if items.is_empty() {
-        return stats;
-    }
-    let (threads, n) = (thread_count(threads), items.len() as f32);
-    for _ in 0..epochs {
-        store.zero_grads();
-        let mut epoch = S::default();
-        accumulate_in_order(store, items, threads, &loss, |s| epoch.add_share(s, n));
-        store.clip_grad_norm(max_grad_norm);
-        optimizer.step(store);
-        stats = epoch;
-    }
-    stats
 }
 
 #[cfg(test)]
@@ -447,7 +334,6 @@ mod tests {
     use bq_nn::{Activation, Mlp};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use std::sync::{Barrier, Condvar, Mutex};
 
     /// A tiny contextual-bandit model: observation = context index (one-hot of
     /// 4), 4 actions, reward 1 when action == context.
@@ -777,37 +663,6 @@ mod tests {
                     "{algorithm:?} on {threads} threads differs from 1 thread"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn merge_follows_item_order_not_completion_order() {
-        let mut store = ParamStore::new();
-        let w = store.add("w", Tensor::scalar(1.0));
-        for threads in [1, 2, 3] {
-            // Whole windows, so every group below is complete.
-            let items: Vec<usize> = (0..2 * threads * WINDOW_PER_THREAD).collect();
-            // Each group of `threads` consecutive items meets at the barrier,
-            // so every thread holds one of them; then the group finishes in
-            // reverse, the last item first.
-            let barrier = Barrier::new(threads);
-            let finished = (Mutex::new(0usize), Condvar::new());
-            let loss = |g: &mut Graph, store: &ParamStore, &i: &usize| {
-                barrier.wait();
-                let (count, turn) = &finished;
-                let mut count = count.lock().expect("no thread panics holding it");
-                while *count % threads != threads - 1 - i % threads {
-                    count = turn.wait(count).expect("no thread panics holding it");
-                }
-                *count += 1;
-                turn.notify_all();
-                drop(count);
-                let wi = g.param(store, w);
-                (g.scale(wi, 1.0 / (i + 1) as f32), i)
-            };
-            let mut merged = Vec::new();
-            accumulate_in_order(&mut store, &items, threads, loss, |i| merged.push(i));
-            assert_eq!(merged, items, "{threads} threads");
         }
     }
 }

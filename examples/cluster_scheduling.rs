@@ -56,7 +56,6 @@ fn main() {
             dim: 16,
             heads: 2,
             blocks: 1,
-            tree_bias_per_hop: 0.5,
         },
         state_encoder: StateEncoderConfig {
             dim: 16,

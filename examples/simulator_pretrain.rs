@@ -26,7 +26,6 @@ fn main() {
             dim: 16,
             heads: 2,
             blocks: 1,
-            tree_bias_per_hop: 0.5,
         },
         state_encoder: StateEncoderConfig {
             dim: 16,
@@ -47,7 +46,7 @@ fn main() {
         },
         ..SimulatorConfig::default()
     };
-    let samples = samples_from_history(&workload, &history, agent.plan_embeddings(), &sim_config);
+    let samples = samples_from_history(&workload, &history, agent.plan_embeddings());
     println!(
         "extracted {} supervised samples from {} logged rounds",
         samples.len(),

@@ -22,7 +22,6 @@ fn small_config() -> BqSchedConfig {
             dim: 16,
             heads: 2,
             blocks: 1,
-            tree_bias_per_hop: 0.5,
         },
         state_encoder: StateEncoderConfig {
             dim: 16,

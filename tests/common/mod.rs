@@ -33,7 +33,6 @@ pub fn simulator_parts(workload: &Workload) -> (SimulatorModel, Tensor, Vec<f64>
             dim: 16,
             heads: 2,
             blocks: 1,
-            tree_bias_per_hop: 0.5,
         },
         &mut rng,
     );

@@ -11,12 +11,12 @@ use bqsched::core::{
 };
 use bqsched::dbms::{DbmsProfile, MemoryGrant, RunParams};
 use bqsched::encoder::{PlanEncoderConfig, StateEncoderConfig};
-use bqsched::nn::Adam;
+use bqsched::nn::{Adam, ParamStore};
 use bqsched::plan::{generate, perturb_query_set, Benchmark, QueryId, WorkloadSpec};
 use bqsched::rl::{IqPpoTrainer, RolloutBuffer};
 use bqsched::sched::{
-    samples_from_history, train_on_dbms, Algorithm, BqSchedAgent, BqSchedConfig, SimulatorConfig,
-    SimulatorModel, TrainingConfig,
+    gains_from_history, samples_from_history, train_on_dbms, Algorithm, BqSchedAgent,
+    BqSchedConfig, GainPredictor, SimulatorConfig, SimulatorModel, TrainingConfig,
 };
 
 fn small_agent_config() -> BqSchedConfig {
@@ -25,7 +25,6 @@ fn small_agent_config() -> BqSchedConfig {
             dim: 16,
             heads: 2,
             blocks: 1,
-            tree_bias_per_hop: 0.5,
         },
         state_encoder: StateEncoderConfig {
             dim: 16,
@@ -174,7 +173,7 @@ fn simulator_pipeline_produces_consistent_episodes() {
         },
         ..SimulatorConfig::default()
     };
-    let samples = samples_from_history(&workload, &history, agent.plan_embeddings(), &sim_config);
+    let samples = samples_from_history(&workload, &history, agent.plan_embeddings());
     assert!(!samples.is_empty());
     let mut sim = SimulatorModel::new(agent.plan_embeddings().cols(), sim_config, 0);
     let metrics = sim.train(&samples[..samples.len().min(40)], 3, 0.01);
@@ -281,6 +280,61 @@ fn training_fingerprint_matches_golden() {
             makespan.to_bits(),
         ));
     }
+    fields.extend(gain_and_simulator_fields(&workload, &profile, &history));
     let json = format!("{{\n{}\n}}\n", fields.join(",\n"));
     common::assert_matches_golden("training_tpch_fingerprint.json", &json);
+}
+
+/// The fingerprint entries of the other two fits on the same TPC-H history:
+/// the gain predictor (30 epochs over the observed pairs, as the agent's
+/// clustering runs it) and the simulator model, trained jointly and
+/// sequentially (3 epochs over 40 samples), over the quick agent's
+/// cost-pre-trained plan embeddings.
+fn gain_and_simulator_fields(
+    workload: &bqsched::plan::Workload,
+    profile: &DbmsProfile,
+    history: &bqsched::core::ExecutionHistory,
+) -> Vec<String> {
+    let config = RunScale::Quick.agent_config();
+    let agent = BqSchedAgent::new(workload, profile, Some(history), config.clone());
+    let embs = agent.plan_embeddings();
+    let bits = |store: &ParamStore| {
+        let params = store.iter().flat_map(|(_, p)| p.value.data());
+        format!("{:016x}", fnv1a(params.map(|x| x.to_bits())))
+    };
+
+    let gains = gains_from_history(history, workload.len());
+    let mut store = ParamStore::new();
+    let predictor = GainPredictor::new(
+        &mut store,
+        embs.cols(),
+        &mut bqsched::encoder::seeded_rng(3),
+    );
+    let mse = predictor.train(&mut store, embs, &gains, 30, 0.01);
+    let mut fields = vec![format!(
+        "  \"gain\": {{\"params_fnv\": \"{}\", \"mse_bits\": \"{:016x}\", \"mse\": {mse}}}",
+        bits(&store),
+        mse.to_bits(),
+    )];
+
+    let samples = samples_from_history(workload, history, embs);
+    let mut phases = Vec::new();
+    for (name, multitask) in [("joint", true), ("sequential", false)] {
+        let sim_config = SimulatorConfig {
+            encoder: config.state_encoder,
+            multitask,
+            ..SimulatorConfig::default()
+        };
+        let mut sim = SimulatorModel::new(embs.cols(), sim_config, 5);
+        let metrics = sim.train(&samples[..40], 3, 0.01);
+        phases.push(format!(
+            "\"{name}_params_fnv\": \"{}\", \"{name}_accuracy_bits\": \"{:016x}\", \
+             \"{name}_mse_bits\": \"{:016x}\"",
+            bits(&sim.store),
+            metrics.accuracy.to_bits(),
+            metrics.mse.to_bits(),
+        ));
+    }
+    fields.push(format!("  \"simulator\": {{{}}}", phases.join(", ")));
+    fields
 }
