@@ -284,19 +284,6 @@ impl<B: ExecutorBackend> AsyncAdapter<B> {
         &self.inner
     }
 
-    /// Unwrap the adapter.
-    ///
-    /// # Panics
-    /// Panics if submissions are still queued or awaiting admission — they
-    /// would be lost.
-    pub fn into_inner(self) -> B {
-        assert!(
-            self.admissions.is_empty() && self.queued.is_empty(),
-            "cannot unwrap an adapter with undelivered submissions"
-        );
-        self.inner
-    }
-
     /// Submissions waiting in the backpressure queue (claimed by the
     /// session, not yet dispatched into the in-flight window).
     pub fn backpressured(&self) -> usize {

@@ -386,7 +386,10 @@ mod tests {
     #[test]
     fn throughput_direction_is_higher_is_better_with_a_widened_margin() {
         assert!(higher_is_better("throughput_decisions_per_sec"));
-        assert_eq!(tolerance_for("throughput_events_per_sec", 0.10), 0.75);
+        assert_eq!(
+            tolerance_for("throughput_greedy_decisions_per_sec", 0.10),
+            0.75
+        );
         assert_eq!(tolerance_for("makespan_a", 0.10), 0.10);
         let base = summary(&[("throughput_decisions_per_sec", 1000.0)]);
         // Wall-clock rates breathe with the runner: even a halving stays

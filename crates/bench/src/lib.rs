@@ -19,17 +19,13 @@
 
 use bq_adapter::{AsyncAdapter, DispatchProfile};
 use bq_chaos::{ChaosBackend, FaultSchedule, FaultSpec};
-use bq_core::FaultEvent;
 use bq_core::{
-    collect_history, degraded_evaluation, evaluate_strategy, mean, ExecEvent, ExecutionHistory,
-    ExecutorBackend, FaultAwareRouter, FifoScheduler, FirstFreeRouter, GanttChart, HashRouter,
-    LeastLoadedRouter, McfScheduler, RandomScheduler, RecoveryPolicy, SchedulerPolicy, ShardRouter,
-    ShardTopology, StrategyEvaluation,
+    collect_history, degraded_evaluation, evaluate_strategy, mean, ExecutionHistory,
+    FaultAwareRouter, FifoScheduler, FirstFreeRouter, GanttChart, HashRouter, LeastLoadedRouter,
+    McfScheduler, RandomScheduler, RecoveryPolicy, SchedulerPolicy, ShardRouter,
+    StrategyEvaluation,
 };
-use bq_dbms::{
-    AdvanceStall, ConnectionSlot, DbmsKind, DbmsProfile, ExecutionEngine, QueryCompletion,
-    RunParams, ShardedEngine,
-};
+use bq_dbms::{DbmsKind, DbmsProfile, ExecutionEngine, ShardedEngine};
 use bq_encoder::{PlanEncoderConfig, StateEncoderConfig};
 use bq_obs::{Obs, SystemClock, WallClock};
 use bq_plan::{generate, perturb_query_set, Benchmark, QueryId, Workload, WorkloadSpec};
@@ -507,70 +503,10 @@ pub fn table3(scale: RunScale) -> BenchReport {
     report
 }
 
-/// An [`ExecutorBackend`] decorator that counts [`ExecutorBackend::poll_event`]
-/// calls, so the throughput cell can report events processed per wall-clock
-/// second without touching the backend's behaviour.
-struct CountingBackend<B> {
-    inner: B,
-    events: usize,
-}
-
-impl<B: ExecutorBackend> ExecutorBackend for CountingBackend<B> {
-    fn connections(&self) -> &[ConnectionSlot] {
-        self.inner.connections()
-    }
-
-    fn now(&self) -> f64 {
-        self.inner.now()
-    }
-
-    fn submit(&mut self, query: QueryId, params: RunParams, connection: usize) {
-        self.inner.submit(query, params, connection);
-    }
-
-    fn submit_batch(&mut self, batch: &[(QueryId, RunParams, usize)]) {
-        self.inner.submit_batch(batch);
-    }
-
-    fn poll_event(&mut self) -> ExecEvent {
-        self.events += 1;
-        self.inner.poll_event()
-    }
-
-    fn events_pending(&self) -> bool {
-        self.inner.events_pending()
-    }
-
-    fn advance_to(&mut self, until: f64) {
-        self.inner.advance_to(until);
-    }
-
-    fn cancel(&mut self, connection: usize) -> Option<QueryCompletion> {
-        self.inner.cancel(connection)
-    }
-
-    fn stall_diagnostic(&self) -> Option<AdvanceStall> {
-        self.inner.stall_diagnostic()
-    }
-
-    fn shard_topology(&self) -> ShardTopology {
-        self.inner.shard_topology()
-    }
-
-    fn poll_fault(&mut self) -> Option<FaultEvent> {
-        self.inner.poll_fault()
-    }
-
-    fn known_query_count(&self) -> Option<usize> {
-        self.inner.known_query_count()
-    }
-}
-
 /// Wall-clock throughput of the core scheduling loop: decisions committed
-/// and backend events processed per second of real time, measured over FIFO
-/// episodes on the given setup, plus the decisions per second of the real
-/// policy path — a quick-config BQSched agent acting greedily over the same
-/// rounds. Unlike every other gate metric these are **wall-clock** rates —
+/// per second of real time, measured over FIFO episodes on the given setup,
+/// plus the decisions per second of the real policy path — a quick-config
+/// BQSched agent acting greedily over the same rounds. Unlike every other gate metric these are **wall-clock** rates —
 /// the `throughput` prefix both inverts the gate's direction (higher is
 /// better) and widens its margin ([`gate::tolerance_for`]) — so the cell
 /// catches an order-of-magnitude slowdown of the loop itself, which
@@ -587,45 +523,34 @@ pub fn throughput_metrics(setup: &Setup) -> Vec<(String, f64)> {
     // gate's widened throughput tolerance absorbs that spread.
     const WARMUP_ROUNDS: u64 = 16;
     const MEASURED_ROUNDS: u64 = 128;
-    let run_round = |seed: u64, policy: &mut dyn SchedulerPolicy| -> (usize, usize) {
-        let mut backend = CountingBackend {
-            inner: ExecutionEngine::new(setup.profile.clone(), &setup.workload, seed),
-            events: 0,
-        };
-        let log = bq_core::ScheduleSession::builder(&setup.workload)
+    let run_round = |seed: u64, policy: &mut dyn SchedulerPolicy| -> usize {
+        let mut engine = ExecutionEngine::new(setup.profile.clone(), &setup.workload, seed);
+        bq_core::ScheduleSession::builder(&setup.workload)
             .dbms(setup.profile.kind)
             .round(seed)
-            .build(&mut backend)
-            .run(policy);
-        (log.len(), backend.events)
+            .build(&mut engine)
+            .run(policy)
+            .len()
     };
-    // Decisions and events over the measured rounds, and their wall seconds.
-    let measure = |policy: &mut dyn SchedulerPolicy| -> (usize, usize, f64) {
+    // Decisions over the measured rounds, and their wall seconds.
+    let measure = |policy: &mut dyn SchedulerPolicy| -> (usize, f64) {
         for seed in 0..WARMUP_ROUNDS {
             run_round(seed, policy);
         }
-        let mut decisions = 0usize;
-        let mut events = 0usize;
         let clock = SystemClock::new();
-        for seed in 0..MEASURED_ROUNDS {
-            let (d, e) = run_round(seed, policy);
-            decisions += d;
-            events += e;
-        }
-        (decisions, events, clock.now_seconds().max(1e-9))
+        let decisions = (0..MEASURED_ROUNDS)
+            .map(|seed| run_round(seed, policy))
+            .sum();
+        (decisions, clock.now_seconds().max(1e-9))
     };
-    let (decisions, events, elapsed) = measure(&mut FifoScheduler::new());
+    let (decisions, elapsed) = measure(&mut FifoScheduler::new());
     let mut agent = setup.agent(setup.scale.agent_config());
     agent.explore = false;
-    let (greedy_decisions, _, greedy_elapsed) = measure(&mut agent);
+    let (greedy_decisions, greedy_elapsed) = measure(&mut agent);
     vec![
         (
             "throughput_decisions_per_sec".to_string(),
             decisions as f64 / elapsed,
-        ),
-        (
-            "throughput_events_per_sec".to_string(),
-            events as f64 / elapsed,
         ),
         (
             "throughput_greedy_decisions_per_sec".to_string(),
@@ -1018,14 +943,12 @@ pub fn fig6(scale: RunScale) -> BenchReport {
         RunScale::Full => 2000,
     };
     sim.train(&samples[..samples.len().min(sample_cap)], 6, 0.01);
-    let embs = pretrained.plan_embeddings().clone();
     let pre_curve = pretrain_on_simulator(
         &mut pretrained,
         &setup.workload,
         &sim,
-        &embs,
         &setup.history,
-        setup.profile.connections,
+        &setup.profile,
         &tc,
     );
     let finetune_tc = TrainingConfig {

@@ -16,7 +16,7 @@ use bq_core::{
     Action, EpisodeLog, ExecutionHistory, ExecutorBackend, QueryRuntime, QueryStatus,
     ScheduleSession, SchedulerPolicy, SchedulingState, SystemClock, WallClock,
 };
-use bq_dbms::{DbmsProfile, ExecutionEngine, ParamSpace, RunParams};
+use bq_dbms::{DbmsKind, DbmsProfile, ExecutionEngine, ParamSpace, RunParams};
 use bq_encoder::{
     write_state_features, EncodedObservation, InputRowCache, PlanEncoder, PlanEncoderConfig,
     StateEncoder, StateEncoderConfig, STATE_FEATURE_DIM, TIME_SCALE,
@@ -467,11 +467,6 @@ impl BqSchedAgent {
         self.clustering.num_clusters()
     }
 
-    /// The query clustering currently in use.
-    pub fn clustering(&self) -> &QueryClustering {
-        &self.clustering
-    }
-
     /// The adaptive mask currently in use.
     pub fn adaptive_mask(&self) -> &AdaptiveMask {
         &self.mask
@@ -810,9 +805,9 @@ impl Default for TrainingConfig {
 /// Train `agent` by interacting with executors produced by `make_executor`
 /// (a fresh executor per scheduling round — either the simulated DBMS or the
 /// learned incremental simulator). Every round is driven through a
-/// [`ScheduleSession`], so the training loop is identical for every backend,
-/// and one [`IqPpoTrainer`] of `agent.config.algorithm` trains every
-/// algorithm.
+/// [`ScheduleSession`] labelled with `dbms`, so the training loop is
+/// identical for every backend, and one [`IqPpoTrainer`] of
+/// `agent.config.algorithm` trains every algorithm.
 ///
 /// [`TrainingCurve::wall_seconds`] reports real training cost (the paper's
 /// Figure 6 axis) from a [`SystemClock`]. The loop reads it once, at the
@@ -822,6 +817,7 @@ pub fn train_agent_with<E, F>(
     agent: &mut BqSchedAgent,
     workload: &Workload,
     history: Option<&ExecutionHistory>,
+    dbms: DbmsKind,
     tc: &TrainingConfig,
     mut make_executor: F,
 ) -> TrainingCurve
@@ -848,7 +844,7 @@ where
                 round_seed += 1;
                 ScheduleSession::builder(workload)
                     .maybe_history(history)
-                    .dbms(bq_dbms::DbmsKind::X)
+                    .dbms(dbms)
                     .round(round_seed)
                     .build(&mut executor)
                     .run(agent);
@@ -872,7 +868,7 @@ where
             let mut executor = make_executor(10_000 + r);
             let log = ScheduleSession::builder(workload)
                 .maybe_history(history)
-                .dbms(bq_dbms::DbmsKind::X)
+                .dbms(dbms)
                 .round(r)
                 .build(&mut executor)
                 .run(agent);
@@ -901,27 +897,35 @@ pub fn train_on_dbms(
     history: Option<&ExecutionHistory>,
     tc: &TrainingConfig,
 ) -> TrainingCurve {
-    train_agent_with(agent, workload, history, tc, |seed| {
+    train_agent_with(agent, workload, history, profile.kind, tc, |seed| {
         ExecutionEngine::new(profile.clone(), workload, seed)
     })
 }
 
 /// Pre-train the agent against the learned incremental simulator (the first
-/// phase of the paper's two-phase training paradigm).
+/// phase of the paper's two-phase training paradigm). The simulator reads
+/// the agent's own plan embeddings, so both models describe queries in the
+/// same space, and models `profile`'s connections.
 pub fn pretrain_on_simulator(
     agent: &mut BqSchedAgent,
     workload: &Workload,
     simulator: &SimulatorModel,
-    plan_embs: &Tensor,
     history: &ExecutionHistory,
-    connections: usize,
+    profile: &DbmsProfile,
     tc: &TrainingConfig,
 ) -> TrainingCurve {
+    let plan_embs = agent.plan_embeddings().clone();
     let avg: Vec<f64> = (0..workload.len())
         .map(|i| history.avg_exec_time(QueryId(i)).unwrap_or(1.0))
         .collect();
-    train_agent_with(agent, workload, Some(history), tc, |_seed| {
-        LearnedSimulator::new(simulator, workload, plan_embs, avg.clone(), connections)
+    train_agent_with(agent, workload, Some(history), profile.kind, tc, |_seed| {
+        LearnedSimulator::new(
+            simulator,
+            workload,
+            &plan_embs,
+            avg.clone(),
+            profile.connections,
+        )
     })
 }
 
@@ -931,11 +935,6 @@ impl BqSchedAgent {
     /// Per-query plan embeddings `[n, plan_dim]`.
     pub fn plan_embeddings(&self) -> &Tensor {
         &self.plan_embs
-    }
-
-    /// Historical average execution times used by the agent.
-    pub fn avg_times(&self) -> &[f64] {
-        &self.avg_times
     }
 }
 
@@ -1163,7 +1162,6 @@ mod tests {
                 workload: w,
                 now: 0.5,
                 queries: &queries,
-                free_connection: 0,
             };
             out.push(agent.build_obs(&state));
         }

@@ -172,7 +172,8 @@ impl GainPredictor {
         g.value(gain).item() as f64
     }
 
-    /// Train on the observed pairs of `matrix` and return the final MSE.
+    /// Train on the observed pairs of `matrix` and return the last epoch's
+    /// mean squared error, taken before that epoch's Adam step.
     pub fn train(
         &self,
         store: &mut ParamStore,

@@ -322,7 +322,6 @@ pub fn samples_from_history(
                 workload,
                 now: t,
                 queries: &runtimes,
-                free_connection: 0,
             };
             let obs = EncodedObservation::from_state(&state, plan_embs);
             let Some(target_position) = obs.running.iter().position(|&q| q == earliest.query.0)
@@ -449,7 +448,6 @@ impl<'a> LearnedSimulator<'a> {
             workload: self.workload,
             now: self.now,
             queries: &self.runtimes,
-            free_connection: 0,
         };
         let obs = EncodedObservation::from_state(&state, self.plan_embs);
         let (position, norm_time) = self.model.predict(&obs);

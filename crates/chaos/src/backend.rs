@@ -159,16 +159,6 @@ impl<B: ExecutorBackend> ChaosBackend<B> {
         self.obs = obs;
     }
 
-    /// The decorated backend.
-    pub fn inner(&self) -> &B {
-        &self.inner
-    }
-
-    /// Completions currently withheld by a stalled shard.
-    pub fn withheld(&self) -> usize {
-        self.held.len()
-    }
-
     /// Queue every timeline event whose onset the observable clock has
     /// crossed.
     fn sync_timeline(&mut self) {
@@ -195,7 +185,7 @@ impl<B: ExecutorBackend> ChaosBackend<B> {
 
     /// Shard owning `connection` under the inner topology.
     fn shard_of(&self, connection: usize) -> usize {
-        connection / self.inner.shard_topology().connections_per_shard()
+        self.inner.shard_topology().shard_of(connection)
     }
 
     /// Whether `shard` is dead by `instant`.

@@ -163,7 +163,6 @@ mod tests {
             workload: w,
             now: 0.0,
             queries,
-            free_connection: 0,
         }
     }
 

@@ -589,7 +589,6 @@ impl<'a, E: ExecutorBackend> ScheduleSession<'a, E> {
                 workload: self.workload,
                 now,
                 queries: &self.runtimes,
-                free_connection: free,
             };
             let action = policy.select(&state);
             assert!(

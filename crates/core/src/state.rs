@@ -74,8 +74,6 @@ pub struct SchedulingState<'a> {
     pub now: f64,
     /// Runtime info per query, indexed by `QueryId.0`.
     pub queries: &'a [QueryRuntime],
-    /// The connection that is free and waiting for a query.
-    pub free_connection: usize,
 }
 
 impl<'a> SchedulingState<'a> {
@@ -146,7 +144,6 @@ mod tests {
             workload: &w,
             now: 5.0,
             queries: &queries,
-            free_connection: 0,
         };
         assert_eq!(state.pending_count(), w.len() - 2);
         assert_eq!(state.first_pending(), Some(QueryId(2)));

@@ -28,11 +28,6 @@ impl BufferPool {
         }
     }
 
-    /// Total capacity in pages.
-    pub fn capacity(&self) -> f64 {
-        self.capacity_pages
-    }
-
     /// Pages currently cached across all tables.
     pub fn used(&self) -> f64 {
         self.entries.iter().map(|(_, p)| *p).sum()

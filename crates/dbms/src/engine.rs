@@ -276,23 +276,14 @@ impl ExecutionEngine {
     }
 
     /// Number of queries currently executing.
-    pub(crate) fn busy_count(&self) -> usize {
+    fn busy_count(&self) -> usize {
         self.slots.iter().filter(|s| !s.is_free()).count()
     }
 
     /// Pop one buffered submission echo `(query, connection)` without
-    /// advancing virtual time. The sharded backend drains a shard's echo at
-    /// the submit site and re-buffers it under the global connection id.
-    pub(crate) fn pop_submit_echo(&mut self) -> Option<(QueryId, usize)> {
+    /// advancing virtual time.
+    fn pop_submit_echo(&mut self) -> Option<(QueryId, usize)> {
         self.submitted_events.pop_front()
-    }
-
-    /// Pop one already-buffered completion **without** advancing virtual
-    /// time; `None` when no completion is buffered. The sharded backend uses
-    /// this to harvest a shard's same-instant batch after a bounded advance,
-    /// keeping the decision to advance time with the cross-shard merge.
-    pub(crate) fn pop_buffered_completion(&mut self) -> Option<QueryCompletion> {
-        self.completion_events.pop_front()
     }
 
     /// Per-connection (cpu_rate, io_rate) under the current mix, in work
@@ -1004,19 +995,29 @@ mod tests {
     }
 
     #[test]
-    fn pop_buffered_completion_never_advances_time() {
+    fn a_buffered_completion_polls_without_advancing_time() {
+        // The sharded engine harvests a shard after a bounded advance with
+        // `events_pending` + `poll_event`, so a poll answered from the
+        // buffer must never move the clock.
         let w = tpch_workload();
         let mut e = ExecutionEngine::new(DbmsProfile::dbms_x(), &w, 1);
-        assert!(e.pop_buffered_completion().is_none());
+        assert!(!e.events_pending());
         e.submit(QueryId(0), default_params(), 0);
-        // Nothing buffered yet: popping must not advance the clock.
-        assert!(e.pop_buffered_completion().is_none());
+        assert!(e.events_pending(), "the submission echo is buffered");
+        assert!(matches!(e.poll_event(), ExecEvent::Submitted { .. }));
+        // Nothing buffered now, and checking must not advance the clock.
+        assert!(!e.events_pending());
         assert_eq!(e.now(), 0.0);
         e.advance_to(f64::INFINITY);
-        let c = e.pop_buffered_completion().expect("advance buffered it");
+        assert!(e.events_pending(), "the advance buffered the completion");
+        let before = e.now();
+        let ExecEvent::Completed(c) = e.poll_event() else {
+            panic!("expected the buffered completion");
+        };
         assert_eq!(c.query, QueryId(0));
-        assert_eq!(c.finished_at, e.now());
-        assert!(e.pop_buffered_completion().is_none());
+        assert_eq!(c.finished_at, before);
+        assert_eq!(e.now(), before, "polling a buffered event keeps the clock");
+        assert!(!e.events_pending());
     }
 
     #[test]
@@ -1053,8 +1054,8 @@ mod tests {
         stalled_engine().advance_to(1e18);
     }
 
-    // Release-only: in debug the debug_assert fires first. CI runs this via
-    // a dedicated `cargo test --release` step on the stall tests.
+    // Release-only: in debug the debug_assert fires first. CI runs it in the
+    // release test step, which runs all of bq-dbms.
     #[cfg(not(debug_assertions))]
     #[test]
     fn exhausted_advance_budget_is_diagnosed_not_silent() {

@@ -22,9 +22,10 @@
 //!   resource-*sharing* dynamics;
 //! * [`engine`] — the event-driven concurrent execution engine providing the
 //!   resource-*contention* and long-tail dynamics;
-//! * [`shard`] — the sharded multi-engine backend: N independent engines
-//!   behind one connection-slot space with a deterministic cross-shard
-//!   event merge (interference stays intra-shard).
+//! * [`shard`] — the sharded multi-engine backend: N independent engines,
+//!   each driven through [`ExecutorBackend`] like any other backend, behind
+//!   one connection-slot space with a deterministic cross-shard event merge
+//!   (interference stays intra-shard).
 //!
 //! Any of these backends can also be hosted behind the framed wire
 //! protocol of the `bq-wire` crate, which serializes this crate's types

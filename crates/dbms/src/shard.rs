@@ -77,11 +77,13 @@ const SHARD_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 ///
 /// See the [module docs](self) for the slot mapping, the deterministic event
 /// merge and the stall aggregation. Like [`ExecutionEngine`], it is driven
-/// through [`ExecutorBackend`].
+/// through [`ExecutorBackend`], and it drives each shard through the same
+/// trait.
 #[derive(Debug)]
 pub struct ShardedEngine {
     shards: Vec<ExecutionEngine>,
-    per_shard: usize,
+    /// The global slot space's partition into one block per shard.
+    topology: ShardTopology,
     /// Session-observable virtual time: the instant of the last delivered
     /// event or the last bounded advance, never ahead of any undelivered
     /// completion.
@@ -117,10 +119,11 @@ impl ShardedEngine {
                 ExecutionEngine::new(profile.clone(), workload, shard_seed)
             })
             .collect();
-        let total = per_shard * shards;
+        let topology = ShardTopology::uniform(shards, per_shard);
+        let total = topology.connection_count();
         Self {
             shards: engines,
-            per_shard,
+            topology,
             clock: 0.0,
             mirror: vec![ConnectionSlot::Free; total],
             pending: Vec::with_capacity(total),
@@ -154,32 +157,6 @@ impl ShardedEngine {
         self.harvest(s);
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Connection slots each shard contributes to the global space.
-    pub fn connections_per_shard(&self) -> usize {
-        self.per_shard
-    }
-
-    /// Shard owning a global connection id.
-    pub fn shard_of(&self, connection: usize) -> usize {
-        connection / self.per_shard
-    }
-
-    /// Shard-local slot of a global connection id.
-    pub fn local_of(&self, connection: usize) -> usize {
-        connection % self.per_shard
-    }
-
-    /// Global connection id of `local` on `shard`.
-    pub fn global_of(&self, shard: usize, local: usize) -> usize {
-        debug_assert!(shard < self.shards.len() && local < self.per_shard);
-        shard * self.per_shard + local
-    }
-
     /// Shrink every shard's advance-loop iteration budget (tests only) so
     /// the aggregated stall path is reachable without broken dynamics.
     #[doc(hidden)]
@@ -197,12 +174,24 @@ impl ShardedEngine {
         self.shards[shard].force_advance_budget(budget);
     }
 
+    /// Whether shard `s` has a query running on it.
+    fn shard_busy(&self, s: usize) -> bool {
+        self.shards[s]
+            .connections()
+            .iter()
+            .any(|slot| !slot.is_free())
+    }
+
     /// Translate and collect shard `s`'s buffered completions into the merge
-    /// set. Submission echoes are harvested at the submit site, so only
+    /// set. Polling a buffered event never advances a shard's clock, and
+    /// submission echoes are consumed at the submit site, so only
     /// completions flow through here.
     fn harvest(&mut self, s: usize) {
-        let offset = s * self.per_shard;
-        while let Some(mut completion) = self.shards[s].pop_buffered_completion() {
+        let offset = self.topology.range_of(s).start;
+        while self.shards[s].events_pending() {
+            let ExecEvent::Completed(mut completion) = self.shards[s].poll_event() else {
+                unreachable!("a shard's only buffered events after an advance are completions");
+            };
             completion.connection += offset;
             // The mirror's stamp is the observable submission instant; it
             // differs from the shard's own stamp only when the submission
@@ -240,7 +229,7 @@ impl ShardedEngine {
     }
 
     fn shard_has_pending(&self, s: usize) -> bool {
-        let range = s * self.per_shard..(s + 1) * self.per_shard;
+        let range = self.topology.range_of(s);
         self.pending.iter().any(|c| range.contains(&c.connection))
     }
 }
@@ -287,8 +276,8 @@ impl ExecutorBackend for ShardedEngine {
             self.mirror[connection].is_free(),
             "connection {connection} is busy"
         );
-        let s = self.shard_of(connection);
-        let local = self.local_of(connection);
+        let s = self.topology.shard_of(connection);
+        let local = connection % self.topology.connections_per_shard();
         if self.shards[s].now() < self.clock {
             self.shards[s].advance_to(self.clock);
             self.harvest(s);
@@ -310,11 +299,17 @@ impl ExecutorBackend for ShardedEngine {
             }
         }
         self.mirror[connection] = slot;
-        let (echo_query, echo_local) = self.shards[s]
-            .pop_submit_echo()
-            .expect("submit buffers exactly one echo");
-        debug_assert_eq!(echo_local, local);
-        self.submitted.push_back((echo_query, connection));
+        // The shard buffers exactly one echo, and the poll right after the
+        // submit returns it without advancing the shard.
+        let echo = self.shards[s].poll_event();
+        debug_assert_eq!(
+            echo,
+            ExecEvent::Submitted {
+                query,
+                connection: local
+            }
+        );
+        self.submitted.push_back((query, connection));
     }
 
     /// Cancel whatever observably runs on global `connection`, freeing it at
@@ -350,8 +345,8 @@ impl ExecutorBackend for ShardedEngine {
             // cancelled here.
             self.pending.swap_remove(idx);
         } else {
-            let s = self.shard_of(connection);
-            let local = self.local_of(connection);
+            let s = self.topology.shard_of(connection);
+            let local = connection % self.topology.connections_per_shard();
             let cancelled = self.shards[s].cancel(local);
             debug_assert!(cancelled.is_some(), "busy mirror implies a busy shard slot");
         }
@@ -386,7 +381,7 @@ impl ExecutorBackend for ShardedEngine {
                     // recorded `AdvanceStall` is the loud signal instead.
                     let mut any_busy = false;
                     for s in 0..self.shards.len() {
-                        if self.shards[s].busy_count() == 0 {
+                        if !self.shard_busy(s) {
                             continue;
                         }
                         any_busy = true;
@@ -416,7 +411,7 @@ impl ExecutorBackend for ShardedEngine {
                     // first cannot change it.
                     let mut advanced = false;
                     for s in 0..self.shards.len() {
-                        if self.shards[s].busy_count() > 0
+                        if self.shard_busy(s)
                             && self.shards[s].now() + TIME_EPS < t
                             && !self.shard_has_pending(s)
                             && self.shards[s].stall_diagnostic().is_none()
@@ -473,7 +468,7 @@ impl ExecutorBackend for ShardedEngine {
             return;
         }
         for s in 0..self.shards.len() {
-            if self.shards[s].busy_count() > 0 {
+            if self.shard_busy(s) {
                 self.advance_shard(s, bound);
             } else {
                 // An idle shard only syncs its clock to a finite bound; it
@@ -494,11 +489,9 @@ impl ExecutorBackend for ShardedEngine {
             // than on the bound so a single-shard deployment reports the
             // exact instant the monolithic engine would. Shards that ran
             // ahead mid-merge must not drag the clock past the bound.
-            let frontier = self
-                .shards
-                .iter()
-                .filter(|e| e.busy_count() > 0)
-                .map(ExecutionEngine::now)
+            let frontier = (0..self.shards.len())
+                .filter(|&s| self.shard_busy(s))
+                .map(|s| self.shards[s].now())
                 .min_by(|a, b| a.partial_cmp(b).expect("clocks are finite"))
                 .unwrap_or(bound);
             self.clock = self.clock.max(frontier.min(bound));
@@ -530,7 +523,7 @@ impl ExecutorBackend for ShardedEngine {
     /// The uniform partition: one block of `connections_per_shard` slots per
     /// shard.
     fn shard_topology(&self) -> ShardTopology {
-        ShardTopology::uniform(self.shard_count(), self.connections_per_shard())
+        self.topology
     }
 
     /// Number of queries in the workload the shards were built for (every
@@ -566,20 +559,27 @@ mod tests {
         }
     }
 
+    /// Global connection id of shard-local slot `local` on `shard`.
+    fn global_of(e: &ShardedEngine, shard: usize, local: usize) -> usize {
+        e.shard_topology().range_of(shard).start + local
+    }
+
     #[test]
     fn slot_mapping_round_trips() {
         let w = tpch_workload();
         let e = ShardedEngine::new(DbmsProfile::dbms_x(), &w, 0, 4);
-        assert_eq!(e.shard_count(), 4);
-        assert_eq!(e.connections_per_shard(), 18);
+        let topo = e.shard_topology();
+        assert_eq!(topo.shard_count(), 4);
+        assert_eq!(topo.connections_per_shard(), 18);
         assert_eq!(e.connection_count(), 72);
         for conn in 0..72 {
-            let (s, l) = (e.shard_of(conn), e.local_of(conn));
+            let s = topo.shard_of(conn);
+            let l = conn - topo.range_of(s).start;
             assert!(s < 4 && l < 18);
-            assert_eq!(e.global_of(s, l), conn);
+            assert_eq!(global_of(&e, s, l), conn);
         }
-        assert_eq!(e.shard_of(17), 0);
-        assert_eq!(e.shard_of(18), 1);
+        assert_eq!(topo.shard_of(17), 0);
+        assert_eq!(topo.shard_of(18), 1);
     }
 
     #[test]
@@ -607,7 +607,7 @@ mod tests {
         let mut profile = DbmsProfile::dbms_x();
         profile.noise_std = 0.0;
         let mut e = ShardedEngine::new(profile, &w, 0, 2);
-        let on_shard1 = e.global_of(1, 0);
+        let on_shard1 = global_of(&e, 1, 0);
         // Submit to the *higher* shard first: polling order must not leak.
         e.submit(QueryId(3), default_params(), on_shard1);
         e.submit(QueryId(3), default_params(), 0);
@@ -643,7 +643,7 @@ mod tests {
             e.submit(io_q, default_params(), conn);
             next_completion(e).expect("query running").duration()
         };
-        let shard1_conn = e.global_of(1, 0);
+        let shard1_conn = global_of(&e, 1, 0);
         let cold_shard0 = run_on(&mut e, 0);
         let warm_shard0 = run_on(&mut e, 0);
         let cold_shard1 = run_on(&mut e, shard1_conn);
@@ -669,7 +669,7 @@ mod tests {
         assert_eq!(e.now(), t);
         // Routing the next query onto idle shard 1 must stamp it at the
         // global instant, not at shard 1's stale local clock.
-        let conn = e.global_of(1, 0);
+        let conn = global_of(&e, 1, 0);
         e.submit(QueryId(1), default_params(), conn);
         assert_eq!(e.connections()[conn].started_at(), Some(t));
     }
@@ -678,7 +678,7 @@ mod tests {
     fn cancel_translates_connections_and_frees_exactly_once() {
         let w = tpch_workload();
         let mut e = ShardedEngine::new(DbmsProfile::dbms_x(), &w, 0, 2);
-        let conn = e.global_of(1, 3);
+        let conn = global_of(&e, 1, 3);
         e.submit(QueryId(5), default_params(), conn);
         let c = e.cancel(conn).expect("query was running");
         assert_eq!(c.query, QueryId(5));
@@ -693,7 +693,7 @@ mod tests {
         let w = tpch_workload();
         let mut e = ShardedEngine::new(DbmsProfile::dbms_x(), &w, 0, 2);
         e.submit(QueryId(0), default_params(), 0);
-        e.submit(QueryId(1), default_params(), e.global_of(1, 0));
+        e.submit(QueryId(1), default_params(), global_of(&e, 1, 0));
         drain_echoes(&mut e);
         // A bound far below any completion: both shards integrate to it.
         e.advance_to(1e-3);
@@ -716,7 +716,7 @@ mod tests {
         // Solo duration of the short query on a fresh shard 0 (the main
         // engine below replays the same noise draw exactly).
         let mut probe = ShardedEngine::new(DbmsProfile::dbms_x(), &w, 0, 2);
-        let shard1_conn = probe.global_of(1, 0);
+        let shard1_conn = global_of(&probe, 1, 0);
         probe.submit(QueryId(1), default_params(), 0);
         let t_short = next_completion(&mut probe).expect("running").finished_at;
         // The long query must outlive the advance bound used below.
@@ -780,7 +780,7 @@ mod tests {
         // — and the eventual completion must carry that observable stamp.
         let w = tpch_workload();
         let mut e = ShardedEngine::new(DbmsProfile::dbms_x(), &w, 0, 2);
-        let shard1_conn = e.global_of(1, 0);
+        let shard1_conn = global_of(&e, 1, 0);
         // Long query on shard 0, short query on shard 1.
         e.submit(QueryId(0), default_params(), 0);
         e.submit(QueryId(1), default_params(), shard1_conn);
@@ -828,7 +828,7 @@ mod tests {
         let (shortest, longest, second_longest) =
             (ranked[0], ranked[w.len() - 1], ranked[w.len() - 2]);
         let mut e = ShardedEngine::new(DbmsProfile::dbms_x(), &w, 0, 2);
-        let shard1_conn = e.global_of(1, 0);
+        let shard1_conn = global_of(&e, 1, 0);
         // Two long queries on shard 0, the short query alone on shard 1.
         e.submit(QueryId(longest), default_params(), 0);
         e.submit(QueryId(second_longest), default_params(), 1);
@@ -869,7 +869,7 @@ mod tests {
         // the clock past them.
         let w = tpch_workload();
         let mut e = ShardedEngine::new(DbmsProfile::dbms_x(), &w, 0, 2);
-        let shard1_conn = e.global_of(1, 0);
+        let shard1_conn = global_of(&e, 1, 0);
         e.submit(QueryId(0), default_params(), 0);
         e.submit(QueryId(1), default_params(), shard1_conn);
         let first = next_completion(&mut e).expect("both running");
@@ -933,7 +933,7 @@ mod tests {
         // AdvanceStall diagnostic stays readable.
         let w = tpch_workload();
         let mut e = ShardedEngine::new(DbmsProfile::dbms_x(), &w, 3, 2);
-        let shard1 = e.global_of(1, 0);
+        let shard1 = global_of(&e, 1, 0);
         e.submit(QueryId(0), default_params(), 0);
         e.submit(QueryId(1), default_params(), shard1);
         // Break shard 0 only; shard 1 keeps its generous default budget.
@@ -974,7 +974,7 @@ mod tests {
         let mut e = ShardedEngine::new(profile, &w, 1, 2);
         e.submit(QueryId(0), default_params(), 0);
         e.submit(QueryId(1), default_params(), 1);
-        let shard1 = e.global_of(1, 0);
+        let shard1 = global_of(&e, 1, 0);
         e.submit(QueryId(2), default_params(), shard1);
         drain_echoes(&mut e);
         e.force_advance_budget(1);
@@ -989,7 +989,7 @@ mod tests {
     }
 
     // Release-only: in debug the per-shard debug_assert fires first. CI runs
-    // this via the dedicated `cargo test --release -p bq-dbms shard` step.
+    // it in the release test step, which runs all of bq-dbms.
     #[cfg(not(debug_assertions))]
     #[test]
     fn shard_stalls_aggregate_across_shards_in_release() {

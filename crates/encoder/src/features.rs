@@ -210,7 +210,6 @@ mod tests {
             workload: &w,
             now: 2.5,
             queries: &queries,
-            free_connection: 0,
         };
         let m = state_feature_matrix(&state);
         assert_eq!(m.shape(), (w.len(), STATE_FEATURE_DIM));

@@ -159,9 +159,9 @@ impl PlanEncoder {
 /// Result of plan-encoder pre-training.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PretrainReport {
-    /// Mean-squared error on the cost-prediction task at the first epoch.
+    /// Mean-squared error on the cost-prediction task over the first epoch.
     pub initial_loss: f64,
-    /// Mean-squared error at the last epoch.
+    /// Mean over the last epoch of each query's loss before its own step.
     pub final_loss: f64,
     /// Number of epochs run.
     pub epochs: usize,

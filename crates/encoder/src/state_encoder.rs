@@ -400,7 +400,6 @@ mod tests {
             workload: &w,
             now: 1.0,
             queries: &queries,
-            free_connection: 0,
         };
         let plan_embs = Tensor::from_rows(
             &(0..w.len())
@@ -468,7 +467,6 @@ mod tests {
             workload: &small,
             now: 0.0,
             queries: &queries,
-            free_connection: 0,
         };
         let plan_embs = obs_full.plan_embs.slice_rows(0, 5);
         let obs_small = EncodedObservation::from_state(&state, &plan_embs);
@@ -608,7 +606,6 @@ mod tests {
             workload: &w,
             now: 0.0,
             queries: &queries,
-            free_connection: 0,
         };
         let plan_embs = Tensor::zeros(3, 32);
         let _ = EncodedObservation::from_state(&state, &plan_embs);

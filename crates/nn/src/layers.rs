@@ -334,11 +334,6 @@ impl MultiHeadAttention {
         self.dim
     }
 
-    /// Number of attention heads.
-    pub fn heads(&self) -> usize {
-        self.heads
-    }
-
     /// The forward pass for the output rows `rows` of `x` (`[n, dim]`),
     /// returning `[rows.len(), dim]`.
     ///

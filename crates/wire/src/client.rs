@@ -437,15 +437,10 @@ impl<T: WireTransport> ExecutorBackend for WireBackend<T> {
         self.now
     }
 
+    /// One submission travels as a one-entry `SubmitBatch`, the protocol's
+    /// only submission message.
     fn submit(&mut self, query: QueryId, params: RunParams, connection: usize) {
-        match self.call(Request::Submit {
-            query,
-            params,
-            connection,
-        }) {
-            Response::Ack { .. } => {}
-            other => Self::reject(other, "submit"),
-        }
+        self.submit_batch(&[(query, params, connection)]);
     }
 
     fn submit_batch(&mut self, batch: &[(QueryId, RunParams, usize)]) {

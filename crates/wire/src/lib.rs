@@ -277,10 +277,8 @@ mod tests {
         let w = tpch();
         let mut raw = RawClient::new(&w);
         raw.handshake();
-        let submit = |q: usize, c: usize| Request::Submit {
-            query: QueryId(q),
-            params: RunParams::default_config(),
-            connection: c,
+        let submit = |q: usize, c: usize| Request::SubmitBatch {
+            entries: vec![(QueryId(q), RunParams::default_config(), c)],
         };
         assert!(matches!(raw.send(submit(0, 3)), Response::Ack { .. }));
         // Double-submit for the occupied slot: error frame, backend
@@ -344,14 +342,23 @@ mod tests {
                 ..
             }
         ));
-        // A structurally truncated message (Submit cut mid-field).
-        let full = Request::Submit {
-            query: QueryId(0),
-            params: RunParams::default_config(),
-            connection: 0,
+        let submission = Request::SubmitBatch {
+            entries: vec![(QueryId(0), RunParams::default_config(), 0)],
         }
         .encode();
-        let responses = raw.send_sealed(&full[..full.len() - 2]);
+        // The same submission as a version-3 `Submit` (tag 0x02, no count),
+        // a request version 4 retired: malformed, and nothing executes.
+        let responses = raw.send_sealed(&[&[0x02][..], &submission[5..]].concat());
+        assert!(matches!(
+            &responses[0],
+            Response::Error {
+                code: WireErrorCode::Malformed,
+                ..
+            }
+        ));
+        assert!(raw.backend().connections()[0].is_free());
+        // A structurally truncated message (a submission cut mid-field).
+        let responses = raw.send_sealed(&submission[..submission.len() - 2]);
         assert!(matches!(
             &responses[0],
             Response::Error {
@@ -384,10 +391,8 @@ mod tests {
         // Keep a query busy so an unvalidated NaN bound would actually spin
         // the engine's bounded advance loop.
         assert!(matches!(
-            raw.send(Request::Submit {
-                query: QueryId(0),
-                params: RunParams::default_config(),
-                connection: 0,
+            raw.send(Request::SubmitBatch {
+                entries: vec![(QueryId(0), RunParams::default_config(), 0)],
             }),
             Response::Ack { .. }
         ));
@@ -1035,10 +1040,8 @@ mod tests {
         };
         let submit = frame(&seal(
             1,
-            &Request::Submit {
-                query: QueryId(0),
-                params: RunParams::default_config(),
-                connection: 0,
+            &Request::SubmitBatch {
+                entries: vec![(QueryId(0), RunParams::default_config(), 0)],
             }
             .encode(),
         ));

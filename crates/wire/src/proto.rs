@@ -10,7 +10,6 @@
 //! | dir | tag | message | payload |
 //! |-----|-----|---------------|------------------------------------------|
 //! | →   | 0x01| `Hello`       | magic u32, version u16                   |
-//! | →   | 0x02| `Submit`      | query u32, params, connection u32        |
 //! | →   | 0x03| `SubmitBatch` | count u32, then (query, params, conn)*   |
 //! | →   | 0x04| `PollEvent`   | —                                        |
 //! | →   | 0x05| `AdvanceTo`   | until f64                                |
@@ -48,8 +47,10 @@ use bq_plan::QueryId;
 /// that makes every request/response exchange at-most-once, so a client may
 /// safely retransmit a request whose response was lost by the transport.
 /// Version 3 appended the buffered-event list ([`BufferedEvent`]) to every
-/// non-error response.
-pub const PROTOCOL_VERSION: u16 = 3;
+/// non-error response. Version 4 retired the single-entry `Submit` request
+/// (tag `0x02`): a submission of one query is a one-entry
+/// [`Request::SubmitBatch`].
+pub const PROTOCOL_VERSION: u16 = 4;
 
 /// Sequence number stamped on server frames that answer no request (e.g. an
 /// error for a frame whose sequence prefix itself was unreadable).
@@ -90,9 +91,8 @@ pub const HANDSHAKE_MAGIC: u32 = 0x6271_7770;
 /// Every request tag with its message name — the machine-readable half of
 /// the message catalogue above, exported so `docs/WIRE_PROTOCOL.md` can be
 /// cross-checked against the implementation by a test instead of by eye.
-pub const REQUEST_TAGS: [(u8, &str); 6] = [
+pub const REQUEST_TAGS: [(u8, &str); 5] = [
     (REQ_HELLO, "Hello"),
-    (REQ_SUBMIT, "Submit"),
     (REQ_SUBMIT_BATCH, "SubmitBatch"),
     (REQ_POLL_EVENT, "PollEvent"),
     (REQ_ADVANCE_TO, "AdvanceTo"),
@@ -109,7 +109,6 @@ pub const RESPONSE_TAGS: [(u8, &str); 5] = [
 ];
 
 const REQ_HELLO: u8 = 0x01;
-const REQ_SUBMIT: u8 = 0x02;
 const REQ_SUBMIT_BATCH: u8 = 0x03;
 const REQ_POLL_EVENT: u8 = 0x04;
 const REQ_ADVANCE_TO: u8 = 0x05;
@@ -134,16 +133,8 @@ pub enum Request {
         /// The client's [`PROTOCOL_VERSION`].
         version: u16,
     },
-    /// Submit one query to a free connection.
-    Submit {
-        /// The query to run.
-        query: QueryId,
-        /// Running parameters.
-        params: RunParams,
-        /// Target connection slot.
-        connection: usize,
-    },
-    /// Dispatch one scheduling instant's decisions together.
+    /// Dispatch one scheduling instant's decisions together (a single
+    /// submission is a one-entry batch).
     SubmitBatch {
         /// The decisions, in decision order.
         entries: Vec<WireEntry>,
@@ -499,16 +490,6 @@ impl Request {
                 w.u32(*magic);
                 w.u16(*version);
             }
-            Request::Submit {
-                query,
-                params,
-                connection,
-            } => {
-                w.u8(REQ_SUBMIT);
-                w.u32(query.0 as u32);
-                put_params(&mut w, *params);
-                w.u32(*connection as u32);
-            }
             Request::SubmitBatch { entries } => {
                 w.u8(REQ_SUBMIT_BATCH);
                 w.u32(entries.len() as u32);
@@ -538,11 +519,6 @@ impl Request {
             REQ_HELLO => Request::Hello {
                 magic: c.u32()?,
                 version: c.u16()?,
-            },
-            REQ_SUBMIT => Request::Submit {
-                query: QueryId(c.u32()? as usize),
-                params: get_params(&mut c)?,
-                connection: c.u32()? as usize,
             },
             REQ_SUBMIT_BATCH => {
                 let count = c.u32()? as usize;
@@ -735,10 +711,8 @@ pub(crate) mod tests {
                 magic: HANDSHAKE_MAGIC,
                 version: PROTOCOL_VERSION,
             },
-            Request::Submit {
-                query: QueryId(17),
-                params: params(),
-                connection: 3,
+            Request::SubmitBatch {
+                entries: vec![(QueryId(17), params(), 3)],
             },
             Request::SubmitBatch {
                 entries: vec![
@@ -950,10 +924,8 @@ pub(crate) mod tests {
 
     #[test]
     fn truncated_payload_decodes_to_an_error() {
-        let full = Request::Submit {
-            query: QueryId(1),
-            params: params(),
-            connection: 0,
+        let full = Request::SubmitBatch {
+            entries: vec![(QueryId(1), params(), 0)],
         }
         .encode();
         for cut in 0..full.len() {
@@ -964,9 +936,10 @@ pub(crate) mod tests {
 
     #[test]
     fn unknown_tags_are_rejected() {
-        // 0x07 and 0x85 were the retired `Topology` / `TopologyInfo` pair:
-        // a peer that still sends them gets the error any unknown tag gets.
-        for tag in [0x07, 0x7F] {
+        // 0x07 and 0x85 were the retired `Topology` / `TopologyInfo` pair,
+        // and 0x02 the single-entry `Submit` retired in version 4: a peer
+        // that still sends them gets the error any unknown tag gets.
+        for tag in [0x02, 0x07, 0x7F] {
             assert_eq!(Request::decode(&[tag]), Err(FrameError::BadTag(tag)));
         }
         for tag in [0x10, 0x85] {

@@ -245,20 +245,6 @@ impl<B: ExecutorBackend> WireServer<B> {
         match request {
             // bq-lint: allow(panic-surface): Hello is intercepted before this match; locally provable
             Request::Hello { .. } => unreachable!("handled above"),
-            Request::Submit {
-                query,
-                params,
-                connection,
-            } => {
-                if let Some(error) = self.validate_submission(query, connection, &[]) {
-                    return error;
-                }
-                self.backend.submit(query, params, connection);
-                Response::Ack {
-                    header: self.header(),
-                    buffered: Vec::new(),
-                }
-            }
             Request::SubmitBatch { entries } => {
                 // Validate the whole batch before touching the backend, so a
                 // rejected batch is rejected atomically.

@@ -68,15 +68,8 @@ fn main() {
         eval_rounds: 1,
         seed: 30,
     };
-    let embs = agent.plan_embeddings().clone();
     let pre_curve = pretrain_on_simulator(
-        &mut agent,
-        &workload,
-        &simulator,
-        &embs,
-        &history,
-        profile.connections,
-        &pre_tc,
+        &mut agent, &workload, &simulator, &history, &profile, &pre_tc,
     );
     println!(
         "pre-training ran {} simulated rounds ({} DBMS rounds)",

@@ -16,7 +16,8 @@
 //! * [`chaos`] — deterministic fault injection: replayable fault schedules
 //!   and chaos decorators for transports and backends,
 //! * [`obs`] — deterministic observability: metrics registry, log-scale
-//!   latency histograms, typed trace events and wall-clock profiling hooks,
+//!   latency histograms, typed trace events and the one wall-clock read
+//!   (`SystemClock`) that reporting-only measurements go through,
 //! * [`encoder`] — plan encoder and attention-based state representation,
 //! * [`rl`] — PPO / PPG / IQ-PPO,
 //! * [`sched`] — the BQSched agent, masking, clustering and the learned
