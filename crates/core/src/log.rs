@@ -511,6 +511,71 @@ mod tests {
     }
 
     #[test]
+    fn to_json_writes_the_pinned_bytes() {
+        let mut e = EpisodeLog::new(DbmsKind::Z, "BQSched", 7);
+        e.records = vec![
+            QueryRecord {
+                params: RunParams::default(),
+                ..record(3, 0.0, 2.3331295756409567)
+            },
+            QueryRecord {
+                params: RunParams {
+                    workers: 4,
+                    memory: MemoryGrant::High,
+                },
+                ..record(12, 0.25, 9007199254740992.0)
+            },
+        ];
+        for event in [
+            FaultEvent::TransportRetransmit {
+                at: 0.5,
+                attempt: 2,
+            },
+            FaultEvent::ShardStalled {
+                shard: 1,
+                at: 0.75,
+                resume_at: 1.0,
+            },
+            FaultEvent::ShardResumed { shard: 1, at: 1.0 },
+            FaultEvent::ShardDied { shard: 0, at: 1.5 },
+            FaultEvent::QueryLost {
+                query: QueryId(12),
+                connection: 6,
+                at: 0.1 + 0.2,
+            },
+            FaultEvent::QueryResubmitted {
+                query: QueryId(12),
+                attempt: 1,
+                at: 2.0,
+            },
+        ] {
+            e.push_fault(&event);
+        }
+        assert_eq!(
+            e.to_json(),
+            concat!(
+                r#"{"dbms":"Z","strategy":"BQSched","round":7,"records":["#,
+                r#"{"query":3,"template":4,"name":"q3","params":{"workers":1,"memory":"Low"},"#,
+                r#""connection":3,"started_at":0,"finished_at":2.3331295756409567},"#,
+                r#"{"query":12,"template":13,"name":"q12","params":{"workers":4,"memory":"High"},"#,
+                r#""connection":0,"started_at":0.25,"finished_at":9007199254740992}],"faults":["#,
+                r#"{"kind":"transport_retransmit","at":0.5,"shard":null,"query":null,"#,
+                r#""connection":null,"attempt":2,"resume_at":null},"#,
+                r#"{"kind":"shard_stalled","at":0.75,"shard":1,"query":null,"#,
+                r#""connection":null,"attempt":null,"resume_at":1},"#,
+                r#"{"kind":"shard_resumed","at":1,"shard":1,"query":null,"#,
+                r#""connection":null,"attempt":null,"resume_at":null},"#,
+                r#"{"kind":"shard_died","at":1.5,"shard":0,"query":null,"#,
+                r#""connection":null,"attempt":null,"resume_at":null},"#,
+                r#"{"kind":"query_lost","at":0.30000000000000004,"shard":null,"query":12,"#,
+                r#""connection":6,"attempt":null,"resume_at":null},"#,
+                r#"{"kind":"query_resubmitted","at":2,"shard":null,"query":12,"#,
+                r#""connection":null,"attempt":1,"resume_at":null}]}"#,
+            )
+        );
+    }
+
+    #[test]
     fn absent_faults_key_deserializes_to_an_empty_list() {
         let e = episode(vec![record(0, 0.0, 5.0)]);
         let back = EpisodeLog::from_json(&e.to_json()).unwrap();
