@@ -22,7 +22,7 @@
 //! baseline fails too (an ungated metric is a regression channel nobody
 //! watches) — the fix for the latter is an explicit `--bless-baseline`.
 
-use serde::Value;
+use serde_json::Value;
 
 /// A parsed bench summary: identity plus the gate-comparable metrics.
 #[derive(Debug, Clone, PartialEq)]

@@ -34,6 +34,7 @@ use bq_sched::{
     BqSchedConfig, SimulatorConfig, SimulatorModel, TrainingConfig, TrainingCurve,
 };
 use bq_wire::{TransportProfile, WireBackend};
+use serde_json::Value;
 
 pub mod gate;
 pub mod process;
@@ -1102,14 +1103,11 @@ pub fn summary_line(
     metrics: &[(String, f64)],
 ) -> String {
     let mut entries = vec![
-        ("bench".to_string(), serde::Value::Str(bench.to_string())),
-        (
-            "scale".to_string(),
-            serde::Value::Str(scale.name().to_string()),
-        ),
+        ("bench".to_string(), Value::Str(bench.to_string())),
+        ("scale".to_string(), Value::Str(scale.name().to_string())),
         (
             "elapsed_s".to_string(),
-            serde::Value::Num((elapsed_s * 1e3).round() / 1e3),
+            Value::Num((elapsed_s * 1e3).round() / 1e3),
         ),
     ];
     let (finite, broken): (Vec<_>, Vec<_>) = metrics.iter().partition(|(_, v)| v.is_finite());
@@ -1119,16 +1117,16 @@ pub fn summary_line(
     if !finite.is_empty() {
         entries.push((
             "metrics".to_string(),
-            serde::Value::Map(
+            Value::Map(
                 finite
                     .iter()
-                    .map(|(k, v)| (k.clone(), serde::Value::Num(*v)))
+                    .map(|(k, v)| (k.clone(), Value::Num(*v)))
                     .collect(),
             ),
         ));
     }
-    entries.push(("status".to_string(), serde::Value::Str("ok".to_string())));
-    serde_json::to_string(&serde::Value::Map(entries)).expect("summary serialization cannot fail")
+    entries.push(("status".to_string(), Value::Str("ok".to_string())));
+    serde_json::to_string(&Value::Map(entries)).expect("summary serialization cannot fail")
 }
 
 /// The canonical trace artifact: one recording FIFO episode over a plain

@@ -20,7 +20,7 @@
 
 use crate::{metric_slug, BenchReport};
 use bq_obs::Histogram;
-use serde::Value;
+use serde_json::Value;
 
 /// Serialize a histogram into the JSON value a client summary carries
 /// (see the module docs for the string encoding).

@@ -28,12 +28,11 @@ use bq_rl::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::VecDeque;
 
 /// Full agent configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BqSchedConfig {
     /// Plan-encoder hyper-parameters.
     pub plan_encoder: PlanEncoderConfig,
@@ -119,7 +118,7 @@ impl BqSchedConfig {
 
 /// A replayable observation for the RL algorithms: the encoded entities plus
 /// the additive action mask.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BqObs {
     /// Encoded entities (queries or clusters).
     pub encoded: EncodedObservation,
@@ -362,7 +361,8 @@ pub struct BqSchedAgent {
     entity_cache: EntityCache,
     /// The decision loop's per-round state: the projected input rows and
     /// the first attention block carried from the last decision, dropped
-    /// whenever training (or a checkpoint load) moves the store version.
+    /// whenever training, or any other mutable access to `store`, moves the
+    /// store version.
     decision_cache: InputRowCache,
     rng: StdRng,
     /// When true, actions are sampled and transitions are recorded; when
@@ -552,8 +552,8 @@ impl BqSchedAgent {
     /// probabilities of the recorded pass the trainers use, without building
     /// a graph per decision — with the input projection and the first
     /// attention block carried over from the last decision, and dropped
-    /// whenever the parameter-store version moved (training update,
-    /// checkpoint load).
+    /// whenever the parameter-store version moved (a training update, or
+    /// any other mutable access to the store).
     fn decide(&mut self, obs: &BqObs) -> Decision {
         let (model, store, cache) = (&self.model, &self.store, &mut self.decision_cache);
         let x = cache.project(store, model.input_proj(), &obs.encoded);
@@ -744,7 +744,7 @@ impl SchedulerPolicy for BqSchedAgent {
 }
 
 /// One point of a training curve (Figure 7 of the paper).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TrainingPoint {
     /// Number of scheduling decisions taken so far.
     pub step: usize,
@@ -756,7 +756,7 @@ pub struct TrainingPoint {
 }
 
 /// The full training trajectory plus cost accounting (Figures 6 and 7).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrainingCurve {
     /// Curve points in chronological order.
     pub points: Vec<TrainingPoint>,
@@ -776,7 +776,7 @@ impl TrainingCurve {
 }
 
 /// Knobs of the training loop.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TrainingConfig {
     /// Outer iterations (each ends with an auxiliary phase for IQ-PPO/PPG).
     pub iterations: usize,

@@ -13,10 +13,9 @@ use bq_core::ExecutionHistory;
 use bq_nn::{fit, Activation, Adam, Graph, Mlp, NodeId, ParamStore, Tensor};
 use bq_plan::QueryId;
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 /// Symmetric scheduling-gain matrix with observation counts.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GainMatrix {
     n: usize,
     /// Mean gain per pair (`0` where nothing was observed).
@@ -125,7 +124,7 @@ pub fn gains_from_history(history: &ExecutionHistory, num_queries: usize) -> Gai
 
 /// MLP that predicts the scheduling gain of a query pair from the two plan
 /// embeddings; symmetry is enforced by summing both input orders.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GainPredictor {
     mlp: Mlp,
     plan_dim: usize,
@@ -214,7 +213,7 @@ impl GainPredictor {
 }
 
 /// A partition of the batch queries into clusters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QueryClustering {
     /// Cluster id of each query.
     assignment: Vec<usize>,

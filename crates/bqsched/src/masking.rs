@@ -12,13 +12,12 @@
 use bq_core::ExecutionHistory;
 use bq_dbms::{MemoryGrant, ParamSpace, RunParams};
 use bq_plan::{QueryId, Workload};
-use serde::{Deserialize, Serialize};
 
 /// The additive logit value used for masked actions.
 pub const MASK_VALUE: f32 = -1e8;
 
 /// Per-query allowed/forbidden parameter configurations.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AdaptiveMask {
     /// `allowed[q][k]` — whether configuration `k` is allowed for query `q`.
     allowed: Vec<Vec<bool>>,

@@ -19,11 +19,10 @@ use bq_nn::{fit, Activation, Adam, Graph, Mlp, NodeId, ParamStore, Tensor};
 use bq_plan::{QueryId, Workload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Configuration of the simulator's prediction model.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SimulatorConfig {
     /// State-encoder hyper-parameters (shared representation).
     pub encoder: StateEncoderConfig,
@@ -51,7 +50,7 @@ impl Default for SimulatorConfig {
 /// One supervised training sample extracted from the logs: a scheduling state,
 /// the index (within the running set) of the earliest query to finish, and
 /// its normalised remaining time.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimSample {
     /// Encoded observation of the state.
     pub obs: EncodedObservation,
@@ -62,7 +61,7 @@ pub struct SimSample {
 }
 
 /// Prediction quality of the simulator model (Table III metrics).
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SimulatorMetrics {
     /// Classification accuracy for the earliest-finisher task.
     pub accuracy: f64,

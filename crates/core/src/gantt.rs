@@ -6,10 +6,9 @@
 //! experiment reports.
 
 use crate::log::EpisodeLog;
-use serde::{Deserialize, Serialize};
 
 /// One bar of the Gantt chart: a query execution on a connection.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GanttBar {
     /// Connection (row) the query ran on.
     pub connection: usize,
@@ -24,7 +23,7 @@ pub struct GanttBar {
 }
 
 /// A per-connection view of one scheduling round.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GanttChart {
     /// Bars grouped by connection, each sorted by start time.
     pub rows: Vec<Vec<GanttBar>>,

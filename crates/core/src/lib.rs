@@ -76,7 +76,7 @@ pub use bq_dbms::{
 pub use bq_obs::{Obs, SystemClock, TraceEvent, TraceKind, WallClock};
 pub use gantt::{GanttBar, GanttChart};
 pub use heuristics::{FifoScheduler, McfScheduler, RandomScheduler};
-pub use log::{EpisodeLog, ExecutionHistory, FaultRecord, QueryRecord};
+pub use log::{EpisodeLog, ExecutionHistory, QueryRecord};
 pub use metrics::{
     collect_history, degraded_evaluation, evaluate_strategy, mean, std_dev, DegradedEvaluation,
     StrategyEvaluation,

@@ -6,13 +6,12 @@
 //! the IQ-PPO auxiliary task reads individual query completion signals, and
 //! the incremental simulator is (pre-)trained on them.
 
-use bq_dbms::FaultEvent;
-use bq_dbms::{DbmsKind, QueryCompletion, RunParams};
+use bq_dbms::{DbmsKind, FaultEvent, MemoryGrant, QueryCompletion, RunParams};
 use bq_plan::{QueryId, Workload};
-use serde::{Deserialize, Serialize, Value};
+use serde_json::Value;
 
 /// One executed query inside one scheduling round.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QueryRecord {
     /// The query.
     pub query: QueryId,
@@ -44,84 +43,11 @@ impl QueryRecord {
     }
 }
 
-/// One fault or recovery event observed during a round, in log form: a flat
-/// record with a `kind` tag plus the fields that apply to that kind (the
-/// others stay `None`). Kept separate from [`FaultEvent`] so the log format
-/// is a plain serializable struct independent of the in-memory enum.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FaultRecord {
-    /// Event kind tag: `transport_retransmit`, `shard_stalled`,
-    /// `shard_resumed`, `shard_died`, `query_lost` or `query_resubmitted`.
-    pub kind: String,
-    /// Virtual instant of the event.
-    pub at: f64,
-    /// Shard involved (shard events only).
-    pub shard: Option<usize>,
-    /// Query involved (query events only).
-    pub query: Option<usize>,
-    /// Connection involved (`query_lost` only).
-    pub connection: Option<usize>,
-    /// Retry attempt number (retransmit/resubmit events only).
-    pub attempt: Option<u32>,
-    /// Scheduled resume instant (`shard_stalled` only).
-    pub resume_at: Option<f64>,
-}
-
-impl FaultRecord {
-    /// Flatten a [`FaultEvent`] into its log form.
-    pub fn from_event(event: &FaultEvent) -> Self {
-        let mut r = FaultRecord {
-            kind: String::new(),
-            at: event.at(),
-            shard: None,
-            query: None,
-            connection: None,
-            attempt: None,
-            resume_at: None,
-        };
-        match *event {
-            FaultEvent::TransportRetransmit { attempt, .. } => {
-                r.kind = "transport_retransmit".into();
-                r.attempt = Some(attempt);
-            }
-            FaultEvent::ShardStalled {
-                shard, resume_at, ..
-            } => {
-                r.kind = "shard_stalled".into();
-                r.shard = Some(shard);
-                r.resume_at = Some(resume_at);
-            }
-            FaultEvent::ShardResumed { shard, .. } => {
-                r.kind = "shard_resumed".into();
-                r.shard = Some(shard);
-            }
-            FaultEvent::ShardDied { shard, .. } => {
-                r.kind = "shard_died".into();
-                r.shard = Some(shard);
-            }
-            FaultEvent::QueryLost {
-                query, connection, ..
-            } => {
-                r.kind = "query_lost".into();
-                r.query = Some(query.0);
-                r.connection = Some(connection);
-            }
-            FaultEvent::QueryResubmitted { query, attempt, .. } => {
-                r.kind = "query_resubmitted".into();
-                r.query = Some(query.0);
-                r.attempt = Some(attempt);
-            }
-        }
-        r
-    }
-}
-
 /// The complete log of one scheduling round (one episode).
 ///
 /// Serialization note: the `faults` key is written only when at least one
 /// fault was recorded, so fault-free episode logs are byte-identical to the
-/// pre-chaos format (pinned by the golden artifacts); absent keys
-/// deserialize to an empty fault list.
+/// pre-chaos format (pinned by the golden artifacts).
 #[derive(Debug, Clone)]
 pub struct EpisodeLog {
     /// Which DBMS the round ran on.
@@ -134,40 +60,7 @@ pub struct EpisodeLog {
     pub records: Vec<QueryRecord>,
     /// Fault and recovery events, in observation order (empty when the
     /// round ran on a healthy substrate).
-    pub faults: Vec<FaultRecord>,
-}
-
-impl Serialize for EpisodeLog {
-    fn to_value(&self) -> Value {
-        let mut entries = vec![
-            ("dbms".to_string(), self.dbms.to_value()),
-            ("strategy".to_string(), self.strategy.to_value()),
-            ("round".to_string(), self.round.to_value()),
-            ("records".to_string(), self.records.to_value()),
-        ];
-        if !self.faults.is_empty() {
-            entries.push(("faults".to_string(), self.faults.to_value()));
-        }
-        Value::Map(entries)
-    }
-}
-
-impl Deserialize for EpisodeLog {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("EpisodeLog: expected a map"))?;
-        Ok(Self {
-            dbms: Deserialize::from_value(Value::map_get(m, "dbms"))?,
-            strategy: Deserialize::from_value(Value::map_get(m, "strategy"))?,
-            round: Deserialize::from_value(Value::map_get(m, "round"))?,
-            records: Deserialize::from_value(Value::map_get(m, "records"))?,
-            faults: match Value::map_get(m, "faults") {
-                Value::Null => Vec::new(),
-                v => Deserialize::from_value(v)?,
-            },
-        })
-    }
+    pub faults: Vec<FaultEvent>,
 }
 
 impl EpisodeLog {
@@ -185,12 +78,12 @@ impl EpisodeLog {
     /// Append a fault or recovery event observed from the backend (or
     /// emitted by the session's own recovery layer).
     pub fn push_fault(&mut self, event: &FaultEvent) {
-        self.faults.push(FaultRecord::from_event(event));
+        self.faults.push(*event);
     }
 
-    /// Number of fault events of a given kind tag.
+    /// Number of fault events of a given kind tag ([`FaultEvent::kind`]).
     pub fn fault_count(&self, kind: &str) -> usize {
-        self.faults.iter().filter(|f| f.kind == kind).count()
+        self.faults.iter().filter(|f| f.kind() == kind).count()
     }
 
     /// How many submissions the recovery layer successfully re-entered
@@ -241,21 +134,118 @@ impl EpisodeLog {
         self.records.iter().find(|r| r.query == query)
     }
 
-    /// Serialize to JSON (the on-disk log format).
+    /// Serialize to JSON (the on-disk log format): one object with `dbms`,
+    /// `strategy`, `round`, `records` and, when any fault was recorded,
+    /// `faults`.
     pub fn to_json(&self) -> String {
-        // bq-lint: allow(panic-surface): serializing a fully-owned in-memory struct is infallible
-        serde_json::to_string(self).expect("episode log serialization cannot fail")
+        let mut entries = vec![
+            ("dbms", Value::Str(dbms_tag(self.dbms).into())),
+            ("strategy", Value::Str(self.strategy.clone())),
+            ("round", Value::Num(self.round as f64)),
+            (
+                "records",
+                Value::Seq(self.records.iter().map(record_value).collect()),
+            ),
+        ];
+        if !self.faults.is_empty() {
+            entries.push((
+                "faults",
+                Value::Seq(self.faults.iter().map(fault_value).collect()),
+            ));
+        }
+        // bq-lint: allow(panic-surface): the writer fails only on a non-finite number, and every virtual instant is finite
+        serde_json::to_string(&object(entries)).expect("episode log serialization cannot fail")
     }
+}
 
-    /// Restore from [`EpisodeLog::to_json`].
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
+/// A JSON object with `entries` in order.
+fn object(entries: Vec<(&str, Value)>) -> Value {
+    Value::Map(entries.into_iter().map(|(k, v)| (k.into(), v)).collect())
+}
+
+/// The log's tag for a DBMS: its variant name.
+fn dbms_tag(dbms: DbmsKind) -> &'static str {
+    match dbms {
+        DbmsKind::X => "X",
+        DbmsKind::Y => "Y",
+        DbmsKind::Z => "Z",
     }
+}
+
+/// The log form of one record: its fields in declaration order, `params`
+/// as an object.
+fn record_value(r: &QueryRecord) -> Value {
+    let memory = match r.params.memory {
+        MemoryGrant::Low => "Low",
+        MemoryGrant::High => "High",
+    };
+    object(vec![
+        ("query", Value::Num(r.query.0 as f64)),
+        ("template", Value::Num(r.template as f64)),
+        ("name", Value::Str(r.name.clone())),
+        (
+            "params",
+            object(vec![
+                ("workers", Value::Num(f64::from(r.params.workers))),
+                ("memory", Value::Str(memory.into())),
+            ]),
+        ),
+        ("connection", Value::Num(r.connection as f64)),
+        ("started_at", Value::Num(r.started_at)),
+        ("finished_at", Value::Num(r.finished_at)),
+    ])
+}
+
+/// The log form of one fault event: a flat object with the kind tag, the
+/// instant, then `shard`, `query`, `connection`, `attempt` and `resume_at`,
+/// each `null` where the kind carries no such field.
+fn fault_value(event: &FaultEvent) -> Value {
+    let [mut shard, mut query, mut connection, mut attempt, mut resume_at] = [None; 5];
+    match *event {
+        FaultEvent::TransportRetransmit { attempt: a, .. } => attempt = Some(f64::from(a)),
+        FaultEvent::ShardStalled {
+            shard: s,
+            resume_at: r,
+            ..
+        } => {
+            shard = Some(s as f64);
+            resume_at = Some(r);
+        }
+        FaultEvent::ShardResumed { shard: s, .. } | FaultEvent::ShardDied { shard: s, .. } => {
+            shard = Some(s as f64);
+        }
+        FaultEvent::QueryLost {
+            query: q,
+            connection: c,
+            ..
+        } => {
+            query = Some(q.0 as f64);
+            connection = Some(c as f64);
+        }
+        FaultEvent::QueryResubmitted {
+            query: q,
+            attempt: a,
+            ..
+        } => {
+            query = Some(q.0 as f64);
+            attempt = Some(f64::from(a));
+        }
+    }
+    let num = |n: Option<f64>| n.map_or(Value::Null, Value::Num);
+    object(vec![
+        ("kind", Value::Str(event.kind().into())),
+        ("at", Value::Num(event.at())),
+        ("shard", num(shard)),
+        ("query", num(query)),
+        ("connection", num(connection)),
+        ("attempt", num(attempt)),
+        ("resume_at", num(resume_at)),
+    ])
 }
 
 /// A collection of episode logs: the "offline logs produced by historical
 /// executions" plus the "online logs generated by more recent executions".
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ExecutionHistory {
     episodes: Vec<EpisodeLog>,
 }
@@ -349,7 +339,6 @@ impl ExecutionHistory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bq_dbms::MemoryGrant;
 
     fn record(query: usize, start: f64, end: f64) -> QueryRecord {
         QueryRecord {
@@ -466,15 +455,6 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip() {
-        let e = episode(vec![record(0, 0.0, 5.0)]);
-        let back = EpisodeLog::from_json(&e.to_json()).unwrap();
-        assert_eq!(back.len(), 1);
-        assert_eq!(back.makespan(), 5.0);
-        assert_eq!(back.strategy, "test");
-    }
-
-    #[test]
     fn fault_free_logs_serialize_without_a_faults_key() {
         // The pre-chaos on-disk format must survive unchanged (the golden
         // artifacts pin it byte-for-byte): no `faults` key unless faults
@@ -484,7 +464,7 @@ mod tests {
     }
 
     #[test]
-    fn faults_roundtrip_and_count() {
+    fn faults_are_counted_by_kind() {
         let mut e = episode(vec![record(0, 0.0, 5.0)]);
         e.push_fault(&FaultEvent::ShardDied { shard: 1, at: 2.0 });
         e.push_fault(&FaultEvent::QueryLost {
@@ -500,14 +480,6 @@ mod tests {
         assert_eq!(e.lost_queries(), 1);
         assert_eq!(e.recovered_submissions(), 1);
         assert_eq!(e.fault_count("shard_died"), 1);
-
-        let json = e.to_json();
-        assert!(json.contains("faults"));
-        let back = EpisodeLog::from_json(&json).unwrap();
-        assert_eq!(back.faults, e.faults);
-        assert_eq!(back.faults[0].shard, Some(1));
-        assert_eq!(back.faults[1].connection, Some(3));
-        assert_eq!(back.faults[2].attempt, Some(1));
     }
 
     #[test]
@@ -573,12 +545,5 @@ mod tests {
                 r#""connection":null,"attempt":1,"resume_at":null}]}"#,
             )
         );
-    }
-
-    #[test]
-    fn absent_faults_key_deserializes_to_an_empty_list() {
-        let e = episode(vec![record(0, 0.0, 5.0)]);
-        let back = EpisodeLog::from_json(&e.to_json()).unwrap();
-        assert!(back.faults.is_empty());
     }
 }

@@ -9,10 +9,9 @@ use crate::scheduler::SchedulerPolicy;
 use crate::session::ScheduleSession;
 use bq_dbms::DbmsProfile;
 use bq_plan::Workload;
-use serde::{Deserialize, Serialize};
 
 /// Summary statistics of one strategy over several scheduling rounds.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StrategyEvaluation {
     /// Strategy name.
     pub strategy: String,
@@ -59,7 +58,7 @@ impl StrategyEvaluation {
 /// how much work the substrate lost and the recovery layer clawed back.
 /// Computed from an episode log by [`degraded_evaluation`]; on a fault-free
 /// round every count is zero and the makespan equals the healthy one.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DegradedEvaluation {
     /// Makespan of the round, faults included (`t_ov` under degradation).
     pub makespan: f64,

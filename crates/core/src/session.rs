@@ -1040,9 +1040,9 @@ mod tests {
         // The resubmission waited out a backoff after the loss.
         let lost = &log.faults[0];
         let resub = &log.faults[1];
-        assert_eq!(lost.kind, "query_lost");
-        assert_eq!(resub.kind, "query_resubmitted");
-        assert!(resub.at >= lost.at);
+        assert_eq!(lost.kind(), "query_lost");
+        assert_eq!(resub.kind(), "query_resubmitted");
+        assert!(resub.at() >= lost.at());
     }
 
     #[test]

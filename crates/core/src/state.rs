@@ -9,10 +9,9 @@
 
 use bq_dbms::RunParams;
 use bq_plan::{QueryId, Workload};
-use serde::{Deserialize, Serialize};
 
 /// Execution status of a query within the current scheduling round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryStatus {
     /// Not yet submitted.
     Pending,
@@ -34,7 +33,7 @@ impl QueryStatus {
 }
 
 /// Per-query runtime information exposed to schedulers.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QueryRuntime {
     /// Current status.
     pub status: QueryStatus,
@@ -103,7 +102,7 @@ impl<'a> SchedulingState<'a> {
 
 /// A scheduling decision: which pending query to submit next and with which
 /// running parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Action {
     /// Query to submit.
     pub query: QueryId,

@@ -8,10 +8,9 @@
 //! memory; afterwards the table's pages are the most recently used entries.
 
 use bq_plan::TableId;
-use serde::{Deserialize, Serialize};
 
 /// A table-granular LRU buffer pool.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BufferPool {
     capacity_pages: f64,
     /// Entries ordered from least to most recently used.

@@ -22,7 +22,6 @@ use bq_obs::{Obs, TraceEvent, TraceKind};
 use bq_plan::{QueryId, Workload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Static resource demand of one query, captured at engine construction.
@@ -160,7 +159,7 @@ impl ConnectionSlot {
 
 /// Completion record returned by the engine — the only feedback a
 /// non-intrusive scheduler receives.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryCompletion {
     /// The finished query.
     pub query: QueryId,

@@ -124,6 +124,20 @@ impl FaultEvent {
             | FaultEvent::QueryResubmitted { at, .. } => at,
         }
     }
+
+    /// The event's kind tag in the episode log: `transport_retransmit`,
+    /// `shard_stalled`, `shard_resumed`, `shard_died`, `query_lost` or
+    /// `query_resubmitted`.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            FaultEvent::TransportRetransmit { .. } => "transport_retransmit",
+            FaultEvent::ShardStalled { .. } => "shard_stalled",
+            FaultEvent::ShardResumed { .. } => "shard_resumed",
+            FaultEvent::ShardDied { .. } => "shard_died",
+            FaultEvent::QueryLost { .. } => "query_lost",
+            FaultEvent::QueryResubmitted { .. } => "query_resubmitted",
+        }
+    }
 }
 
 /// Borrow-based view over the queries currently executing: iterates

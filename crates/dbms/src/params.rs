@@ -7,10 +7,8 @@
 //! product of query × parameter configuration, which adaptive masking later
 //! prunes.
 
-use serde::{Deserialize, Serialize};
-
 /// Memory grant level for one query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemoryGrant {
     /// Default working memory; large hash/sort states spill to disk.
     Low,
@@ -35,7 +33,7 @@ impl MemoryGrant {
 pub const WORKER_OPTIONS: [u32; 3] = [1, 2, 4];
 
 /// A concrete running-parameter configuration for one query submission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RunParams {
     /// Number of parallel workers granted to the query.
     pub workers: u32,
@@ -61,7 +59,7 @@ impl Default for RunParams {
 
 /// The discrete space of parameter configurations (`workers × memory`),
 /// indexed densely so that policy logits can address configurations by index.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ParamSpace {
     configs: Vec<RunParams>,
 }

@@ -8,10 +8,8 @@
 //! I/O bandwidth, buffer pool, number of client connections `|C|`, memory
 //! grants, and the amount of execution-time noise.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of the simulated DBMS, mirroring the paper's anonymised names.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DbmsKind {
     /// Centralized system with the largest scheduling potential.
     X,
@@ -33,7 +31,7 @@ impl DbmsKind {
 }
 
 /// Resource envelope of a simulated DBMS deployment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DbmsProfile {
     /// Which system this profile models.
     pub kind: DbmsKind,

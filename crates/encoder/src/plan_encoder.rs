@@ -19,10 +19,9 @@ use bq_nn::{
 use bq_plan::{QueryPlan, Workload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters of the plan encoder.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PlanEncoderConfig {
     /// Width of node and plan embeddings.
     pub dim: usize,
@@ -47,7 +46,7 @@ impl Default for PlanEncoderConfig {
 }
 
 /// The tree-Transformer plan encoder.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PlanEncoder {
     config: PlanEncoderConfig,
     node_proj: Linear,
@@ -157,7 +156,7 @@ impl PlanEncoder {
 }
 
 /// Result of plan-encoder pre-training.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PretrainReport {
     /// Mean-squared error on the cost-prediction task over the first epoch.
     pub initial_loss: f64,

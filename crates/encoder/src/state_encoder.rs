@@ -19,11 +19,10 @@ use bq_nn::{
     Tensor,
 };
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 
 /// Hyper-parameters of the state encoder.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct StateEncoderConfig {
     /// Width of the internal query representations.
     pub dim: usize,
@@ -46,7 +45,7 @@ impl Default for StateEncoderConfig {
 /// A replayable observation: everything needed to re-encode a scheduling
 /// state under the *current* network parameters (PPO-style algorithms
 /// re-evaluate stored states at update time).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EncodedObservation {
     /// Per-entity plan embeddings `[n, plan_dim]` (queries, or clusters after
     /// sum-pooling at cluster-level scheduling).
@@ -125,8 +124,8 @@ pub struct StateRepr<V = NodeId> {
 /// The decision loop's per-round state: the projected input rows and the
 /// state encoder's first attention block carried from one decision to the
 /// next, valid for the [`ParamStore`] at one [`ParamStore::version`].
-/// [`Self::project`] drops both when the version moves (training updates,
-/// checkpoint loads), so no stale row is ever read.
+/// [`Self::project`] drops both when the version moves (a training update,
+/// or any other mutable access to the store), so no stale row is ever read.
 ///
 /// One slot per entity row holds the bit pattern of the input row
 /// `e_i ∥ f_i` and its projection `x_i`. The projection is row-wise, so a
@@ -207,7 +206,7 @@ impl InputRowCache {
 }
 
 /// The attention-based state encoder.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StateEncoder {
     config: StateEncoderConfig,
     plan_dim: usize,

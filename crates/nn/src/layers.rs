@@ -9,10 +9,9 @@ use crate::ops::Ops;
 use crate::params::{ParamId, ParamStore};
 use crate::tensor::Tensor;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Activation functions supported by [`Linear`] and [`Mlp`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Activation {
     /// Identity (no activation).
     None,
@@ -33,7 +32,7 @@ impl Activation {
 }
 
 /// A fully-connected layer `y = act(x W + b)`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Linear {
     weight: ParamId,
     bias: ParamId,
@@ -100,7 +99,7 @@ impl Linear {
 /// The paper composes most of its heads as `(σ · Linear)^m`; this struct is
 /// that composition with a configurable activation on hidden layers and an
 /// optional different activation on the output layer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Mlp {
     layers: Vec<Linear>,
 }
@@ -170,7 +169,7 @@ impl Mlp {
 /// The paper applies batch normalisation after every attention sub-layer;
 /// this crate substitutes layer normalisation, which needs no running
 /// statistics (see the `bq-nn` row of `docs/CRATES.md`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LayerNorm {
     gamma: ParamId,
     beta: ParamId,
@@ -281,7 +280,7 @@ pub(crate) fn attention_weights<'s, O: Ops<'s> + ?Sized>(
 /// This is the core of both the QueryFormer-style plan encoder (with a tree
 /// bias mask) and the batch-query state representation (with the super query
 /// token). The attention operates on `[n, dim]` inputs and returns `[n, dim]`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MultiHeadAttention {
     wq: Vec<ParamId>,
     wk: Vec<ParamId>,
@@ -399,7 +398,7 @@ impl MultiHeadAttention {
 /// A Transformer-style encoder block: attention + feed-forward, each with a
 /// residual connection and layer normalisation, matching Eq. (x̂_i / x_i^(ℓ))
 /// in §III-A of the paper.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AttentionBlock {
     attention: MultiHeadAttention,
     norm1: LayerNorm,

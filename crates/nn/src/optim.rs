@@ -4,14 +4,13 @@
 use crate::graph::{Graph, NodeId};
 use crate::params::{ParamId, ParamStore};
 use crate::tensor::Tensor;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Adam optimizer (Kingma & Ba) — the default optimizer for every learned
 /// component of BQSched (policy/value/auxiliary networks, the gain predictor
 /// and the learned incremental simulator).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Adam {
     /// Learning rate.
     pub lr: f32,

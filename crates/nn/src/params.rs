@@ -9,7 +9,6 @@
 
 use crate::tensor::Tensor;
 use rand::Rng;
-use serde::{Deserialize, Serialize, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The source of every [`ParamStore::version`]: one counter for the whole
@@ -23,7 +22,7 @@ fn next_version() -> u64 {
 }
 
 /// Handle to a parameter inside a [`ParamStore`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ParamId(pub(crate) usize);
 
 impl ParamId {
@@ -34,9 +33,9 @@ impl ParamId {
 }
 
 /// A single learnable parameter with its accumulated gradient.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Param {
-    /// Human-readable name, used for debugging and checkpoint inspection.
+    /// Human-readable name, for debugging and test failure messages.
     pub name: String,
     /// Current value.
     pub value: Tensor,
@@ -62,29 +61,8 @@ pub struct ParamStore {
     /// Drawn from a process-wide counter on every mutable access to
     /// parameter values. Caches of values derived from parameters (e.g. the
     /// decision loop's projected input rows) compare it to decide whether
-    /// they are stale. Not part of checkpoints: a deserialized store draws a
-    /// fresh version, like any other mutation.
+    /// they are stale.
     version: u64,
-}
-
-// Manual (de)serialization keeps `version` out of checkpoints, so the on-disk
-// format is unchanged from the former derive (a map with a `params` entry).
-impl Serialize for ParamStore {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![("params".to_string(), self.params.to_value())])
-    }
-}
-
-impl Deserialize for ParamStore {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("ParamStore: expected a map"))?;
-        Ok(Self {
-            params: Deserialize::from_value(Value::map_get(m, "params"))?,
-            version: next_version(),
-        })
-    }
 }
 
 impl ParamStore {
@@ -94,12 +72,11 @@ impl ParamStore {
     }
 
     /// Version of the parameter values: any call that could have mutated a
-    /// value (registration, `get_mut`, `iter_mut`, `copy_values_from`,
-    /// deserialization) draws a new one from a process-wide counter, and a
-    /// clone keeps its original's. So equal versions imply equal values,
-    /// across stores too: a cache derived from parameter values is valid
-    /// exactly as long as the version it was built at matches, whichever
-    /// store it is then used with.
+    /// value (registration, `get_mut`, `iter_mut`) draws a new one from a
+    /// process-wide counter, and a clone keeps its original's. So equal
+    /// versions imply equal values, across stores too: a cache derived from
+    /// parameter values is valid exactly as long as the version it was
+    /// built at matches, whichever store it is then used with.
     pub fn version(&self) -> u64 {
         self.version
     }
@@ -211,38 +188,6 @@ impl ParamStore {
             }
         }
     }
-
-    /// Copy all parameter values from another store with identical layout.
-    ///
-    /// Used to snapshot the "old" policy before a PPO update and to load
-    /// checkpoints saved during simulator pre-training.
-    pub fn copy_values_from(&mut self, other: &ParamStore) {
-        self.version = next_version();
-        assert_eq!(
-            self.params.len(),
-            other.params.len(),
-            "param store layout mismatch"
-        );
-        for (dst, src) in self.params.iter_mut().zip(other.params.iter()) {
-            assert_eq!(
-                dst.value.shape(),
-                src.value.shape(),
-                "param shape mismatch for {}",
-                dst.name
-            );
-            dst.value = src.value.clone();
-        }
-    }
-
-    /// Serialize the parameter values to a JSON string (a lightweight checkpoint).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("param store serialization cannot fail")
-    }
-
-    /// Restore a store from [`ParamStore::to_json`] output.
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
-    }
 }
 
 #[cfg(test)]
@@ -302,31 +247,5 @@ mod tests {
         let before = store.grad(id).clone();
         store.clip_grad_norm(10.0);
         assert_eq!(store.grad(id), &before);
-    }
-
-    #[test]
-    fn copy_values_from_other_store() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut a = ParamStore::new();
-        let mut b = ParamStore::new();
-        let ia = a.add_xavier("w", 2, 2, &mut rng);
-        let ib = b.add_xavier("w", 2, 2, &mut rng);
-        assert_ne!(a.value(ia), b.value(ib));
-        b.copy_values_from(&a);
-        assert_eq!(a.value(ia), b.value(ib));
-    }
-
-    #[test]
-    fn json_checkpoint_roundtrip() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut store = ParamStore::new();
-        store.add_xavier("w1", 3, 3, &mut rng);
-        store.add_zeros("b1", 1, 3);
-        let json = store.to_json();
-        let restored = ParamStore::from_json(&json).unwrap();
-        assert_eq!(restored.len(), store.len());
-        for (id, p) in store.iter() {
-            assert_eq!(restored.value(id), &p.value);
-        }
     }
 }

@@ -6,11 +6,10 @@
 //! (queries) by a few dozen columns (embedding dimensions) — so a simple
 //! row-major `Vec<f32>` backing store is both sufficient and cache friendly.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense, row-major 2-D tensor of `f32` values.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Tensor {
     rows: usize,
     cols: usize,
@@ -841,13 +840,5 @@ mod tests {
         let b = Tensor::row(&[10.0, 20.0]);
         a.add_scaled(&b, 0.5);
         assert_eq!(a.data(), &[6.0, 12.0]);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let t = Tensor::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        let s = serde_json::to_string(&t).unwrap();
-        let back: Tensor = serde_json::from_str(&s).unwrap();
-        assert_eq!(back, t);
     }
 }

@@ -8,14 +8,12 @@
 //! scale factor 1, and a fact/dimension split that controls how cardinality
 //! grows with the scale factor.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a table within a [`Catalog`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TableId(pub usize);
 
 /// Which benchmark a catalog (and the workload generated on it) belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Benchmark {
     /// TPC-DS: 99 query templates over a retail snowflake schema.
     TpcDs,
@@ -48,7 +46,7 @@ impl Benchmark {
 
 /// A table definition: name, base cardinality at scale factor 1 and how it
 /// scales with data volume.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TableDef {
     /// Table identifier.
     pub id: TableId,
@@ -69,7 +67,7 @@ pub const PAGE_BYTES: u64 = 8192;
 
 /// A catalog: the set of tables of one benchmark instantiated at a given
 /// scale factor.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Catalog {
     /// The benchmark this catalog models.
     pub benchmark: Benchmark,

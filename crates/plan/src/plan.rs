@@ -8,16 +8,15 @@
 //! (`bq-dbms`).
 
 use crate::catalog::TableId;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a query within a batch (stable across scheduling rounds).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QueryId(pub usize);
 
 /// Physical plan operators. The set covers what PostgreSQL-class optimizers
 /// emit for the three benchmarks; each operator carries an intrinsic CPU/I-O
 /// weight used when deriving node costs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Operator {
     /// Full sequential scan of a base table (I/O dominant).
     SeqScan,
@@ -114,7 +113,7 @@ impl Operator {
 }
 
 /// A node in a physical plan tree.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PlanNode {
     /// Operator executed at this node.
     pub op: Operator,
@@ -201,7 +200,7 @@ impl PlanNode {
 }
 
 /// A complete physical plan for one query of the batch.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QueryPlan {
     /// Stable identifier of the query within its batch.
     pub id: QueryId,
@@ -214,7 +213,7 @@ pub struct QueryPlan {
 }
 
 /// A flattened view of one plan node produced by [`QueryPlan::flatten`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FlatNode {
     /// Index of the node in pre-order traversal.
     pub index: usize,
@@ -443,14 +442,5 @@ mod tests {
         }
         assert_eq!(node.height(), 6);
         assert_eq!(node.size(), 7);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let p = sample_plan();
-        let s = serde_json::to_string(&p).unwrap();
-        let back: QueryPlan = serde_json::from_str(&s).unwrap();
-        assert_eq!(back.node_count(), p.node_count());
-        assert_eq!(back.name, p.name);
     }
 }

@@ -11,10 +11,9 @@
 
 use crate::catalog::{Catalog, TableId};
 use crate::plan::{Operator, QueryPlan};
-use serde::{Deserialize, Serialize};
 
 /// Resource demands of one query, derived from its physical plan.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ResourceProfile {
     /// Total CPU work in abstract units (1 unit ≈ 1 ms on one core of the
     /// reference DBMS-X profile).

@@ -20,10 +20,9 @@ use crate::plan::{Operator, PlanNode, QueryId, QueryPlan};
 use crate::profile::ResourceProfile;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of a generated workload.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkloadSpec {
     /// Benchmark schema and template set.
     pub benchmark: Benchmark,
@@ -56,7 +55,7 @@ impl WorkloadSpec {
 }
 
 /// One query of the batch: its plan plus the derived resource profile.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BatchQuery {
     /// Physical plan.
     pub plan: QueryPlan,
@@ -65,7 +64,7 @@ pub struct BatchQuery {
 }
 
 /// A batch query set ready for scheduling.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Workload {
     /// Generation parameters.
     pub spec: WorkloadSpec,

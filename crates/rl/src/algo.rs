@@ -14,7 +14,6 @@
 
 use crate::buffer::{Estimate, RolloutBuffer, Transition};
 use bq_nn::{fit, Adam, EpochStats, Graph, NodeId, ParamStore, Tensor};
-use serde::{Deserialize, Serialize};
 
 /// A model that exposes a policy head, a value head and an auxiliary
 /// finish-time head over a shared state representation.
@@ -40,7 +39,7 @@ pub trait ActorCritic: Sync {
 }
 
 /// Hyper-parameters shared by the PPO core of all three algorithms.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PpoConfig {
     /// Clipping parameter ε.
     pub clip: f32,
@@ -76,7 +75,7 @@ impl Default for PpoConfig {
 }
 
 /// Diagnostics of one PPO update.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct PpoStats {
     /// Mean clipped-surrogate (policy) loss.
     pub policy_loss: f32,
@@ -87,7 +86,7 @@ pub struct PpoStats {
 }
 
 /// Diagnostics of one auxiliary phase.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct AuxStats {
     /// Mean auxiliary prediction loss.
     pub aux_loss: f32,
@@ -97,7 +96,7 @@ pub struct AuxStats {
 
 /// Which policy-optimization algorithm trains the agent: the auxiliary
 /// phase of [`IqPpoTrainer`] differs, nothing else does.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Algorithm {
     /// Plain PPO (the "w/ PPO" ablation and the LSched baseline): no
     /// auxiliary phase.
@@ -133,7 +132,7 @@ fn half_mse(g: &mut Graph, prediction: NodeId, target: f32) -> NodeId {
 }
 
 /// Trainer configuration (Algorithm 1 of the paper).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct IqPpoConfig {
     /// PPO core configuration.
     pub ppo: PpoConfig,
@@ -487,11 +486,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut store = ParamStore::new();
         let model = BanditModel::new(&mut store, &mut rng);
-        let before = store.to_json();
+        let before = store_bits(&store);
         let mut trainer = IqPpoTrainer::new(IqPpoConfig::default());
         let stats = trainer.ppo_phase(&model, &mut store, &RolloutBuffer::new());
         assert_eq!(stats.policy_loss, 0.0);
-        assert_eq!(store.to_json(), before);
+        assert_eq!(store_bits(&store), before);
         assert_eq!(trainer.optimizers()[0].steps(), 0);
     }
 
@@ -501,11 +500,11 @@ mod tests {
         let mut store = ParamStore::new();
         let model = BanditModel::new(&mut store, &mut rng);
         let (buffer, _) = collect_bandit_rollout(&model, &store, &mut rng, 16);
-        let before = store.to_json();
+        let before = store_bits(&store);
         let mut trainer = IqPpoTrainer::for_algorithm(Algorithm::Ppo, IqPpoConfig::default());
         let stats = trainer.aux_phase(&model, &mut store, &buffer);
         assert_eq!((stats.aux_loss, stats.kl), (0.0, 0.0));
-        assert_eq!(store.to_json(), before);
+        assert_eq!(store_bits(&store), before);
         for adam in trainer.optimizers() {
             assert_eq!(adam.steps(), 0);
             assert!(adam.moments().0.is_empty());
@@ -610,6 +609,15 @@ mod tests {
     }
     fn bits<'a>(values: impl IntoIterator<Item = &'a f32>) -> Vec<u32> {
         values.into_iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every parameter's value, then its gradient.
+    fn store_bits(store: &ParamStore) -> Vec<u32> {
+        bits(
+            store
+                .iter()
+                .flat_map(|(_, p)| p.value.data().iter().chain(p.grad.data())),
+        )
     }
 
     /// Every parameter value, then every Adam moment of `optimizers`.

@@ -8,12 +8,10 @@
 //! auxiliary task — the identity and ground-truth finish time of the earliest
 //! concurrent query to finish.
 
-use serde::{Deserialize, Serialize};
-
 /// Auxiliary-task target attached to a transition: the earliest concurrent
 /// query to finish after this decision point and its (normalised) remaining
 /// time until completion.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct AuxTarget {
     /// Index (within the observation's entity list) of the earliest query to
     /// finish among those running at this state.
@@ -24,7 +22,7 @@ pub struct AuxTarget {
 }
 
 /// One stored decision.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Transition<O> {
     /// Observation at the decision point.
     pub obs: O,
@@ -46,7 +44,7 @@ pub struct Transition<O> {
 }
 
 /// Per-transition advantage and return computed by GAE.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Estimate {
     /// Advantage estimate Â_t.
     pub advantage: f32,
@@ -55,7 +53,7 @@ pub struct Estimate {
 }
 
 /// A buffer of transitions collected under one behaviour policy.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RolloutBuffer<O> {
     transitions: Vec<Transition<O>>,
 }

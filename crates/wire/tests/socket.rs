@@ -203,11 +203,7 @@ fn server_restart_mid_episode_recovers_via_reconnect_and_cached_replay() {
     assert_eq!(log.len(), w.len(), "every query completes despite the cut");
     // The lost exchange surfaced as a transport retransmission fault; the
     // session drains backend faults into the episode log as it runs.
-    let retransmits = log
-        .faults
-        .iter()
-        .filter(|f| f.kind == "transport_retransmit")
-        .count();
+    let retransmits = log.fault_count("transport_retransmit");
     assert!(
         retransmits >= 1,
         "the cut exchange must be retransmitted, faults: {:?}",
