@@ -284,12 +284,6 @@ impl<B: ExecutorBackend> AsyncAdapter<B> {
         &self.inner
     }
 
-    /// Submissions waiting in the backpressure queue (claimed by the
-    /// session, not yet dispatched into the in-flight window).
-    pub fn backpressured(&self) -> usize {
-        self.queued.len()
-    }
-
     /// Dispatches currently in flight (issued, latency not elapsed).
     pub fn in_flight(&self) -> usize {
         self.in_flight
@@ -695,7 +689,7 @@ mod tests {
             .collect();
         a.submit_batch(&batch);
         assert_eq!(a.in_flight(), 2, "window admits two dispatches");
-        assert_eq!(a.backpressured(), 3, "the rest waits in the queue");
+        assert_eq!(a.queued.len(), 3, "the rest waits in the queue");
         // Every claimed slot is occupied — the session can never hand the
         // same connection out twice while the queue drains.
         for c in 0..5 {
@@ -717,7 +711,7 @@ mod tests {
                 connection: 1
             }
         );
-        assert_eq!(a.backpressured(), 1);
+        assert_eq!(a.queued.len(), 1);
         assert_eq!(a.in_flight(), 2);
         assert_eq!(
             a.poll_event(),
@@ -740,7 +734,7 @@ mod tests {
                 connection: 4
             }
         );
-        assert_eq!(a.backpressured(), 0);
+        assert_eq!(a.queued.len(), 0);
         assert_eq!(a.in_flight(), 0);
         // Requeued dispatches waited out their own latency from the instant
         // the window freed, so later admissions start strictly later.
@@ -827,17 +821,17 @@ mod tests {
             .map(|q| (QueryId(q), RunParams::default_config(), q))
             .collect();
         a.submit_batch(&batch);
-        assert_eq!((a.in_flight(), a.backpressured()), (1, 2));
+        assert_eq!((a.in_flight(), a.queued.len()), (1, 2));
         // Cancel one from the backpressure queue and one in flight.
         let c = a.cancel(2).expect("pending slot cancels");
         assert_eq!(c.query, QueryId(2));
         assert_eq!(c.duration(), 0.0, "never started: zero duration");
-        assert_eq!(a.backpressured(), 1);
+        assert_eq!(a.queued.len(), 1);
         let c = a.cancel(0).expect("in-flight slot cancels");
         assert_eq!(c.query, QueryId(0));
         // Revoking the in-flight dispatch freed the window: the remaining
         // queued entry dispatched immediately.
-        assert_eq!((a.in_flight(), a.backpressured()), (1, 0));
+        assert_eq!((a.in_flight(), a.queued.len()), (1, 0));
         assert!(a.connections()[0].is_free());
         assert!(a.connections()[2].is_free());
         assert!(a.connections()[1].is_pending());

@@ -467,11 +467,6 @@ impl BqSchedAgent {
         self.clustering.num_clusters()
     }
 
-    /// The adaptive mask currently in use.
-    pub fn adaptive_mask(&self) -> &AdaptiveMask {
-        &self.mask
-    }
-
     /// Take the rollout recorded for the most recent finished episode.
     pub fn take_rollout(&mut self) -> RolloutBuffer<BqObs> {
         std::mem::take(&mut self.finished_rollout)
@@ -1036,7 +1031,7 @@ mod tests {
         // Every query that the mask restricts must have run with an allowed config.
         let space = ParamSpace::full();
         for r in &log.records {
-            let allowed = agent.adaptive_mask().allowed(r.query);
+            let allowed = agent.mask.allowed(r.query);
             let idx = space.index_of(r.params).unwrap();
             assert!(
                 allowed[idx],
@@ -1074,7 +1069,15 @@ mod tests {
         let w = tiny_workload();
         let agent = BqSchedAgent::new(&w, &DbmsProfile::dbms_x(), None, c);
         assert_eq!(agent.name(), "LSched");
-        assert_eq!(agent.adaptive_mask().masked_fraction(), 0.0);
+        let masks_some = |agent: &BqSchedAgent| {
+            (0..w.len()).any(|i| agent.mask.allowed(QueryId(i)).contains(&false))
+        };
+        assert!(!masks_some(&agent), "LSched masks no configuration");
+        let bq = BqSchedAgent::new(&w, &DbmsProfile::dbms_x(), None, fast_config());
+        assert!(
+            masks_some(&bq),
+            "BQSched's adaptive mask prunes some configurations"
+        );
     }
 
     #[test]

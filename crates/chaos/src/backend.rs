@@ -13,7 +13,8 @@
 //! * **Death** — shard `s` dies at `at`: every completion it would have
 //!   produced from then on is swallowed; the query surfaces as a
 //!   [`FaultEvent::QueryLost`] through [`ExecutorBackend::poll_fault`]
-//!   instead, and its slot frees. A session must run with a
+//!   instead, and its slot frees. A stall of the shard that has not thawed
+//!   by then never announces its thaw. A session must run with a
 //!   [`bq_core::RecoveryPolicy`] (and should route with a
 //!   [`bq_core::FaultAwareRouter`]) to resubmit the lost queries elsewhere.
 //!
@@ -78,6 +79,13 @@ fn fault_counter(event: &FaultEvent) -> &'static str {
     }
 }
 
+/// Whether `shard` is dead by `instant` under the death instants `deaths`.
+fn dead_by(deaths: &[(usize, f64)], shard: usize, instant: f64) -> bool {
+    deaths
+        .iter()
+        .any(|&(s, at)| s == shard && instant >= at - TIME_EPS)
+}
+
 /// Shard coordinate of a fault event, if it has one.
 fn fault_shard(event: &FaultEvent) -> Option<usize> {
     match event {
@@ -91,10 +99,17 @@ fn fault_shard(event: &FaultEvent) -> Option<usize> {
 impl<B: ExecutorBackend> ChaosBackend<B> {
     /// Decorate `inner` with the shard faults of `schedule`.
     pub fn new(inner: B, schedule: &FaultSchedule) -> Self {
+        let events = schedule.shard_events();
+        let deaths: Vec<(usize, f64)> = events
+            .iter()
+            .filter_map(|event| match *event {
+                FaultSpec::ShardDeath { shard, at } => Some((shard, at)),
+                _ => None,
+            })
+            .collect();
         let mut timeline = Vec::new();
         let mut stalls = Vec::new();
-        let mut deaths = Vec::new();
-        for event in schedule.shard_events() {
+        for event in events {
             match event {
                 FaultSpec::ShardStall {
                     shard,
@@ -106,15 +121,16 @@ impl<B: ExecutorBackend> ChaosBackend<B> {
                         at,
                         resume_at,
                     });
-                    timeline.push(FaultEvent::ShardResumed {
-                        shard,
-                        at: resume_at,
-                    });
+                    if !dead_by(&deaths, shard, resume_at) {
+                        timeline.push(FaultEvent::ShardResumed {
+                            shard,
+                            at: resume_at,
+                        });
+                    }
                     stalls.push((shard, at, resume_at));
                 }
                 FaultSpec::ShardDeath { shard, at } => {
                     timeline.push(FaultEvent::ShardDied { shard, at });
-                    deaths.push((shard, at));
                 }
                 // bq-lint: allow(panic-surface): shard_events() yields only shard faults; locally provable
                 other => unreachable!("shard_events filtered: {other:?}"),
@@ -188,13 +204,6 @@ impl<B: ExecutorBackend> ChaosBackend<B> {
         self.inner.shard_topology().shard_of(connection)
     }
 
-    /// Whether `shard` is dead by `instant`.
-    fn dead_by(&self, shard: usize, instant: f64) -> bool {
-        self.deaths
-            .iter()
-            .any(|&(s, at)| s == shard && instant >= at - TIME_EPS)
-    }
-
     /// The stall window holding a completion on `shard` at `instant`, if
     /// any: returns the release instant.
     fn stalled_until(&self, shard: usize, instant: f64) -> Option<f64> {
@@ -246,7 +255,7 @@ impl<B: ExecutorBackend> ChaosBackend<B> {
     /// was absorbed and the caller should keep polling.
     fn classify(&mut self, completion: QueryCompletion) -> Option<ExecEvent> {
         let shard = self.shard_of(completion.connection);
-        if self.dead_by(shard, completion.finished_at) {
+        if dead_by(&self.deaths, shard, completion.finished_at) {
             // The shard died before this completion could surface: the
             // query is lost. Its inner slot already freed, so the session
             // can resubmit it elsewhere once the fault is drained.

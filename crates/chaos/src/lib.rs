@@ -10,11 +10,11 @@
 //! DBMS; real deployments of that shape lose connections, suffer partial
 //! writes, and watch executor shards stall or die. This crate makes those
 //! failures first-class *inputs*: every chaos episode is a pure function of
-//! `(workload, profile, seed, fault schedule)`, and the schedule itself a
-//! pure function of `(profile, seed)` — see [`FaultSchedule::generate`].
+//! `(workload, profile, seed, fault schedule)`, and the schedule is a list
+//! of hand-placed fault events — see [`FaultSchedule::from_events`].
 //!
-//! * [`schedule`] — [`FaultSpec`], [`ChaosProfile`] and [`FaultSchedule`]:
-//!   the seeded, replayable fault plan;
+//! * [`schedule`] — [`FaultSpec`] and [`FaultSchedule`]: the replayable
+//!   fault plan;
 //! * [`transport`] — [`ChaosTransport`]: outage windows, a mid-frame
 //!   truncation and congestion windows over an in-process link's two ends
 //!   ([`bq_wire::WireTransport`] and [`bq_wire::ServerTransport`]);
@@ -36,7 +36,7 @@
 //!
 //! # Determinism contract
 //!
-//! Under [`FaultSchedule::empty`] both decorators are **byte-identical
+//! Under the empty schedule both decorators are **byte-identical
 //! passthroughs** through the whole session stack (pinned by proptests and
 //! the conformance suite); under any fixed nonzero schedule an episode
 //! replays byte-identically, faults included.
@@ -70,15 +70,15 @@ pub mod schedule;
 pub mod transport;
 
 pub use backend::ChaosBackend;
-pub use schedule::{ChaosProfile, FaultSchedule, FaultSpec};
+pub use schedule::{FaultSchedule, FaultSpec};
 pub use transport::ChaosTransport;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bq_core::{
-        degraded_evaluation, FaultAwareRouter, FifoScheduler, LeastLoadedRouter, RecoveryPolicy,
-        ScheduleSession,
+        degraded_evaluation, FaultAwareRouter, FaultEvent, FifoScheduler, LeastLoadedRouter,
+        RecoveryPolicy, ScheduleSession,
     };
     use bq_dbms::{DbmsProfile, ExecutionEngine, ShardedEngine};
     use bq_plan::{generate, Benchmark, Workload, WorkloadSpec};
@@ -101,7 +101,7 @@ mod tests {
                 .run(&mut FifoScheduler::new());
             let mut chaotic = ChaosBackend::new(
                 ShardedEngine::new(profile.clone(), &w, seed, 2),
-                &FaultSchedule::empty(),
+                &FaultSchedule::from_events(Vec::new()),
             );
             let quiet = ScheduleSession::builder(&w)
                 .dbms(profile.kind)
@@ -121,7 +121,7 @@ mod tests {
             .dbms(profile.kind)
             .build(&mut bare)
             .run(&mut FifoScheduler::new());
-        let transport = ChaosTransport::lossless(&FaultSchedule::empty(), 0);
+        let transport = ChaosTransport::lossless(&FaultSchedule::from_events(Vec::new()), 0);
         let server = WireServer::new(ExecutionEngine::new(profile.clone(), &w, 0));
         let mut wired =
             WireBackend::connect(Loopback::new(server, transport)).expect("clean handshake");
@@ -321,25 +321,41 @@ mod tests {
     }
 
     #[test]
-    fn generated_schedules_drive_complete_recoverable_episodes() {
+    fn a_shard_that_dies_mid_stall_stays_out_of_rotation() {
         let w = tpch();
         let profile = DbmsProfile::dbms_x();
-        // A generated degraded-cluster schedule (not hand-placed) must also
-        // complete and replay: the profile/seed pair is the whole identity.
-        let chaos = FaultSchedule::generate(&ChaosProfile::degraded_cluster(2, 2.0), 5);
-        let run = || {
-            let mut backend =
-                ChaosBackend::new(ShardedEngine::new(profile.clone(), &w, 0, 2), &chaos);
-            let mut router = FaultAwareRouter::new(LeastLoadedRouter);
-            ScheduleSession::builder(&w)
-                .dbms(profile.kind)
-                .router(&mut router)
-                .recovery(RecoveryPolicy::bounded())
-                .build(&mut backend)
-                .run(&mut FifoScheduler::new())
-        };
-        let log = run();
+        // The stalled shard dies before its thaw: the thaw must never be
+        // announced, so the router never places a query on the dead shard
+        // and no query is lost twice.
+        let schedule = FaultSchedule::from_events(vec![
+            FaultSpec::ShardStall {
+                shard: 1,
+                at: 0.2,
+                resume_at: 2.0,
+            },
+            FaultSpec::ShardDeath { shard: 1, at: 0.5 },
+        ]);
+        let mut backend =
+            ChaosBackend::new(ShardedEngine::new(profile.clone(), &w, 0, 2), &schedule);
+        let mut router = FaultAwareRouter::new(LeastLoadedRouter);
+        let log = ScheduleSession::builder(&w)
+            .dbms(profile.kind)
+            .router(&mut router)
+            .recovery(RecoveryPolicy::bounded())
+            .build(&mut backend)
+            .run(&mut FifoScheduler::new());
         assert_eq!(log.len(), w.len());
-        assert_eq!(log.to_json(), run().to_json());
+        let mut losses = vec![0usize; w.len()];
+        for fault in &log.faults {
+            if let FaultEvent::QueryLost { query, .. } = fault {
+                losses[query.0] += 1;
+            }
+        }
+        assert!(log.lost_queries() >= 1, "the death must cost something");
+        assert!(
+            losses.iter().all(|&n| n <= 1),
+            "a query was lost more than once: {losses:?}"
+        );
+        assert_eq!(log.fault_count("shard_resumed"), 0);
     }
 }

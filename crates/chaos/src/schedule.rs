@@ -1,25 +1,8 @@
 //! Replayable fault schedules: every chaos episode is a pure function of
-//! `(workload, profile, seed, fault schedule)`, and the schedule itself is a
-//! pure function of `(profile, seed)` — so a degraded-mode run replays
-//! byte-identically, which is what lets the bench gate pin degraded-mode
-//! performance the same way it pins the healthy cells.
-
-use bq_core::rng;
-
-/// Salt of the disconnect-instant stream.
-const DISCONNECT_SALT: u64 = 0x9D8A_4F2C_6E1B_3057;
-/// Salt of the partial-write-instant stream.
-const PARTIAL_WRITE_SALT: u64 = 0x42D1_9C6E_85F3_0B2A;
-/// Salt of the latency-spike-instant stream.
-const SPIKE_SALT: u64 = 0x7B3F_E08D_24C6_91A5;
-/// Salt of the shard-stall stream (instants and shard picks).
-const STALL_SALT: u64 = 0xC65A_12F8_D94E_703B;
-/// Salt of the shard-death stream (instants and shard picks).
-const DEATH_SALT: u64 = 0x1E97_B350_6A8C_F4D2;
-
-fn draw(seed: u64, salt: u64, index: usize, lane: u64) -> f64 {
-    rng::stream_unit(seed, salt, index as u64, lane)
-}
+//! `(workload, profile, seed, fault schedule)`, and the schedule is a
+//! hand-placed list of fault events in virtual time, so a degraded-mode run
+//! replays byte-identically, which is what lets the bench gate pin
+//! degraded-mode performance the same way it pins the healthy cells.
 
 /// One planned fault, placed in virtual time.
 ///
@@ -101,91 +84,6 @@ impl FaultSpec {
     }
 }
 
-/// How many faults of each class a generated schedule carries, and where in
-/// virtual time they land.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChaosProfile {
-    /// Virtual window `[0, horizon)` fault instants are drawn from.
-    pub horizon: f64,
-    /// Transport outage windows.
-    pub disconnects: usize,
-    /// Length of each outage window.
-    pub disconnect_duration: f64,
-    /// Mid-frame write truncations (each tears the connection down).
-    pub partial_writes: usize,
-    /// Congestion windows.
-    pub latency_spikes: usize,
-    /// Length of each congestion window.
-    pub spike_duration: f64,
-    /// Additional per-chunk delay inside a congestion window.
-    pub spike_extra: f64,
-    /// Bounded shard freezes.
-    pub shard_stalls: usize,
-    /// Length of each freeze.
-    pub stall_duration: f64,
-    /// Permanent shard deaths (capped below the shard count — at least one
-    /// shard must survive or no recovery can make progress).
-    pub shard_deaths: usize,
-    /// Shard count of the topology the schedule targets (shard picks are
-    /// drawn from it).
-    pub shards: usize,
-}
-
-impl ChaosProfile {
-    /// No faults at all — [`FaultSchedule::generate`] yields the empty
-    /// schedule, under which both chaos decorators are byte-identical
-    /// passthroughs.
-    pub fn quiet() -> Self {
-        Self {
-            horizon: 0.0,
-            disconnects: 0,
-            disconnect_duration: 0.0,
-            partial_writes: 0,
-            latency_spikes: 0,
-            spike_duration: 0.0,
-            spike_extra: 0.0,
-            shard_stalls: 0,
-            stall_duration: 0.0,
-            shard_deaths: 0,
-            shards: 1,
-        }
-    }
-
-    /// A flaky link: outages, a mid-frame truncation and congestion windows
-    /// spread over `[0, horizon)`. Transport faults only.
-    pub fn flaky_link(horizon: f64) -> Self {
-        assert!(horizon > 0.0 && horizon.is_finite());
-        Self {
-            horizon,
-            disconnects: 2,
-            disconnect_duration: horizon * 0.02,
-            partial_writes: 1,
-            latency_spikes: 2,
-            spike_duration: horizon * 0.05,
-            spike_extra: horizon * 0.01,
-            ..Self::quiet()
-        }
-    }
-
-    /// A degrading cluster of `shards` shards: one bounded stall and one
-    /// permanent death over `[0, horizon)`. Shard faults only.
-    pub fn degraded_cluster(shards: usize, horizon: f64) -> Self {
-        assert!(
-            shards >= 2,
-            "a death needs a surviving shard to fail over to"
-        );
-        assert!(horizon > 0.0 && horizon.is_finite());
-        Self {
-            horizon,
-            shard_stalls: 1,
-            stall_duration: horizon * 0.1,
-            shard_deaths: 1,
-            shards,
-            ..Self::quiet()
-        }
-    }
-}
-
 /// A replayable plan of fault events, sorted by onset instant.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultSchedule {
@@ -193,75 +91,9 @@ pub struct FaultSchedule {
 }
 
 impl FaultSchedule {
-    /// The schedule with no faults: both chaos decorators become
-    /// byte-identical passthroughs under it.
-    pub fn empty() -> Self {
-        Self { events: Vec::new() }
-    }
-
-    /// A schedule of hand-placed events (sorted by onset instant) — for
-    /// targeted episodes where the seeded generator's placement is too
-    /// coarse.
+    /// A schedule of hand-placed events, sorted by onset instant. With no
+    /// events both chaos decorators are byte-identical passthroughs.
     pub fn from_events(mut events: Vec<FaultSpec>) -> Self {
-        events.sort_by(|a, b| a.at().total_cmp(&b.at()));
-        Self { events }
-    }
-
-    /// Generate the schedule of `(profile, seed)` — a pure function of its
-    /// arguments, so the same pair always yields the same plan.
-    ///
-    /// # Panics
-    /// Panics if the profile asks for at least as many shard deaths as it
-    /// has shards (no shard would survive to absorb failover).
-    pub fn generate(profile: &ChaosProfile, seed: u64) -> Self {
-        assert!(
-            profile.shard_deaths == 0 || profile.shard_deaths < profile.shards,
-            "at least one shard must survive the schedule"
-        );
-        let mut events = Vec::new();
-        for i in 0..profile.disconnects {
-            events.push(FaultSpec::Disconnect {
-                at: profile.horizon * draw(seed, DISCONNECT_SALT, i, 0),
-                duration: profile.disconnect_duration,
-            });
-        }
-        for i in 0..profile.partial_writes {
-            events.push(FaultSpec::PartialWrite {
-                at: profile.horizon * draw(seed, PARTIAL_WRITE_SALT, i, 0),
-            });
-        }
-        for i in 0..profile.latency_spikes {
-            events.push(FaultSpec::LatencySpike {
-                at: profile.horizon * draw(seed, SPIKE_SALT, i, 0),
-                duration: profile.spike_duration,
-                extra: profile.spike_extra,
-            });
-        }
-        for i in 0..profile.shard_stalls {
-            let at = profile.horizon * draw(seed, STALL_SALT, i, 0);
-            events.push(FaultSpec::ShardStall {
-                shard: (draw(seed, STALL_SALT, i, 1) * profile.shards as f64) as usize
-                    % profile.shards.max(1),
-                at,
-                resume_at: at + profile.stall_duration,
-            });
-        }
-        let mut dead = vec![false; profile.shards];
-        for i in 0..profile.shard_deaths {
-            // Probe linearly past already-picked shards so every death
-            // targets a distinct shard (a second death of a dead shard would
-            // be a no-op).
-            let mut shard =
-                (draw(seed, DEATH_SALT, i, 1) * profile.shards as f64) as usize % profile.shards;
-            while dead[shard] {
-                shard = (shard + 1) % profile.shards;
-            }
-            dead[shard] = true;
-            events.push(FaultSpec::ShardDeath {
-                shard,
-                at: profile.horizon * draw(seed, DEATH_SALT, i, 0),
-            });
-        }
         events.sort_by(|a, b| a.at().total_cmp(&b.at()));
         Self { events }
     }
@@ -305,66 +137,45 @@ mod tests {
     use super::*;
 
     #[test]
-    fn generation_is_a_pure_function_of_profile_and_seed() {
-        let profile = ChaosProfile::degraded_cluster(4, 100.0);
-        let a = FaultSchedule::generate(&profile, 7);
-        let b = FaultSchedule::generate(&profile, 7);
-        assert_eq!(a, b);
-        let c = FaultSchedule::generate(&profile, 8);
-        assert_ne!(a, c, "the seed must vary the plan");
-    }
-
-    #[test]
     fn schedules_are_sorted_and_split_cleanly_by_layer() {
-        let mut profile = ChaosProfile::flaky_link(50.0);
-        profile.shard_stalls = 2;
-        profile.stall_duration = 1.0;
-        profile.shard_deaths = 1;
-        profile.shards = 3;
-        let s = FaultSchedule::generate(&profile, 3);
+        let s = FaultSchedule::from_events(vec![
+            FaultSpec::ShardDeath { shard: 2, at: 31.0 },
+            FaultSpec::LatencySpike {
+                at: 12.0,
+                duration: 2.5,
+                extra: 0.5,
+            },
+            FaultSpec::ShardStall {
+                shard: 1,
+                at: 4.0,
+                resume_at: 5.0,
+            },
+            FaultSpec::Disconnect {
+                at: 40.0,
+                duration: 1.0,
+            },
+            FaultSpec::PartialWrite { at: 7.5 },
+            FaultSpec::ShardStall {
+                shard: 0,
+                at: 22.0,
+                resume_at: 23.0,
+            },
+            FaultSpec::Disconnect {
+                at: 0.5,
+                duration: 1.0,
+            },
+            FaultSpec::LatencySpike {
+                at: 18.0,
+                duration: 2.5,
+                extra: 0.5,
+            },
+        ]);
         assert_eq!(s.len(), 8);
         assert!(s.events().windows(2).all(|w| w[0].at() <= w[1].at()));
-        assert_eq!(s.transport_events().len() + s.shard_events().len(), s.len());
+        assert_eq!(s.transport_events().len(), 5);
+        assert_eq!(s.shard_events().len(), 3);
         assert!(s.transport_events().iter().all(FaultSpec::is_transport));
-        for e in s.events() {
-            assert!((0.0..50.0).contains(&e.at()));
-        }
-    }
-
-    #[test]
-    fn deaths_target_distinct_shards_and_never_kill_everything() {
-        let mut profile = ChaosProfile::quiet();
-        profile.horizon = 10.0;
-        profile.shards = 4;
-        profile.shard_deaths = 3;
-        let s = FaultSchedule::generate(&profile, 11);
-        let mut shards: Vec<usize> = s
-            .shard_events()
-            .iter()
-            .map(|e| match e {
-                FaultSpec::ShardDeath { shard, .. } => *shard,
-                other => panic!("unexpected {other:?}"),
-            })
-            .collect();
-        shards.sort_unstable();
-        shards.dedup();
-        assert_eq!(shards.len(), 3, "every death targets its own shard");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one shard must survive")]
-    fn killing_every_shard_is_rejected() {
-        let mut profile = ChaosProfile::quiet();
-        profile.horizon = 10.0;
-        profile.shards = 2;
-        profile.shard_deaths = 2;
-        let _ = FaultSchedule::generate(&profile, 0);
-    }
-
-    #[test]
-    fn the_empty_schedule_is_empty() {
-        assert!(FaultSchedule::empty().is_empty());
-        assert_eq!(FaultSchedule::empty().len(), 0);
-        assert!(FaultSchedule::generate(&ChaosProfile::quiet(), 9).is_empty());
+        assert!(s.shard_events().iter().all(|e| !e.is_transport()));
+        assert!(FaultSchedule::from_events(Vec::new()).is_empty());
     }
 }

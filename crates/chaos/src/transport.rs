@@ -209,7 +209,7 @@ mod tests {
 
     #[test]
     fn empty_schedule_is_a_verbatim_passthrough() {
-        let mut chaos = ChaosTransport::lossless(&FaultSchedule::empty(), 0);
+        let mut chaos = ChaosTransport::lossless(&FaultSchedule::from_events(Vec::new()), 0);
         let mut plain = InMemoryDuplex::lossless();
         for i in 0..8u8 {
             let at = f64::from(i) * 0.5;

@@ -149,7 +149,8 @@ impl ShardRouter for LeastLoadedRouter {
 /// arrives through [`ShardRouter::observe_fault`] (the session layer drains
 /// backend faults and forwards them before every routing decision):
 /// [`FaultEvent::ShardStalled`] and [`FaultEvent::ShardDied`] take a shard
-/// out of rotation, [`FaultEvent::ShardResumed`] reintegrates it.
+/// out of rotation, [`FaultEvent::ShardResumed`] reintegrates a stalled
+/// one. A death is permanent: a dead shard never rejoins rotation.
 ///
 /// While every shard is healthy the decorator is a pure passthrough — the
 /// inner policy sees the untouched occupancy view, so fault-free episodes
@@ -160,10 +161,18 @@ impl ShardRouter for LeastLoadedRouter {
 #[derive(Debug, Clone)]
 pub struct FaultAwareRouter<R> {
     inner: R,
-    /// Per-shard out-of-rotation flags, grown lazily to the topology.
-    down: Vec<bool>,
+    /// Per-shard health, grown lazily to the topology.
+    shards: Vec<ShardHealth>,
     /// Reusable masked-occupancy copy (no per-decision allocation).
     scratch: Vec<ConnectionSlot>,
+}
+
+/// What a [`FaultAwareRouter`] knows of one shard.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ShardHealth {
+    Up,
+    Stalled,
+    Dead,
 }
 
 impl<R: ShardRouter> FaultAwareRouter<R> {
@@ -171,26 +180,19 @@ impl<R: ShardRouter> FaultAwareRouter<R> {
     pub fn new(inner: R) -> Self {
         Self {
             inner,
-            down: Vec::new(),
+            shards: Vec::new(),
             scratch: Vec::new(),
         }
     }
 
-    /// Shards currently out of rotation (dead or stalled).
-    pub fn degraded_shards(&self) -> Vec<usize> {
-        self.down
-            .iter()
-            .enumerate()
-            .filter(|(_, &d)| d)
-            .map(|(s, _)| s)
-            .collect()
-    }
-
-    fn mark(&mut self, shard: usize, down: bool) {
-        if self.down.len() <= shard {
-            self.down.resize(shard + 1, false);
+    /// Record `shard`'s new health; a dead shard stays dead.
+    fn mark(&mut self, shard: usize, health: ShardHealth) {
+        if self.shards.len() <= shard {
+            self.shards.resize(shard + 1, ShardHealth::Up);
         }
-        self.down[shard] = down;
+        if self.shards[shard] != ShardHealth::Dead {
+            self.shards[shard] = health;
+        }
     }
 }
 
@@ -200,15 +202,15 @@ impl<R: ShardRouter> ShardRouter for FaultAwareRouter<R> {
     }
 
     fn route(&mut self, topology: &ShardTopology, slots: &[ConnectionSlot]) -> Option<usize> {
-        if self.down.iter().all(|&d| !d) {
+        if self.shards.iter().all(|&h| h == ShardHealth::Up) {
             // Healthy cluster: the inner policy must see the untouched view
             // (byte-identity of fault-free episodes).
             return self.inner.route(topology, slots);
         }
         self.scratch.clear();
         self.scratch.extend_from_slice(slots);
-        for shard in 0..topology.shard_count().min(self.down.len()) {
-            if !self.down[shard] {
+        for shard in 0..topology.shard_count().min(self.shards.len()) {
+            if self.shards[shard] == ShardHealth::Up {
                 continue;
             }
             for slot in &mut self.scratch[topology.range_of(shard)] {
@@ -233,10 +235,9 @@ impl<R: ShardRouter> ShardRouter for FaultAwareRouter<R> {
 
     fn observe_fault(&mut self, event: &FaultEvent) {
         match *event {
-            FaultEvent::ShardStalled { shard, .. } | FaultEvent::ShardDied { shard, .. } => {
-                self.mark(shard, true)
-            }
-            FaultEvent::ShardResumed { shard, .. } => self.mark(shard, false),
+            FaultEvent::ShardStalled { shard, .. } => self.mark(shard, ShardHealth::Stalled),
+            FaultEvent::ShardDied { shard, .. } => self.mark(shard, ShardHealth::Dead),
+            FaultEvent::ShardResumed { shard, .. } => self.mark(shard, ShardHealth::Up),
             _ => {}
         }
         self.inner.observe_fault(event);
@@ -314,7 +315,7 @@ mod tests {
         let mut plain = FirstFreeRouter;
         let mut wrapped = FaultAwareRouter::new(FirstFreeRouter);
         assert_eq!(wrapped.route(&t, &slots), plain.route(&t, &slots));
-        assert!(wrapped.degraded_shards().is_empty());
+        assert!(wrapped.shards.is_empty());
     }
 
     #[test]
@@ -323,7 +324,7 @@ mod tests {
         let slots = occupancy(&[], 6);
         let mut r = FaultAwareRouter::new(FirstFreeRouter);
         r.observe_fault(&FaultEvent::ShardDied { shard: 0, at: 1.0 });
-        assert_eq!(r.degraded_shards(), vec![0]);
+        assert_eq!(r.shards, [ShardHealth::Dead]);
         // First-free would pick slot 0; the wrapper must skip shard 0.
         assert_eq!(r.route(&t, &slots), Some(3));
         // A stalled shard is equally out of rotation...
@@ -336,7 +337,27 @@ mod tests {
         // ...until it resumes.
         r.observe_fault(&FaultEvent::ShardResumed { shard: 1, at: 5.0 });
         assert_eq!(r.route(&t, &slots), Some(3));
-        assert_eq!(r.degraded_shards(), vec![0]);
+        assert_eq!(r.shards, [ShardHealth::Dead, ShardHealth::Up]);
+    }
+
+    #[test]
+    fn fault_aware_router_never_reintegrates_a_dead_shard() {
+        let t = ShardTopology::uniform(2, 3);
+        let slots = occupancy(&[], 6);
+        let mut r = FaultAwareRouter::new(FirstFreeRouter);
+        r.observe_fault(&FaultEvent::ShardStalled {
+            shard: 0,
+            at: 0.2,
+            resume_at: 2.0,
+        });
+        r.observe_fault(&FaultEvent::ShardDied { shard: 0, at: 0.5 });
+        r.observe_fault(&FaultEvent::ShardResumed { shard: 0, at: 2.0 });
+        assert_eq!(r.shards, [ShardHealth::Dead]);
+        assert_eq!(
+            r.route(&t, &slots),
+            Some(3),
+            "shard 0 stays out of rotation"
+        );
     }
 
     #[test]

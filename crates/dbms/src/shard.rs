@@ -170,6 +170,7 @@ impl ShardedEngine {
     /// a partial stall — one broken shard among healthy siblings — is
     /// reachable without broken dynamics.
     #[doc(hidden)]
+    // bq-lint: allow(dead-pub): test hook of bq-chaos's one-broken-shard stall test
     pub fn force_shard_advance_budget(&mut self, shard: usize, budget: usize) {
         self.shards[shard].force_advance_budget(budget);
     }

@@ -61,11 +61,15 @@ pub fn plan_node_features(plan: &QueryPlan) -> Tensor {
     Tensor::from_rows(&rows)
 }
 
+/// Attention bias subtracted per hop of tree distance between two plan
+/// nodes.
+const TREE_BIAS_PER_HOP: f32 = 0.5;
+
 /// Tree-bias attention matrix for a plan: entry `(i, j)` is
-/// `-bias_per_hop * tree_distance(i, j)`, and the super node (appended as the
-/// last row/column by the encoder) attends to everything with zero bias. This
-/// reproduces QueryFormer's structural attention bias.
-pub fn tree_bias(plan: &QueryPlan, bias_per_hop: f32) -> Tensor {
+/// `-TREE_BIAS_PER_HOP * tree_distance(i, j)`, and the super node (appended
+/// as the last row/column by the encoder) attends to everything with zero
+/// bias. This reproduces QueryFormer's structural attention bias.
+pub fn tree_bias(plan: &QueryPlan) -> Tensor {
     let flat = plan.flatten();
     let n = flat.len();
     // Parent pointers -> ancestor chains for tree distance.
@@ -90,7 +94,7 @@ pub fn tree_bias(plan: &QueryPlan, bias_per_hop: f32) -> Tensor {
     let mut bias = Tensor::zeros(n + 1, n + 1);
     for i in 0..n {
         for j in 0..n {
-            bias.set(i, j, -bias_per_hop * dist(i, j) as f32);
+            bias.set(i, j, -TREE_BIAS_PER_HOP * dist(i, j) as f32);
         }
     }
     bias
@@ -165,7 +169,7 @@ mod tests {
         let feats = plan_node_features(&w.queries[0].plan);
         assert_eq!(feats.cols(), NODE_FEATURE_DIM);
         assert_eq!(feats.rows(), w.queries[0].plan.node_count());
-        assert!(feats.all_finite());
+        assert!(feats.data().iter().all(|x| x.is_finite()));
         // Exactly one operator bit set per node.
         for r in 0..feats.rows() {
             let op_bits: f32 = feats.row_slice(r)[..OPERATOR_COUNT].iter().sum();
@@ -177,7 +181,7 @@ mod tests {
     fn tree_bias_shape_and_symmetry() {
         let w = workload();
         let plan = &w.queries[0].plan;
-        let bias = tree_bias(plan, 0.5);
+        let bias = tree_bias(plan);
         let n = plan.node_count();
         assert_eq!(bias.shape(), (n + 1, n + 1));
         for i in 0..n {

@@ -26,9 +26,7 @@ pub use features::{
     mean_features, node_features, plan_node_features, state_feature_matrix, tree_bias,
     write_state_features, NODE_FEATURE_DIM, STATE_FEATURE_DIM, TABLE_BUCKETS, TIME_SCALE,
 };
-pub use plan_encoder::{
-    pretrain_on_cost, seeded_rng, PlanEncoder, PlanEncoderConfig, PretrainReport,
-};
+pub use plan_encoder::{pretrain_on_cost, PlanEncoder, PlanEncoderConfig, PretrainReport};
 pub use state_encoder::{
     EncodedObservation, InputRowCache, StateEncoder, StateEncoderConfig, StateRepr,
 };

@@ -4,7 +4,8 @@
 //! function of `(workload, profile, seed, dispatch/transport/fault
 //! schedule)`. Goldens and proptests *sample* that contract; `bq-lint`
 //! *enforces* it at build time with five deny-by-default rules over the
-//! workspace's own sources:
+//! workspace's own sources, and a sixth keeps the public surface to what
+//! the workspace uses:
 //!
 //! | rule | forbids |
 //! |------|---------|
@@ -13,6 +14,7 @@
 //! | `unseeded-rng` | `thread_rng` / `rand::random` / inline SplitMix64 constants outside `bq_core::rng` |
 //! | `panic-surface` | `unwrap()` / `expect()` / `panic!`-family in `core`/`wire`/`adapter`/`chaos` library code and `dbms/src/executor.rs` |
 //! | `hot-path-alloc` | `vec!` / `format!` / `.clone()` / `Vec::new` / `Box::new` … inside `// bq-lint: hot-path` regions |
+//! | `dead-pub` | a `pub` item of library code whose name no non-test line of `crates/`, `src/`, `examples/` or `perfbench/` uses |
 //!
 //! The escape hatch is inline and must carry a justification:
 //!
@@ -96,11 +98,38 @@ impl Report {
     }
 }
 
-/// Scan one source text as if it lived at `path` (workspace-relative, `/`
-/// separators). This is the unit under test for the fixture suite and the
-/// per-file worker for [`run_workspace`].
-pub fn scan_source(path: &str, text: &str, config: &Config) -> Report {
-    let scrubbed = source::scrub(text);
+/// Scan a set of sources as one workspace: the per-file rules on every file
+/// outside `perfbench/`, then `dead-pub` across all of them.
+/// Paths are workspace-relative with `/` separators. This is the unit under
+/// test for the fixture suite and the worker of [`run_workspace`].
+pub fn scan_sources(files: &[(&str, &str)], config: &Config) -> Report {
+    let scrubbed: Vec<(&str, source::Scrubbed)> = files
+        .iter()
+        .map(|&(path, text)| (path, source::scrub(text)))
+        .collect();
+    let mut report = Report::default();
+    for (path, lines) in &scrubbed {
+        if !path.starts_with(rules::REFERENCE_ONLY) {
+            report.merge(scan_scrubbed(path, lines, config));
+        }
+    }
+    rules::dead_pub(
+        &scrubbed,
+        config,
+        &mut report.allows_used,
+        &mut report.violations,
+    );
+    report.violations.sort_by(|a, b| {
+        a.path
+            .cmp(&b.path)
+            .then(a.line.cmp(&b.line))
+            .then(a.rule.cmp(b.rule))
+    });
+    report
+}
+
+/// Run the per-file rules over one scrubbed file.
+fn scan_scrubbed(path: &str, scrubbed: &source::Scrubbed, config: &Config) -> Report {
     let mut report = Report {
         files: 1,
         ..Report::default()
@@ -128,41 +157,38 @@ pub fn scan_source(path: &str, text: &str, config: &Config) -> Report {
             &mut report.violations,
         );
     }
-    report.violations.sort_by(|a, b| {
-        a.path
-            .cmp(&b.path)
-            .then(a.line.cmp(&b.line))
-            .then(a.rule.cmp(b.rule))
-    });
     report
 }
 
 /// Walk the workspace rooted at `root` and scan every tracked `.rs` file.
 ///
-/// Walks `crates/`, `src/`, `tests/`, and `examples/`; skips `vendor/`
-/// (third-party stand-ins), `target/`, and `.git/`. Paths are visited in
-/// sorted order so the report (and its JSON summary) is itself
-/// deterministic.
+/// Walks `crates/`, `src/`, `tests/`, and `examples/`, plus `perfbench/` as
+/// `dead-pub` callers only; skips `vendor/` (third-party stand-ins),
+/// `target/`, and `.git/`. Paths are visited in sorted order so the report
+/// (and its JSON summary) is itself deterministic.
 pub fn run_workspace(root: &Path, config: &Config) -> std::io::Result<Report> {
     let mut files: Vec<PathBuf> = Vec::new();
-    for top in ["crates", "src", "tests", "examples"] {
+    for top in ["crates", "src", "tests", "examples", "perfbench"] {
         let dir = root.join(top);
         if dir.is_dir() {
             collect_rs_files(&dir, &mut files)?;
         }
     }
     files.sort();
-    let mut report = Report::default();
+    let mut sources: Vec<(String, String)> = Vec::new();
     for file in &files {
-        let text = std::fs::read_to_string(file)?;
         let rel = file
             .strip_prefix(root)
             .unwrap_or(file)
             .to_string_lossy()
             .replace('\\', "/");
-        report.merge(scan_source(&rel, &text, config));
+        sources.push((rel, std::fs::read_to_string(file)?));
     }
-    Ok(report)
+    let view: Vec<(&str, &str)> = sources
+        .iter()
+        .map(|(path, text)| (path.as_str(), text.as_str()))
+        .collect();
+    Ok(scan_sources(&view, config))
 }
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
@@ -205,7 +231,7 @@ mod tests {
     use super::*;
 
     fn scan(path: &str, text: &str) -> Report {
-        scan_source(path, text, &Config::default())
+        scan_scrubbed(path, &source::scrub(text), &Config::default())
     }
 
     fn rules_hit(report: &Report) -> Vec<&'static str> {
@@ -447,6 +473,121 @@ mod tests {
         assert!(hit.contains(&"directive"), "{:?}", r.violations);
         // And the un-suppressed violation still fires.
         assert!(hit.contains(&"wall-clock"), "{:?}", r.violations);
+    }
+
+    // ---- dead-pub ----
+
+    fn scan_all(files: &[(&str, &str)]) -> Report {
+        scan_sources(files, &Config::default())
+    }
+
+    const HELPER: (&str, &str) = ("crates/core/src/x.rs", "pub fn helper() -> u8 { 1 }\n");
+
+    #[test]
+    fn dead_pub_flags_an_item_reached_only_from_cfg_test_code() {
+        let r = scan_all(&[(
+            "crates/core/src/x.rs",
+            "pub fn helper() -> u8 { 1 }\n\
+             #[cfg(test)]\n\
+             mod tests {\n\
+                 #[test]\n\
+                 fn t() { assert_eq!(super::helper(), 1); }\n\
+             }\n",
+        )]);
+        assert_eq!(rules_hit(&r), ["dead-pub"]);
+        assert_eq!(r.violations[0].line, 1);
+        assert!(r.violations[0].message.contains("`pub fn helper`"));
+    }
+
+    #[test]
+    fn dead_pub_flags_an_item_reached_only_from_tests_files() {
+        let r = scan_all(&[
+            HELPER,
+            (
+                "crates/core/tests/it.rs",
+                "#[test]\nfn t() { assert_eq!(bq_core::helper(), 1); }\n",
+            ),
+            (
+                "tests/root.rs",
+                "fn u() -> u8 { bqsched::core::helper() }\n",
+            ),
+        ]);
+        assert_eq!(rules_hit(&r), ["dead-pub"]);
+    }
+
+    #[test]
+    fn dead_pub_counts_other_crates_examples_and_perfbench_as_callers() {
+        for caller in [
+            "crates/bqsched/src/agent.rs",
+            "examples/demo.rs",
+            "perfbench/src/bench.rs",
+            "perfbench/tests/decorators.rs",
+        ] {
+            let r = scan_all(&[HELPER, (caller, "fn run() -> u8 { bq_core::helper() }\n")]);
+            assert!(r.is_clean(), "{caller}: {:?}", r.violations);
+        }
+    }
+
+    #[test]
+    fn dead_pub_never_reports_inside_perfbench() {
+        let r = scan_all(&[(
+            "perfbench/src/lib.rs",
+            "pub fn unused() {}\nuse std::collections::HashMap;\n",
+        )]);
+        assert!(r.is_clean(), "{:?}", r.violations);
+        assert_eq!(r.files, 0, "perfbench is read, not audited");
+    }
+
+    #[test]
+    fn a_pub_use_alone_does_not_keep_an_item_alive() {
+        let r = scan_all(&[
+            HELPER,
+            ("crates/core/src/lib.rs", "pub use x::{\n    helper,\n};\n"),
+            ("crates/bqsched/src/lib.rs", "use bq_core::helper;\n"),
+        ]);
+        assert_eq!(rules_hit(&r), ["dead-pub"]);
+    }
+
+    #[test]
+    fn dead_pub_checks_pub_items_of_library_code_only() {
+        let r = scan_all(&[
+            (
+                "crates/core/src/x.rs",
+                "pub struct Unused;\n\
+                 pub(crate) fn internal() {}\n\
+                 pub struct Used {\n\
+                     pub field: u8,\n\
+                 }\n\
+                 pub const fn make() -> Used { Used { field: 0 } }\n",
+            ),
+            (
+                "crates/bench/src/bin/fig.rs",
+                "pub fn in_a_bin() {}\nfn main() { let _ = bq_core::make(); }\n",
+            ),
+        ]);
+        assert_eq!(rules_hit(&r), ["dead-pub"]);
+        assert!(r.violations[0].message.contains("`pub struct Unused`"));
+    }
+
+    #[test]
+    fn dead_pub_allow_is_honored_and_counted() {
+        let r = scan_all(&[(
+            "crates/core/src/x.rs",
+            "/// A deliberate hook.\n\
+             // bq-lint: allow(dead-pub): test hook of the stall pins\n\
+             pub fn hook() {}\n",
+        )]);
+        assert!(r.is_clean(), "{:?}", r.violations);
+        assert_eq!(r.allows_used, 1);
+    }
+
+    #[test]
+    fn dead_pub_allow_without_justification_is_a_violation() {
+        let r = scan_all(&[(
+            "crates/core/src/x.rs",
+            "// bq-lint: allow(dead-pub)\npub fn hook() {}\n",
+        )]);
+        assert_eq!(rules_hit(&r), ["directive", "dead-pub"]);
     }
 
     // ---- scrubbing ----

@@ -7,18 +7,25 @@
 //! their scope; the only escape is an inline
 //! `// bq-lint: allow(<rule>): <justification>` with a nonempty reason.
 
-use crate::source::is_ident_byte;
+use crate::source::{is_ident_byte, Scrubbed};
+use std::collections::BTreeSet;
 
 /// Rule identifiers, in report order. Directive parsing validates against
 /// this list so a typoed `allow(wallclock)` is itself a diagnostic.
-pub const KNOWN_RULES: [&str; 6] = [
+pub const KNOWN_RULES: [&str; 7] = [
     "wall-clock",
     "hash-order",
     "unseeded-rng",
     "panic-surface",
     "hot-path-alloc",
+    "dead-pub",
     "directive",
 ];
+
+/// Path prefix of the sources read only as `dead-pub` callers: the
+/// benchmark crate builds on the workspace's public surface, but no rule
+/// reports inside it, and every line of it (its tests included) counts.
+pub(crate) const REFERENCE_ONLY: &str = "perfbench/";
 
 /// One rule violation at a specific source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,6 +53,8 @@ pub struct Violation {
 ///   share (`crates/dbms/src/executor.rs`) — those surfaces return typed
 ///   errors; panicking there would tear down a replay mid-episode.
 /// * `hot-path-alloc` everywhere a `// bq-lint: hot-path` region is marked.
+/// * `dead-pub` on the declarations in library code: `crates/*/src` outside
+///   binaries, plus the umbrella `src/lib.rs`.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Path prefixes exempt from `wall-clock`.
@@ -75,14 +84,9 @@ impl Default for Config {
 impl Config {
     /// Whether `rule` applies to the file at `path`.
     pub fn applies(&self, rule: &str, path: &str) -> bool {
-        // Files under a `tests/` directory or `benches/` are integration
-        // test code: every rule except directive hygiene is off there.
-        let in_tests = path
-            .split('/')
-            .any(|seg| seg == "tests" || seg == "benches");
         match rule {
             "directive" => true,
-            _ if in_tests => false,
+            _ if in_tests(path) => false,
             "wall-clock" => !self.wall_clock_exempt.iter().any(|p| path.starts_with(p)),
             "hash-order" => true,
             "unseeded-rng" => !self.rng_exempt.iter().any(|p| path.starts_with(p)),
@@ -90,9 +94,24 @@ impl Config {
                 self.panic_scope.iter().any(|p| path.starts_with(p)) && !path.contains("/bin/")
             }
             "hot-path-alloc" => true,
+            "dead-pub" => {
+                path == "src/lib.rs"
+                    || (path.starts_with("crates/")
+                        && path.contains("/src/")
+                        && !path.contains("/bin/")
+                        && !path.ends_with("/main.rs"))
+            }
             _ => false,
         }
     }
+}
+
+/// Files under a `tests/` directory or `benches/` are integration test
+/// code: every rule except directive hygiene is off there, and none of
+/// their lines is a `dead-pub` caller.
+fn in_tests(path: &str) -> bool {
+    path.split('/')
+        .any(|seg| seg == "tests" || seg == "benches")
 }
 
 /// Find `needle` in `hay` at an identifier boundary on both sides.
@@ -304,4 +323,129 @@ pub fn check_line(
             }
         }
     }
+}
+
+/// Keywords whose next identifier is being declared, not referenced.
+const DECLARING: [&str; 9] = [
+    "fn", "struct", "enum", "trait", "type", "const", "static", "union", "mod",
+];
+
+/// `dead-pub`: flag every `pub` `fn`/`struct`/`enum`/`trait`/`type`/
+/// `const`/`static` declared on a non-test line of library code whose name
+/// appears on no non-test line of `files`.
+///
+/// A declaration and a `use`/`pub use` line are not references; every line
+/// under [`REFERENCE_ONLY`] is. Names are matched on the scrubbed code, so
+/// an unrelated item of the same name hides a dead one, and an item whose
+/// name is written only in `use` statements (an import renamed with `as`,
+/// a trait imported only for its methods) counts as dead.
+pub(crate) fn dead_pub(
+    files: &[(&str, Scrubbed)],
+    config: &Config,
+    allows_used: &mut usize,
+    out: &mut Vec<Violation>,
+) {
+    let mut referenced: BTreeSet<&str> = BTreeSet::new();
+    for (path, scrubbed) in files {
+        let every_line = path.starts_with(REFERENCE_ONLY);
+        if !every_line && in_tests(path) {
+            continue;
+        }
+        let mut in_use = false;
+        for line in &scrubbed.lines {
+            in_use = in_use || opens_use(&line.code);
+            if !in_use && (every_line || !line.is_test) {
+                collect_references(&line.code, &mut referenced);
+            }
+            in_use = in_use && !line.code.contains(';');
+        }
+    }
+    for (path, scrubbed) in files {
+        if !config.applies("dead-pub", path) {
+            continue;
+        }
+        for (idx, line) in scrubbed.lines.iter().enumerate() {
+            let Some((kind, name)) = pub_item(&line.code) else {
+                continue;
+            };
+            if line.is_test || referenced.contains(name) {
+                continue;
+            }
+            if line.allows.iter().any(|a| a == "dead-pub") {
+                *allows_used += 1;
+            } else {
+                out.push(Violation {
+                    path: path.to_string(),
+                    line: idx + 1,
+                    rule: "dead-pub",
+                    message: format!(
+                        "`pub {kind} {name}` has no reference outside tests: delete it, \
+                         or justify the hook with `// bq-lint: allow(dead-pub): <why>`"
+                    ),
+                });
+            }
+        }
+    }
+}
+
+/// Whether a scrubbed line opens a `use` / `pub use` / `pub(crate) use`
+/// statement (which runs to its `;`).
+fn opens_use(code: &str) -> bool {
+    let code = code.trim_start();
+    let rest = match code.strip_prefix("pub") {
+        Some(rest) if rest.starts_with('(') => rest.find(')').map_or(rest, |c| &rest[c + 1..]),
+        Some(rest) => rest,
+        None => code,
+    };
+    rest.trim_start().starts_with("use ")
+}
+
+/// Add every identifier on `code` to `into`, except the one a declaring
+/// keyword introduces.
+fn collect_references<'a>(code: &'a str, into: &mut BTreeSet<&'a str>) {
+    let bytes = code.as_bytes();
+    let mut declaring = false;
+    let mut i = 0usize;
+    while i < bytes.len() {
+        if !is_ident_byte(bytes[i]) {
+            declaring = declaring && bytes[i].is_ascii_whitespace();
+            i += 1;
+            continue;
+        }
+        let start = i;
+        while i < bytes.len() && is_ident_byte(bytes[i]) {
+            i += 1;
+        }
+        let word = &code[start..i];
+        if !declaring && !bytes[start].is_ascii_digit() {
+            into.insert(word);
+        }
+        declaring = DECLARING.contains(&word);
+    }
+}
+
+/// The kind and name of a `pub` item declared on `code`, if any: `pub`
+/// first, then optional `const`/`unsafe`/`async` qualifiers, then the kind.
+/// `pub(crate)`, `pub use`, `pub mod` and `pub` fields are not items here.
+fn pub_item(code: &str) -> Option<(&str, &str)> {
+    let mut words = code.split_whitespace();
+    if words.next() != Some("pub") {
+        return None;
+    }
+    let mut kind = words.next()?;
+    let mut name = words.next()?;
+    while matches!(kind, "const" | "unsafe" | "async") && DECLARING.contains(&name) {
+        kind = name;
+        name = words.next()?;
+    }
+    let end = name
+        .bytes()
+        .position(|b| !is_ident_byte(b))
+        .unwrap_or(name.len());
+    let name = &name[..end];
+    let is_item = matches!(
+        kind,
+        "fn" | "struct" | "enum" | "trait" | "type" | "const" | "static"
+    );
+    (is_item && !name.is_empty()).then_some((kind, name))
 }

@@ -1,6 +1,7 @@
 //! End-to-end test of the `bq-lint` binary: a seeded violation must make it
 //! exit nonzero and name the rule plus `file:line`; a clean tree exits 0
-//! with an `"status":"ok"` JSON summary on stdout.
+//! with an `"status":"ok"` JSON summary on stdout. Each fixture crate has a
+//! `main.rs` calling its public functions, so `dead-pub` sees them used.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -19,6 +20,11 @@ fn scratch_workspace(tag: &str) -> PathBuf {
     }
     std::fs::create_dir_all(root.join("crates/demo/src")).expect("create fixture tree");
     std::fs::write(root.join("Cargo.toml"), "[workspace]\n").expect("write manifest");
+    std::fs::write(
+        root.join("crates/demo/src/main.rs"),
+        "fn main() {\n    demo::now();\n    demo::double(2);\n}\n",
+    )
+    .expect("write caller");
     root
 }
 
@@ -57,6 +63,34 @@ fn seeded_violation_exits_nonzero_and_names_rule_and_location() {
     let summary = stdout.lines().last().expect("JSON summary on stdout");
     assert!(summary.contains("\"status\":\"fail\""), "{summary}");
     assert!(summary.contains("\"wall-clock\":1"), "{summary}");
+
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn seeded_dead_pub_item_exits_nonzero_and_names_rule_and_location() {
+    let root = scratch_workspace("dead-pub");
+    std::fs::write(
+        root.join("crates/demo/src/lib.rs"),
+        "pub fn double(x: u64) -> u64 {\n    x.wrapping_mul(2)\n}\n\n\
+         pub fn tripled(x: u64) -> u64 {\n    x.wrapping_mul(3)\n}\n",
+    )
+    .expect("write source with a dead item");
+
+    let out = run_lint(&root);
+    assert!(
+        !out.status.success(),
+        "bq-lint must exit nonzero on a dead pub item"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("crates/demo/src/lib.rs:5: [dead-pub]"),
+        "diagnostic must carry file:line and the rule, got:\n{stderr}"
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let summary = stdout.lines().last().expect("JSON summary on stdout");
+    assert!(summary.contains("\"status\":\"fail\""), "{summary}");
+    assert!(summary.contains("\"dead-pub\":1"), "{summary}");
 
     std::fs::remove_dir_all(&root).ok();
 }

@@ -1,9 +1,10 @@
 //! The workspace must pass its own determinism audit.
 //!
 //! This is the acceptance test for the whole lint gate: every rule enabled,
-//! default scope config, zero violations. If a PR introduces a wall clock, a
-//! hash map, an inline SplitMix64, or an unjustified panic in a boundary
-//! crate, this test fails with the exact `file:line: [rule]` diagnostics.
+//! default scope config, zero violations. If a change introduces a wall
+//! clock, a hash map, an inline SplitMix64, an unjustified panic in a
+//! boundary crate, or a `pub` item only tests reach, this test fails with
+//! the exact `file:line: [rule]` diagnostics.
 
 use std::path::Path;
 
@@ -27,9 +28,11 @@ fn workspace_is_clean_under_default_config() {
     // bump this number in the same PR that adds it — silently accreting
     // allows would hollow the audit out. (The count includes the single
     // sanctioned wall-clock read in `bq_obs::profile`; every other
-    // wall-clock measurement must read a `WallClock` instead.)
+    // wall-clock measurement must read a `WallClock` instead. Nine are
+    // `dead-pub` hooks: test hooks, reference paths of bitwise pins and
+    // documented operator settings.)
     assert_eq!(
-        report.allows_used, 26,
+        report.allows_used, 35,
         "the number of `bq-lint: allow` escapes changed — if the new allow \
          is justified, update this pin in the same PR"
     );

@@ -50,7 +50,6 @@ enum Op {
     ConcatCols(NodeId, NodeId),
     ConcatRows(NodeId, NodeId),
     SliceRows(NodeId, usize),
-    SliceCols(NodeId, usize),
     /// Row-major reshape (no data movement).
     Reshape(NodeId),
     SelectRows(NodeId, Vec<usize>),
@@ -318,13 +317,6 @@ impl Graph {
         let v = self.nodes[a].value.slice_rows(start, len);
         let ng = self.needs(a);
         self.push(v, Op::SliceRows(a, start), ng, None)
-    }
-
-    /// Slice a contiguous block of columns.
-    pub fn slice_cols(&mut self, a: NodeId, start: usize, len: usize) -> NodeId {
-        let v = self.nodes[a].value.slice_cols(start, len);
-        let ng = self.needs(a);
-        self.push(v, Op::SliceCols(a, start), ng, None)
     }
 
     /// Row-major reshape to `rows x cols` (element count must match). Used to
@@ -617,17 +609,6 @@ impl Graph {
                         acc(grads, a, Tensor::from_vec(rows, cols, gy.data().to_vec()));
                     }
                 }
-                Op::SliceCols(a, start) => {
-                    if needs(a) {
-                        let (rows, cols) = value(a).shape();
-                        let mut da = Tensor::zeros(rows, cols);
-                        for r in 0..rows {
-                            let g = gy.row_slice(r);
-                            da.row_slice_mut(r)[start..start + g.len()].copy_from_slice(g);
-                        }
-                        acc(grads, a, da);
-                    }
-                }
                 Op::SelectRows(a, ref indices) => {
                     if needs(a) {
                         let (rows, cols) = value(a).shape();
@@ -702,6 +683,7 @@ impl Graph {
     /// Must be called after [`Graph::backward`]; gradients accumulate in the
     /// store until [`ParamStore::zero_grads`] is called. Equal to
     /// accumulating [`Graph::into_param_grads`] in order.
+    // bq-lint: allow(dead-pub): reference path the bitwise `fit` pins compare against
     pub fn flush_grads(&self, store: &mut ParamStore) {
         for &(node, pid) in &self.param_nodes {
             if let Some(g) = self.grads.get(node).and_then(|g| g.as_ref()) {
@@ -825,7 +807,8 @@ mod tests {
         let mut store = ParamStore::new();
         let w = store.add_xavier("w", 4, 3, &mut rng);
         let x = Tensor::from_vec(5, 4, (0..20).map(|i| ((i * 13 % 7) as f32) * 0.1).collect());
-        let one_hot = Tensor::one_hot_rows(3, &[0, 2, 1, 1, 0]);
+        let one_hot =
+            Tensor::from_rows(&[0, 2, 1, 1, 0].map(|i| Tensor::one_hot(3, i).data().to_vec()));
 
         check_gradients(
             |g, s| {
@@ -915,9 +898,10 @@ mod tests {
             3,
             (0..18).map(|i| ((i % 4) as f32) * 0.25 - 0.3).collect(),
         );
-        let actions = Tensor::one_hot_rows(4, &[0, 1, 2, 3, 1, 0]);
-        let old_logp = Tensor::col(&[-1.2, -1.4, -1.3, -1.5, -1.1, -1.6]);
-        let adv = Tensor::col(&[0.5, -0.2, 1.0, -1.0, 0.3, 0.8]);
+        let actions =
+            Tensor::from_rows(&[0, 1, 2, 3, 1, 0].map(|i| Tensor::one_hot(4, i).data().to_vec()));
+        let old_logp = Tensor::from_vec(6, 1, vec![-1.2, -1.4, -1.3, -1.5, -1.1, -1.6]);
+        let adv = Tensor::from_vec(6, 1, vec![0.5, -0.2, 1.0, -1.0, 0.3, 0.8]);
 
         check_gradients(
             |g, s| {

@@ -47,6 +47,7 @@ impl Adam {
 
     /// First and second moment estimates, one tensor per parameter (empty
     /// before the first step).
+    // bq-lint: allow(dead-pub): read by the training fingerprint and the optimizer-state pins
     pub fn moments(&self) -> (&[Tensor], &[Tensor]) {
         (&self.m, &self.v)
     }

@@ -66,11 +66,6 @@ impl Tensor {
         Self::from_vec(1, values.len(), values.to_vec())
     }
 
-    /// Create an `n x 1` column vector.
-    pub fn col(values: &[f32]) -> Self {
-        Self::from_vec(values.len(), 1, values.to_vec())
-    }
-
     /// Create a `1 x 1` scalar tensor.
     pub fn scalar(value: f32) -> Self {
         Self::from_vec(1, 1, vec![value])
@@ -97,25 +92,6 @@ impl Tensor {
         assert!(index < dim, "one-hot index {index} out of range {dim}");
         let mut t = Self::zeros(1, dim);
         t.data[index] = 1.0;
-        t
-    }
-
-    /// One-hot matrix: row `i` has a 1.0 at `indices[i]`.
-    pub fn one_hot_rows(dim: usize, indices: &[usize]) -> Self {
-        let mut t = Self::zeros(indices.len(), dim);
-        for (i, &idx) in indices.iter().enumerate() {
-            assert!(idx < dim, "one-hot index {idx} out of range {dim}");
-            t.data[i * dim + idx] = 1.0;
-        }
-        t
-    }
-
-    /// Identity matrix of size `n x n`.
-    pub fn eye(n: usize) -> Self {
-        let mut t = Self::zeros(n, n);
-        for i in 0..n {
-            t.data[i * n + i] = 1.0;
-        }
         t
     }
 
@@ -313,14 +289,6 @@ impl Tensor {
         }
     }
 
-    /// In-place scaled addition (`self += s * other`), the AXPY primitive.
-    pub fn add_scaled(&mut self, other: &Tensor, s: f32) {
-        assert_eq!(self.shape(), other.shape(), "add_scaled shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += s * b;
-        }
-    }
-
     /// Fill every element with `v`.
     pub fn fill(&mut self, v: f32) {
         self.data.iter_mut().for_each(|x| *x = v);
@@ -356,11 +324,6 @@ impl Tensor {
             }
         }
         best
-    }
-
-    /// Frobenius (L2) norm.
-    pub fn norm(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
     }
 
     /// Broadcast addition of a `1 x d` row (bias) to every row.
@@ -494,11 +457,6 @@ impl Tensor {
             cols: self.cols,
             data,
         }
-    }
-
-    /// True if every element is finite.
-    pub fn all_finite(&self) -> bool {
-        self.data.iter().all(|x| x.is_finite())
     }
 }
 
@@ -765,7 +723,7 @@ mod tests {
     #[test]
     fn matmul_identity_is_noop() {
         let a = Tensor::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        let i = Tensor::eye(2);
+        let i = Tensor::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0]);
         assert_eq!(a.matmul(&i), a);
         assert_eq!(i.matmul(&a), a);
     }
@@ -793,7 +751,7 @@ mod tests {
     fn softmax_handles_large_logits() {
         let a = Tensor::row(&[1000.0, 1000.0, -1000.0]);
         let s = a.softmax_rows();
-        assert!(s.all_finite());
+        assert!(s.data().iter().all(|x| x.is_finite()));
         assert!((s.get(0, 0) - 0.5).abs() < 1e-4);
         assert!(s.get(0, 2) < 1e-6);
     }
@@ -820,25 +778,9 @@ mod tests {
     }
 
     #[test]
-    fn one_hot_rows_matches_indices() {
-        let t = Tensor::one_hot_rows(4, &[1, 3]);
-        assert_eq!(t.get(0, 1), 1.0);
-        assert_eq!(t.get(1, 3), 1.0);
-        assert_eq!(t.sum(), 2.0);
-    }
-
-    #[test]
     fn argmax_and_max() {
         let t = Tensor::row(&[0.5, 3.0, -1.0, 2.0]);
         assert_eq!(t.argmax(), 1);
         assert_eq!(t.max(), 3.0);
-    }
-
-    #[test]
-    fn add_scaled_is_axpy() {
-        let mut a = Tensor::row(&[1.0, 2.0]);
-        let b = Tensor::row(&[10.0, 20.0]);
-        a.add_scaled(&b, 0.5);
-        assert_eq!(a.data(), &[6.0, 12.0]);
     }
 }

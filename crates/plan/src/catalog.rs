@@ -124,11 +124,6 @@ impl Catalog {
         &self.tables[id.0]
     }
 
-    /// Find a table by name.
-    pub fn table_by_name(&self, name: &str) -> Option<&TableDef> {
-        self.tables.iter().find(|t| t.name == name)
-    }
-
     /// Effective row count of a table at this catalog's scale factor.
     pub fn rows(&self, id: TableId) -> u64 {
         let t = self.table(id);
@@ -258,8 +253,13 @@ mod tests {
     fn fact_tables_scale_linearly_dims_sublinearly() {
         let c1 = Catalog::new(Benchmark::TpcDs, 1.0);
         let c100 = Catalog::new(Benchmark::TpcDs, 100.0);
-        let fact = c1.table_by_name("store_sales").unwrap().id;
-        let dim = c1.table_by_name("customer").unwrap().id;
+        let fact = c1
+            .tables
+            .iter()
+            .find(|t| t.name == "store_sales")
+            .unwrap()
+            .id;
+        let dim = c1.tables.iter().find(|t| t.name == "customer").unwrap().id;
         let fact_growth = c100.rows(fact) as f64 / c1.rows(fact) as f64;
         let dim_growth = c100.rows(dim) as f64 / c1.rows(dim) as f64;
         assert!(
@@ -282,16 +282,9 @@ mod tests {
     #[test]
     fn lineitem_is_largest_tpch_table() {
         let c = Catalog::new(Benchmark::TpcH, 1.0);
-        let lineitem = c.table_by_name("lineitem").unwrap().id;
+        let lineitem = c.tables.iter().find(|t| t.name == "lineitem").unwrap().id;
         let max_pages = c.tables().iter().map(|t| c.pages(t.id)).max().unwrap();
         assert_eq!(c.pages(lineitem), max_pages);
-    }
-
-    #[test]
-    fn table_lookup_by_name() {
-        let c = Catalog::new(Benchmark::TpcDs, 1.0);
-        assert!(c.table_by_name("date_dim").is_some());
-        assert!(c.table_by_name("nonexistent").is_none());
     }
 
     #[test]

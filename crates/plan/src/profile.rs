@@ -93,25 +93,6 @@ impl ResourceProfile {
     pub fn is_io_intensive(&self) -> bool {
         self.io_fraction() > 0.5
     }
-
-    /// Pages this query reads from a given table (0 if it does not touch it).
-    pub fn pages_for_table(&self, table: TableId) -> f64 {
-        self.table_pages
-            .iter()
-            .find(|(t, _)| *t == table)
-            .map(|(_, p)| *p)
-            .unwrap_or(0.0)
-    }
-
-    /// Number of pages of overlap between the table footprints of two
-    /// profiles — the basis of the engine's buffer-sharing model and of the
-    /// scheduling-gain intuition.
-    pub fn shared_pages(&self, other: &ResourceProfile) -> f64 {
-        self.table_pages
-            .iter()
-            .map(|(t, p)| p.min(other.pages_for_table(*t)))
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -124,7 +105,7 @@ mod tests {
         let mut scans: Vec<PlanNode> = tables
             .iter()
             .map(|name| {
-                let t = catalog.table_by_name(name).unwrap();
+                let t = catalog.tables().iter().find(|t| t.name == *name).unwrap();
                 PlanNode::scan(
                     Operator::SeqScan,
                     t.id,
@@ -163,43 +144,11 @@ mod tests {
     }
 
     #[test]
-    fn shared_pages_symmetric_and_bounded() {
-        let catalog = Catalog::new(Benchmark::TpcH, 1.0);
-        let a = ResourceProfile::from_plan(
-            &plan_on(&catalog, &["lineitem", "orders"], false),
-            &catalog,
-        );
-        let b = ResourceProfile::from_plan(
-            &plan_on(&catalog, &["lineitem", "customer"], false),
-            &catalog,
-        );
-        let c =
-            ResourceProfile::from_plan(&plan_on(&catalog, &["part", "supplier"], false), &catalog);
-        let ab = a.shared_pages(&b);
-        assert!(
-            (ab - b.shared_pages(&a)).abs() < 1e-9,
-            "sharing must be symmetric"
-        );
-        assert!(ab > 0.0, "plans sharing lineitem must overlap");
-        assert!(ab <= a.io_pages && ab <= b.io_pages);
-        assert_eq!(a.shared_pages(&c), 0.0, "disjoint footprints share nothing");
-    }
-
-    #[test]
     fn scan_heavy_plan_is_io_intensive() {
         let catalog = Catalog::new(Benchmark::TpcH, 1.0);
         let plan = plan_on(&catalog, &["lineitem"], false);
         let prof = ResourceProfile::from_plan(&plan, &catalog);
         assert!(prof.is_io_intensive());
         assert!(prof.io_fraction() > 0.5);
-    }
-
-    #[test]
-    fn pages_for_missing_table_is_zero() {
-        let catalog = Catalog::new(Benchmark::TpcH, 1.0);
-        let plan = plan_on(&catalog, &["orders"], false);
-        let prof = ResourceProfile::from_plan(&plan, &catalog);
-        let part = catalog.table_by_name("part").unwrap().id;
-        assert_eq!(prof.pages_for_table(part), 0.0);
     }
 }

@@ -489,7 +489,11 @@ mod tests {
         let mut found = false;
         'outer: for i in 0..20 {
             for j in (i + 1)..20 {
-                if w.queries[i].profile.shared_pages(&w.queries[j].profile) > 0.0 {
+                let (a, b) = (&w.queries[i].profile, &w.queries[j].profile);
+                let shared = |&(t, p): &(TableId, f64)| {
+                    p > 0.0 && b.table_pages.iter().any(|&(u, q)| u == t && q > 0.0)
+                };
+                if a.table_pages.iter().any(shared) {
                     found = true;
                     break 'outer;
                 }

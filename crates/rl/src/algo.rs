@@ -188,6 +188,7 @@ impl IqPpoTrainer {
     /// of [`std::thread::available_parallelism`], in both phases. The result
     /// does not depend on it; tests use it to prove that.
     #[doc(hidden)]
+    // bq-lint: allow(dead-pub): test hook of the thread-count invariance pins
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
         self
@@ -195,6 +196,7 @@ impl IqPpoTrainer {
 
     /// The PPO-phase and auxiliary-phase optimizers, whose moment estimates
     /// carry over from one phase to the next. PPO never steps the second.
+    // bq-lint: allow(dead-pub): read by the training fingerprint and the optimizer-state pins
     pub fn optimizers(&self) -> [&Adam; 2] {
         [&self.ppo_optimizer, &self.aux_optimizer]
     }

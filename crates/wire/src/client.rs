@@ -234,6 +234,7 @@ impl<T: WireTransport> WireBackend<T> {
     /// non-idempotent requests (at-most-once execution). Each
     /// retransmission surfaces as a [`FaultEvent::TransportRetransmit`]
     /// through [`ExecutorBackend::poll_fault`].
+    // bq-lint: allow(dead-pub): operator setting documented in docs/OPERATIONS.md
     pub fn with_recovery(mut self, policy: RecoveryPolicy) -> Self {
         self.recovery = Some(policy);
         self

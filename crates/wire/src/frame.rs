@@ -120,11 +120,6 @@ impl FrameReader {
         Ok(Some(payload))
     }
 
-    /// Bytes currently buffered (an incomplete trailing frame).
-    pub fn buffered(&self) -> usize {
-        self.buf.len()
-    }
-
     /// Drop the stream buffer: the connection the buffered bytes came from
     /// is gone (a delivery's epoch changed), so any partial frame is dead.
     /// Splicing old-connection bytes onto a fresh stream would desync the
@@ -314,7 +309,7 @@ mod tests {
             }
         }
         assert_eq!(frames, vec![b"hello".to_vec(), b"world!".to_vec()]);
-        assert_eq!(reader.buffered(), 0);
+        assert_eq!(reader.buf.len(), 0);
     }
 
     #[test]
@@ -338,7 +333,7 @@ mod tests {
                 len: MAX_FRAME_LEN + 1
             })
         );
-        assert_eq!(reader.buffered(), 0, "a lost stream must not keep bytes");
+        assert_eq!(reader.buf.len(), 0, "a lost stream must not keep bytes");
     }
 
     #[test]

@@ -80,7 +80,7 @@ pub use net::{
 };
 pub use proto::{
     seal, unseal, Request, Response, WireErrorCode, HANDSHAKE_MAGIC, PROTOCOL_VERSION,
-    REQUEST_TAGS, RESPONSE_TAGS, UNSOLICITED_SEQ,
+    UNSOLICITED_SEQ,
 };
 pub use server::{Loopback, WireServer};
 pub use transport::{

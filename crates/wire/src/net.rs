@@ -375,12 +375,14 @@ impl SocketClient {
 
     /// Override the per-read timeout (default 100 ms). Total patience per
     /// exchange is `read_timeout x WAIT_BUDGET` (100 silent reads).
+    // bq-lint: allow(dead-pub): operator setting documented in docs/OPERATIONS.md
     pub fn with_read_timeout(mut self, timeout: Duration) -> Self {
         self.read_timeout = timeout;
         self
     }
 
     /// Override the reconnect schedule (default 40 attempts, 250 ms apart).
+    // bq-lint: allow(dead-pub): operator setting documented in docs/OPERATIONS.md
     pub fn with_reconnect(mut self, attempts: u32, pause: Duration) -> Self {
         self.reconnect_attempts = attempts;
         self.reconnect_pause = pause;

@@ -88,26 +88,6 @@ pub fn unseal(payload: &[u8]) -> Result<(u64, &[u8]), FrameError> {
 /// is not speaking this protocol at all fails before version comparison.
 pub const HANDSHAKE_MAGIC: u32 = 0x6271_7770;
 
-/// Every request tag with its message name — the machine-readable half of
-/// the message catalogue above, exported so `docs/WIRE_PROTOCOL.md` can be
-/// cross-checked against the implementation by a test instead of by eye.
-pub const REQUEST_TAGS: [(u8, &str); 5] = [
-    (REQ_HELLO, "Hello"),
-    (REQ_SUBMIT_BATCH, "SubmitBatch"),
-    (REQ_POLL_EVENT, "PollEvent"),
-    (REQ_ADVANCE_TO, "AdvanceTo"),
-    (REQ_CANCEL, "Cancel"),
-];
-
-/// Every response tag with its message name (see [`REQUEST_TAGS`]).
-pub const RESPONSE_TAGS: [(u8, &str); 5] = [
-    (RESP_HELLO_ACK, "HelloAck"),
-    (RESP_ACK, "Ack"),
-    (RESP_EVENT, "Event"),
-    (RESP_CANCEL_RESULT, "CancelResult"),
-    (RESP_ERROR, "Error"),
-];
-
 const REQ_HELLO: u8 = 0x01;
 const REQ_SUBMIT_BATCH: u8 = 0x03;
 const REQ_POLL_EVENT: u8 = 0x04;

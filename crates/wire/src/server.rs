@@ -87,6 +87,7 @@ impl<B: ExecutorBackend> WireServer<B> {
 
     /// Override the protocol version this server answers the handshake with
     /// (version-negotiation tests; a mismatching client is rejected).
+    // bq-lint: allow(dead-pub): only way to test rejection by a peer of another version
     pub fn with_version(mut self, version: u16) -> Self {
         self.version = version;
         self

@@ -1,20 +1,21 @@
 //! Cross-checks `docs/WIRE_PROTOCOL.md` against the implementation: the
-//! spec's tag tables must list exactly the tags and message names the
-//! codec exports as [`bq_wire::REQUEST_TAGS`] / [`bq_wire::RESPONSE_TAGS`],
-//! in the same order, and every worked example must be the exact bytes the
+//! spec's tag tables must list exactly the tags the codec writes and the
+//! message names it declares, in the same order, and every worked example
+//! must be the exact bytes the
 //! codec (and, for responses, a real server) produces — so the normative
 //! document and the wire format cannot drift apart silently.
 
 #[path = "support/worked_examples.rs"]
 mod worked_examples;
 
-use bq_dbms::{DbmsProfile, ExecutionEngine, RunParams};
+use bq_dbms::{DbmsProfile, ExecEvent, ExecutionEngine, RunParams};
 use bq_plan::{generate, Benchmark, QueryId, WorkloadSpec};
 use bq_wire::frame::frame;
 use bq_wire::net::envelope;
+use bq_wire::proto::ResponseHeader;
 use bq_wire::{
-    seal, InMemoryDuplex, Request, WireServer, WireTransport, HANDSHAKE_MAGIC, PROTOCOL_VERSION,
-    REQUEST_TAGS, RESPONSE_TAGS,
+    seal, InMemoryDuplex, Request, Response, WireErrorCode, WireServer, WireTransport,
+    HANDSHAKE_MAGIC, PROTOCOL_VERSION,
 };
 use worked_examples::{worked_examples, SPEC};
 
@@ -42,19 +43,72 @@ fn spec_tag_rows(spec: &str) -> Vec<(u8, String)> {
     rows
 }
 
+/// A message's `(tag, name)` as the codec has it: the first byte of its
+/// encoding and its variant name as `Debug` prints it.
+fn codec_tag(encoded: &[u8], debug: String) -> (u8, String) {
+    let name = debug.split(|c: char| !c.is_alphanumeric()).next();
+    (encoded[0], name.unwrap_or_default().to_string())
+}
+
 #[test]
 fn the_spec_tag_tables_match_the_codec() {
     let rows = spec_tag_rows(SPEC);
     let (responses, requests): (Vec<_>, Vec<_>) = rows.into_iter().partition(|(t, _)| *t >= 0x80);
 
-    let doc_requests: Vec<(u8, &str)> = requests.iter().map(|(t, n)| (*t, n.as_str())).collect();
+    let codec_requests: Vec<(u8, String)> = [
+        Request::Hello {
+            magic: HANDSHAKE_MAGIC,
+            version: PROTOCOL_VERSION,
+        },
+        Request::SubmitBatch {
+            entries: Vec::new(),
+        },
+        Request::PollEvent,
+        Request::AdvanceTo { until: 0.0 },
+        Request::Cancel { connection: 0 },
+    ]
+    .iter()
+    .map(|m| codec_tag(&m.encode(), format!("{m:?}")))
+    .collect();
     assert_eq!(
-        doc_requests, REQUEST_TAGS,
+        requests, codec_requests,
         "docs/WIRE_PROTOCOL.md request-tag table diverges from proto.rs"
     );
-    let doc_responses: Vec<(u8, &str)> = responses.iter().map(|(t, n)| (*t, n.as_str())).collect();
+    let header = ResponseHeader::default();
+    let codec_responses: Vec<(u8, String)> = [
+        Response::HelloAck {
+            version: PROTOCOL_VERSION,
+            connections: 0,
+            shard_count: 1,
+            connections_per_shard: 0,
+            known_queries: None,
+            header: header.clone(),
+            buffered: Vec::new(),
+        },
+        Response::Ack {
+            header: header.clone(),
+            buffered: Vec::new(),
+        },
+        Response::Event {
+            header: header.clone(),
+            event: ExecEvent::Idle,
+            buffered: Vec::new(),
+        },
+        Response::CancelResult {
+            header,
+            completion: None,
+            buffered: Vec::new(),
+        },
+        Response::Error {
+            code: WireErrorCode::Malformed,
+            detail: String::new(),
+        },
+    ]
+    .iter()
+    .map(|m| codec_tag(&m.encode(), format!("{m:?}")))
+    .collect();
     assert_eq!(
-        doc_responses, RESPONSE_TAGS,
+        responses, codec_responses,
         "docs/WIRE_PROTOCOL.md response-tag table diverges from proto.rs"
     );
 }

@@ -40,14 +40,3 @@ pub use bq_plan as plan;
 pub use bq_rl as rl;
 pub use bq_sched as sched;
 pub use bq_wire as wire;
-
-/// Version of the reproduction (mirrors the workspace package version).
-pub const VERSION: &str = env!("CARGO_PKG_VERSION");
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn version_is_set() {
-        assert!(!super::VERSION.is_empty());
-    }
-}

@@ -472,7 +472,6 @@ fn async_adapter_backpressure_races_timeouts_against_the_admission_queue() {
             backend.connections().iter().all(|s| s.is_free()),
             "no slot may stay occupied after the round"
         );
-        assert_eq!(backend.backpressured(), 0);
         assert_eq!(backend.in_flight(), 0);
         log
     };
@@ -652,14 +651,14 @@ fn chaos_backend_with_the_empty_schedule_passes_conformance() {
     conformance_suite("chaos(engine)", &w, |seed| {
         ChaosBackend::new(
             ExecutionEngine::new(DbmsProfile::dbms_x(), &w, seed),
-            &FaultSchedule::empty(),
+            &FaultSchedule::from_events(Vec::new()),
         )
     });
     for shards in [1usize, 2] {
         conformance_suite(&format!("chaos(sharded{shards})"), &w, |seed| {
             ChaosBackend::new(
                 ShardedEngine::new(DbmsProfile::dbms_x(), &w, seed, shards),
-                &FaultSchedule::empty(),
+                &FaultSchedule::from_events(Vec::new()),
             )
         });
     }
@@ -674,7 +673,7 @@ fn chaos_backend_with_the_empty_schedule_matches_the_engine_golden_artifact() {
     let profile = DbmsProfile::dbms_x();
     let mut chaotic = ChaosBackend::new(
         ExecutionEngine::new(profile.clone(), &w, 0),
-        &FaultSchedule::empty(),
+        &FaultSchedule::from_events(Vec::new()),
     );
     let json = ScheduleSession::builder(&w)
         .dbms(profile.kind)

@@ -8,6 +8,8 @@ use bqsched::core::{EpisodeLog, ExecutorBackend, ScheduleSession, SchedulerPolic
 use bqsched::nn::{ParamStore, Tensor};
 use bqsched::plan::Workload;
 use bqsched::sched::{SimulatorConfig, SimulatorModel};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Run one round through the session facade against any backend.
 pub fn session_round<E: ExecutorBackend>(
@@ -26,7 +28,7 @@ pub fn session_round<E: ExecutorBackend>(
 /// prediction model. Returns the pieces the simulator borrows.
 pub fn simulator_parts(workload: &Workload) -> (SimulatorModel, Tensor, Vec<f64>) {
     let mut store = ParamStore::new();
-    let mut rng = bqsched::encoder::seeded_rng(0);
+    let mut rng = StdRng::seed_from_u64(0);
     let enc = bqsched::encoder::PlanEncoder::new(
         &mut store,
         bqsched::encoder::PlanEncoderConfig {
