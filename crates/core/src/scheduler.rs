@@ -123,4 +123,33 @@ mod tests {
         assert_eq!(flat.backoff(1, 0), 0.05);
         assert_eq!(flat.backoff(3, 0), 0.2);
     }
+
+    /// The recovery backoff every recovered episode replays, pinned bit for
+    /// bit: attempts 1–4 of keys 0, 3 and 9, and the retry budget.
+    #[test]
+    fn recovery_backoff_bits_are_pinned() {
+        let p = RecoveryPolicy::bounded();
+        assert_eq!(p.max_retries, 8);
+        let bits: Vec<u64> = [0, 3, 9]
+            .into_iter()
+            .flat_map(|key| (1..=4).map(move |attempt| p.backoff(attempt, key).to_bits()))
+            .collect();
+        assert_eq!(
+            bits,
+            [
+                0x3fae_6a33_57d3_f982,
+                0x3fc3_0f3f_7bc3_7a1d,
+                0x3fd0_3a28_8745_1335,
+                0x3fe0_9b5c_c660_8124,
+                0x3fb0_a6ce_6471_480c,
+                0x3fc1_a48c_b1e0_b013,
+                0x3fd0_59d1_b34e_782f,
+                0x3fdf_d777_8ef9_5e7a,
+                0x3faa_f597_7efb_b6ac,
+                0x3fbc_c53b_3f50_c36d,
+                0x3fcf_3e2d_652d_8cad,
+                0x3fdc_1a15_d897_d94a,
+            ]
+        );
+    }
 }
