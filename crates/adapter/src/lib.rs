@@ -144,6 +144,7 @@ impl DispatchProfile {
 
     /// Add a seeded uniform jitter of up to `seconds` on top of the base
     /// latency.
+    // bq-lint: allow(dead-pub): the async golden (engine_async_tpch_seed0.json) pins a jittered profile
     pub fn with_jitter(mut self, seconds: f64) -> Self {
         assert!(
             seconds >= 0.0 && seconds.is_finite(),

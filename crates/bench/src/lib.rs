@@ -460,7 +460,7 @@ pub fn table3(scale: RunScale) -> BenchReport {
         let train_set = &samples[..split];
         let test_set = &samples[split..take.max(split + 1).min(samples.len())];
         let mut model = SimulatorModel::new(plan_dim, config, 3);
-        model.train(train_set, epochs, 0.01);
+        model.train(train_set, epochs);
         let metrics = model.evaluate(if test_set.is_empty() {
             train_set
         } else {
@@ -875,7 +875,7 @@ pub fn fig5_chaos_sweep(scale: RunScale) -> BenchReport {
             .dbms(profile.kind)
             .round(seed)
             .router(FaultAwareRouter::new(LeastLoadedRouter))
-            .recovery(RecoveryPolicy::bounded())
+            .recovery(RecoveryPolicy)
             .obs(obs.clone())
             .build(&mut chaotic)
             .run(&mut FifoScheduler::new());
@@ -943,7 +943,7 @@ pub fn fig6(scale: RunScale) -> BenchReport {
         RunScale::Quick => 120,
         RunScale::Full => 2000,
     };
-    sim.train(&samples[..samples.len().min(sample_cap)], 6, 0.01);
+    sim.train(&samples[..samples.len().min(sample_cap)], 6);
     let pre_curve = pretrain_on_simulator(
         &mut pretrained,
         &setup.workload,

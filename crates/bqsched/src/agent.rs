@@ -395,7 +395,6 @@ impl BqSchedAgent {
                 &mut plan_store,
                 workload,
                 config.plan_pretrain_epochs,
-                5e-3,
             );
         }
         let plan_embs = plan_encoder.embed_workload(&plan_store, workload);
@@ -427,7 +426,7 @@ impl BqSchedAgent {
                 let mut gain_store = ParamStore::new();
                 let predictor =
                     GainPredictor::new(&mut gain_store, config.plan_encoder.dim, &mut rng);
-                predictor.train(&mut gain_store, &plan_embs, &gains, 30, 0.01);
+                predictor.train(&mut gain_store, &plan_embs, &gains, 30);
                 predictor.complete(&gain_store, &plan_embs, &mut gains);
                 QueryClustering::agglomerative(&gains, n_c)
             }

@@ -122,6 +122,9 @@ pub fn gains_from_history(history: &ExecutionHistory, num_queries: usize) -> Gai
     }
 }
 
+/// Adam learning rate of [`GainPredictor::train`].
+const TRAIN_LR: f32 = 0.01;
+
 /// MLP that predicts the scheduling gain of a query pair from the two plan
 /// embeddings; symmetry is enforced by summing both input orders.
 #[derive(Debug, Clone)]
@@ -179,7 +182,6 @@ impl GainPredictor {
         embeddings: &Tensor,
         matrix: &GainMatrix,
         epochs: usize,
-        lr: f32,
     ) -> f64 {
         assert_eq!(embeddings.cols(), self.plan_dim, "embedding width mismatch");
         let mut pairs = Vec::new();
@@ -196,7 +198,8 @@ impl GainPredictor {
             let loss = g.mse_loss(gain, &Tensor::scalar(target));
             (g.scale(loss, 1.0 / n), f64::from(g.value(loss).item()))
         };
-        fit(store, &mut Adam::new(lr), &pairs, None, epochs, 5.0, loss)
+        let mut adam = Adam::new(TRAIN_LR);
+        fit(store, &mut adam, &pairs, None, epochs, 5.0, loss)
     }
 
     /// Fill every unobserved pair of `matrix` with predictions.
@@ -292,11 +295,6 @@ impl QueryClustering {
         self.num_clusters
     }
 
-    /// Number of queries.
-    pub fn num_queries(&self) -> usize {
-        self.assignment.len()
-    }
-
     /// Cluster id of a query.
     pub fn cluster_of(&self, query: QueryId) -> usize {
         self.assignment[query.0]
@@ -388,7 +386,7 @@ mod tests {
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(0);
         let predictor = GainPredictor::new(&mut store, 4, &mut rng);
-        let final_mse = predictor.train(&mut store, &embeddings, &m, 200, 0.01);
+        let final_mse = predictor.train(&mut store, &embeddings, &m, 200);
         assert!(
             final_mse < 0.05,
             "gain predictor should fit observed pairs, mse {final_mse}"

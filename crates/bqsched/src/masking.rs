@@ -109,11 +109,6 @@ impl AdaptiveMask {
         &self.allowed[query.0]
     }
 
-    /// Number of queries covered by the mask.
-    pub fn num_queries(&self) -> usize {
-        self.allowed.len()
-    }
-
     /// Number of configurations per query.
     pub fn num_configs(&self) -> usize {
         self.allowed.first().map_or(0, Vec::len)
@@ -164,7 +159,7 @@ mod tests {
         let (w, space, _) = setup();
         let m = AdaptiveMask::all_allowed(w.len(), &space);
         assert!(m.allowed.iter().flatten().all(|&a| a));
-        assert_eq!(m.num_queries(), w.len());
+        assert_eq!(m.allowed.len(), w.len());
         assert_eq!(m.num_configs(), 6);
     }
 

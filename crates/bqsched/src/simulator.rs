@@ -21,6 +21,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
 
+/// Adam learning rate of [`SimulatorModel::train`].
+const TRAIN_LR: f32 = 0.01;
+
 /// Configuration of the simulator's prediction model.
 #[derive(Debug, Clone, Copy)]
 pub struct SimulatorConfig {
@@ -190,7 +193,7 @@ impl SimulatorModel {
     /// jointly (`L = L_clf + γ·L_reg`); otherwise the classification and
     /// regression phases run sequentially. Samples with no running query
     /// are skipped but still count in the mean.
-    pub fn train(&mut self, samples: &[SimSample], epochs: usize, lr: f32) -> SimulatorMetrics {
+    pub fn train(&mut self, samples: &[SimSample], epochs: usize) -> SimulatorMetrics {
         let n = samples.len() as f32;
         let items: Vec<&SimSample> = samples
             .iter()
@@ -206,7 +209,7 @@ impl SimulatorModel {
         } else {
             1.0
         };
-        let mut adam = Adam::new(lr);
+        let mut adam = Adam::new(TRAIN_LR);
         // The loss reads the layers through `self` while `fit` steps the
         // parameters, so the store steps out of the model meanwhile.
         let mut store = std::mem::take(&mut self.store);
@@ -647,7 +650,7 @@ mod tests {
         let subset: Vec<SimSample> = samples.into_iter().take(60).collect();
         let mut model = SimulatorModel::new(32, config, 1);
         let before = model.evaluate(&subset);
-        let after = model.train(&subset, 12, 0.01);
+        let after = model.train(&subset, 12);
         assert!(
             after.accuracy >= before.accuracy,
             "accuracy should not degrade: {} -> {}",
@@ -680,7 +683,7 @@ mod tests {
         let config = small_config();
         let samples = samples_from_history(&w, &history, &embs);
         let mut model = SimulatorModel::new(32, config, 2);
-        model.train(&samples.into_iter().take(40).collect::<Vec<_>>(), 4, 0.01);
+        model.train(&samples.into_iter().take(40).collect::<Vec<_>>(), 4);
         let avg: Vec<f64> = (0..w.len())
             .map(|i| history.avg_exec_time(QueryId(i)).unwrap_or(1.0))
             .collect();
@@ -708,7 +711,7 @@ mod tests {
         let samples = samples_from_history(&w, &history, &embs);
         let subset: Vec<SimSample> = samples.into_iter().take(40).collect();
         let mut model = SimulatorModel::new(32, config, 3);
-        let metrics = model.train(&subset, 8, 0.01);
+        let metrics = model.train(&subset, 8);
         assert!(metrics.accuracy > 0.0);
         assert!(metrics.mse.is_finite());
     }
@@ -800,7 +803,7 @@ mod tests {
             let subset: Vec<SimSample> = samples.into_iter().take(24).collect();
             let mut narrowed = SimulatorModel::new(32, config, 5);
             let mut reference = SimulatorModel::new(32, config, 5);
-            let metrics = narrowed.train(&subset, 2, 0.01);
+            let metrics = narrowed.train(&subset, 2);
             assert!(
                 trained_bits(&narrowed, metrics)
                     == all_rows_train(&mut reference, &subset, 2, 0.01),
@@ -819,7 +822,7 @@ mod tests {
         let samples = samples_from_history(&w, &history, &embs);
         let subset: Vec<SimSample> = samples.into_iter().take(30).collect();
         let mut model = SimulatorModel::new(32, config, 4);
-        let metrics = model.train(&subset, 4, 0.01);
+        let metrics = model.train(&subset, 4);
         assert!(metrics.accuracy >= 0.0 && metrics.mse.is_finite());
     }
 }

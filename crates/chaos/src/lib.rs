@@ -24,13 +24,14 @@
 //!
 //! # Recovery composition
 //!
-//! Transport faults are absorbed by `WireBackend::with_recovery` (bounded
-//! seeded retransmission; the sequence prefix plus the server's cached
-//! response replay keep execution at-most-once). Shard faults are absorbed
-//! at the session level: [`bq_core::RecoveryPolicy`] resubmits lost queries
-//! after a seeded backoff and [`bq_core::FaultAwareRouter`] routes
-//! placements away from down shards, reintegrating recovered ones. Fault
-//! and recovery events land in the episode log
+//! Recovery is on or off; [`bq_core::RecoveryPolicy`] has nothing to tune.
+//! Transport faults are absorbed once `WireBackend::with_recovery` turns it
+//! on (bounded seeded retransmission; the sequence prefix plus the server's
+//! cached response replay keep execution at-most-once). Shard faults are
+//! absorbed at the session level: with recovery on, lost queries are
+//! resubmitted after a seeded backoff, and [`bq_core::FaultAwareRouter`]
+//! routes placements away from down shards, reintegrating recovered ones.
+//! Fault and recovery events land in the episode log
 //! ([`bq_core::EpisodeLog::faults`]) and feed the degraded-mode metrics
 //! ([`bq_core::degraded_evaluation`]).
 //!
@@ -57,7 +58,7 @@
 //! let mut router = FaultAwareRouter::new(LeastLoadedRouter);
 //! let log = ScheduleSession::builder(&workload)
 //!     .router(&mut router)
-//!     .recovery(RecoveryPolicy::bounded())
+//!     .recovery(RecoveryPolicy) // on: resubmit what the dead shard lost
 //!     .build(&mut backend)
 //!     .run(&mut FifoScheduler::new());
 //! assert_eq!(log.len(), workload.len()); // every query completed anyway
@@ -151,7 +152,7 @@ mod tests {
             ScheduleSession::builder(&w)
                 .dbms(profile.kind)
                 .router(&mut router)
-                .recovery(RecoveryPolicy::bounded())
+                .recovery(RecoveryPolicy)
                 .build(&mut backend)
                 .run(&mut FifoScheduler::new())
         };
@@ -213,7 +214,7 @@ mod tests {
             ChaosBackend::new(ShardedEngine::new(profile.clone(), &w, 0, 2), &schedule);
         let log = ScheduleSession::builder(&w)
             .dbms(profile.kind)
-            .recovery(RecoveryPolicy::bounded())
+            .recovery(RecoveryPolicy)
             .build(&mut backend)
             .run(&mut FifoScheduler::new());
         assert_eq!(log.len(), w.len());
@@ -259,7 +260,7 @@ mod tests {
         let mut backend = engine_stall_under_chaos(&w);
         ScheduleSession::builder(&w)
             .dbms(DbmsProfile::dbms_x().kind)
-            .recovery(RecoveryPolicy::bounded())
+            .recovery(RecoveryPolicy)
             .build(&mut backend)
             .run(&mut FifoScheduler::new());
     }
@@ -275,7 +276,7 @@ mod tests {
         let mut backend = engine_stall_under_chaos(&w);
         ScheduleSession::builder(&w)
             .dbms(DbmsProfile::dbms_x().kind)
-            .recovery(RecoveryPolicy::bounded())
+            .recovery(RecoveryPolicy)
             .build(&mut backend)
             .run(&mut FifoScheduler::new());
     }
@@ -304,7 +305,7 @@ mod tests {
             let server = WireServer::new(ExecutionEngine::new(profile.clone(), &w, 0));
             let mut wired = WireBackend::connect(Loopback::new(server, transport))
                 .expect("the faults arm after the handshake")
-                .with_recovery(RecoveryPolicy::bounded());
+                .with_recovery(RecoveryPolicy);
             ScheduleSession::builder(&w)
                 .dbms(profile.kind)
                 .build(&mut wired)
@@ -341,7 +342,7 @@ mod tests {
         let log = ScheduleSession::builder(&w)
             .dbms(profile.kind)
             .router(&mut router)
-            .recovery(RecoveryPolicy::bounded())
+            .recovery(RecoveryPolicy)
             .build(&mut backend)
             .run(&mut FifoScheduler::new());
         assert_eq!(log.len(), w.len());

@@ -47,9 +47,9 @@
 //!   [`ShardRouter`] policies over the [`ShardTopology`] every backend
 //!   reports (monolithic backends are the single-shard degenerate case);
 //! * [`rng`] — the one blessed home of seeded randomness: the SplitMix64
-//!   finalizer ([`rng::mix`]), keyed uniform draws ([`rng::unit`] /
-//!   [`rng::stream_unit`]) and the sequential [`rng::SplitMix64`] generator
-//!   every deterministic stream must flow through (enforced by `bq-lint`);
+//!   finalizer ([`rng::mix`]) and the keyed uniform draws ([`rng::unit`] /
+//!   [`rng::stream_unit`]) every deterministic stream must flow through
+//!   (enforced by `bq-lint`);
 //! * [`log`] — per-round execution logs and the accumulated
 //!   [`ExecutionHistory`] that feeds MCF, adaptive masking, gain clustering
 //!   and the incremental simulator;

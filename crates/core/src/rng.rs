@@ -7,17 +7,18 @@
 //! now the constants live here once, and the `unseeded-rng` lint rule
 //! (`bq-lint`) flags any copy that reappears elsewhere.
 //!
-//! Three layers, lowest first:
+//! Two layers, lowest first:
 //!
 //! * [`mix`] — the raw SplitMix64 finalizer: 64 bits in, 64 well-mixed bits
 //!   out. Equivalent to the first output of a SplitMix64 generator seeded
-//!   with the input.
+//!   with the input. The hash router draws its shard placements from it,
+//!   and the wire tests build their sequential SplitMix64 stream on it and
+//!   [`GOLDEN_GAMMA`].
 //! * [`unit()`] / [`stream_unit`] — one uniform `f64` draw in `[0, 1)` from a
-//!   mixed key; `stream_unit` builds the key from the
-//!   `(seed, salt, index, lane)` convention shared by the adapter, wire,
-//!   and chaos jitter streams.
-//! * [`SplitMix64`] — a sequential generator for call sites that need a
-//!   *stream* of draws rather than keyed random access.
+//!   mixed key. `unit` keys the adapter's dispatch jitter; `stream_unit`
+//!   builds the key from the `(seed, salt, index, lane)` convention of the
+//!   wire's transit jitter, the chaos transport's truncation draws and the
+//!   session's recovery backoff.
 //!
 //! Byte-compatibility matters more than elegance here: the goldens pin
 //! replay output, so [`mix`] and [`unit()`] are the exact functions previously
@@ -25,8 +26,8 @@
 //! below pin their outputs to literal known-answer values.
 
 /// Weyl-sequence increment of SplitMix64 (the fractional part of the golden
-/// ratio in 64-bit fixed point). Public so salted derivations (e.g. per-shard
-/// seeds) can reference the canonical constant instead of re-typing it.
+/// ratio in 64-bit fixed point). Public so a sequential stream can step by
+/// the canonical constant instead of re-typing it.
 pub const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// The stride every keyed jitter stream applies to its event index before
@@ -66,36 +67,6 @@ pub fn stream_unit(seed: u64, salt: u64, index: u64, lane: u64) -> f64 {
     unit(seed ^ salt ^ index.wrapping_mul(INDEX_MIX) ^ lane)
 }
 
-/// A sequential SplitMix64 generator for call sites that want a stream of
-/// draws rather than keyed random access. The output sequence for a given
-/// seed matches the reference SplitMix64 (first output of `new(0)` is
-/// `0xE220_A839_7B1D_CDAF`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    /// Start a stream at `seed`.
-    pub fn new(seed: u64) -> Self {
-        Self { state: seed }
-    }
-
-    /// Start a salted sub-stream: same seed with a different salt yields a
-    /// statistically independent sequence (`salt` is mixed, not added, so
-    /// salts need not be spaced).
-    pub fn with_salt(seed: u64, salt: u64) -> Self {
-        Self::new(seed ^ mix(salt))
-    }
-
-    /// Next 64 uniformly mixed bits.
-    pub fn next_u64(&mut self) -> u64 {
-        let out = mix(self.state);
-        self.state = self.state.wrapping_add(GOLDEN_GAMMA);
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,27 +95,5 @@ mod tests {
         let (seed, salt, index, lane) = (0xFEED, 0xBEEF, 17u64, 3u64);
         let expected = unit(seed ^ salt ^ index.wrapping_mul(INDEX_MIX) ^ lane);
         assert_eq!(stream_unit(seed, salt, index, lane), expected);
-    }
-
-    #[test]
-    fn generator_matches_reference_sequence() {
-        let mut rng = SplitMix64::new(0);
-        assert_eq!(rng.next_u64(), 0xE220_A839_7B1D_CDAF);
-        assert_eq!(rng.next_u64(), 0x6E78_9E6A_A1B9_65F4);
-        let mut again = SplitMix64::new(0);
-        again.next_u64();
-        assert_eq!(again.next_u64(), 0x6E78_9E6A_A1B9_65F4);
-    }
-
-    #[test]
-    fn salted_streams_differ_but_replay_identically() {
-        let mut a1 = SplitMix64::with_salt(7, 1);
-        let mut a2 = SplitMix64::with_salt(7, 1);
-        let mut b = SplitMix64::with_salt(7, 2);
-        let s1: Vec<u64> = (0..8).map(|_| a1.next_u64()).collect();
-        let s2: Vec<u64> = (0..8).map(|_| a2.next_u64()).collect();
-        let s3: Vec<u64> = (0..8).map(|_| b.next_u64()).collect();
-        assert_eq!(s1, s2);
-        assert_ne!(s1, s3);
     }
 }

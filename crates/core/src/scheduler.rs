@@ -40,60 +40,39 @@ pub trait SchedulerPolicy {
 /// transit jitter streams that share [`crate::rng::stream_unit`].
 const BACKOFF_SALT: u64 = 0x8C90_FC18_6C35_BF11;
 
-/// Bounded-retry policy applied when a fault loses work: how many times to
-/// retry and how long to back off (exponential with seeded jitter) before
-/// each retry. Shared vocabulary between the session layer (resubmitting
-/// lost queries) and the `bq-wire` client (retransmitting lost exchanges),
-/// so one knob tunes the whole stack's persistence.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RecoveryPolicy {
-    /// Retry budget per lost unit of work (query or request). Exhausting it
-    /// fails the round loudly instead of looping forever.
-    pub max_retries: u32,
-    /// Backoff before the first retry, in virtual seconds.
-    pub backoff_base: f64,
-    /// Multiplicative backoff growth per subsequent retry.
-    pub backoff_factor: f64,
-    /// Width of the seeded uniform jitter applied to each backoff, as a
-    /// fraction of the exponential delay (`0.0` = deterministic ladder).
-    pub backoff_jitter: f64,
-    /// Seed of the jitter stream (backoffs are a pure function of
-    /// `(seed, key, attempt)`).
-    pub seed: u64,
-}
+/// Backoff before the first retry, in virtual seconds.
+const BACKOFF_BASE: f64 = 0.05;
+
+/// Multiplicative backoff growth per subsequent retry.
+const BACKOFF_FACTOR: f64 = 2.0;
+
+/// Width of the seeded uniform jitter applied to each backoff, as a
+/// fraction of the exponential delay.
+const BACKOFF_JITTER: f64 = 0.5;
+
+/// Bounded-retry recovery for work a fault lost: passing it turns recovery
+/// on, leaving it out makes a loss fail the round loudly. Each lost unit
+/// of work is retried at most [`RecoveryPolicy::MAX_RETRIES`] times, after
+/// an exponential backoff with seeded jitter in virtual time. The session
+/// layer (resubmitting lost queries) and the `bq-wire` client
+/// (retransmitting lost exchanges) share it, so both recover alike.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecoveryPolicy;
 
 impl RecoveryPolicy {
-    /// The default bounded policy: 8 retries, 50 ms base backoff doubling
-    /// per attempt, 50% seeded jitter.
-    pub fn bounded() -> Self {
-        Self {
-            max_retries: 8,
-            backoff_base: 0.05,
-            backoff_factor: 2.0,
-            backoff_jitter: 0.5,
-            seed: 0,
-        }
-    }
-
-    /// Re-seed the jitter stream.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
+    /// Retry budget per lost unit of work (query or request). Exhausting it
+    /// fails the round loudly instead of looping forever.
+    pub const MAX_RETRIES: u32 = 8;
 
     /// Backoff before retry number `attempt` (1-based) of the work unit
-    /// identified by `key` — a pure function of `(seed, key, attempt)`, so
+    /// identified by `key`: 50 ms doubling per attempt, widened by up to
+    /// 50% of seeded jitter. A pure function of `(key, attempt)`, so
     /// recovered episodes replay exactly.
     pub fn backoff(&self, attempt: u32, key: u64) -> f64 {
-        let exp = self.backoff_base
-            * self
-                .backoff_factor
-                .powi(attempt.saturating_sub(1).min(i32::MAX as u32) as i32);
-        if self.backoff_jitter <= 0.0 {
-            return exp;
-        }
-        let unit = crate::rng::stream_unit(self.seed, BACKOFF_SALT, key, attempt as u64);
-        exp * (1.0 + self.backoff_jitter * unit)
+        let exp = BACKOFF_BASE
+            * BACKOFF_FACTOR.powi(attempt.saturating_sub(1).min(i32::MAX as u32) as i32);
+        let unit = crate::rng::stream_unit(0, BACKOFF_SALT, key, attempt as u64);
+        exp * (1.0 + BACKOFF_JITTER * unit)
     }
 }
 
@@ -103,33 +82,25 @@ mod tests {
 
     #[test]
     fn recovery_backoff_is_a_pure_growing_function_of_its_inputs() {
-        let p = RecoveryPolicy::bounded().with_seed(7);
-        // Pure function of (seed, key, attempt).
+        let p = RecoveryPolicy;
+        // Pure function of (key, attempt).
         assert_eq!(p.backoff(1, 3), p.backoff(1, 3));
         assert_ne!(p.backoff(1, 3), p.backoff(2, 3));
         assert_ne!(p.backoff(1, 3), p.backoff(1, 4));
-        assert_ne!(p.backoff(1, 3), p.with_seed(8).backoff(1, 3));
         // The exponential ladder dominates the jitter: with factor 2 and
         // jitter 0.5, attempt n+1's floor (2^n * base) exceeds attempt n's
         // ceiling (2^(n-1) * base * 1.5).
         for attempt in 1..6 {
             assert!(p.backoff(attempt + 1, 9) > p.backoff(attempt, 9));
         }
-        // Jitter-free policies are exactly the exponential ladder.
-        let flat = RecoveryPolicy {
-            backoff_jitter: 0.0,
-            ..RecoveryPolicy::bounded()
-        };
-        assert_eq!(flat.backoff(1, 0), 0.05);
-        assert_eq!(flat.backoff(3, 0), 0.2);
     }
 
     /// The recovery backoff every recovered episode replays, pinned bit for
     /// bit: attempts 1–4 of keys 0, 3 and 9, and the retry budget.
     #[test]
     fn recovery_backoff_bits_are_pinned() {
-        let p = RecoveryPolicy::bounded();
-        assert_eq!(p.max_retries, 8);
+        let p = RecoveryPolicy;
+        assert_eq!(RecoveryPolicy::MAX_RETRIES, 8);
         let bits: Vec<u64> = [0, 3, 9]
             .into_iter()
             .flat_map(|key| (1..=4).map(move |attempt| p.backoff(attempt, key).to_bits()))

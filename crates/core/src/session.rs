@@ -130,15 +130,16 @@ impl<'a> ScheduleSessionBuilder<'a> {
         self
     }
 
-    /// Survive faults reported by the backend (via
+    /// Turn on recovery from faults reported by the backend (via
     /// [`ExecutorBackend::poll_fault`]): a query reported as
-    /// [`FaultEvent::QueryLost`] is resubmitted after a seeded backoff
-    /// computed by `policy`, for at most `policy.max_retries` attempts per
-    /// query. Resubmissions re-enter the session's normal fill loop — they
-    /// compete for free connections like first-time submissions, so an async
-    /// adapter's admission window and backpressure queue apply to them
-    /// unchanged. Fault and recovery events are recorded in the episode log.
-    /// Without a policy, a lost query fails the round loudly.
+    /// [`FaultEvent::QueryLost`] is resubmitted after the seeded
+    /// [`RecoveryPolicy::backoff`], for at most
+    /// [`RecoveryPolicy::MAX_RETRIES`] attempts per query. Resubmissions
+    /// re-enter the session's normal fill loop — they compete for free
+    /// connections like first-time submissions, so an async adapter's
+    /// admission window and backpressure queue apply to them unchanged.
+    /// Fault and recovery events are recorded in the episode log. Without
+    /// recovery, a lost query fails the round loudly.
     pub fn recovery(mut self, policy: RecoveryPolicy) -> Self {
         self.recovery = Some(policy);
         self
@@ -423,11 +424,11 @@ impl<'a, E: ExecutorBackend> ScheduleSession<'a, E> {
                 let attempt = &mut self.resubmit_attempts[query.0];
                 *attempt += 1;
                 assert!(
-                    *attempt <= policy.max_retries,
+                    *attempt <= RecoveryPolicy::MAX_RETRIES,
                     "recovery budget exhausted: query {query:?} lost {} \
                      times (max_retries = {})",
                     *attempt,
-                    policy.max_retries
+                    RecoveryPolicy::MAX_RETRIES
                 );
                 self.obs.inc("session_queries_lost");
                 self.obs.emit(
@@ -1023,7 +1024,7 @@ mod tests {
             killed: false,
         };
         let log = ScheduleSession::builder(&w)
-            .recovery(RecoveryPolicy::bounded())
+            .recovery(RecoveryPolicy)
             .build(&mut backend)
             .run(&mut FifoScheduler::new());
         // Every query still completes exactly once, and the log records

@@ -24,6 +24,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 
+/// Maximum fraction of a node's I/O bandwidth a single query may consume,
+/// in every DBMS profile.
+const MAX_IO_SHARE_PER_QUERY: f64 = 0.5;
+
 /// Static resource demand of one query, captured at engine construction.
 #[derive(Debug, Clone)]
 struct QueryDemand {
@@ -366,7 +370,7 @@ impl ExecutionEngine {
             if !s.io_active.is_empty() {
                 let bw = self.profile.io_pages_per_sec;
                 let fair = bw / s.io_active.len() as f64;
-                let cap = bw * self.profile.max_io_share_per_query;
+                let cap = bw * MAX_IO_SHARE_PER_QUERY;
                 for &c in &s.io_active {
                     s.rates[c].1 = fair.min(cap).max(1.0);
                 }

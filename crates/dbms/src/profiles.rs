@@ -52,8 +52,6 @@ pub struct DbmsProfile {
     pub low_mem_grant_pages: f64,
     /// Per-query working-memory grant in pages for the high setting.
     pub high_mem_grant_pages: f64,
-    /// Maximum fraction of a node's I/O bandwidth a single query may consume.
-    pub max_io_share_per_query: f64,
     /// Relative standard deviation of per-execution noise (models run-to-run
     /// variance of concurrent execution, the source of σ_ov in the paper).
     pub noise_std: f64,
@@ -78,7 +76,6 @@ impl DbmsProfile {
             cpu_units_per_sec: 20_000.0,
             low_mem_grant_pages: 2_000.0,
             high_mem_grant_pages: 12_000.0,
-            max_io_share_per_query: 0.5,
             noise_std: 0.08,
             contention_mitigation: 0.1,
         }
@@ -97,7 +94,6 @@ impl DbmsProfile {
             cpu_units_per_sec: 26_000.0,
             low_mem_grant_pages: 2_500.0,
             high_mem_grant_pages: 14_000.0,
-            max_io_share_per_query: 0.5,
             noise_std: 0.1,
             contention_mitigation: 0.15,
         }
@@ -116,7 +112,6 @@ impl DbmsProfile {
             cpu_units_per_sec: 22_000.0,
             low_mem_grant_pages: 3_000.0,
             high_mem_grant_pages: 16_000.0,
-            max_io_share_per_query: 0.5,
             noise_std: 0.06,
             contention_mitigation: 0.6,
         }

@@ -161,6 +161,9 @@ pub struct PretrainReport {
     pub epochs: usize,
 }
 
+/// Adam learning rate of [`pretrain_on_cost`].
+const PRETRAIN_LR: f32 = 5e-3;
+
 /// Pre-train the plan encoder on cost prediction over the workload's plans
 /// (QueryFormer's standard self-supervised warm-up), one step per query.
 /// Returns the loss curve end points so callers can assert learning
@@ -170,9 +173,8 @@ pub fn pretrain_on_cost(
     store: &mut ParamStore,
     workload: &Workload,
     epochs: usize,
-    lr: f32,
 ) -> PretrainReport {
-    let mut adam = Adam::new(lr);
+    let mut adam = Adam::new(PRETRAIN_LR);
     // Normalised log-cost targets.
     let log_costs: Vec<f64> = workload
         .queries
@@ -281,7 +283,7 @@ mod tests {
             blocks: 1,
         };
         let enc = PlanEncoder::new(&mut store, config, &mut rng);
-        let report = pretrain_on_cost(&enc, &mut store, &w, 8, 0.005);
+        let report = pretrain_on_cost(&enc, &mut store, &w, 8);
         assert!(
             report.final_loss < report.initial_loss,
             "pre-training should reduce the cost loss: {} -> {}",

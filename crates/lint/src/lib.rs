@@ -26,7 +26,9 @@
 //! A directive on its own comment line governs the next code line; a typoed
 //! rule name or an empty justification is itself a violation (`directive`),
 //! so a suppression can never silently suppress nothing. Test code
-//! (`#[cfg(test)]` items, `#[test]` fns, files under `tests/`) is skipped.
+//! (`#[cfg(test)]` items, `#[test]` fns, files under `tests/`, and files
+//! whose module a parent declares under `#[cfg(test)]`, such as
+//! `#[cfg(test)] mod fuzz;`) is skipped.
 //!
 //! Run locally with `cargo run -p bq-lint --release`; CI runs the same
 //! command in the `lint` job and uploads the one-line JSON summary as an
@@ -36,7 +38,7 @@ pub mod rules;
 pub mod source;
 
 use rules::{Config, Violation};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 /// The outcome of scanning one file or a whole workspace.
@@ -103,10 +105,11 @@ impl Report {
 /// Paths are workspace-relative with `/` separators. This is the unit under
 /// test for the fixture suite and the worker of [`run_workspace`].
 pub fn scan_sources(files: &[(&str, &str)], config: &Config) -> Report {
-    let scrubbed: Vec<(&str, source::Scrubbed)> = files
+    let mut scrubbed: Vec<(&str, source::Scrubbed)> = files
         .iter()
         .map(|&(path, text)| (path, source::scrub(text)))
         .collect();
+    mark_test_modules(&mut scrubbed);
     let mut report = Report::default();
     for (path, lines) in &scrubbed {
         if !path.starts_with(rules::REFERENCE_ONLY) {
@@ -126,6 +129,52 @@ pub fn scan_sources(files: &[(&str, &str)], config: &Config) -> Report {
             .then(a.rule.cmp(b.rule))
     });
     report
+}
+
+/// Mark every line of a module file test code when its parent declares the
+/// module under `#[cfg(test)]` (`#[cfg(test)] mod fuzz;` in `src/lib.rs`
+/// makes `src/fuzz.rs` test code), down to the modules that file declares.
+fn mark_test_modules(files: &mut [(&str, source::Scrubbed)]) {
+    loop {
+        let test_modules: BTreeSet<String> = files
+            .iter()
+            .flat_map(|(path, scrubbed)| {
+                let declared = scrubbed.lines.iter().filter(|line| line.is_test);
+                declared
+                    .filter_map(|line| file_module(&line.code))
+                    .flat_map(|name| module_paths(path, name))
+            })
+            .collect();
+        let mut changed = false;
+        for (path, scrubbed) in files.iter_mut() {
+            if test_modules.contains(*path) {
+                for line in scrubbed.lines.iter_mut().filter(|line| !line.is_test) {
+                    line.is_test = true;
+                    changed = true;
+                }
+            }
+        }
+        if !changed {
+            return;
+        }
+    }
+}
+
+/// The name of the module a `mod name;` line declares in a file of its own.
+fn file_module(code: &str) -> Option<&str> {
+    let mut words = code.trim().strip_suffix(';')?.split_whitespace().rev();
+    let name = words.next()?;
+    (words.next() == Some("mod") && name.bytes().all(source::is_ident_byte)).then_some(name)
+}
+
+/// The two files module `name` declared in `parent` may live in.
+fn module_paths(parent: &str, name: &str) -> [String; 2] {
+    let (dir, file) = parent.rsplit_once('/').unwrap_or(("", parent));
+    let dir = match file {
+        "lib.rs" | "main.rs" | "mod.rs" => dir.to_string(),
+        _ => format!("{dir}/{}", file.trim_end_matches(".rs")),
+    };
+    [format!("{dir}/{name}.rs"), format!("{dir}/{name}/mod.rs")]
 }
 
 /// Run the per-file rules over one scrubbed file.
@@ -567,6 +616,24 @@ mod tests {
         ]);
         assert_eq!(rules_hit(&r), ["dead-pub"]);
         assert!(r.violations[0].message.contains("`pub struct Unused`"));
+    }
+
+    #[test]
+    fn a_module_file_declared_under_cfg_test_is_test_code() {
+        let fuzz = "mod deep;\nfn run() -> u8 { crate::x::helper() }\n";
+        let deep = "fn run() -> u8 { crate::x::helper() }\n";
+        let tree = |lib: &'static str| {
+            scan_all(&[
+                HELPER,
+                ("crates/core/src/lib.rs", lib),
+                ("crates/core/src/fuzz.rs", fuzz),
+                ("crates/core/src/fuzz/deep.rs", deep),
+            ])
+        };
+        let r = tree("mod x;\n#[cfg(test)]\nmod fuzz;\n");
+        assert_eq!(rules_hit(&r), ["dead-pub"]);
+        let r = tree("mod x;\nmod fuzz;\n");
+        assert!(r.is_clean(), "{:?}", r.violations);
     }
 
     #[test]

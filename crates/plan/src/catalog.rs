@@ -104,11 +104,6 @@ impl Catalog {
         }
     }
 
-    /// All tables in the catalog.
-    pub fn tables(&self) -> &[TableDef] {
-        &self.tables
-    }
-
     /// Number of tables.
     pub fn len(&self) -> usize {
         self.tables.len()
@@ -273,7 +268,7 @@ mod tests {
     fn pages_are_positive_and_monotone_in_scale() {
         let c1 = Catalog::new(Benchmark::TpcH, 1.0);
         let c2 = Catalog::new(Benchmark::TpcH, 2.0);
-        for t in c1.tables() {
+        for t in &c1.tables {
             assert!(c1.pages(t.id) >= 1);
             assert!(c2.pages(t.id) >= c1.pages(t.id));
         }
@@ -283,7 +278,7 @@ mod tests {
     fn lineitem_is_largest_tpch_table() {
         let c = Catalog::new(Benchmark::TpcH, 1.0);
         let lineitem = c.tables.iter().find(|t| t.name == "lineitem").unwrap().id;
-        let max_pages = c.tables().iter().map(|t| c.pages(t.id)).max().unwrap();
+        let max_pages = c.tables.iter().map(|t| c.pages(t.id)).max().unwrap();
         assert_eq!(c.pages(lineitem), max_pages);
     }
 

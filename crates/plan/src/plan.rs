@@ -51,8 +51,8 @@ pub const OPERATOR_COUNT: usize = 11;
 /// The engine's reference profile processes roughly one page of rows in half
 /// the time it takes to fetch the page from storage, which matches the
 /// I/O-bound behaviour of large TPC-DS fact scans on spinning or networked
-/// storage. Combined costs (`total_cost`, `io_fraction`) weight pages by this
-/// constant.
+/// storage. Combined costs (`total_cost`, `ResourceProfile::io_fraction`)
+/// weight pages by this constant.
 pub const IO_COST_PER_PAGE: f64 = 2.0;
 
 impl Operator {
@@ -316,19 +316,6 @@ impl QueryPlan {
         walk(&self.root, None, 0, &mut out);
         out
     }
-
-    /// Fraction of total cost that is I/O — queries above ~0.5 are considered
-    /// I/O-intensive, which drives adaptive masking and the case-study
-    /// discussion in the paper.
-    pub fn io_fraction(&self) -> f64 {
-        let io = self.total_io_cost() * IO_COST_PER_PAGE;
-        let total = self.total_cost();
-        if total <= 0.0 {
-            0.0
-        } else {
-            io / total
-        }
-    }
 }
 
 #[cfg(test)]
@@ -415,14 +402,6 @@ mod tests {
             .iter()
             .filter(|n| n.op.is_scan())
             .all(|n| n.height == 0));
-    }
-
-    #[test]
-    fn io_fraction_in_unit_range() {
-        let p = sample_plan();
-        let f = p.io_fraction();
-        assert!((0.0..=1.0).contains(&f));
-        assert!(f > 0.5, "scan-dominated plan should be IO-heavy, got {f}");
     }
 
     #[test]

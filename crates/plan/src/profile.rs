@@ -105,7 +105,10 @@ mod tests {
         let mut scans: Vec<PlanNode> = tables
             .iter()
             .map(|name| {
-                let t = catalog.tables().iter().find(|t| t.name == *name).unwrap();
+                let t = (0..catalog.len())
+                    .map(|i| catalog.table(TableId(i)))
+                    .find(|t| t.name == *name)
+                    .unwrap();
                 PlanNode::scan(
                     Operator::SeqScan,
                     t.id,

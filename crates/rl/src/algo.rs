@@ -38,41 +38,20 @@ pub trait ActorCritic: Sync {
     ) -> NodeId;
 }
 
-/// Hyper-parameters shared by the PPO core of all three algorithms.
-#[derive(Debug, Clone, Copy)]
-pub struct PpoConfig {
-    /// Clipping parameter ε.
-    pub clip: f32,
-    /// Value-loss coefficient β_V.
-    pub value_coef: f32,
-    /// Entropy-bonus coefficient β_S.
-    pub entropy_coef: f32,
-    /// Optimization epochs per update.
-    pub epochs: usize,
-    /// Adam learning rate.
-    pub lr: f32,
-    /// Discount factor γ.
-    pub gamma: f32,
-    /// GAE λ.
-    pub lambda: f32,
-    /// Global gradient-norm clip.
-    pub max_grad_norm: f32,
-}
-
-impl Default for PpoConfig {
-    fn default() -> Self {
-        Self {
-            clip: 0.2,
-            value_coef: 0.5,
-            entropy_coef: 0.01,
-            epochs: 3,
-            lr: 3e-4,
-            gamma: 0.99,
-            lambda: 0.95,
-            max_grad_norm: 0.5,
-        }
-    }
-}
+/// Clip range ε of the surrogate ratio.
+const CLIP: f32 = 0.2;
+/// Value-loss coefficient β_V.
+const VALUE_COEF: f32 = 0.5;
+/// Entropy-bonus coefficient β_S.
+const ENTROPY_COEF: f32 = 0.01;
+/// Discount factor γ of GAE.
+const GAMMA: f32 = 0.99;
+/// GAE's λ.
+const LAMBDA: f32 = 0.95;
+/// Global gradient-norm clip of both phases.
+const MAX_GRAD_NORM: f32 = 0.5;
+/// Behaviour-cloning coefficient β_clone of the auxiliary phase.
+const BETA_CLONE: f32 = 1.0;
 
 /// Diagnostics of one PPO update.
 #[derive(Debug, Clone, Copy, Default)]
@@ -131,15 +110,17 @@ fn half_mse(g: &mut Graph, prediction: NodeId, target: f32) -> NodeId {
     g.scale(mse, 0.5)
 }
 
-/// Trainer configuration (Algorithm 1 of the paper).
+/// Trainer configuration (Algorithm 1 of the paper): the epochs and Adam
+/// learning rates of both phases. ε, β_V, β_S, γ, λ, β_clone and the
+/// gradient-norm clip are constants of this module.
 #[derive(Debug, Clone, Copy)]
 pub struct IqPpoConfig {
-    /// PPO core configuration.
-    pub ppo: PpoConfig,
+    /// Optimization epochs per PPO phase.
+    pub ppo_epochs: usize,
+    /// PPO-phase learning rate.
+    pub ppo_lr: f32,
     /// Optimization epochs of the auxiliary phase.
     pub aux_epochs: usize,
-    /// Behaviour-cloning coefficient β_clone.
-    pub beta_clone: f32,
     /// Auxiliary-phase learning rate.
     pub aux_lr: f32,
 }
@@ -147,9 +128,9 @@ pub struct IqPpoConfig {
 impl Default for IqPpoConfig {
     fn default() -> Self {
         Self {
-            ppo: PpoConfig::default(),
+            ppo_epochs: 3,
+            ppo_lr: 3e-4,
             aux_epochs: 2,
-            beta_clone: 1.0,
             aux_lr: 3e-4,
         }
     }
@@ -176,7 +157,7 @@ impl IqPpoTrainer {
     /// A trainer of `algorithm` with the given configuration.
     pub fn for_algorithm(algorithm: Algorithm, config: IqPpoConfig) -> Self {
         Self {
-            ppo_optimizer: Adam::new(config.ppo.lr),
+            ppo_optimizer: Adam::new(config.ppo_lr),
             aux_optimizer: Adam::new(config.aux_lr),
             config,
             algorithm,
@@ -209,8 +190,7 @@ impl IqPpoTrainer {
         store: &mut ParamStore,
         buffer: &RolloutBuffer<M::Obs>,
     ) -> PpoStats {
-        let c = self.config.ppo;
-        let estimates = buffer.normalized_gae(c.gamma, c.lambda);
+        let estimates = buffer.normalized_gae(GAMMA, LAMBDA);
         let items: Vec<_> = buffer.transitions().iter().zip(&estimates).collect();
         let n = items.len() as f32;
         let loss =
@@ -225,7 +205,7 @@ impl IqPpoTrainer {
                 let ratio = g.exp(shifted);
                 let adv = Tensor::scalar(est.advantage);
                 let surr1 = g.mul_const(ratio, &adv);
-                let clipped = g.clamp(ratio, 1.0 - c.clip, 1.0 + c.clip);
+                let clipped = g.clamp(ratio, 1.0 - CLIP, 1.0 + CLIP);
                 let surr2 = g.mul_const(clipped, &adv);
                 let surr = g.min_elem(surr1, surr2);
                 let surr_mean = g.mean_all(surr);
@@ -234,8 +214,8 @@ impl IqPpoTrainer {
                 let value_loss = half_mse(g, value, est.value_target);
                 let entropy = g.softmax_entropy(logits);
 
-                let weighted_value = g.scale(value_loss, c.value_coef);
-                let weighted_entropy = g.scale(entropy, -c.entropy_coef);
+                let weighted_value = g.scale(value_loss, VALUE_COEF);
+                let weighted_entropy = g.scale(entropy, -ENTROPY_COEF);
                 let sum1 = g.add(policy_loss, weighted_value);
                 let total = g.add(sum1, weighted_entropy);
                 let stats = PpoStats {
@@ -250,8 +230,8 @@ impl IqPpoTrainer {
             &mut self.ppo_optimizer,
             &items,
             self.threads,
-            c.epochs,
-            c.max_grad_norm,
+            self.config.ppo_epochs,
+            MAX_GRAD_NORM,
             loss,
         )
     }
@@ -267,11 +247,10 @@ impl IqPpoTrainer {
         store: &mut ParamStore,
         buffer: &RolloutBuffer<M::Obs>,
     ) -> AuxStats {
-        let c = self.config.ppo;
         match self.algorithm {
             Algorithm::Ppo => AuxStats::default(),
             Algorithm::Ppg => {
-                let estimates = buffer.gae(c.gamma, c.lambda);
+                let estimates = buffer.gae(GAMMA, LAMBDA);
                 let items: Vec<_> = buffer.transitions().iter().zip(&estimates).collect();
                 self.aux_epochs(store, &items, |g, store, &(t, est)| {
                     let (logits, value) = model.evaluate(g, store, &t.obs);
@@ -303,12 +282,12 @@ impl IqPpoTrainer {
         items: &[(&Transition<O>, T)],
         target: impl Fn(&mut Graph, &ParamStore, &(&Transition<O>, T)) -> (NodeId, NodeId) + Sync,
     ) -> AuxStats {
-        let (c, n) = (self.config, items.len() as f32);
+        let n = items.len() as f32;
         let loss = |g: &mut Graph, store: &ParamStore, item: &(&Transition<O>, T)| {
             let (aux_loss, logits) = target(g, store, item);
             let old_probs = Tensor::row(&item.0.action_probs);
             let kl = g.kl_divergence(logits, &old_probs);
-            let weighted_kl = g.scale(kl, c.beta_clone);
+            let weighted_kl = g.scale(kl, BETA_CLONE);
             let joint = g.add(aux_loss, weighted_kl);
             let stats = AuxStats {
                 aux_loss: g.value(aux_loss).item(),
@@ -321,8 +300,8 @@ impl IqPpoTrainer {
             &mut self.aux_optimizer,
             items,
             self.threads,
-            c.aux_epochs,
-            c.ppo.max_grad_norm,
+            self.config.aux_epochs,
+            MAX_GRAD_NORM,
             loss,
         )
     }
@@ -462,11 +441,8 @@ mod tests {
         let mut store = ParamStore::new();
         let model = BanditModel::new(&mut store, &mut rng);
         let config = IqPpoConfig {
-            ppo: PpoConfig {
-                lr: 0.01,
-                epochs: 4,
-                ..PpoConfig::default()
-            },
+            ppo_epochs: 4,
+            ppo_lr: 0.01,
             ..IqPpoConfig::default()
         };
         let mut trainer = IqPpoTrainer::for_algorithm(Algorithm::Ppo, config);
@@ -519,13 +495,9 @@ mod tests {
         let mut store = ParamStore::new();
         let model = BanditModel::new(&mut store, &mut rng);
         let config = IqPpoConfig {
-            ppo: PpoConfig {
-                lr: 0.01,
-                epochs: 4,
-                ..PpoConfig::default()
-            },
+            ppo_epochs: 4,
+            ppo_lr: 0.01,
             aux_epochs: 3,
-            beta_clone: 1.0,
             aux_lr: 0.01,
         };
         let mut trainer = IqPpoTrainer::new(config);
@@ -564,13 +536,9 @@ mod tests {
         let mut store = ParamStore::new();
         let model = BanditModel::new(&mut store, &mut rng);
         let config = IqPpoConfig {
-            ppo: PpoConfig {
-                lr: 0.01,
-                epochs: 2,
-                ..PpoConfig::default()
-            },
+            ppo_epochs: 2,
+            ppo_lr: 0.01,
             aux_epochs: 3,
-            beta_clone: 1.0,
             aux_lr: 0.01,
         };
         let mut trainer = IqPpoTrainer::for_algorithm(Algorithm::Ppg, config);
@@ -639,14 +607,10 @@ mod tests {
         let mut store = ParamStore::new();
         let model = BanditModel::new(&mut store, &mut rng);
         let config = IqPpoConfig {
-            ppo: PpoConfig {
-                lr: 0.01,
-                epochs: 2,
-                ..PpoConfig::default()
-            },
+            ppo_epochs: 2,
+            ppo_lr: 0.01,
             aux_epochs: 2,
             aux_lr: 0.01,
-            ..IqPpoConfig::default()
         };
         let mut stats = Vec::new();
         let mut out = Vec::new();

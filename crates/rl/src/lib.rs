@@ -20,5 +20,5 @@
 pub mod algo;
 pub mod buffer;
 
-pub use algo::{ActorCritic, Algorithm, AuxStats, IqPpoConfig, IqPpoTrainer, PpoConfig, PpoStats};
+pub use algo::{ActorCritic, Algorithm, AuxStats, IqPpoConfig, IqPpoTrainer, PpoStats};
 pub use buffer::{AuxTarget, Estimate, RolloutBuffer, Transition};

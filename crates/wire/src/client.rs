@@ -226,14 +226,15 @@ impl<T: WireTransport> WireBackend<T> {
         self.obs = obs;
     }
 
-    /// Survive transport losses: when an exchange's response never arrives
-    /// (a fault-injecting transport dropped or truncated it), retransmit the
-    /// request after a seeded backoff instead of panicking, up to
-    /// `policy.max_retries` times per exchange. The sequence prefix plus the
-    /// server's cached-response replay make retransmission safe for
-    /// non-idempotent requests (at-most-once execution). Each
-    /// retransmission surfaces as a [`FaultEvent::TransportRetransmit`]
-    /// through [`ExecutorBackend::poll_fault`].
+    /// Turn on recovery from transport losses: when an exchange's response
+    /// never arrives (a fault-injecting transport dropped or truncated it),
+    /// retransmit the request after the seeded [`RecoveryPolicy::backoff`],
+    /// up to [`RecoveryPolicy::MAX_RETRIES`] times per exchange, instead of
+    /// panicking. The sequence prefix plus the server's cached-response
+    /// replay make retransmission safe for non-idempotent requests
+    /// (at-most-once execution). Each retransmission surfaces as a
+    /// [`FaultEvent::TransportRetransmit`] through
+    /// [`ExecutorBackend::poll_fault`].
     // bq-lint: allow(dead-pub): operator setting documented in docs/OPERATIONS.md
     pub fn with_recovery(mut self, policy: RecoveryPolicy) -> Self {
         self.recovery = Some(policy);
@@ -284,10 +285,10 @@ impl<T: WireTransport> WireBackend<T> {
             };
             attempt += 1;
             assert!(
-                attempt <= policy.max_retries,
+                attempt <= RecoveryPolicy::MAX_RETRIES,
                 "retransmission budget exhausted: exchange {seq} lost {attempt} \
                  times (max_retries = {})",
-                policy.max_retries
+                RecoveryPolicy::MAX_RETRIES
             );
             self.faults.push_back(FaultEvent::TransportRetransmit {
                 at: self.now,

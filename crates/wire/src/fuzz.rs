@@ -23,9 +23,9 @@ use crate::net::{
 use crate::proto::tests::{sample_requests, sample_responses};
 use crate::proto::{seal, unseal, Request, Response, HANDSHAKE_MAGIC, PROTOCOL_VERSION, SEQ_LEN};
 use crate::server::{Loopback, WireServer};
+use crate::split_mix::SplitMix64;
 use crate::transport::{InMemoryDuplex, TransportProfile, WireTransport};
 use crate::worked_examples::{worked_examples, SPEC};
-use bq_core::rng::SplitMix64;
 use bq_dbms::{DbmsProfile, ExecutionEngine};
 use bq_plan::{generate, Benchmark, Workload, WorkloadSpec};
 

@@ -90,6 +90,9 @@ pub use transport::{
 #[cfg(test)]
 mod fuzz;
 #[cfg(test)]
+#[path = "../tests/support/split_mix.rs"]
+mod split_mix;
+#[cfg(test)]
 #[path = "../tests/support/worked_examples.rs"]
 mod worked_examples;
 
@@ -577,7 +580,7 @@ mod tests {
         let link = Loopback::new(WireServer::new(engine(&w, 0)), LossyLink::lossless(vec![1]));
         let mut backend = WireBackend::connect(link)
             .expect("handshake over a healthy link")
-            .with_recovery(RecoveryPolicy::bounded());
+            .with_recovery(RecoveryPolicy);
         // The ack is lost in transit: the client retransmits the same
         // exchange, and the server replays its cached response without
         // re-submitting (at-most-once execution of a non-idempotent
@@ -612,7 +615,7 @@ mod tests {
         let link = Loopback::new(WireServer::new(engine(&w, 0)), LossyLink::holding(vec![1]));
         let mut backend = WireBackend::connect(link)
             .expect("handshake over a healthy link")
-            .with_recovery(RecoveryPolicy::bounded());
+            .with_recovery(RecoveryPolicy);
         backend.submit(QueryId(0), RunParams::default_config(), 0);
         assert!(matches!(
             backend.poll_fault(),

@@ -83,6 +83,7 @@ impl TransportProfile {
 
     /// Add a seeded uniform jitter of up to `seconds` on top of the base
     /// latency.
+    // bq-lint: allow(dead-pub): perfbench calls `with_seed`, which seeds only this jitter
     pub fn with_jitter(mut self, seconds: f64) -> Self {
         assert!(
             seconds >= 0.0 && seconds.is_finite(),

@@ -23,6 +23,9 @@ use std::process::{Child, Command, Stdio};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
+#[path = "support/split_mix.rs"]
+mod split_mix;
+
 fn tpch() -> Workload {
     generate(&WorkloadSpec::new(Benchmark::TpcH, 1.0, 1))
 }
@@ -198,7 +201,7 @@ fn server_restart_mid_episode_recovers_via_reconnect_and_cached_replay() {
     client.set_obs(obs.clone());
     let mut backend = connect_remote(client)
         .expect("handshake")
-        .with_recovery(RecoveryPolicy::bounded());
+        .with_recovery(RecoveryPolicy);
     let log = run_episode(&mut backend, &w);
     assert_eq!(log.len(), w.len(), "every query completes despite the cut");
     // The lost exchange surfaced as a transport retransmission fault; the
@@ -361,7 +364,7 @@ fn bad_clients_do_not_hurt_a_good_one_on_a_real_bq_serve() {
 
     // 64 arbitrary bytes: not even a preamble.
     let mut garbage = UnixStream::connect(&path).expect("connect the garbage client");
-    let mut rng = bq_core::rng::SplitMix64::new(64);
+    let mut rng = split_mix::SplitMix64::new(64);
     let noise: Vec<u8> = (0..64).map(|_| rng.next_u64() as u8).collect();
     garbage.write_all(&noise).expect("send garbage");
 

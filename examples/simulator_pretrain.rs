@@ -53,7 +53,7 @@ fn main() {
         history.len()
     );
     let mut simulator = SimulatorModel::new(agent.plan_embeddings().cols(), sim_config, 9);
-    let metrics = simulator.train(&samples, 10, 0.01);
+    let metrics = simulator.train(&samples, 10);
     println!(
         "simulator: earliest-finisher accuracy {:.1}%, time MSE {:.4}",
         metrics.accuracy * 100.0,

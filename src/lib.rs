@@ -21,7 +21,9 @@
 //! * [`encoder`] — plan encoder and attention-based state representation,
 //! * [`rl`] — PPO / PPG / IQ-PPO,
 //! * [`sched`] — the BQSched agent, masking, clustering and the learned
-//!   incremental simulator.
+//!   incremental simulator,
+//! * [`rand`] — the seeded generator `encoder::PlanEncoder::new` and
+//!   `sched::GainPredictor::new` draw their initial weights from.
 //!
 //! See the `examples/` directory for end-to-end usage and `crates/bench` for
 //! the experiment harness that regenerates every table and figure of the
@@ -40,3 +42,4 @@ pub use bq_plan as plan;
 pub use bq_rl as rl;
 pub use bq_sched as sched;
 pub use bq_wire as wire;
+pub use rand;

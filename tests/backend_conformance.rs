@@ -708,7 +708,7 @@ fn chaos_episode_replays_identically_and_matches_golden_artifact() {
             .dbms(profile.kind)
             .round(0)
             .router(FaultAwareRouter::new(LeastLoadedRouter))
-            .recovery(RecoveryPolicy::bounded())
+            .recovery(RecoveryPolicy)
             .build(&mut chaotic)
             .run(&mut FifoScheduler::new())
     };
@@ -857,7 +857,7 @@ fn recording_observability_never_perturbs_a_recovered_chaos_episode() {
             let mut builder = ScheduleSession::builder(&w)
                 .round(seed)
                 .router(FaultAwareRouter::new(LeastLoadedRouter))
-                .recovery(RecoveryPolicy::bounded());
+                .recovery(RecoveryPolicy);
             if let Some(obs) = obs {
                 chaotic.set_obs(obs.clone());
                 builder = builder.obs(obs);

@@ -7,9 +7,9 @@
 use bqsched::core::{EpisodeLog, ExecutorBackend, ScheduleSession, SchedulerPolicy};
 use bqsched::nn::{ParamStore, Tensor};
 use bqsched::plan::Workload;
+use bqsched::rand::rngs::StdRng;
+use bqsched::rand::SeedableRng;
 use bqsched::sched::{SimulatorConfig, SimulatorModel};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Run one round through the session facade against any backend.
 pub fn session_round<E: ExecutorBackend>(

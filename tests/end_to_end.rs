@@ -13,13 +13,13 @@ use bqsched::dbms::{DbmsProfile, MemoryGrant, RunParams};
 use bqsched::encoder::{PlanEncoderConfig, StateEncoderConfig};
 use bqsched::nn::{Adam, ParamStore};
 use bqsched::plan::{generate, perturb_query_set, Benchmark, QueryId, WorkloadSpec};
+use bqsched::rand::rngs::StdRng;
+use bqsched::rand::SeedableRng;
 use bqsched::rl::{IqPpoTrainer, RolloutBuffer};
 use bqsched::sched::{
     gains_from_history, samples_from_history, train_on_dbms, Algorithm, BqSchedAgent,
     BqSchedConfig, GainPredictor, SimulatorConfig, SimulatorModel, TrainingConfig,
 };
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn small_agent_config() -> BqSchedConfig {
     BqSchedConfig {
@@ -178,7 +178,7 @@ fn simulator_pipeline_produces_consistent_episodes() {
     let samples = samples_from_history(&workload, &history, agent.plan_embeddings());
     assert!(!samples.is_empty());
     let mut sim = SimulatorModel::new(agent.plan_embeddings().cols(), sim_config, 0);
-    let metrics = sim.train(&samples[..samples.len().min(40)], 3, 0.01);
+    let metrics = sim.train(&samples[..samples.len().min(40)], 3);
     assert!(metrics.mse.is_finite());
 }
 
@@ -308,7 +308,7 @@ fn gain_and_simulator_fields(
     let gains = gains_from_history(history, workload.len());
     let mut store = ParamStore::new();
     let predictor = GainPredictor::new(&mut store, embs.cols(), &mut StdRng::seed_from_u64(3));
-    let mse = predictor.train(&mut store, embs, &gains, 30, 0.01);
+    let mse = predictor.train(&mut store, embs, &gains, 30);
     let mut fields = vec![format!(
         "  \"gain\": {{\"params_fnv\": \"{}\", \"mse_bits\": \"{:016x}\", \"mse\": {mse}}}",
         bits(&store),
@@ -324,7 +324,7 @@ fn gain_and_simulator_fields(
             ..SimulatorConfig::default()
         };
         let mut sim = SimulatorModel::new(embs.cols(), sim_config, 5);
-        let metrics = sim.train(&samples[..40], 3, 0.01);
+        let metrics = sim.train(&samples[..40], 3);
         phases.push(format!(
             "\"{name}_params_fnv\": \"{}\", \"{name}_accuracy_bits\": \"{:016x}\", \
              \"{name}_mse_bits\": \"{:016x}\"",

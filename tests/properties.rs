@@ -370,7 +370,7 @@ proptest! {
             ScheduleSession::builder(&workload)
                 .round(seed)
                 .router(FaultAwareRouter::new(LeastLoadedRouter))
-                .recovery(RecoveryPolicy::bounded())
+                .recovery(RecoveryPolicy)
                 .build(&mut chaotic)
                 .run(&mut FifoScheduler::new())
         };
