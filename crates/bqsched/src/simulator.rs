@@ -349,7 +349,6 @@ pub fn samples_from_history(
 pub struct LearnedSimulator<'a> {
     model: &'a SimulatorModel,
     workload: &'a Workload,
-    plan_embs: &'a Tensor,
     avg_times: Vec<f64>,
     now: f64,
     /// Sole owner of occupancy: which query runs on which connection, with
@@ -358,6 +357,9 @@ pub struct LearnedSimulator<'a> {
     finished: Vec<bool>,
     /// Reusable per-query runtime buffer for building prediction states.
     runtimes: Vec<QueryRuntime>,
+    /// The session's one observation: the plan embeddings are cloned once,
+    /// and each prediction refreshes the state-dependent parts in place.
+    obs: EncodedObservation,
     completion_events: VecDeque<QueryCompletion>,
     submitted_events: VecDeque<(QueryId, usize)>,
 }
@@ -372,19 +374,25 @@ impl<'a> LearnedSimulator<'a> {
         connections: usize,
     ) -> Self {
         assert_eq!(avg_times.len(), workload.len());
-        let runtimes = avg_times
+        let runtimes: Vec<QueryRuntime> = avg_times
             .iter()
             .map(|&t| QueryRuntime::pending(t))
             .collect();
+        let state = SchedulingState {
+            workload,
+            now: 0.0,
+            queries: &runtimes,
+        };
+        let obs = EncodedObservation::from_state(&state, plan_embs);
         Self {
             model,
             workload,
-            plan_embs,
             avg_times,
             now: 0.0,
             slots: vec![ConnectionSlot::Free; connections],
             finished: vec![false; workload.len()],
             runtimes,
+            obs,
             completion_events: VecDeque::with_capacity(1),
             submitted_events: VecDeque::with_capacity(connections),
         }
@@ -451,10 +459,10 @@ impl<'a> LearnedSimulator<'a> {
             now: self.now,
             queries: &self.runtimes,
         };
-        let obs = EncodedObservation::from_state(&state, self.plan_embs);
-        let (position, norm_time) = self.model.predict(&obs);
+        self.obs.refresh(&state);
+        let (position, norm_time) = self.model.predict(&self.obs);
         // Map the predicted observation index back to a connection.
-        let predicted_query = obs.running[position];
+        let predicted_query = self.obs.running[position];
         let dt = (norm_time * TIME_SCALE).max(1e-3);
         if self.now + dt > until {
             // Deadline reached before the predicted completion.

@@ -9,7 +9,7 @@
 //!   status, running parameters, elapsed time and historical average time —
 //!   concatenated with the plan embedding to form each query's representation.
 
-use bq_core::{QueryRuntime, SchedulingState};
+use bq_core::QueryRuntime;
 use bq_dbms::{MemoryGrant, WORKER_OPTIONS};
 use bq_nn::Tensor;
 use bq_plan::{FlatNode, QueryPlan, OPERATOR_COUNT};
@@ -120,16 +120,6 @@ pub fn write_state_features(row: &mut [f32], runtime: &QueryRuntime) {
     row[STATE_FEATURE_DIM - 1] = (runtime.avg_exec_time / TIME_SCALE) as f32;
 }
 
-/// Running-state feature matrix `[n, STATE_FEATURE_DIM]` for all batch queries.
-pub fn state_feature_matrix(state: &SchedulingState<'_>) -> Tensor {
-    let mut features = Tensor::zeros(state.queries.len(), STATE_FEATURE_DIM);
-    let rows = features.data_mut().chunks_exact_mut(STATE_FEATURE_DIM);
-    for (row, runtime) in rows.zip(state.queries) {
-        write_state_features(row, runtime);
-    }
-    features
-}
-
 /// Row-mean of the running-state features of an arbitrary query subset,
 /// returning a zero vector when the subset is empty. Used to summarise the
 /// features of all queries (for `x''_s`) and of the concurrently running
@@ -155,7 +145,8 @@ pub fn mean_features(features: &Tensor, subset: &[usize]) -> Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bq_core::{QueryRuntime, QueryStatus};
+    use crate::EncodedObservation;
+    use bq_core::{QueryStatus, SchedulingState};
     use bq_dbms::RunParams;
     use bq_plan::{generate, Benchmark, WorkloadSpec};
 
@@ -215,7 +206,7 @@ mod tests {
             now: 2.5,
             queries: &queries,
         };
-        let m = state_feature_matrix(&state);
+        let m = EncodedObservation::from_state(&state, &Tensor::zeros(w.len(), 1)).features;
         assert_eq!(m.shape(), (w.len(), STATE_FEATURE_DIM));
         // Pending query: status bit 0 set, no params.
         assert_eq!(m.get(0, QueryStatus::Pending.index()), 1.0);

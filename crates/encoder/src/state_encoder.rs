@@ -12,7 +12,7 @@
 //! The same representation is shared by the policy, value and auxiliary
 //! networks of IQ-PPO and by the learned incremental simulator.
 
-use crate::features::{mean_features, state_feature_matrix, STATE_FEATURE_DIM};
+use crate::features::{mean_features, write_state_features, STATE_FEATURE_DIM};
 use bq_core::{QueryStatus, SchedulingState};
 use bq_nn::{
     Activation, AttentionBlock, Eager, IncrementalAttention, Mlp, NodeId, Ops, ParamId, ParamStore,
@@ -62,32 +62,41 @@ impl EncodedObservation {
     /// Build an observation from a scheduling state and pre-computed plan
     /// embeddings (one row per query).
     pub fn from_state(state: &SchedulingState<'_>, plan_embs: &Tensor) -> Self {
+        let mut obs = Self {
+            plan_embs: plan_embs.clone(),
+            features: Tensor::zeros(plan_embs.rows(), STATE_FEATURE_DIM),
+            running: Vec::new(),
+            pending: Vec::new(),
+        };
+        obs.refresh(state);
+        obs
+    }
+
+    /// Rewrite the state-dependent parts in place from `state`: the
+    /// features and the running and pending lists. The plan embeddings
+    /// are kept, so a session that observes many states of one round
+    /// clones them once.
+    pub fn refresh(&mut self, state: &SchedulingState<'_>) {
         assert_eq!(
-            plan_embs.rows(),
+            self.plan_embs.rows(),
             state.queries.len(),
             "one plan embedding per query required"
         );
-        let features = state_feature_matrix(state);
-        let running = state
-            .queries
-            .iter()
-            .enumerate()
-            .filter(|(_, q)| q.status == QueryStatus::Running)
-            .map(|(i, _)| i)
-            .collect();
-        let pending = state
-            .queries
-            .iter()
-            .enumerate()
-            .filter(|(_, q)| q.status == QueryStatus::Pending)
-            .map(|(i, _)| i)
-            .collect();
-        Self {
-            plan_embs: plan_embs.clone(),
-            features,
-            running,
-            pending,
+        self.features.data_mut().fill(0.0);
+        let rows = self.features.data_mut().chunks_exact_mut(STATE_FEATURE_DIM);
+        for (row, runtime) in rows.zip(state.queries) {
+            write_state_features(row, runtime);
         }
+        let indices = |status| {
+            let queries = state.queries.iter().enumerate();
+            queries
+                .filter(move |(_, q)| q.status == status)
+                .map(|(i, _)| i)
+        };
+        self.running.clear();
+        self.running.extend(indices(QueryStatus::Running));
+        self.pending.clear();
+        self.pending.extend(indices(QueryStatus::Pending));
     }
 
     /// Number of entities (queries or clusters) in the observation.
@@ -415,6 +424,30 @@ mod tests {
         assert_eq!(obs.len(), w.len());
         assert_eq!(obs.running.len(), 3);
         assert_eq!(obs.pending.len(), w.len() - 3);
+    }
+
+    #[test]
+    fn refresh_matches_a_fresh_observation() {
+        let (w, mut obs) = obs_for(3);
+        let mut queries: Vec<QueryRuntime> =
+            (0..w.len()).map(|_| QueryRuntime::pending(2.0)).collect();
+        queries[0].status = QueryStatus::Finished;
+        queries[4].status = QueryStatus::Running;
+        queries[4].params = Some(bq_dbms::RunParams::default_config());
+        queries[4].elapsed = 0.5;
+        let state = SchedulingState {
+            workload: &w,
+            now: 3.0,
+            queries: &queries,
+        };
+        obs.refresh(&state);
+        let fresh = EncodedObservation::from_state(&state, &obs.plan_embs);
+        assert_eq!(obs.features.data(), fresh.features.data());
+        assert_eq!(
+            (&obs.running, &obs.pending),
+            (&fresh.running, &fresh.pending)
+        );
+        assert_eq!(obs.running, [4]);
     }
 
     #[test]
