@@ -21,7 +21,7 @@ use bq_encoder::{
     write_state_features, EncodedObservation, InputRowCache, PlanEncoder, PlanEncoderConfig,
     StateEncoder, StateEncoderConfig, STATE_FEATURE_DIM, TIME_SCALE,
 };
-use bq_nn::{Activation, Eager, Graph, Mlp, NodeId, Ops, ParamStore, Tensor};
+use bq_nn::{math, Activation, Eager, Graph, Mlp, NodeId, Ops, ParamStore, Tensor};
 use bq_plan::{QueryId, Workload};
 use bq_rl::{
     ActorCritic, Algorithm, AuxTarget, IqPpoConfig, IqPpoTrainer, RolloutBuffer, Transition,
@@ -573,7 +573,7 @@ impl BqSchedAgent {
         } else {
             probs.argmax()
         };
-        let log_prob = p[action].max(1e-12).ln();
+        let log_prob = math::ln(p[action].max(1e-12));
         (action, log_prob, value, p.to_vec())
     }
 

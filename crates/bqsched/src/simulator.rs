@@ -369,7 +369,7 @@ impl<'a> LearnedSimulator<'a> {
     pub fn new(
         model: &'a SimulatorModel,
         workload: &'a Workload,
-        plan_embs: &'a Tensor,
+        plan_embs: &Tensor,
         avg_times: Vec<f64>,
         connections: usize,
     ) -> Self {

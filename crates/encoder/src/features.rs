@@ -11,7 +11,7 @@
 
 use bq_core::QueryRuntime;
 use bq_dbms::{MemoryGrant, WORKER_OPTIONS};
-use bq_nn::Tensor;
+use bq_nn::{math, Tensor};
 use bq_plan::{FlatNode, QueryPlan, OPERATOR_COUNT};
 
 /// Number of hash buckets used to encode table identity.
@@ -32,7 +32,7 @@ pub const STATE_FEATURE_DIM: usize = 3 + WORKER_OPTIONS.len() + 2 + 1 + 1;
 pub const TIME_SCALE: f64 = 10.0;
 
 fn log1p(v: f64) -> f32 {
-    (v.max(0.0) + 1.0).ln() as f32
+    math::ln((v.max(0.0) + 1.0) as f32)
 }
 
 /// Feature vector of one flattened plan node.

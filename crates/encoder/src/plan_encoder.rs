@@ -14,7 +14,7 @@
 
 use crate::features::{plan_node_features, tree_bias, NODE_FEATURE_DIM};
 use bq_nn::{
-    fit, Activation, Adam, AttentionBlock, Graph, Linear, Mlp, NodeId, ParamStore, Tensor,
+    fit, math, Activation, Adam, AttentionBlock, Graph, Linear, Mlp, NodeId, ParamStore, Tensor,
 };
 use bq_plan::{QueryPlan, Workload};
 use rand::rngs::StdRng;
@@ -176,17 +176,17 @@ pub fn pretrain_on_cost(
 ) -> PretrainReport {
     let mut adam = Adam::new(PRETRAIN_LR);
     // Normalised log-cost targets.
-    let log_costs: Vec<f64> = workload
+    let log_costs: Vec<f32> = workload
         .queries
         .iter()
-        .map(|q| (q.plan.total_cost() + 1.0).ln())
+        .map(|q| math::ln((q.plan.total_cost() + 1.0) as f32))
         .collect();
-    let max_log = log_costs.iter().copied().fold(1.0, f64::max);
+    let max_log = log_costs.iter().copied().fold(1.0, f32::max);
     let items: Vec<(&QueryPlan, f32)> = workload
         .queries
         .iter()
         .zip(&log_costs)
-        .map(|(q, &c)| (&q.plan, (c / max_log) as f32))
+        .map(|(q, &c)| (&q.plan, c / max_log))
         .collect();
     let loss = |g: &mut Graph, store: &ParamStore, &(plan, target): &(&QueryPlan, f32)| {
         let emb = encoder.encode(g, store, plan);

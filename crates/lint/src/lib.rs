@@ -3,8 +3,8 @@
 //! Every layer of this workspace rests on one claim: an episode is a pure
 //! function of `(workload, profile, seed, dispatch/transport/fault
 //! schedule)`. Goldens and proptests *sample* that contract; `bq-lint`
-//! *enforces* it at build time with five deny-by-default rules over the
-//! workspace's own sources, and a sixth keeps the public surface to what
+//! *enforces* it at build time with six deny-by-default rules over the
+//! workspace's own sources, and a seventh keeps the public surface to what
 //! the workspace uses:
 //!
 //! | rule | forbids |
@@ -14,6 +14,7 @@
 //! | `unseeded-rng` | `thread_rng` / `rand::random` / inline SplitMix64 constants outside `bq_core::rng` |
 //! | `panic-surface` | `unwrap()` / `expect()` / `panic!`-family in `core`/`wire`/`adapter`/`chaos` library code and `dbms/src/executor.rs` |
 //! | `hot-path-alloc` | `vec!` / `format!` / `.clone()` / `Vec::new` / `Box::new` … inside `// bq-lint: hot-path` regions |
+//! | `owned-math` | std's `.tanh()` / `.exp()` / `.ln()` and `f32::`/`f64::` paths to them in `crates/` and `src/` outside `crates/nn/src/math.rs` |
 //! | `dead-pub` | a `pub` item of library code whose name no non-test line of `crates/`, `src/`, `examples/` or `perfbench/` uses |
 //!
 //! The escape hatch is inline and must carry a justification:
@@ -498,6 +499,68 @@ mod tests {
     fn unclosed_hot_path_region_is_a_directive_error() {
         let r = scan("crates/core/src/x.rs", "// bq-lint: hot-path\nfn f() {}\n");
         assert_eq!(rules_hit(&r), ["directive"]);
+    }
+
+    // ---- owned-math ----
+
+    #[test]
+    fn owned_math_flags_std_method_calls() {
+        let r = scan(
+            "crates/rl/src/x.rs",
+            "fn f(x: f32) -> f32 { x.tanh() }\n\
+             fn g(x: f32) -> f32 { (x - 1.0).exp ( ) }\n\
+             fn h(p: f64) -> f64 { p.max(1e-12).ln() }\n",
+        );
+        assert_eq!(rules_hit(&r), ["owned-math"; 3]);
+        assert!(r.violations[0].message.contains("bq_nn::math::tanh"));
+    }
+
+    #[test]
+    fn owned_math_flags_std_paths() {
+        let r = scan(
+            "src/lib.rs",
+            "fn f(v: &[f32]) -> Vec<f32> { v.iter().copied().map(f32::tanh).collect() }\n\
+             fn g(x: f64) -> f64 { f64::ln(x) }\n",
+        );
+        assert_eq!(rules_hit(&r), ["owned-math", "owned-math"]);
+    }
+
+    #[test]
+    fn owned_math_exempts_the_math_module_and_test_code() {
+        let r = scan("crates/nn/src/math.rs", "fn f(x: f64) -> f64 { x.exp() }\n");
+        assert!(r.is_clean(), "{:?}", r.violations);
+        let r = scan(
+            "crates/nn/src/graph.rs",
+            "pub fn f() {}\n\
+             #[cfg(test)]\n\
+             mod tests {\n\
+                 #[test]\n\
+                 fn t() { assert!((4.0f32.ln() - 1.386).abs() < 1e-3); }\n\
+             }\n",
+        );
+        assert!(r.is_clean(), "{:?}", r.violations);
+    }
+
+    #[test]
+    fn owned_math_ignores_longer_names_locals_and_tape_methods() {
+        let r = scan(
+            "crates/core/src/x.rs",
+            "fn f(x: f64) -> f64 { x.exp_m1() + x.ln_1p() + f64::exp2(x) }\n\
+             fn backoff(attempt: i32) -> f64 { let exp = 0.05 * 2f64.powi(attempt); exp * 1.5 }\n\
+             fn tape(g: &mut Graph, n: NodeId) -> NodeId { let t = g.tanh(n); g.exp(t) }\n",
+        );
+        assert!(r.is_clean(), "{:?}", r.violations);
+    }
+
+    #[test]
+    fn owned_math_allow_is_honored_and_counted() {
+        let r = scan(
+            "crates/plan/src/x.rs",
+            "// bq-lint: allow(owned-math): the cost model stays on std for now\n\
+             fn f(rows: f64) -> f64 { rows.ln() }\n",
+        );
+        assert!(r.is_clean(), "{:?}", r.violations);
+        assert_eq!(r.allows_used, 1);
     }
 
     // ---- directives ----

@@ -12,12 +12,13 @@ use std::collections::BTreeSet;
 
 /// Rule identifiers, in report order. Directive parsing validates against
 /// this list so a typoed `allow(wallclock)` is itself a diagnostic.
-pub const KNOWN_RULES: [&str; 7] = [
+pub const KNOWN_RULES: [&str; 8] = [
     "wall-clock",
     "hash-order",
     "unseeded-rng",
     "panic-surface",
     "hot-path-alloc",
+    "owned-math",
     "dead-pub",
     "directive",
 ];
@@ -53,6 +54,8 @@ pub struct Violation {
 ///   share (`crates/dbms/src/executor.rs`) — those surfaces return typed
 ///   errors; panicking there would tear down a replay mid-episode.
 /// * `hot-path-alloc` everywhere a `// bq-lint: hot-path` region is marked.
+/// * `owned-math` in `crates/` and `src/`, except `crates/nn/src/math.rs`,
+///   the module that owns `tanh`, `exp` and `ln`.
 /// * `dead-pub` on the declarations in library code: `crates/*/src` outside
 ///   binaries, plus the umbrella `src/lib.rs`.
 #[derive(Debug, Clone)]
@@ -94,6 +97,9 @@ impl Config {
                 self.panic_scope.iter().any(|p| path.starts_with(p)) && !path.contains("/bin/")
             }
             "hot-path-alloc" => true,
+            "owned-math" => {
+                (path.starts_with("crates/") || path.starts_with("src/")) && path != OWNED_MATH_HOME
+            }
             "dead-pub" => {
                 path == "src/lib.rs"
                     || (path.starts_with("crates/")
@@ -105,6 +111,14 @@ impl Config {
         }
     }
 }
+
+/// The one file allowed to evaluate `tanh`, `exp` and `ln` itself: bq-nn's
+/// owned implementations, which every other `f32` evaluation calls.
+const OWNED_MATH_HOME: &str = "crates/nn/src/math.rs";
+
+/// The std functions `owned-math` denies: std documents their precision as
+/// varying by platform and Rust version, and learned bits depend on them.
+const OWNED_MATH: [&str; 3] = ["tanh", "exp", "ln"];
 
 /// Files under a `tests/` directory or `benches/` are integration test
 /// code: every rule except directive hygiene is off there, and none of
@@ -159,6 +173,19 @@ fn ident_then(hay: &str, ident: &str, follow: char) -> bool {
         i += 1;
     }
     false
+}
+
+/// `.method()` with nothing between the parentheses: the form std's
+/// `f32::method(self)` takes as a method call. A call with arguments is
+/// another type's method, such as the tape's `Graph::tanh(node)`, and a
+/// longer name (`exp_m1`, `ln_1p`) is another function.
+fn empty_method_call(hay: &str, method: &str) -> bool {
+    let dotted = format!(".{method}");
+    hay.match_indices(dotted.as_str()).any(|(i, m)| {
+        let rest = hay[i + m.len()..].trim_start();
+        rest.strip_prefix('(')
+            .is_some_and(|args| args.trim_start().starts_with(')'))
+    })
 }
 
 /// The SplitMix64 finalizer constants. Any of these appearing outside
@@ -289,6 +316,23 @@ pub fn check_line(
                     format!(
                         "`{mac}!` in boundary-crate library code: the executor surface \
                          must fail through typed errors, not process teardown"
+                    ),
+                );
+            }
+        }
+    }
+
+    if config.applies("owned-math", path) {
+        for name in OWNED_MATH {
+            let path_call = ["f32::", "f64::"]
+                .iter()
+                .any(|ty| ident_bounded(code, &format!("{ty}{name}")));
+            if path_call || empty_method_call(code, name) {
+                hit(
+                    "owned-math",
+                    format!(
+                        "std's `{name}` calls the platform libm, whose bits vary by platform \
+                         and Rust version: call `bq_nn::math::{name}`"
                     ),
                 );
             }

@@ -3,7 +3,8 @@
 //! This is the acceptance test for the whole lint gate: every rule enabled,
 //! default scope config, zero violations. If a change introduces a wall
 //! clock, a hash map, an inline SplitMix64, an unjustified panic in a
-//! boundary crate, or a `pub` item only tests reach, this test fails with
+//! boundary crate, a std `tanh`/`exp`/`ln` outside bq-nn's math module,
+//! or a `pub` item only tests reach, this test fails with
 //! the exact `file:line: [rule]` diagnostics.
 
 use std::path::Path;
@@ -31,9 +32,10 @@ fn workspace_is_clean_under_default_config() {
     // wall-clock measurement must read a `WallClock` instead. Eleven are
     // `dead-pub` hooks: test hooks, reference paths of bitwise pins,
     // documented operator settings and the two `with_jitter` settings a
-    // golden or the benchmark needs.)
+    // golden or the benchmark needs. One is bq-plan's cost-model `ln`,
+    // which `owned-math` leaves on std until owning it may move workloads.)
     assert_eq!(
-        report.allows_used, 37,
+        report.allows_used, 38,
         "the number of `bq-lint: allow` escapes changed — if the new allow \
          is justified, update this pin in the same PR"
     );

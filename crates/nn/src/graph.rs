@@ -10,6 +10,7 @@
 //! policy/value/auxiliary heads, PPO/PPG/IQ-PPO losses and the learned
 //! incremental simulator) need, with nothing speculative.
 
+use crate::math;
 use crate::params::{ParamId, ParamStore};
 use crate::tensor::Tensor;
 
@@ -206,7 +207,7 @@ impl Graph {
 
     /// Hyperbolic tangent.
     pub fn tanh(&mut self, a: NodeId) -> NodeId {
-        let v = self.nodes[a].value.map(f32::tanh);
+        let v = self.nodes[a].value.map(math::tanh);
         let ng = self.needs(a);
         self.push(v, Op::Tanh(a), ng, None)
     }
@@ -220,7 +221,7 @@ impl Graph {
 
     /// Elementwise exponential.
     pub fn exp(&mut self, a: NodeId) -> NodeId {
-        let v = self.nodes[a].value.map(f32::exp);
+        let v = self.nodes[a].value.map(math::exp);
         let ng = self.needs(a);
         self.push(v, Op::Exp(a), ng, None)
     }
@@ -237,11 +238,16 @@ impl Graph {
         let x = &self.nodes[a].value;
         let mut v = x.clone();
         for r in 0..x.rows() {
-            let row = x.row_slice(r);
+            let (row, out) = (x.row_slice(r), v.row_slice_mut(r));
             let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let lse = m + row.iter().map(|&y| (y - m).exp()).sum::<f32>().ln();
-            for c in 0..x.cols() {
-                v.set(r, c, x.get(r, c) - lse);
+            // The exponentials first, then their sum in row order, so the
+            // first loop can vectorize.
+            for (o, &y) in out.iter_mut().zip(row) {
+                *o = math::exp(y - m);
+            }
+            let lse = m + math::ln(out.iter().fold(0.0, |sum, &e| sum + e));
+            for (o, &y) in out.iter_mut().zip(row) {
+                *o = y - lse;
             }
         }
         let ng = self.needs(a);
@@ -381,7 +387,7 @@ impl Graph {
         let const_term: f32 = p_old
             .data()
             .iter()
-            .map(|&p| if p > 1e-12 { p * p.ln() } else { 0.0 })
+            .map(|&p| if p > 1e-12 { p * math::ln(p) } else { 0.0 })
             .sum::<f32>()
             / n;
         let lp = self.log_softmax_rows(logits);
@@ -533,7 +539,7 @@ impl Graph {
                             let gr = gy.row_slice_mut(r);
                             let gsum: f32 = gr.iter().copied().sum();
                             for (g, &lp) in gr.iter_mut().zip(y.row_slice(r)) {
-                                *g -= lp.exp() * gsum;
+                                *g -= math::exp(lp) * gsum;
                             }
                         }
                         acc(grads, a, gy);

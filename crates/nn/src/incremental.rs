@@ -18,6 +18,7 @@
 //! in `docs/DETERMINISM.md`).
 
 use crate::layers::AttentionHead;
+use crate::math;
 use crate::params::{ParamId, ParamStore};
 use crate::tensor::Tensor;
 
@@ -203,7 +204,7 @@ impl HeadState {
                 scores.iter_mut().for_each(|s| *s *= scale);
                 let max = row_max(scores);
                 for (e, &s) in numerators.iter_mut().zip(scores.iter()) {
-                    *e = (s - max).exp();
+                    *e = math::exp(s - max);
                 }
                 self.max[i] = max;
                 continue;
@@ -217,7 +218,7 @@ impl HeadState {
             for (&j, &s) in self.moved.iter().zip(fresh_scores.iter()) {
                 refold |= scores[j].is_nan() || scores[j] >= old_max;
                 scores[j] = s * scale;
-                numerators[j] = (scores[j] - old_max).exp();
+                numerators[j] = math::exp(scores[j] - old_max);
                 max = max.max(scores[j]);
             }
             if refold {
@@ -225,7 +226,7 @@ impl HeadState {
             }
             if max != old_max {
                 for (e, &s) in numerators.iter_mut().zip(scores.iter()) {
-                    *e = (s - max).exp();
+                    *e = math::exp(s - max);
                 }
             }
             self.max[i] = max;

@@ -48,6 +48,7 @@
 pub mod graph;
 pub mod incremental;
 pub mod layers;
+pub mod math;
 pub mod ops;
 pub mod optim;
 pub mod params;

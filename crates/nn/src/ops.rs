@@ -12,6 +12,7 @@
 use crate::graph::{Graph, NodeId};
 use crate::incremental::IncrementalAttention;
 use crate::layers::{attention_weights, AttentionHead};
+use crate::math;
 use crate::params::{ParamId, ParamStore};
 use crate::tensor::Tensor;
 use std::borrow::Cow;
@@ -202,7 +203,7 @@ impl<'s> Ops<'s> for Eager<'_> {
         Cow::Owned(a.add(c))
     }
     fn tanh(&mut self, a: &Self::Value) -> Self::Value {
-        Cow::Owned(a.map(f32::tanh))
+        Cow::Owned(a.map(math::tanh))
     }
     fn relu(&mut self, a: &Self::Value) -> Self::Value {
         Cow::Owned(a.map(|x| x.max(0.0)))

@@ -6,6 +6,7 @@
 //! (queries) by a few dozen columns (embedding dimensions) — so a simple
 //! row-major `Vec<f32>` backing store is both sufficient and cache friendly.
 
+use crate::math;
 use std::fmt;
 
 /// A dense, row-major 2-D tensor of `f32` values.
@@ -374,11 +375,12 @@ impl Tensor {
         for r in 0..self.rows {
             let row = &mut out.data[r * self.cols..(r + 1) * self.cols];
             let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let mut sum = 0.0;
+            // The exponentials first, then their sum in row order, so the
+            // first loop can vectorize.
             for v in row.iter_mut() {
-                *v = (*v - m).exp();
-                sum += *v;
+                *v = math::exp(*v - m);
             }
+            let sum = row.iter().fold(0.0, |sum, &e| sum + e);
             if sum > 0.0 {
                 for v in row.iter_mut() {
                     *v /= sum;

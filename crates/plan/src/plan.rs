@@ -169,6 +169,7 @@ impl PlanNode {
         };
         let cpu_cost = input_rows * op.cpu_weight()
             + if op == Operator::Sort {
+                // bq-lint: allow(owned-math): workload bits, every engine golden and the FIFO makespans rest on this f64 ln; owning it, with powi and powf, is ROADMAP item 9's next step
                 input_rows.max(2.0).ln() * input_rows * 0.002
             } else {
                 0.0

@@ -311,7 +311,7 @@ impl IqPpoTrainer {
 mod tests {
     use super::*;
     use crate::buffer::{AuxTarget, Transition};
-    use bq_nn::{Activation, Mlp};
+    use bq_nn::{math, Activation, Mlp};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -401,7 +401,7 @@ mod tests {
             }
             action = i;
         }
-        let logp = probs.data()[action].max(1e-8).ln();
+        let logp = math::ln(probs.data()[action].max(1e-8));
         (action, logp, g.value(value).item(), probs.data().to_vec())
     }
 
