@@ -21,8 +21,8 @@
 //! 2. **queued** — the adapter claims the slot
 //!    ([`ConnectionSlot::Pending`]) and the dispatch waits out its admission
 //!    latency (or, beyond the in-flight window, waits in the backpressure
-//!    queue). The slot is occupied but has no `started_at`, so per-query
-//!    timeouts never charge queued time;
+//!    queue). The slot is occupied but has no `started_at`, so queued time
+//!    never counts as execution time;
 //! 3. **admitted** — the latency elapsed in virtual time: the adapter
 //!    forwards the submission to the wrapped backend, the slot turns
 //!    [`ConnectionSlot::Busy`] stamped at the admission instant, and
@@ -72,7 +72,7 @@
 #![warn(missing_docs)]
 
 use bq_core::{rng, ExecEvent, ExecutorBackend, FaultEvent, ShardTopology};
-use bq_dbms::{AdvanceStall, ConnectionSlot, QueryCompletion, RunParams};
+use bq_dbms::{AdvanceStall, ConnectionSlot, RunParams};
 use bq_obs::{Obs, TraceEvent, TraceKind};
 use bq_plan::QueryId;
 use std::collections::VecDeque;
@@ -214,8 +214,8 @@ struct Admission {
 /// [`ExecutorBackend::poll_event`] only once the dispatch's seeded admission
 /// latency has elapsed in virtual time, never synchronously at `submit`
 /// time. While queued, the connection's slot reads
-/// [`ConnectionSlot::Pending`] — occupied, but with no `started_at`, so
-/// timeout logic distinguishes admitted-but-not-started work. Beyond the
+/// [`ConnectionSlot::Pending`] — occupied, but with no `started_at`, so the
+/// running view leaves out dispatched-but-not-admitted work. Beyond the
 /// [`DispatchProfile::max_in_flight`] window, submissions wait in a FIFO
 /// backpressure queue; [`ExecutorBackend::submit_batch`] coalesces one
 /// scheduling instant's decisions into dispatches of up to
@@ -229,7 +229,8 @@ pub struct AsyncAdapter<B> {
     profile: DispatchProfile,
     /// Session-observable occupancy: `Pending` between dispatch and
     /// admission, then a verbatim copy of the inner backend's `Busy` slot,
-    /// freed when the completion is delivered (or on cancellation).
+    /// freed when the completion is delivered (or when a fault loses the
+    /// query).
     mirror: Vec<ConnectionSlot>,
     /// Dispatches waiting out their latency, in dispatch order; delivery
     /// picks the earliest `(due, dispatch index)`.
@@ -411,7 +412,7 @@ impl<B: ExecutorBackend> AsyncAdapter<B> {
     }
 
     /// Remove the not-yet-admitted submission for `connection` from
-    /// whichever queue holds it (cancellation of a pending slot).
+    /// whichever queue holds it (its shard died before admission).
     fn revoke(&mut self, connection: usize) {
         if let Some(pos) = self.queued.iter().position(|e| e.2 == connection) {
             self.queued.remove(pos);
@@ -517,37 +518,6 @@ impl<B: ExecutorBackend> ExecutorBackend for AsyncAdapter<B> {
         }
     }
 
-    fn cancel(&mut self, connection: usize) -> Option<QueryCompletion> {
-        match self.mirror.get(connection).copied() {
-            Some(ConnectionSlot::Busy { .. }) => {
-                let completion = self.inner.cancel(connection);
-                if completion.is_some() {
-                    self.mirror[connection] = ConnectionSlot::Free;
-                }
-                // `None` with a busy mirror means the inner backend already
-                // buffered the natural completion: the observable completion
-                // in flight wins and will free the mirror on delivery.
-                completion
-            }
-            Some(ConnectionSlot::Pending { query, params, .. }) => {
-                // The dispatch never reached the executor: revoke it. The
-                // query never started, so the partial completion is empty —
-                // stamped at the current instant with zero duration.
-                self.revoke(connection);
-                self.mirror[connection] = ConnectionSlot::Free;
-                let now = self.inner.now();
-                Some(QueryCompletion {
-                    query,
-                    connection,
-                    params,
-                    started_at: now,
-                    finished_at: now,
-                })
-            }
-            _ => None,
-        }
-    }
-
     fn stall_diagnostic(&self) -> Option<AdvanceStall> {
         self.inner.stall_diagnostic()
     }
@@ -639,7 +609,7 @@ mod tests {
         let mut a = AsyncAdapter::new(engine(&w, 0), DispatchProfile::fixed(0.5));
         a.submit(QueryId(0), RunParams::default_config(), 0);
         // The slot is claimed (pending) but nothing was admitted: no echo is
-        // buffered, the inner backend is untouched, timeouts see no start.
+        // buffered, the inner backend is untouched, the slot has no start.
         assert!(!a.events_pending(), "no event may be buffered at submit");
         assert!(a.connections()[0].is_pending());
         assert_eq!(a.connections()[0].started_at(), None);
@@ -814,39 +784,6 @@ mod tests {
     }
 
     #[test]
-    fn cancelling_a_pending_submission_revokes_it_before_admission() {
-        let w = tpch();
-        let profile = DispatchProfile::fixed(0.5).with_max_in_flight(1);
-        let mut a = AsyncAdapter::new(engine(&w, 0), profile);
-        let batch: Vec<Entry> = (0..3)
-            .map(|q| (QueryId(q), RunParams::default_config(), q))
-            .collect();
-        a.submit_batch(&batch);
-        assert_eq!((a.in_flight(), a.queued.len()), (1, 2));
-        // Cancel one from the backpressure queue and one in flight.
-        let c = a.cancel(2).expect("pending slot cancels");
-        assert_eq!(c.query, QueryId(2));
-        assert_eq!(c.duration(), 0.0, "never started: zero duration");
-        assert_eq!(a.queued.len(), 1);
-        let c = a.cancel(0).expect("in-flight slot cancels");
-        assert_eq!(c.query, QueryId(0));
-        // Revoking the in-flight dispatch freed the window: the remaining
-        // queued entry dispatched immediately.
-        assert_eq!((a.in_flight(), a.queued.len()), (1, 0));
-        assert!(a.connections()[0].is_free());
-        assert!(a.connections()[2].is_free());
-        assert!(a.connections()[1].is_pending());
-        assert_eq!(a.cancel(0), None, "slot frees exactly once");
-        // The surviving query admits and completes normally.
-        assert!(matches!(a.poll_event(), ExecEvent::Submitted { .. }));
-        match a.poll_event() {
-            ExecEvent::Completed(c) => assert_eq!(c.query, QueryId(1)),
-            other => panic!("expected completion, got {other:?}"),
-        }
-        assert_eq!(a.poll_event(), ExecEvent::Idle);
-    }
-
-    #[test]
     fn session_round_completes_with_latency_batching_and_backpressure() {
         let w = tpch();
         for (latency, jitter, batch, window) in [
@@ -983,49 +920,45 @@ mod tests {
             inner: ShardedEngine::new(DbmsProfile::dbms_x(), &w, 0, 2),
             faults: [FaultEvent::ShardDied { shard: 1, at: 0.0 }].into(),
         };
-        // Nonzero latency keeps both submissions pending in the adapter.
-        let mut a = AsyncAdapter::new(shell, DispatchProfile::fixed(0.5));
-        a.submit(QueryId(0), RunParams::default_config(), 0); // shard 0
-        a.submit(QueryId(1), RunParams::default_config(), 18); // shard 1
-        assert_eq!(a.in_flight(), 2);
-        // The shard-death fault surfaces first, then the loss the adapter
-        // synthesized for the submission it was still holding — which never
-        // reaches the dead shard.
+        let profile = DispatchProfile::fixed(0.5).with_max_in_flight(1);
+        let mut a = AsyncAdapter::new(shell, profile);
+        // Connection 18 (shard 1) takes the window; connections 0 (shard 0)
+        // and 19 (shard 1) wait in the backpressure queue.
+        let batch: Vec<Entry> = [(0, 18), (1, 0), (2, 19)]
+            .iter()
+            .map(|&(q, c)| (QueryId(q), RunParams::default_config(), c))
+            .collect();
+        a.submit_batch(&batch);
+        assert_eq!((a.in_flight(), a.queued.len()), (1, 2));
+        // The shard-death fault surfaces first, then a loss for each
+        // submission the adapter still held for the dead shard, which never
+        // reaches it: the in-flight one, whose revocation frees the window
+        // for the queued shard-0 entry, and the backpressured one.
         assert!(matches!(
             a.poll_fault(),
             Some(FaultEvent::ShardDied { shard: 1, .. })
         ));
-        assert!(matches!(
-            a.poll_fault(),
-            Some(FaultEvent::QueryLost {
-                query: QueryId(1),
-                connection: 18,
-                ..
-            })
-        ));
+        for (query, connection) in [(QueryId(0), 18), (QueryId(2), 19)] {
+            assert_eq!(
+                a.poll_fault(),
+                Some(FaultEvent::QueryLost {
+                    query,
+                    connection,
+                    at: 0.0
+                })
+            );
+            assert!(a.connections()[connection].is_free());
+        }
         assert!(a.poll_fault().is_none());
-        assert!(
-            a.connections()[18].is_free(),
-            "the doomed slot is reclaimed"
-        );
-        assert!(a.connections()[0].is_pending(), "shard 0 is untouched");
-        assert_eq!(
-            a.in_flight(),
-            1,
-            "the revoked dispatch freed its window share"
-        );
-        // The surviving submission admits and completes normally.
-        assert!(matches!(
-            a.poll_event(),
-            ExecEvent::Submitted {
-                query: QueryId(0),
-                ..
-            }
-        ));
+        assert_eq!((a.in_flight(), a.queued.len()), (1, 0));
+        assert!(a.connections()[0].is_pending());
+        // The surviving query admits and completes normally.
+        assert!(matches!(a.poll_event(), ExecEvent::Submitted { .. }));
         match a.poll_event() {
-            ExecEvent::Completed(c) => assert_eq!(c.query, QueryId(0)),
+            ExecEvent::Completed(c) => assert_eq!(c.query, QueryId(1)),
             other => panic!("expected completion, got {other:?}"),
         }
+        assert_eq!(a.poll_event(), ExecEvent::Idle);
     }
 
     // Release-only: debug builds assert inside the engine's advance loop

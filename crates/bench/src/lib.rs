@@ -764,7 +764,7 @@ pub fn fig5_dispatch_sweep(scale: RunScale) -> BenchReport {
 /// from zero (the byte-identical passthrough baseline) upward. Every
 /// request and response frame pays the transit, so — unlike the admission
 /// latency of 5(e), which is charged once per dispatch — wire latency taxes
-/// the whole event loop: polls, advances and cancellations included. This
+/// the whole event loop: submissions, polls and advances alike. This
 /// is the trade a deployment makes by putting the scheduler on a different
 /// host than the DBMS, and the quantity a TCP/UDS transport will be
 /// measured against.

@@ -15,7 +15,7 @@ use bq_core::{
 };
 use bq_dbms::{QueryCompletion, RunParams};
 use bq_encoder::{EncodedObservation, StateEncoder, StateEncoderConfig, TIME_SCALE};
-use bq_nn::{fit, Activation, Adam, Graph, Mlp, NodeId, ParamStore, Tensor};
+use bq_nn::{fit, Activation, Adam, Eager, Graph, Mlp, NodeId, Ops, ParamStore, Tensor};
 use bq_plan::{QueryId, Workload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -133,59 +133,57 @@ impl SimulatorModel {
     /// Representations of the query rows `rows` (ascending),
     /// `[rows.len(), dim]` — attention-based, or the plain per-query MLP
     /// for the "w/o Att" ablation.
-    fn per_query_reprs(
+    fn per_query_reprs<'s, O: Ops<'s>>(
         &self,
-        g: &mut Graph,
-        store: &ParamStore,
+        g: &mut O,
+        store: &'s ParamStore,
         obs: &EncodedObservation,
         rows: &[usize],
-    ) -> NodeId {
+    ) -> O::Value {
         if self.config.use_attention {
             self.encoder.forward(g, store, obs, rows).per_query
         } else {
             let per_query = obs.project(g, store, &self.plain_proj);
-            g.select_rows(per_query, rows)
+            g.select_rows(&per_query, rows)
         }
     }
 
     /// Scores (logits) over the running queries of `obs`, `[1, |running|]`.
-    fn running_scores(
+    fn running_scores<'s, O: Ops<'s>>(
         &self,
-        g: &mut Graph,
-        store: &ParamStore,
+        g: &mut O,
+        store: &'s ParamStore,
         obs: &EncodedObservation,
-    ) -> NodeId {
+    ) -> O::Value {
         let running = self.per_query_reprs(g, store, obs, &obs.running);
         let scores = self.classify_head.forward(g, store, &running); // [r, 1]
-        let t = g.transpose(scores); // [1, r]
-        t
+        g.transpose(&scores) // [1, r]
     }
 
     /// Regression output for the running query at `position` in `obs.running`.
-    fn finish_time_of(
+    fn finish_time_of<'s, O: Ops<'s>>(
         &self,
-        g: &mut Graph,
-        store: &ParamStore,
+        g: &mut O,
+        store: &'s ParamStore,
         obs: &EncodedObservation,
         position: usize,
-    ) -> NodeId {
+    ) -> O::Value {
         let row = self.per_query_reprs(g, store, obs, &[obs.running[position]]);
         self.regress_head.forward(g, store, &row)
     }
 
     /// Predict which running query of `obs` finishes first and in how much
     /// (normalised) time. Returns `(position in obs.running, time)`.
+    /// Evaluated eagerly: nothing is recorded for a backward pass.
     pub fn predict(&self, obs: &EncodedObservation) -> (usize, f64) {
         assert!(
             !obs.running.is_empty(),
             "cannot predict on a state with no running queries"
         );
-        let mut g = Graph::new();
-        let scores = self.running_scores(&mut g, &self.store, obs);
-        let position = g.value(scores).argmax();
+        let mut g = Eager::default();
+        let position = self.running_scores(&mut g, &self.store, obs).argmax();
         let time = self.finish_time_of(&mut g, &self.store, obs, position);
-        let t = g.value(time).item().max(1e-3) as f64;
-        (position, t)
+        (position, time.item().max(1e-3) as f64)
     }
 
     /// Train on `samples`; returns metrics on the training set after the last
@@ -238,7 +236,7 @@ impl SimulatorModel {
         self.evaluate(samples)
     }
 
-    /// Accuracy / MSE of the current model on `samples`.
+    /// Accuracy / MSE of the current model on `samples`, evaluated eagerly.
     pub fn evaluate(&self, samples: &[SimSample]) -> SimulatorMetrics {
         let mut correct = 0usize;
         let mut total = 0usize;
@@ -247,13 +245,13 @@ impl SimulatorModel {
             if s.obs.running.is_empty() {
                 continue;
             }
-            let mut g = Graph::new();
+            let mut g = Eager::default();
             let scores = self.running_scores(&mut g, &self.store, &s.obs);
-            if g.value(scores).argmax() == s.target_position {
+            if scores.argmax() == s.target_position {
                 correct += 1;
             }
             let pred = self.finish_time_of(&mut g, &self.store, &s.obs, s.target_position);
-            let err = g.value(pred).item() - s.target_time;
+            let err = pred.item() - s.target_time;
             se += (err * err) as f64;
             total += 1;
         }
@@ -438,8 +436,8 @@ impl<'a> LearnedSimulator<'a> {
     /// Like [`LearnedSimulator::advance_until_completion`], but if the
     /// predicted completion lies beyond `until`, only move the clock to
     /// `until` and leave the query running (the next prediction sees the
-    /// larger elapsed times). This is what makes per-query timeouts land at
-    /// their deadline on the learned backend too.
+    /// larger elapsed times), so a bounded advance stops at its bound on the
+    /// learned backend too.
     ///
     /// An **idle** simulator has nothing to predict, but time still passes:
     /// a finite `until` moves the clock forward so a later submission is
@@ -465,7 +463,7 @@ impl<'a> LearnedSimulator<'a> {
         let predicted_query = self.obs.running[position];
         let dt = (norm_time * TIME_SCALE).max(1e-3);
         if self.now + dt > until {
-            // Deadline reached before the predicted completion.
+            // The bound comes before the predicted completion.
             self.now = until;
             return;
         }
@@ -554,29 +552,6 @@ impl ExecutorBackend for LearnedSimulator<'_> {
         if self.completion_events.is_empty() && until > self.now {
             self.advance_bounded(until);
         }
-    }
-
-    /// Cancel whatever runs on `connection`, freeing it immediately and
-    /// stamping the partial completion at the current virtual time. `None`
-    /// if the connection is free or out of range.
-    fn cancel(&mut self, connection: usize) -> Option<QueryCompletion> {
-        let ConnectionSlot::Busy {
-            query,
-            params,
-            started_at,
-        } = *self.slots.get(connection)?
-        else {
-            return None;
-        };
-        self.slots[connection] = ConnectionSlot::Free;
-        self.finished[query.0] = true;
-        Some(QueryCompletion {
-            query,
-            connection,
-            params,
-            started_at,
-            finished_at: self.now,
-        })
     }
 
     /// Number of queries in the workload the simulator was built for.

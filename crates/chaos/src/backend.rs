@@ -390,21 +390,6 @@ impl<B: ExecutorBackend> ExecutorBackend for ChaosBackend<B> {
         self.sync_timeline();
     }
 
-    fn cancel(&mut self, connection: usize) -> Option<QueryCompletion> {
-        if self
-            .held_slots
-            .iter()
-            .any(|&(held_connection, _)| held_connection == connection)
-        {
-            // The natural completion is already in the observable past of
-            // the stalled shard — it wins and will deliver at the thaw.
-            return None;
-        }
-        let completion = self.inner.cancel(connection);
-        self.refresh_mirror();
-        completion
-    }
-
     fn stall_diagnostic(&self) -> Option<AdvanceStall> {
         self.inner.stall_diagnostic()
     }

@@ -4,12 +4,12 @@
 //! problem definition from §II of the paper turned into code.
 //!
 //! The single entry point is [`ScheduleSession`]: configure a round with the
-//! builder (workload, history, round label, per-query timeout, decision
-//! budget, completion hooks), attach any [`ExecutorBackend`] — the simulated
-//! DBMS, the learned incremental simulator, or a wire-protocol client
-//! (the `bq-wire` crate) fronting an executor on the far side of a framed
-//! byte stream — and [`run`](ScheduleSession::run) it under a
-//! [`SchedulerPolicy`]:
+//! builder (workload, then optionally history, DBMS label, round label,
+//! completion hook, shard router, recovery policy and observability
+//! handle), attach any [`ExecutorBackend`] — the simulated DBMS, the learned
+//! incremental simulator, or a wire-protocol client (the `bq-wire` crate)
+//! fronting an executor on the far side of a framed byte stream — and
+//! [`run`](ScheduleSession::run) it under a [`SchedulerPolicy`]:
 //!
 //! ```
 //! use bq_core::{FifoScheduler, ScheduleSession};

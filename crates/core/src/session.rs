@@ -37,23 +37,23 @@ use bq_dbms::{
 use bq_obs::{Obs, TraceEvent, TraceKind};
 use bq_plan::{QueryId, Workload};
 
-/// Callback invoked on every completion (including timeout cancellations).
+/// Callback invoked on every completion.
 pub type CompletionHook<'a> = Box<dyn FnMut(&QueryCompletion) + 'a>;
 
-/// Tolerance when comparing virtual-time instants (deadline arithmetic).
+/// Tolerance when comparing virtual-time instants (recovery backoff
+/// arithmetic).
 const TIME_EPS: f64 = 1e-9;
 
 /// Configures and builds a [`ScheduleSession`].
 ///
 /// Collapses the positional-argument episode runners into one readable entry
-/// point: workload, backend, history, round label and per-query timeout
-/// hooks all live here.
+/// point: workload, backend, history, round label, completion hook, router,
+/// recovery and observability all live here.
 pub struct ScheduleSessionBuilder<'a> {
     workload: &'a Workload,
     history: Option<&'a ExecutionHistory>,
     dbms: Option<DbmsKind>,
     round: Option<u64>,
-    query_timeout: Option<f64>,
     on_completion: Option<CompletionHook<'a>>,
     router: Option<Box<dyn ShardRouter + 'a>>,
     recovery: Option<RecoveryPolicy>,
@@ -67,7 +67,6 @@ impl<'a> ScheduleSessionBuilder<'a> {
             history: None,
             dbms: None,
             round: None,
-            query_timeout: None,
             on_completion: None,
             router: None,
             recovery: None,
@@ -98,17 +97,6 @@ impl<'a> ScheduleSessionBuilder<'a> {
     /// Round index recorded in the episode log (default: 0).
     pub fn round(mut self, round: u64) -> Self {
         self.round = Some(round);
-        self
-    }
-
-    /// Cancel any query whose elapsed execution reaches `seconds` (virtual
-    /// time). The session bounds time advancement by the earliest deadline
-    /// (via [`ExecutorBackend::advance_to`]), so the
-    /// cancellation lands at the deadline itself; the partial execution is
-    /// logged as a completion at that instant. Backends without cancellation
-    /// support ignore the timeout.
-    pub fn query_timeout(mut self, seconds: f64) -> Self {
-        self.query_timeout = Some(seconds);
         self
     }
 
@@ -200,7 +188,6 @@ impl<'a> ScheduleSessionBuilder<'a> {
             workload: self.workload,
             dbms: self.dbms.unwrap_or(DbmsKind::X),
             round: self.round.unwrap_or(0),
-            query_timeout: self.query_timeout,
             on_completion: self.on_completion,
             router: self.router,
             recovery: self.recovery,
@@ -224,7 +211,6 @@ pub struct ScheduleSession<'a, E> {
     workload: &'a Workload,
     dbms: DbmsKind,
     round: u64,
-    query_timeout: Option<f64>,
     on_completion: Option<CompletionHook<'a>>,
     /// Placement policy for submissions; `None` = first free connection.
     router: Option<Box<dyn ShardRouter + 'a>>,
@@ -285,8 +271,7 @@ impl<'a, E: ExecutorBackend> ScheduleSession<'a, E> {
             self.drain_faults(&mut log);
             self.release_cooling(&mut log);
 
-            // Apply buffered completions (e.g. produced by a bounded advance
-            // on the previous iteration) BEFORE any refill, so the policy
+            // Apply buffered completions BEFORE any refill, so the policy
             // never selects on a stale arena and simultaneous completions
             // are processed as one batch — exactly the legacy semantics.
             self.drain_buffered_events(policy, &mut log);
@@ -301,23 +286,6 @@ impl<'a, E: ExecutorBackend> ScheduleSession<'a, E> {
             // Consume the fill's submission echoes (no time advance).
             if self.drain_buffered_events(policy, &mut log) {
                 continue; // a backend completed instantly: refill first
-            }
-
-            // Per-query timeouts: bound the next advance by the earliest
-            // deadline so the cancel fires at (not long after) the deadline —
-            // even when the next natural completion lies far beyond it.
-            if let Some(timeout) = self.query_timeout {
-                if let Some(deadline) = self.earliest_deadline(timeout) {
-                    if deadline > self.backend.now() + TIME_EPS {
-                        self.backend.advance_to(deadline);
-                        if self.backend.events_pending() {
-                            continue; // natural completions arrived first
-                        }
-                    }
-                    if self.cancel_timed_out(policy, &mut log) > 0 {
-                        continue;
-                    }
-                }
             }
 
             // Advance to the next natural completion and apply, with its
@@ -378,9 +346,10 @@ impl<'a, E: ExecutorBackend> ScheduleSession<'a, E> {
         }
 
         // A stall set while the round's last completions were arriving
-        // (e.g. a timeout-bounded advance gave up but a later advance with a
-        // fresh budget finished the stragglers) must still fail the round:
-        // the logged timestamps came from partially-advanced state.
+        // (e.g. a wire server's arrival advance gave up, then the poll it
+        // served finished the last query with a fresh budget) must still
+        // fail the round: the logged timestamps came from
+        // partially-advanced state.
         self.check_stall(n);
 
         policy.end_episode(&log);
@@ -527,15 +496,6 @@ impl<'a, E: ExecutorBackend> ScheduleSession<'a, E> {
         completed
     }
 
-    /// Earliest `started_at + timeout` over the busy connections.
-    fn earliest_deadline(&self, timeout: f64) -> Option<f64> {
-        self.backend
-            .connections()
-            .iter()
-            .filter_map(|slot| Some(slot.started_at()? + timeout))
-            .min_by(|a, b| a.total_cmp(b))
-    }
-
     /// Decide a query for every free connection while pending queries
     /// remain, refreshing the runtime arena before each decision, then
     /// dispatch the whole instant's decisions as **one batch** through
@@ -646,31 +606,6 @@ impl<'a, E: ExecutorBackend> ScheduleSession<'a, E> {
             hook(&completion);
         }
     }
-
-    /// Cancel queries whose elapsed time has reached the configured timeout;
-    /// returns how many were cancelled.
-    fn cancel_timed_out(
-        &mut self,
-        policy: &mut dyn SchedulerPolicy,
-        log: &mut EpisodeLog,
-    ) -> usize {
-        let Some(timeout) = self.query_timeout else {
-            return 0; // no timeout configured — nothing can time out
-        };
-        let now = self.backend.now();
-        let mut cancelled = 0;
-        for conn in 0..self.backend.connection_count() {
-            if let Some(started_at) = self.backend.connections()[conn].started_at() {
-                if now - started_at >= timeout - TIME_EPS {
-                    if let Some(c) = self.backend.cancel(conn) {
-                        self.apply_completion(c, policy, log);
-                        cancelled += 1;
-                    }
-                }
-            }
-        }
-        cancelled
-    }
 }
 
 #[cfg(test)]
@@ -749,46 +684,6 @@ mod tests {
     }
 
     #[test]
-    fn query_timeout_cancels_long_runners() {
-        let w = generate(&WorkloadSpec::new(Benchmark::TpcH, 1.0, 1));
-        let profile = DbmsProfile::dbms_x();
-        // Establish the untimed duration distribution first.
-        let mut engine = ExecutionEngine::new(profile.clone(), &w, 0);
-        let base = ScheduleSession::builder(&w)
-            .build(&mut engine)
-            .run(&mut FifoScheduler::new());
-        let max_duration = base
-            .records
-            .iter()
-            .map(|r| r.duration())
-            .fold(0.0, f64::max);
-        let timeout = max_duration / 2.0;
-
-        let mut engine = ExecutionEngine::new(profile, &w, 0);
-        let log = ScheduleSession::builder(&w)
-            .query_timeout(timeout)
-            .build(&mut engine)
-            .run(&mut FifoScheduler::new());
-        // Every query still completes exactly once, no logged duration
-        // exceeds the deadline (the session advances time at most to the
-        // earliest deadline before cancelling), and at least one query was
-        // actually cancelled at the deadline.
-        assert_eq!(log.len(), w.len());
-        let max_logged = log.records.iter().map(|r| r.duration()).fold(0.0, f64::max);
-        assert!(
-            max_logged <= timeout + 1e-6,
-            "duration {max_logged} overshot the {timeout}s timeout"
-        );
-        assert!(
-            log.records
-                .iter()
-                .any(|r| (r.duration() - timeout).abs() < 1e-6),
-            "at least one query should be clipped exactly at the deadline"
-        );
-        assert!(log.makespan() <= base.makespan());
-    }
-
-    #[test]
     fn connections_stay_busy_while_queries_pend() {
         // With 22 queries and 18 connections, at least 18 queries must start
         // at time 0 (the session keeps all connections busy).
@@ -816,54 +711,6 @@ mod tests {
             .run_on_profile(&profile, 3, &mut FifoScheduler::new());
         assert_eq!(log.dbms, bq_dbms::DbmsKind::Z);
         assert_eq!(log.round, 7);
-    }
-
-    #[test]
-    fn generous_timeout_is_a_no_op() {
-        // A timeout no query ever reaches must not perturb the episode at
-        // all — same completions, same ordering, byte-identical log. This
-        // pins the event ordering of the bounded-advance path: completions
-        // buffered by `advance_to` are applied before any refill.
-        let w = generate(&WorkloadSpec::new(Benchmark::TpcH, 1.0, 1));
-        let profile = DbmsProfile::dbms_x();
-        let mut a = ExecutionEngine::new(profile.clone(), &w, 5);
-        let untimed = ScheduleSession::builder(&w)
-            .build(&mut a)
-            .run(&mut FifoScheduler::new());
-        let mut b = ExecutionEngine::new(profile, &w, 5);
-        let timed = ScheduleSession::builder(&w)
-            .query_timeout(1e9)
-            .build(&mut b)
-            .run(&mut FifoScheduler::new());
-        assert_eq!(untimed.to_json(), timed.to_json());
-    }
-
-    #[test]
-    fn sole_running_query_is_still_cancelled_at_its_deadline() {
-        // Regression: a timeout must clip the tail query even when it is the
-        // only one left running (no natural completion event before its
-        // deadline).
-        let w = generate(&WorkloadSpec::new(Benchmark::TpcH, 1.0, 1));
-        let w = w.subset(&[0]);
-        let profile = DbmsProfile::dbms_x();
-        let mut engine = ExecutionEngine::new(profile.clone(), &w, 0);
-        let natural = ScheduleSession::builder(&w)
-            .build(&mut engine)
-            .run(&mut FifoScheduler::new())
-            .makespan();
-
-        let timeout = natural / 3.0;
-        let mut engine = ExecutionEngine::new(profile, &w, 0);
-        let log = ScheduleSession::builder(&w)
-            .query_timeout(timeout)
-            .build(&mut engine)
-            .run(&mut FifoScheduler::new());
-        assert_eq!(log.len(), 1);
-        assert!(
-            (log.records[0].duration() - timeout).abs() < 1e-6,
-            "sole runner should be cancelled at its deadline: duration {} vs timeout {timeout}",
-            log.records[0].duration()
-        );
     }
 
     /// A policy whose `select` allocates nothing — used to pin the
@@ -960,13 +807,15 @@ mod tests {
         assert_eq!(run(), run(), "hash routing must be deterministic");
     }
 
-    /// An engine that loses the query on connection 0 once: the work is
-    /// cancelled and discarded (never completed) and a `QueryLost` fault is
-    /// reported — the minimal fault a recovery policy must survive.
+    /// An engine that loses the query on connection 0 once: that
+    /// connection's first completion is swallowed (never delivered) and a
+    /// `QueryLost` fault is reported instead, the way a dead shard's
+    /// completions surface — the minimal fault a recovery policy must
+    /// survive.
     struct LossyBackend {
         inner: ExecutionEngine,
         fault: Option<FaultEvent>,
-        killed: bool,
+        lost: bool,
     }
 
     impl ExecutorBackend for LossyBackend {
@@ -983,23 +832,21 @@ mod tests {
         }
 
         fn poll_event(&mut self) -> ExecEvent {
-            // Kill the query on connection 0 once, when no event is buffered
-            // (its submission echo has been delivered).
-            if !self.killed
-                && !self.inner.events_pending()
-                && self.inner.connections()[0].started_at().is_some()
-            {
-                let at = self.inner.now();
-                if let Some(c) = self.inner.cancel(0) {
-                    self.killed = true;
-                    self.fault = Some(FaultEvent::QueryLost {
-                        query: c.query,
-                        connection: 0,
-                        at,
-                    });
+            loop {
+                match self.inner.poll_event() {
+                    ExecEvent::Completed(c) if !self.lost && c.connection == 0 => {
+                        // The engine already freed the slot, so the session
+                        // can resubmit the query once it drains the fault.
+                        self.lost = true;
+                        self.fault = Some(FaultEvent::QueryLost {
+                            query: c.query,
+                            connection: 0,
+                            at: self.inner.now(),
+                        });
+                    }
+                    event => return event,
                 }
             }
-            self.inner.poll_event()
         }
 
         fn events_pending(&self) -> bool {
@@ -1021,7 +868,7 @@ mod tests {
         let mut backend = LossyBackend {
             inner: ExecutionEngine::new(DbmsProfile::dbms_x(), &w, 0),
             fault: None,
-            killed: false,
+            lost: false,
         };
         let log = ScheduleSession::builder(&w)
             .recovery(RecoveryPolicy)
@@ -1053,7 +900,7 @@ mod tests {
         let mut backend = LossyBackend {
             inner: ExecutionEngine::new(DbmsProfile::dbms_x(), &w, 0),
             fault: None,
-            killed: false,
+            lost: false,
         };
         ScheduleSession::builder(&w)
             .build(&mut backend)

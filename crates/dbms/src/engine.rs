@@ -80,9 +80,9 @@ pub struct AdvanceStall {
 /// adapters surface this phase; the in-process backends admit synchronously
 /// and never do), and [`ConnectionSlot::Busy`] once the executor has
 /// admitted it and execution has begun. Occupancy-wise a pending slot is
-/// taken (it is not free for another submission), but timeout logic ignores
-/// it: [`ConnectionSlot::started_at`] is `None` until admission, so queued
-/// time never counts against a per-query execution deadline.
+/// taken (it is not free for another submission), but it is not running:
+/// [`ConnectionSlot::started_at`] is `None` until admission, so queued time
+/// never counts as execution time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ConnectionSlot {
     /// No query assigned; ready for a submission.
@@ -144,7 +144,7 @@ impl ConnectionSlot {
 
     /// Execution start time of the occupying query. `None` when free — and
     /// `None` while the submission is still pending admission, which is what
-    /// keeps queued-but-not-started work out of timeout-deadline arithmetic.
+    /// keeps queued-but-not-started work out of elapsed execution times.
     pub fn started_at(&self) -> Option<f64> {
         match self {
             ConnectionSlot::Busy { started_at, .. } => Some(*started_at),
@@ -190,8 +190,8 @@ impl QueryCompletion {
 /// identity (which query runs where, with which parameters, since when), and
 /// `progress` is a slot-indexed side table of resource counters with no
 /// identity fields of its own. There is no separate "running" collection to
-/// keep in sync, so submission, cancellation and completion each mutate
-/// exactly one place.
+/// keep in sync, so submission and completion each mutate exactly one
+/// place.
 #[derive(Debug)]
 pub struct ExecutionEngine {
     profile: DbmsProfile,
@@ -620,9 +620,9 @@ impl ExecutorBackend for ExecutionEngine {
     }
 
     /// Advance virtual time to at most `until` (without requiring a
-    /// completion). Completions occurring on the way are buffered as usual.
-    /// This is what lets the session layer enforce per-query timeouts even
-    /// when the next natural completion lies far beyond the deadline.
+    /// completion). Completions occurring on the way are buffered as usual,
+    /// so a caller can stop at an instant that lies before the next natural
+    /// completion (an admission, a thaw, a frame's arrival).
     ///
     /// An **idle** engine has no dynamics to integrate, but time still
     /// passes: a finite `until` moves the clock forward so a later
@@ -644,31 +644,6 @@ impl ExecutorBackend for ExecutionEngine {
             return;
         }
         self.advance_bounded(until);
-    }
-
-    /// Cancel whatever is running on `connection`, freeing it immediately.
-    ///
-    /// Returns a completion record stamped at the current virtual time (the
-    /// partial execution), or `None` if the connection is free or out of
-    /// range. This is the hook the session layer uses for per-query
-    /// timeouts.
-    fn cancel(&mut self, connection: usize) -> Option<QueryCompletion> {
-        let ConnectionSlot::Busy {
-            query,
-            params,
-            started_at,
-        } = *self.slots.get(connection)?
-        else {
-            return None;
-        };
-        self.slots[connection] = ConnectionSlot::Free;
-        Some(QueryCompletion {
-            query,
-            connection,
-            params,
-            started_at,
-            finished_at: self.now,
-        })
     }
 
     /// Diagnostic from the most recent bounded advance that exhausted its
@@ -943,33 +918,43 @@ mod tests {
     }
 
     #[test]
-    fn running_slots_stay_connection_ordered_after_cancel() {
+    fn running_slots_stay_connection_ordered_after_a_mid_completion() {
         let w = tpch_workload();
+        // Rank queries by solo duration, so the shortest one can sit in the
+        // middle of the filled block and finish first.
+        let solo = |q: usize| {
+            let mut e = ExecutionEngine::new(DbmsProfile::dbms_x(), &w, 1);
+            e.submit(QueryId(q), default_params(), 0);
+            next_completion(&mut e).expect("running").duration()
+        };
+        let mut ranked: Vec<usize> = (0..w.len()).collect();
+        ranked.sort_by(|&a, &b| solo(a).total_cmp(&solo(b)));
+        // Connection 2 gets the shortest query, the others the four longest.
+        let placed = [
+            ranked[w.len() - 1],
+            ranked[w.len() - 2],
+            ranked[0],
+            ranked[w.len() - 3],
+            ranked[w.len() - 4],
+        ];
         let mut e = ExecutionEngine::new(DbmsProfile::dbms_x(), &w, 1);
-        for i in 0..5 {
-            e.submit(QueryId(i), default_params(), i);
+        for (c, &q) in placed.iter().enumerate() {
+            e.submit(QueryId(q), default_params(), c);
         }
-        // Cancelling from the middle must not reorder the view (the old
+        let first = next_completion(&mut e).expect("queries are running");
+        assert_eq!(first.connection, 2, "the shortest query finishes first");
+        // Freeing a slot in the middle must not reorder the view (the old
         // `running()` slice swap-removed, so the last entry jumped into the
         // hole). The slots slice itself is the ordered view, and
         // `RunningView` iterates it the same way.
-        e.cancel(2).expect("query was running");
-        let view: Vec<(usize, QueryId)> = e
-            .connections()
-            .iter()
-            .enumerate()
-            .filter_map(|(c, s)| match *s {
-                ConnectionSlot::Busy { query, .. } => Some((c, query)),
-                _ => None,
-            })
-            .collect();
+        let view: Vec<(usize, QueryId)> = e.running_view().map(|(q, _, _, c)| (c, q)).collect();
         assert_eq!(
             view,
             vec![
-                (0, QueryId(0)),
-                (1, QueryId(1)),
-                (3, QueryId(3)),
-                (4, QueryId(4)),
+                (0, QueryId(placed[0])),
+                (1, QueryId(placed[1])),
+                (3, QueryId(placed[3])),
+                (4, QueryId(placed[4])),
             ]
         );
         assert_eq!(e.first_free(), Some(2));

@@ -146,7 +146,7 @@ impl FaultEvent {
 ///
 /// Because it reads straight off the [`ConnectionSlot`] slice — the single
 /// source of occupancy identity — the iteration order is deterministic
-/// regardless of the history of completions and cancellations. Policies rely
+/// regardless of the history of submissions and completions. Policies rely
 /// on that ordering (their observation layout is positional).
 #[derive(Debug, Clone)]
 pub struct RunningView<'a> {
@@ -285,9 +285,9 @@ impl ShardTopology {
 /// (if the backend models any) belongs in a slot-indexed side table keyed by
 /// connection id, with no identity fields of its own. Everything the session
 /// layer derives — [`ExecutorBackend::first_free`],
-/// [`ExecutorBackend::running_view`], timeout deadlines, cancellation targets
-/// — reads this one slice, and [`RunningView`] iterates it in ascending
-/// connection order, so all views are consistent by construction.
+/// [`ExecutorBackend::running_view`], a router's per-shard load — reads this
+/// one slice, and [`RunningView`] iterates it in ascending connection order,
+/// so all views are consistent by construction.
 ///
 /// # Sharded occupancy model
 ///
@@ -301,8 +301,8 @@ impl ShardTopology {
 /// 1. **Mirror consistency.** A shard's internal completion frees the
 ///    shard-local slot immediately, but the mirror slot stays `Busy` until
 ///    the completion is delivered through [`ExecutorBackend::poll_event`].
-///    Free-slot lookup, running views and timeout deadlines therefore never
-///    observe a future the event stream has not reported yet.
+///    Free-slot lookup and running views therefore never observe a future
+///    the event stream has not reported yet.
 /// 2. **Deterministic event merge.** Cross-shard completions are delivered
 ///    ordered by `(finished_at, global connection id)` — never by shard
 ///    polling order — so episode logs are a pure function of (workload,
@@ -329,12 +329,14 @@ impl ShardTopology {
 /// crate) keeps the phases apart — submissions wait in an admission queue
 /// for a seeded latency (plus a backpressure queue when the in-flight window
 /// is full), and `Submitted` arrives only once that latency has elapsed in
-/// virtual time. Two rules keep both shapes indistinguishable to timeout and
-/// occupancy logic: a pending slot is *occupied* (never handed out again)
-/// but has no `started_at`, so queued time never counts against a per-query
-/// execution deadline; and [`ExecutorBackend::submit_batch`] dispatches one
-/// scheduling instant's decisions together, so an adapter can coalesce them
-/// into a single round-trip.
+/// virtual time. Two rules keep both shapes indistinguishable to the
+/// session: a pending slot is *occupied* (never handed out again) but has no
+/// `started_at`, so the running view and every elapsed time count execution
+/// only, never queued time; and [`ExecutorBackend::submit_batch`] dispatches
+/// one scheduling instant's decisions together, so an adapter can coalesce
+/// them into a single round-trip. No query is cut short: each one is logged
+/// once, when it finishes, so a round's makespan ends when its last query
+/// does.
 pub trait ExecutorBackend {
     /// Per-connection occupancy, indexed by connection id. The single source
     /// of identity for the running set (see the trait-level docs).
@@ -378,16 +380,22 @@ pub trait ExecutorBackend {
 
     /// Advance virtual time to at most `until` without requiring a
     /// completion; completions occurring on the way are buffered as usual.
-    /// The session layer uses this to stop at per-query timeout deadlines.
-    /// Backends that cannot advance partially may leave this a no-op (the
-    /// default), in which case timeouts only fire at completion boundaries.
+    /// Callers use it to stop at an instant no completion marks: the session
+    /// layer at a lost query's recovery eligibility, the async adapter at an
+    /// admission, the chaos decorator at a thaw, the wire server at a
+    /// frame's arrival. Backends that cannot advance partially may leave
+    /// this a no-op (the default); those callers then reach the instant only
+    /// at the next completion boundary.
     fn advance_to(&mut self, until: f64) {
         let _ = until;
     }
 
-    /// Cancel the query on `connection` (per-query timeout support),
-    /// returning its partial completion stamped at the current virtual time.
-    /// Backends without cancellation return `None` (the default).
+    /// Always `None`: no backend cancels, because every query runs until it
+    /// finishes — the paper's makespan ends when the batch's last query
+    /// does — and nothing calls this. The method keeps this default body
+    /// only because the benchmark's timing decorator (`TimedBackend` in
+    /// `perfbench/`) forwards it; deleting it waits for a change to the
+    /// benchmark.
     fn cancel(&mut self, connection: usize) -> Option<QueryCompletion> {
         let _ = connection;
         None
@@ -616,17 +624,5 @@ mod tests {
         let w = generate(&WorkloadSpec::new(Benchmark::TpcH, 1.0, 1));
         let mut e = ExecutionEngine::new(DbmsProfile::dbms_x(), &w, 1);
         assert_eq!(e.poll_fault(), None);
-    }
-
-    #[test]
-    fn cancel_frees_the_connection() {
-        let w = generate(&WorkloadSpec::new(Benchmark::TpcH, 1.0, 1));
-        let mut e = ExecutionEngine::new(DbmsProfile::dbms_x(), &w, 1);
-        e.submit(QueryId(2), RunParams::default_config(), 0);
-        let c = e.cancel(0).expect("query was running");
-        assert_eq!(c.query, QueryId(2));
-        assert_eq!(c.finished_at, c.started_at, "cancelled immediately");
-        assert!(e.connections()[0].is_free());
-        assert!(e.cancel(0).is_none());
     }
 }

@@ -18,7 +18,7 @@
 //! source of identity. A shard's internal completion frees the shard-local
 //! slot immediately, but the mirror slot stays `Busy` until the completion
 //! is *delivered* through the cross-shard merge, so every view the session
-//! derives (free slots, running view, timeout deadlines) is consistent with
+//! derives (free slots, running view, per-shard load) is consistent with
 //! the time it has observed.
 //!
 //! # Deterministic event merge
@@ -42,11 +42,10 @@
 //! Shards cannot rewind, so every observable stamp is taken from the
 //! session-observable state instead of a shard timeline that ran ahead:
 //! submissions onto an ahead shard are mirrored (and their completions
-//! reconciled at harvest) with `started_at` at the observable clock,
-//! cancellations stamp `finished_at` at the observable clock, and a bounded
-//! [`ShardedEngine::advance_to`] may move the clock up to — but never across
-//! — the earliest undelivered completion, so session-layer timeout deadlines
-//! keep firing on time mid-merge.
+//! reconciled at harvest) with `started_at` at the observable clock, and a
+//! bounded [`ShardedEngine::advance_to`] may move the clock up to — but
+//! never across — the earliest undelivered completion, so a caller's bound
+//! that falls before it is still reached mid-merge.
 //!
 //! # Stall aggregation
 //!
@@ -254,13 +253,12 @@ impl ExecutorBackend for ShardedEngine {
     /// submission is stamped at the session-observable instant.
     ///
     /// A shard whose timeline ran *ahead* of the observable clock (it holds
-    /// an undelivered completion from a cross-shard merge in progress — e.g.
-    /// a timeout cancellation just freed one of its other slots and the
-    /// session refills it) accepts submissions too: the shard stamps the
-    /// query at its own local instant, but the mirror — and the eventual
-    /// completion, reconciled at harvest — records the *observable*
-    /// submission instant, so the session never sees a `started_at` in its
-    /// future. The sliver of virtual time between the two stamps is
+    /// an undelivered completion from a cross-shard merge in progress, and
+    /// the session fills one of its free slots) accepts submissions too:
+    /// the shard stamps the query at its own local instant, but the mirror —
+    /// and the eventual completion, reconciled at harvest — records the
+    /// *observable* submission instant, so the session never sees a
+    /// `started_at` in its future. The sliver of virtual time between the two stamps is
     /// execution the shard does not simulate; it is bounded by the
     /// undelivered completion's instant (shards cannot rewind, so this is
     /// the price of keeping the observable surface consistent).
@@ -311,54 +309,6 @@ impl ExecutorBackend for ShardedEngine {
             }
         );
         self.submitted.push_back((query, connection));
-    }
-
-    /// Cancel whatever observably runs on global `connection`, freeing it at
-    /// the observable clock. Returns `None` if the slot is free — or if the
-    /// query's natural completion has already been harvested at an instant
-    /// the clock has reached and merely awaits delivery (an *observable*
-    /// completion in flight wins over a cancellation, as on the monolithic
-    /// engine where a buffered completion has already freed the slot). A
-    /// harvested completion in the observable *future* — its shard was
-    /// integrated ahead during a cross-shard merge — does not protect the
-    /// query: observably it is still running, so the cancellation wins and
-    /// the future completion is discarded.
-    ///
-    /// Both stamps come from the session-observable state, never from a
-    /// shard timeline that ran ahead: `started_at` is the mirror's stamp and
-    /// `finished_at` is the observable clock, so a timeout cancellation can
-    /// never log a duration exceeding its deadline.
-    fn cancel(&mut self, connection: usize) -> Option<QueryCompletion> {
-        let ConnectionSlot::Busy {
-            query,
-            params,
-            started_at,
-        } = *self.mirror.get(connection)?
-        else {
-            return None;
-        };
-        if let Some(idx) = self.pending.iter().position(|c| c.connection == connection) {
-            if self.pending[idx].finished_at <= self.clock + TIME_EPS {
-                return None;
-            }
-            // The shard-local slot already freed itself at the discarded
-            // completion's (future) instant; only the observable state is
-            // cancelled here.
-            self.pending.swap_remove(idx);
-        } else {
-            let s = self.topology.shard_of(connection);
-            let local = connection % self.topology.connections_per_shard();
-            let cancelled = self.shards[s].cancel(local);
-            debug_assert!(cancelled.is_some(), "busy mirror implies a busy shard slot");
-        }
-        self.mirror[connection] = ConnectionSlot::Free;
-        Some(QueryCompletion {
-            query,
-            connection,
-            params,
-            started_at,
-            finished_at: self.clock,
-        })
     }
 
     /// Submission echoes first (global connection ids), then the next
@@ -453,9 +403,9 @@ impl ExecutorBackend for ShardedEngine {
     /// next completion, which is harvested into the merge). Undelivered
     /// cross-shard completions cap the bound rather than blocking the
     /// advance — the clock may move up to, but never across, the earliest
-    /// pending instant — so a session's deadline-bounded advance keeps
-    /// working mid-merge and timeouts between the clock and a pending
-    /// completion still fire on time. The clock moves to the bound when no
+    /// pending instant — so a bounded advance keeps working mid-merge and a
+    /// bound between the clock and a pending completion is reached exactly.
+    /// The clock moves to the bound when no
     /// completion precedes it, and to the *earliest* harvested completion
     /// otherwise — exactly where the monolithic engine's clock would stop —
     /// so the completion batch is immediately visible via
@@ -676,20 +626,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_translates_connections_and_frees_exactly_once() {
-        let w = tpch_workload();
-        let mut e = ShardedEngine::new(DbmsProfile::dbms_x(), &w, 0, 2);
-        let conn = global_of(&e, 1, 3);
-        e.submit(QueryId(5), default_params(), conn);
-        let c = e.cancel(conn).expect("query was running");
-        assert_eq!(c.query, QueryId(5));
-        assert_eq!(c.connection, conn, "completion carries the global id");
-        assert_eq!(c.finished_at, c.started_at);
-        assert!(e.connections()[conn].is_free());
-        assert!(e.cancel(conn).is_none(), "slot frees exactly once");
-    }
-
-    #[test]
     fn advance_to_bounds_every_shard_and_moves_the_clock() {
         let w = tpch_workload();
         let mut e = ShardedEngine::new(DbmsProfile::dbms_x(), &w, 0, 2);
@@ -711,8 +647,8 @@ mod tests {
         // Regression (review finding): a bounded advance that harvests a
         // completion must move the observable clock to that instant — like
         // the monolithic engine — so the batch is immediately visible and
-        // later cancels/submits on a sibling shard cannot stamp times far
-        // beyond an undelivered completion.
+        // later submissions on a sibling shard cannot stamp times far beyond
+        // an undelivered completion.
         let w = tpch_workload();
         // Solo duration of the short query on a fresh shard 0 (the main
         // engine below replays the same noise draw exactly).
@@ -737,20 +673,15 @@ mod tests {
         e.advance_to(t_short + 1.0);
         assert_eq!(e.now(), t_short, "clock anchors at the earliest completion");
         assert!(e.events_pending(), "the harvested batch is visible");
-        // An *observable* completion in flight (harvested at an instant the
-        // clock has reached) wins over a cancellation, as on the monolithic
-        // engine where the buffered completion already freed the slot.
-        assert!(
-            e.cancel(0).is_none(),
-            "observable completion in flight must win over a cancel"
-        );
-        // A cancel on the sibling shard stamps exactly the observable clock,
-        // and the pending completion still delivers first in merge order.
-        let cancelled = e.cancel(shard1_conn).expect("still running");
-        assert_eq!(cancelled.finished_at, t_short, "cancel stamps the clock");
+        // The long query on the sibling shard is still observably running,
+        // and the harvested completion delivers first, at the anchored
+        // instant, without moving the clock.
+        assert_eq!(e.connections()[shard1_conn].started_at(), Some(0.0));
         let delivered = next_completion(&mut e).expect("batch pending");
         assert_eq!(delivered.connection, 0);
         assert_eq!(delivered.finished_at, t_short);
+        assert_eq!(e.now(), t_short);
+        assert_eq!(busy(&e), 1, "only the long query still runs");
     }
 
     #[test]
@@ -775,8 +706,8 @@ mod tests {
     fn submitting_to_a_shard_that_ran_ahead_stamps_the_observable_clock() {
         // Review regression: during a cross-shard merge the non-delivering
         // shard's timeline runs ahead to its own next completion. A refill
-        // onto one of its free slots mid-merge (e.g. after a timeout
-        // cancellation) must be stamped at the observable clock — not the
+        // onto one of its free slots mid-merge must be stamped at the
+        // observable clock — not the
         // shard's future, which would show policies a negative elapsed time
         // — and the eventual completion must carry that observable stamp.
         let w = tpch_workload();
@@ -808,66 +739,12 @@ mod tests {
     }
 
     #[test]
-    fn cancel_on_an_ahead_shard_stamps_the_clock_and_frees_slots_for_refill() {
-        // Review regression (high severity): a session timeout can cancel
-        // queries on a shard whose timeline ran ahead mid-merge. The
-        // cancellations must stamp `finished_at` at the observable clock
-        // (stamping the shard's future would log durations exceeding the
-        // deadline), a harvested completion in the observable future must
-        // not shield its query from the cancel, and the freed slots must
-        // accept refills instead of tripping a ran-ahead panic.
-        let w = tpch_workload();
-        // Rank queries by solo duration so the pairing is robust: the two
-        // longest run on shard 0, the shortest alone on shard 1.
-        let solo = |q: usize| {
-            let mut probe = ExecutionEngine::new(DbmsProfile::dbms_x(), &w, 0);
-            probe.submit(QueryId(q), default_params(), 0);
-            next_completion(&mut probe).expect("running").duration()
-        };
-        let mut ranked: Vec<usize> = (0..w.len()).collect();
-        ranked.sort_by(|&a, &b| solo(a).partial_cmp(&solo(b)).unwrap());
-        let (shortest, longest, second_longest) =
-            (ranked[0], ranked[w.len() - 1], ranked[w.len() - 2]);
-        let mut e = ShardedEngine::new(DbmsProfile::dbms_x(), &w, 0, 2);
-        let shard1_conn = global_of(&e, 1, 0);
-        // Two long queries on shard 0, the short query alone on shard 1.
-        e.submit(QueryId(longest), default_params(), 0);
-        e.submit(QueryId(second_longest), default_params(), 1);
-        e.submit(QueryId(shortest), default_params(), shard1_conn);
-        let first = next_completion(&mut e).expect("all running");
-        assert_eq!(first.connection, shard1_conn, "short query finishes first");
-        let t_obs = e.now();
-        // Shard 0 ran ahead to its own next completion (harvested, in the
-        // observable future). Cancel both of its connections: one discards
-        // that future completion, the other cancels shard-locally — both
-        // must stamp the observable clock.
-        let a = e.cancel(0).expect("observably running");
-        let b = e.cancel(1).expect("observably running");
-        for c in [&a, &b] {
-            assert_eq!(c.finished_at, t_obs, "cancel stamps the observable clock");
-            assert_eq!(c.started_at, 0.0);
-        }
-        // The discarded future completion never resurfaces...
-        assert_eq!(busy(&e), 0);
-        assert!(next_completion(&mut e).is_none());
-        // ...and the freed slot on the still-ahead shard accepts a refill
-        // stamped at the observable clock.
-        e.submit(QueryId(3), default_params(), 0);
-        assert_eq!(e.connections()[0].started_at(), Some(t_obs));
-        let refilled = next_completion(&mut e).expect("refill running");
-        assert_eq!(refilled.query, QueryId(3));
-        assert_eq!(refilled.started_at, t_obs);
-        assert!(refilled.finished_at > t_obs);
-    }
-
-    #[test]
     fn bounded_advance_is_honored_while_a_cross_shard_completion_is_pending() {
-        // Review regression (medium severity): a deadline-bounded advance
-        // must not be silently skipped while an undelivered cross-shard
-        // completion exists — the clock advances up to, but never across,
-        // the pending instant, so session timeouts falling between the two
-        // still fire at their deadline instead of after the delivery jumps
-        // the clock past them.
+        // Review regression (medium severity): a bounded advance must not
+        // be silently skipped while an undelivered cross-shard completion
+        // exists — the clock advances up to, but never across, the pending
+        // instant, so a bound falling between the two is reached exactly
+        // instead of the delivery jumping the clock past it.
         let w = tpch_workload();
         let mut e = ShardedEngine::new(DbmsProfile::dbms_x(), &w, 0, 2);
         let shard1_conn = global_of(&e, 1, 0);
@@ -878,11 +755,11 @@ mod tests {
         let t_obs = e.now();
         // Shard 0's completion is harvested but undelivered; a bound below
         // its instant is reached exactly.
-        let deadline = t_obs + 1e-3;
-        e.advance_to(deadline);
+        let bound = t_obs + 1e-3;
+        e.advance_to(bound);
         assert!(
-            (e.now() - deadline).abs() < 1e-9,
-            "a deadline before the pending completion must be reached: {} vs {deadline}",
+            (e.now() - bound).abs() < 1e-9,
+            "a bound before the pending completion must be reached: {} vs {bound}",
             e.now()
         );
         assert!(!e.events_pending(), "the pending instant lies beyond");
@@ -890,7 +767,7 @@ mod tests {
         // never past an undelivered completion — and makes it visible.
         e.advance_to(1e18);
         let pending_instant = e.now();
-        assert!(pending_instant > deadline);
+        assert!(pending_instant > bound);
         assert!(e.events_pending(), "the pending completion is visible");
         let second = next_completion(&mut e).expect("pending completion");
         assert_eq!(second.connection, 0);

@@ -37,9 +37,7 @@ use crate::proto::{
 use crate::server::{Loopback, WireServer};
 use crate::transport::{InMemoryDuplex, TransportProfile, WireTransport};
 use bq_core::{ExecEvent, ExecutorBackend, FaultEvent, RecoveryPolicy, ShardTopology};
-use bq_dbms::{
-    AdvanceStall, ConnectionSlot, DbmsProfile, ExecutionEngine, QueryCompletion, RunParams,
-};
+use bq_dbms::{AdvanceStall, ConnectionSlot, DbmsProfile, ExecutionEngine, RunParams};
 use bq_obs::{Obs, TraceEvent, TraceKind};
 use bq_plan::{QueryId, Workload};
 use std::fmt;
@@ -480,13 +478,6 @@ impl<T: WireTransport> ExecutorBackend for WireBackend<T> {
         match self.call(Request::AdvanceTo { until }) {
             Response::Ack { .. } => {}
             other => Self::reject(other, "advance_to"),
-        }
-    }
-
-    fn cancel(&mut self, connection: usize) -> Option<QueryCompletion> {
-        match self.call(Request::Cancel { connection }) {
-            Response::CancelResult { completion, .. } => completion,
-            other => Self::reject(other, "cancel"),
         }
     }
 

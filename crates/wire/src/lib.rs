@@ -18,7 +18,7 @@
 //! * [`frame`] — length-prefixed frames, bounds-checked codec primitives,
 //!   stream reassembly ([`frame::FrameReader`]);
 //! * [`proto`] — the request/response vocabulary and its binary codec
-//!   (versioned handshake, submit/batch/poll/advance/cancel, error frames,
+//!   (versioned handshake, batched submission, poll, advance, error frames,
 //!   and the buffered events every response carries);
 //! * [`transport`] — one trait per end of a link ([`WireTransport`] for
 //!   the client, [`ServerTransport`] for the server) and the in-memory
@@ -246,6 +246,20 @@ mod tests {
             }
             other => panic!("expected rejection, got {other:?}"),
         }
+        // A version-4 peer is refused at the handshake: it could still send
+        // the `Cancel` request version 5 retired.
+        let mut raw = RawClient::new(&w);
+        let resp = raw.send(Request::Hello {
+            magic: HANDSHAKE_MAGIC,
+            version: 4,
+        });
+        assert!(matches!(
+            resp,
+            Response::Error {
+                code: WireErrorCode::VersionMismatch,
+                ..
+            }
+        ));
         // Raw handshake with a bad magic is rejected the same way.
         let mut raw = RawClient::new(&w);
         let resp = raw.send(Request::Hello {
@@ -360,6 +374,22 @@ mod tests {
             }
         ));
         assert!(raw.backend().connections()[0].is_free());
+        // A whole version-4 `Cancel` of a running query (tag 0x06,
+        // connection u32), a request version 5 retired: malformed, and the
+        // query keeps running.
+        assert!(matches!(
+            raw.send_sealed(&submission)[..],
+            [Response::Ack { .. }]
+        ));
+        let responses = raw.send_sealed(&[0x06, 0, 0, 0, 0]);
+        assert!(matches!(
+            &responses[..],
+            [Response::Error {
+                code: WireErrorCode::Malformed,
+                ..
+            }]
+        ));
+        assert_eq!(raw.backend().connections()[0].query(), Some(QueryId(0)));
         // A structurally truncated message (a submission cut mid-field).
         let responses = raw.send_sealed(&submission[..submission.len() - 2]);
         assert!(matches!(
@@ -431,82 +461,6 @@ mod tests {
         let responses = raw.send_bytes(tail);
         assert_eq!(responses.len(), 1);
         assert!(matches!(&responses[0], Response::Event { .. }));
-    }
-
-    #[test]
-    fn cancel_racing_an_in_flight_completion_loses_to_the_completion() {
-        // The wire analogue of the sharded backend's
-        // observable-completion-wins rule: while the Cancel frame is in
-        // flight, the query completes naturally (the arrival advance buffers
-        // the completion); the cancel must then be a no-op and the
-        // completion must deliver untouched.
-        let w = tpch();
-        // Natural duration of query 0 alone on a fresh engine.
-        let mut probe = engine(&w, 0);
-        probe.submit(QueryId(0), RunParams::default_config(), 0);
-        let duration = match (probe.poll_event(), probe.poll_event()) {
-            (ExecEvent::Submitted { .. }, ExecEvent::Completed(c)) => c.duration(),
-            other => panic!("expected the echo, then the completion: {other:?}"),
-        };
-
-        // A wire slow enough to lose the race: the submit admits at L (so
-        // the query completes at L + duration), the ack returns at 2L, and
-        // the cancel sent then arrives at 3L — past the completion instant
-        // whenever L > duration / 2.
-        let latency = duration * 0.75;
-        let mut backend =
-            WireBackend::with_profile(engine(&w, 0), TransportProfile::fixed(latency));
-        backend.submit(QueryId(0), RunParams::default_config(), 0);
-        assert!(
-            backend.cancel(0).is_none(),
-            "the completion was already in the observable past of the \
-             cancel's arrival: the completion wins"
-        );
-        // The natural completion is buffered and delivers with its original
-        // stamps; the slot frees on delivery, exactly once.
-        assert!(backend.events_pending());
-        let mut saw_completion = false;
-        loop {
-            match backend.poll_event() {
-                ExecEvent::Submitted { .. } => {}
-                ExecEvent::Completed(c) => {
-                    assert_eq!(c.query, QueryId(0));
-                    assert!(
-                        (c.duration() - duration).abs() < 1e-9,
-                        "natural duration must be preserved: {} vs {duration}",
-                        c.duration()
-                    );
-                    saw_completion = true;
-                }
-                ExecEvent::Idle => break,
-            }
-        }
-        assert!(saw_completion);
-        assert!(backend.connections()[0].is_free());
-    }
-
-    #[test]
-    fn cancel_arriving_before_the_completion_wins() {
-        let w = tpch();
-        let mut backend = WireBackend::lossless(engine(&w, 0));
-        backend.submit(QueryId(0), RunParams::default_config(), 0);
-        assert_eq!(
-            backend.poll_event(),
-            ExecEvent::Submitted {
-                query: QueryId(0),
-                connection: 0
-            }
-        );
-        let c = backend
-            .cancel(0)
-            .expect("nothing completed yet: cancel wins");
-        assert_eq!(c.query, QueryId(0));
-        assert_eq!(c.finished_at, c.started_at);
-        assert!(backend.cancel(0).is_none(), "slot frees exactly once");
-        // A peer-controlled out-of-range index answers None without ever
-        // reaching the backend's slot indexing (the learned simulator
-        // indexes unchecked, so the server bound-checks, not the backend).
-        assert!(backend.cancel(usize::MAX).is_none());
     }
 
     /// A link that loses or delays selected server→client chunks (by send
@@ -732,33 +686,6 @@ mod tests {
             w.len() / 2,
             "least-loaded routing must see the wire-reported topology"
         );
-    }
-
-    #[test]
-    fn timeouts_cancel_over_the_zero_latency_wire_exactly_as_bare() {
-        let w = tpch();
-        let profile = DbmsProfile::dbms_x();
-        let mut bare = ExecutionEngine::new(profile.clone(), &w, 0);
-        let natural = ScheduleSession::builder(&w)
-            .build(&mut bare)
-            .run(&mut FifoScheduler::new());
-        let timeout = natural
-            .records
-            .iter()
-            .map(|r| r.duration())
-            .fold(0.0, f64::max)
-            / 2.0;
-        let mut bare = ExecutionEngine::new(profile.clone(), &w, 0);
-        let base = ScheduleSession::builder(&w)
-            .query_timeout(timeout)
-            .build(&mut bare)
-            .run(&mut FifoScheduler::new());
-        let mut wired = WireBackend::over_engine(&profile, &w, 0, TransportProfile::zero());
-        let over_wire = ScheduleSession::builder(&w)
-            .query_timeout(timeout)
-            .build(&mut wired)
-            .run(&mut FifoScheduler::new());
-        assert_eq!(base.to_json(), over_wire.to_json());
     }
 
     /// A backend whose buffered pops do what a sharded engine's merge does:

@@ -13,11 +13,9 @@
 //! | →   | 0x03| `SubmitBatch` | count u32, then (query, params, conn)*   |
 //! | →   | 0x04| `PollEvent`   | —                                        |
 //! | →   | 0x05| `AdvanceTo`   | until f64                                |
-//! | →   | 0x06| `Cancel`      | connection u32                           |
 //! | ←   | 0x81| `HelloAck`    | version u16, connections u32, shards u32, per_shard u32, option\<queries u32\>, header, buffered |
 //! | ←   | 0x82| `Ack`         | header, buffered                         |
 //! | ←   | 0x83| `Event`       | header, event, buffered                  |
-//! | ←   | 0x84| `CancelResult`| header, option\<completion\>, buffered   |
 //! | ←   | 0x86| `Error`       | code u8, detail string                   |
 //!
 //! Every non-error response carries a [`ResponseHeader`]: the server's
@@ -49,8 +47,10 @@ use bq_plan::QueryId;
 /// Version 3 appended the buffered-event list ([`BufferedEvent`]) to every
 /// non-error response. Version 4 retired the single-entry `Submit` request
 /// (tag `0x02`): a submission of one query is a one-entry
-/// [`Request::SubmitBatch`].
-pub const PROTOCOL_VERSION: u16 = 4;
+/// [`Request::SubmitBatch`]. Version 5 retired the cancel request (tag
+/// `0x06`) and its answer (tag `0x84`): every query runs until it
+/// finishes.
+pub const PROTOCOL_VERSION: u16 = 5;
 
 /// Sequence number stamped on server frames that answer no request (e.g. an
 /// error for a frame whose sequence prefix itself was unreadable).
@@ -92,12 +92,10 @@ const REQ_HELLO: u8 = 0x01;
 const REQ_SUBMIT_BATCH: u8 = 0x03;
 const REQ_POLL_EVENT: u8 = 0x04;
 const REQ_ADVANCE_TO: u8 = 0x05;
-const REQ_CANCEL: u8 = 0x06;
 
 const RESP_HELLO_ACK: u8 = 0x81;
 const RESP_ACK: u8 = 0x82;
 const RESP_EVENT: u8 = 0x83;
-const RESP_CANCEL_RESULT: u8 = 0x84;
 const RESP_ERROR: u8 = 0x86;
 
 /// One submission entry: `(query, params, connection)`.
@@ -125,11 +123,6 @@ pub enum Request {
     AdvanceTo {
         /// The advance bound.
         until: f64,
-    },
-    /// Cancel whatever occupies `connection`.
-    Cancel {
-        /// The connection to cancel.
-        connection: usize,
     },
 }
 
@@ -218,17 +211,6 @@ pub enum Response {
         /// The event itself.
         event: ExecEvent,
         /// Events buffered after this one, in pop order.
-        buffered: Vec<BufferedEvent>,
-    },
-    /// Outcome of a cancellation.
-    CancelResult {
-        /// Post-request state.
-        header: ResponseHeader,
-        /// The partial completion, or `None` if the slot was not busy (for
-        /// example because an observable completion is already in flight —
-        /// the completion wins, the cancel is a no-op).
-        completion: Option<QueryCompletion>,
-        /// Events buffered after the cancellation, in pop order.
         buffered: Vec<BufferedEvent>,
     },
     /// The request was rejected; the backend was not touched.
@@ -484,10 +466,6 @@ impl Request {
                 w.u8(REQ_ADVANCE_TO);
                 w.f64(*until);
             }
-            Request::Cancel { connection } => {
-                w.u8(REQ_CANCEL);
-                w.u32(*connection as u32);
-            }
         }
         w.into_payload()
     }
@@ -513,9 +491,6 @@ impl Request {
             }
             REQ_POLL_EVENT => Request::PollEvent,
             REQ_ADVANCE_TO => Request::AdvanceTo { until: c.f64()? },
-            REQ_CANCEL => Request::Cancel {
-                connection: c.u32()? as usize,
-            },
             other => return Err(FrameError::BadTag(other)),
         };
         c.finish()?;
@@ -530,8 +505,7 @@ impl Response {
         match self {
             Response::HelloAck { header, .. }
             | Response::Ack { header, .. }
-            | Response::Event { header, .. }
-            | Response::CancelResult { header, .. } => Some(header),
+            | Response::Event { header, .. } => Some(header),
             Response::Error { .. } => None,
         }
     }
@@ -542,8 +516,7 @@ impl Response {
         match self {
             Response::HelloAck { buffered, .. }
             | Response::Ack { buffered, .. }
-            | Response::Event { buffered, .. }
-            | Response::CancelResult { buffered, .. } => Some(buffered),
+            | Response::Event { buffered, .. } => Some(buffered),
             Response::Error { .. } => None,
         }
     }
@@ -591,22 +564,6 @@ impl Response {
                 put_event(&mut w, event);
                 put_buffered(&mut w, buffered);
             }
-            Response::CancelResult {
-                header,
-                completion,
-                buffered,
-            } => {
-                w.u8(RESP_CANCEL_RESULT);
-                put_header(&mut w, header);
-                match completion {
-                    None => w.u8(0),
-                    Some(c) => {
-                        w.u8(1);
-                        put_completion(&mut w, c);
-                    }
-                }
-                put_buffered(&mut w, buffered);
-            }
             Response::Error { code, detail } => {
                 w.u8(RESP_ERROR);
                 w.u8(code.to_u8());
@@ -649,19 +606,6 @@ impl Response {
                 event: get_event(&mut c)?,
                 buffered: get_buffered(&mut c)?,
             },
-            RESP_CANCEL_RESULT => {
-                let header = get_header(&mut c)?;
-                let completion = match c.u8()? {
-                    0 => None,
-                    1 => Some(get_completion(&mut c)?),
-                    other => return Err(FrameError::BadTag(other)),
-                };
-                Response::CancelResult {
-                    header,
-                    completion,
-                    buffered: get_buffered(&mut c)?,
-                }
-            }
             RESP_ERROR => Response::Error {
                 code: WireErrorCode::from_u8(c.u8()?)?,
                 detail: c.string()?,
@@ -702,12 +646,12 @@ pub(crate) mod tests {
             },
             Request::PollEvent,
             Request::AdvanceTo { until: 0.1 + 0.2 },
-            Request::Cancel { connection: 7 },
         ]
     }
 
-    /// Every response variant, every slot, event and option shape, and
-    /// buffered lists of 0, 1 and many entries.
+    /// Every response variant, every slot and event shape, both shapes of
+    /// the optional workload size, and buffered lists of 0, 1 and many
+    /// entries.
     pub(crate) fn sample_responses() -> Vec<Response> {
         let header = ResponseHeader {
             now: 12.75,
@@ -801,27 +745,17 @@ pub(crate) mod tests {
                     query: QueryId(1),
                     connection: 2,
                 },
-                buffered: vec![echo.clone()],
+                buffered: vec![echo],
             },
             Response::Event {
-                header: header.clone(),
-                event: ExecEvent::Completed(completion.clone()),
-                buffered: many.clone(),
+                header,
+                event: ExecEvent::Completed(completion),
+                buffered: many,
             },
             Response::Event {
                 header: ResponseHeader::default(),
                 event: ExecEvent::Idle,
                 buffered: Vec::new(),
-            },
-            Response::CancelResult {
-                header,
-                completion: Some(completion),
-                buffered: many,
-            },
-            Response::CancelResult {
-                header: ResponseHeader::default(),
-                completion: None,
-                buffered: vec![echo],
             },
             Response::Error {
                 code: WireErrorCode::SlotOccupied,
@@ -917,12 +851,13 @@ pub(crate) mod tests {
     #[test]
     fn unknown_tags_are_rejected() {
         // 0x07 and 0x85 were the retired `Topology` / `TopologyInfo` pair,
-        // and 0x02 the single-entry `Submit` retired in version 4: a peer
-        // that still sends them gets the error any unknown tag gets.
-        for tag in [0x02, 0x07, 0x7F] {
+        // 0x02 the single-entry `Submit` retired in version 4, and 0x06 and
+        // 0x84 the cancel request and its answer, retired in version 5: a
+        // peer that still sends them gets the error any unknown tag gets.
+        for tag in [0x02, 0x06, 0x07, 0x7F] {
             assert_eq!(Request::decode(&[tag]), Err(FrameError::BadTag(tag)));
         }
-        for tag in [0x10, 0x85] {
+        for tag in [0x10, 0x84, 0x85] {
             assert_eq!(Response::decode(&[tag]), Err(FrameError::BadTag(tag)));
         }
     }

@@ -10,8 +10,8 @@
 //! advances the backend's observable clock to the frame's arrival instant
 //! (queries keep executing while a frame is in flight — completions
 //! occurring on the way are buffered and delivered through subsequent
-//! `PollEvent`s, which is what lets a completion already in the observable
-//! past win against a cancel frame still in flight). The arrival advance
+//! `PollEvent`s, so a frame never overtakes a completion that happened while
+//! it travelled). The arrival advance
 //! happens for every frame, valid or not — time passes regardless of what
 //! the frame says — but requests are validated **before** they act on the
 //! backend: a malformed frame, an unknown query id, a double-submit, an
@@ -284,23 +284,6 @@ impl<B: ExecutorBackend> WireServer<B> {
                 self.backend.advance_to(until);
                 Response::Ack {
                     header: self.header(),
-                    buffered: Vec::new(),
-                }
-            }
-            Request::Cancel { connection } => {
-                // An out-of-range connection answers `None` — the shape the
-                // `cancel` trait contract gives a free/unknown connection —
-                // without reaching the backend: the index comes from the
-                // peer, so the boundary validates it itself instead of
-                // trusting every hosted backend to range-check it.
-                let completion = if connection < self.backend.connection_count() {
-                    self.backend.cancel(connection)
-                } else {
-                    None
-                };
-                Response::CancelResult {
-                    header: self.header(),
-                    completion,
                     buffered: Vec::new(),
                 }
             }

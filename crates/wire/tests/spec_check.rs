@@ -65,7 +65,6 @@ fn the_spec_tag_tables_match_the_codec() {
         },
         Request::PollEvent,
         Request::AdvanceTo { until: 0.0 },
-        Request::Cancel { connection: 0 },
     ]
     .iter()
     .map(|m| codec_tag(&m.encode(), format!("{m:?}")))
@@ -90,13 +89,8 @@ fn the_spec_tag_tables_match_the_codec() {
             buffered: Vec::new(),
         },
         Response::Event {
-            header: header.clone(),
-            event: ExecEvent::Idle,
-            buffered: Vec::new(),
-        },
-        Response::CancelResult {
             header,
-            completion: None,
+            event: ExecEvent::Idle,
             buffered: Vec::new(),
         },
         Response::Error {

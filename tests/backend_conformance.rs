@@ -12,16 +12,16 @@
 //! through one parametrized harness:
 //!
 //! 1. **Determinism** — fixed seeds reproduce episode logs byte for byte;
-//! 2. **Cancel consistency** — cancelling mid-round frees exactly that slot,
-//!    leaves every occupancy view consistent and connection-ordered;
-//! 3. **Timeout discipline** — per-query timeouts free each slot exactly
-//!    once, land a cancellation exactly on the deadline, and leave no slot
-//!    busy after the round;
-//! 4. **Ordered running view** — `RunningView` iterates in ascending global
+//! 2. **Bounded advance** — with nothing buffered, `advance_to(b)` never
+//!    moves the clock past `b`, and either reaches `b` or buffers a
+//!    completion at or before it; mid-round, completions name the query on
+//!    their connection and the running view stays consistent and
+//!    connection-ordered;
+//! 3. **Ordered running view** — `RunningView` iterates in ascending global
 //!    connection order regardless of submission order;
-//! 5. **Stall surfacing** — healthy rounds never leave a stall diagnostic
+//! 4. **Stall surfacing** — healthy rounds never leave a stall diagnostic
 //!    behind;
-//! 6. **Self-description** — the backend reports the workload size it was
+//! 5. **Self-description** — the backend reports the workload size it was
 //!    built for and a shard topology spanning exactly its slot space.
 //!
 //! To hold a new backend to the contract, add one `*_passes_conformance`
@@ -32,10 +32,10 @@ mod common;
 use bqsched::adapter::{AsyncAdapter, DispatchProfile};
 use bqsched::chaos::{ChaosBackend, FaultSchedule, FaultSpec};
 use bqsched::core::{
-    ExecutorBackend, FaultAwareRouter, FifoScheduler, LeastLoadedRouter, RecoveryPolicy,
+    ExecEvent, ExecutorBackend, FaultAwareRouter, FifoScheduler, LeastLoadedRouter, RecoveryPolicy,
     ScheduleSession,
 };
-use bqsched::dbms::{DbmsProfile, ExecutionEngine, RunParams, ShardedEngine};
+use bqsched::dbms::{DbmsProfile, ExecutionEngine, QueryCompletion, RunParams, ShardedEngine};
 use bqsched::plan::{generate, Benchmark, QueryId, Workload, WorkloadSpec};
 use bqsched::sched::LearnedSimulator;
 use bqsched::wire::net::{connect_remote, serve_connection, Endpoint, ServerSocket, SocketClient};
@@ -67,91 +67,121 @@ where
     }
 }
 
-/// Invariant 2: cancelling mid-round must leave every occupancy view
-/// consistent — the cancelled slot frees (exactly once), no other slot
-/// moves, and the running view stays in ascending connection order (the
-/// pre-unification engine's internal `swap_remove` reordered its running
-/// set; a mis-merged sharded mirror would too).
-fn check_cancel_keeps_views_consistent<E: ExecutorBackend>(name: &str, backend: &mut E) {
-    let submit = 5usize;
-    for q in 0..submit {
-        let free = backend.first_free().expect("connection available");
-        assert_eq!(free, q, "{name}: fill proceeds in connection order");
-        backend.submit(QueryId(q), RunParams::default_config(), free);
-    }
-    while backend.events_pending() {
-        backend.poll_event();
-    }
-    let victim = submit / 2;
-    let c = backend.cancel(victim).expect("victim was running");
-    assert_eq!(c.query, QueryId(victim));
-    assert_eq!(c.connection, victim);
-    assert!(
-        backend.cancel(victim).is_none(),
-        "{name}: slot must free exactly once"
-    );
-    assert!(
-        backend.cancel(backend.connection_count()).is_none(),
-        "{name}: cancelling an out-of-range connection must return None"
-    );
+/// Tolerance when comparing virtual-time instants.
+const TIME_EPS: f64 = 1e-9;
 
-    assert!(backend.connections()[victim].is_free());
-    assert_eq!(backend.first_free(), Some(victim));
-    let view: Vec<(usize, usize)> = backend
-        .running_view()
-        .map(|(q, _, _, conn)| (conn, q.0))
-        .collect();
-    let expected: Vec<(usize, usize)> = (0..submit)
-        .filter(|&q| q != victim)
-        .map(|q| (q, q))
-        .collect();
-    assert_eq!(
-        view, expected,
-        "{name}: running view must stay connection-ordered"
-    );
+/// Pops every buffered event; returns the completions among them.
+fn drain_completions<E: ExecutorBackend>(backend: &mut E) -> Vec<QueryCompletion> {
+    let mut completed = Vec::new();
+    while backend.events_pending() {
+        if let ExecEvent::Completed(c) = backend.poll_event() {
+            completed.push(c);
+        }
+    }
+    completed
 }
 
-/// Invariant 3: a query cancelled exactly at its per-query deadline frees
-/// its slot exactly once — every query completes once (no double-free), at
-/// least one cancellation lands exactly on the deadline, no logged duration
-/// overshoots it, and no slot stays busy after the round.
-fn check_timeout_frees_each_slot_exactly_once<E, F>(name: &str, w: &Workload, fresh: &mut F)
-where
-    E: ExecutorBackend,
-    F: FnMut(u64) -> E,
-{
-    // Derive a deadline that actually races natural completions: half the
-    // longest duration of this backend's own untimed round.
-    let natural = common::session_round(&mut FifoScheduler::new(), w, &mut fresh(0), 0);
-    let timeout = natural
-        .records
-        .iter()
-        .map(|r| r.duration())
-        .fold(0.0, f64::max)
-        / 2.0;
+/// `advance_to(bound)` with nothing buffered, checked against the bound:
+/// the clock ends at or before it, and at it unless a completion at or
+/// before it was buffered. Returns the buffered completions.
+fn advance_within_bound<E: ExecutorBackend>(
+    name: &str,
+    backend: &mut E,
+    bound: f64,
+) -> Vec<QueryCompletion> {
+    assert!(!backend.events_pending(), "{name}: events are buffered");
+    backend.advance_to(bound);
+    let now = backend.now();
+    assert!(
+        now <= bound + TIME_EPS,
+        "{name}: advance_to({bound}) moved the clock to {now}"
+    );
+    let completed = drain_completions(backend);
+    for c in &completed {
+        assert!(
+            c.finished_at <= bound + TIME_EPS,
+            "{name}: advance_to({bound}) buffered a completion at {}",
+            c.finished_at
+        );
+    }
+    assert!(
+        !completed.is_empty() || now >= bound - TIME_EPS,
+        "{name}: advance_to({bound}) stopped at {now} with nothing buffered"
+    );
+    completed
+}
 
-    let mut backend = fresh(0);
-    let mut counts = vec![0usize; w.len()];
-    let log = ScheduleSession::builder(w)
-        .query_timeout(timeout)
-        .on_completion(|c| counts[c.query.0] += 1)
-        .build(&mut backend)
-        .run(&mut FifoScheduler::new());
-    assert_eq!(log.len(), w.len(), "{name}: every query must complete");
+/// Checks `completed` against the queries this check placed (`placed[c]`
+/// is the query running on connection `c`), clears their connections, and
+/// checks that the running view lists exactly the placed queries still
+/// running, in connection order. Returns how many completed.
+fn settle<E: ExecutorBackend>(
+    name: &str,
+    backend: &E,
+    placed: &mut [Option<QueryId>],
+    completed: Vec<QueryCompletion>,
+) -> usize {
+    for c in &completed {
+        assert_eq!(
+            placed[c.connection].take(),
+            Some(c.query),
+            "{name}: a completion named the wrong query or connection"
+        );
+    }
+    let view: Vec<(usize, QueryId)> = backend.running_view().map(|(q, _, _, c)| (c, q)).collect();
+    let running: Vec<(usize, QueryId)> = (0..placed.len())
+        .filter_map(|c| Some((c, placed[c]?)))
+        .collect();
+    assert_eq!(view, running, "{name}: running view diverged mid-round");
+    completed.len()
+}
+
+/// Invariant 2: a bounded advance stops at its bound. A FIFO round is driven
+/// by hand: whenever nothing is buffered, `advance_to(now + 0.5)` is
+/// checked, and when it reached its bound without a completion, a bound
+/// far past every completion must stop at the next one. The adapter's
+/// admissions, the chaos decorator's thaws, session recovery and the wire
+/// server's arrival advance all rely on this bound. Along the way each
+/// completion must name the query placed on its connection, and the running
+/// view must list exactly the placed queries still running, in connection
+/// order, however many slots freed mid-round.
+fn check_advance_to_respects_its_bound<E: ExecutorBackend>(
+    name: &str,
+    w: &Workload,
+    backend: &mut E,
+) {
+    let mut placed: Vec<Option<QueryId>> = vec![None; backend.connection_count()];
+    let mut next = 0usize;
+    let mut done = 0usize;
+    let mut reached = 0usize;
+    while done < w.len() {
+        while next < w.len() {
+            let Some(free) = backend.first_free() else {
+                break;
+            };
+            backend.submit(QueryId(next), RunParams::default_config(), free);
+            placed[free] = Some(QueryId(next));
+            next += 1;
+        }
+        let completed = drain_completions(backend);
+        done += settle(name, backend, &mut placed, completed);
+        if done == w.len() {
+            break;
+        }
+        let mut completed = advance_within_bound(name, backend, backend.now() + 0.5);
+        if completed.is_empty() {
+            reached += 1;
+            completed = advance_within_bound(name, backend, backend.now() + 1e6);
+            assert!(
+                !completed.is_empty(),
+                "{name}: a far bound must stop at a completion"
+            );
+        }
+        done += settle(name, backend, &mut placed, completed);
+    }
     assert!(
-        counts.iter().all(|&n| n == 1),
-        "{name}: every slot must free exactly once: {counts:?}"
-    );
-    assert!(
-        log.records
-            .iter()
-            .any(|r| (r.duration() - timeout).abs() < 1e-6),
-        "{name}: at least one cancellation must land exactly on the deadline"
-    );
-    let overshoot = log.records.iter().map(|r| r.duration()).fold(0.0, f64::max);
-    assert!(
-        overshoot <= timeout + 1e-6,
-        "{name}: duration {overshoot} overshot the {timeout}s deadline"
+        reached > 0,
+        "{name}: no bound fell before the next completion"
     );
     assert!(
         backend.connections().iter().all(|s| s.is_free()),
@@ -159,7 +189,7 @@ where
     );
 }
 
-/// Invariant 4: the running view iterates in ascending global connection
+/// Invariant 3: the running view iterates in ascending global connection
 /// order no matter in which order the slots were filled.
 fn check_running_view_is_connection_ordered<E: ExecutorBackend>(name: &str, backend: &mut E) {
     let conns = backend.connection_count().min(6);
@@ -178,7 +208,7 @@ fn check_running_view_is_connection_ordered<E: ExecutorBackend>(name: &str, back
     );
 }
 
-/// Invariant 5: a healthy round leaves no stall diagnostic behind (the loud
+/// Invariant 4: a healthy round leaves no stall diagnostic behind (the loud
 /// failure on an actual stall is covered by the release-only stall tests).
 fn check_healthy_rounds_surface_no_stall<E, F>(name: &str, w: &Workload, fresh: &mut F)
 where
@@ -194,7 +224,7 @@ where
     );
 }
 
-/// Invariant 6: the backend knows the workload size it was built for — the
+/// Invariant 5: the backend knows the workload size it was built for — the
 /// wire server's unknown-query validation reads it, and the trait default
 /// (`None`) would silently switch that validation off — and its shard
 /// topology spans exactly its connection-slot space.
@@ -223,8 +253,7 @@ where
     F: FnMut(u64) -> E,
 {
     check_byte_identical_logs(name, w, &mut fresh);
-    check_cancel_keeps_views_consistent(name, &mut fresh(7));
-    check_timeout_frees_each_slot_exactly_once(name, w, &mut fresh);
+    check_advance_to_respects_its_bound(name, w, &mut fresh(7));
     check_running_view_is_connection_ordered(name, &mut fresh(5));
     check_healthy_rounds_surface_no_stall(name, w, &mut fresh);
     check_reports_its_workload_and_topology(name, w, &fresh(13));
@@ -258,11 +287,11 @@ fn sharded_engine_passes_conformance() {
 }
 
 /// The cells above run 22 queries on 36/72 slots, so every query starts at
-/// t=0 and no slot is ever refilled — which is exactly the blind spot that
-/// let the ahead-shard cancel/refill bugs slip past invariant 3. This cell
-/// shrinks the per-shard connection pool until the workload overflows the
-/// sharded slot space, so refills land mid-merge and timeout deadlines are
-/// staggered across the cross-shard event merge.
+/// t=0 and no slot is ever refilled — the blind spot that once let
+/// ahead-shard refill bugs slip through. This cell shrinks the per-shard
+/// connection pool until the workload overflows the sharded slot space, so
+/// refills land mid-merge and bounded advances fall between cross-shard
+/// completions.
 #[test]
 fn sharded_engine_passes_conformance_when_refills_race_the_merge() {
     let w = tpch();
@@ -431,13 +460,12 @@ fn zero_latency_adapter_replays_every_backend_byte_for_byte() {
 }
 
 /// Deferred admission under pressure: a tight in-flight window on a small
-/// slot pool, so the workload overflows the slot space, submissions wait in
-/// the backpressure queue, and per-query timeouts race admissions that are
-/// still in flight. Every query must still complete exactly once, no
-/// execution may overrun its deadline (queued time is not execution time),
-/// and the whole race must replay byte-identically.
+/// slot pool, so the workload overflows the slot space and submissions wait
+/// in the backpressure queue while earlier ones are still in flight. Every
+/// query must still complete exactly once, the window must drain, and the
+/// whole episode must replay byte-identically.
 #[test]
-fn async_adapter_backpressure_races_timeouts_against_the_admission_queue() {
+fn async_adapter_backpressure_drains_the_admission_queue() {
     let w = tpch();
     let mut profile = DbmsProfile::dbms_x();
     profile.connections = 4;
@@ -447,22 +475,9 @@ fn async_adapter_backpressure_races_timeouts_against_the_admission_queue() {
         .with_max_in_flight(2)
         .with_max_batch(2)
         .with_seed(9);
-    let fresh =
-        |seed: u64| AsyncAdapter::new(ExecutionEngine::new(profile.clone(), &w, seed), dispatch);
-
-    // A deadline that races natural completions: half the longest duration
-    // of the adapter's own untimed round.
-    let natural = common::session_round(&mut FifoScheduler::new(), &w, &mut fresh(0), 0);
-    let timeout = natural
-        .records
-        .iter()
-        .map(|r| r.duration())
-        .fold(0.0, f64::max)
-        / 2.0;
-
     let run = |hook: Option<&mut Vec<usize>>| {
-        let mut backend = fresh(0);
-        let builder = ScheduleSession::builder(&w).query_timeout(timeout);
+        let mut backend = AsyncAdapter::new(ExecutionEngine::new(profile.clone(), &w, 0), dispatch);
+        let builder = ScheduleSession::builder(&w);
         let builder = match hook {
             Some(counts) => builder.on_completion(|c| counts[c.query.0] += 1),
             None => builder,
@@ -482,18 +497,7 @@ fn async_adapter_backpressure_races_timeouts_against_the_admission_queue() {
         counts.iter().all(|&n| n == 1),
         "every slot must free exactly once: {counts:?}"
     );
-    let overshoot = log.records.iter().map(|r| r.duration()).fold(0.0, f64::max);
-    assert!(
-        overshoot <= timeout + 1e-6,
-        "duration {overshoot} overshot the {timeout}s deadline"
-    );
-    assert!(
-        log.records
-            .iter()
-            .any(|r| (r.duration() - timeout).abs() < 1e-6),
-        "at least one cancellation must land exactly on the deadline"
-    );
-    // The race is deterministic: an identical replay is byte-identical.
+    // The episode is deterministic: an identical replay is byte-identical.
     let replay = run(None);
     assert_eq!(log.to_json(), replay.to_json());
 }

@@ -2,16 +2,18 @@
 //! and completeness invariants for arbitrary seeds, golden-artifact pins for
 //! the monolithic backends, and the loud-failure paths for advance stalls.
 //!
-//! The per-backend conformance contract (byte-identical logs, cancel-mid-
-//! round view consistency, timeout slot accounting, ordered running views,
-//! stall surfacing) lives in `tests/backend_conformance.rs`, which runs the
-//! same parametrized harness over every `ExecutorBackend`.
+//! The per-backend conformance contract (byte-identical logs, bounded
+//! advances that stop at their bound, ordered running views, stall
+//! surfacing) lives in `tests/backend_conformance.rs`, which runs the same
+//! parametrized harness over every `ExecutorBackend`.
 
 mod common;
 
-use bqsched::core::{EpisodeLog, FifoScheduler, RandomScheduler, ScheduleSession};
-use bqsched::dbms::{DbmsProfile, ExecutionEngine, ShardedEngine};
-use bqsched::plan::{generate, Benchmark, Workload, WorkloadSpec};
+use bqsched::core::{
+    EpisodeLog, ExecEvent, ExecutorBackend, FifoScheduler, RandomScheduler, ScheduleSession,
+};
+use bqsched::dbms::{DbmsProfile, ExecutionEngine, RunParams, ShardedEngine};
+use bqsched::plan::{generate, Benchmark, QueryId, Workload, WorkloadSpec};
 use bqsched::sched::LearnedSimulator;
 use proptest::prelude::*;
 
@@ -121,8 +123,8 @@ fn engine_log_matches_golden_artifact_for_seed_zero() {
 fn simulator_log_matches_golden_artifact() {
     // Same cross-version pin for the learned simulator: its episode log for
     // a fixed (untrained, deterministic) model must match the on-disk
-    // artifact, so refactors of its advance/cancel paths are checked against
-    // a fixed log rather than run-vs-run.
+    // artifact, so refactors of its advance paths are checked against a
+    // fixed log rather than run-vs-run.
     let w = generate(&WorkloadSpec::new(Benchmark::TpcH, 1.0, 1));
     let (model, embs, avg) = simulator_parts(&w);
     let mut sim = LearnedSimulator::new(&model, &w, &embs, avg, 6);
@@ -160,17 +162,39 @@ fn session_fails_loudly_when_the_backend_stalls() {
 #[test]
 #[should_panic(expected = "stalled mid-round")]
 fn session_fails_loudly_when_a_stall_precedes_the_final_completion() {
-    // The escape path: a timeout-bounded advance stalls on a phase boundary,
-    // then poll_event's fresh-budget advance completes the last query, so
-    // the round reaches finished == n with the stall recorded. The session
-    // must still refuse to return the partially-advanced log.
+    // The escape path: a wire server's arrival advance stalls on a phase
+    // boundary, then the poll it serves completes the last query with a
+    // fresh budget, so the round reaches finished == n with the stall
+    // recorded. The session must still refuse to return the
+    // partially-advanced log.
+    use bqsched::wire::{TransportProfile, WireBackend};
     let w = generate(&WorkloadSpec::new(Benchmark::TpcH, 1.0, 1));
     let w = w.subset(&[0]);
-    let mut engine = ExecutionEngine::new(DbmsProfile::dbms_x(), &w, 0);
-    engine.force_advance_budget(1);
+    let stalling_engine = || {
+        let mut engine = ExecutionEngine::new(DbmsProfile::dbms_x(), &w, 0);
+        engine.force_advance_budget(1);
+        engine
+    };
+    // Alone on a cold engine, query 0 ends its I/O phase before it
+    // completes: a one-iteration advance gives up at that phase boundary.
+    let mut probe = stalling_engine();
+    probe.submit(QueryId(0), RunParams::default_config(), 0);
+    probe.poll_event(); // the submission echo
+    probe.advance_to(f64::INFINITY);
+    let phase_end = probe
+        .stall_diagnostic()
+        .expect("query 0's I/O phase ends before it completes")
+        .now;
+    let ExecEvent::Completed(alone) = probe.poll_event() else {
+        panic!("a fresh budget completes query 0");
+    };
+    // Over a link of latency L the handshake returns at 2L, the submission
+    // starts query 0 at 3L and the session's poll arrives at 5L: 2L into
+    // the query, between its phase boundary and its completion.
+    let latency = (phase_end + alone.finished_at) / 4.0;
+    let mut wired = WireBackend::with_profile(stalling_engine(), TransportProfile::fixed(latency));
     ScheduleSession::builder(&w)
-        .query_timeout(1e6)
-        .build(&mut engine)
+        .build(&mut wired)
         .run(&mut FifoScheduler::new());
 }
 
@@ -191,45 +215,41 @@ fn session_fails_loudly_when_a_shard_stalls() {
 }
 
 #[test]
-fn simulator_timeouts_respect_predicted_completions() {
+fn simulator_bounded_advances_respect_predicted_completions() {
     let w = generate(&WorkloadSpec::new(Benchmark::TpcH, 1.0, 1));
     let (model, embs, avg) = simulator_parts(&w);
+    // Six queries running on a fresh simulator session.
+    let running = || {
+        let mut sim = LearnedSimulator::new(&model, &w, &embs, avg.clone(), 6);
+        for q in 0..6 {
+            sim.submit(QueryId(q), RunParams::default_config(), q);
+        }
+        while sim.events_pending() {
+            sim.poll_event();
+        }
+        sim
+    };
+    let mut sim = running();
+    let ExecEvent::Completed(first) = sim.poll_event() else {
+        panic!("queries are running");
+    };
 
-    // Baseline: natural (predicted) completions, no timeout.
-    let mut sim = LearnedSimulator::new(&model, &w, &embs, avg.clone(), 6);
-    let natural = session_round(&mut FifoScheduler::new(), &w, &mut sim, 0);
-    let max_natural = natural
-        .records
-        .iter()
-        .map(|r| r.duration())
-        .fold(0.0, f64::max);
+    // A bound far beyond the predicted completion changes nothing: the
+    // simulator still completes the predicted query at its predicted
+    // instant instead of running to the bound.
+    let mut sim = running();
+    sim.advance_to(first.finished_at * 100.0);
+    assert!(sim.events_pending(), "the predicted completion is buffered");
+    assert_eq!(sim.now(), first.finished_at);
+    assert_eq!(sim.poll_event(), ExecEvent::Completed(first.clone()));
 
-    // A timeout far beyond every predicted duration must not change the
-    // episode: the simulator still completes queries via its predictions
-    // instead of cancelling everything at the deadline.
-    let generous = max_natural * 100.0;
-    let mut sim = LearnedSimulator::new(&model, &w, &embs, avg.clone(), 6);
-    let log = ScheduleSession::builder(&w)
-        .round(0)
-        .query_timeout(generous)
-        .build(&mut sim)
-        .run(&mut FifoScheduler::new());
-    assert_eq!(natural.to_json(), log.to_json());
-
-    // A tight timeout clips at the deadline, and every duration respects it.
-    let tight = max_natural / 2.0;
-    let mut sim = LearnedSimulator::new(&model, &w, &embs, avg, 6);
-    let log = ScheduleSession::builder(&w)
-        .round(0)
-        .query_timeout(tight)
-        .build(&mut sim)
-        .run(&mut FifoScheduler::new());
-    assert_eq!(log.len(), w.len());
-    let max_timed = log.records.iter().map(|r| r.duration()).fold(0.0, f64::max);
-    assert!(
-        max_timed <= tight + 1e-6,
-        "simulator duration {max_timed} overshot the {tight}s timeout"
-    );
+    // A bound before it stops at the bound, with every query still running.
+    let mut sim = running();
+    let tight = first.finished_at / 2.0;
+    sim.advance_to(tight);
+    assert_eq!(sim.now(), tight);
+    assert!(!sim.events_pending());
+    assert_eq!(sim.running_view().count(), 6);
 }
 
 #[test]
