@@ -358,6 +358,9 @@ pub struct LearnedSimulator<'a> {
     /// The session's one observation: the plan embeddings are cloned once,
     /// and each prediction refreshes the state-dependent parts in place.
     obs: EncodedObservation,
+    /// The predicted next completion as `(connection, instant)`, kept
+    /// until a submission or a completion changes the running set.
+    prediction: Option<(usize, f64)>,
     completion_events: VecDeque<QueryCompletion>,
     submitted_events: VecDeque<(QueryId, usize)>,
 }
@@ -391,6 +394,7 @@ impl<'a> LearnedSimulator<'a> {
             finished: vec![false; workload.len()],
             runtimes,
             obs,
+            prediction: None,
             completion_events: VecDeque::with_capacity(1),
             submitted_events: VecDeque::with_capacity(connections),
         }
@@ -435,9 +439,10 @@ impl<'a> LearnedSimulator<'a> {
 
     /// Like [`LearnedSimulator::advance_until_completion`], but if the
     /// predicted completion lies beyond `until`, only move the clock to
-    /// `until` and leave the query running (the next prediction sees the
-    /// larger elapsed times), so a bounded advance stops at its bound on the
-    /// learned backend too.
+    /// `until` and leave the query running, so a bounded advance stops at
+    /// its bound on the learned backend too. The prediction is kept until
+    /// the running set changes: advancing to an instant in several steps
+    /// completes the same query at the same instant as one poll.
     ///
     /// An **idle** simulator has nothing to predict, but time still passes:
     /// a finite `until` moves the clock forward so a later submission is
@@ -451,6 +456,43 @@ impl<'a> LearnedSimulator<'a> {
             }
             return;
         }
+        let (connection, at) = match self.prediction {
+            Some(prediction) => prediction,
+            None => {
+                let prediction = self.predict();
+                self.prediction = Some(prediction);
+                prediction
+            }
+        };
+        if at > until {
+            // The bound comes before the predicted completion.
+            self.now = until;
+            return;
+        }
+        self.now = at;
+        let ConnectionSlot::Busy {
+            query,
+            params,
+            started_at,
+        } = self.slots[connection]
+        else {
+            unreachable!("the predicted connection is busy");
+        };
+        self.slots[connection] = ConnectionSlot::Free;
+        self.finished[query.0] = true;
+        self.prediction = None;
+        self.completion_events.push_back(QueryCompletion {
+            query,
+            connection,
+            params,
+            started_at,
+            finished_at: self.now,
+        });
+    }
+
+    /// The connection of the earliest predicted finisher among the running
+    /// queries, and the instant it finishes.
+    fn predict(&mut self) -> (usize, f64) {
         self.refresh_runtimes();
         let state = SchedulingState {
             workload: self.workload,
@@ -462,12 +504,6 @@ impl<'a> LearnedSimulator<'a> {
         // Map the predicted observation index back to a connection.
         let predicted_query = self.obs.running[position];
         let dt = (norm_time * TIME_SCALE).max(1e-3);
-        if self.now + dt > until {
-            // The bound comes before the predicted completion.
-            self.now = until;
-            return;
-        }
-        self.now += dt;
         let connection = self
             .slots
             .iter()
@@ -475,23 +511,7 @@ impl<'a> LearnedSimulator<'a> {
                 |s| matches!(s, ConnectionSlot::Busy { query, .. } if query.0 == predicted_query),
             )
             .expect("predicted query must be running");
-        let ConnectionSlot::Busy {
-            query,
-            params,
-            started_at,
-        } = self.slots[connection]
-        else {
-            unreachable!("position() returned a busy slot");
-        };
-        self.slots[connection] = ConnectionSlot::Free;
-        self.finished[query.0] = true;
-        self.completion_events.push_back(QueryCompletion {
-            query,
-            connection,
-            params,
-            started_at,
-            finished_at: self.now,
-        });
+        (connection, self.now + dt)
     }
 }
 
@@ -521,6 +541,7 @@ impl ExecutorBackend for LearnedSimulator<'_> {
             params,
             started_at: self.now,
         };
+        self.prediction = None;
         self.submitted_events.push_back((query, connection));
     }
 

@@ -136,74 +136,66 @@ pub struct StateRepr<V = NodeId> {
 /// [`Self::project`] drops both when the version moves (a training update,
 /// or any other mutable access to the store), so no stale row is ever read.
 ///
-/// One slot per entity row holds the bit pattern of the input row
-/// `e_i ∥ f_i` and its projection `x_i`. The projection is row-wise, so a
-/// row whose input bits are unchanged reuses `x_i` exactly. Pending and
-/// finished entities keep their features between decisions, so only
-/// running entities are projected again, and only their rows are marked
-/// changed for the carried attention, which redoes just the work they
-/// touch (see [`IncrementalAttention`]).
+/// Per entity row it keeps the bit pattern of the input row `e_i ∥ f_i`
+/// and its projection `x_i`, in two flat buffers. The projection is
+/// row-wise, so a row whose input bits are unchanged reuses `x_i` exactly.
+/// Pending and finished entities keep their features between decisions,
+/// so only running entities are projected again, and only their rows are
+/// marked changed for the carried attention, which redoes just the work
+/// they touch (see [`IncrementalAttention`]).
 #[derive(Debug, Clone, Default)]
 pub struct InputRowCache {
-    rows: Vec<InputRow>,
+    /// `[n, in_dim]`: the bits of each input row when it was projected;
+    /// empty when no row is cached.
+    keys: Vec<u32>,
+    /// `[n, dim]`: each row's projection.
+    values: Vec<f32>,
     attention: IncrementalAttention,
-}
-
-#[derive(Debug, Clone, Default)]
-struct InputRow {
-    key: Vec<u32>,
-    value: Vec<f32>,
 }
 
 impl InputRowCache {
     /// The value of [`EncodedObservation::project`] evaluated eagerly,
     /// running `mlp` only on the rows whose input bits differ from the
-    /// cached slot.
+    /// cached ones.
     pub fn project(&mut self, store: &ParamStore, mlp: &Mlp, obs: &EncodedObservation) -> Tensor {
-        if self.attention.renew(store) {
-            self.rows.clear();
+        let (n, dim) = (obs.len(), mlp.out_dim());
+        let plan_dim = obs.plan_embs.cols();
+        let in_dim = plan_dim + obs.features.cols();
+        if self.attention.renew(store) || self.keys.len() != n * in_dim {
+            self.keys.clear();
+            self.values.clear();
         }
-        let n = obs.len();
-        let in_dim = obs.plan_embs.cols() + obs.features.cols();
-        self.rows.resize_with(n, InputRow::default);
-        let input_row = |i: usize| {
-            obs.plan_embs
-                .row_slice(i)
-                .iter()
-                .chain(obs.features.row_slice(i))
-        };
         let mut stale = Vec::new();
         let mut stale_in = Vec::new();
-        for (i, slot) in self.rows.iter().enumerate() {
-            let fresh = slot.key.len() == in_dim
-                && slot
-                    .key
-                    .iter()
-                    .zip(input_row(i))
-                    .all(|(k, v)| *k == v.to_bits());
+        for i in 0..n {
+            let (plan, features) = (obs.plan_embs.row_slice(i), obs.features.row_slice(i));
+            let key = self.keys.get(i * in_dim..(i + 1) * in_dim);
+            let fresh = key.is_some_and(|key| {
+                let (plan_key, feature_key) = key.split_at(plan_dim);
+                same_bits(plan_key, plan) && same_bits(feature_key, features)
+            });
             if !fresh {
                 stale.push(i);
-                stale_in.extend(input_row(i));
+                stale_in.extend_from_slice(plan);
+                stale_in.extend_from_slice(features);
                 self.attention.input_changed(i);
             }
         }
         if !stale.is_empty() {
-            let x_in = Cow::Owned(Tensor::from_vec(stale.len(), in_dim, stale_in));
-            let projected = mlp.forward(&mut Eager::default(), store, &x_in);
+            self.keys.resize(n * in_dim, 0);
+            self.values.resize(n * dim, 0.0);
+            let x_in = Tensor::from_vec(stale.len(), in_dim, stale_in);
+            let projected = mlp.forward(&mut Eager::default(), store, &Cow::Borrowed(&x_in));
             for (j, &i) in stale.iter().enumerate() {
-                let slot = &mut self.rows[i];
-                slot.key.clear();
-                slot.key.extend(input_row(i).map(|v| v.to_bits()));
-                slot.value.clear();
-                slot.value.extend_from_slice(projected.row_slice(j));
+                let key = &mut self.keys[i * in_dim..(i + 1) * in_dim];
+                for (k, v) in key.iter_mut().zip(x_in.row_slice(j)) {
+                    *k = v.to_bits();
+                }
+                let value = &mut self.values[i * dim..(i + 1) * dim];
+                value.copy_from_slice(projected.row_slice(j));
             }
         }
-        let dim = mlp.out_dim();
-        let mut data = Vec::with_capacity(n * dim);
-        for slot in &self.rows {
-            data.extend_from_slice(&slot.value);
-        }
-        Tensor::from_vec(n, dim, data)
+        Tensor::from_vec(n, dim, self.values.clone())
     }
 
     /// An [`Eager`] evaluation over the rows [`Self::project`] last
@@ -212,6 +204,16 @@ impl InputRowCache {
     pub fn evaluator(&mut self) -> Eager<'_> {
         Eager::carrying(&mut self.attention)
     }
+}
+
+/// Whether `key` holds the bits of `row`: one pass over both, without an
+/// early exit.
+fn same_bits(key: &[u32], row: &[f32]) -> bool {
+    let diff = key
+        .iter()
+        .zip(row)
+        .fold(0, |diff, (k, v)| diff | (k ^ v.to_bits()));
+    key.len() == row.len() && diff == 0
 }
 
 /// The attention-based state encoder.
@@ -628,6 +630,45 @@ mod tests {
             warm_q.row_slice(2),
             "the changed row must be recomputed"
         );
+    }
+
+    #[test]
+    fn rows_whose_input_bits_moved_are_projected_again() {
+        // One plan-embedding element of row 1 moves, and a feature of row 6
+        // flips from +0.0 to -0.0, equal as floats but not as bits. Both
+        // rows are projected again, so their cached keys hold the new bits,
+        // and the outputs are bitwise those of a cold cache.
+        let (_, obs) = obs_for(4);
+        let mut store = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(24);
+        let enc = StateEncoder::new(&mut store, 32, StateEncoderConfig::default(), &mut rng);
+        let all: Vec<usize> = (0..obs.len()).collect();
+        let mut warm = InputRowCache::default();
+        let _ = eager_encode(&enc, &store, &obs, &all, &mut warm);
+
+        let mut changed = obs.clone();
+        let e = changed.plan_embs.get(1, 5);
+        changed.plan_embs.set(1, 5, e + 0.25);
+        let zero = (0..STATE_FEATURE_DIM)
+            .find(|&c| changed.features.get(6, c).to_bits() == 0)
+            .expect("a +0.0 feature");
+        changed.features.set(6, zero, -0.0);
+        let (warm_q, warm_s) = eager_encode(&enc, &store, &changed, &all, &mut warm);
+        let (cold_q, cold_s) =
+            eager_encode(&enc, &store, &changed, &all, &mut InputRowCache::default());
+        assert_rows_bitwise(&cold_q, &all, &warm_q, "warm per-query repr");
+        assert_rows_bitwise(&cold_s, &[0], &warm_s, "warm global repr");
+
+        let in_dim = 32 + STATE_FEATURE_DIM;
+        for i in [1, 6] {
+            let input = changed.plan_embs.row_slice(i).iter();
+            let input: Vec<u32> = input
+                .chain(changed.features.row_slice(i))
+                .map(|v| v.to_bits())
+                .collect();
+            let key = &warm.keys[i * in_dim..(i + 1) * in_dim];
+            assert_eq!(key, input, "row {i} must be projected again");
+        }
     }
 
     #[test]

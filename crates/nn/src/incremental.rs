@@ -20,7 +20,7 @@
 use crate::layers::AttentionHead;
 use crate::math;
 use crate::params::{ParamId, ParamStore};
-use crate::tensor::Tensor;
+use crate::tensor::{matmul_rows_into, Tensor};
 
 /// The carried state of one attention's heads over an input of `n` rows,
 /// valid for one [`ParamStore::version`].
@@ -30,7 +30,8 @@ use crate::tensor::Tensor;
 /// [`Self::input_changed`] every input row whose bits may differ from the
 /// last pass. Per head the state keeps the query, key and value rows, and
 /// per pair of query and key row the scaled score and the numerator
-/// `exp(s − m)` with each query row's max `m`: `heads × n × n` floats twice.
+/// `exp(s − m)` with each query row's max `m`: `heads × n × n` floats twice,
+/// and one scratch block of `n² / 4` floats that the heads share.
 #[derive(Debug, Clone, Default)]
 pub struct IncrementalAttention {
     version: Option<u64>,
@@ -38,6 +39,8 @@ pub struct IncrementalAttention {
     /// last read it.
     changed: Vec<bool>,
     heads: Vec<HeadState>,
+    /// The heads update one at a time, so they share one scratch.
+    scratch: Scratch,
 }
 
 impl IncrementalAttention {
@@ -90,7 +93,8 @@ impl IncrementalAttention {
         let w = ids.map(|id| store.value(id));
         let state = &mut self.heads[head.index];
         state.fit(ids, n, w[0].cols());
-        state.update(x, w, head.scale, &self.changed, rows);
+        self.scratch.fit(n, w[0].cols());
+        state.update(&mut self.scratch, x, w, head.scale, &self.changed, rows);
         if head.index + 1 == head.count {
             self.changed.fill(false);
         }
@@ -136,9 +140,37 @@ struct HeadState {
     moved: Vec<usize>,
     /// `[d, moved.len()]`: the key rows `moved`, transposed.
     moved_kt: Vec<f32>,
-    /// `[moved.len()]`: one query row's fresh scores of the key rows
-    /// `moved`, before scaling.
-    fresh_scores: Vec<f32>,
+}
+
+/// The buffers a head's update rescores its requested rows through, for
+/// `n` rows of width `d`.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// The requested query rows scored in full.
+    full: Vec<usize>,
+    /// The requested query rows scored again only in the columns `moved`.
+    partial: Vec<usize>,
+    /// `[partial.len(), d]`: the query rows `partial`.
+    partial_q: Vec<f32>,
+    /// `[partial.len(), moved.len()]`: the partial rows' fresh scores of
+    /// the key rows `moved`, then their numerators against the old max.
+    /// A partial row did not change, so it is not one of the moved rows:
+    /// `partial.len() + moved.len() ≤ n`, and the block fits in `n² / 4`.
+    block: Vec<f32>,
+    /// `[partial.len()]`: each partial row's new max.
+    partial_max: Vec<f32>,
+}
+
+impl Scratch {
+    /// Size the buffers for `n` rows of width `d`.
+    fn fit(&mut self, n: usize, d: usize) {
+        self.partial_q.resize(n * d, 0.0);
+        self.block.resize(n * n / 4, 0.0);
+        self.partial_max.resize(n, 0.0);
+        for rows in [&mut self.full, &mut self.partial] {
+            rows.reserve(n);
+        }
+    }
 }
 
 impl HeadState {
@@ -150,30 +182,38 @@ impl HeadState {
         }
         self.ids = Some(ids);
         (self.n, self.d, self.fresh) = (n, d, false);
-        for rows in [&mut self.q, &mut self.k, &mut self.kt, &mut self.v] {
+        for rows in [
+            &mut self.q,
+            &mut self.k,
+            &mut self.kt,
+            &mut self.v,
+            &mut self.moved_kt,
+        ] {
             rows.resize(n * d, 0.0);
         }
         for square in [&mut self.scores, &mut self.numerators] {
             square.resize(n * n, 0.0);
         }
-        for row in [&mut self.max, &mut self.sums, &mut self.fresh_scores] {
+        for row in [&mut self.max, &mut self.sums] {
             row.resize(n, 0.0);
         }
         self.scored.clear();
         self.scored.resize(n, false);
         self.moved.reserve(n);
-        self.moved_kt.resize(n * d, 0.0);
     }
 
     // bq-lint: hot-path
-    /// Bring the query rows `rows` up to date with `x`, recomputing only
-    /// what the input rows `changed` (every row while not fresh) touch.
+    /// Bring the query rows `rows` (distinct) up to date with `x`,
+    /// recomputing only what the input rows `changed` (every row while not
+    /// fresh) touch.
     ///
     /// Every score is `q_i · k_j` as `q · kᵀ` computes it, from `+0.0`
     /// adding `q_i[p] · k_j[p]` for `p` ascending and skipping zero
-    /// `q_i[p]`, then times `scale`; only the loops around it differ.
+    /// `q_i[p]`, then times `scale`: the matmul kernel computes each one,
+    /// whichever rows and columns it is handed alongside.
     fn update(
         &mut self,
+        scratch: &mut Scratch,
         x: &Tensor,
         [wq, wk, wv]: [&Tensor; 3],
         scale: f32,
@@ -184,53 +224,88 @@ impl HeadState {
         self.moved.clear();
         self.moved.extend((0..n).filter(|&i| !fresh || changed[i]));
         let m = self.moved.len();
-        x.matmul_rows_into(&self.moved, wq, &mut self.q);
-        x.matmul_rows_into(&self.moved, wk, &mut self.k);
-        x.matmul_rows_into(&self.moved, wv, &mut self.v);
+        let (x, c) = (x.data(), x.cols());
+        matmul_rows_into(x, self.moved.iter().copied(), c, wq.data(), d, &mut self.q);
+        matmul_rows_into(x, self.moved.iter().copied(), c, wk.data(), d, &mut self.k);
+        matmul_rows_into(x, self.moved.iter().copied(), c, wv.data(), d, &mut self.v);
         for (l, &j) in self.moved.iter().enumerate() {
             for (p, &k) in self.k[j * d..(j + 1) * d].iter().enumerate() {
                 self.kt[p * n + j] = k;
                 self.moved_kt[p * m + l] = k;
             }
         }
-        let (kt, moved_kt) = (&self.kt, &self.moved_kt[..d * m]);
+
+        // A query row that changed, or that the last pass did not request,
+        // is scored in full.
+        let Scratch {
+            full,
+            partial,
+            partial_q,
+            block,
+            partial_max,
+        } = scratch;
+        full.clear();
+        partial.clear();
         for &i in rows {
-            let q_i = &self.q[i * d..(i + 1) * d];
-            let scores = &mut self.scores[i * n..(i + 1) * n];
-            let numerators = &mut self.numerators[i * n..(i + 1) * n];
-            let old_max = self.max[i];
             if !fresh || changed[i] || !self.scored[i] {
-                accumulate_scores(q_i, kt, scores);
-                scores.iter_mut().for_each(|s| *s *= scale);
-                let max = row_max(scores);
-                for (e, &s) in numerators.iter_mut().zip(scores.iter()) {
+                full.push(i);
+            } else {
+                partial.push(i);
+            }
+        }
+        let full_rows = full.iter().copied();
+        matmul_rows_into(&self.q, full_rows, d, &self.kt, n, &mut self.scores);
+        for &i in full.iter() {
+            let scores = &mut self.scores[i * n..(i + 1) * n];
+            scores.iter_mut().for_each(|s| *s *= scale);
+            let max = row_max(scores);
+            let numerators = &mut self.numerators[i * n..(i + 1) * n];
+            for (e, &s) in numerators.iter_mut().zip(scores.iter()) {
+                *e = math::exp(s - max);
+            }
+            self.max[i] = max;
+        }
+
+        // Every other query row is scored again only in the changed
+        // columns, all of them in one block, and their numerators taken
+        // against the old max. The new max is taken over them alone unless
+        // one of them may have held the old one.
+        let p = partial.len();
+        for (q, &i) in partial_q.chunks_exact_mut(d).zip(partial.iter()) {
+            q.copy_from_slice(&self.q[i * d..(i + 1) * d]);
+        }
+        let block = &mut block[..p * m];
+        matmul_rows_into(partial_q, 0..p, d, &self.moved_kt[..d * m], m, block);
+        for (r, &i) in partial.iter().enumerate() {
+            let scores = &mut self.scores[i * n..(i + 1) * n];
+            let old_max = self.max[i];
+            let (mut refold, mut max) = (false, old_max);
+            for (s, &j) in block[r * m..(r + 1) * m].iter_mut().zip(&self.moved) {
+                *s *= scale;
+                refold |= scores[j].is_nan() || scores[j] >= old_max;
+                scores[j] = *s;
+                max = max.max(*s);
+                *s -= old_max;
+            }
+            partial_max[r] = if refold { row_max(scores) } else { max };
+        }
+        block.iter_mut().for_each(|e| *e = math::exp(*e));
+        for (r, &i) in partial.iter().enumerate() {
+            let numerators = &mut self.numerators[i * n..(i + 1) * n];
+            let max = partial_max[r];
+            if max != self.max[i] {
+                let scores = &self.scores[i * n..(i + 1) * n];
+                for (e, &s) in numerators.iter_mut().zip(scores) {
                     *e = math::exp(s - max);
                 }
-                self.max[i] = max;
-                continue;
-            }
-            // Only the changed columns are scored again, and their
-            // numerators taken against the old max. The new max is taken
-            // over them alone unless one of them may have held the old one.
-            let fresh_scores = &mut self.fresh_scores[..m];
-            accumulate_scores(q_i, moved_kt, fresh_scores);
-            let (mut refold, mut max) = (false, old_max);
-            for (&j, &s) in self.moved.iter().zip(fresh_scores.iter()) {
-                refold |= scores[j].is_nan() || scores[j] >= old_max;
-                scores[j] = s * scale;
-                numerators[j] = math::exp(scores[j] - old_max);
-                max = max.max(scores[j]);
-            }
-            if refold {
-                max = row_max(scores);
-            }
-            if max != old_max {
-                for (e, &s) in numerators.iter_mut().zip(scores.iter()) {
-                    *e = math::exp(s - max);
+            } else {
+                for (&e, &j) in block[r * m..(r + 1) * m].iter().zip(&self.moved) {
+                    numerators[j] = e;
                 }
             }
             self.max[i] = max;
         }
+
         // Eight rows at a time, so the sums' dependency chains overlap; each
         // row still adds its numerators in key order from +0.0.
         for group in rows.chunks(8) {
@@ -271,18 +346,6 @@ impl HeadState {
         }
         let v = Tensor::from_vec(n, self.d, self.v.clone());
         (Tensor::from_vec(rows.len(), n, attn), v)
-    }
-}
-
-/// `q · kt` into `out` (`kt` is `[q.len(), out.len()]`): each element as
-/// [`Tensor::matmul`] computes it, so `q · kᵀ`'s before scaling.
-fn accumulate_scores(q: &[f32], kt: &[f32], out: &mut [f32]) {
-    let w = out.len();
-    out.fill(0.0);
-    for (p, &a) in q.iter().enumerate().filter(|(_, &a)| a != 0.0) {
-        for (s, &k) in out.iter_mut().zip(&kt[p * w..(p + 1) * w]) {
-            *s += a * k;
-        }
     }
 }
 
@@ -412,6 +475,75 @@ mod tests {
         s.store.get_mut(id).value.set(0, 0, w + 0.5);
         let after = s.pass(&[], &rows, "the store version moved");
         assert_ne!(before, after, "the update must show");
+    }
+
+    #[test]
+    fn a_pass_of_only_partial_rows_matches_the_stateless_pass() {
+        // Key rows 0-2 change while the query rows 4-7 stay requested and
+        // unchanged, so every requested row is rescored in the moved
+        // columns only, all in one block.
+        let mut s = Script::new();
+        let param = |s: &Script, name: &str| {
+            let found = s.store.iter().find(|(_, p)| p.name == name);
+            found.expect("a head-0 projection").0
+        };
+        let (wq, wk) = (param(&s, "mha.wq0"), param(&s, "mha.wk0"));
+        // Head 0's query components 0 and 1 read only input column 6, which
+        // only row 7 sets, so every other query row has zeros there. Input
+        // column 7, zero for now, feeds +∞ and −∞ into key components 0 and
+        // 1: row 7's score of such a key is +∞ + (−∞), NaN, and the other
+        // rows skip both infinities.
+        for c in 0..8 {
+            for p in 0..2 {
+                s.store
+                    .get_mut(wq)
+                    .value
+                    .set(c, p, if c == 6 { 1.0 } else { 0.0 });
+            }
+        }
+        s.store.get_mut(wk).value.set(7, 0, f32::INFINITY);
+        s.store.get_mut(wk).value.set(7, 1, f32::NEG_INFINITY);
+        for i in 0..8 {
+            s.x.set(i, 6, if i == 7 { 1.0 } else { 0.0 });
+            s.x.set(i, 7, 0.0);
+        }
+        let rows = [4, 5, 6, 7];
+        s.pass(&[], &rows, "first pass");
+
+        // Column 0 becomes row 4's max.
+        let by = if s.scores(4)[0] > 0.0 { 40.0 } else { -40.0 };
+        s.scale_row(0, by);
+        s.pass(&[0], &rows, "column 0 became row 4's max");
+        assert_eq!(s.argmax(4), 0, "column 0 must hold row 4's max");
+
+        // The pass under test: column 0 no longer holds row 4's max, so
+        // row 4 folds its max again; column 1 becomes row 6's max, so row
+        // 6's numerators are all taken again; column 2 scores NaN in row 7.
+        let old_max = s.argmax(6);
+        assert_ne!(old_max, 1, "column 1 must not hold row 6's max yet");
+        s.scale_row(0, -1.0);
+        let by = if s.scores(6)[1] > 0.0 {
+            1000.0
+        } else {
+            -1000.0
+        };
+        s.scale_row(1, by);
+        s.x.set(2, 7, 1.0);
+        s.pass(&[0, 1, 2], &rows, "only partial rows");
+        let scratch = &s.state.scratch;
+        assert!(scratch.full.is_empty(), "every requested row is partial");
+        assert_eq!(scratch.partial, rows);
+        assert_ne!(s.argmax(4), 0, "row 4 must fold its max again");
+        assert_eq!(s.argmax(6), 1, "column 1 must be row 6's new max");
+        assert!(s.scores(7)[2].is_nan(), "row 7 must score column 2 NaN");
+        for i in [4, 5, 6] {
+            assert!(s.scores(i)[2].is_finite(), "row {i} must skip the zeros");
+        }
+
+        // The NaN leaves again: row 7 folds its max again.
+        s.x.set(2, 7, 0.0);
+        s.pass(&[2], &rows, "the NaN score left");
+        assert!(s.scores(7)[2].is_finite());
     }
 
     #[test]

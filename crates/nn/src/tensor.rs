@@ -190,21 +190,6 @@ impl Tensor {
         }
     }
 
-    /// Rows `rows` of `self @ other` into the same rows of `out`, a
-    /// row-major `[self.rows, other.cols]` buffer, leaving its other rows
-    /// as they are: each element as [`Tensor::matmul`] computes it.
-    pub(crate) fn matmul_rows_into(&self, rows: &[usize], other: &Tensor, out: &mut [f32]) {
-        assert_eq!(self.cols, other.rows, "matmul_rows_into shape mismatch");
-        assert_eq!(out.len(), self.rows * other.cols, "matmul_rows_into output");
-        let a = Strided {
-            data: &self.data,
-            row_step: self.cols,
-            k_step: 1,
-        };
-        let rows = rows.iter().copied();
-        kernel_rows(a, rows, self.cols, &other.data, other.cols, out);
-    }
-
     /// `selfᵀ @ other`, reading `self` in place. Bitwise equal to
     /// `self.transpose().matmul(other)`: the kernel sees the same values in
     /// the same order, only from a column instead of a copied row.
@@ -489,6 +474,26 @@ fn matmul_kernel(a: Strided<'_>, m: usize, k: usize, b: &[f32], n: usize) -> Vec
     out
 }
 
+/// Rows `rows` of `a @ b` into the same rows of `out`, for row-major `a`
+/// `[_, k]`, `b` `[k, n]` and `out` `[_, n]`, leaving the other rows of
+/// `out` as they are: each element as [`Tensor::matmul`] computes it.
+pub(crate) fn matmul_rows_into(
+    a: &[f32],
+    rows: impl IntoIterator<Item = usize>,
+    k: usize,
+    b: &[f32],
+    n: usize,
+    out: &mut [f32],
+) {
+    assert_eq!(b.len(), k * n, "matmul_rows_into shape mismatch");
+    let a = Strided {
+        data: a,
+        row_step: k,
+        k_step: 1,
+    };
+    kernel_rows(a, rows.into_iter(), k, b, n, out);
+}
+
 /// The output rows `rows` of [`matmul_kernel`] into the same rows of `out`,
 /// two at a time.
 fn kernel_rows(
@@ -660,7 +665,7 @@ mod tests {
                     // Every other row, in place over a buffer of NaNs.
                     let rows: Vec<usize> = (0..m).rev().step_by(2).collect();
                     let mut out = vec![f32::NAN; m * n];
-                    a.matmul_rows_into(&rows, &b, &mut out);
+                    matmul_rows_into(a.data(), rows.iter().copied(), k, b.data(), n, &mut out);
                     for i in 0..m {
                         let got = Tensor::from_vec(1, n, out[i * n..(i + 1) * n].to_vec());
                         if rows.contains(&i) {

@@ -250,6 +250,34 @@ fn simulator_bounded_advances_respect_predicted_completions() {
     assert_eq!(sim.now(), tight);
     assert!(!sim.events_pending());
     assert_eq!(sim.running_view().count(), 6);
+
+    // Steps shorter than the predicted remaining time reach the same
+    // completion: the prediction stands until the running set changes.
+    let mut sim = running();
+    let step = first.finished_at / 8.0;
+    for _ in 0..10 {
+        if sim.events_pending() {
+            break;
+        }
+        let now = sim.now();
+        sim.advance_to(now + step);
+    }
+    assert!(
+        sim.events_pending(),
+        "ten steps buffer the first completion"
+    );
+    let ExecEvent::Completed(stepped) = sim.poll_event() else {
+        panic!("the buffered event is a completion");
+    };
+    assert_eq!(
+        (
+            stepped.query,
+            stepped.connection,
+            stepped.finished_at.to_bits()
+        ),
+        (first.query, first.connection, first.finished_at.to_bits()),
+        "the stepped completion is the polled one"
+    );
 }
 
 #[test]
