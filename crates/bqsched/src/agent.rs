@@ -10,7 +10,7 @@
 //! [`BqSchedConfig`] (see [`BqSchedConfig::lsched`]).
 
 use crate::clustering::{gains_from_history, GainPredictor, QueryClustering};
-use crate::masking::AdaptiveMask;
+use crate::masking::{AdaptiveMask, MASK_VALUE};
 use crate::simulator::{LearnedSimulator, SimulatorModel};
 use bq_core::{
     Action, EpisodeLog, ExecutionHistory, ExecutorBackend, QueryRuntime, QueryStatus,
@@ -30,6 +30,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::borrow::Cow;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Full agent configuration.
 #[derive(Debug, Clone)]
@@ -116,14 +117,120 @@ impl BqSchedConfig {
     }
 }
 
-/// A replayable observation for the RL algorithms: the encoded entities plus
-/// the additive action mask.
+/// A replayable observation for the RL algorithms: what one decision's
+/// scheduling state says about each entity (a query, or a cluster).
+///
+/// Per decision it stores each entity's status and, for every entity with
+/// running members, the first running member's parameters and the
+/// members' mean elapsed time (a pending cluster can have running
+/// members, and its features carry them): one byte per entity and 24 per
+/// running entity. Everything else the networks read is round-invariant
+/// and shared through one [`Arc`] by every observation of an agent: the
+/// member lists, the sum-pooled plan embeddings, the historical-time sums
+/// and the logit mask with every entity selectable. Encoding a stored
+/// observation rebuilds, bit for bit, the input its decision evaluated.
 #[derive(Debug, Clone)]
 pub struct BqObs {
-    /// Encoded entities (queries or clusters).
-    pub encoded: EncodedObservation,
-    /// Additive logit mask of length `entities × configs`.
-    pub mask: Vec<f32>,
+    /// Each entity's status: pending while any member pends, else running
+    /// while any member runs, else finished.
+    status: Vec<QueryStatus>,
+    /// The entities with running members, in ascending entity order.
+    running: Vec<RunningEntity>,
+    /// The agent's round-invariant entity data.
+    cache: Arc<EntityCache>,
+}
+
+/// What the features of an entity with running members read of them.
+#[derive(Debug, Clone, Copy)]
+struct RunningEntity {
+    entity: usize,
+    /// The parameters of its first running member.
+    params: Option<RunParams>,
+    /// The mean elapsed time of its running members.
+    elapsed: f64,
+}
+
+/// What the networks read of a [`BqObs`]: the encoded entities, and the
+/// additive logit mask `[1, entities × configs]`.
+#[derive(Debug, Clone)]
+struct Encoding {
+    encoded: EncodedObservation,
+    mask: Tensor,
+}
+
+impl Encoding {
+    /// A zero encoding over `cache`'s shared plan embeddings.
+    fn new(cache: &EntityCache) -> Self {
+        let n = cache.member_lists.len();
+        Self {
+            encoded: EncodedObservation {
+                plan_embs: Arc::clone(&cache.entity_embs),
+                features: Tensor::zeros(n, STATE_FEATURE_DIM),
+                running: Vec::new(),
+                pending: Vec::new(),
+            },
+            mask: Tensor::zeros(1, cache.mask.len()),
+        }
+    }
+}
+
+impl BqObs {
+    /// Number of entities.
+    fn len(&self) -> usize {
+        self.status.len()
+    }
+
+    /// A fresh encoding of this state.
+    fn encode(&self) -> Encoding {
+        let mut out = Encoding::new(&self.cache);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Rewrite `out`, an encoding over this observation's plan embeddings,
+    /// as this state's encoding. Each entity's features are
+    /// [`write_state_features`] of its status, its running entry's
+    /// parameters and elapsed time (none and 0 without one) and its
+    /// historical-time sum. A pending entity's mask row is its row of the
+    /// shared mask, copied unchanged; every other entity's is
+    /// [`MASK_VALUE`].
+    fn encode_into(&self, out: &mut Encoding) {
+        let cache = &self.cache;
+        let EncodedObservation {
+            plan_embs,
+            features,
+            running,
+            pending,
+        } = &mut out.encoded;
+        debug_assert!(Arc::ptr_eq(plan_embs, &cache.entity_embs));
+        features.data_mut().fill(0.0);
+        running.clear();
+        pending.clear();
+        let rows = features.data_mut().chunks_exact_mut(STATE_FEATURE_DIM);
+        let mask_rows = out.mask.data_mut().chunks_exact_mut(cache.mask.cols());
+        let mut active = self.running.iter().peekable();
+        for (e, ((&status, row), mask_row)) in
+            self.status.iter().zip(rows).zip(mask_rows).enumerate()
+        {
+            let run = active.next_if(|r| r.entity == e);
+            let runtime = QueryRuntime {
+                status,
+                params: run.and_then(|r| r.params),
+                elapsed: run.map_or(0.0, |r| r.elapsed),
+                avg_exec_time: cache.avg_sums[e],
+            };
+            write_state_features(row, &runtime);
+            if run.is_some() {
+                running.push(e);
+            }
+            if status == QueryStatus::Pending {
+                pending.push(e);
+                mask_row.copy_from_slice(cache.mask.row_slice(e));
+            } else {
+                mask_row.fill(MASK_VALUE);
+            }
+        }
+    }
 }
 
 /// The neural decision model: shared state representation plus policy, value
@@ -233,32 +340,32 @@ impl BqSchedModel {
     /// The masked flat logits `[1, n·K]` and the global representation,
     /// from the projected entity inputs `x`: the body that
     /// [`ActorCritic::evaluate`] records and the decision loop evaluates
-    /// eagerly. Only the selectable entities (`obs.encoded.pending`) get a
-    /// policy logit; every other entity's logits are its mask entries,
-    /// [`MASK_VALUE`](crate::MASK_VALUE).
+    /// eagerly. Only the selectable entities (`input.encoded.pending`) get
+    /// a policy logit; every other entity's logits are its mask entries,
+    /// [`MASK_VALUE`].
     fn policy<'s, O: Ops<'s>>(
         &self,
         g: &mut O,
         store: &'s ParamStore,
-        obs: &BqObs,
+        input: &Encoding,
         x: &O::Value,
     ) -> (O::Value, O::Value) {
-        let pending = &obs.encoded.pending;
-        let (per_query, global) = self.representations(g, store, &obs.encoded, x, pending);
+        let obs = &input.encoded;
+        let pending = &obs.pending;
+        let (per_query, global) = self.representations(g, store, obs, x, pending);
         let k = self.num_configs;
         let pending_logits = self.policy_head.forward(g, store, &per_query); // [P, K]
 
         // Row `P` is all zeros; every entity that is not pending reads it.
         let zero_row = g.input(Tensor::zeros(1, k));
         let padded = g.concat_rows(&pending_logits, &zero_row);
-        let mut source = vec![pending.len(); obs.encoded.len()];
+        let mut source = vec![pending.len(); obs.len()];
         for (j, &e) in pending.iter().enumerate() {
             source[e] = j;
         }
         let per_entity_logits = g.select_rows(&padded, &source); // [n, K]
-        let flat = g.reshape(&per_entity_logits, 1, obs.encoded.len() * k);
-        let mask = Tensor::from_vec(1, obs.mask.len(), obs.mask.clone());
-        (g.add_const(&flat, &mask), global)
+        let flat = g.reshape(&per_entity_logits, 1, obs.len() * k);
+        (g.add_const(&flat, &input.mask), global)
     }
 }
 
@@ -267,10 +374,11 @@ impl ActorCritic for BqSchedModel {
 
     /// Records the policy head for the pending entities only: the loss
     /// never reads the other logits, which the mask sets to exactly
-    /// [`MASK_VALUE`](crate::MASK_VALUE).
+    /// [`MASK_VALUE`].
     fn evaluate(&self, g: &mut Graph, store: &ParamStore, obs: &BqObs) -> (NodeId, NodeId) {
-        let x = obs.encoded.project(g, store, self.input_proj());
-        let (logits, global) = self.policy(g, store, obs, &x);
+        let input = obs.encode();
+        let x = input.encoded.project(g, store, self.input_proj());
+        let (logits, global) = self.policy(g, store, &input, &x);
         let value = self.value_head.forward(g, store, &global);
         (logits, value)
     }
@@ -282,8 +390,9 @@ impl ActorCritic for BqSchedModel {
         obs: &BqObs,
         index: usize,
     ) -> NodeId {
-        let x = obs.encoded.project(g, store, self.input_proj());
-        let (row, _) = self.representations(g, store, &obs.encoded, &x, &[index]);
+        let input = obs.encode();
+        let x = input.encoded.project(g, store, self.input_proj());
+        let (row, _) = self.representations(g, store, &input.encoded, &x, &[index]);
         self.aux_head.forward(g, store, &row)
     }
 }
@@ -304,25 +413,37 @@ struct PendingDecision {
 }
 
 /// Round-invariant observation data, computed once per clustering instead of
-/// on every scheduling decision.
+/// on every scheduling decision, and shared by the agent's decision
+/// encoding and every observation it stores.
 ///
-/// The cluster member lists, the sum-pooled per-entity plan embeddings and
-/// the per-entity historical-time sums depend only on the (fixed) clustering,
-/// the (frozen) plan embeddings and the (fixed) history — never on the
-/// execution state — so rebuilding them per decision is pure waste. Everything
-/// that *does* vary with the state (statuses, elapsed times, running/pending
-/// sets, the selectable mask) is still derived fresh from the observable
-/// state on every decision.
+/// The cluster member lists, the sum-pooled per-entity plan embeddings, the
+/// per-entity historical-time sums and the logit mask depend only on the
+/// (fixed) clustering, the (frozen) plan embeddings, the (fixed) history
+/// and the adaptive mask — never on the execution state — so one copy
+/// serves every decision of the agent. What *does* vary with the state
+/// (statuses, running parameters and elapsed times) is what each
+/// [`BqObs`] stores; the running and pending lists, the features and the
+/// selectable rows of the mask are derived from it.
+#[derive(Debug)]
 struct EntityCache {
     member_lists: Vec<Vec<QueryId>>,
-    /// `[n, plan_dim]` sum-pooled member plan embeddings (paper §IV-B).
-    entity_embs: Tensor,
+    /// `[n, plan_dim]` sum-pooled member plan embeddings (paper §IV-B), the
+    /// one allocation every encoding of the agent reads.
+    entity_embs: Arc<Tensor>,
     /// Sum of historical average times over each entity's members.
     avg_sums: Vec<f64>,
+    /// `[n, configs]` additive logit mask with every entity selectable
+    /// ([`AdaptiveMask::logit_mask`]).
+    mask: Tensor,
 }
 
 impl EntityCache {
-    fn build(clustering: &QueryClustering, plan_embs: &Tensor, avg_times: &[f64]) -> Self {
+    fn build(
+        clustering: &QueryClustering,
+        plan_embs: &Tensor,
+        avg_times: &[f64],
+        mask: &AdaptiveMask,
+    ) -> Self {
         let member_lists = clustering.clusters();
         let plan_dim = plan_embs.cols();
         let n = member_lists.len();
@@ -337,10 +458,12 @@ impl EntityCache {
                 avg_sums[e] += avg_times[q.0];
             }
         }
+        let logit_mask = mask.logit_mask(&member_lists);
         Self {
-            member_lists,
-            entity_embs: Tensor::from_vec(n, plan_dim, emb_data),
+            entity_embs: Arc::new(Tensor::from_vec(n, plan_dim, emb_data)),
             avg_sums,
+            mask: Tensor::from_vec(n, mask.num_configs(), logit_mask),
+            member_lists,
         }
     }
 }
@@ -353,12 +476,15 @@ pub struct BqSchedAgent {
     pub model: BqSchedModel,
     /// Learnable parameters of the decision model.
     pub store: ParamStore,
-    plan_embs: Tensor,
+    plan_embs: Arc<Tensor>,
     avg_times: Vec<f64>,
     mask: AdaptiveMask,
     clustering: QueryClustering,
     space: ParamSpace,
-    entity_cache: EntityCache,
+    entity_cache: Arc<EntityCache>,
+    /// The encoding the decision loop evaluates, rewritten in place from
+    /// each decision's observation.
+    encoding: Encoding,
     /// The decision loop's per-round state: the projected input rows and
     /// the first attention block carried from the last decision, dropped
     /// whenever training, or any other mutable access to `store`, moves the
@@ -440,16 +566,22 @@ impl BqSchedAgent {
 
         let mut store = ParamStore::new();
         let model = BqSchedModel::new(&config, space.len(), &mut store);
-        let entity_cache = EntityCache::build(&clustering, &plan_embs, &avg_times);
+        let entity_cache = Arc::new(EntityCache::build(
+            &clustering,
+            &plan_embs,
+            &avg_times,
+            &mask,
+        ));
         Self {
             config,
             model,
             store,
-            plan_embs,
+            plan_embs: Arc::new(plan_embs),
             avg_times,
             mask,
             clustering,
             space,
+            encoding: Encoding::new(&entity_cache),
             entity_cache,
             decision_cache: InputRowCache::default(),
             rng,
@@ -471,18 +603,12 @@ impl BqSchedAgent {
         std::mem::take(&mut self.finished_rollout)
     }
 
-    /// Build the entity-level observation and mask for a scheduling state.
-    ///
-    /// Round-invariant data (member lists, sum-pooled plan embeddings,
-    /// historical-time sums) is served from [`EntityCache`]; everything
-    /// derived from the execution state is recomputed fresh every decision.
+    /// The entity-level observation of a scheduling state: each entity's
+    /// status, and the aggregate of its running members.
     fn build_obs(&self, state: &SchedulingState<'_>) -> BqObs {
         let cache = &self.entity_cache;
-        let n = cache.member_lists.len();
+        let mut status = Vec::with_capacity(cache.member_lists.len());
         let mut running = Vec::new();
-        let mut pending = Vec::new();
-        let mut selectable = vec![false; n];
-        let mut feat_data = vec![0.0f32; n * STATE_FEATURE_DIM];
         for (e, members) in cache.member_lists.iter().enumerate() {
             let mut any_pending = false;
             let mut first_running: Option<QueryId> = None;
@@ -501,57 +627,44 @@ impl BqSchedAgent {
                     _ => {}
                 }
             }
-            let status = if any_pending {
+            status.push(if any_pending {
                 QueryStatus::Pending
             } else if running_count > 0 {
                 QueryStatus::Running
             } else {
                 QueryStatus::Finished
-            };
-            if running_count > 0 {
-                running.push(e);
+            });
+            if let Some(q) = first_running {
+                running.push(RunningEntity {
+                    entity: e,
+                    params: state.queries[q.0].params,
+                    elapsed: elapsed_sum / running_count as f64,
+                });
             }
-            if any_pending {
-                pending.push(e);
-                selectable[e] = true;
-            }
-            let elapsed = if running_count == 0 {
-                0.0
-            } else {
-                elapsed_sum / running_count as f64
-            };
-            let runtime = QueryRuntime {
-                status,
-                params: first_running.and_then(|q| state.queries[q.0].params),
-                elapsed,
-                avg_exec_time: cache.avg_sums[e],
-            };
-            let row = &mut feat_data[e * STATE_FEATURE_DIM..(e + 1) * STATE_FEATURE_DIM];
-            write_state_features(row, &runtime);
         }
-        let encoded = EncodedObservation {
-            plan_embs: cache.entity_embs.clone(),
-            features: Tensor::from_vec(n, STATE_FEATURE_DIM, feat_data),
+        BqObs {
+            status,
             running,
-            pending,
-        };
-        let mask = self.mask.logit_mask(&cache.member_lists, &selectable);
-        BqObs { encoded, mask }
+            cache: Arc::clone(cache),
+        }
     }
 
     /// Evaluate the policy on an observation and pick an action (sampling
     /// when exploring, argmax otherwise).
     ///
-    /// Runs the body of [`ActorCritic::evaluate`] eagerly — bitwise the
+    /// Rewrites the agent's one decision encoding from `obs` and runs the
+    /// body of [`ActorCritic::evaluate`] on it eagerly — bitwise the
     /// probabilities of the recorded pass the trainers use, without building
     /// a graph per decision — with the input projection and the first
     /// attention block carried over from the last decision, and dropped
     /// whenever the parameter-store version moved (a training update, or
     /// any other mutable access to the store).
     fn decide(&mut self, obs: &BqObs) -> Decision {
+        obs.encode_into(&mut self.encoding);
         let (model, store, cache) = (&self.model, &self.store, &mut self.decision_cache);
-        let x = cache.project(store, model.input_proj(), &obs.encoded);
-        let (logits, global) = model.policy(&mut cache.evaluator(), store, obs, &Cow::Owned(x));
+        let input = &self.encoding;
+        let x = cache.project(store, model.input_proj(), &input.encoded);
+        let (logits, global) = model.policy(&mut cache.evaluator(), store, input, &Cow::Owned(x));
         // Greedy mode never reads the value estimate, so only exploration
         // runs the value head.
         let value = if self.explore {
@@ -596,7 +709,7 @@ impl BqSchedAgent {
         let config_idx = action % k;
         if self.explore {
             self.decisions.push(PendingDecision {
-                obs: obs.clone(),
+                obs,
                 action,
                 log_prob,
                 value,
@@ -712,7 +825,7 @@ impl SchedulerPolicy for BqSchedAgent {
                 .and_then(|earliest| {
                     let entity = self.clustering.cluster_of(earliest.query);
                     let position = entity;
-                    if position < d.obs.encoded.len() {
+                    if position < d.obs.len() {
                         Some(AuxTarget {
                             earliest_index: position,
                             finish_time: ((earliest.finished_at - d.time) / TIME_SCALE) as f32,
@@ -908,7 +1021,7 @@ pub fn pretrain_on_simulator(
     profile: &DbmsProfile,
     tc: &TrainingConfig,
 ) -> TrainingCurve {
-    let plan_embs = agent.plan_embeddings().clone();
+    let plan_embs = Arc::clone(agent.plan_embeddings());
     let avg: Vec<f64> = (0..workload.len())
         .map(|i| history.avg_exec_time(QueryId(i)).unwrap_or(1.0))
         .collect();
@@ -926,8 +1039,8 @@ pub fn pretrain_on_simulator(
 /// Plan embeddings of the agent (shared with the simulator during
 /// pre-training so both models describe queries in the same space).
 impl BqSchedAgent {
-    /// Per-query plan embeddings `[n, plan_dim]`.
-    pub fn plan_embeddings(&self) -> &Tensor {
+    /// Per-query plan embeddings `[n, plan_dim]`, shared.
+    pub fn plan_embeddings(&self) -> &Arc<Tensor> {
         &self.plan_embs
     }
 }
@@ -1189,8 +1302,9 @@ mod tests {
             for obs in sample_states(&agent, &w) {
                 let mut g = Graph::new();
                 let (logits_g, value_g) = model.evaluate(&mut g, store, &obs);
-                let x = Cow::Owned(cache.project(store, model.input_proj(), &obs.encoded));
-                let (logits_e, global) = model.policy(&mut cache.evaluator(), store, &obs, &x);
+                let input = obs.encode();
+                let x = Cow::Owned(cache.project(store, model.input_proj(), &input.encoded));
+                let (logits_e, global) = model.policy(&mut cache.evaluator(), store, &input, &x);
                 let value_e = model
                     .value_head
                     .forward(&mut Eager::default(), store, &global);
@@ -1367,6 +1481,223 @@ mod tests {
         }
     }
 
+    /// The per-entity aggregation `build_obs` ran when observations stored
+    /// their encoding: the features, running and pending lists and mask it
+    /// wrote for `state`.
+    fn reference_encoding(agent: &BqSchedAgent, state: &SchedulingState<'_>) -> Encoding {
+        let cache = &agent.entity_cache;
+        let n = cache.member_lists.len();
+        let k = agent.model.num_configs();
+        let mut running = Vec::new();
+        let mut pending = Vec::new();
+        let mut features = vec![0.0f32; n * STATE_FEATURE_DIM];
+        let mut mask = vec![0.0f32; n * k];
+        for (e, members) in cache.member_lists.iter().enumerate() {
+            let mut any_pending = false;
+            let mut first_running: Option<QueryId> = None;
+            let mut running_count = 0usize;
+            let mut elapsed_sum = 0.0f64;
+            for q in members {
+                match state.queries[q.0].status {
+                    QueryStatus::Pending => any_pending = true,
+                    QueryStatus::Running => {
+                        if first_running.is_none() {
+                            first_running = Some(*q);
+                        }
+                        running_count += 1;
+                        elapsed_sum += state.queries[q.0].elapsed;
+                    }
+                    _ => {}
+                }
+            }
+            let status = if any_pending {
+                QueryStatus::Pending
+            } else if running_count > 0 {
+                QueryStatus::Running
+            } else {
+                QueryStatus::Finished
+            };
+            if running_count > 0 {
+                running.push(e);
+            }
+            if any_pending {
+                pending.push(e);
+            }
+            let elapsed = if running_count == 0 {
+                0.0
+            } else {
+                elapsed_sum / running_count as f64
+            };
+            let runtime = QueryRuntime {
+                status,
+                params: first_running.and_then(|q| state.queries[q.0].params),
+                elapsed,
+                avg_exec_time: cache.avg_sums[e],
+            };
+            let row = &mut features[e * STATE_FEATURE_DIM..(e + 1) * STATE_FEATURE_DIM];
+            write_state_features(row, &runtime);
+            for cfg in 0..k {
+                let config_ok = members.iter().any(|q| agent.mask.allowed(*q)[cfg]);
+                if !any_pending || !config_ok {
+                    mask[e * k + cfg] = MASK_VALUE;
+                }
+            }
+        }
+        Encoding {
+            encoded: EncodedObservation {
+                plan_embs: Arc::clone(&cache.entity_embs),
+                features: Tensor::from_vec(n, STATE_FEATURE_DIM, features),
+                running,
+                pending,
+            },
+            mask: Tensor::from_vec(1, n * k, mask),
+        }
+    }
+
+    /// Assert that `input` holds exactly `expected`'s features, lists and
+    /// mask, bit for bit.
+    fn assert_same_encoding(input: &Encoding, expected: &Encoding, what: &str) {
+        let (a, b) = (&input.encoded, &expected.encoded);
+        assert!(
+            bits(a.features.data()) == bits(b.features.data()),
+            "{what}: features"
+        );
+        assert_eq!(a.running, b.running, "{what}: running entities");
+        assert_eq!(a.pending, b.pending, "{what}: pending entities");
+        let mask = bits(input.mask.data()) == bits(expected.mask.data());
+        assert!(mask, "{what}: mask");
+    }
+
+    #[test]
+    fn a_pending_cluster_encodes_its_running_members() {
+        // One cluster pends while two of its members run with different
+        // parameters and elapsed times; another cluster only runs and a
+        // third is finished. The pending cluster's row carries its first
+        // running member's worker and memory one-hots and their mean
+        // elapsed time, and every row, list and mask entry has the bits of
+        // `reference_encoding`, the aggregation stored encodings were
+        // built by.
+        let w = tiny_workload();
+        let profile = DbmsProfile::dbms_x();
+        let history = collect_history(&mut FifoScheduler::new(), &w, &profile, 2, 0);
+        let config = fast_config().with_clusters(6);
+        let agent = BqSchedAgent::new(&w, &profile, Some(&history), config);
+        let members = &agent.entity_cache.member_lists;
+        let cluster = members
+            .iter()
+            .position(|m| m.len() >= 3)
+            .expect("a cluster of 3");
+        let others: Vec<usize> = (0..members.len()).filter(|&e| e != cluster).collect();
+        let mut queries: Vec<QueryRuntime> =
+            (0..w.len()).map(|_| QueryRuntime::pending(1.0)).collect();
+        let mut run = |q: QueryId, workers, memory, elapsed| {
+            let q = &mut queries[q.0];
+            q.status = QueryStatus::Running;
+            q.params = Some(RunParams { workers, memory });
+            q.elapsed = elapsed;
+        };
+        let [_, first, second, ..] = members[cluster][..] else {
+            unreachable!()
+        };
+        run(first, 4, bq_dbms::MemoryGrant::High, 3.0);
+        run(second, 2, bq_dbms::MemoryGrant::Low, 1.25);
+        for &q in &members[others[0]] {
+            run(q, 1, bq_dbms::MemoryGrant::Low, 0.5);
+        }
+        for &q in &members[others[1]] {
+            queries[q.0].status = QueryStatus::Finished;
+        }
+        let state = SchedulingState {
+            workload: &w,
+            now: 4.0,
+            queries: &queries,
+        };
+        let input = agent.build_obs(&state).encode();
+        let reference = reference_encoding(&agent, &state);
+        assert_same_encoding(&input, &reference, "clustered state");
+
+        let encoded = &input.encoded;
+        assert!(encoded.pending.contains(&cluster) && encoded.running.contains(&cluster));
+        assert!(encoded.running.contains(&others[0]) && !encoded.pending.contains(&others[0]));
+        assert!(!encoded.running.contains(&others[1]) && !encoded.pending.contains(&others[1]));
+        let row = encoded.features.row_slice(cluster);
+        let mut expected = [0.0f32; STATE_FEATURE_DIM];
+        expected[QueryStatus::Pending.index()] = 1.0;
+        expected[3 + 2] = 1.0; // 4 workers
+        expected[3 + bq_dbms::WORKER_OPTIONS.len() + 1] = 1.0; // high memory
+        expected[STATE_FEATURE_DIM - 2] = ((3.0 + 1.25) / 2.0 / TIME_SCALE) as f32;
+        expected[STATE_FEATURE_DIM - 1] =
+            (agent.entity_cache.avg_sums[cluster] / TIME_SCALE) as f32;
+        assert!(bits(row) == bits(&expected), "pending cluster row {row:?}");
+    }
+
+    /// The agent, keeping a copy of the encoding each of its decisions
+    /// evaluated.
+    struct Recording {
+        agent: BqSchedAgent,
+        evaluated: Vec<Encoding>,
+    }
+
+    impl SchedulerPolicy for Recording {
+        fn name(&self) -> &str {
+            self.agent.name()
+        }
+
+        fn begin_episode(&mut self, workload: &Workload) {
+            self.agent.begin_episode(workload);
+        }
+
+        fn select(&mut self, state: &SchedulingState<'_>) -> Action {
+            let decided = self.agent.decisions.len();
+            let action = self.agent.select(state);
+            if self.agent.decisions.len() > decided {
+                self.evaluated.push(self.agent.encoding.clone());
+            }
+            action
+        }
+
+        fn end_episode(&mut self, log: &EpisodeLog) {
+            self.agent.end_episode(log);
+        }
+    }
+
+    #[test]
+    fn stored_transitions_re_encode_to_what_their_decisions_evaluated() {
+        // Over one exploring round, each stored observation encodes to the
+        // bits of the features, lists and mask its decision evaluated, and
+        // every one of them reads the agent's one entity cache: one
+        // embedding allocation and one mask.
+        let w = tiny_workload();
+        let profile = DbmsProfile::dbms_x();
+        let history = collect_history(&mut FifoScheduler::new(), &w, &profile, 2, 0);
+        for config in [fast_config(), fast_config().with_clusters(6)] {
+            let agent = BqSchedAgent::new(&w, &profile, Some(&history), config);
+            let mut recording = Recording {
+                agent,
+                evaluated: Vec::new(),
+            };
+            run_once(&mut recording, &w, &profile, Some(&history), 3);
+            let Recording {
+                mut agent,
+                evaluated,
+            } = recording;
+            let rollout = agent.take_rollout();
+            assert_eq!(rollout.len(), evaluated.len());
+            assert!(rollout.len() > 1);
+            let cache = &agent.entity_cache;
+            for (i, (t, seen)) in rollout.transitions().iter().zip(&evaluated).enumerate() {
+                assert!(Arc::ptr_eq(&t.obs.cache, cache), "one entity cache");
+                let input = t.obs.encode();
+                let embs = [&input.encoded.plan_embs, &seen.encoded.plan_embs];
+                assert!(
+                    embs.iter().all(|e| Arc::ptr_eq(e, &cache.entity_embs)),
+                    "one embedding allocation"
+                );
+                assert_same_encoding(&input, seen, &format!("transition {i}"));
+            }
+        }
+    }
+
     /// The all-rows reference for the recorded passes: encode every entity,
     /// run the heads on every row, and select the rows the loss reads
     /// afterwards — the shape `evaluate` and `aux_prediction` had before
@@ -1378,14 +1709,14 @@ mod tests {
 
         fn evaluate(&self, g: &mut Graph, store: &ParamStore, obs: &BqObs) -> (NodeId, NodeId) {
             let model = self.0;
-            let n = obs.encoded.len();
+            let input = obs.encode();
+            let n = input.encoded.len();
             let all: Vec<usize> = (0..n).collect();
-            let x = obs.encoded.project(g, store, model.input_proj());
-            let (per_query, global) = model.representations(g, store, &obs.encoded, &x, &all);
+            let x = input.encoded.project(g, store, model.input_proj());
+            let (per_query, global) = model.representations(g, store, &input.encoded, &x, &all);
             let per_entity_logits = model.policy_head.forward(g, store, &per_query);
             let flat = g.reshape(per_entity_logits, 1, n * model.num_configs);
-            let mask = Tensor::from_vec(1, obs.mask.len(), obs.mask.clone());
-            let logits = g.add_const(flat, &mask);
+            let logits = g.add_const(flat, &input.mask);
             let value = model.value_head.forward(g, store, &global);
             (logits, value)
         }
@@ -1398,9 +1729,10 @@ mod tests {
             index: usize,
         ) -> NodeId {
             let model = self.0;
-            let all: Vec<usize> = (0..obs.encoded.len()).collect();
-            let x = obs.encoded.project(g, store, model.input_proj());
-            let (per_query, _) = model.representations(g, store, &obs.encoded, &x, &all);
+            let input = obs.encode();
+            let all: Vec<usize> = (0..input.encoded.len()).collect();
+            let x = input.encoded.project(g, store, model.input_proj());
+            let (per_query, _) = model.representations(g, store, &input.encoded, &x, &all);
             let row = g.select_rows(per_query, &[index]);
             model.aux_head.forward(g, store, &row)
         }

@@ -119,18 +119,19 @@ impl AdaptiveMask {
         self.default_config
     }
 
-    /// Additive logit mask of shape `[1, entities × num_configs]` where entity
-    /// `i` maps to logit columns `i*K .. (i+1)*K`. `entity_queries[i]` lists
-    /// the queries represented by entity `i` (a single query, or the members
-    /// of a cluster); an entity/config pair is masked if the entity is not
-    /// selectable or the configuration is masked for *all* of its queries.
-    pub fn logit_mask(&self, entity_queries: &[Vec<QueryId>], selectable: &[bool]) -> Vec<f32> {
+    /// Additive logit mask of shape `[entities, num_configs]`, row-major:
+    /// entity `i` maps to entries `i*K .. (i+1)*K`. `entity_queries[i]`
+    /// lists the queries represented by entity `i` (a single query, or the
+    /// members of a cluster); an entity/config pair is masked if the
+    /// configuration is masked for *all* of its queries. Every entity is
+    /// treated as selectable; a decision masks the entities it cannot
+    /// select on top of this.
+    pub fn logit_mask(&self, entity_queries: &[Vec<QueryId>]) -> Vec<f32> {
         let k = self.num_configs();
         let mut mask = vec![0.0f32; entity_queries.len() * k];
         for (e, members) in entity_queries.iter().enumerate() {
             for cfg in 0..k {
-                let config_ok = members.iter().any(|q| self.allowed[q.0][cfg]);
-                if !selectable[e] || !config_ok {
+                if !members.iter().any(|q| self.allowed[q.0][cfg]) {
                     mask[e * k + cfg] = MASK_VALUE;
                 }
             }
@@ -203,19 +204,45 @@ mod tests {
     }
 
     #[test]
-    fn logit_mask_blocks_unselectable_entities() {
+    fn logit_mask_blocks_configs_no_member_allows() {
+        // A singleton entity's row copies its query's mask; a cluster masks
+        // a configuration only when every member masks it.
         let (w, space, low) = setup();
         let m = AdaptiveMask::from_workload(&w, &space, low);
-        let entities: Vec<Vec<QueryId>> = (0..3).map(|i| vec![QueryId(i)]).collect();
-        let selectable = vec![true, false, true];
-        let mask = m.logit_mask(&entities, &selectable);
-        assert_eq!(mask.len(), 3 * space.len());
-        // Entity 1 fully masked.
-        for k in 0..space.len() {
-            assert_eq!(mask[space.len() + k], MASK_VALUE);
+        let io_query = w
+            .iter()
+            .find(|(_, q)| q.profile.is_io_intensive())
+            .map(|(id, _)| id)
+            .expect("workload should contain an IO-intensive query");
+        let open_query = (0..w.len())
+            .map(QueryId)
+            .find(|&q| {
+                m.allowed(io_query)
+                    .iter()
+                    .zip(m.allowed(q))
+                    .any(|(a, b)| !a && *b)
+            })
+            .expect("a query that allows a config the IO-intensive one masks");
+        let entities = vec![vec![io_query], vec![io_query, open_query]];
+        let mask = m.logit_mask(&entities);
+        let k = space.len();
+        assert_eq!(mask.len(), 2 * k);
+        for cfg in 0..k {
+            let single = if m.allowed(io_query)[cfg] {
+                0.0
+            } else {
+                MASK_VALUE
+            };
+            assert_eq!(mask[cfg], single, "singleton config {cfg}");
+            let either = m.allowed(io_query)[cfg] || m.allowed(open_query)[cfg];
+            let pair = if either { 0.0 } else { MASK_VALUE };
+            assert_eq!(mask[k + cfg], pair, "cluster config {cfg}");
         }
-        // Entity 0 has at least the default config unmasked.
-        assert!(mask[m.default_config()] == 0.0);
+        assert!(
+            mask[..k].contains(&MASK_VALUE),
+            "the singleton masks some config"
+        );
+        assert_eq!(mask[m.default_config()], 0.0, "the default is never masked");
     }
 
     #[test]

@@ -20,6 +20,7 @@ use bq_plan::{QueryId, Workload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Adam learning rate of [`SimulatorModel::train`].
 const TRAIN_LR: f32 = 0.01;
@@ -267,11 +268,12 @@ impl SimulatorModel {
 
 /// Reconstruct supervised training samples from execution logs: at every
 /// event time with at least two running queries, record the running set, the
-/// earliest query to finish and its remaining time.
+/// earliest query to finish and its remaining time. Every sample shares
+/// `plan_embs`.
 pub fn samples_from_history(
     workload: &Workload,
     history: &ExecutionHistory,
-    plan_embs: &Tensor,
+    plan_embs: &Arc<Tensor>,
 ) -> Vec<SimSample> {
     let mut samples = Vec::new();
     for episode in history.episodes() {
@@ -355,8 +357,9 @@ pub struct LearnedSimulator<'a> {
     finished: Vec<bool>,
     /// Reusable per-query runtime buffer for building prediction states.
     runtimes: Vec<QueryRuntime>,
-    /// The session's one observation: the plan embeddings are cloned once,
-    /// and each prediction refreshes the state-dependent parts in place.
+    /// The session's one observation, over the caller's shared plan
+    /// embeddings: each prediction refreshes the state-dependent parts in
+    /// place.
     obs: EncodedObservation,
     /// The predicted next completion as `(connection, instant)`, kept
     /// until a submission or a completion changes the running set.
@@ -366,11 +369,12 @@ pub struct LearnedSimulator<'a> {
 }
 
 impl<'a> LearnedSimulator<'a> {
-    /// Create a fresh simulator session (one per simulated scheduling round).
+    /// Create a fresh simulator session (one per simulated scheduling
+    /// round) over shared per-query plan embeddings.
     pub fn new(
         model: &'a SimulatorModel,
         workload: &'a Workload,
-        plan_embs: &Tensor,
+        plan_embs: &Arc<Tensor>,
         avg_times: Vec<f64>,
         connections: usize,
     ) -> Self {
@@ -589,7 +593,7 @@ mod tests {
     use bq_encoder::{PlanEncoder, PlanEncoderConfig};
     use bq_plan::{generate, Benchmark, WorkloadSpec};
 
-    fn setup() -> (Workload, Tensor, ExecutionHistory) {
+    fn setup() -> (Workload, Arc<Tensor>, ExecutionHistory) {
         let w = generate(&WorkloadSpec::new(Benchmark::TpcH, 1.0, 1));
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(0);
@@ -602,7 +606,7 @@ mod tests {
             },
             &mut rng,
         );
-        let embs = enc.embed_workload(&store, &w);
+        let embs = Arc::new(enc.embed_workload(&store, &w));
         let history = collect_history(&mut FifoScheduler::new(), &w, &DbmsProfile::dbms_x(), 2, 0);
         (w, embs, history)
     }

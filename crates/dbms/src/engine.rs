@@ -13,6 +13,18 @@
 //! The engine is non-intrusive in the same sense as the paper: schedulers can
 //! only observe submission and completion times (plus their own submitted
 //! parameters), never the internal resource counters.
+//!
+//! A bounded advance ([`ExecutorBackend::advance_to`]) is exact up to the
+//! event loop's progress floor, `MIN_DT` (1 µs): every step moves the clock
+//! by at least that much, so when a bound falls less than `MIN_DT` before
+//! a completion, the next step overshoots the completion and records it up
+//! to `MIN_DT` late. That is the engine's contract: advancing to an instant
+//! in several steps completes the same queries on the same connections in
+//! the same order as one poll, and each completion may move by less than
+//! `MIN_DT`. Conformance invariant 6 (`tests/backend_conformance.rs`)
+//! holds every backend family to 1 µs. The floor stays because it also
+//! fires in unstepped rounds, so removing it would move the pinned
+//! training fingerprint for a drift no schedule can observe.
 
 use crate::buffer::BufferPool;
 use crate::executor::{ExecEvent, ExecutorBackend};
@@ -228,6 +240,8 @@ const SPILL_IO_FACTOR: f64 = 2.0;
 /// node is scanning the same table (synchronized-scan style sharing).
 const CONCURRENT_SCAN_HIT: f64 = 0.5;
 /// Per-interval minimum advance, to guarantee progress in the event loop.
+/// A bounded advance may therefore move a completion by less than this
+/// (see the module docs).
 const MIN_DT: f64 = 1e-6;
 
 impl ExecutionEngine {

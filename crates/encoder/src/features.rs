@@ -149,6 +149,7 @@ mod tests {
     use bq_core::{QueryStatus, SchedulingState};
     use bq_dbms::RunParams;
     use bq_plan::{generate, Benchmark, WorkloadSpec};
+    use std::sync::Arc;
 
     fn workload() -> bq_plan::Workload {
         generate(&WorkloadSpec::new(Benchmark::TpcH, 1.0, 1))
@@ -206,7 +207,8 @@ mod tests {
             now: 2.5,
             queries: &queries,
         };
-        let m = EncodedObservation::from_state(&state, &Tensor::zeros(w.len(), 1)).features;
+        let m =
+            EncodedObservation::from_state(&state, &Arc::new(Tensor::zeros(w.len(), 1))).features;
         assert_eq!(m.shape(), (w.len(), STATE_FEATURE_DIM));
         // Pending query: status bit 0 set, no params.
         assert_eq!(m.get(0, QueryStatus::Pending.index()), 1.0);

@@ -20,6 +20,7 @@ use bq_nn::{
 };
 use rand::rngs::StdRng;
 use std::borrow::Cow;
+use std::sync::Arc;
 
 /// Hyper-parameters of the state encoder.
 #[derive(Debug, Clone, Copy)]
@@ -42,14 +43,18 @@ impl Default for StateEncoderConfig {
     }
 }
 
-/// A replayable observation: everything needed to re-encode a scheduling
-/// state under the *current* network parameters (PPO-style algorithms
-/// re-evaluate stored states at update time).
+/// The state encoder's input for one scheduling state: everything needed
+/// to encode it under the *current* network parameters.
+///
+/// The features and the running and pending lists are this state's own.
+/// The plan embeddings never change within a round, so they are shared:
+/// every observation built over one embedding table holds an [`Arc`] of
+/// that one allocation, and cloning an observation never copies them.
 #[derive(Debug, Clone)]
 pub struct EncodedObservation {
     /// Per-entity plan embeddings `[n, plan_dim]` (queries, or clusters after
-    /// sum-pooling at cluster-level scheduling).
-    pub plan_embs: Tensor,
+    /// sum-pooling at cluster-level scheduling), shared.
+    pub plan_embs: Arc<Tensor>,
     /// Per-entity running-state features `[n, STATE_FEATURE_DIM]`.
     pub features: Tensor,
     /// Indices of entities currently running.
@@ -59,11 +64,11 @@ pub struct EncodedObservation {
 }
 
 impl EncodedObservation {
-    /// Build an observation from a scheduling state and pre-computed plan
-    /// embeddings (one row per query).
-    pub fn from_state(state: &SchedulingState<'_>, plan_embs: &Tensor) -> Self {
+    /// Build an observation from a scheduling state over shared
+    /// pre-computed plan embeddings (one row per query).
+    pub fn from_state(state: &SchedulingState<'_>, plan_embs: &Arc<Tensor>) -> Self {
         let mut obs = Self {
-            plan_embs: plan_embs.clone(),
+            plan_embs: Arc::clone(plan_embs),
             features: Tensor::zeros(plan_embs.rows(), STATE_FEATURE_DIM),
             running: Vec::new(),
             pending: Vec::new(),
@@ -73,9 +78,8 @@ impl EncodedObservation {
     }
 
     /// Rewrite the state-dependent parts in place from `state`: the
-    /// features and the running and pending lists. The plan embeddings
-    /// are kept, so a session that observes many states of one round
-    /// clones them once.
+    /// features and the running and pending lists. The shared plan
+    /// embeddings are kept.
     pub fn refresh(&mut self, state: &SchedulingState<'_>) {
         assert_eq!(
             self.plan_embs.rows(),
@@ -113,7 +117,7 @@ impl EncodedObservation {
     /// projection, and the whole per-entity encoding of the "w/o attention"
     /// ablation.
     pub fn project<'s, O: Ops<'s>>(&self, g: &mut O, store: &'s ParamStore, mlp: &Mlp) -> O::Value {
-        let plan = g.input(self.plan_embs.clone());
+        let plan = g.input(Tensor::clone(&self.plan_embs));
         let feats = g.input(self.features.clone());
         let x_in = g.concat_cols(&plan, &feats);
         mlp.forward(g, store, &x_in)
@@ -411,11 +415,11 @@ mod tests {
             now: 1.0,
             queries: &queries,
         };
-        let plan_embs = Tensor::from_rows(
+        let plan_embs = Arc::new(Tensor::from_rows(
             &(0..w.len())
                 .map(|i| (0..32).map(|j| ((i * 7 + j) % 11) as f32 * 0.05).collect())
                 .collect::<Vec<_>>(),
-        );
+        ));
         let obs = EncodedObservation::from_state(&state, &plan_embs);
         (w, obs)
     }
@@ -503,7 +507,7 @@ mod tests {
             now: 0.0,
             queries: &queries,
         };
-        let plan_embs = obs_full.plan_embs.slice_rows(0, 5);
+        let plan_embs = Arc::new(obs_full.plan_embs.slice_rows(0, 5));
         let obs_small = EncodedObservation::from_state(&state, &plan_embs);
 
         let mut store = ParamStore::new();
@@ -647,8 +651,9 @@ mod tests {
         let _ = eager_encode(&enc, &store, &obs, &all, &mut warm);
 
         let mut changed = obs.clone();
-        let e = changed.plan_embs.get(1, 5);
-        changed.plan_embs.set(1, 5, e + 0.25);
+        let plan_embs = Arc::make_mut(&mut changed.plan_embs);
+        let e = plan_embs.get(1, 5);
+        plan_embs.set(1, 5, e + 0.25);
         let zero = (0..STATE_FEATURE_DIM)
             .find(|&c| changed.features.get(6, c).to_bits() == 0)
             .expect("a +0.0 feature");
@@ -681,7 +686,7 @@ mod tests {
             now: 0.0,
             queries: &queries,
         };
-        let plan_embs = Tensor::zeros(3, 32);
+        let plan_embs = Arc::new(Tensor::zeros(3, 32));
         let _ = EncodedObservation::from_state(&state, &plan_embs);
     }
 }

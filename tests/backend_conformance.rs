@@ -22,7 +22,11 @@
 //! 4. **Stall surfacing** — healthy rounds never leave a stall diagnostic
 //!    behind;
 //! 5. **Self-description** — the backend reports the workload size it was
-//!    built for and a shard topology spanning exactly its slot space.
+//!    built for and a shard topology spanning exactly its slot space;
+//! 6. **Stepping changes nothing** — a round advanced in bounded steps
+//!    completes the same queries on the same connections in the same order
+//!    as the polled round, each within 1 µs of its polled instant (the
+//!    engine's documented sub-`MIN_DT` drift).
 //!
 //! To hold a new backend to the contract, add one `*_passes_conformance`
 //! test constructing it fresh per seed — nothing else.
@@ -245,6 +249,111 @@ fn check_reports_its_workload_and_topology<E: ExecutorBackend>(
     );
 }
 
+/// How far a stepped completion may lie from its polled instant: the
+/// engine's `MIN_DT` floor lets a bounded advance move a completion by less
+/// than 1 µs (see the `bq_dbms::engine` module docs).
+const STEP_DRIFT: f64 = 1e-6;
+
+/// How one hand-driven round waits for its next completion.
+#[derive(Clone, Copy)]
+enum Drive {
+    /// Poll, advancing to the next completion.
+    Polled,
+    /// Call `advance_to(now + step)` whenever nothing is buffered, and
+    /// fail after `max_idle` such advances in a row buffer nothing.
+    Stepped { step: f64, max_idle: usize },
+}
+
+/// The completions of one FIFO round driven by hand, in the order they
+/// are buffered: refill the free connections in query order, then wait as
+/// `drive` says.
+fn hand_driven_completions<E: ExecutorBackend>(
+    name: &str,
+    w: &Workload,
+    backend: &mut E,
+    drive: Drive,
+) -> Vec<QueryCompletion> {
+    let mut completed = Vec::new();
+    let mut next = 0usize;
+    let mut idle = 0usize;
+    while completed.len() < w.len() {
+        while next < w.len() {
+            let Some(free) = backend.first_free() else {
+                break;
+            };
+            backend.submit(QueryId(next), RunParams::default_config(), free);
+            next += 1;
+        }
+        match drive {
+            Drive::Polled => {
+                if let ExecEvent::Completed(c) = backend.poll_event() {
+                    completed.push(c);
+                }
+            }
+            Drive::Stepped { step, max_idle } if !backend.events_pending() => {
+                idle += 1;
+                assert!(
+                    idle <= max_idle,
+                    "{name}: {max_idle} advances of {step} s in a row buffered no completion"
+                );
+                backend.advance_to(backend.now() + step);
+            }
+            Drive::Stepped { .. } => {}
+        }
+        let buffered = drain_completions(backend);
+        if !buffered.is_empty() {
+            idle = 0;
+        }
+        completed.extend(buffered);
+    }
+    completed
+}
+
+/// Invariant 6: advancing in bounded steps changes nothing. One FIFO round
+/// is driven by hand on fresh backends of one seed, polled and then
+/// stepped at 0.01 s and at 0.5 s; all three complete the same `(query,
+/// connection)` sequence, each instant within [`STEP_DRIFT`] of the polled
+/// one. The adapter's admissions, the chaos decorator's thaws and the wire
+/// server's arrival advance all stop the clock between completions, so
+/// stopping must not move what happens. A stepped round fails once it
+/// advances two steps longer than the polled round's longest wait for a
+/// completion without buffering one.
+fn check_stepped_rounds_match_the_polled_round<E, F>(name: &str, w: &Workload, fresh: &mut F)
+where
+    E: ExecutorBackend,
+    F: FnMut(u64) -> E,
+{
+    let polled = hand_driven_completions(name, w, &mut fresh(17), Drive::Polled);
+    let instants = polled.iter().map(|c| c.finished_at);
+    let longest_wait = instants
+        .clone()
+        .zip([0.0].into_iter().chain(instants))
+        .map(|(t, before)| t - before)
+        .fold(0.0, f64::max);
+    let order = |cs: &[QueryCompletion]| -> Vec<(QueryId, usize)> {
+        cs.iter().map(|c| (c.query, c.connection)).collect()
+    };
+    for step in [0.01, 0.5] {
+        let max_idle = (longest_wait / step).ceil() as usize + 2;
+        let drive = Drive::Stepped { step, max_idle };
+        let stepped = hand_driven_completions(name, w, &mut fresh(17), drive);
+        assert_eq!(
+            order(&stepped),
+            order(&polled),
+            "{name}: steps of {step} s changed the completion sequence"
+        );
+        for (s, p) in stepped.iter().zip(&polled) {
+            assert!(
+                (s.finished_at - p.finished_at).abs() <= STEP_DRIFT,
+                "{name}: steps of {step} s moved {:?} from {} to {}",
+                p.query,
+                p.finished_at,
+                s.finished_at
+            );
+        }
+    }
+}
+
 /// The full conformance suite over one backend family; `fresh(seed)` must
 /// build a cold backend for `w` with at least 6 connections.
 fn conformance_suite<E, F>(name: &str, w: &Workload, mut fresh: F)
@@ -257,6 +366,7 @@ where
     check_running_view_is_connection_ordered(name, &mut fresh(5));
     check_healthy_rounds_surface_no_stall(name, w, &mut fresh);
     check_reports_its_workload_and_topology(name, w, &fresh(13));
+    check_stepped_rounds_match_the_polled_round(name, w, &mut fresh);
 }
 
 #[test]

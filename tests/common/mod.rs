@@ -10,6 +10,7 @@ use bqsched::plan::Workload;
 use bqsched::rand::rngs::StdRng;
 use bqsched::rand::SeedableRng;
 use bqsched::sched::{SimulatorConfig, SimulatorModel};
+use std::sync::Arc;
 
 /// Run one round through the session facade against any backend.
 pub fn session_round<E: ExecutorBackend>(
@@ -26,7 +27,7 @@ pub fn session_round<E: ExecutorBackend>(
 
 /// Build a learned-simulator backend over an (untrained, deterministic)
 /// prediction model. Returns the pieces the simulator borrows.
-pub fn simulator_parts(workload: &Workload) -> (SimulatorModel, Tensor, Vec<f64>) {
+pub fn simulator_parts(workload: &Workload) -> (SimulatorModel, Arc<Tensor>, Vec<f64>) {
     let mut store = ParamStore::new();
     let mut rng = StdRng::seed_from_u64(0);
     let enc = bqsched::encoder::PlanEncoder::new(
@@ -38,7 +39,7 @@ pub fn simulator_parts(workload: &Workload) -> (SimulatorModel, Tensor, Vec<f64>
         },
         &mut rng,
     );
-    let embs = enc.embed_workload(&store, workload);
+    let embs = Arc::new(enc.embed_workload(&store, workload));
     let config = SimulatorConfig {
         encoder: bqsched::encoder::StateEncoderConfig {
             dim: 16,
