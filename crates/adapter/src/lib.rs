@@ -1,11 +1,10 @@
 //! Async submission adapter over any [`ExecutorBackend`].
 //!
 //! Every in-process backend admits a submission synchronously inside
-//! `submit()`: the slot turns `Busy` at the call site and only the
-//! [`ExecEvent::Submitted`] echo is deferred to `poll_event`. A real DBMS
-//! does not work that way — submissions cross a client/server boundary,
-//! spend time in flight, and are acknowledged asynchronously, possibly out
-//! of a bounded server-side admission window. [`AsyncAdapter`] models that
+//! `submit()`: the slot turns `Busy` at the call site. A real DBMS does not
+//! work that way — submissions cross a client/server boundary, spend time in
+//! flight, and are admitted asynchronously, possibly out of a bounded
+//! server-side admission window. [`AsyncAdapter`] models that
 //! boundary on top of any existing backend, so the scheduler stack can be
 //! exercised against realistic dispatch dynamics without touching the
 //! executors themselves.
@@ -24,10 +23,12 @@
 //!    queue). The slot is occupied but has no `started_at`, so queued time
 //!    never counts as execution time;
 //! 3. **admitted** — the latency elapsed in virtual time: the adapter
-//!    forwards the submission to the wrapped backend, the slot turns
-//!    [`ConnectionSlot::Busy`] stamped at the admission instant, and
-//!    [`ExecEvent::Submitted`] is delivered from
-//!    [`ExecutorBackend::poll_event`] — never from inside `submit`;
+//!    forwards the submission to the wrapped backend and the slot turns
+//!    [`ConnectionSlot::Busy`] stamped at the admission instant. Admission
+//!    is not an event: [`ExecutorBackend::poll_event`] applies every
+//!    admission due on its way to the next completion, and
+//!    [`ExecutorBackend::advance_to`] every admission due by its bound —
+//!    never `submit`;
 //! 4. **running / completed** — exactly the wrapped backend's semantics.
 //!
 //! # Determinism
@@ -209,10 +210,10 @@ struct Admission {
 /// Models the client/server dispatch boundary of a real DBMS over any
 /// wrapped [`ExecutorBackend`].
 ///
-/// Submissions enter an admission queue and are acknowledged
-/// **asynchronously**: [`ExecEvent::Submitted`] is delivered from
-/// [`ExecutorBackend::poll_event`] only once the dispatch's seeded admission
-/// latency has elapsed in virtual time, never synchronously at `submit`
+/// Submissions enter an admission queue and are admitted
+/// **asynchronously**: the wrapped backend receives a dispatch only once its
+/// seeded admission latency has elapsed in virtual time, when a poll or a
+/// bounded advance reaches that instant, never synchronously at `submit`
 /// time. While queued, the connection's slot reads
 /// [`ConnectionSlot::Pending`] — occupied, but with no `started_at`, so the
 /// running view leaves out dispatched-but-not-admitted work. Beyond the
@@ -435,6 +436,29 @@ impl<B: ExecutorBackend> AsyncAdapter<B> {
         unreachable!("a pending slot is always queued or awaiting admission");
     }
 
+    /// Admit the dispatches due by `until` in `(due, dispatch index)` order,
+    /// moving the inner clock to each due instant. Stops early, with the
+    /// clock at the completion, when the inner backend buffers one on the
+    /// way: the completion delivers before any later admission.
+    fn admit_due(&mut self, until: f64) {
+        while !self.inner.events_pending() {
+            let Some(idx) = self.earliest_admission() else {
+                return;
+            };
+            let due = self.admissions[idx].due;
+            if due > until {
+                return;
+            }
+            if due > self.inner.now() {
+                self.inner.advance_to(due);
+                if self.inner.events_pending() {
+                    return;
+                }
+            }
+            self.deliver_admission(idx);
+        }
+    }
+
     /// Pull the next inner event, freeing the mirror slot of a delivered
     /// completion.
     fn forward_event(&mut self) -> ExecEvent {
@@ -463,58 +487,25 @@ impl<B: ExecutorBackend> ExecutorBackend for AsyncAdapter<B> {
         self.enqueue(batch);
     }
 
+    /// Admit every dispatch due on the way to the next inner completion,
+    /// then deliver that completion.
     fn poll_event(&mut self) -> ExecEvent {
-        loop {
-            if self.inner.events_pending() {
-                return self.forward_event();
-            }
-            let Some(idx) = self.earliest_admission() else {
-                // No admission in flight: pure passthrough (advance to the
-                // next inner completion, or report Idle).
-                return self.forward_event();
-            };
-            let due = self.admissions[idx].due;
-            if due > self.inner.now() {
-                // Never let the inner clock free-run past the admission
-                // instant; completions occurring on the way deliver first.
-                self.inner.advance_to(due);
-                if self.inner.events_pending() {
-                    return self.forward_event();
-                }
-            }
-            self.deliver_admission(idx);
-            // The admitted submissions' echoes are now buffered on the
-            // inner backend; the next iteration forwards the first one.
-        }
+        self.admit_due(f64::INFINITY);
+        self.forward_event()
     }
 
+    /// Whether the inner backend has a completion buffered. A due admission
+    /// is not an event: the next poll or advance applies it.
     fn events_pending(&self) -> bool {
         self.inner.events_pending()
-            || self
-                .earliest_admission()
-                .is_some_and(|i| self.admissions[i].due <= self.inner.now())
     }
 
+    /// Admit every dispatch due by `until`, then reach `until` unless a
+    /// completion comes first.
     fn advance_to(&mut self, until: f64) {
-        if self.inner.events_pending() {
-            // Buffered events precede the bound; the caller drains them
-            // first (the same contract every backend keeps).
-            return;
-        }
-        match self.earliest_admission() {
-            Some(idx) if self.admissions[idx].due <= until => {
-                let due = self.admissions[idx].due;
-                if due > self.inner.now() {
-                    self.inner.advance_to(due);
-                    if self.inner.events_pending() {
-                        return;
-                    }
-                }
-                self.deliver_admission(idx);
-                // The admitted echoes are buffered now; the caller drains
-                // them before advancing further.
-            }
-            _ => self.inner.advance_to(until),
+        self.admit_due(until);
+        if !self.inner.events_pending() {
+            self.inner.advance_to(until);
         }
     }
 
@@ -583,6 +574,17 @@ mod tests {
         ExecutionEngine::new(DbmsProfile::dbms_x(), w, seed)
     }
 
+    /// Natural duration of query 0 alone on a fresh engine of seed 0 (an
+    /// adapter over the same engine replays the same first noise draw).
+    fn solo_duration(w: &Workload) -> f64 {
+        let mut probe = engine(w, 0);
+        probe.submit(QueryId(0), RunParams::default_config(), 0);
+        match probe.poll_event() {
+            ExecEvent::Completed(c) => c.duration(),
+            other => panic!("expected the completion: {other:?}"),
+        }
+    }
+
     #[test]
     fn latencies_are_a_pure_function_of_seed_connection_and_index() {
         let p = DispatchProfile::fixed(0.1).with_jitter(0.5).with_seed(7);
@@ -604,11 +606,11 @@ mod tests {
     }
 
     #[test]
-    fn submitted_is_never_delivered_synchronously_from_submit() {
+    fn a_dispatch_is_never_admitted_synchronously_from_submit() {
         let w = tpch();
         let mut a = AsyncAdapter::new(engine(&w, 0), DispatchProfile::fixed(0.5));
         a.submit(QueryId(0), RunParams::default_config(), 0);
-        // The slot is claimed (pending) but nothing was admitted: no echo is
+        // The slot is claimed (pending) but nothing was admitted: no event is
         // buffered, the inner backend is untouched, the slot has no start.
         assert!(!a.events_pending(), "no event may be buffered at submit");
         assert!(a.connections()[0].is_pending());
@@ -616,17 +618,16 @@ mod tests {
         assert_eq!(a.connections()[0].queued_at(), Some(0.0));
         assert!(a.inner().connections()[0].is_free());
         assert_eq!(a.in_flight(), 1);
-        // The Submitted event arrives only once the latency elapsed.
-        let event = a.poll_event();
+        // The poll admits the dispatch once the latency elapsed, on its way
+        // to the query's completion.
+        let ExecEvent::Completed(done) = a.poll_event() else {
+            panic!("the admitted query completes");
+        };
+        assert_eq!(done.query, QueryId(0));
         assert_eq!(
-            event,
-            ExecEvent::Submitted {
-                query: QueryId(0),
-                connection: 0
-            }
+            done.started_at, 0.5,
+            "admission happened at the due instant"
         );
-        assert_eq!(a.now(), 0.5, "admission happened at the due instant");
-        assert_eq!(a.connections()[0].started_at(), Some(0.5));
         assert_eq!(a.in_flight(), 0);
     }
 
@@ -668,43 +669,23 @@ mod tests {
         }
         // Admissions drain the queue in FIFO order: after both in-flight
         // dispatches admit, the next two queued entries take their place.
-        assert_eq!(
-            a.poll_event(),
-            ExecEvent::Submitted {
-                query: QueryId(0),
-                connection: 0
-            }
-        );
-        assert_eq!(
-            a.poll_event(),
-            ExecEvent::Submitted {
-                query: QueryId(1),
-                connection: 1
-            }
-        );
+        a.advance_to(0.25);
+        assert!(!a.events_pending(), "every query is still running");
+        for c in 0..2 {
+            assert_eq!(a.connections()[c].started_at(), Some(0.25));
+        }
+        for c in 2..5 {
+            assert!(a.connections()[c].is_pending());
+        }
         assert_eq!(a.queued.len(), 1);
         assert_eq!(a.in_flight(), 2);
-        assert_eq!(
-            a.poll_event(),
-            ExecEvent::Submitted {
-                query: QueryId(2),
-                connection: 2
-            }
-        );
-        assert_eq!(
-            a.poll_event(),
-            ExecEvent::Submitted {
-                query: QueryId(3),
-                connection: 3
-            }
-        );
-        assert_eq!(
-            a.poll_event(),
-            ExecEvent::Submitted {
-                query: QueryId(4),
-                connection: 4
-            }
-        );
+        a.advance_to(0.5);
+        assert_eq!(a.connections()[2].started_at(), Some(0.5));
+        assert_eq!(a.connections()[3].started_at(), Some(0.5));
+        assert!(a.connections()[4].is_pending());
+        assert_eq!((a.queued.len(), a.in_flight()), (0, 1));
+        a.advance_to(0.75);
+        assert!(!a.events_pending(), "every query is still running");
         assert_eq!(a.queued.len(), 0);
         assert_eq!(a.in_flight(), 0);
         // Requeued dispatches waited out their own latency from the instant
@@ -730,9 +711,10 @@ mod tests {
             .map(|q| (QueryId(q), RunParams::default_config(), q))
             .collect();
         a.submit_batch(&batch);
-        for _ in 0..6 {
-            assert!(matches!(a.poll_event(), ExecEvent::Submitted { .. }));
-        }
+        // Every latency is under 0.2 + 0.4, far below any completion.
+        a.advance_to(0.6);
+        assert!(!a.events_pending(), "every query is still running");
+        assert_eq!(a.in_flight(), 0);
         let starts: Vec<f64> = (0..6)
             .map(|c| a.connections()[c].started_at().expect("admitted"))
             .collect();
@@ -750,12 +732,7 @@ mod tests {
         let w = tpch();
         // Natural duration of query 0 alone on a fresh engine (the adapter
         // run below replays the same first noise draw exactly).
-        let mut probe = engine(&w, 0);
-        probe.submit(QueryId(0), RunParams::default_config(), 0);
-        let duration = match (probe.poll_event(), probe.poll_event()) {
-            (ExecEvent::Submitted { .. }, ExecEvent::Completed(c)) => c.duration(),
-            other => panic!("expected the echo, then the completion: {other:?}"),
-        };
+        let duration = solo_duration(&w);
 
         // Admission latency far beyond the query duration: query 0 admits
         // at L and finishes at L + duration; query 1's dispatch — issued at
@@ -764,8 +741,9 @@ mod tests {
         let latency = duration * 2.0;
         let mut a = AsyncAdapter::new(engine(&w, 0), DispatchProfile::fixed(latency));
         a.submit(QueryId(0), RunParams::default_config(), 0);
-        assert!(matches!(a.poll_event(), ExecEvent::Submitted { .. }));
+        a.advance_to(latency);
         assert_eq!(a.now(), latency);
+        assert_eq!(a.connections()[0].started_at(), Some(latency));
         a.submit(QueryId(1), RunParams::default_config(), 1);
         match a.poll_event() {
             ExecEvent::Completed(c) => {
@@ -777,9 +755,17 @@ mod tests {
             }
             other => panic!("expected the completion first, got {other:?}"),
         }
+        assert!(
+            a.connections()[1].is_pending(),
+            "the later dispatch is not admitted yet"
+        );
+        assert_eq!(a.in_flight(), 1);
         match a.poll_event() {
-            ExecEvent::Submitted { query, .. } => assert_eq!(query, QueryId(1)),
-            other => panic!("expected the deferred admission, got {other:?}"),
+            ExecEvent::Completed(c) => {
+                assert_eq!(c.query, QueryId(1));
+                assert_eq!(c.started_at, latency * 2.0, "the deferred admission");
+            }
+            other => panic!("expected query 1's completion, got {other:?}"),
         }
     }
 
@@ -826,6 +812,7 @@ mod tests {
     #[test]
     fn advance_to_admits_due_dispatches_on_the_way() {
         let w = tpch();
+        let duration = solo_duration(&w);
         let mut a = AsyncAdapter::new(engine(&w, 0), DispatchProfile::fixed(0.5));
         a.submit(QueryId(0), RunParams::default_config(), 0);
         // A bound short of the admission instant only moves the clock.
@@ -833,17 +820,18 @@ mod tests {
         assert_eq!(a.now(), 0.25);
         assert!(!a.events_pending());
         assert!(a.connections()[0].is_pending());
-        // A bound beyond it admits the dispatch and buffers the echo.
-        a.advance_to(10.0);
-        assert!(a.events_pending(), "the admission echo is buffered");
-        assert_eq!(a.now(), 0.5, "the clock stops at the admission instant");
-        assert_eq!(
-            a.poll_event(),
-            ExecEvent::Submitted {
-                query: QueryId(0),
-                connection: 0
-            }
-        );
+        // A bound between the admission and the query's completion admits
+        // the dispatch on the way and is reached with nothing buffered.
+        let bound = 0.5 + duration / 2.0;
+        a.advance_to(bound);
+        assert_eq!(a.now(), bound, "the advance goes on past the admission");
+        assert!(!a.events_pending());
+        assert_eq!(a.connections()[0].started_at(), Some(0.5));
+        assert_eq!(a.in_flight(), 0);
+        match a.poll_event() {
+            ExecEvent::Completed(c) => assert_eq!((c.query, c.started_at), (QueryId(0), 0.5)),
+            other => panic!("expected query 0's completion, got {other:?}"),
+        }
     }
 
     /// Forwards everything to the wrapped backend while replaying a scripted
@@ -952,10 +940,10 @@ mod tests {
         assert!(a.poll_fault().is_none());
         assert_eq!((a.in_flight(), a.queued.len()), (1, 0));
         assert!(a.connections()[0].is_pending());
-        // The surviving query admits and completes normally.
-        assert!(matches!(a.poll_event(), ExecEvent::Submitted { .. }));
+        // The surviving query admits at its due instant and completes
+        // normally.
         match a.poll_event() {
-            ExecEvent::Completed(c) => assert_eq!(c.query, QueryId(1)),
+            ExecEvent::Completed(c) => assert_eq!((c.query, c.started_at), (QueryId(1), 0.5)),
             other => panic!("expected completion, got {other:?}"),
         }
         assert_eq!(a.poll_event(), ExecEvent::Idle);
@@ -975,7 +963,7 @@ mod tests {
         let mut a = AsyncAdapter::new(e, DispatchProfile::synchronous());
         a.submit(QueryId(0), RunParams::default_config(), 0);
         a.submit(QueryId(1), RunParams::default_config(), 1);
-        while matches!(a.poll_event(), ExecEvent::Submitted { .. }) {}
+        let _ = a.poll_event();
         let stall = a
             .stall_diagnostic()
             .expect("the wrapped engine's stall must surface through the adapter");

@@ -365,7 +365,6 @@ pub struct LearnedSimulator<'a> {
     /// until a submission or a completion changes the running set.
     prediction: Option<(usize, f64)>,
     completion_events: VecDeque<QueryCompletion>,
-    submitted_events: VecDeque<(QueryId, usize)>,
 }
 
 impl<'a> LearnedSimulator<'a> {
@@ -400,7 +399,6 @@ impl<'a> LearnedSimulator<'a> {
             obs,
             prediction: None,
             completion_events: VecDeque::with_capacity(1),
-            submitted_events: VecDeque::with_capacity(connections),
         }
     }
 
@@ -546,15 +544,11 @@ impl ExecutorBackend for LearnedSimulator<'_> {
             started_at: self.now,
         };
         self.prediction = None;
-        self.submitted_events.push_back((query, connection));
     }
 
-    /// Submission echoes first, then one completion, predicting and
-    /// advancing to the next one first if none is buffered.
+    /// One completion, predicting and advancing to the next one first if
+    /// none is buffered.
     fn poll_event(&mut self) -> ExecEvent {
-        if let Some((query, connection)) = self.submitted_events.pop_front() {
-            return ExecEvent::Submitted { query, connection };
-        }
         if self.completion_events.is_empty() {
             self.advance_until_completion();
         }
@@ -565,7 +559,7 @@ impl ExecutorBackend for LearnedSimulator<'_> {
     }
 
     fn events_pending(&self) -> bool {
-        !self.completion_events.is_empty() || !self.submitted_events.is_empty()
+        !self.completion_events.is_empty()
     }
 
     /// Advance virtual time to at most `until`; buffered completions must

@@ -353,10 +353,6 @@ impl<B: ExecutorBackend> ExecutorBackend for ChaosBackend<B> {
                         return delivered;
                     }
                 }
-                ExecEvent::Submitted { .. } => {
-                    self.refresh_mirror();
-                    return event;
-                }
                 ExecEvent::Idle => {
                     if self.held.is_empty() {
                         self.refresh_mirror();

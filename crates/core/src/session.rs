@@ -282,11 +282,9 @@ impl<'a, E: ExecutorBackend> ScheduleSession<'a, E> {
             // Observe any faults the drain surfaced before routing, so the
             // router never places onto a shard that just went down.
             self.drain_faults(&mut log);
+            // A submission buffers no event, so nothing is left to drain
+            // before the next poll.
             self.fill_free_connections(policy);
-            // Consume the fill's submission echoes (no time advance).
-            if self.drain_buffered_events(policy, &mut log) {
-                continue; // a backend completed instantly: refill first
-            }
 
             // Advance to the next natural completion and apply, with its
             // simultaneous batch, before refilling.
@@ -295,7 +293,6 @@ impl<'a, E: ExecutorBackend> ScheduleSession<'a, E> {
                     self.apply_completion(c, policy, &mut log);
                     self.drain_buffered_events(policy, &mut log);
                 }
-                ExecEvent::Submitted { .. } => {}
                 ExecEvent::Idle => {
                     self.drain_faults(&mut log);
                     if !self.cooling.is_empty() {
@@ -475,25 +472,14 @@ impl<'a, E: ExecutorBackend> ScheduleSession<'a, E> {
         });
     }
 
-    /// Pop every buffered event (no virtual-time advance); returns whether
-    /// any completion was applied.
-    fn drain_buffered_events(
-        &mut self,
-        policy: &mut dyn SchedulerPolicy,
-        log: &mut EpisodeLog,
-    ) -> bool {
-        let mut completed = false;
+    /// Apply every buffered completion (no virtual-time advance).
+    fn drain_buffered_events(&mut self, policy: &mut dyn SchedulerPolicy, log: &mut EpisodeLog) {
         while self.backend.events_pending() {
             match self.backend.poll_event() {
-                ExecEvent::Submitted { .. } => {}
-                ExecEvent::Completed(c) => {
-                    completed = true;
-                    self.apply_completion(c, policy, log);
-                }
+                ExecEvent::Completed(c) => self.apply_completion(c, policy, log),
                 ExecEvent::Idle => break,
             }
         }
-        completed
     }
 
     /// Decide a query for every free connection while pending queries

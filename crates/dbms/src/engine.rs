@@ -214,7 +214,6 @@ pub struct ExecutionEngine {
     slots: Vec<ConnectionSlot>,
     progress: Vec<SlotProgress>,
     completion_events: VecDeque<QueryCompletion>,
-    submitted_events: VecDeque<(QueryId, usize)>,
     scratch: RateScratch,
     last_stall: Option<AdvanceStall>,
     advance_budget_override: Option<usize>,
@@ -273,7 +272,6 @@ impl ExecutionEngine {
             slots,
             progress: vec![SlotProgress::default(); connections],
             completion_events: VecDeque::with_capacity(connections),
-            submitted_events: VecDeque::with_capacity(connections),
             scratch: RateScratch::default(),
             last_stall: None,
             advance_budget_override: None,
@@ -295,12 +293,6 @@ impl ExecutionEngine {
     /// Number of queries currently executing.
     fn busy_count(&self) -> usize {
         self.slots.iter().filter(|s| !s.is_free()).count()
-    }
-
-    /// Pop one buffered submission echo `(query, connection)` without
-    /// advancing virtual time.
-    fn pop_submit_echo(&mut self) -> Option<(QueryId, usize)> {
-        self.submitted_events.pop_front()
     }
 
     /// Per-connection (cpu_rate, io_rate) under the current mix, in work
@@ -535,8 +527,8 @@ impl ExecutorBackend for ExecutionEngine {
         self.now
     }
 
-    /// Submit `query` with `params` to a specific free connection; the
-    /// submission echo is buffered for the next [`ExecutorBackend::poll_event`].
+    /// Submit `query` with `params` to a specific free connection, stamped
+    /// at the current instant; nothing is buffered.
     ///
     /// # Panics
     /// Panics if the connection is busy or out of range, or the query id is
@@ -613,13 +605,9 @@ impl ExecutorBackend for ExecutionEngine {
             parallel_fraction,
             workers_cap: params.workers as f64,
         };
-        self.submitted_events.push_back((query, connection));
     }
 
     fn poll_event(&mut self) -> ExecEvent {
-        if let Some((query, connection)) = self.pop_submit_echo() {
-            return ExecEvent::Submitted { query, connection };
-        }
         if self.completion_events.is_empty() {
             self.advance_until_completion();
         }
@@ -630,7 +618,7 @@ impl ExecutorBackend for ExecutionEngine {
     }
 
     fn events_pending(&self) -> bool {
-        !self.completion_events.is_empty() || !self.submitted_events.is_empty()
+        !self.completion_events.is_empty()
     }
 
     /// Advance virtual time to at most `until` (without requiring a
@@ -1005,9 +993,8 @@ mod tests {
         let mut e = ExecutionEngine::new(DbmsProfile::dbms_x(), &w, 1);
         assert!(!e.events_pending());
         e.submit(QueryId(0), default_params(), 0);
-        assert!(e.events_pending(), "the submission echo is buffered");
-        assert!(matches!(e.poll_event(), ExecEvent::Submitted { .. }));
-        // Nothing buffered now, and checking must not advance the clock.
+        // A submission buffers nothing, and checking must not advance the
+        // clock.
         assert!(!e.events_pending());
         assert_eq!(e.now(), 0.0);
         e.advance_to(f64::INFINITY);

@@ -19,25 +19,12 @@ use bq_plan::QueryId;
 /// One event observed on the executor surface.
 ///
 /// Events are the only way information flows out of a backend while a
-/// session runs, which keeps the scheduler non-intrusive: it sees
-/// submissions being accepted and queries completing, never the executor's
-/// internal resource state.
+/// session runs, which keeps the scheduler non-intrusive: it sees queries
+/// completing, never the executor's internal resource state. A submission
+/// reports nothing back; whether it was admitted yet is read off the
+/// connection slot ([`ConnectionSlot::Pending`] or [`ConnectionSlot::Busy`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExecEvent {
-    /// A submission was accepted onto a connection.
-    ///
-    /// For the in-process backends this is a synchronous echo the session
-    /// simply consumes. An async adapter (`AsyncAdapter` in the `bq-adapter`
-    /// crate) delivers it only after the submission's admission latency has
-    /// elapsed in virtual time — never from inside `submit` — modelling the
-    /// client/server boundary of a real DBMS; the event model is the same
-    /// either way, so schedulers cannot tell.
-    Submitted {
-        /// The accepted query.
-        query: QueryId,
-        /// Connection it was placed on.
-        connection: usize,
-    },
     /// A query finished (possibly one of several at the same instant; the
     /// rest stay buffered and are returned by subsequent polls without
     /// advancing virtual time).
@@ -320,21 +307,23 @@ impl ShardTopology {
 /// a free connection), **queued** (the submission was dispatched but the
 /// executor has not admitted it — the slot reads
 /// [`ConnectionSlot::Pending`]), **admitted** (the executor accepted it;
-/// [`ExecEvent::Submitted`] is delivered and the slot turns
-/// [`ConnectionSlot::Busy`] with `started_at` at the admission instant),
-/// **running**, and **completed** ([`ExecEvent::Completed`]). The in-process
-/// backends collapse queued→admitted to a single instant: `submit` admits
-/// synchronously and only the `Submitted` echo is deferred to
-/// [`ExecutorBackend::poll_event`]. An async adapter (the `bq-adapter`
-/// crate) keeps the phases apart — submissions wait in an admission queue
-/// for a seeded latency (plus a backpressure queue when the in-flight window
-/// is full), and `Submitted` arrives only once that latency has elapsed in
-/// virtual time. Two rules keep both shapes indistinguishable to the
-/// session: a pending slot is *occupied* (never handed out again) but has no
-/// `started_at`, so the running view and every elapsed time count execution
-/// only, never queued time; and [`ExecutorBackend::submit_batch`] dispatches
-/// one scheduling instant's decisions together, so an adapter can coalesce
-/// them into a single round-trip. No query is cut short: each one is logged
+/// the slot turns [`ConnectionSlot::Busy`] with `started_at` at the
+/// admission instant), **running**, and **completed**
+/// ([`ExecEvent::Completed`]). Only a completion is an event: a submission
+/// buffers none and leaves [`ExecutorBackend::now`] where it was. The
+/// in-process backends collapse queued→admitted to a single instant:
+/// `submit` admits synchronously. An async adapter (the `bq-adapter` crate)
+/// keeps the phases apart — submissions wait in an admission queue for a
+/// seeded latency (plus a backpressure queue when the in-flight window is
+/// full), and the adapter admits them as its clock reaches their instants,
+/// inside [`ExecutorBackend::poll_event`] and
+/// [`ExecutorBackend::advance_to`]. Two rules keep both shapes
+/// indistinguishable to the session: a pending slot is *occupied* (never
+/// handed out again) but has no `started_at`, so the running view and every
+/// elapsed time count execution only, never queued time; and
+/// [`ExecutorBackend::submit_batch`] dispatches one scheduling instant's
+/// decisions together, so an adapter can coalesce them into a single
+/// round-trip. No query is cut short: each one is logged
 /// once, when it finishes, so a round's makespan ends when its last query
 /// does.
 pub trait ExecutorBackend {
@@ -345,7 +334,9 @@ pub trait ExecutorBackend {
     /// Current virtual time.
     fn now(&self) -> f64;
 
-    /// Submit a query to a specific free connection.
+    /// Submit a query to a specific free connection. Nothing is reported
+    /// back: the slot reads [`ConnectionSlot::Busy`] once the query is
+    /// admitted, and its completion is the only event it produces.
     ///
     /// # Panics
     /// Implementations panic if the connection is busy or out of range.
@@ -356,9 +347,10 @@ pub trait ExecutorBackend {
     /// order. The session layer collects all decisions made at one
     /// observable instant and hands them over through this method, so an
     /// async adapter can coalesce the round's decisions into a single
-    /// dispatch sharing one admission latency. The default simply loops over
-    /// [`ExecutorBackend::submit`] (synchronous admission, one echo per
-    /// entry), which is exactly what every in-process backend wants.
+    /// dispatch sharing one admission latency. Like `submit`, it buffers no
+    /// event. The default simply loops over [`ExecutorBackend::submit`]
+    /// (synchronous admission), which is exactly what every in-process
+    /// backend wants.
     ///
     /// # Panics
     /// Implementations panic if any connection is busy or out of range.
@@ -458,16 +450,13 @@ pub trait ExecutorBackend {
     }
 }
 
-/// Test helper: the next completion on `backend`, skipping submission
-/// echoes; `None` once the backend is idle.
+/// Test helper: the next completion on `backend`; `None` once the backend
+/// is idle.
 #[cfg(test)]
 pub(crate) fn next_completion(backend: &mut impl ExecutorBackend) -> Option<QueryCompletion> {
-    loop {
-        match backend.poll_event() {
-            ExecEvent::Submitted { .. } => {}
-            ExecEvent::Completed(completion) => return Some(completion),
-            ExecEvent::Idle => return None,
-        }
+    match backend.poll_event() {
+        ExecEvent::Completed(completion) => Some(completion),
+        ExecEvent::Idle => None,
     }
 }
 
@@ -513,14 +502,8 @@ mod tests {
         exec.submit(QueryId(0), RunParams::default_config(), 0);
         assert_eq!(exec.running_view().count(), 1);
         assert_eq!(exec.first_free(), Some(1));
-        assert!(exec.events_pending(), "submission echo must be buffered");
-        assert_eq!(
-            exec.poll_event(),
-            ExecEvent::Submitted {
-                query: QueryId(0),
-                connection: 0
-            }
-        );
+        assert!(!exec.events_pending(), "a submission buffers no event");
+        assert_eq!(exec.now(), 0.0);
 
         match exec.poll_event() {
             ExecEvent::Completed(c) => {
@@ -562,20 +545,7 @@ mod tests {
         exec.submit(QueryId(1), RunParams::default_config(), 3);
         let conns: Vec<usize> = exec.running_view().map(|(_, _, _, c)| c).collect();
         assert_eq!(conns, vec![3, 20]);
-        assert_eq!(
-            exec.poll_event(),
-            ExecEvent::Submitted {
-                query: QueryId(0),
-                connection: 20
-            }
-        );
-        assert_eq!(
-            exec.poll_event(),
-            ExecEvent::Submitted {
-                query: QueryId(1),
-                connection: 3
-            }
-        );
+        assert!(!exec.events_pending(), "a submission buffers no event");
         match exec.poll_event() {
             ExecEvent::Completed(c) => assert!(c.connection == 3 || c.connection == 20),
             other => panic!("expected completion, got {other:?}"),

@@ -62,7 +62,6 @@ use crate::params::RunParams;
 use crate::profiles::DbmsProfile;
 use bq_obs::{Obs, TraceEvent, TraceKind};
 use bq_plan::{QueryId, Workload};
-use std::collections::VecDeque;
 
 /// Tolerance when comparing virtual-time instants across shards.
 const TIME_EPS: f64 = 1e-9;
@@ -92,8 +91,6 @@ pub struct ShardedEngine {
     mirror: Vec<ConnectionSlot>,
     /// Harvested, not-yet-delivered completions (global connection ids).
     pending: Vec<QueryCompletion>,
-    /// Harvested submission echoes (global connection ids).
-    submitted: VecDeque<(QueryId, usize)>,
     /// Observability handle; [`Obs::off`] unless [`ShardedEngine::set_obs`]
     /// installed one.
     obs: Obs,
@@ -126,7 +123,6 @@ impl ShardedEngine {
             clock: 0.0,
             mirror: vec![ConnectionSlot::Free; total],
             pending: Vec::with_capacity(total),
-            submitted: VecDeque::with_capacity(total),
             obs: Obs::off(),
         }
     }
@@ -183,9 +179,8 @@ impl ShardedEngine {
     }
 
     /// Translate and collect shard `s`'s buffered completions into the merge
-    /// set. Polling a buffered event never advances a shard's clock, and
-    /// submission echoes are consumed at the submit site, so only
-    /// completions flow through here.
+    /// set. Polling a buffered event never advances a shard's clock, and a
+    /// completion is the only event a shard buffers.
     fn harvest(&mut self, s: usize) {
         let offset = self.topology.range_of(s).start;
         while self.shards[s].events_pending() {
@@ -298,28 +293,13 @@ impl ExecutorBackend for ShardedEngine {
             }
         }
         self.mirror[connection] = slot;
-        // The shard buffers exactly one echo, and the poll right after the
-        // submit returns it without advancing the shard.
-        let echo = self.shards[s].poll_event();
-        debug_assert_eq!(
-            echo,
-            ExecEvent::Submitted {
-                query,
-                connection: local
-            }
-        );
-        self.submitted.push_back((query, connection));
     }
 
-    /// Submission echoes first (global connection ids), then the next
-    /// completion in global merge order, advancing shard timelines first if
-    /// none is ready. [`ExecEvent::Idle`] when nothing is running anywhere
-    /// (or every busy shard is stalled — see
+    /// The next completion in global merge order, advancing shard timelines
+    /// first if none is ready. [`ExecEvent::Idle`] when nothing is running
+    /// anywhere (or every busy shard is stalled — see
     /// [`ExecutorBackend::stall_diagnostic`]).
     fn poll_event(&mut self) -> ExecEvent {
-        if let Some((query, connection)) = self.submitted.pop_front() {
-            return ExecEvent::Submitted { query, connection };
-        }
         loop {
             match self.min_pending() {
                 None => {
@@ -388,14 +368,12 @@ impl ExecutorBackend for ShardedEngine {
     }
 
     /// Whether buffered events exist that can be consumed without advancing
-    /// the observable clock: submission echoes, or harvested completions of
-    /// the already-reached instant (the rest of a same-instant batch).
+    /// the observable clock: harvested completions of the already-reached
+    /// instant (the rest of a same-instant batch).
     fn events_pending(&self) -> bool {
-        !self.submitted.is_empty()
-            || self
-                .pending
-                .iter()
-                .any(|c| c.finished_at <= self.clock + TIME_EPS)
+        self.pending
+            .iter()
+            .any(|c| c.finished_at <= self.clock + TIME_EPS)
     }
 
     /// Advance the observable clock to at most `until`: every busy shard
@@ -501,13 +479,6 @@ mod tests {
     /// Observably busy (mirror) connections.
     fn busy(e: &ShardedEngine) -> usize {
         e.running_view().count()
-    }
-
-    /// Consume the buffered submission echoes without advancing time.
-    fn drain_echoes(e: &mut ShardedEngine) {
-        while e.events_pending() {
-            e.poll_event();
-        }
     }
 
     /// Global connection id of shard-local slot `local` on `shard`.
@@ -631,7 +602,6 @@ mod tests {
         let mut e = ShardedEngine::new(DbmsProfile::dbms_x(), &w, 0, 2);
         e.submit(QueryId(0), default_params(), 0);
         e.submit(QueryId(1), default_params(), global_of(&e, 1, 0));
-        drain_echoes(&mut e);
         // A bound far below any completion: both shards integrate to it.
         e.advance_to(1e-3);
         assert!(!e.events_pending(), "nothing completes this early");
@@ -665,7 +635,6 @@ mod tests {
         let mut e = ShardedEngine::new(DbmsProfile::dbms_x(), &w, 0, 2);
         e.submit(QueryId(1), default_params(), 0);
         e.submit(QueryId(0), default_params(), shard1_conn);
-        drain_echoes(&mut e);
         // Advance just past shard 0's completion (still far below shard
         // 1's): the event is harvested, the clock anchors at t_short (not
         // at the bound, not left behind), and the batch is visible without
@@ -854,7 +823,6 @@ mod tests {
         e.submit(QueryId(1), default_params(), 1);
         let shard1 = global_of(&e, 1, 0);
         e.submit(QueryId(2), default_params(), shard1);
-        drain_echoes(&mut e);
         e.force_advance_budget(1);
         e
     }

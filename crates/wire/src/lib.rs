@@ -205,17 +205,10 @@ mod tests {
         let w = tpch();
         let mut backend = WireBackend::lossless(engine(&w, 0));
         backend.submit(QueryId(0), RunParams::default_config(), 0);
-        assert!(backend.events_pending(), "the echo is buffered server-side");
+        assert!(!backend.events_pending(), "a submission buffers no event");
         assert!(
             !backend.connections()[0].is_free(),
             "mirror tracks the slot"
-        );
-        assert_eq!(
-            backend.poll_event(),
-            ExecEvent::Submitted {
-                query: QueryId(0),
-                connection: 0
-            }
         );
         match backend.poll_event() {
             ExecEvent::Completed(c) => {
@@ -236,22 +229,24 @@ mod tests {
     fn version_mismatch_is_rejected_at_the_handshake() {
         let w = tpch();
         // Server speaking a different protocol version: connect must fail
-        // with the server's rejection, not panic.
-        let server = WireServer::new(engine(&w, 0)).with_version(PROTOCOL_VERSION + 1);
-        let err = WireBackend::connect(Loopback::new(server, InMemoryDuplex::lossless()))
-            .expect_err("mismatched versions must not connect");
-        match err {
-            WireError::Rejected { detail } => {
-                assert!(detail.contains("protocol"), "detail: {detail}")
+        // with the server's rejection, not panic. A version-5 server could
+        // still send the submission echo (event tag 0) version 6 retired.
+        for version in [PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1] {
+            let server = WireServer::new(engine(&w, 0)).with_version(version);
+            let err = WireBackend::connect(Loopback::new(server, InMemoryDuplex::lossless()))
+                .expect_err("mismatched versions must not connect");
+            match err {
+                WireError::Rejected { detail } => {
+                    assert!(detail.contains("protocol"), "detail: {detail}")
+                }
+                other => panic!("expected rejection, got {other:?}"),
             }
-            other => panic!("expected rejection, got {other:?}"),
         }
-        // A version-4 peer is refused at the handshake: it could still send
-        // the `Cancel` request version 5 retired.
+        // A version-5 client is refused at the handshake the same way.
         let mut raw = RawClient::new(&w);
         let resp = raw.send(Request::Hello {
             magic: HANDSHAKE_MAGIC,
-            version: 4,
+            version: 5,
         });
         assert!(matches!(
             resp,
@@ -549,13 +544,6 @@ mod tests {
             !backend.connections()[0].is_free(),
             "exactly one submission took effect"
         );
-        assert_eq!(
-            backend.poll_event(),
-            ExecEvent::Submitted {
-                query: QueryId(0),
-                connection: 0
-            }
-        );
         match backend.poll_event() {
             ExecEvent::Completed(c) => assert_eq!(c.query, QueryId(0)),
             other => panic!("expected completion, got {other:?}"),
@@ -563,29 +551,43 @@ mod tests {
         assert_eq!(backend.poll_event(), ExecEvent::Idle);
         assert!(backend.connections()[0].is_free());
 
-        // The submit's ack arrives late, right before the replay of the
-        // retransmitted exchange: both copies carry the buffered echo, and
-        // the client keeps only the first, so the echo is handed out once.
-        let link = Loopback::new(WireServer::new(engine(&w, 0)), LossyLink::holding(vec![1]));
+        // A poll's response arrives late, right before the replay of the
+        // retransmitted exchange: both copies carry the rest of a
+        // same-instant batch, and the client keeps only the first, so the
+        // buffered completion is handed out once. Without noise, one query
+        // on each of two shards finishes at one instant.
+        let mut profile = DbmsProfile::dbms_x();
+        profile.noise_std = 0.0;
+        let tied = ShardedEngine::new(profile, &w, 0, 2);
+        // Responses 0 and 1 answer the handshake and the batch.
+        let link = Loopback::new(WireServer::new(tied), LossyLink::holding(vec![2]));
         let mut backend = WireBackend::connect(link)
             .expect("handshake over a healthy link")
             .with_recovery(RecoveryPolicy);
-        backend.submit(QueryId(0), RunParams::default_config(), 0);
+        let params = RunParams::default_config();
+        backend.submit_batch(&[(QueryId(3), params, 0), (QueryId(3), params, 18)]);
+        let ExecEvent::Completed(first) = backend.poll_event() else {
+            panic!("both queries are running");
+        };
         assert!(matches!(
             backend.poll_fault(),
             Some(FaultEvent::TransportRetransmit { attempt: 1, .. })
         ));
         assert!(backend.poll_fault().is_none());
-        let echo = ExecEvent::Submitted {
-            query: QueryId(0),
-            connection: 0,
-        };
-        assert_eq!(backend.poll_event(), echo);
+        assert!(backend.events_pending(), "the tied sibling is buffered");
         match backend.poll_event() {
-            ExecEvent::Completed(c) => assert_eq!(c.query, QueryId(0)),
-            other => panic!("the echo must be handed out once, got {other:?}"),
+            ExecEvent::Completed(c) => {
+                assert_eq!((first.connection, c.connection), (0, 18));
+                assert_eq!(c.finished_at, first.finished_at);
+            }
+            other => panic!("expected the buffered completion, got {other:?}"),
         }
-        assert_eq!(backend.poll_event(), ExecEvent::Idle);
+        assert!(!backend.events_pending());
+        assert_eq!(
+            backend.poll_event(),
+            ExecEvent::Idle,
+            "the buffered completion must be handed out once"
+        );
     }
 
     #[test]
@@ -690,14 +692,13 @@ mod tests {
 
     /// A backend whose buffered pops do what a sharded engine's merge does:
     /// each pop moves the clock, and a completion frees its slot. A
-    /// submission occupies its slot and buffers `echoes` copies of its
-    /// echo; a poll with nothing buffered completes every busy slot as one
-    /// buffered batch, reporting a stall diagnostic until the batch is out.
+    /// submission occupies its slot and buffers nothing; a poll with nothing
+    /// buffered completes every busy slot as one buffered batch, reporting a
+    /// stall diagnostic until the batch is out.
     #[derive(Debug)]
     struct Scripted {
         slots: Vec<ConnectionSlot>,
         now: f64,
-        echoes: usize,
         /// Each buffered event with the clock its pop moves to.
         buffered: VecDeque<(f64, ExecEvent)>,
         stall: Option<AdvanceStall>,
@@ -706,11 +707,10 @@ mod tests {
     impl Scripted {
         const STEP: f64 = 0.125;
 
-        fn new(connections: usize, echoes: usize) -> Self {
+        fn new(connections: usize) -> Self {
             Self {
                 slots: vec![ConnectionSlot::Free; connections],
                 now: 0.0,
-                echoes,
                 buffered: VecDeque::new(),
                 stall: None,
             }
@@ -737,9 +737,6 @@ mod tests {
                 params,
                 started_at: self.now,
             };
-            for _ in 0..self.echoes {
-                self.buffer(|_| ExecEvent::Submitted { query, connection });
-            }
         }
 
         fn poll_event(&mut self) -> ExecEvent {
@@ -804,8 +801,8 @@ mod tests {
 
     #[test]
     fn each_buffered_entry_applies_its_own_header() {
-        let mut bare = Scripted::new(4, 1);
-        let mut wired = WireBackend::lossless(Scripted::new(4, 1));
+        let mut bare = Scripted::new(4);
+        let mut wired = WireBackend::lossless(Scripted::new(4));
         let obs = Obs::enabled();
         wired.set_obs(obs.clone());
         let mut polls = 0;
@@ -816,9 +813,9 @@ mod tests {
             bare.submit_batch(&batch);
             wired.submit_batch(&batch);
             assert_eq!(observables(&bare), observables(&wired), "round {round}");
-            // Drain the echoes, then the completion batch the next poll
-            // starts: after every poll the wire reads exactly what the
-            // bare backend reads, entry by entry.
+            // The first poll starts the completion batch and the rest is
+            // handed out from the queue: after every poll the wire reads
+            // exactly what the bare backend reads, entry by entry.
             loop {
                 let event = bare.poll_event();
                 assert_eq!(wired.poll_event(), event, "round {round} poll {polls}");
@@ -833,10 +830,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(
-            polls, 18,
-            "three rounds of three echoes and three completions"
-        );
+        assert_eq!(polls, 9, "three rounds of three completions");
         // Per round one batch and the one poll that starts the completion
         // batch: every other poll was answered from the queue.
         assert_eq!(obs.counter("wire_frames_sent"), 3 * 2);
@@ -845,7 +839,7 @@ mod tests {
     #[test]
     fn queued_entries_apply_before_a_later_response() {
         let p = RunParams::default_config();
-        let mut wired = WireBackend::lossless(Scripted::new(4, 0));
+        let mut wired = WireBackend::lossless(Scripted::new(4));
         wired.submit_batch(&[(QueryId(0), p, 0), (QueryId(1), p, 1)]);
         // The poll completes both queries; the second completion is queued.
         assert!(matches!(wired.poll_event(), ExecEvent::Completed(c) if c.connection == 0));
@@ -877,17 +871,18 @@ mod tests {
 
     #[test]
     fn a_drain_larger_than_one_frame_spans_exchanges_in_order() {
-        // Every submission buffers 3000 echoes of ~23 bytes each: more
-        // than one 64 KiB response can carry.
-        let w = tpch();
-        let mut bare = Scripted::new(2, 3000);
+        // 1000 connections, all filled at once: the poll that completes
+        // them buffers 999 completions of ~80 bytes each, more than one
+        // 64 KiB response can carry.
+        let w = generate(&WorkloadSpec::new(Benchmark::TpcH, 1.0, 50));
+        let mut bare = Scripted::new(1000);
         let base = ScheduleSession::builder(&w)
             .build(&mut bare)
             .run(&mut FifoScheduler::new());
         let link = LossyLink::lossless(Vec::new());
         let largest = Rc::clone(&link.largest);
         let mut wired =
-            WireBackend::connect(Loopback::new(WireServer::new(Scripted::new(2, 3000)), link))
+            WireBackend::connect(Loopback::new(WireServer::new(Scripted::new(1000)), link))
                 .expect("handshake");
         let obs = Obs::enabled();
         wired.set_obs(obs.clone());
@@ -904,10 +899,11 @@ mod tests {
             largest.get() > MAX_FRAME_LEN / 2,
             "the drain fills a frame before it stops"
         );
-        // 11 instants of two submissions: each instant's 6000 echoes take
-        // the batch's exchange and at least two polls.
+        // Two fills of 1000 and 100 queries: each takes the batch's
+        // exchange and a poll, and the first batch of completions at least
+        // one more poll.
         assert!(
-            obs.counter("wire_frames_sent") >= 11 * 3,
+            obs.counter("wire_frames_sent") >= 5,
             "{} exchanges",
             obs.counter("wire_frames_sent")
         );
@@ -926,8 +922,6 @@ mod tests {
             .build(&mut wired)
             .run(&mut FifoScheduler::new());
         assert_eq!(log.len(), w.len());
-        // Version 2 spent 280 exchanges on this round: one more poll per
-        // submission echo.
         assert_eq!(obs.counter("wire_frames_sent"), 181);
     }
 

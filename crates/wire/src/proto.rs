@@ -18,6 +18,10 @@
 //! | ←   | 0x83| `Event`       | header, event, buffered                  |
 //! | ←   | 0x86| `Error`       | code u8, detail string                   |
 //!
+//! An **event** is a tag byte and its payload: `0x01` `Completed` (one
+//! query completion) or `0x02` `Idle`. A submission reports nothing back:
+//! tag `0x00`, the submission echo, was retired in version 6.
+//!
 //! Every non-error response carries a [`ResponseHeader`]: the server's
 //! observable clock, whether events are buffered, any advance-stall
 //! diagnostic, and the **slot updates** — the connection slots that changed
@@ -31,8 +35,9 @@
 //! **buffered** list, `count u32` × ([`BufferedEvent`]): the events the
 //! server's backend still had buffered once the request was handled, each
 //! with the header the `PollEvent` answering it would have carried. The
-//! client hands them out from a local queue instead of polling for each —
-//! a submission's echo no longer costs a round trip of its own.
+//! client hands them out from a local queue instead of polling for each, so
+//! the rest of a same-instant completion batch costs no round trip of its
+//! own.
 
 use crate::frame::{Cursor, FrameError, Writer};
 use bq_dbms::{AdvanceStall, ConnectionSlot, ExecEvent, MemoryGrant, QueryCompletion, RunParams};
@@ -49,8 +54,9 @@ use bq_plan::QueryId;
 /// (tag `0x02`): a submission of one query is a one-entry
 /// [`Request::SubmitBatch`]. Version 5 retired the cancel request (tag
 /// `0x06`) and its answer (tag `0x84`): every query runs until it
-/// finishes.
-pub const PROTOCOL_VERSION: u16 = 5;
+/// finishes. Version 6 retired the submission echo (event tag `0x00`): a
+/// submission buffers no event, so only completions travel as events.
+pub const PROTOCOL_VERSION: u16 = 6;
 
 /// Sequence number stamped on server frames that answer no request (e.g. an
 /// error for a frame whose sequence prefix itself was unreadable).
@@ -345,11 +351,6 @@ fn get_completion(c: &mut Cursor<'_>) -> Result<QueryCompletion, FrameError> {
 
 fn put_event(w: &mut Writer, event: &ExecEvent) {
     match event {
-        ExecEvent::Submitted { query, connection } => {
-            w.u8(0);
-            w.u32(query.0 as u32);
-            w.u32(*connection as u32);
-        }
         ExecEvent::Completed(c) => {
             w.u8(1);
             put_completion(w, c);
@@ -360,10 +361,6 @@ fn put_event(w: &mut Writer, event: &ExecEvent) {
 
 fn get_event(c: &mut Cursor<'_>) -> Result<ExecEvent, FrameError> {
     Ok(match c.u8()? {
-        0 => ExecEvent::Submitted {
-            query: QueryId(c.u32()? as usize),
-            connection: c.u32()? as usize,
-        },
         1 => ExecEvent::Completed(get_completion(c)?),
         2 => ExecEvent::Idle,
         other => return Err(FrameError::BadTag(other)),
@@ -688,15 +685,12 @@ pub(crate) mod tests {
             started_at: 2.5,
             finished_at: 7.125,
         };
-        let echo = BufferedEvent {
+        let one = BufferedEvent {
             header: ResponseHeader {
                 now: 12.75,
                 ..ResponseHeader::default()
             },
-            event: ExecEvent::Submitted {
-                query: QueryId(1),
-                connection: 2,
-            },
+            event: ExecEvent::Completed(completion.clone()),
         };
         let many: Vec<BufferedEvent> = (0..5)
             .map(|i| BufferedEvent {
@@ -729,7 +723,7 @@ pub(crate) mod tests {
                 connections_per_shard: 4,
                 known_queries: None,
                 header: ResponseHeader::default(),
-                buffered: vec![echo.clone()],
+                buffered: vec![one.clone()],
             },
             Response::Ack {
                 header: header.clone(),
@@ -737,15 +731,7 @@ pub(crate) mod tests {
             },
             Response::Ack {
                 header: header.clone(),
-                buffered: vec![echo.clone()],
-            },
-            Response::Event {
-                header: header.clone(),
-                event: ExecEvent::Submitted {
-                    query: QueryId(1),
-                    connection: 2,
-                },
-                buffered: vec![echo],
+                buffered: vec![one],
             },
             Response::Event {
                 header,
@@ -860,6 +846,18 @@ pub(crate) mod tests {
         for tag in [0x10, 0x84, 0x85] {
             assert_eq!(Response::decode(&[tag]), Err(FrameError::BadTag(tag)));
         }
+        // Event tag 0 was the submission echo, retired in version 6. The
+        // event byte sits just before the empty buffered list's count.
+        let mut event = Response::Event {
+            header: ResponseHeader::default(),
+            event: ExecEvent::Idle,
+            buffered: Vec::new(),
+        }
+        .encode();
+        let at = event.len() - 5;
+        assert_eq!(event[at], 2, "the Idle tag");
+        event[at] = 0;
+        assert_eq!(Response::decode(&event), Err(FrameError::BadTag(0)));
     }
 
     #[test]

@@ -165,8 +165,8 @@ fn the_worked_examples_are_the_codec_bytes() {
             "AdvanceTo",
             on_the_socket(2, &Request::AdvanceTo { until: 1.5 }),
         ),
-        ("SubmitBatch with a buffered echo", batch),
-        ("SubmitBatch with a buffered echo", ack),
+        ("SubmitBatch", batch),
+        ("SubmitBatch", ack),
     ];
     let examples = worked_examples(SPEC);
     let titles: Vec<&str> = examples.iter().map(|e| e.title.as_str()).collect();

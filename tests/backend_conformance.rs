@@ -17,8 +17,10 @@
 //!    completion at or before it; mid-round, completions name the query on
 //!    their connection and the running view stays consistent and
 //!    connection-ordered;
-//! 3. **Ordered running view** — `RunningView` iterates in ascending global
-//!    connection order regardless of submission order;
+//! 3. **Silent submissions, ordered running view** — `submit` and
+//!    `submit_batch` buffer no event and leave the clock where it was, so
+//!    completions are the only events; `RunningView` iterates in ascending
+//!    global connection order regardless of submission order;
 //! 4. **Stall surfacing** — healthy rounds never leave a stall diagnostic
 //!    behind;
 //! 5. **Self-description** — the backend reports the workload size it was
@@ -193,17 +195,41 @@ fn check_advance_to_respects_its_bound<E: ExecutorBackend>(
     );
 }
 
-/// Invariant 3: the running view iterates in ascending global connection
-/// order no matter in which order the slots were filled.
-fn check_running_view_is_connection_ordered<E: ExecutorBackend>(name: &str, backend: &mut E) {
+/// Invariant 3: a submission, alone or in a batch, buffers no event and
+/// leaves the clock where it was (the session polls right after its fill,
+/// with nothing to drain), and the running view iterates in ascending
+/// global connection order no matter in which order the slots were filled.
+fn check_submissions_are_silent_and_the_view_ordered<E: ExecutorBackend>(
+    name: &str,
+    backend: &mut E,
+) {
     let conns = backend.connection_count().min(6);
-    // Fill high-to-low so an insertion-ordered view would come out reversed.
-    for (q, conn) in (0..conns).rev().enumerate() {
-        backend.submit(QueryId(q), RunParams::default_config(), conn);
+    // Fill high-to-low so an insertion-ordered view would come out
+    // reversed: half one by one, the rest as one batch.
+    let entries: Vec<(QueryId, RunParams, usize)> = (0..conns)
+        .rev()
+        .enumerate()
+        .map(|(q, conn)| (QueryId(q), RunParams::default_config(), conn))
+        .collect();
+    let (single, batch) = entries.split_at(conns / 2);
+    let now = backend.now().to_bits();
+    let silent = |backend: &E| {
+        assert!(
+            !backend.events_pending(),
+            "{name}: a submission buffered an event"
+        );
+        assert_eq!(
+            backend.now().to_bits(),
+            now,
+            "{name}: a submission moved the clock"
+        );
+    };
+    for &(query, params, conn) in single {
+        backend.submit(query, params, conn);
+        silent(backend);
     }
-    while backend.events_pending() {
-        backend.poll_event();
-    }
+    backend.submit_batch(batch);
+    silent(backend);
     let seen: Vec<usize> = backend.running_view().map(|(_, _, _, c)| c).collect();
     let expected: Vec<usize> = (0..conns).collect();
     assert_eq!(
@@ -363,7 +389,7 @@ where
 {
     check_byte_identical_logs(name, w, &mut fresh);
     check_advance_to_respects_its_bound(name, w, &mut fresh(7));
-    check_running_view_is_connection_ordered(name, &mut fresh(5));
+    check_submissions_are_silent_and_the_view_ordered(name, &mut fresh(5));
     check_healthy_rounds_surface_no_stall(name, w, &mut fresh);
     check_reports_its_workload_and_topology(name, w, &fresh(13));
     check_stepped_rounds_match_the_polled_round(name, w, &mut fresh);
@@ -518,6 +544,28 @@ fn async_adapter_over_the_sharded_engine_passes_conformance() {
             AsyncAdapter::new(
                 ShardedEngine::new(DbmsProfile::dbms_x(), &w, seed, shards),
                 DispatchProfile::synchronous(),
+            )
+        });
+    }
+}
+
+/// Invariant 6 across pending admissions: the adapter admits a dispatch on
+/// its way to the next completion when polled and on its way to the bound
+/// when advanced, so a round advanced in steps completes what the polled
+/// round completes. A window of two and batches of two also hold
+/// submissions in the backpressure queue.
+#[test]
+fn async_adapter_with_admission_latency_steps_like_it_polls() {
+    let w = tpch();
+    for dispatch in [
+        DispatchProfile::fixed(0.2),
+        DispatchProfile::fixed(0.3).with_jitter(0.2),
+    ] {
+        let dispatch = dispatch.with_max_in_flight(2).with_max_batch(2);
+        check_stepped_rounds_match_the_polled_round("adapter(engine, latency)", &w, &mut |seed| {
+            AsyncAdapter::new(
+                ExecutionEngine::new(DbmsProfile::dbms_x(), &w, seed),
+                dispatch,
             )
         });
     }

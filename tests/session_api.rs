@@ -179,7 +179,6 @@ fn session_fails_loudly_when_a_stall_precedes_the_final_completion() {
     // completes: a one-iteration advance gives up at that phase boundary.
     let mut probe = stalling_engine();
     probe.submit(QueryId(0), RunParams::default_config(), 0);
-    probe.poll_event(); // the submission echo
     probe.advance_to(f64::INFINITY);
     let phase_end = probe
         .stall_diagnostic()
